@@ -60,7 +60,6 @@ from .search import (
     SearchNode,
     StageSwitches,
     backpropagate,
-    run_optimization,
     select,
     selection_score,
 )

@@ -124,9 +124,16 @@ class StdioTransport(_Transport):
             raise AdapterError(f"malformed response line: {exc}") from None
 
     def close(self) -> None:
+        """End the peer's input and reap it; a peer that does not exit is killed."""
         if self._proc.stdin:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        if self._proc.stdout:
+            self._proc.stdout.close()
 
 
 class HttpTransport(_Transport):

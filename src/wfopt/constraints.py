@@ -2,6 +2,10 @@
 
 Score conventions: every family score lies in [0, 1]; 0.5 is the neutral
 prior used whenever the metadata needed to judge a program is absent.
+
+The static families read only the `WorkflowState` that `derive_state` builds
+from one analysis walk of the program: units and types count its per-operator
+check verdicts, depth and diversity read its depth and operator histogram.
 """
 
 from __future__ import annotations
@@ -10,18 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from .model import (
-    ExecutionTrace,
-    OperatorRegistry,
-    WorkflowProgram,
-    WorkflowState,
-    DomainRule,
-    Sign,
-    default_registry,
-    shape_analysis,
-    sign_analysis,
-    unit_analysis,
-)
+from .model import ExecutionTrace, OperatorRegistry, WorkflowProgram, WorkflowState
 from .motifs import MotifLibrary, score_pattern
 from .weights import FAMILIES
 
@@ -125,42 +118,23 @@ def score_diversity(state: WorkflowState, registry_size: int) -> float:
     return entropy / math.log(registry_size)
 
 
-def score_units(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> float:
+def score_units(state: WorkflowState) -> float:
     """Fraction of unit-checkable operations that are dimensionally consistent.
 
     Operations become checkable once all their input signatures are known,
     either from explicit tags or by propagation. With no checkable operation
     the score is the neutral prior 0.5.
     """
-    ua = unit_analysis(program, registry)
-    if not ua.checkable:
+    if not state.unit_checks:
         return 0.5
-    passing = sum(1 for nid in ua.checkable if ua.passed[nid])
-    return passing / len(ua.checkable)
+    return sum(state.unit_checks) / len(state.unit_checks)
 
 
-def score_types(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> float:
+def score_types(state: WorkflowState) -> float:
     """Fraction of operator applications passing shape and domain-rule checks."""
-    registry = registry or default_registry()
-    ops = program.operator_nodes()
-    if not ops:
+    if not state.type_checks:
         return 0.5
-    shape_ok = shape_analysis(program, registry)
-    signs = sign_analysis(program, registry)
-    inc = program.incoming()
-    passing = 0
-    for node in ops:
-        ok = shape_ok.get(node.node_id, True)
-        rule = registry.get(node.op).domain_rule
-        if ok and rule is not DomainRule.NONE:
-            arg_signs = [signs[src] for src in inc[node.node_id].values()]
-            for s in arg_signs:
-                if rule is DomainRule.INPUT_NONNEG and s is Sign.NEG:
-                    ok = False
-                elif rule is DomainRule.INPUT_POSITIVE and s in (Sign.NEG, Sign.ZERO, Sign.NONPOS):
-                    ok = False
-        passing += 1 if ok else 0
-    return passing / len(ops)
+    return sum(state.type_checks) / len(state.type_checks)
 
 
 def score_magnitude(trace: ExecutionTrace, cfg: MagnitudeConfig) -> float:
@@ -250,14 +224,17 @@ class ConstraintScorer:
         return family in self.enabled
 
     def static_vector(self, program: WorkflowProgram, state: WorkflowState) -> ConstraintVector:
-        """Pre-execution scores; magnitude stays at 1.0 until a trace exists."""
+        """Pre-execution scores of `program`, read from its derived `state`.
+
+        Magnitude stays at 1.0 until a trace exists.
+        """
         if self.library is not None and self._on("pattern"):
             pattern = score_pattern(state, self.category, self.library)
         else:
             pattern = 0.5
         return ConstraintVector(
-            units=score_units(program, self.registry) if self._on("units") else 0.5,
-            types=score_types(program, self.registry) if self._on("types") else 0.5,
+            units=score_units(state) if self._on("units") else 0.5,
+            types=score_types(state) if self._on("types") else 0.5,
             pattern=pattern,
             magnitude=1.0 if self._on("magnitude") else 0.5,
             depth=score_depth(state, self.depth_diversity) if self._on("depth") else 0.5,

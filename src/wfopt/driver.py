@@ -96,14 +96,6 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
         enabled_families=config.ablation.enabled_families,
     )
     proposer = SyntheticProposer(registry, config.proposer)
-    if config.executor.mode == "external":
-        if config.executor.command:
-            transport = StdioTransport(config.executor.command)
-        else:
-            transport = HttpTransport(config.executor.address)  # type: ignore[arg-type]
-        evaluator = ExternalEvaluator(transport, suite.validation)
-    else:
-        evaluator = SyntheticEvaluator(suite.validation, registry)
 
     log = RunLog()
     log.append(
@@ -117,19 +109,34 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
         prices={role: list(p) for role, p in config.prices.prices.items()},
         config=config.to_dict(),
     )
-    optimizer = Optimizer(
-        suite.initial_program,
-        proposer,
-        evaluator,
-        scorer,
-        schedule=config.threshold,
-        adaptation=config.adaptation,
-        budget=config.budget,
-        stages=config.ablation.stage_switches(),
-        adaptive_weights=config.ablation.adaptive_weights,
-        log=log,
-    )
-    best, log = optimizer.run()
+    transport = None
+    if config.executor.mode == "external":
+        if config.executor.command:
+            transport = StdioTransport(config.executor.command)
+        else:
+            transport = HttpTransport(config.executor.address)  # type: ignore[arg-type]
+    try:
+        if transport is not None:
+            evaluator = ExternalEvaluator(transport, suite.validation)
+        else:
+            evaluator = SyntheticEvaluator(suite.validation, registry)
+        optimizer = Optimizer(
+            suite.initial_program,
+            proposer,
+            evaluator,
+            scorer,
+            schedule=config.threshold,
+            adaptation=config.adaptation,
+            budget=config.budget,
+            stages=config.ablation.stage_switches(),
+            adaptive_weights=config.ablation.adaptive_weights,
+            log=log,
+        )
+        best, log = optimizer.run()
+    finally:
+        # the remote role is needed only by the search; stop a stdio peer here
+        if transport is not None:
+            transport.close()
 
     test_reward = None
     if suite.test.problems:

@@ -27,6 +27,7 @@ from .model import (
     OperatorRegistry,
     UnitSignature,
     WorkflowProgram,
+    analyze_program,
     canonical_key,
     default_registry,
     fresh_node_id,
@@ -492,12 +493,9 @@ def _target_is_usable(
     """Target must be multi-step (two distinct operator kinds), run cleanly,
     stay unit-consistent, vary with its inputs, and not coincide with the
     initial program's behavior."""
-    from .model import unit_analysis  # local import keeps the module header lean
-
     if len({n.op for n in program.operator_nodes()}) < 2:
         return False
-    ua = unit_analysis(program, registry)
-    if ua.checkable and not all(ua.passed[nid] for nid in ua.checkable):
+    if not all(analyze_program(program, registry).unit_checks.values()):
         return False
     outputs = []
     differs = False

@@ -5,6 +5,12 @@ a set of leaf nodes (named inputs and literal constants). Nodes may carry
 optional unit signatures (dimensional tags) and shape tags used by the static
 constraint checks; the interpreter itself is scalar-valued and deterministic.
 
+The static checks share one topological walk per program: `analyze_program`
+propagates unit signatures, shapes, value signs and depth together, and
+`derive_state` folds its per-operator verdicts into the `WorkflowState` the
+constraint scores read. The walk's maps are transient; nothing is cached on
+the program.
+
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
 """
@@ -245,9 +251,6 @@ class WorkflowProgram:
     def operator_nodes(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if not n.is_leaf())
 
-    def leaf_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.is_leaf())
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -257,12 +260,16 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class WorkflowState:
-    """Lightweight program view consumed by the constraint checks."""
+    """Lightweight program view consumed by the constraint checks.
+
+    ``unit_checks`` holds one pass/fail per operator whose input units are
+    all known; ``type_checks`` one per operator node.
+    """
 
     depth: int
     operator_histogram: Mapping[str, int]
-    unit_tagged_ops: tuple[str, ...] = ()
-    magnitude_summary: Optional[float] = None
+    unit_checks: tuple[bool, ...] = ()
+    type_checks: tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -330,12 +337,13 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
             if k not in slots[node.node_id]:
                 violations.append(f"node {node.node_id!r}: missing input slot {k}")
 
-    if _has_cycle(program):
+    cyclic = _has_cycle(program)
+    if cyclic:
         violations.append("cycle in operator graph")
 
     if program.output not in nm:
         violations.append(f"output {program.output!r} is not a node")
-    elif not _has_cycle(program) and not _reaches_leaf(program, program.output):
+    elif not cyclic and not _reaches_leaf(program, program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -401,94 +409,84 @@ def topological_order(program: WorkflowProgram) -> list[str]:
     return order
 
 
-def program_depth(program: WorkflowProgram) -> int:
-    """Longest leaf-to-output path, counted in edges."""
-    inc = program.incoming()
-    depth: dict[str, int] = {}
-    for nid in topological_order(program):
-        preds = inc.get(nid, {})
-        if not preds:
-            depth[nid] = 0
-        else:
-            depth[nid] = 1 + max(depth[src] for src in preds.values())
-    return depth[program.output]
-
-
 # ---------------------------------------------------------------------------
-# Static analyses: unit signatures, shapes, value signs.
+# Static analysis: unit signatures, shapes, value signs and depth in one walk.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitAnalysis:
-    signatures: Mapping[str, Optional[UnitSignature]]
-    checkable: tuple[str, ...]   # operator node ids with fully known input units
-    passed: Mapping[str, bool]
+class ProgramAnalysis:
+    """What one topological walk over a program knows about each node."""
+
+    units: Mapping[str, Optional[UnitSignature]]
+    shapes: Mapping[str, Optional[Shape]]
+    signs: Mapping[str, Sign]
+    depth: int                       # longest leaf-to-output path, in edges
+    unit_checks: Mapping[str, bool]  # operator nodes whose input units are all known
+    type_checks: Mapping[str, bool]  # every operator node: shape and domain rule
 
 
-def unit_analysis(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> UnitAnalysis:
-    """Propagate unit signatures; explicit node tags seed and override."""
+def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ProgramAnalysis:
+    """Propagate units, shapes, signs and depth in a single topological walk.
+
+    Explicit unit and shape tags on a node seed and override what propagation
+    derives. An operator's unit check runs once all its input units are
+    known; its type check passes when its shapes agree (unknowable shapes pass
+    vacuously) and no input sign, known only from literal constants, breaks
+    its domain rule.
+    """
     registry = registry or default_registry()
     inc = program.incoming()
     nm = program.node_map()
-    sigs: dict[str, Optional[UnitSignature]] = {}
-    checkable: list[str] = []
-    passed: dict[str, bool] = {}
-
-    for nid in topological_order(program):
-        node = nm[nid]
-        if node.is_leaf():
-            sigs[nid] = node.unit
-            continue
-        kind = registry.get(node.op)
-        inputs = [sigs.get(inc[nid][k]) for k in range(kind.arity)]
-        derived: Optional[UnitSignature] = None
-        if all(s is not None for s in inputs):
-            checkable.append(nid)
-            if kind.unit_behavior is UnitBehavior.ADDITIVE:
-                ok = all(s == inputs[0] for s in inputs[1:])
-                passed[nid] = ok
-                derived = inputs[0] if ok else None
-            elif kind.unit_behavior is UnitBehavior.MULTIPLICATIVE:
-                passed[nid] = True
-                derived = UnitSignature.of().combine(inputs, kind.slot_signs())  # type: ignore[arg-type]
-            elif kind.unit_behavior is UnitBehavior.TRANSFORM:
-                passed[nid] = True
-                base = inputs[0]
-                if kind.transform_dim is not None:
-                    derived = base.shifted(kind.transform_dim, kind.transform_shift)  # type: ignore[union-attr]
-                else:
-                    derived = base
-            else:  # UNITLESS
-                passed[nid] = True
-                derived = UnitSignature.of()
-        sigs[nid] = node.unit if node.unit is not None else derived
-    return UnitAnalysis(sigs, tuple(checkable), passed)
-
-
-def shape_analysis(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> Mapping[str, bool]:
-    """Return shape-ok per operator node; unknowable inputs pass vacuously."""
-    registry = registry or default_registry()
-    inc = program.incoming()
-    nm = program.node_map()
+    units: dict[str, Optional[UnitSignature]] = {}
     shapes: dict[str, Optional[Shape]] = {}
-    ok: dict[str, bool] = {}
+    signs: dict[str, Sign] = {}
+    depths: dict[str, int] = {}
+    unit_checks: dict[str, bool] = {}
+    type_checks: dict[str, bool] = {}
 
     for nid in topological_order(program):
         node = nm[nid]
         if node.is_leaf():
-            shapes[nid] = node.shape if node.shape is not None else (
-                Shape.scalar() if node.op == CONST_OP else None
-            )
+            const = node.op == CONST_OP
+            units[nid] = node.unit
+            shapes[nid] = node.shape if node.shape is not None else (Shape.scalar() if const else None)
+            signs[nid] = _sign_of(node.value) if const else Sign.UNKNOWN  # type: ignore[arg-type]
+            depths[nid] = 0
             continue
         kind = registry.get(node.op)
-        inputs = [shapes.get(inc[nid][k]) for k in range(kind.arity)]
-        derived: Optional[Shape] = None
-        if any(s is None for s in inputs):
-            ok[nid] = True
-        else:
-            ok[nid], derived = _check_shape(kind, inputs)  # type: ignore[arg-type]
-        shapes[nid] = node.shape if node.shape is not None else derived
-    return ok
+        args = [inc[nid][k] for k in range(kind.arity)]
+        depths[nid] = 1 + max(depths[a] for a in args)
+
+        in_units = [units[a] for a in args]
+        derived_unit: Optional[UnitSignature] = None
+        if all(u is not None for u in in_units):
+            unit_checks[nid], derived_unit = _check_units(kind, in_units)  # type: ignore[arg-type]
+        units[nid] = node.unit if node.unit is not None else derived_unit
+
+        in_shapes = [shapes[a] for a in args]
+        shape_ok, derived_shape = True, None
+        if all(s is not None for s in in_shapes):
+            shape_ok, derived_shape = _check_shape(kind, in_shapes)  # type: ignore[arg-type]
+        shapes[nid] = node.shape if node.shape is not None else derived_shape
+
+        in_signs = [signs[a] for a in args]
+        signs[nid] = _derive_sign(node.op, in_signs)
+        type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
+
+    return ProgramAnalysis(units, shapes, signs, depths[program.output], unit_checks, type_checks)
+
+
+def _check_units(kind: OperatorKind, inputs: Sequence[UnitSignature]) -> tuple[bool, Optional[UnitSignature]]:
+    if kind.unit_behavior is UnitBehavior.ADDITIVE:
+        ok = all(s == inputs[0] for s in inputs[1:])
+        return ok, (inputs[0] if ok else None)
+    if kind.unit_behavior is UnitBehavior.MULTIPLICATIVE:
+        return True, UnitSignature.of().combine(inputs, kind.slot_signs())
+    if kind.unit_behavior is UnitBehavior.TRANSFORM:
+        if kind.transform_dim is not None:
+            return True, inputs[0].shifted(kind.transform_dim, kind.transform_shift)
+        return True, inputs[0]
+    return True, UnitSignature.of()  # UNITLESS
 
 
 def _check_shape(kind: OperatorKind, inputs: Sequence[Shape]) -> tuple[bool, Optional[Shape]]:
@@ -570,24 +568,12 @@ def _sign_mul(a: Sign, b: Sign) -> Sign:
     return Sign.NONNEG if positive else Sign.NONPOS
 
 
-def sign_analysis(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> Mapping[str, Sign]:
-    """Propagate statically known value signs from literal constants."""
-    registry = registry or default_registry()
-    inc = program.incoming()
-    nm = program.node_map()
-    signs: dict[str, Sign] = {}
-
-    for nid in topological_order(program):
-        node = nm[nid]
-        if node.op == CONST_OP:
-            signs[nid] = _sign_of(node.value)  # type: ignore[arg-type]
-            continue
-        if node.op == INPUT_OP:
-            signs[nid] = Sign.UNKNOWN
-            continue
-        args = [signs[inc[nid][k]] for k in range(registry.get(node.op).arity)]
-        signs[nid] = _derive_sign(node.op, args)
-    return signs
+def _domain_ok(rule: DomainRule, arg_signs: Sequence[Sign]) -> bool:
+    if rule is DomainRule.INPUT_NONNEG:
+        return Sign.NEG not in arg_signs
+    if rule is DomainRule.INPUT_POSITIVE:
+        return not any(s in (Sign.NEG, Sign.ZERO, Sign.NONPOS) for s in arg_signs)
+    return True
 
 
 def _derive_sign(op: str, args: list[Sign]) -> Sign:
@@ -626,26 +612,23 @@ def _derive_sign(op: str, args: list[Sign]) -> Sign:
 # State derivation and interpretation.
 # ---------------------------------------------------------------------------
 
-def derive_state(
-    program: WorkflowProgram,
-    trace: Optional[ExecutionTrace] = None,
-    registry: Optional[OperatorRegistry] = None,
-) -> WorkflowState:
-    """Project a program (and optionally a trace) onto the constraint-facing view."""
+def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> WorkflowState:
+    """Validate a program and project it onto the constraint-facing view.
+
+    The view comes from one `analyze_program` walk; the operator histogram
+    keeps node-declaration order.
+    """
     registry = registry or default_registry()
     report = validate_program(program, registry)
     if not report.ok:
         raise InvalidProgramError("; ".join(report.violations))
+    analysis = analyze_program(program, registry)
     histogram = Counter(n.op for n in program.operator_nodes())
-    ua = unit_analysis(program, registry)
-    magnitude = None
-    if trace is not None and trace.values:
-        magnitude = max(abs(v) for v in trace.values)
     return WorkflowState(
-        depth=program_depth(program),
+        depth=analysis.depth,
         operator_histogram=dict(histogram),
-        unit_tagged_ops=ua.checkable,
-        magnitude_summary=magnitude,
+        unit_checks=tuple(analysis.unit_checks.values()),
+        type_checks=tuple(analysis.type_checks.values()),
     )
 
 

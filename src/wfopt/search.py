@@ -173,22 +173,30 @@ class Optimizer:
         self._round_histograms: list[tuple[str, tuple[float, ...]]] = []
 
         state = derive_state(initial_program, registry=scorer.registry)
-        self.root = self._make_node(initial_program, state, parent=None)
+        vector = scorer.static_vector(initial_program, state)
+        self.root = self._make_node(initial_program, state, vector, scorer.total(vector, self.weights), parent=None)
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _make_node(self, program: WorkflowProgram, state: WorkflowState, parent: Optional[SearchNode]) -> SearchNode:
+    def _make_node(
+        self,
+        program: WorkflowProgram,
+        state: WorkflowState,
+        scores: ConstraintVector,
+        compliance: float,
+        parent: Optional[SearchNode],
+    ) -> SearchNode:
         node = SearchNode(
             program=program,
             state=state,
             node_id=f"n{self._node_counter}",
             node_depth=0 if parent is None else parent.node_depth + 1,
             parent=parent,
+            compliance=compliance,
+            scores=scores,
             created_index=self._node_counter,
         )
         self._node_counter += 1
-        node.scores = self.scorer.static_vector(program, state)
-        node.compliance = self.scorer.total(node.scores, self.weights)
         return node
 
     def _log_tokens(self, event: str, record: TokenRecord, round_index: int, **fields) -> None:
@@ -239,9 +247,7 @@ class Optimizer:
         for entry in scored:
             candidate, state, vector, total = entry
             if id(entry) in kept_ids:
-                child = self._make_node(candidate, state, parent=node)
-                child.scores = vector
-                child.compliance = total
+                child = self._make_node(candidate, state, vector, total, parent=node)
                 node.children.append(child)
                 children.append(child)
                 self.log.append(
@@ -414,29 +420,3 @@ def _dominant_families(vector: ConstraintVector) -> list[str]:
     low = min(scores.values())
     return [fam for fam, s in scores.items() if s == low]
 
-
-def run_optimization(
-    initial_program: WorkflowProgram,
-    proposer: SyntheticProposer,
-    evaluator: SyntheticEvaluator,
-    scorer: ConstraintScorer,
-    *,
-    schedule: ThresholdSchedule = ThresholdSchedule(),
-    adaptation: AdaptationConfig = AdaptationConfig(),
-    budget: SearchBudget = SearchBudget(),
-    stages: StageSwitches = StageSwitches(),
-    adaptive_weights: bool = True,
-) -> tuple[WorkflowProgram, RunLog]:
-    """Run the full shaped-MCTS loop and return (best program, run log)."""
-    optimizer = Optimizer(
-        initial_program,
-        proposer,
-        evaluator,
-        scorer,
-        schedule=schedule,
-        adaptation=adaptation,
-        budget=budget,
-        stages=stages,
-        adaptive_weights=adaptive_weights,
-    )
-    return optimizer.run()

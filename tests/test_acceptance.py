@@ -149,7 +149,7 @@ def test_c1_formula_conformance():
     # unit consistency
     length = UnitSignature.of(length=1)
     time_u = UnitSignature.of(time=1)
-    assert score_units(binary("add", "input", "input")) == pytest.approx(0.5, abs=TOL)
+    assert score_units(derive_state(binary("add", "input", "input"))) == pytest.approx(0.5, abs=TOL)
     mixed_units = WorkflowProgram(
         nodes=(
             Node("x0", INPUT_OP, unit=length), Node("x1", INPUT_OP, unit=length),
@@ -163,8 +163,8 @@ def test_c1_formula_conformance():
         roots=("x0", "x1", "x2"),
         output="bad",
     )
-    assert score_units(mixed_units) == pytest.approx(0.5, abs=TOL)
-    assert score_units(binary("mul", "input", "input", units=(length, length))) == pytest.approx(1.0, abs=TOL)
+    assert score_units(derive_state(mixed_units)) == pytest.approx(0.5, abs=TOL)
+    assert score_units(derive_state(binary("mul", "input", "input", units=(length, length)))) == pytest.approx(1.0, abs=TOL)
 
     # type compatibility
     sqrt_neg = WorkflowProgram(
@@ -173,9 +173,9 @@ def test_c1_formula_conformance():
         roots=("x0",),
         output="n0",
     )
-    assert score_types(sqrt_neg) == pytest.approx(0.0, abs=TOL)
+    assert score_types(derive_state(sqrt_neg)) == pytest.approx(0.0, abs=TOL)
     matmul = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(3, 4)))
-    assert score_types(matmul) == pytest.approx(1.0, abs=TOL)
+    assert score_types(derive_state(matmul)) == pytest.approx(1.0, abs=TOL)
 
     # magnitude sanity (theta = max(|V_in|) * 100)
     mag = MagnitudeConfig()

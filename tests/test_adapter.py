@@ -17,6 +17,8 @@ from wfopt.adapter import (
     trace_from_dict,
     trace_to_dict,
 )
+from wfopt import driver
+from wfopt.config import config_from_dict
 from wfopt.harness import (
     Problem,
     ProblemSet,
@@ -136,6 +138,44 @@ class TestStdioAdapter:
         transport = StdioTransport([sys.executable, "-c", "pass"])
         with pytest.raises(AdapterError):
             transport.request({"kind": "propose"})
+
+
+class TestRunClosesStdioPeer:
+    """`execute_run` stops the stdio peer it starts, whether the search ends or fails."""
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        transports = []
+
+        class RecordingTransport(StdioTransport):
+            def __init__(self, command):
+                super().__init__(command)
+                transports.append(self)
+
+        monkeypatch.setattr(driver, "StdioTransport", RecordingTransport)
+        return transports
+
+    @staticmethod
+    def config(command):
+        return config_from_dict({
+            "budget": {"rounds": 1, "simulations_per_round": 2, "max_candidates_per_expansion": 3},
+            "suite": {"n_problems": 10},
+            "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 2},
+            "executor": {"mode": "external", "command": command},
+        })
+
+    def test_peer_exits_when_run_returns(self, started):
+        result = driver.execute_run(self.config([sys.executable, "-m", "wfopt.adapter"]))
+        assert result.log.by_event("simulated")
+        assert len(started) == 1
+        assert started[0]._proc.poll() == 0
+
+    def test_peer_exits_when_run_fails(self, started):
+        garbage = "import sys\nfor _ in sys.stdin:\n    print('not json', flush=True)"
+        with pytest.raises(AdapterError):
+            driver.execute_run(self.config([sys.executable, "-c", garbage]))
+        assert len(started) == 1
+        assert started[0]._proc.poll() is not None
 
 
 class _Handler(BaseHTTPRequestHandler):

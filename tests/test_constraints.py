@@ -30,14 +30,15 @@ from wfopt.model import (
     UnitSignature,
     WorkflowProgram,
     WorkflowState,
-    )
+    derive_state,
+)
 from wfopt.weights import WeightVector
 
 from conftest import binary, chain
 
 
-def make_state(depth=1, histogram=None, magnitude=None):
-    return WorkflowState(depth=depth, operator_histogram=histogram or {}, magnitude_summary=magnitude)
+def make_state(depth=1, histogram=None):
+    return WorkflowState(depth=depth, operator_histogram=histogram or {})
 
 
 def make_trace(values, inputs):
@@ -96,7 +97,7 @@ class TestScoreDiversity:
 
 class TestScoreUnits:
     def test_no_tags_neutral(self):
-        assert score_units(binary("add", "input", "input")) == 0.5
+        assert score_units(derive_state(binary("add", "input", "input"))) == 0.5
 
     def test_half_consistent(self):
         length = UnitSignature.of(length=1)
@@ -114,12 +115,12 @@ class TestScoreUnits:
         )
         # both adds feed nothing; output = bad (graph may hold dead branches)
         program = WorkflowProgram(nodes, edges, ("x0", "x1", "x2"), "bad")
-        assert score_units(program) == 0.5
+        assert score_units(derive_state(program)) == 0.5
 
     def test_multiplicative_always_passes(self):
         length = UnitSignature.of(length=1)
         program = binary("mul", "input", "input", units=(length, length))
-        assert score_units(program) == 1.0
+        assert score_units(derive_state(program)) == 1.0
 
 
 class TestScoreTypes:
@@ -130,11 +131,11 @@ class TestScoreTypes:
             roots=("x0",),
             output="n0",
         )
-        assert score_types(program) == 0.0
+        assert score_types(derive_state(program)) == 0.0
 
     def test_matrix_product_shapes(self):
         program = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(3, 4)))
-        assert score_types(program) == 1.0
+        assert score_types(derive_state(program)) == 1.0
 
     def test_three_of_four_pass(self):
         nodes = (
@@ -152,14 +153,14 @@ class TestScoreTypes:
             Edge("m", "n", 0),
         )
         program = WorkflowProgram(nodes, edges, ("x0",), "n")
-        assert score_types(program) == pytest.approx(0.75)
+        assert score_types(derive_state(program)) == pytest.approx(0.75)
 
     def test_no_ops_neutral(self):
         program = WorkflowProgram((Node("x0", INPUT_OP),), (), ("x0",), "x0")
-        assert score_types(program) == 0.5
+        assert score_types(derive_state(program)) == 0.5
 
     def test_unknown_sign_passes(self):
-        assert score_types(chain("sqrt")) == 1.0
+        assert score_types(derive_state(chain("sqrt"))) == 1.0
 
 
 class TestScoreMagnitude:
@@ -271,8 +272,6 @@ class TestThreshold:
 
 class TestConstraintScorer:
     def test_static_vector_neutral_magnitude(self, registry):
-        from wfopt.model import derive_state
-
         scorer = ConstraintScorer(registry)
         program = binary("add", "input", "input")
         vector = scorer.static_vector(program, derive_state(program))
@@ -280,8 +279,6 @@ class TestConstraintScorer:
         assert vector.pattern == 0.5  # no library
 
     def test_disabled_family_pinned(self, registry):
-        from wfopt.model import derive_state
-
         scorer = ConstraintScorer(registry, enabled_families=("depth",))
         program = binary("add", "input", "input")
         vector = scorer.static_vector(program, derive_state(program))
@@ -309,8 +306,6 @@ class TestConstraintScorer:
         assert updated.magnitude == pytest.approx(0.75)
 
     def test_enabling_family_does_not_change_other_scores(self, registry):
-        from wfopt.model import derive_state
-
         program = binary("mul", "input", "input", units=(UnitSignature.of(length=1),) * 2)
         state = derive_state(program)
         full = ConstraintScorer(registry).static_vector(program, state)

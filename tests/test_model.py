@@ -12,18 +12,15 @@ from wfopt.model import (
     Sign,
     UnitSignature,
     WorkflowProgram,
+    analyze_program,
     canonical_key,
     derive_state,
     dumps_program,
     interpret,
     loads_program,
-    program_depth,
     program_from_dict,
     program_to_dict,
-    shape_analysis,
-    sign_analysis,
     topological_order,
-    unit_analysis,
     validate_program,
 )
 
@@ -115,13 +112,6 @@ class TestDeriveState:
         assert state.depth == 2
         assert state.operator_histogram == {"add": 3}
 
-    def test_magnitude_summary_from_trace(self):
-        program = chain("neg", "neg", "neg")
-        trace = interpret(program, {"x0": -7.0})
-        state = derive_state(program, trace)
-        assert state.magnitude_summary == 7.0
-        assert derive_state(program).magnitude_summary is None
-
     def test_depth_matches_networkx_longest_path(self, registry):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -134,17 +124,16 @@ class TestDeriveState:
             for nid in nx.topological_sort(g):
                 for succ in g.successors(nid):
                     lengths[succ] = max(lengths[succ], lengths[nid] + 1)
-            assert program_depth(program) == lengths[program.output]
+            assert analyze_program(program, registry).depth == lengths[program.output]
 
     def test_deterministic(self, registry):
         program = binary("add", "input", "input")
-        trace = interpret(program, {"x0": 1.0, "x1": 2.0})
-        assert derive_state(program, trace) == derive_state(program, trace)
+        assert derive_state(program, registry) == derive_state(program, registry)
 
     def test_depth_grows_by_one_on_chain_extension(self):
         for k in range(1, 6):
             program = chain(*["neg"] * k)
-            assert program_depth(program) == k
+            assert derive_state(program).depth == k
 
 
 class TestInterpret:
@@ -232,23 +221,22 @@ class TestAnalyses:
         length = UnitSignature.of(length=1)
         time = UnitSignature.of(time=1)
         program = binary("add", "input", "input", units=(length, time))
-        ua = unit_analysis(program)
-        assert ua.checkable == ("n0",)
-        assert ua.passed["n0"] is False
+        analysis = analyze_program(program)
+        assert tuple(analysis.unit_checks) == ("n0",)
+        assert analysis.unit_checks["n0"] is False
 
     def test_unit_propagation_multiplicative(self):
         length = UnitSignature.of(length=1)
         program = binary("mul", "input", "input", units=(length, length))
-        ua = unit_analysis(program)
-        assert ua.passed["n0"] is True
-        assert ua.signatures["n0"] == UnitSignature.of(length=2)
+        analysis = analyze_program(program)
+        assert analysis.unit_checks["n0"] is True
+        assert analysis.units["n0"] == UnitSignature.of(length=2)
 
     def test_unit_division_subtracts_exponents(self):
         length = UnitSignature.of(length=1)
         time = UnitSignature.of(time=1)
         program = binary("div", "input", "input", units=(length, time))
-        ua = unit_analysis(program)
-        assert ua.signatures["n0"] == UnitSignature.of(length=1, time=-1)
+        assert analyze_program(program).units["n0"] == UnitSignature.of(length=1, time=-1)
 
     def test_transform_shifts_dimension(self):
         from wfopt.model import OperatorKind, OperatorRegistry, UnitBehavior, default_registry
@@ -263,9 +251,9 @@ class TestAnalyses:
             roots=("x0",),
             output="n0",
         )
-        ua = unit_analysis(program, registry)
-        assert ua.passed["n0"] is True
-        assert ua.signatures["n0"] == UnitSignature.of(length=1, time=-1)
+        analysis = analyze_program(program, registry)
+        assert analysis.unit_checks["n0"] is True
+        assert analysis.units["n0"] == UnitSignature.of(length=1, time=-1)
 
     def test_explicit_tag_overrides_propagation(self):
         length = UnitSignature.of(length=1)
@@ -276,30 +264,31 @@ class TestAnalyses:
             Node("n0", "mul", unit=mass),
         )
         program = WorkflowProgram(nodes, (Edge("x0", "n0", 0), Edge("x1", "n0", 1)), ("x0", "x1"), "n0")
-        assert unit_analysis(program).signatures["n0"] == mass
+        assert analyze_program(program).units["n0"] == mass
 
     def test_shape_matmul(self):
         program = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(3, 4)))
-        assert shape_analysis(program)["n0"] is True
+        analysis = analyze_program(program)
+        assert analysis.type_checks["n0"] is True
+        assert analysis.shapes["n0"] == Shape.matrix(2, 4)
         bad = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(4, 4)))
-        assert shape_analysis(bad)["n0"] is False
+        assert analyze_program(bad).type_checks["n0"] is False
 
     def test_shape_elementwise_mismatch(self):
         program = binary("add", "input", "input", shapes=(Shape.vector(2), Shape.vector(3)))
-        assert shape_analysis(program)["n0"] is False
+        assert analyze_program(program).type_checks["n0"] is False
 
     def test_shape_unknown_passes(self):
         program = binary("add", "input", "input")
-        assert shape_analysis(program)["n0"] is True
+        assert analyze_program(program).type_checks["n0"] is True
 
     def test_sign_of_constants(self):
         program = binary("mul", -3, -2)
-        signs = sign_analysis(program)
-        assert signs["n0"] is Sign.POS
+        assert analyze_program(program).signs["n0"] is Sign.POS
 
     def test_sign_unknown_for_inputs(self):
         program = chain("sqrt")
-        assert sign_analysis(program)["n0"] is Sign.UNKNOWN
+        assert analyze_program(program).signs["n0"] is Sign.UNKNOWN
 
 
 class TestSerialization:

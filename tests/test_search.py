@@ -17,7 +17,6 @@ from wfopt.search import (
     SearchNode,
     StageSwitches,
     backpropagate,
-    run_optimization,
     select,
     selection_score,
 )
@@ -292,10 +291,10 @@ class TestFullRuns:
 
     def test_zero_budget_returns_initial(self):
         suite, proposer, evaluator, scorer = self.small_setup()
-        best, log = run_optimization(
+        best, log = Optimizer(
             suite.initial_program, proposer, evaluator, scorer,
             budget=SearchBudget(rounds=0, simulations_per_round=8),
-        )
+        ).run()
         assert best == suite.initial_program
         assert log.by_event("simulated") == []
 
@@ -303,10 +302,10 @@ class TestFullRuns:
         results = []
         for _ in range(2):
             suite, proposer, evaluator, scorer = self.small_setup()
-            best, log = run_optimization(
+            best, log = Optimizer(
                 suite.initial_program, proposer, evaluator, scorer,
                 budget=SearchBudget(rounds=5, simulations_per_round=6, seed=42),
-            )
+            ).run()
             results.append((best, log.to_ndjson()))
         assert results[0][0] == results[1][0]
         assert results[0][1] == results[1][1]

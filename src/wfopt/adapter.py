@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import urllib.request
@@ -200,10 +201,13 @@ class ExternalEvaluator:
             raise EvaluationError(str(response["error"]))
         if "reward" not in response:
             raise AdapterError("evaluate response missing 'reward'")
+        reward = float(response["reward"])
+        if not math.isfinite(reward):
+            raise EvaluationError(f"non-finite reward {reward!r}")
         traces = [trace_from_dict(t) for t in response.get("traces", [])]
         self._request_counter += 1
         record = _usage_record("executor", response.get("usage", {}), f"exe-{self._request_counter:05d}")
-        return float(response["reward"]), traces, record
+        return reward, traces, record
 
 
 # ---------------------------------------------------------------------------

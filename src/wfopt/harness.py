@@ -4,8 +4,10 @@ The synthetic proposer enumerates minimal structural edits of a program in a
 fixed order and returns a seeded sample; the synthetic evaluator interprets a
 program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
-exactly. Remote implementations of the same two roles are supported through
-the wire protocol in :mod:`wfopt.adapter`.
+exactly. The evaluator interprets every problem of a request in one
+`interpret_all` call, which orders the program once. Remote implementations
+of the same two roles are supported through the wire protocol in
+:mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .model import (
     default_registry,
     fresh_node_id,
     interpret,
+    interpret_all,
     validate_program,
 )
 from .runlog import RunLog
@@ -128,7 +131,10 @@ def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
 
 
 def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
-    """Drop operator/const nodes that no longer feed the output; keep roots."""
+    """Drop operator/const nodes that no longer feed the output; keep roots.
+
+    A program with nothing to drop is returned as it is.
+    """
     inc = program.incoming()
     live: set[str] = set()
     stack = [program.output]
@@ -144,6 +150,8 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     )
     kept = {n.node_id for n in nodes}
     edges = tuple(e for e in program.edges if e.src in kept and e.dst in kept)
+    if len(nodes) == len(program.nodes) and len(edges) == len(program.edges):
+        return program
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
@@ -213,35 +221,42 @@ class SyntheticProposer:
         return sites
 
     def _insertions(self, program: WorkflowProgram):
-        nm = program.node_map()
+        # every insertion into this base adds the same fresh ids
+        new_id = fresh_node_id(program)
+        const_id = fresh_node_id(program, "c")
         for where, edge in self._edit_sites(program):
             src = edge.src if edge is not None else program.output
             anchor = edge.dst if edge is not None else program.output
             for kind in self._ops:
                 if kind.arity == 1:
-                    yield self._insert_node(program, edge, kind.name, [src])
+                    yield self._insert_node(program, edge, kind.name, [src], new_id, const_id)
                 elif kind.arity == 2:
                     partners = self._second_inputs(program, anchor) if edge is not None else [
                         n.node_id for n in program.nodes
                     ]
                     for partner in partners:
-                        yield self._insert_node(program, edge, kind.name, [src, partner])
-                        yield self._insert_node(program, edge, kind.name, [partner, src])
+                        yield self._insert_node(program, edge, kind.name, [src, partner], new_id, const_id)
+                        yield self._insert_node(program, edge, kind.name, [partner, src], new_id, const_id)
                     for value in self.config.const_palette:
-                        yield self._insert_node(program, edge, kind.name, [src, ("const", value)])
-                        yield self._insert_node(program, edge, kind.name, [("const", value), src])
+                        yield self._insert_node(program, edge, kind.name, [src, ("const", value)], new_id, const_id)
+                        yield self._insert_node(program, edge, kind.name, [("const", value), src], new_id, const_id)
 
-    def _insert_node(self, program: WorkflowProgram, edge: Optional[Edge], op: str, operands) -> WorkflowProgram:
-        new_id = fresh_node_id(program)
+    def _insert_node(
+        self,
+        program: WorkflowProgram,
+        edge: Optional[Edge],
+        op: str,
+        operands,
+        new_id: str,
+        const_id: str,
+    ) -> WorkflowProgram:
         nodes = list(program.nodes)
         edges = list(program.edges)
         const_counter = 0
         operand_ids = []
         for operand in operands:
             if isinstance(operand, tuple) and operand[0] == "const":
-                cid = fresh_node_id(program, "c")
-                if const_counter:
-                    cid = f"{cid}_{const_counter}"
+                cid = f"{const_id}_{const_counter}" if const_counter else const_id
                 const_counter += 1
                 nodes.append(Node(cid, CONST_OP, value=float(operand[1])))
                 operand_ids.append(cid)
@@ -352,11 +367,9 @@ class SyntheticEvaluator:
         return abs(output - expected) <= self.tolerance
 
     def evaluate(self, program: WorkflowProgram) -> tuple[float, list[ExecutionTrace], TokenRecord]:
-        traces: list[ExecutionTrace] = []
+        traces = interpret_all(program, [p.inputs for p in self.problems.problems], self.registry)
         solved = 0
-        for problem in self.problems.problems:
-            trace = interpret(program, problem.inputs, self.registry)
-            traces.append(trace)
+        for problem, trace in zip(self.problems.problems, traces):
             if trace.success and trace.output is not None and self._matches(trace.output, problem.expected):
                 solved += 1
         reward = solved / len(self.problems.problems)

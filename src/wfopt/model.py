@@ -8,8 +8,10 @@ constraint checks; the interpreter itself is scalar-valued and deterministic.
 The static checks share one topological walk per program: `analyze_program`
 propagates unit signatures, shapes, value signs and depth together, and
 `derive_state` folds its per-operator verdicts into the `WorkflowState` the
-constraint scores read. The walk's maps are transient; nothing is cached on
-the program.
+constraint scores read. `validate_program` builds its maps in one pass over
+the nodes and one over the edges, `canonical_key` returns a flat tuple, and
+`interpret_all` orders a program once for a whole list of input bindings.
+Every map is transient; nothing is cached on the program.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -17,6 +19,7 @@ derived states can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -281,130 +284,144 @@ class ExecutionTrace:
     violation: Optional[str] = None
 
 
+# What validate_program records in place of an arity for the two leaf kinds.
+_INPUT_LEAF, _CONST_LEAF = -1, -2
+
+
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
-    """Check all structural invariants; violations are data, not exceptions."""
+    """Check all structural invariants; violations are data, not exceptions.
+
+    One pass over the nodes and one over the edges build every map the checks
+    need. A repeated node id also reports a cycle, because fewer distinct ids
+    than nodes can ever leave the Kahn queue; the reachability check follows
+    every edge, the rejected ones included, as `WorkflowProgram.incoming` does.
+    """
     registry = registry or default_registry()
-    violations: list[str] = []
-
-    seen: set[str] = set()
+    roots = program.roots
+    violations: list[str] = []         # duplicate ids, then roots, then per node
+    node_violations: list[str] = []
+    arity: dict[str, int] = {}         # id -> arity (0: unknown operator) or a leaf marker
+    operators: list[tuple[str, int]] = []
     for node in program.nodes:
-        if node.node_id in seen:
-            violations.append(f"duplicate node id {node.node_id!r}")
-        seen.add(node.node_id)
-
-    nm = program.node_map()
-    for rid in program.roots:
-        if rid not in nm:
-            violations.append(f"root {rid!r} is not a node")
-        elif nm[rid].op != INPUT_OP:
-            violations.append(f"root {rid!r} must be an input node")
-    for node in program.nodes:
-        if node.op == INPUT_OP:
-            if node.node_id not in program.roots:
-                violations.append(f"input node {node.node_id!r} missing from roots")
+        nid, op = node.node_id, node.op
+        if nid in arity:
+            violations.append(f"duplicate node id {nid!r}")
+        if op == INPUT_OP:
+            arity[nid] = _INPUT_LEAF
+            if nid not in roots:
+                node_violations.append(f"input node {nid!r} missing from roots")
             if node.value is not None:
-                violations.append(f"input node {node.node_id!r} must not carry a value")
-        elif node.op == CONST_OP:
+                node_violations.append(f"input node {nid!r} must not carry a value")
+        elif op == CONST_OP:
+            arity[nid] = _CONST_LEAF
             if node.value is None:
-                violations.append(f"const node {node.node_id!r} needs a value")
-        elif node.op not in registry:
-            violations.append(f"node {node.node_id!r}: unknown operator {node.op!r}")
-        elif node.value is not None:
-            violations.append(f"operator node {node.node_id!r} must not carry a value")
+                node_violations.append(f"const node {nid!r} needs a value")
+        elif op not in registry:
+            arity[nid] = 0
+            node_violations.append(f"node {nid!r}: unknown operator {op!r}")
+        else:
+            arity[nid] = registry.get(op).arity
+            operators.append((nid, arity[nid]))
+            if node.value is not None:
+                node_violations.append(f"operator node {nid!r} must not carry a value")
 
-    slots: dict[str, dict[int, str]] = {n.node_id: {} for n in program.nodes}
+    for rid in roots:
+        if rid not in arity:
+            violations.append(f"root {rid!r} is not a node")
+        elif arity[rid] != _INPUT_LEAF:
+            violations.append(f"root {rid!r} must be an input node")
+    violations.extend(node_violations)
+
+    slots: dict[str, dict[int, str]] = {}   # the edges that pass the checks below
+    inc: dict[str, dict[int, str]] = {}     # every edge, the last one per slot winning
+    indeg = dict.fromkeys(arity, 0)
+    out: dict[str, list[str]] = {}
     for edge in program.edges:
-        if edge.src not in nm or edge.dst not in nm:
-            violations.append(f"edge {edge.src!r}->{edge.dst!r} references a missing node")
+        src, dst, slot = edge.src, edge.dst, edge.slot
+        inc.setdefault(dst, {})[slot] = src
+        if src not in arity or dst not in arity:
+            violations.append(f"edge {src!r}->{dst!r} references a missing node")
             continue
-        dst = nm[edge.dst]
-        if dst.is_leaf():
-            violations.append(f"leaf node {edge.dst!r} cannot receive an edge")
+        indeg[dst] += 1
+        out.setdefault(src, []).append(dst)
+        dst_arity = arity[dst]
+        if dst_arity < 0:
+            violations.append(f"leaf node {dst!r} cannot receive an edge")
             continue
-        arity = registry.get(dst.op).arity if dst.op in registry else 0
-        if not 0 <= edge.slot < arity:
-            violations.append(f"edge into {edge.dst!r}: slot {edge.slot} out of range")
+        if not 0 <= slot < dst_arity:
+            violations.append(f"edge into {dst!r}: slot {slot} out of range")
             continue
-        if edge.slot in slots[edge.dst]:
-            violations.append(f"node {edge.dst!r}: duplicate edge for input slot {edge.slot}")
-        slots[edge.dst][edge.slot] = edge.src
+        filled = slots.setdefault(dst, {})
+        if slot in filled:
+            violations.append(f"node {dst!r}: duplicate edge for input slot {slot}")
+        filled[slot] = src
 
-    for node in program.nodes:
-        if node.is_leaf() or node.op not in registry:
-            continue
-        arity = registry.get(node.op).arity
-        for k in range(arity):
-            if k not in slots[node.node_id]:
-                violations.append(f"node {node.node_id!r}: missing input slot {k}")
+    for nid, n_slots in operators:
+        filled = slots.get(nid, {})
+        if len(filled) < n_slots:
+            violations.extend(
+                f"node {nid!r}: missing input slot {k}" for k in range(n_slots) if k not in filled
+            )
 
-    cyclic = _has_cycle(program)
+    queue = [nid for nid, d in indeg.items() if not d]
+    visited = 0
+    while queue:
+        nid = queue.pop()
+        visited += 1
+        for nxt in out.get(nid, ()):
+            indeg[nxt] -= 1
+            if not indeg[nxt]:
+                queue.append(nxt)
+    cyclic = visited != len(program.nodes)
     if cyclic:
         violations.append("cycle in operator graph")
 
-    if program.output not in nm:
+    if program.output not in arity:
         violations.append(f"output {program.output!r} is not a node")
-    elif not cyclic and not _reaches_leaf(program, program.output):
+    elif not cyclic and not _reaches_leaf(arity, inc, program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _has_cycle(program: WorkflowProgram) -> bool:
-    indeg = {n.node_id: 0 for n in program.nodes}
-    out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
-    for e in program.edges:
-        if e.src in indeg and e.dst in indeg:
-            indeg[e.dst] += 1
-            out[e.src].append(e.dst)
-    queue = [nid for nid, d in indeg.items() if d == 0]
-    visited = 0
-    while queue:
-        nid = queue.pop()
-        visited += 1
-        for nxt in out[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    return visited != len(program.nodes)
-
-
-def _reaches_leaf(program: WorkflowProgram, nid: str) -> bool:
-    nm = program.node_map()
-    inc = program.incoming()
+def _reaches_leaf(arity: Mapping[str, int], inc: Mapping[str, Mapping[int, str]], nid: str) -> bool:
     stack, seen = [nid], set()
     while stack:
         cur = stack.pop()
-        if cur in seen or cur not in nm:
+        if cur in seen or cur not in arity:
             continue
         seen.add(cur)
-        if nm[cur].is_leaf():
+        if arity[cur] < 0:
             return True
         stack.extend(inc.get(cur, {}).values())
     return False
 
 
 def topological_order(program: WorkflowProgram) -> list[str]:
-    """Kahn's algorithm, stable with respect to node declaration order."""
-    order_index = {n.node_id: i for i, n in enumerate(program.nodes)}
-    indeg = {n.node_id: 0 for n in program.nodes}
-    out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
+    """Kahn's algorithm, stable with respect to node declaration order.
+
+    The ready set is a heap of declaration indices, so the order is the
+    lexicographically smallest topological order by index.
+    """
+    nodes = program.nodes
+    index = {n.node_id: i for i, n in enumerate(nodes)}
+    indeg = [0] * len(nodes)
+    out: list[list[int]] = [[] for _ in nodes]
     for e in program.edges:
-        indeg[e.dst] += 1
-        out[e.src].append(e.dst)
-    ready = sorted((nid for nid, d in indeg.items() if d == 0), key=order_index.__getitem__)
+        dst = index[e.dst]
+        indeg[dst] += 1
+        out[index[e.src]].append(dst)
+    ready = [i for i in index.values() if not indeg[i]]
+    heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        changed = False
-        for nxt in out[nid]:
+        i = heapq.heappop(ready)
+        order.append(nodes[i].node_id)
+        for nxt in out[i]:
             indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort(key=order_index.__getitem__)
-    if len(order) != len(program.nodes):
+            if not indeg[nxt]:
+                heapq.heappush(ready, nxt)
+    if len(order) != len(nodes):
         raise InvalidProgramError("cycle in operator graph")
     return order
 
@@ -684,29 +701,65 @@ def interpret(
     division by zero, non-finite results) stop evaluation and yield a failed
     trace with the values computed so far.
     """
+    return interpret_all(program, (inputs,), registry)[0]
+
+
+def interpret_all(
+    program: WorkflowProgram,
+    inputs_list: Iterable[Mapping[str, float]],
+    registry: Optional[OperatorRegistry] = None,
+) -> list[ExecutionTrace]:
+    """`interpret` the program once per input binding, in order.
+
+    The program is put in topological order and each operator's operands are
+    resolved once for all bindings. A node that cannot be resolved (unknown
+    operator, missing slot, literal without a value) raises its error only
+    when a binding reaches it, as a per-binding walk would.
+    """
     registry = registry or default_registry()
     inc = program.incoming()
     nm = program.node_map()
+    steps: list[tuple] = []   # (node id, op, operator kind or literal value, operand ids)
+    unresolved: Optional[Exception] = None
+    for nid in topological_order(program):
+        node = nm[nid]
+        try:
+            if node.op == INPUT_OP:
+                steps.append((nid, INPUT_OP, None, ()))
+            elif node.op == CONST_OP:
+                steps.append((nid, CONST_OP, float(node.value), ()))  # type: ignore[arg-type]
+            else:
+                kind = registry.get(node.op)
+                steps.append((nid, node.op, kind, tuple(inc[nid][k] for k in range(kind.arity))))
+        except (KeyError, TypeError, ValueError) as exc:
+            unresolved = exc
+            break
+    return [_run_steps(steps, unresolved, program.output, inputs) for inputs in inputs_list]
+
+
+def _run_steps(
+    steps: Sequence[tuple],
+    unresolved: Optional[Exception],
+    output_id: str,
+    inputs: Mapping[str, float],
+) -> ExecutionTrace:
     values: dict[str, float] = {}
     leaf_values: list[float] = []
     intermediates: list[float] = []
 
-    for nid in topological_order(program):
-        node = nm[nid]
-        if node.op == INPUT_OP:
+    for nid, op, kind, operands in steps:
+        if op == INPUT_OP:
             if nid not in inputs:
                 raise MissingInputError(f"no input value for root {nid!r}")
             v = float(inputs[nid])
             leaf_values.append(v)
-        elif node.op == CONST_OP:
+        elif op == CONST_OP:
             # literals do not count toward V_in: a program must not be able
             # to widen its own magnitude tolerance by embedding big constants
-            v = float(node.value)  # type: ignore[arg-type]
+            v = kind
         else:
-            kind = registry.get(node.op)
-            args = [values[inc[nid][k]] for k in range(kind.arity)]
             try:
-                v = _apply(node.op, kind, args)
+                v = _apply(op, kind, [values[a] for a in operands])
             except _DomainViolation as exc:
                 return ExecutionTrace(
                     values=tuple(intermediates),
@@ -725,8 +778,10 @@ def interpret(
                 )
             intermediates.append(v)
         values[nid] = v
+    if unresolved is not None:
+        raise unresolved
 
-    output = values[program.output]
+    output = values[output_id]
     if not intermediates:
         # leaf-only program: record the output value so the trace is non-empty
         intermediates = [output]
@@ -814,15 +869,22 @@ def loads_program(text: str) -> WorkflowProgram:
     return program_from_dict(json.loads(text))
 
 
-def canonical_key(program: WorkflowProgram) -> str:
+def canonical_key(program: WorkflowProgram) -> tuple:
     """Renaming-invariant key for the sub-DAG feeding the output.
 
-    Shared subexpressions and duplicated ones produce different keys, so the
-    key distinguishes programs whose operator histograms differ. Unused roots
-    are ignored (every edit of a program keeps the same root set).
+    The key is a flat tuple of post-order entries, one per node reachable
+    from the output: ``(op, payload, unit exponents, shape)``, where an
+    operator's payload is the tuple of its operands' entry indices, an input's
+    is its id and a literal's is ``repr(value)`` (so 0.0 and -0.0, or 1 and
+    1.0, stay distinct). Linking entries by index keeps shared and duplicated
+    subexpressions apart, so the key distinguishes programs whose operator
+    histograms differ. Unused roots are ignored (every edit of a program
+    keeps the same root set).
     """
-    nm = program.node_map()
-    inc = program.incoming()
+    nm = {n.node_id: n for n in program.nodes}
+    inc: dict[str, dict[int, str]] = {}
+    for e in program.edges:
+        inc.setdefault(e.dst, {})[e.slot] = e.src
     index: dict[str, int] = {}
     entries: list[tuple] = []
 
@@ -830,24 +892,26 @@ def canonical_key(program: WorkflowProgram) -> str:
         if nid in index:
             return index[nid]
         node = nm[nid]
-        slot_map = inc.get(nid, {})
-        children = tuple(visit(slot_map[k]) for k in sorted(slot_map))
-        if node.op == INPUT_OP:
-            entry = ("input", nid)
-        elif node.op == CONST_OP:
-            entry = ("const", node.value)
+        slot_map = inc.get(nid)
+        children = tuple([visit(slot_map[k]) for k in sorted(slot_map)]) if slot_map else ()
+        op = node.op
+        if op == INPUT_OP:
+            payload = nid
+        elif op == CONST_OP:
+            payload = repr(node.value)
         else:
-            entry = (node.op, children)
-        extra = (
+            payload = children
+        index[nid] = i = len(entries)
+        entries.append((
+            op,
+            payload,
             node.unit.exponents if node.unit is not None else None,
             (node.shape.kind, node.shape.dims) if node.shape is not None else None,
-        )
-        index[nid] = len(entries)
-        entries.append((entry, extra))
-        return index[nid]
+        ))
+        return i
 
     visit(program.output)
-    return repr(entries)
+    return tuple(entries)
 
 
 def fresh_node_id(program: WorkflowProgram, prefix: str = "n") -> str:

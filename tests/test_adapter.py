@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -19,13 +20,17 @@ from wfopt.adapter import (
 )
 from wfopt import driver
 from wfopt.config import config_from_dict
+from wfopt.constraints import ConstraintScorer
 from wfopt.harness import (
+    EvaluationError,
     Problem,
     ProblemSet,
     ProposerConfig,
     SyntheticEvaluator,
     SyntheticProposer,
+    make_synthetic_suite,
 )
+from wfopt.search import Optimizer, SearchBudget
 from wfopt.model import canonical_key, default_registry, interpret, program_to_dict
 
 from conftest import binary
@@ -78,8 +83,6 @@ class TestHandleRequest:
         assert "error" in response
 
     def test_in_band_error_raises_evaluation_error(self):
-        from wfopt.harness import EvaluationError
-
         class _ErrTransport:
             def request(self, payload):
                 return {"error": "model refused"}
@@ -87,6 +90,42 @@ class TestHandleRequest:
         evaluator = ExternalEvaluator(_ErrTransport(), PROBLEMS)
         with pytest.raises(EvaluationError, match="model refused"):
             evaluator.evaluate(binary("add", "input", "input"))
+
+
+class TestNonFiniteReward:
+    """A remote reward that is not a finite number is an evaluation failure."""
+
+    class _Transport:
+        def __init__(self, reward):
+            self.reward = reward
+
+        def request(self, payload):
+            # what json.loads makes of a peer that prints NaN or Infinity
+            return json.loads(json.dumps({"reward": self.reward, "traces": [], "usage": {}}))
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    def test_raises_evaluation_error(self, reward):
+        evaluator = ExternalEvaluator(self._Transport(reward), PROBLEMS)
+        with pytest.raises(EvaluationError, match="non-finite reward"):
+            evaluator.evaluate(binary("add", "input", "input"))
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf])
+    def test_run_continues_with_zero_reward(self, registry, reward):
+        config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=2)
+        suite = make_synthetic_suite(seed=0, n_problems=10, proposer_config=config, target_edits=2)
+        optimizer = Optimizer(
+            suite.initial_program,
+            SyntheticProposer(registry, config),
+            ExternalEvaluator(self._Transport(reward), suite.validation),
+            ConstraintScorer(registry, library=None, category="cat0"),
+            budget=SearchBudget(rounds=2, simulations_per_round=3, seed=0),
+        )
+        optimizer.run()
+        simulated = optimizer.log.by_event("simulated")
+        assert len(simulated) > 1
+        for record in simulated:
+            assert record["reward"] == 0.0
+            assert record["failure"] == f"non-finite reward {reward!r}"
 
 
 class TestTraceSerialization:
@@ -136,8 +175,11 @@ class TestStdioAdapter:
 
     def test_dead_process_raises(self):
         transport = StdioTransport([sys.executable, "-c", "pass"])
-        with pytest.raises(AdapterError):
-            transport.request({"kind": "propose"})
+        try:
+            with pytest.raises(AdapterError):
+                transport.request({"kind": "propose"})
+        finally:
+            transport.close()
 
 
 class TestRunClosesStdioPeer:
@@ -200,8 +242,12 @@ class TestHttpAdapter:
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
-        yield f"http://127.0.0.1:{httpd.server_port}/"
-        httpd.shutdown()
+        try:
+            yield f"http://127.0.0.1:{httpd.server_port}/"
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
 
     def test_evaluate_over_http(self, server):
         evaluator = ExternalEvaluator(HttpTransport(server), PROBLEMS)

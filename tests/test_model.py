@@ -215,6 +215,19 @@ class TestInterpret:
             for edge in program.edges:
                 assert position[edge.src] < position[edge.dst]
 
+    def test_topological_order_is_lexicographic_by_declaration(self, registry):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            program = random_program(rng, registry)
+            # shuffle the declaration order so that it differs from creation order
+            nodes = tuple(program.nodes[i] for i in rng.permutation(len(program.nodes)))
+            program = WorkflowProgram(nodes, program.edges, program.roots, program.output)
+            index = {n.node_id: i for i, n in enumerate(program.nodes)}
+            g = nx.DiGraph()
+            g.add_nodes_from(index)
+            g.add_edges_from((e.src, e.dst) for e in program.edges)
+            assert topological_order(program) == list(nx.lexicographical_topological_sort(g, key=index.__getitem__))
+
 
 class TestAnalyses:
     def test_unit_propagation_additive_mismatch(self):

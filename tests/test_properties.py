@@ -17,7 +17,8 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret
+from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
+from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
 from conftest import random_program
@@ -112,3 +113,18 @@ def test_random_programs_interpret_or_fail_cleanly(seed):
         assert all(math.isfinite(v) for v in trace.values)
     else:
         assert trace.violation
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_every_generated_edit_is_valid_after_pruning(seed):
+    """Each edit generator builds only valid programs from a valid base, before
+    the proposer's size limit and deduplication apply."""
+    rng = np.random.default_rng(seed)
+    program = random_program(rng, REGISTRY)
+    proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
+    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
+    for generate in generators:
+        for candidate in generate(program):
+            report = validate_program(_prune_dead(candidate), REGISTRY)
+            assert report.ok, report.violations

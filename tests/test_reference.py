@@ -1,0 +1,515 @@
+"""The fast program checks against straightforward reference implementations.
+
+`validate_program`, `canonical_key` and `interpret_all` are written for
+speed: one pass over the nodes and edges, a flat tuple key, and one
+topological walk per evaluation request. The reference forms below are the
+plain versions they replaced: separate cycle and reachability walks, a
+`repr` of the post-order entry list, and a re-sorted ready list walked once
+per input binding. The fast forms must give the same reports, the same key
+equalities and the same traces on every input, invalid programs included.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
+from wfopt.model import (
+    CONST_OP,
+    INPUT_OP,
+    Edge,
+    ExecutionTrace,
+    InvalidProgramError,
+    MissingInputError,
+    Node,
+    ValidationReport,
+    WorkflowProgram,
+    _apply,
+    _DomainViolation,
+    canonical_key,
+    interpret,
+    interpret_all,
+    validate_program,
+)
+
+from conftest import random_program
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations.
+# ---------------------------------------------------------------------------
+
+def ref_validate_program(program, registry):
+    violations = []
+
+    seen = set()
+    for node in program.nodes:
+        if node.node_id in seen:
+            violations.append(f"duplicate node id {node.node_id!r}")
+        seen.add(node.node_id)
+
+    nm = program.node_map()
+    for rid in program.roots:
+        if rid not in nm:
+            violations.append(f"root {rid!r} is not a node")
+        elif nm[rid].op != INPUT_OP:
+            violations.append(f"root {rid!r} must be an input node")
+    for node in program.nodes:
+        if node.op == INPUT_OP:
+            if node.node_id not in program.roots:
+                violations.append(f"input node {node.node_id!r} missing from roots")
+            if node.value is not None:
+                violations.append(f"input node {node.node_id!r} must not carry a value")
+        elif node.op == CONST_OP:
+            if node.value is None:
+                violations.append(f"const node {node.node_id!r} needs a value")
+        elif node.op not in registry:
+            violations.append(f"node {node.node_id!r}: unknown operator {node.op!r}")
+        elif node.value is not None:
+            violations.append(f"operator node {node.node_id!r} must not carry a value")
+
+    slots = {n.node_id: {} for n in program.nodes}
+    for edge in program.edges:
+        if edge.src not in nm or edge.dst not in nm:
+            violations.append(f"edge {edge.src!r}->{edge.dst!r} references a missing node")
+            continue
+        dst = nm[edge.dst]
+        if dst.is_leaf():
+            violations.append(f"leaf node {edge.dst!r} cannot receive an edge")
+            continue
+        arity = registry.get(dst.op).arity if dst.op in registry else 0
+        if not 0 <= edge.slot < arity:
+            violations.append(f"edge into {edge.dst!r}: slot {edge.slot} out of range")
+            continue
+        if edge.slot in slots[edge.dst]:
+            violations.append(f"node {edge.dst!r}: duplicate edge for input slot {edge.slot}")
+        slots[edge.dst][edge.slot] = edge.src
+
+    for node in program.nodes:
+        if node.is_leaf() or node.op not in registry:
+            continue
+        arity = registry.get(node.op).arity
+        for k in range(arity):
+            if k not in slots[node.node_id]:
+                violations.append(f"node {node.node_id!r}: missing input slot {k}")
+
+    cyclic = ref_has_cycle(program)
+    if cyclic:
+        violations.append("cycle in operator graph")
+
+    if program.output not in nm:
+        violations.append(f"output {program.output!r} is not a node")
+    elif not cyclic and not ref_reaches_leaf(program, program.output):
+        violations.append(f"output {program.output!r} is not reachable from any leaf")
+
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def ref_has_cycle(program):
+    indeg = {n.node_id: 0 for n in program.nodes}
+    out = {n.node_id: [] for n in program.nodes}
+    for e in program.edges:
+        if e.src in indeg and e.dst in indeg:
+            indeg[e.dst] += 1
+            out[e.src].append(e.dst)
+    queue = [nid for nid, d in indeg.items() if d == 0]
+    visited = 0
+    while queue:
+        nid = queue.pop()
+        visited += 1
+        for nxt in out[nid]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                queue.append(nxt)
+    return visited != len(program.nodes)
+
+
+def ref_reaches_leaf(program, nid):
+    nm = program.node_map()
+    inc = program.incoming()
+    stack, seen = [nid], set()
+    while stack:
+        cur = stack.pop()
+        if cur in seen or cur not in nm:
+            continue
+        seen.add(cur)
+        if nm[cur].is_leaf():
+            return True
+        stack.extend(inc.get(cur, {}).values())
+    return False
+
+
+def ref_canonical_key(program):
+    nm = program.node_map()
+    inc = program.incoming()
+    index = {}
+    entries = []
+
+    def visit(nid):
+        if nid in index:
+            return index[nid]
+        node = nm[nid]
+        slot_map = inc.get(nid, {})
+        children = tuple(visit(slot_map[k]) for k in sorted(slot_map))
+        if node.op == INPUT_OP:
+            entry = ("input", nid)
+        elif node.op == CONST_OP:
+            entry = ("const", node.value)
+        else:
+            entry = (node.op, children)
+        extra = (
+            node.unit.exponents if node.unit is not None else None,
+            (node.shape.kind, node.shape.dims) if node.shape is not None else None,
+        )
+        index[nid] = len(entries)
+        entries.append((entry, extra))
+        return index[nid]
+
+    visit(program.output)
+    return repr(entries)
+
+
+def ref_topological_order(program):
+    order_index = {n.node_id: i for i, n in enumerate(program.nodes)}
+    indeg = {n.node_id: 0 for n in program.nodes}
+    out = {n.node_id: [] for n in program.nodes}
+    for e in program.edges:
+        indeg[e.dst] += 1
+        out[e.src].append(e.dst)
+    ready = sorted((nid for nid, d in indeg.items() if d == 0), key=order_index.__getitem__)
+    order = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        changed = False
+        for nxt in out[nid]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+                changed = True
+        if changed:
+            ready.sort(key=order_index.__getitem__)
+    if len(order) != len(program.nodes):
+        raise InvalidProgramError("cycle in operator graph")
+    return order
+
+
+def ref_interpret(program, inputs, registry):
+    inc = program.incoming()
+    nm = program.node_map()
+    values = {}
+    leaf_values = []
+    intermediates = []
+
+    for nid in ref_topological_order(program):
+        node = nm[nid]
+        if node.op == INPUT_OP:
+            if nid not in inputs:
+                raise MissingInputError(f"no input value for root {nid!r}")
+            v = float(inputs[nid])
+            leaf_values.append(v)
+        elif node.op == CONST_OP:
+            v = float(node.value)
+        else:
+            kind = registry.get(node.op)
+            args = [values[inc[nid][k]] for k in range(kind.arity)]
+            try:
+                v = _apply(node.op, kind, args)
+            except _DomainViolation as exc:
+                return ExecutionTrace(tuple(intermediates), tuple(leaf_values), False, None,
+                                      f"{exc.reason} at node {nid!r}")
+            if not math.isfinite(v):
+                return ExecutionTrace(tuple(intermediates), tuple(leaf_values), False, None,
+                                      f"non-finite result at node {nid!r}")
+            intermediates.append(v)
+        values[nid] = v
+
+    output = values[program.output]
+    if not intermediates:
+        intermediates = [output]
+    return ExecutionTrace(tuple(intermediates), tuple(leaf_values), True, output)
+
+
+def ref_interpret_loop(program, inputs_list, registry):
+    """The per-problem loop the evaluator ran: one full interpret per binding."""
+    return [ref_interpret(program, inputs, registry) for inputs in inputs_list]
+
+
+# ---------------------------------------------------------------------------
+# Mutations that break one structural rule each.
+# ---------------------------------------------------------------------------
+
+def _replace(program, **changes):
+    fields = dict(nodes=program.nodes, edges=program.edges, roots=program.roots, output=program.output)
+    fields.update(changes)
+    return WorkflowProgram(**fields)
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def duplicate_id(program, rng):
+    if not program.nodes:
+        return program
+    other = _pick(rng, program.nodes)
+    clone = Node(other.node_id, _pick(rng, [INPUT_OP, CONST_OP, "neg", "add"]),
+                 value=1.0 if rng.random() < 0.5 else None)
+    nodes = list(program.nodes)
+    nodes.insert(int(rng.integers(len(nodes) + 1)), clone)
+    return _replace(program, nodes=tuple(nodes))
+
+
+def missing_node(program, rng):
+    if not program.nodes:
+        return program
+    victim = _pick(rng, program.nodes).node_id
+    choice = rng.random()
+    if choice < 0.5:
+        return _replace(program, nodes=tuple(n for n in program.nodes if n.node_id != victim))
+    if choice < 0.75:
+        edge = Edge("ghost", victim, 0)
+    else:
+        edge = Edge(victim, "ghost", 0)
+    return _replace(program, edges=program.edges + (edge,))
+
+
+def bad_slot(program, rng):
+    if not program.edges:
+        return program
+    i = int(rng.integers(len(program.edges)))
+    edge = program.edges[i]
+    slot = _pick(rng, [-1, 2, 5, 0, 1])  # 0 and 1 may duplicate a sibling's slot
+    edges = list(program.edges)
+    if rng.random() < 0.5:
+        edges[i] = Edge(edge.src, edge.dst, slot)
+    else:
+        edges.insert(int(rng.integers(len(edges) + 1)), Edge(_pick(rng, program.nodes).node_id, edge.dst, slot))
+    return _replace(program, edges=tuple(edges))
+
+
+def cycle(program, rng):
+    if not program.edges:
+        return program
+    edge = _pick(rng, program.edges)
+    # feed the node from itself or from the output, which may lie downstream
+    src = _pick(rng, [edge.dst, program.output])
+    return _replace(program, edges=tuple(Edge(src, e.dst, e.slot) if e == edge else e for e in program.edges))
+
+
+def edge_into_leaf(program, rng):
+    leaves = [n.node_id for n in program.nodes if n.is_leaf()]
+    if not leaves:
+        return program
+    leaf = _pick(rng, leaves)
+    edge = Edge(_pick(rng, program.nodes).node_id, leaf, int(rng.integers(0, 2)))
+    return _replace(program, edges=program.edges + (edge,))
+
+
+def unreachable_output(program, rng):
+    # an operator output with no operands reaches no leaf
+    return _replace(program, edges=tuple(e for e in program.edges if e.dst != program.output))
+
+
+def bad_node(program, rng):
+    if not program.nodes:
+        return program
+    i = int(rng.integers(len(program.nodes)))
+    node = program.nodes[i]
+    choice = rng.random()
+    if choice < 0.25:
+        node = Node(node.node_id, "frobnicate")
+    elif choice < 0.5:
+        node = Node(node.node_id, node.op, value=None if node.op == CONST_OP else 2.0)
+    elif choice < 0.75:
+        return _replace(program, roots=tuple(r for r in program.roots if r != node.node_id) + ("nowhere",))
+    else:
+        return _replace(program, roots=program.roots + (node.node_id,))
+    nodes = list(program.nodes)
+    nodes[i] = node
+    return _replace(program, nodes=tuple(nodes))
+
+
+def bad_output(program, rng):
+    return _replace(program, output=_pick(rng, ["nowhere"] + [n.node_id for n in program.nodes[:1]]))
+
+
+MUTATIONS = [duplicate_id, missing_node, bad_slot, cycle, edge_into_leaf, unreachable_output, bad_node, bad_output]
+
+
+# ---------------------------------------------------------------------------
+# validate_program
+# ---------------------------------------------------------------------------
+
+class TestValidateProgram:
+    def test_random_valid_programs(self, registry):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            program = random_program(rng, registry)
+            assert validate_program(program, registry) == ref_validate_program(program, registry)
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
+    def test_single_mutation(self, registry, mutate):
+        rng = np.random.default_rng(MUTATIONS.index(mutate))
+        broken = 0
+        for _ in range(200):
+            program = mutate(random_program(rng, registry), rng)
+            expected = ref_validate_program(program, registry)
+            assert validate_program(program, registry) == expected
+            broken += not expected.ok
+        assert broken > 100
+
+    def test_mutations_combined(self, registry):
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            program = random_program(rng, registry)
+            for _ in range(int(rng.integers(2, 5))):
+                program = _pick(rng, MUTATIONS)(program, rng)
+            assert validate_program(program, registry) == ref_validate_program(program, registry)
+
+    def test_duplicate_id_also_reports_cycle(self, registry):
+        program = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("n0", "neg"), Node("n0", "neg")),
+            edges=(Edge("x0", "n0", 0),),
+            roots=("x0",),
+            output="n0",
+        )
+        report = validate_program(program, registry)
+        assert report == ref_validate_program(program, registry)
+        assert report.violations == ("duplicate node id 'n0'", "cycle in operator graph")
+
+    def test_reachability_follows_out_of_range_edges(self, registry):
+        # neg's only operand arrives on slot 1: rejected, yet the output
+        # still counts as reached from x0 through it
+        program = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("n0", "neg")),
+            edges=(Edge("x0", "n0", 1),),
+            roots=("x0",),
+            output="n0",
+        )
+        report = validate_program(program, registry)
+        assert report == ref_validate_program(program, registry)
+        assert report.violations == (
+            "edge into 'n0': slot 1 out of range",
+            "node 'n0': missing input slot 0",
+        )
+
+
+# ---------------------------------------------------------------------------
+# canonical_key
+# ---------------------------------------------------------------------------
+
+def _same_partition(programs):
+    """Two programs share a fast key exactly when they share a reference key."""
+    fast = [canonical_key(p) for p in programs]
+    ref = [ref_canonical_key(p) for p in programs]
+    return len(set(fast)) == len(set(ref)) == len(set(zip(fast, ref)))
+
+
+class TestCanonicalKey:
+    def test_key_is_hashable_tuple(self, registry):
+        key = canonical_key(random_program(np.random.default_rng(0), registry))
+        assert isinstance(key, tuple)
+        hash(key)
+
+    def test_equalities_match_reference_over_edits(self, registry):
+        config = ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(0.0, -0.0, 1.0),
+                                max_operator_nodes=12)
+        proposer = SyntheticProposer(registry, config)
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            base = random_program(rng, registry, max_ops=4)
+            edits = proposer.enumerate_edits(base)
+            assert edits
+            assert _same_partition([base] + edits)
+            # the raw candidates, before deduplication, repeat programs
+            raw = [
+                _prune_dead(c)
+                for gen in (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
+                for c in gen(base)
+            ]
+            assert _same_partition(raw)
+            assert len({canonical_key(c) for c in raw}) < len(raw)
+
+    def test_literals_keep_their_repr(self):
+        def with_const(value):
+            return WorkflowProgram(
+                nodes=(Node("x0", INPUT_OP), Node("c0", CONST_OP, value=value), Node("n0", "add")),
+                edges=(Edge("x0", "n0", 0), Edge("c0", "n0", 1)),
+                roots=("x0",),
+                output="n0",
+            )
+
+        programs = [with_const(v) for v in (0.0, -0.0, 1, 1.0, float("nan"), float("nan"))]
+        keys = [canonical_key(p) for p in programs]
+        assert keys[0] != keys[1] and keys[2] != keys[3] and keys[4] == keys[5]
+        assert _same_partition(programs)
+
+
+# ---------------------------------------------------------------------------
+# interpret_all
+# ---------------------------------------------------------------------------
+
+def _bindings(rng, program, n):
+    return [{rid: float(rng.integers(-4, 5)) for rid in program.roots} for _ in range(n)]
+
+
+class TestInterpretAll:
+    def test_matches_per_binding_reference(self, registry):
+        rng = np.random.default_rng(21)
+        failed = 0
+        for _ in range(300):
+            program = random_program(rng, registry)
+            inputs_list = _bindings(rng, program, int(rng.integers(1, 6)))
+            traces = interpret_all(program, inputs_list, registry)
+            assert traces == ref_interpret_loop(program, inputs_list, registry)
+            assert traces == [interpret(program, inputs, registry) for inputs in inputs_list]
+            failed += sum(not t.success for t in traces)
+        assert failed > 50
+
+    def test_no_bindings(self, registry):
+        program = random_program(np.random.default_rng(0), registry)
+        assert interpret_all(program, [], registry) == []
+
+    def test_missing_input_raises_like_reference(self, registry):
+        program = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "add")),
+            edges=(Edge("x0", "n0", 0), Edge("x1", "n0", 1)),
+            roots=("x0", "x1"),
+            output="n0",
+        )
+        inputs_list = [{"x0": 1.0, "x1": 2.0}, {"x0": 1.0}]
+        with pytest.raises(MissingInputError, match=re.escape("'x1'")):
+            ref_interpret_loop(program, inputs_list, registry)
+        with pytest.raises(MissingInputError, match=re.escape("'x1'")):
+            interpret_all(program, inputs_list, registry)
+
+    def test_failure_before_missing_input_is_a_trace(self, registry):
+        # the failing sqrt is declared, and so walked, before the unbound root
+        program = WorkflowProgram(
+            nodes=(Node("c0", CONST_OP, value=-1.0), Node("n0", "sqrt"), Node("x0", INPUT_OP), Node("n1", "add")),
+            edges=(Edge("c0", "n0", 0), Edge("n0", "n1", 0), Edge("x0", "n1", 1)),
+            roots=("x0",),
+            output="n1",
+        )
+        expected = ref_interpret_loop(program, [{}], registry)
+        assert interpret_all(program, [{}], registry) == expected
+        assert not expected[0].success
+
+    @pytest.mark.parametrize("value, fails", [(-1.0, True), (4.0, False)])
+    def test_unresolvable_node_raises_only_when_reached(self, registry, value, fails):
+        program = WorkflowProgram(
+            nodes=(Node("c0", CONST_OP, value=value), Node("n0", "sqrt"), Node("n1", "frobnicate")),
+            edges=(Edge("c0", "n0", 0), Edge("n0", "n1", 0)),
+            roots=(),
+            output="n1",
+        )
+        if fails:
+            assert interpret_all(program, [{}], registry) == ref_interpret_loop(program, [{}], registry)
+        else:
+            with pytest.raises(KeyError, match="frobnicate"):
+                ref_interpret_loop(program, [{}], registry)
+            with pytest.raises(KeyError, match="frobnicate"):
+                interpret_all(program, [{}], registry)

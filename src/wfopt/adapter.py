@@ -9,9 +9,16 @@ child process's standard streams or POSTed over HTTP:
     request:  {"kind": "evaluate", "program": {...}, "params": {"problems": [...]}}
     response: {"reward": r, "traces": [{...}], "usage": {...}}
 
-The engine treats remote and synthetic implementations identically; running
-``python -m wfopt.adapter`` serves the synthetic roles over stdio, which is
-how the protocol tests exercise both sides.
+The engine treats remote and synthetic implementations identically. An
+evaluate reply that is valid JSON but carries bad content (a reward that is
+not a finite number, a malformed trace) fails that one request with
+`EvaluationError`; a reply that breaks the protocol itself raises
+`AdapterError`.
+
+Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
+which is how the protocol tests exercise both sides. The peer keeps one
+`SyntheticRoles` for its lifetime and loads numpy only for its first
+propose request, so an evaluate-only peer starts without it.
 """
 
 from __future__ import annotations
@@ -21,10 +28,7 @@ import json
 import math
 import subprocess
 import sys
-import urllib.request
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .harness import (
     EvaluationError,
@@ -34,6 +38,7 @@ from .harness import (
     SyntheticEvaluator,
     SyntheticProposer,
     TokenRecord,
+    problem_from_dict,
 )
 from .model import (
     ExecutionTrace,
@@ -43,6 +48,9 @@ from .model import (
     program_from_dict,
     program_to_dict,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AdapterError(RuntimeError):
@@ -59,13 +67,42 @@ def trace_to_dict(trace: ExecutionTrace) -> dict:
     }
 
 
-def trace_from_dict(data: Mapping) -> ExecutionTrace:
+# bool is an int subclass, but JSON true/false is not a number
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def trace_from_dict(data: dict) -> ExecutionTrace:
+    """Decode one trace of an evaluate reply; bad content raises ValueError.
+
+    All five keys must be present. A failed trace may carry any numbers, but
+    a successful one must be finite throughout, since its values feed the
+    magnitude score.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"trace is not an object: {data!r}")
+    try:
+        values, inputs, success, output, violation = (
+            data["values"], data["inputs"], data["success"], data["output"], data["violation"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"trace lacks {exc.args[0]}") from None
+    if type(values) is not list or type(inputs) is not list:
+        raise ValueError(f"malformed trace: {data!r}")
+    numbers = values + inputs if output is None else values + inputs + [output]
+    if not (
+        _NUMBER_TYPES.issuperset(map(type, numbers))
+        and type(success) is bool
+        and (violation is None or type(violation) is str)
+    ):
+        raise ValueError(f"malformed trace: {data!r}")
+    if success and not all(map(math.isfinite, numbers)):
+        raise ValueError("successful trace has a non-finite value")
     return ExecutionTrace(
-        values=tuple(float(v) for v in data["values"]),
-        input_constants=tuple(float(v) for v in data["inputs"]),
-        success=bool(data["success"]),
-        output=None if data.get("output") is None else float(data["output"]),
-        violation=data.get("violation"),
+        values=tuple(map(float, values)),
+        input_constants=tuple(map(float, inputs)),
+        success=success,
+        output=None if output is None else float(output),
+        violation=violation,
     )
 
 
@@ -78,11 +115,21 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
+def _token_count(usage: Mapping, key: str) -> int:
+    value = usage.get(key, 0)
+    if type(value) not in _NUMBER_TYPES or not 0 <= value < math.inf:
+        raise ValueError(f"usage {key} is not a non-negative number: {value!r}")
+    return int(value)
+
+
 def _usage_record(role: str, usage: Mapping, request_id: str) -> TokenRecord:
+    """Decode a reply's usage field; bad content raises ValueError."""
+    if not isinstance(usage, Mapping):
+        raise ValueError(f"usage is not an object: {usage!r}")
     return TokenRecord(
         role=role,
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
-        completion_tokens=int(usage.get("completion_tokens", 0)),
+        prompt_tokens=_token_count(usage, "prompt_tokens"),
+        completion_tokens=_token_count(usage, "completion_tokens"),
         request_id=request_id,
     )
 
@@ -117,6 +164,8 @@ class StdioTransport(_Transport):
             line = self._proc.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
             raise AdapterError(f"external role pipe failed: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise AdapterError(f"malformed response line: {exc}") from None
         if not line:
             raise AdapterError("external role closed the stream")
         try:
@@ -143,6 +192,8 @@ class HttpTransport(_Transport):
         self.timeout = timeout
 
     def request(self, payload: dict) -> dict:
+        import urllib.request  # here, not at module level: it pulls in http.client and ssl
+
         req = urllib.request.Request(
             self.address,
             data=json.dumps(payload).encode(),
@@ -150,9 +201,13 @@ class HttpTransport(_Transport):
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode())
+                body = resp.read()
         except OSError as exc:
             raise AdapterError(f"external role at {self.address} unreachable: {exc}") from None
+        try:
+            return json.loads(body.decode())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise AdapterError(f"malformed response from {self.address}: {exc}") from None
 
 
 class ExternalProposer:
@@ -187,6 +242,8 @@ class ExternalEvaluator:
             raise ValueError("evaluator needs a non-empty problem set")
         self.transport = transport
         self.problems = problems
+        # every request carries the same list; it is encoded once
+        self._problem_dicts = [problem_to_dict(p) for p in problems.problems]
         self._request_counter = 0
 
     def evaluate(self, program: WorkflowProgram):
@@ -194,19 +251,31 @@ class ExternalEvaluator:
             {
                 "kind": "evaluate",
                 "program": program_to_dict(program),
-                "params": {"problems": [problem_to_dict(p) for p in self.problems.problems]},
+                "params": {"problems": self._problem_dicts},
             }
         )
+        if not isinstance(response, dict):
+            raise AdapterError("evaluate response is not a JSON object")
         if "error" in response:
             raise EvaluationError(str(response["error"]))
         if "reward" not in response:
             raise AdapterError("evaluate response missing 'reward'")
-        reward = float(response["reward"])
-        if not math.isfinite(reward):
-            raise EvaluationError(f"non-finite reward {reward!r}")
-        traces = [trace_from_dict(t) for t in response.get("traces", [])]
+        try:
+            reward = response["reward"]
+            if type(reward) not in _NUMBER_TYPES:
+                raise ValueError(f"reward is not a number: {reward!r}")
+            reward = float(reward)
+            if not math.isfinite(reward):
+                raise ValueError(f"non-finite reward {reward!r}")
+            entries = response.get("traces", [])
+            if type(entries) is not list:
+                raise ValueError(f"traces is not a list: {entries!r}")
+            traces = [trace_from_dict(entry) for entry in entries]
+            record = _usage_record("executor", response.get("usage", {}), f"exe-{self._request_counter + 1:05d}")
+        except (ValueError, OverflowError) as exc:
+            # a well-formed reply with bad content fails this request only
+            raise EvaluationError(str(exc)) from None
         self._request_counter += 1
-        record = _usage_record("executor", response.get("usage", {}), f"exe-{self._request_counter:05d}")
         return reward, traces, record
 
 
@@ -214,51 +283,74 @@ class ExternalEvaluator:
 # Server side: the synthetic roles behind the same protocol.
 # ---------------------------------------------------------------------------
 
+class SyntheticRoles:
+    """Answers protocol requests with the synthetic roles, kept across requests.
+
+    The registry and the proposer live as long as the object. The evaluator
+    is kept for the last problem list received and rebuilt only when a
+    request carries a different list. The roles count their requests, but no
+    response field reports a count, so every response equals what a fresh
+    object would give for the same request.
+    """
+
+    def __init__(self, registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()):
+        self.registry = registry or default_registry()
+        self.proposer = SyntheticProposer(self.registry, proposer_config)
+        self._problem_dicts: Optional[list] = None
+        self._evaluator: Optional[SyntheticEvaluator] = None
+        self._reusable = False
+
+    def handle(self, payload: Mapping) -> dict:
+        kind = payload.get("kind")
+        program = program_from_dict(payload["program"])
+        params = payload.get("params", {})
+        if kind == "propose":
+            import numpy as np  # here, not at module level: an evaluate-only peer starts without it
+
+            rng = np.random.default_rng(int(params.get("seed", 0)))
+            candidates, usage = self.proposer.propose(program, int(params.get("count", 8)), rng)
+            return {
+                "candidates": [program_to_dict(c) for c in candidates],
+                "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
+            }
+        if kind == "evaluate":
+            reward, traces, usage = self._evaluator_for(params["problems"]).evaluate(program)
+            return {
+                "reward": reward,
+                "traces": [trace_to_dict(t) for t in traces],
+                "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
+            }
+        return {"error": f"unknown request kind {kind!r}"}
+
+    def _evaluator_for(self, problem_dicts: list) -> SyntheticEvaluator:
+        if not self._reusable or problem_dicts != self._problem_dicts:
+            problems = tuple(problem_from_dict(entry) for entry in problem_dicts)
+            self._evaluator = SyntheticEvaluator(ProblemSet(problems, "validation"), self.registry)
+            self._problem_dicts = problem_dicts
+            # `==` takes -0.0 for 0.0, and the sign of a zero input can reach
+            # a trace value; a list with a zero input is rebuilt every time
+            self._reusable = all(v != 0.0 for p in problems for v in p.inputs.values())
+        return self._evaluator
+
+
 def handle_request(
     payload: Mapping,
     registry: Optional[OperatorRegistry] = None,
     proposer_config: ProposerConfig = ProposerConfig(),
 ) -> dict:
-    registry = registry or default_registry()
-    kind = payload.get("kind")
-    program = program_from_dict(payload["program"])
-    params = payload.get("params", {})
-    if kind == "propose":
-        proposer = SyntheticProposer(registry, proposer_config)
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        candidates, usage = proposer.propose(program, int(params.get("count", 8)), rng)
-        return {
-            "candidates": [program_to_dict(c) for c in candidates],
-            "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
-        }
-    if kind == "evaluate":
-        problems = tuple(
-            Problem(
-                inputs={str(k): float(v) for k, v in entry["inputs"].items()},
-                expected=float(entry["expected"]),
-                category=str(entry.get("category", "default")),
-                constants=tuple(float(x) for x in entry.get("constants", [])),
-            )
-            for entry in params["problems"]
-        )
-        evaluator = SyntheticEvaluator(ProblemSet(problems, "validation"), registry)
-        reward, traces, usage = evaluator.evaluate(program)
-        return {
-            "reward": reward,
-            "traces": [trace_to_dict(t) for t in traces],
-            "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
-        }
-    return {"error": f"unknown request kind {kind!r}"}
+    """Answer one request with freshly built roles."""
+    return SyntheticRoles(registry, proposer_config).handle(payload)
 
 
 def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()) -> None:
+    """Answer one JSON request per input line until end of input, with one `SyntheticRoles`."""
+    roles = SyntheticRoles(registry, proposer_config)
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         try:
-            payload = json.loads(line)
-            response = handle_request(payload, registry, proposer_config)
+            response = roles.handle(json.loads(line))
         except Exception as exc:  # protocol errors are reported in-band
             response = {"error": str(exc)}
         sys.stdout.write(json.dumps(response) + "\n")

@@ -16,9 +16,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (
     CONST_OP,
@@ -38,6 +36,9 @@ from .model import (
     validate_program,
 )
 from .runlog import RunLog
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EvaluationError(RuntimeError):
@@ -433,6 +434,8 @@ def make_synthetic_suite(
         raise ValueError("need at least 5 problems for a 1:4 split")
     if category_count < 1:
         raise ValueError("category_count must be >= 1")
+    import numpy as np  # here, not at module level: an evaluate-only stdio peer never needs it
+
     registry = registry or default_registry()
     proposer = SyntheticProposer(registry, proposer_config or ProposerConfig(ops=("add", "sub", "mul", "neg")))
     rng = np.random.default_rng(seed)
@@ -595,6 +598,15 @@ def problems_to_dict(problems: Sequence[Problem], split_ratio: tuple[int, int] =
     }
 
 
+def problem_from_dict(entry: Mapping) -> Problem:
+    return Problem(
+        inputs={str(k): float(v) for k, v in entry["inputs"].items()},
+        expected=float(entry["expected"]),
+        category=str(entry.get("category", "default")),
+        constants=tuple(float(x) for x in entry.get("constants", [])),
+    )
+
+
 def save_problem_file(problems: Sequence[Problem], path: str | Path, split_ratio: tuple[int, int] = (1, 4)) -> None:
     Path(path).write_text(json.dumps(problems_to_dict(problems, split_ratio), sort_keys=True, indent=2) + "\n")
 
@@ -610,14 +622,7 @@ def load_problem_file(path: str | Path) -> tuple[ProblemSet, ProblemSet]:
         bad = set(entry) - {"inputs", "expected", "category", "constants"}
         if bad:
             raise ValueError(f"unknown problem keys: {sorted(bad)}")
-        problems.append(
-            Problem(
-                inputs={str(k): float(v) for k, v in entry["inputs"].items()},
-                expected=float(entry["expected"]),
-                category=str(entry.get("category", "default")),
-                constants=tuple(float(x) for x in entry.get("constants", [])),
-            )
-        )
+        problems.append(problem_from_dict(entry))
     n_val = max(1, (len(problems) * ratio[0]) // (ratio[0] + ratio[1]))
     return (
         ProblemSet(tuple(problems[:n_val]), "validation"),

@@ -1,7 +1,10 @@
+import io
 import json
 import math
+import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -13,8 +16,10 @@ from wfopt.adapter import (
     ExternalProposer,
     HttpTransport,
     StdioTransport,
+    SyntheticRoles,
     handle_request,
     problem_to_dict,
+    serve_stdio,
     trace_from_dict,
     trace_to_dict,
 )
@@ -33,7 +38,7 @@ from wfopt.harness import (
 from wfopt.search import Optimizer, SearchBudget
 from wfopt.model import canonical_key, default_registry, interpret, program_to_dict
 
-from conftest import binary
+from conftest import binary, chain
 
 
 PROBLEMS = ProblemSet(
@@ -92,31 +97,88 @@ class TestHandleRequest:
             evaluator.evaluate(binary("add", "input", "input"))
 
 
+GOOD_TRACE = {"values": [5.0], "inputs": [2.0, 3.0], "success": True, "output": 5.0, "violation": None}
+
+# evaluate replies that are valid JSON but carry bad content, and the failure each one logs
+BAD_CONTENT = [
+    pytest.param({"reward": math.nan}, "non-finite reward nan", id="nan"),
+    pytest.param({"reward": math.inf}, "non-finite reward inf", id="inf"),
+    pytest.param({"reward": -math.inf}, "non-finite reward -inf", id="-inf"),
+    pytest.param({"reward": "high"}, "reward is not a number: 'high'", id="string"),
+    pytest.param({"reward": None}, "reward is not a number: None", id="null"),
+    pytest.param({"reward": True}, "reward is not a number: True", id="true"),
+    pytest.param({"reward": [0.5]}, "reward is not a number: [0.5]", id="list"),
+    pytest.param({"reward": 10**400}, "int too large to convert to float", id="huge-int"),
+    pytest.param({"traces": None}, "traces is not a list: None", id="traces-null"),
+    *(
+        pytest.param({"traces": [trace]}, f"malformed trace: {trace!r}", id=name)
+        for name, trace in [
+            ("values-string", dict(GOOD_TRACE, values="5")),
+            ("input-string", dict(GOOD_TRACE, inputs=[2.0, "3"])),
+            ("output-string", dict(GOOD_TRACE, output="5")),
+            ("success-string", dict(GOOD_TRACE, success="yes")),
+            ("violation-number", dict(GOOD_TRACE, violation=3)),
+        ]
+    ),
+    pytest.param({"traces": [{k: v for k, v in GOOD_TRACE.items() if k != "violation"}]},
+                 "trace lacks violation", id="trace-lacks-key"),
+    pytest.param({"traces": [GOOD_TRACE, [5.0]]}, "trace is not an object: [5.0]", id="trace-list"),
+    pytest.param({"traces": [dict(GOOD_TRACE, values=[math.nan])]}, "successful trace has a non-finite value",
+                 id="success-nan-value"),
+    pytest.param({"traces": [dict(GOOD_TRACE, output=math.inf)]}, "successful trace has a non-finite value",
+                 id="success-inf-output"),
+    pytest.param({"usage": {"prompt_tokens": "many"}}, "usage prompt_tokens is not a non-negative number: 'many'",
+                 id="usage-string"),
+    pytest.param({"usage": {"completion_tokens": -3}}, "usage completion_tokens is not a non-negative number: -3",
+                 id="usage-negative"),
+]
+
+
 class TestNonFiniteReward:
-    """A remote reward that is not a finite number is an evaluation failure."""
+    """An evaluate reply that is valid JSON but carries bad content is an evaluation failure."""
 
     class _Transport:
-        def __init__(self, reward):
-            self.reward = reward
+        def __init__(self, reply):
+            self.reply = reply
 
         def request(self, payload):
-            # what json.loads makes of a peer that prints NaN or Infinity
-            return json.loads(json.dumps({"reward": self.reward, "traces": [], "usage": {}}))
+            # what json.loads makes of a peer that prints this reply, NaN and Infinity included
+            return json.loads(json.dumps(self.reply))
 
-    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
-    def test_raises_evaluation_error(self, reward):
-        evaluator = ExternalEvaluator(self._Transport(reward), PROBLEMS)
-        with pytest.raises(EvaluationError, match="non-finite reward"):
+    @staticmethod
+    def reply(overrides):
+        return dict({"reward": 1.0, "traces": [GOOD_TRACE], "usage": {"prompt_tokens": 3}}, **overrides)
+
+    def test_good_reply_is_accepted(self):
+        failed = dict(GOOD_TRACE, values=[math.inf], success=False, output=None, violation="overflow")
+        reply = self.reply({"traces": [GOOD_TRACE, failed]})
+        reward, traces, record = ExternalEvaluator(self._Transport(reply), PROBLEMS).evaluate(
+            binary("add", "input", "input"))
+        assert reward == 1.0
+        assert [t.success for t in traces] == [True, False]
+        assert (record.prompt_tokens, record.completion_tokens) == (3, 0)
+
+    @pytest.mark.parametrize("overrides, failure", BAD_CONTENT)
+    def test_raises_evaluation_error(self, overrides, failure):
+        evaluator = ExternalEvaluator(self._Transport(self.reply(overrides)), PROBLEMS)
+        with pytest.raises(EvaluationError) as raised:
+            evaluator.evaluate(binary("add", "input", "input"))
+        assert str(raised.value) == failure
+
+    @pytest.mark.parametrize("reply", [{"traces": []}, [1.0], "reward"], ids=["no-reward", "list", "string"])
+    def test_protocol_break_raises_adapter_error(self, reply):
+        evaluator = ExternalEvaluator(self._Transport(reply), PROBLEMS)
+        with pytest.raises(AdapterError):
             evaluator.evaluate(binary("add", "input", "input"))
 
-    @pytest.mark.parametrize("reward", [math.nan, math.inf])
-    def test_run_continues_with_zero_reward(self, registry, reward):
+    @pytest.mark.parametrize("overrides, failure", BAD_CONTENT)
+    def test_run_continues_with_zero_reward(self, registry, overrides, failure):
         config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=2)
         suite = make_synthetic_suite(seed=0, n_problems=10, proposer_config=config, target_edits=2)
         optimizer = Optimizer(
             suite.initial_program,
             SyntheticProposer(registry, config),
-            ExternalEvaluator(self._Transport(reward), suite.validation),
+            ExternalEvaluator(self._Transport(self.reply(overrides)), suite.validation),
             ConstraintScorer(registry, library=None, category="cat0"),
             budget=SearchBudget(rounds=2, simulations_per_round=3, seed=0),
         )
@@ -125,7 +187,94 @@ class TestNonFiniteReward:
         assert len(simulated) > 1
         for record in simulated:
             assert record["reward"] == 0.0
-            assert record["failure"] == f"non-finite reward {reward!r}"
+            assert record["failure"] == failure
+
+
+def _evaluate(program, problems):
+    return {"kind": "evaluate", "program": program_to_dict(program),
+            "params": {"problems": [problem_to_dict(p) for p in problems]}}
+
+
+def _propose(program, count, seed):
+    return {"kind": "propose", "program": program_to_dict(program), "params": {"count": count, "seed": seed}}
+
+
+# A peer that only evaluates must not load these.
+HEAVY_MODULES = ("numpy", "urllib.request", "ssl")
+
+LEAN_PEER = """
+import json, sys
+from wfopt.adapter import SyntheticRoles
+
+evaluate, propose = json.loads(sys.stdin.read())
+roles = SyntheticRoles()
+evaluated = roles.handle(evaluate)
+loaded = [name for name in %r if name in sys.modules]
+print(json.dumps({"evaluated": evaluated, "loaded": loaded, "proposed": roles.handle(propose)}))
+""" % (HEAVY_MODULES,)
+
+
+class TestSyntheticRoles:
+    def test_kept_roles_answer_as_fresh_ones(self, registry, monkeypatch):
+        """One stdio server's responses are byte-identical to a fresh `handle_request` for each request."""
+        config = ProposerConfig(ops=("add", "mul", "neg", "sqrt"), max_operator_nodes=3)
+        other = (
+            Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c", constants=(-4.0, -1.0)),
+            Problem(inputs={"x0": -9.0, "x1": 2.0}, expected=-18.0, category="c", constants=(-9.0, 2.0)),
+        )
+        # equal under `==`, but the sign of the zero reaches the trace of `neg`
+        zero = (Problem(inputs={"x0": 0.0}, expected=0.0, category="c", constants=(0.0,)),)
+        negative_zero = (Problem(inputs={"x0": -0.0}, expected=0.0, category="c", constants=(-0.0,)),)
+        add, failing = binary("add", "input", "input"), chain("sqrt", n_roots=2)
+        payloads = [
+            _evaluate(add, PROBLEMS.problems),
+            _evaluate(add, other),
+            _evaluate(add, PROBLEMS.problems),
+            _evaluate(failing, other),
+            _evaluate(add, other),
+            _propose(add, 5, 9),
+            _evaluate(add, ()),
+            _evaluate(failing, PROBLEMS.problems),
+            _evaluate(chain("neg"), zero),
+            _evaluate(chain("neg"), negative_zero),
+            _evaluate(chain("neg"), zero),
+            _propose(failing, 3, 1),
+            _evaluate(add, ()),
+            _evaluate(add, PROBLEMS.problems),
+        ]
+
+        def fresh(payload):
+            try:
+                return handle_request(payload, registry, config)
+            except Exception as exc:
+                return {"error": str(exc)}
+
+        expected = [json.dumps(fresh(json.loads(json.dumps(p)))) for p in payloads]
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(json.dumps(p) + "\n" for p in payloads)))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry, config)
+        assert stdout.getvalue().splitlines() == expected
+        answers = [json.loads(line) for line in expected]
+        assert [a["reward"] for a in answers[:5]] == [1.0, 0.0, 1.0, 0.0, 0.0]
+        assert not any(t["success"] for t in answers[3]["traces"])
+        assert answers[6] == answers[12] == {"error": "evaluator needs a non-empty problem set"}
+        assert expected[8] != expected[9]
+
+    def test_lean_peer(self, registry):
+        """An evaluate-only peer loads no numpy, urllib or ssl; proposals still match the local proposer."""
+        program = binary("add", "input", "input")
+        requests = [_evaluate(program, PROBLEMS.problems), _propose(program, 5, 9)]
+        proc = subprocess.run([sys.executable, "-c", LEAN_PEER], input=json.dumps(requests),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        answer = json.loads(proc.stdout)
+        assert answer["loaded"] == []
+        assert answer["evaluated"] == handle_request(requests[0], registry)
+        local, usage = SyntheticProposer(registry).propose(program, 5, np.random.default_rng(9))
+        assert answer["proposed"]["candidates"] == [program_to_dict(p) for p in local]
+        assert answer["proposed"]["usage"] == {"prompt_tokens": usage.prompt_tokens,
+                                               "completion_tokens": usage.completion_tokens}
 
 
 class TestTraceSerialization:
@@ -172,6 +321,26 @@ class TestStdioAdapter:
         local = SyntheticEvaluator(PROBLEMS, registry).evaluate(program)
         assert remote[0] == local[0]
         assert remote[1] == local[1]
+
+    def test_peer_module_runs_once(self):
+        """`-m wfopt.adapter` must not import the module a second time before running it."""
+        transport = StdioTransport([sys.executable, "-W", "error::RuntimeWarning", "-m", "wfopt.adapter"])
+        try:
+            reward, traces, _ = ExternalEvaluator(transport, PROBLEMS).evaluate(binary("add", "input", "input"))
+        finally:
+            transport.close()
+        assert reward == 1.0
+        assert len(traces) == 2
+
+    @pytest.mark.parametrize("reply", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    def test_garbage_reply_raises_adapter_error(self, reply):
+        peer = f"import sys\nsys.stdin.readline()\nsys.stdout.buffer.write({reply!r} + b'\\n')\nsys.stdout.flush()"
+        transport = StdioTransport([sys.executable, "-c", peer])
+        try:
+            with pytest.raises(AdapterError, match="malformed response line"):
+                transport.request({"kind": "evaluate"})
+        finally:
+            transport.close()
 
     def test_dead_process_raises(self):
         transport = StdioTransport([sys.executable, "-c", "pass"])
@@ -236,18 +405,41 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+@contextmanager
+def _http_server(handler):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}/"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+
+
 class TestHttpAdapter:
     @pytest.fixture()
     def server(self):
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield f"http://127.0.0.1:{httpd.server_port}/"
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=10)
+        with _http_server(_Handler) as address:
+            yield address
+
+    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    def test_garbage_reply_raises_adapter_error(self, body):
+        class GarbageHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with _http_server(GarbageHandler) as address:
+            with pytest.raises(AdapterError, match="malformed response"):
+                HttpTransport(address, timeout=10).request({"kind": "evaluate"})
 
     def test_evaluate_over_http(self, server):
         evaluator = ExternalEvaluator(HttpTransport(server), PROBLEMS)

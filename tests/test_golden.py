@@ -8,8 +8,14 @@ says in CHANGES.md which behaviour changed and why.
 
 import hashlib
 
+import pytest
+
 from wfopt.config import RunConfig
+from wfopt.constraints import AggregationConfig, ConstraintScorer, ThresholdSchedule
 from wfopt.driver import execute_run
+from wfopt.harness import ProposerConfig, SyntheticEvaluator, SyntheticProposer, make_synthetic_suite
+from wfopt.model import default_registry
+from wfopt.search import Optimizer, SearchBudget
 
 # sha256 of each artifact of `execute_run(RunConfig())`, seed 42
 GOLDEN = {
@@ -26,3 +32,38 @@ def test_default_run_artifacts_match_golden_digests(tmp_path):
     execute_run(config, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
+
+
+# sha256 of the saved run log of the desk-scale run that acceptance test C3
+# makes for each seed. `max_operator_nodes=2` makes the proposer's size check
+# reject candidates, a path the default run does not exercise as often.
+DESK_RUNLOGS = {
+    0: "07767908679c398feda128fd911c9b183791cddf422c89eaca3720154632eb3c",
+    1: "94b6cf9f7bcc0036831f96be743af01609e26e32331e6100072bd65cac58ea6e",
+    2: "99bdaa097cf4a24350868c5216ee9008c8bd9150dbef76e8d0cb26a5baadf215",
+    3: "5ed9c533b2db6661bef88331afbb350832e53630963938a7a97b71dec20a96fb",
+    4: "facc9872b5780fd42638b4283ed78c7176ce70352482599c3972229a5a66011a",
+}
+
+
+def desk_run_log(seed):
+    registry = default_registry()
+    proposer_config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=2)
+    suite = make_synthetic_suite(seed=seed, n_problems=10, proposer_config=proposer_config, target_edits=2)
+    optimizer = Optimizer(
+        suite.initial_program,
+        SyntheticProposer(registry, proposer_config),
+        SyntheticEvaluator(suite.validation, registry),
+        ConstraintScorer(registry, library=None, category="cat0", agg=AggregationConfig(lambda_shaping=0.5)),
+        budget=SearchBudget(rounds=15, simulations_per_round=8, max_candidates_per_expansion=64, seed=seed),
+        schedule=ThresholdSchedule(),
+    )
+    _, log = optimizer.run()
+    return log
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_RUNLOGS))
+def test_desk_run_logs_match_golden_digests(tmp_path, seed):
+    path = tmp_path / "runlog.ndjson"
+    desk_run_log(seed).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_RUNLOGS[seed]

@@ -13,6 +13,9 @@ The engine treats remote and synthetic implementations identically. An
 evaluate reply that is valid JSON but carries bad content (a reward that is
 not a finite number, a malformed trace) fails that one request with
 `EvaluationError`; a reply that breaks the protocol itself raises
+`AdapterError`. A propose reply has no per-request failure: one that is not
+an object, reports an error, lacks a `candidates` list, holds a candidate
+that does not decode as a program or carries a bad usage count raises
 `AdapterError`.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
@@ -226,11 +229,20 @@ class ExternalProposer:
                 "params": {"count": count, "seed": seed},
             }
         )
-        if "candidates" not in response:
-            raise AdapterError("propose response missing 'candidates'")
-        candidates = [program_from_dict(c) for c in response["candidates"]]
+        if not isinstance(response, dict):
+            raise AdapterError("propose response is not a JSON object")
+        if "error" in response:
+            raise AdapterError(f"external proposer failed: {response['error']}")
+        entries = response.get("candidates")
+        if type(entries) is not list:
+            raise AdapterError(f"propose response 'candidates' is missing or not a list: {entries!r}")
+        try:
+            candidates = [program_from_dict(entry) for entry in entries]
+            record = _usage_record("optimizer", response.get("usage", {}), f"opt-{self._request_counter + 1:05d}")
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # there is no per-request failure on this side: a bad reply ends the run
+            raise AdapterError(f"malformed propose response: {exc!r}") from None
         self._request_counter += 1
-        record = _usage_record("optimizer", response.get("usage", {}), f"opt-{self._request_counter:05d}")
         return candidates, record
 
 

@@ -134,7 +134,10 @@ def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
 def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     """Drop operator/const nodes that no longer feed the output; keep roots.
 
-    A program with nothing to drop is returned as it is.
+    A program with nothing to drop is returned as it is. Of the proposer's
+    edits of such a program (with one edge per input slot), only a rewire can
+    orphan a node: the rewired edge's old source, when that edge was its only
+    consumer, and whatever fed only that source.
     """
     inc = program.incoming()
     live: set[str] = set()
@@ -177,37 +180,46 @@ class SyntheticProposer:
     # -- edit enumeration ---------------------------------------------------
 
     def enumerate_edits(self, program: WorkflowProgram) -> list[WorkflowProgram]:
-        """All valid, distinct single-edit neighbours in fixed order."""
-        base_key = canonical_key(program)
-        seen = {base_key}
+        """All valid, distinct single-edit neighbours in fixed order.
+
+        Each candidate is pruned of dead nodes, checked against the size
+        limit, validated and deduplicated by canonical key, in that order. On
+        a clean base, where every node feeds the output and each input slot
+        has one edge, only a rewire can orphan a node: an insertion keeps the
+        anchor edge's source live through the new node, a replacement keeps
+        every edge, and deleting a unary node hands its consumers its only
+        operand. There the other edits skip the pruning walk, which would
+        return them unchanged; on any other base every candidate is pruned.
+        """
+        seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
+        max_nodes = self.config.max_operator_nodes
+        registry = self.registry
 
-        def emit(candidate: Optional[WorkflowProgram]) -> None:
-            if candidate is None:
-                return
-            candidate = _prune_dead(candidate)
-            if len(candidate.operator_nodes()) > self.config.max_operator_nodes:
-                return
-            if not validate_program(candidate, self.registry).ok:
-                return
-            key = canonical_key(candidate)
-            if key in seen:
-                return
-            seen.add(key)
-            results.append(candidate)
+        def emit(candidates, prune: bool) -> None:
+            for candidate in candidates:
+                if prune:
+                    candidate = _prune_dead(candidate)
+                if len(candidate.operator_nodes()) > max_nodes:
+                    continue
+                if not validate_program(candidate, registry).ok:
+                    continue
+                key = canonical_key(candidate)
+                if key in seen:
+                    continue
+                seen.add(key)
+                results.append(candidate)
 
+        one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
+        clean = one_edge_per_slot and _prune_dead(program) is program
         if self.config.allow_insert:
-            for candidate in self._insertions(program):
-                emit(candidate)
+            emit(self._insertions(program), not clean)
         if self.config.allow_replace:
-            for candidate in self._replacements(program):
-                emit(candidate)
+            emit(self._replacements(program), not clean)
         if self.config.allow_delete:
-            for candidate in self._deletions(program):
-                emit(candidate)
+            emit(self._deletions(program), not clean)
         if self.config.allow_rewire:
-            for candidate in self._rewires(program):
-                emit(candidate)
+            emit(self._rewires(program), True)
         return results
 
     def _second_inputs(self, program: WorkflowProgram, below: str) -> list[str]:
@@ -225,16 +237,18 @@ class SyntheticProposer:
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
+        # second operands by anchor; the output site may pair with any node
+        partners_of: dict[Optional[str], list[str]] = {None: [n.node_id for n in program.nodes]}
         for where, edge in self._edit_sites(program):
             src = edge.src if edge is not None else program.output
-            anchor = edge.dst if edge is not None else program.output
+            anchor = edge.dst if edge is not None else None
             for kind in self._ops:
                 if kind.arity == 1:
                     yield self._insert_node(program, edge, kind.name, [src], new_id, const_id)
                 elif kind.arity == 2:
-                    partners = self._second_inputs(program, anchor) if edge is not None else [
-                        n.node_id for n in program.nodes
-                    ]
+                    partners = partners_of.get(anchor)
+                    if partners is None:
+                        partners = partners_of[anchor] = self._second_inputs(program, anchor)
                     for partner in partners:
                         yield self._insert_node(program, edge, kind.name, [src, partner], new_id, const_id)
                         yield self._insert_node(program, edge, kind.name, [partner, src], new_id, const_id)
@@ -305,8 +319,11 @@ class SyntheticProposer:
             yield WorkflowProgram(nodes, tuple(edges), program.roots, output)
 
     def _rewires(self, program: WorkflowProgram):
+        blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
         for edge in program.edges:
-            blocked = _descendants(program, edge.dst) | {edge.dst}
+            blocked = blocked_by.get(edge.dst)
+            if blocked is None:
+                blocked = blocked_by[edge.dst] = _descendants(program, edge.dst) | {edge.dst}
             for node in program.nodes:
                 alt = node.node_id
                 if alt == edge.src or alt in blocked:

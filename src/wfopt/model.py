@@ -9,9 +9,12 @@ The static checks share one topological walk per program: `analyze_program`
 propagates unit signatures, shapes, value signs and depth together, and
 `derive_state` folds its per-operator verdicts into the `WorkflowState` the
 constraint scores read. `validate_program` builds its maps in one pass over
-the nodes and one over the edges, `canonical_key` returns a flat tuple, and
-`interpret_all` orders a program once for a whole list of input bindings.
-Every map is transient; nothing is cached on the program.
+the nodes and one over the edges, with one arity lookup per operator node in
+the map each `OperatorRegistry` builds once, and walks back from the output
+for reachability only when the other checks leave that in doubt.
+`canonical_key` returns a flat tuple, and `interpret_all` orders a program
+once for a whole list of input bindings. Every map over a program is
+transient; nothing is cached on the program.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -107,6 +110,8 @@ class OperatorRegistry:
             if kind.name in (INPUT_OP, CONST_OP):
                 raise ValueError(f"{kind.name!r} is reserved for leaf nodes")
             self._kinds[kind.name] = kind
+        # a registry never changes after construction, so this map stays true
+        self._arities = {name: kind.arity for name, kind in self._kinds.items()}
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -126,6 +131,11 @@ class OperatorRegistry:
             return self._kinds[name]
         except KeyError:
             raise KeyError(f"unknown operator {name!r}") from None
+
+    @property
+    def arities(self) -> Mapping[str, int]:
+        """Operator name -> arity; read-only by contract, not by copy."""
+        return self._arities
 
 
 def default_registry() -> OperatorRegistry:
@@ -292,16 +302,23 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     """Check all structural invariants; violations are data, not exceptions.
 
     One pass over the nodes and one over the edges build every map the checks
-    need. A repeated node id also reports a cycle, because fewer distinct ids
-    than nodes can ever leave the Kahn queue; the reachability check follows
-    every edge, the rejected ones included, as `WorkflowProgram.incoming` does.
+    need, with one arity lookup per operator node. A repeated node id also
+    reports a cycle, because fewer distinct ids than nodes can ever leave the
+    Kahn queue; the reachability check follows every edge, the rejected ones
+    included, as `WorkflowProgram.incoming` does. That check walks the graph
+    only when some violation was already found or some operator takes no
+    operands: otherwise every operator has all its slots filled from real
+    nodes and the graph is acyclic, so walking back from the output must end
+    at a leaf.
     """
     registry = registry or default_registry()
+    arities = registry.arities
     roots = program.roots
     violations: list[str] = []         # duplicate ids, then roots, then per node
     node_violations: list[str] = []
     arity: dict[str, int] = {}         # id -> arity (0: unknown operator) or a leaf marker
     operators: list[tuple[str, int]] = []
+    nullary = False                    # some operator takes no operands
     for node in program.nodes:
         nid, op = node.node_id, node.op
         if nid in arity:
@@ -316,12 +333,15 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
             arity[nid] = _CONST_LEAF
             if node.value is None:
                 node_violations.append(f"const node {nid!r} needs a value")
-        elif op not in registry:
-            arity[nid] = 0
-            node_violations.append(f"node {nid!r}: unknown operator {op!r}")
         else:
-            arity[nid] = registry.get(op).arity
-            operators.append((nid, arity[nid]))
+            n_slots = arities.get(op)
+            if n_slots is None:
+                arity[nid] = 0
+                node_violations.append(f"node {nid!r}: unknown operator {op!r}")
+                continue
+            arity[nid] = n_slots
+            operators.append((nid, n_slots))
+            nullary = nullary or not n_slots
             if node.value is not None:
                 node_violations.append(f"operator node {nid!r} must not carry a value")
 
@@ -378,7 +398,7 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
 
     if program.output not in arity:
         violations.append(f"output {program.output!r} is not a node")
-    elif not cyclic and not _reaches_leaf(arity, inc, program.output):
+    elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, inc, program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))

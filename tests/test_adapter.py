@@ -190,6 +190,61 @@ class TestNonFiniteReward:
             assert record["failure"] == failure
 
 
+GOOD_CANDIDATE = program_to_dict(binary("add", "input", "input"))
+
+# propose replies that break the protocol; each one is an AdapterError
+BAD_PROPOSE_REPLIES = [
+    pytest.param(5, id="number"),
+    pytest.param([GOOD_CANDIDATE], id="list"),
+    pytest.param({"usage": {}}, id="no-candidates"),
+    pytest.param({"candidates": None}, id="candidates-null"),
+    pytest.param({"candidates": {"0": GOOD_CANDIDATE}}, id="candidates-object"),
+    pytest.param({"candidates": [5]}, id="candidate-number"),
+    pytest.param({"candidates": [{k: v for k, v in GOOD_CANDIDATE.items() if k != "edges"}]}, id="no-edges"),
+    pytest.param({"candidates": [dict(GOOD_CANDIDATE, edges=[["x0", "n0"]])]}, id="short-edge"),
+    pytest.param({"candidates": [dict(GOOD_CANDIDATE, nodes=[{"id": "x0", "op": "input", "unit": [1]}])]},
+                 id="unit-list"),
+    pytest.param({"candidates": [dict(GOOD_CANDIDATE, color="red")]}, id="unknown-key"),
+    pytest.param({"candidates": [], "usage": {"prompt_tokens": -1}}, id="usage-negative"),
+    pytest.param({"candidates": [], "usage": {"completion_tokens": "many"}}, id="usage-string"),
+    pytest.param({"candidates": [], "usage": [3]}, id="usage-list"),
+]
+
+
+class TestProposeReply:
+    """A propose reply is decoded at the boundary; a malformed one is an AdapterError."""
+
+    class _Transport:
+        def __init__(self, reply):
+            self.reply = reply
+
+        def request(self, payload):
+            return json.loads(json.dumps(self.reply))
+
+    def test_good_reply_is_accepted(self):
+        reply = {"candidates": [GOOD_CANDIDATE], "usage": {"prompt_tokens": 4, "completion_tokens": 2}}
+        proposer = ExternalProposer(self._Transport(reply))
+        candidates, record = proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
+        assert candidates == [binary("add", "input", "input")]
+        assert (record.prompt_tokens, record.completion_tokens, record.request_id) == (4, 2, "opt-00001")
+
+    def test_in_band_error_is_reported(self):
+        proposer = ExternalProposer(self._Transport({"error": "ValueError: no such op"}))
+        with pytest.raises(AdapterError, match="no such op"):
+            proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reply", BAD_PROPOSE_REPLIES)
+    def test_protocol_break_raises_adapter_error(self, reply):
+        proposer = ExternalProposer(self._Transport(reply))
+        with pytest.raises(AdapterError):
+            proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
+        # a failed request does not use up a request id
+        good = {"candidates": []}
+        proposer.transport = self._Transport(good)
+        _, record = proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
+        assert record.request_id == "opt-00001"
+
+
 def _evaluate(program, problems):
     return {"kind": "evaluate", "program": program_to_dict(program),
             "params": {"problems": [problem_to_dict(p) for p in problems]}}

@@ -128,3 +128,18 @@ def test_every_generated_edit_is_valid_after_pruning(seed):
         for candidate in generate(program):
             report = validate_program(_prune_dead(candidate), REGISTRY)
             assert report.ok, report.violations
+
+
+def test_only_rewires_orphan_nodes_of_a_clean_base():
+    """On a base where every node feeds the output, pruning leaves each
+    insertion, replacement and deletion as it is; a rewire can orphan a node."""
+    rng = np.random.default_rng(17)
+    proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
+    orphaning_rewires = 0
+    for _ in range(60):
+        program = _prune_dead(random_program(rng, REGISTRY))
+        for generate in (proposer._insertions, proposer._replacements, proposer._deletions):
+            for candidate in generate(program):
+                assert _prune_dead(candidate) is candidate
+        orphaning_rewires += sum(_prune_dead(c) is not c for c in proposer._rewires(program))
+    assert orphaning_rewires > 0

@@ -1,12 +1,16 @@
 """The fast program checks against straightforward reference implementations.
 
-`validate_program`, `canonical_key` and `interpret_all` are written for
-speed: one pass over the nodes and edges, a flat tuple key, and one
-topological walk per evaluation request. The reference forms below are the
+`validate_program`, `canonical_key`, `interpret_all` and
+`SyntheticProposer.enumerate_edits` are written for speed: one pass over the
+nodes and edges, a reachability walk only when it can fail, a flat tuple key,
+one topological walk per evaluation request, and a dead-node pruning walk
+only for the edits that can orphan a node. The reference forms below are the
 plain versions they replaced: separate cycle and reachability walks, a
-`repr` of the post-order entry list, and a re-sorted ready list walked once
-per input binding. The fast forms must give the same reports, the same key
-equalities and the same traces on every input, invalid programs included.
+`repr` of the post-order entry list, a re-sorted ready list walked once per
+input binding, and every candidate pruned, with its cycle-blocking set
+recomputed per operator kind and per edge. The fast forms must give the same
+reports, the same key equalities, the same traces and the same candidates on
+every input, invalid programs included.
 """
 
 import math
@@ -15,7 +19,7 @@ import re
 import numpy as np
 import pytest
 
-from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -24,6 +28,8 @@ from wfopt.model import (
     InvalidProgramError,
     MissingInputError,
     Node,
+    OperatorKind,
+    OperatorRegistry,
     ValidationReport,
     WorkflowProgram,
     _apply,
@@ -237,6 +243,76 @@ def ref_interpret_loop(program, inputs_list, registry):
     return [ref_interpret(program, inputs, registry) for inputs in inputs_list]
 
 
+def ref_insertions(proposer, program):
+    """Insertions with the partner list recomputed for every binary kind."""
+    insert = proposer._insert_node
+    new_id = ref_fresh_id(program, "n")
+    const_id = ref_fresh_id(program, "c")
+    for edge in list(program.edges) + [None]:  # the output site last
+        src = edge.src if edge is not None else program.output
+        anchor = edge.dst if edge is not None else program.output
+        for kind in proposer._ops:
+            if kind.arity == 1:
+                yield insert(program, edge, kind.name, [src], new_id, const_id)
+            elif kind.arity == 2:
+                if edge is not None:
+                    blocked = _descendants(program, anchor) | {anchor}
+                    partners = [n.node_id for n in program.nodes if n.node_id not in blocked]
+                else:
+                    partners = [n.node_id for n in program.nodes]
+                for partner in partners:
+                    yield insert(program, edge, kind.name, [src, partner], new_id, const_id)
+                    yield insert(program, edge, kind.name, [partner, src], new_id, const_id)
+                for value in proposer.config.const_palette:
+                    yield insert(program, edge, kind.name, [src, ("const", value)], new_id, const_id)
+                    yield insert(program, edge, kind.name, [("const", value), src], new_id, const_id)
+
+
+def ref_fresh_id(program, prefix):
+    numbers = [int(n.node_id[len(prefix):]) for n in program.nodes
+               if re.fullmatch(rf"{re.escape(prefix)}\d+", n.node_id)]
+    return f"{prefix}{max(numbers, default=-1) + 1}"
+
+
+def ref_rewires(program):
+    """Rewires with the descendants of an edge's consumer recomputed per edge."""
+    for edge in program.edges:
+        blocked = _descendants(program, edge.dst) | {edge.dst}
+        for node in program.nodes:
+            if node.node_id == edge.src or node.node_id in blocked:
+                continue
+            edges = tuple(Edge(node.node_id, e.dst, e.slot) if e == edge else e for e in program.edges)
+            yield WorkflowProgram(program.nodes, edges, program.roots, program.output)
+
+
+def ref_enumerate_edits(proposer, program):
+    """Every candidate pruned of dead nodes, then size, validation and dedup."""
+    config = proposer.config
+    generators = []
+    if config.allow_insert:
+        generators.append(ref_insertions(proposer, program))
+    if config.allow_replace:
+        generators.append(proposer._replacements(program))
+    if config.allow_delete:
+        generators.append(proposer._deletions(program))
+    if config.allow_rewire:
+        generators.append(ref_rewires(program))
+    seen = {canonical_key(program)}
+    results = []
+    for generator in generators:
+        for candidate in generator:
+            candidate = _prune_dead(candidate)
+            if len(candidate.operator_nodes()) > config.max_operator_nodes:
+                continue
+            if not validate_program(candidate, proposer.registry).ok:
+                continue
+            key = canonical_key(candidate)
+            if key not in seen:
+                seen.add(key)
+                results.append(candidate)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Mutations that break one structural rule each.
 # ---------------------------------------------------------------------------
@@ -395,6 +471,112 @@ class TestValidateProgram:
             "edge into 'n0': slot 1 out of range",
             "node 'n0': missing input slot 0",
         )
+
+
+class TestValidateWithNullaryOperator:
+    """An operator that takes no operands is not a leaf, so a graph without a
+    violation can still leave its output unreachable from every leaf."""
+
+    @pytest.fixture(scope="class")
+    def nullary_registry(self, registry):
+        return OperatorRegistry(list(registry) + [OperatorKind("pi", 0), OperatorKind("tau", 0)])
+
+    @staticmethod
+    def program(nodes, edges, output):
+        nodes = (Node("x0", INPUT_OP),) + tuple(Node(nid, op) for nid, op in nodes)
+        return WorkflowProgram(nodes, tuple(Edge(*e) for e in edges), ("x0",), output)
+
+    @pytest.mark.parametrize("nodes, edges, output", [
+        ([("n0", "pi")], [], "n0"),
+        ([("n0", "pi"), ("n1", "neg")], [("n0", "n1", 0)], "n1"),
+        ([("n0", "pi"), ("n1", "tau"), ("n2", "add")], [("n0", "n2", 0), ("n1", "n2", 1)], "n2"),
+        ([("n0", "pi"), ("n1", "neg"), ("n2", "mul")], [("n0", "n1", 0), ("n1", "n2", 0), ("n0", "n2", 1)], "n2"),
+    ], ids=["output-is-nullary", "fed-only-by-nullary", "two-nullary-operands", "shared-nullary"])
+    def test_output_fed_only_by_nullary_operators(self, nullary_registry, nodes, edges, output):
+        program = self.program(nodes, edges, output)
+        report = validate_program(program, nullary_registry)
+        assert report == ref_validate_program(program, nullary_registry)
+        assert report.violations == (f"output {output!r} is not reachable from any leaf",)
+
+    def test_output_reaching_an_input_is_valid(self, nullary_registry):
+        program = self.program([("n0", "pi"), ("n1", "add")], [("n0", "n1", 0), ("x0", "n1", 1)], "n1")
+        report = validate_program(program, nullary_registry)
+        assert report == ref_validate_program(program, nullary_registry)
+        assert report.ok
+
+    def test_random_programs_with_nullary_operators(self, registry, nullary_registry):
+        # graft a nullary operator onto random programs, in place of an
+        # operand or of the whole output
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            program = random_program(rng, registry, max_ops=4)
+            nodes = program.nodes + (Node("p0", _pick(rng, ["pi", "tau"])),)
+            edges = list(program.edges)
+            output = program.output
+            if edges and rng.random() < 0.7:
+                i = int(rng.integers(len(edges)))
+                edges[i] = Edge("p0", edges[i].dst, edges[i].slot)
+            else:
+                output = "p0"
+            mutated = _prune_dead(WorkflowProgram(nodes, tuple(edges), program.roots, output))
+            assert validate_program(mutated, nullary_registry) == ref_validate_program(mutated, nullary_registry)
+
+
+# ---------------------------------------------------------------------------
+# enumerate_edits
+# ---------------------------------------------------------------------------
+
+def _same_candidates(fast, ref):
+    # repr tells 0.0 from -0.0 in a literal, which == does not
+    return fast == ref and [repr(c) for c in fast] == [repr(c) for c in ref]
+
+
+def _two_edges_into_one_slot(program, rng):
+    """An invalid, acyclic base: an extra edge into a slot that already has one."""
+    edge = _pick(rng, program.edges)
+    blocked = _descendants(program, edge.dst) | {edge.dst}
+    src = _pick(rng, [n.node_id for n in program.nodes if n.node_id not in blocked])
+    edges = list(program.edges)
+    edges.insert(int(rng.integers(len(edges) + 1)), Edge(src, edge.dst, edge.slot))
+    return _replace(program, edges=tuple(edges))
+
+
+class TestEnumerateEdits:
+    @pytest.mark.parametrize("ops", [None, ("add", "sub", "mul", "neg")], ids=["all-ops", "ops4"])
+    def test_candidates_match_reference(self, registry, ops):
+        rng = np.random.default_rng(31)
+        clean = dirty = 0
+        for i in range(90):
+            base = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
+            if i % 2:
+                base = _prune_dead(base)
+            if _prune_dead(base) is base:
+                clean += 1
+            else:
+                dirty += 1
+            config = ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
+                                    max_operator_nodes=2 + i % 11)
+            proposer = SyntheticProposer(registry, config)
+            assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
+        assert clean > 45 and dirty > 20
+
+    def test_edit_kinds_switched_off(self, registry):
+        rng = np.random.default_rng(32)
+        for i in range(40):
+            base = _prune_dead(random_program(rng, registry, max_ops=5))
+            flags = dict(allow_insert=bool(i & 1), allow_replace=bool(i & 2),
+                         allow_delete=bool(i & 4), allow_rewire=bool(i & 8))
+            proposer = SyntheticProposer(registry, ProposerConfig(max_operator_nodes=8, **flags))
+            assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
+
+    def test_base_with_two_edges_into_one_slot(self, registry):
+        # such a base may look clean to the pruning walk, which keeps the last
+        # edge per slot, yet an insertion on the other edge can orphan a node
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            base = _two_edges_into_one_slot(_prune_dead(random_program(rng, registry, max_ops=5)), rng)
+            proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(1.0,), max_operator_nodes=8))
+            assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,14 @@ same way every time, so two checkouts can be compared call by call:
   validate_program       the default registry
   canonical_key
   derive_state+static_vector
-                         scoring with a seeded motif library of the default size
+                         scoring with a seeded motif library of the default size,
+                         each call on a fresh copy of the program and with a
+                         fresh scorer, so nothing is remembered between calls
+  score children         derive_state + static_vector + total over every
+                         candidate of enumerate_edits of the 6-node program
+                         (validated by the proposer), with a fresh scorer per
+                         sample; also per child
+  with_magnitude         folding the 40 fixed traces of `evaluate` into a vector
   evaluate               SyntheticEvaluator over 40 fixed problems
   select+backprop        one select and one backpropagate on a fixed tree
                          (341 nodes; it holds no program, so it is timed once)
@@ -19,12 +26,13 @@ and the best of `--repeat` samples, in microseconds per call. The file also
 records the git revision, the Python and numpy versions and the platform.
 End-to-end timing of whole searches is the benchmark in `perfbench/`.
 
-Usage:  PYTHONPATH=src python scripts/bench.py --label 5 [--repeat 15] [--out-dir .]
+Usage:  PYTHONPATH=src python scripts/bench.py --label 6 [--repeat 15] [--out-dir .]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import statistics
@@ -51,8 +59,10 @@ from wfopt.model import (
 )
 from wfopt.motifs import init_templates
 from wfopt.search import SearchNode, backpropagate, select
+from wfopt.weights import WeightVector
 
 SIZES = (3, 6, 8)
+CHILDREN_OF = 6  # the program size whose edits "score children" scores
 OPS = ("add", "mul", "neg", "sub")
 SAMPLE_S = 0.02
 TREE_CALLS = 200  # select+backprop calls per sample, on one fresh tree
@@ -140,23 +150,46 @@ def run(repeat: int) -> dict:
     registry = default_registry()
     proposer = SyntheticProposer(registry, ProposerConfig(ops=OPS, max_operator_nodes=8))
     library = init_templates(["cat0"], MotifConfig().templates_per_category, registry_ops=registry.names, seed=42)
-    scorer = ConstraintScorer(registry, library=library, category="cat0")
     evaluator = SyntheticEvaluator(fixed_problems(), registry)
+    weights = WeightVector.uniform()
+
+    def new_scorer() -> ConstraintScorer:
+        return ConstraintScorer(registry, library=library, category="cat0")
+
+    def unchecked(program: WorkflowProgram) -> WorkflowProgram:
+        # an equal program that has not passed validate_program yet
+        return dataclasses.replace(program)
+
+    def score_children(children: list[WorkflowProgram]) -> None:
+        scorer = new_scorer()
+        for child in children:
+            scorer.total(scorer.static_vector(child, derive_state(child, registry)), weights)
 
     results: dict[str, dict] = {name: {} for name in (
-        "enumerate_edits", "validate_program", "canonical_key", "derive_state+static_vector", "evaluate")}
+        "enumerate_edits", "validate_program", "canonical_key", "derive_state+static_vector",
+        "score children", "with_magnitude", "evaluate")}
     for size in SIZES:
         program = fixed_program(size)
         key = str(size)
-        n_candidates = len(proposer.enumerate_edits(program))
-        entry = figures(lambda: proposer.enumerate_edits(program), repeat, candidates=n_candidates)
-        entry["per_candidate_median_us"] = round(entry["median_us"] / n_candidates, 3)
-        entry["per_candidate_best_us"] = round(entry["best_us"] / n_candidates, 3)
+        children = proposer.enumerate_edits(program)
+        entry = figures(lambda: proposer.enumerate_edits(program), repeat, candidates=len(children))
+        entry["per_candidate_median_us"] = round(entry["median_us"] / len(children), 3)
+        entry["per_candidate_best_us"] = round(entry["best_us"] / len(children), 3)
         results["enumerate_edits"][key] = entry
-        results["validate_program"][key] = figures(lambda: validate_program(program, registry), repeat)
+        results["validate_program"][key] = figures(lambda: validate_program(unchecked(program), registry), repeat)
         results["canonical_key"][key] = figures(lambda: canonical_key(program), repeat)
         results["derive_state+static_vector"][key] = figures(
-            lambda: scorer.static_vector(program, derive_state(program, registry)), repeat)
+            lambda: new_scorer().static_vector(program, derive_state(unchecked(program), registry)), repeat)
+        if size == CHILDREN_OF:
+            entry = figures(lambda: score_children(children), repeat, children=len(children))
+            entry["per_child_median_us"] = round(entry["median_us"] / len(children), 3)
+            entry["per_child_best_us"] = round(entry["best_us"] / len(children), 3)
+            results["score children"][key] = entry
+        scorer = new_scorer()
+        vector = scorer.static_vector(program, derive_state(program, registry))
+        traces = evaluator.evaluate(program)[1]
+        results["with_magnitude"][key] = figures(lambda: scorer.with_magnitude(vector, traces), repeat,
+                                                 traces=len(traces))
         results["evaluate"][key] = figures(lambda: evaluator.evaluate(program), repeat)
 
     cfg = AggregationConfig()

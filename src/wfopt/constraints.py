@@ -11,12 +11,12 @@ check verdicts, depth and diversity read its depth and operator histogram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .model import ExecutionTrace, OperatorRegistry, WorkflowProgram, WorkflowState
 from .motifs import MotifLibrary, score_pattern
-from .weights import FAMILIES
+from .weights import FAMILIES, WeightVector
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ConstraintVector:
     diversity: float
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in zip(FAMILIES, self.as_tuple()):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"constraint score {name}={value} outside [0, 1]")
 
@@ -194,6 +194,12 @@ class ConstraintScorer:
 
     Disabled families are pinned to the neutral 0.5 and their weight mass is
     redistributed uniformly over the enabled families when aggregating.
+
+    Two results are remembered between calls, each for the object it was
+    computed from: pattern scores for the `library` object (and category)
+    they were matched against, and the effective weights for the last
+    `WeightVector` object passed to `total`. Assigning a new library, as
+    motif refinement does, or passing another weight vector drops them.
     """
 
     def __init__(
@@ -219,6 +225,12 @@ class ConstraintScorer:
         self.library = library
         self.category = category
         self.enabled = tuple(f for f in FAMILIES if f in set(enabled_families))
+        # pattern score by histogram counts, valid for one (library, category)
+        self._patterns: dict[tuple, float] = {}
+        self._patterns_for: tuple = (None, None)
+        # effective weights of the last WeightVector object `total` was given
+        self._weights_for: Optional[WeightVector] = None
+        self._effective: dict[str, float] = {}
 
     def _on(self, family: str) -> bool:
         return family in self.enabled
@@ -226,10 +238,15 @@ class ConstraintScorer:
     def static_vector(self, program: WorkflowProgram, state: WorkflowState) -> ConstraintVector:
         """Pre-execution scores of `program`, read from its derived `state`.
 
-        Magnitude stays at 1.0 until a trace exists.
+        Magnitude stays at 1.0 until a trace exists. The pattern score is a
+        function of the histogram's counts over the library's operators, so
+        it is matched once per distinct count tuple and remembered until
+        `library` or `category` is reassigned. Diversity sums its entropy
+        terms in the histogram's declaration order and is computed afresh.
         """
-        if self.library is not None and self._on("pattern"):
-            pattern = score_pattern(state, self.category, self.library)
+        library = self.library
+        if library is not None and self._on("pattern"):
+            pattern = self._pattern(state, library)
         else:
             pattern = 0.5
         return ConstraintVector(
@@ -241,12 +258,23 @@ class ConstraintScorer:
             diversity=score_diversity(state, len(self.registry)) if self._on("diversity") else 0.5,
         )
 
+    def _pattern(self, state: WorkflowState, library: MotifLibrary) -> float:
+        if self._patterns_for[0] is not library or self._patterns_for[1] != self.category:
+            self._patterns = {}
+            self._patterns_for = (library, self.category)
+        histogram = state.operator_histogram
+        key = tuple([histogram.get(op, 0) for op in library.registry_ops])
+        score = self._patterns.get(key)
+        if score is None:
+            score = self._patterns[key] = score_pattern(state, self.category, library)
+        return score
+
     def with_magnitude(self, vector: ConstraintVector, traces: Sequence[ExecutionTrace]) -> ConstraintVector:
         """Fold measured magnitude scores (mean over traces) into a vector."""
         if not self._on("magnitude") or not traces:
             return vector
         mean = sum(score_magnitude(t, self.magnitude) for t in traces) / len(traces)
-        return replace(vector, magnitude=mean)
+        return ConstraintVector(vector.units, vector.types, vector.pattern, mean, vector.depth, vector.diversity)
 
     def effective_weights(self, weights: Mapping[str, float]) -> dict[str, float]:
         disabled_mass = sum(weights[f] for f in FAMILIES if not self._on(f))
@@ -254,6 +282,11 @@ class ConstraintScorer:
         return {f: weights[f] + share for f in self.enabled}
 
     def total(self, vector: ConstraintVector, weights) -> float:
-        wmap = weights.as_dict() if hasattr(weights, "as_dict") else dict(weights)
-        eff = self.effective_weights(wmap)
+        if weights is self._weights_for:
+            eff = self._effective
+        else:
+            wmap = weights.as_dict() if hasattr(weights, "as_dict") else dict(weights)
+            eff = self.effective_weights(wmap)
+            if isinstance(weights, WeightVector):  # frozen, so safe to remember
+                self._weights_for, self._effective = weights, eff
         return aggregate_weighted(vector.as_dict(), eff, self.agg.epsilon, self.enabled)

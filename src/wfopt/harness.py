@@ -190,6 +190,10 @@ class SyntheticProposer:
         every edge, and deleting a unary node hands its consumers its only
         operand. There the other edits skip the pruning walk, which would
         return them unchanged; on any other base every candidate is pruned.
+        A clean base that already has `max_operator_nodes` operator nodes
+        gets no insertions built at all, since each adds an operator node
+        and would fail the size limit; on a dirty base pruning can bring an
+        insertion back under it.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
@@ -212,7 +216,7 @@ class SyntheticProposer:
 
         one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
         clean = one_edge_per_slot and _prune_dead(program) is program
-        if self.config.allow_insert:
+        if self.config.allow_insert and not (clean and len(program.operator_nodes()) >= max_nodes):
             emit(self._insertions(program), not clean)
         if self.config.allow_replace:
             emit(self._replacements(program), not clean)
@@ -251,7 +255,8 @@ class SyntheticProposer:
                         partners = partners_of[anchor] = self._second_inputs(program, anchor)
                     for partner in partners:
                         yield self._insert_node(program, edge, kind.name, [src, partner], new_id, const_id)
-                        yield self._insert_node(program, edge, kind.name, [partner, src], new_id, const_id)
+                        if partner != src:  # [src, src] has one operand order
+                            yield self._insert_node(program, edge, kind.name, [partner, src], new_id, const_id)
                     for value in self.config.const_palette:
                         yield self._insert_node(program, edge, kind.name, [src, ("const", value)], new_id, const_id)
                         yield self._insert_node(program, edge, kind.name, [("const", value), src], new_id, const_id)

@@ -14,7 +14,9 @@ the map each `OperatorRegistry` builds once, and walks back from the output
 for reachability only when the other checks leave that in doubt.
 `canonical_key` returns a flat tuple, and `interpret_all` orders a program
 once for a whole list of input bindings. Every map over a program is
-transient; nothing is cached on the program.
+transient. The one fact kept on a program is its validation verdict: a
+program that passed `validate_program` remembers the registry object it
+passed against, so checking it again against that registry is a lookup.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -297,9 +299,39 @@ class ExecutionTrace:
 # What validate_program records in place of an arity for the two leaf kinds.
 _INPUT_LEAF, _CONST_LEAF = -1, -2
 
+# The instance attribute naming the registry a program passed validation
+# against. The program is frozen, so the attribute is written past its
+# __setattr__ with object.__setattr__, as the dataclass __init__ writes its
+# fields; it is no field, so equality, hashing and repr do not see it.
+# (Going through `program.__dict__`, as functools.cached_property does,
+# would give each program a dict object of its own, about 64 more bytes.)
+_VALID_FOR = "_valid_for"
+_VALID = ValidationReport(ok=True)
+
 
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
     """Check all structural invariants; violations are data, not exceptions.
+
+    A program that passes is remembered as valid for that registry object,
+    the last one it passed against: both are immutable, so a later call with
+    the same program object and the same registry object returns the ok
+    report without checking again. The verdict is never shared: another
+    registry object (even an equal one, and every call that passes no
+    registry builds a new default one) or an equal but distinct program gets
+    the full check, and an invalid program records nothing.
+    """
+    registry = registry or default_registry()
+    if getattr(program, _VALID_FOR, None) is registry:
+        return _VALID
+    violations = _violations(program, registry)
+    if violations:
+        return ValidationReport(ok=False, violations=tuple(violations))
+    object.__setattr__(program, _VALID_FOR, registry)
+    return _VALID
+
+
+def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[str]:
+    """The full structural check behind `validate_program`, in report order.
 
     One pass over the nodes and one over the edges build every map the checks
     need, with one arity lookup per operator node. A repeated node id also
@@ -311,7 +343,6 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     nodes and the graph is acyclic, so walking back from the output must end
     at a leaf.
     """
-    registry = registry or default_registry()
     arities = registry.arities
     roots = program.roots
     violations: list[str] = []         # duplicate ids, then roots, then per node
@@ -400,8 +431,7 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
         violations.append(f"output {program.output!r} is not a node")
     elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, inc, program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
-
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return violations
 
 
 def _reaches_leaf(arity: Mapping[str, int], inc: Mapping[str, Mapping[int, str]], nid: str) -> bool:
@@ -652,8 +682,12 @@ def _derive_sign(op: str, args: list[Sign]) -> Sign:
 def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> WorkflowState:
     """Validate a program and project it onto the constraint-facing view.
 
-    The view comes from one `analyze_program` walk; the operator histogram
-    keeps node-declaration order.
+    Raises `InvalidProgramError` on an invalid program. The check goes
+    through `validate_program`, so a program that already passed it against
+    this registry object (every candidate of a `SyntheticProposer` built on
+    it) costs a lookup; any other program, or the same one with another
+    registry, is checked in full. The view comes from one `analyze_program` walk; the
+    operator histogram keeps node-declaration order.
     """
     registry = registry or default_registry()
     report = validate_program(program, registry)
@@ -899,7 +933,9 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     1.0, stay distinct). Linking entries by index keeps shared and duplicated
     subexpressions apart, so the key distinguishes programs whose operator
     histograms differ. Unused roots are ignored (every edit of a program
-    keeps the same root set).
+    keeps the same root set). A cycle on the way raises
+    `InvalidProgramError`: a node is marked as in progress while its
+    operands are visited.
     """
     nm = {n.node_id: n for n in program.nodes}
     inc: dict[str, dict[int, str]] = {}
@@ -909,8 +945,12 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     entries: list[tuple] = []
 
     def visit(nid: str) -> int:
-        if nid in index:
-            return index[nid]
+        i = index.get(nid)
+        if i is not None:
+            if i < 0:
+                raise InvalidProgramError("cycle in operator graph")
+            return i
+        index[nid] = -1
         node = nm[nid]
         slot_map = inc.get(nid)
         children = tuple([visit(slot_map[k]) for k in sorted(slot_map)]) if slot_map else ()

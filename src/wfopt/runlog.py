@@ -11,6 +11,9 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+# what json.dumps(record, sort_keys=True) builds anew for every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class RunLog:
     def __init__(self, records: Iterable[Mapping] | None = None):
@@ -30,11 +33,19 @@ class RunLog:
     def by_event(self, event: str) -> list[dict]:
         return [r for r in self.records if r["event"] == event]
 
+    def _lines(self) -> Iterator[str]:
+        encode = _ENCODER.encode
+        for record in self.records:
+            yield encode(record) + "\n"
+
     def to_ndjson(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        return "".join(self._lines())
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_ndjson())
+        # line by line: the whole log as one string, and again as the bytes
+        # written, would be the peak memory of a run
+        with open(path, "w") as fh:
+            fh.writelines(self._lines())
 
     @staticmethod
     def load(path: str | Path) -> "RunLog":

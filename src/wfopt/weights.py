@@ -99,7 +99,11 @@ def pearson_corr(x: Sequence[float], y: Sequence[float]) -> float:
     vy = sum((b - my) ** 2 for b in y)
     if vx == 0.0 or vy == 0.0:
         return 0.0
-    return cov / math.sqrt(vx * vy)
+    product = vx * vy
+    if product:
+        return cov / math.sqrt(product)
+    # two tiny non-zero variances whose product underflows to 0.0
+    return cov / (math.sqrt(vx) * math.sqrt(vy))
 
 
 def correlations(buffer: ObservationBuffer) -> dict[str, float]:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import entropy as scipy_entropy
 
+from wfopt import constraints
 from wfopt.constraints import (
     AggregationConfig,
     ConstraintScorer,
@@ -32,9 +34,10 @@ from wfopt.model import (
     WorkflowState,
     derive_state,
 )
+from wfopt.motifs import init_templates, score_pattern
 from wfopt.weights import WeightVector
 
-from conftest import binary, chain
+from conftest import binary, chain, random_program
 
 
 def make_state(depth=1, histogram=None):
@@ -314,3 +317,79 @@ class TestConstraintScorer:
         assert no_units.depth == full.depth
         assert no_units.diversity == full.diversity
         assert no_units.units == 0.5
+
+
+class TestScorerMemos:
+    """Pattern scores and effective weights are computed once per input and
+    come out bit-identical to computing them afresh."""
+
+    @pytest.fixture
+    def library(self, registry):
+        return init_templates(["cat0"], 10, registry_ops=registry.names, seed=5)
+
+    def test_pattern_matched_once_per_histogram(self, registry, library, monkeypatch):
+        matched = []
+
+        def counted(state, category, lib):
+            matched.append(tuple(state.operator_histogram.get(op, 0) for op in lib.registry_ops))
+            return score_pattern(state, category, lib)
+
+        monkeypatch.setattr(constraints, "score_pattern", counted)
+        scorer = ConstraintScorer(registry, library=library, category="cat0")
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            program = random_program(rng, registry, max_ops=3)
+            state = derive_state(program, registry)
+            vector = scorer.static_vector(program, state)
+            assert vector.pattern == score_pattern(state, "cat0", library)
+        assert len(matched) == len(set(matched)) < 150
+
+    def test_histogram_order_and_foreign_ops_share_a_score(self, registry, library, monkeypatch):
+        calls = []
+        monkeypatch.setattr(constraints, "score_pattern", lambda *args: calls.append(args) or 0.25)
+        scorer = ConstraintScorer(registry, library=library, category="cat0")
+        program = binary("add", "input", "input")
+        for histogram in ({"add": 2, "neg": 1}, {"neg": 1, "add": 2}, {"neg": 1, "add": 2, "other": 4}):
+            assert scorer.static_vector(program, make_state(histogram=histogram)).pattern == 0.25
+        assert len(calls) == 1
+
+    def test_new_library_or_category_drops_the_memo(self, registry, library):
+        scorer = ConstraintScorer(registry, library=library, category="cat0")
+        state = make_state(histogram={"add": 1, "mul": 2})
+        program = binary("add", "input", "input")
+        assert scorer.static_vector(program, state).pattern == score_pattern(state, "cat0", library)
+        other = init_templates(["cat0", "cat1"], 10, registry_ops=registry.names, seed=6)
+        assert score_pattern(state, "cat0", other) != score_pattern(state, "cat0", library)
+        scorer.library = other
+        assert scorer.static_vector(program, state).pattern == score_pattern(state, "cat0", other)
+        scorer.category = "cat1"
+        assert scorer.static_vector(program, state).pattern == score_pattern(state, "cat1", other)
+        scorer.category = "none"
+        assert scorer.static_vector(program, state).pattern == 0.5
+
+    def test_total_computes_effective_weights_once_per_weight_vector(self, registry, monkeypatch):
+        scorer = ConstraintScorer(registry, enabled_families=("units", "pattern", "depth"))
+        computed = []
+        effective = scorer.effective_weights
+        monkeypatch.setattr(scorer, "effective_weights", lambda w: computed.append(w) or effective(w))
+        vectors = [ConstraintVector(*np.random.default_rng(i).random(6)) for i in range(5)]
+        first, second = WeightVector.uniform(), WeightVector(0.3, 0.1, 0.2, 0.1, 0.2, 0.1)
+        for weights in (first, first, second, second, first):
+            for vector in vectors:
+                expected = aggregate_weighted(vector.as_dict(), effective(weights.as_dict()), 0.01, scorer.enabled)
+                assert scorer.total(vector, weights) == expected
+        assert len(computed) == 3
+        for _ in range(2):  # a plain mapping may change between calls
+            assert scorer.total(vectors[0], first.as_dict()) == scorer.total(vectors[0], first)
+        assert len(computed) == 5
+
+    def test_with_magnitude_builds_the_same_vector(self, registry):
+        scorer = ConstraintScorer(registry)
+        vector = ConstraintVector(0.9, 0.8, 0.7, 1.0, 0.6, 0.5)
+        traces = [make_trace([50.0], [1.0]), make_trace([130.0], [1.0]), make_trace([], [])]
+        mean = (1.0 + 0.85 + 0.5) / 3
+        updated = scorer.with_magnitude(vector, traces)
+        assert updated == dataclasses.replace(vector, magnitude=updated.magnitude)
+        assert updated.magnitude == pytest.approx(mean, abs=1e-12)
+        assert scorer.with_magnitude(vector, []) is vector
+

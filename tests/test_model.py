@@ -2,11 +2,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from wfopt import model
+from wfopt.harness import SyntheticProposer
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
     Edge,
+    InvalidProgramError,
     MissingInputError,
+    OperatorRegistry,
     Node,
     Shape,
     Sign,
@@ -25,6 +29,30 @@ from wfopt.model import (
 )
 
 from conftest import binary, chain, random_program
+
+
+def two_node_cycle():
+    """n0 = neg(n1), n1 = neg(n0): valid nodes, no way in from a leaf."""
+    return WorkflowProgram(
+        nodes=(Node("x0", INPUT_OP), Node("n0", "neg"), Node("n1", "neg")),
+        edges=(Edge("n1", "n0", 0), Edge("n0", "n1", 0)),
+        roots=("x0",),
+        output="n0",
+    )
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Counts the full structural checks behind validate_program."""
+    calls = []
+    check = model._violations
+
+    def counted(program, registry):
+        calls.append(program)
+        return check(program, registry)
+
+    monkeypatch.setattr(model, "_violations", counted)
+    return calls
 
 
 class TestValidation:
@@ -134,6 +162,62 @@ class TestDeriveState:
         for k in range(1, 6):
             program = chain(*["neg"] * k)
             assert derive_state(program).depth == k
+
+
+class TestValidationVerdict:
+    """A program that passed validation against a registry object is not
+    checked again against that object; anything else is."""
+
+    def test_derive_state_after_validation_skips_the_check(self, registry, full_checks):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            program = random_program(rng, registry)
+            assert validate_program(program, registry).ok
+            checks = len(full_checks)
+            state = derive_state(program, registry)
+            assert len(full_checks) == checks
+            assert state == derive_state(WorkflowProgram(program.nodes, program.edges, program.roots, program.output),
+                                         registry)
+            assert len(full_checks) == checks + 1  # the equal copy was checked
+
+    def test_proposer_candidates_are_derived_without_a_check(self, registry, full_checks):
+        candidates = SyntheticProposer(registry).enumerate_edits(binary("add", "input", "input"))
+        checks = len(full_checks)
+        assert checks >= len(candidates) > 0
+        for candidate in candidates:
+            derive_state(candidate, registry)
+        assert len(full_checks) == checks
+
+    def test_invalid_program_raises_every_time(self, registry, full_checks):
+        program = two_node_cycle()
+        for attempt in (1, 2):
+            with pytest.raises(InvalidProgramError, match="cycle in operator graph"):
+                derive_state(program, registry)
+            assert len(full_checks) == attempt
+        assert not validate_program(program, registry).ok
+
+    def test_another_registry_checks_again(self, registry, full_checks):
+        program = binary("add", "input", "input")
+        assert validate_program(program, registry).ok
+        without_add = OperatorRegistry(k for k in registry if k.name != "add")
+        with pytest.raises(InvalidProgramError, match="unknown operator 'add'"):
+            derive_state(program, without_add)
+        equal = OperatorRegistry(list(registry))
+        derive_state(program, equal)
+        derive_state(program)  # no registry: a new default one every call
+        assert len(full_checks) == 4
+        # the verdict names the last registry the program passed against
+        derive_state(program, equal)
+        derive_state(program, equal)
+        assert len(full_checks) == 5
+
+    def test_verdict_is_not_part_of_the_value(self, registry):
+        program = binary("mul", "input", "input")
+        fresh = binary("mul", "input", "input")
+        before = (repr(program), hash(program))
+        assert validate_program(program, registry).ok
+        assert (repr(program), hash(program)) == before
+        assert program == fresh and program_to_dict(program) == program_to_dict(fresh)
 
 
 class TestInterpret:
@@ -357,3 +441,10 @@ class TestCanonicalKey:
             output="a",
         )
         assert canonical_key(shared) != canonical_key(duplicated)
+
+    def test_cycle_raises_invalid_program(self, registry):
+        program = two_node_cycle()
+        with pytest.raises(InvalidProgramError, match="cycle in operator graph"):
+            canonical_key(program)
+        with pytest.raises(InvalidProgramError, match="cycle in operator graph"):
+            SyntheticProposer(registry).enumerate_edits(program)

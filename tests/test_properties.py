@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfopt.constraints import (
@@ -90,6 +90,7 @@ def test_magnitude_scale_invariance(values, inputs, scale):
 
 
 @given(st.lists(st.tuples(st.lists(st.floats(0, 1), min_size=6, max_size=6), st.floats(0, 1)), min_size=1, max_size=40))
+@example(observations=[([0.0] * 6, 0.0), ([0.0] * 5 + [1.175494351e-38], 2.832910288406577e-154)])
 def test_weight_updates_stay_on_simplex(observations):
     buffer = ObservationBuffer(window=10)
     weights = WeightVector.uniform()

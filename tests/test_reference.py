@@ -579,6 +579,40 @@ class TestEnumerateEdits:
             assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
 
 
+    def test_bases_at_the_size_cap(self, registry, monkeypatch):
+        # every insertion into a clean base at the cap fails the size limit,
+        # so none is built; on a dirty base pruning can keep one under it
+        rng = np.random.default_rng(34)
+        clean = dirty = kept_insertions = 0
+        for _ in range(80):
+            base = random_program(rng, registry, max_ops=6)
+            config = ProposerConfig(const_palette=(1.0,), max_operator_nodes=len(base.operator_nodes()))
+            proposer = SyntheticProposer(registry, config)
+            fast = proposer.enumerate_edits(base)
+            assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
+            if _prune_dead(base) is base:
+                clean += 1
+                monkeypatch.setattr(proposer, "_insertions", None)  # calling it would raise
+                assert _same_candidates(proposer.enumerate_edits(base), fast)
+            else:
+                dirty += 1
+                new_id = ref_fresh_id(base, "n")
+                kept_insertions += sum(any(n.node_id == new_id for n in c.nodes) for c in fast)
+        assert clean > 20 and dirty > 20 and kept_insertions > 0
+
+    def test_insertions_never_repeat_in_a_row(self, registry):
+        # [src, src] is one program whichever operand comes first
+        rng = np.random.default_rng(35)
+        proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, 1.0)))
+        fewer = 0
+        for _ in range(40):
+            base = random_program(rng, registry, max_ops=5)
+            raw = list(proposer._insertions(base))
+            assert all(a != b for a, b in zip(raw, raw[1:]))
+            fewer += len(list(ref_insertions(proposer, base))) - len(raw)
+        assert fewer > 0
+
+
 # ---------------------------------------------------------------------------
 # canonical_key
 # ---------------------------------------------------------------------------
@@ -606,10 +640,12 @@ class TestCanonicalKey:
             edits = proposer.enumerate_edits(base)
             assert edits
             assert _same_partition([base] + edits)
-            # the raw candidates, before deduplication, repeat programs
+            # the raw candidates, before deduplication, repeat programs; the
+            # reference insertions keep both operand orders of [src, src]
             raw = [
                 _prune_dead(c)
-                for gen in (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
+                for gen in (lambda p: ref_insertions(proposer, p), proposer._replacements,
+                            proposer._deletions, proposer._rewires)
                 for c in gen(base)
             ]
             assert _same_partition(raw)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -62,3 +63,15 @@ def test_report_table_lists_each_run(tmp_path):
     stats, table = report([tmp_path / "one.ndjson", tmp_path / "two.ndjson"])
     assert len(stats) == 2
     assert "variance ratio" in table
+
+
+def test_ndjson_bytes_match_json_dumps(tmp_path):
+    log = RunLog()
+    log.append("meta", seed=3, config={"b": {"z": 1, "a": [1.5, None]}, "a": None}, tags=["x", "é"])
+    log.append("simulated", round=0, node_id=None, reward=0.1 + 0.2, C_vector={"units": 1e-300, "types": -0.0},
+               correlations=None, scores=[float("inf"), float("nan"), 3])
+    log.append("weights_updated", round=1, weights={"units": 1 / 3}, updated=True)
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
+    assert log.to_ndjson() == expected
+    log.save(tmp_path / "log.ndjson")
+    assert (tmp_path / "log.ndjson").read_bytes() == expected.encode()

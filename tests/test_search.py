@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from wfopt import constraints
 from wfopt.constraints import AggregationConfig, ConstraintScorer, ConstraintVector
 from wfopt.harness import (
     ProposerConfig,
@@ -20,7 +22,8 @@ from wfopt.search import (
     select,
     selection_score,
 )
-from conftest import binary
+from wfopt.motifs import init_templates, score_pattern
+from conftest import binary, random_program
 
 
 def leaf_node(compliance=0.5, visits=0, value=0.0, depth=0):
@@ -443,3 +446,61 @@ class TestFullRuns:
         rounds = [r["round"] for r in optimizer.log.by_event("refined")]
         assert rounds == [3, 6]
         assert optimizer.scorer.library is not library  # refinement replaced the value
+
+
+class TestScoringMemoAcrossRefinement:
+    def test_memoized_scores_match_a_fresh_scorer_before_and_after_refine(self):
+        registry = default_registry()
+        config = ProposerConfig(ops=("add", "sub", "mul", "neg"), max_operator_nodes=4)
+        suite = make_synthetic_suite(seed=4, n_problems=10, proposer_config=config)
+        library = init_templates(["cat0"], 10, registry_ops=registry.names, seed=4)
+        scorer = ConstraintScorer(registry, library=library, category="cat0")
+        optimizer = Optimizer(
+            suite.initial_program, SyntheticProposer(registry, config),
+            SyntheticEvaluator(suite.validation, registry), scorer,
+            budget=SearchBudget(rounds=4, simulations_per_round=4, max_candidates_per_expansion=16, seed=4),
+        )
+        rng = np.random.default_rng(4)
+        programs = [random_program(rng, registry, max_ops=6) for _ in range(80)]
+
+        def vectors(scorer):
+            return [scorer.static_vector(p, derive_state(p, registry)) for p in programs]
+
+        def fresh():
+            return vectors(ConstraintScorer(registry, library=scorer.library, category="cat0"))
+
+        before = vectors(scorer)
+        assert before == fresh()
+        optimizer.run()  # scores the tree's children, and refines at round 3
+        assert len(optimizer.log.by_event("refined")) == 1
+        assert scorer.library is not library
+        after = vectors(scorer)
+        assert after == fresh()
+        # the refined library scores some of these programs differently, so
+        # a memo kept across the refinement would show
+        assert [v.pattern for v in after] != [v.pattern for v in before]
+
+    def test_search_matches_each_histogram_once_per_library(self, monkeypatch):
+        registry = default_registry()
+        config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=4)
+        suite = make_synthetic_suite(seed=42, n_problems=10, proposer_config=config)
+        library = init_templates(["cat0"], 10, registry_ops=registry.names, seed=42)
+        matched = []
+
+        def counted(state, category, lib):
+            matched.append((lib, tuple(state.operator_histogram.get(op, 0) for op in lib.registry_ops)))
+            return score_pattern(state, category, lib)
+
+        monkeypatch.setattr(constraints, "score_pattern", counted)
+        optimizer = Optimizer(
+            suite.initial_program, SyntheticProposer(registry, config),
+            SyntheticEvaluator(suite.validation, registry),
+            ConstraintScorer(registry, library=library, category="cat0"),
+            budget=SearchBudget(rounds=8, simulations_per_round=4, max_candidates_per_expansion=32, seed=42),
+        )
+        optimizer.run()
+        scored = 1 + len(optimizer.log.by_event("expanded")) + len(optimizer.log.by_event("pruned"))
+        libraries = {id(lib) for lib, _ in matched}
+        assert len(libraries) == 1 + len(optimizer.log.by_event("refined")) == 3
+        assert len({(id(lib), key) for lib, key in matched}) == len(matched) < scored / 10
+

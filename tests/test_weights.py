@@ -46,6 +46,12 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_corr((1,), (2,))
 
+    def test_variance_product_underflow(self):
+        # both variances are non-zero, their product underflows to 0.0
+        x, y = (0.0, 1.175494351e-38), (0.0, 2.832910288406577e-154)
+        assert pearson_corr(x, y) == pytest.approx(1.0, abs=1e-12)
+        assert pearson_corr(x, y[::-1]) == pytest.approx(-1.0, abs=1e-12)
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

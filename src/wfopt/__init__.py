@@ -20,7 +20,6 @@ _EXPORTS = {
             "DepthDiversityConfig",
             "MagnitudeConfig",
             "ThresholdSchedule",
-            "aggregate",
             "score_depth",
             "score_diversity",
             "score_magnitude",

@@ -41,7 +41,6 @@ from .harness import (
     SyntheticEvaluator,
     SyntheticProposer,
     TokenRecord,
-    problem_from_dict,
 )
 from .model import (
     ExecutionTrace,
@@ -116,6 +115,15 @@ def problem_to_dict(problem: Problem) -> dict:
         "category": problem.category,
         "constants": list(problem.constants),
     }
+
+
+def problem_from_dict(entry: Mapping) -> Problem:
+    return Problem(
+        inputs={str(k): float(v) for k, v in entry["inputs"].items()},
+        expected=float(entry["expected"]),
+        category=str(entry.get("category", "default")),
+        constants=tuple(float(x) for x in entry.get("constants", [])),
+    )
 
 
 def _token_count(usage: Mapping, key: str) -> int:

@@ -51,6 +51,14 @@ class MotifConfig:
     min_separation: float = 0.3
     max_per_category: int = 30
 
+    def __post_init__(self) -> None:
+        # refinement runs on rounds divisible by the period, and keeps up to
+        # that many centroids per category; below 1 either is meaningless
+        if self.refinement_period < 1:
+            raise ConfigError("motifs.refinement_period must be >= 1")
+        if self.cluster_count_per_category < 1:
+            raise ConfigError("motifs.cluster_count_per_category must be >= 1")
+
 
 @dataclass(frozen=True)
 class ExecutorConfig:

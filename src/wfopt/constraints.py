@@ -6,6 +6,10 @@ prior used whenever the metadata needed to judge a program is absent.
 The static families read only the `WorkflowState` that `derive_state` builds
 from one analysis walk of the program: units and types count its per-operator
 check verdicts, depth and diversity read its depth and operator histogram.
+
+`ConstraintScorer.total` is the one aggregation of a `ConstraintVector` into
+C_total, the weighted geometric mean the four search stages consume; the
+search and the tests both call it.
 """
 
 from __future__ import annotations
@@ -156,32 +160,6 @@ def score_magnitude(trace: ExecutionTrace, cfg: MagnitudeConfig) -> float:
     return max(0.0, 1.0 - cfg.delta * (peak - theta) / theta)
 
 
-def aggregate_weighted(
-    scores: Mapping[str, float],
-    weights: Mapping[str, float],
-    epsilon: float,
-    families: Sequence[str] = FAMILIES,
-) -> float:
-    """Weighted geometric mean of (score + epsilon) over the given families."""
-    num = 0.0
-    den = 0.0
-    for fam in families:
-        c = scores[fam]
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"constraint score {fam}={c} outside [0, 1]")
-        w = weights[fam]
-        num += w * math.log(c + epsilon)
-        den += w
-    if den <= 0:
-        raise ValueError("weights must have positive mass")
-    return math.exp(num / den)
-
-
-def aggregate(c: ConstraintVector, weights, cfg: AggregationConfig) -> float:
-    """Aggregate compliance over all six families; range is [epsilon, 1 + epsilon]."""
-    return aggregate_weighted(c.as_dict(), weights.as_dict(), cfg.epsilon)
-
-
 def threshold(depth: int, sched: ThresholdSchedule) -> float:
     """Depth-aware expansion gate: loosens linearly with depth down to a floor."""
     if depth < 0:
@@ -281,12 +259,23 @@ class ConstraintScorer:
         share = disabled_mass / len(self.enabled)
         return {f: weights[f] + share for f in self.enabled}
 
-    def total(self, vector: ConstraintVector, weights) -> float:
+    def total(self, vector: ConstraintVector, weights: WeightVector) -> float:
+        """Weighted geometric mean of (score + epsilon) over the enabled families.
+
+        The range is [epsilon, 1 + epsilon]. Scores are in [0, 1] and weights
+        positive by construction of `vector` and `weights`.
+        """
         if weights is self._weights_for:
             eff = self._effective
         else:
-            wmap = weights.as_dict() if hasattr(weights, "as_dict") else dict(weights)
-            eff = self.effective_weights(wmap)
-            if isinstance(weights, WeightVector):  # frozen, so safe to remember
-                self._weights_for, self._effective = weights, eff
-        return aggregate_weighted(vector.as_dict(), eff, self.agg.epsilon, self.enabled)
+            eff = self.effective_weights(weights.as_dict())
+            self._weights_for, self._effective = weights, eff
+        scores = vector.as_dict()
+        epsilon = self.agg.epsilon
+        num = 0.0
+        den = 0.0
+        for fam in self.enabled:
+            w = eff[fam]
+            num += w * math.log(scores[fam] + epsilon)
+            den += w
+        return math.exp(num / den)

@@ -12,10 +12,8 @@ of the same two roles are supported through the wire protocol in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (
@@ -599,54 +597,3 @@ def cost(log: RunLog, prices: PriceMap, n_problems: int) -> float:
         pin, pout = prices.for_role(role)
         total += tin * pin + tout * pout
     return total / n_problems
-
-
-# ---------------------------------------------------------------------------
-# Problem-set files.
-# ---------------------------------------------------------------------------
-
-def problems_to_dict(problems: Sequence[Problem], split_ratio: tuple[int, int] = (1, 4)) -> dict:
-    return {
-        "problems": [
-            {
-                "inputs": dict(p.inputs),
-                "expected": p.expected,
-                "category": p.category,
-                "constants": list(p.constants),
-            }
-            for p in problems
-        ],
-        "split_ratio": list(split_ratio),
-    }
-
-
-def problem_from_dict(entry: Mapping) -> Problem:
-    return Problem(
-        inputs={str(k): float(v) for k, v in entry["inputs"].items()},
-        expected=float(entry["expected"]),
-        category=str(entry.get("category", "default")),
-        constants=tuple(float(x) for x in entry.get("constants", [])),
-    )
-
-
-def save_problem_file(problems: Sequence[Problem], path: str | Path, split_ratio: tuple[int, int] = (1, 4)) -> None:
-    Path(path).write_text(json.dumps(problems_to_dict(problems, split_ratio), sort_keys=True, indent=2) + "\n")
-
-
-def load_problem_file(path: str | Path) -> tuple[ProblemSet, ProblemSet]:
-    data = json.loads(Path(path).read_text())
-    unknown = set(data) - {"problems", "split_ratio"}
-    if unknown:
-        raise ValueError(f"unknown problem-file keys: {sorted(unknown)}")
-    ratio = tuple(int(x) for x in data.get("split_ratio", [1, 4]))
-    problems = []
-    for entry in data["problems"]:
-        bad = set(entry) - {"inputs", "expected", "category", "constants"}
-        if bad:
-            raise ValueError(f"unknown problem keys: {sorted(bad)}")
-        problems.append(problem_from_dict(entry))
-    n_val = max(1, (len(problems) * ratio[0]) // (ratio[0] + ratio[1]))
-    return (
-        ProblemSet(tuple(problems[:n_val]), "validation"),
-        ProblemSet(tuple(problems[n_val:]), "test"),
-    )

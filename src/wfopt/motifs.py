@@ -76,16 +76,13 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def histogram_vector(state: WorkflowState, registry_ops: Sequence[str]) -> np.ndarray:
-    return np.array([float(state.operator_histogram.get(op, 0)) for op in registry_ops])
-
-
 def score_pattern(state: WorkflowState, category: str, lib: MotifLibrary) -> float:
     """Best cosine match against the category's motifs; 0.5 with no evidence."""
     motifs = lib.in_category(category)
     if not motifs:
         return 0.5
-    hist = histogram_vector(state, lib.registry_ops)
+    counts = state.operator_histogram
+    hist = np.array([float(counts.get(op, 0)) for op in lib.registry_ops])
     if not hist.any():
         return 0.5
     hist = _normalize(hist)

@@ -26,7 +26,7 @@ from .constraints import (
 )
 from .harness import EvaluationError, SyntheticEvaluator, SyntheticProposer, TokenRecord
 from .model import WorkflowProgram, WorkflowState, derive_state
-from .motifs import histogram_vector, refine
+from .motifs import refine
 from .runlog import RunLog
 from .weights import AdaptationConfig, ObservationBuffer, WeightVector, correlations, update_weights
 
@@ -170,7 +170,7 @@ class Optimizer:
         self.log = log if log is not None else RunLog()
         self._node_counter = 0
         self._expansion_counter = 0
-        self._round_histograms: list[tuple[str, tuple[float, ...]]] = []
+        self._round_histograms: list[tuple[str, tuple[int, ...]]] = []
 
         state = derive_state(initial_program, registry=scorer.registry)
         vector = scorer.static_vector(initial_program, state)
@@ -199,17 +199,6 @@ class Optimizer:
         self._node_counter += 1
         return node
 
-    def _log_tokens(self, event: str, record: TokenRecord, round_index: int, **fields) -> None:
-        self.log.append(
-            event,
-            round=round_index,
-            role=record.role,
-            request_id=record.request_id,
-            tokens_in=record.prompt_tokens,
-            tokens_out=record.completion_tokens,
-            **fields,
-        )
-
     # -- the four stages -------------------------------------------------------
 
     def expand(self, node: SearchNode, round_index: int) -> list[SearchNode]:
@@ -218,7 +207,9 @@ class Optimizer:
         candidates, tokens = self.proposer.propose(
             node.program, self.budget.max_candidates_per_expansion, rng
         )
-        self._log_tokens("proposed", tokens, round_index, node_id=node.node_id, count=len(candidates))
+        self.log.append(
+            "proposed", round=round_index, **_token_fields(tokens), node_id=node.node_id, count=len(candidates)
+        )
         node.expanded = True
         if not candidates:
             node.terminal = True
@@ -273,44 +264,40 @@ class Optimizer:
                 )
         return children
 
-    def simulate(self, node: SearchNode, round_index: int) -> float:
+    def simulate(self, node: SearchNode, round_index: int) -> tuple[float, dict]:
+        """Evaluate `node`; return the reward and the fields of its `simulated` record.
+
+        The caller appends the record once the reward has been backpropagated.
+        """
         try:
             reward, traces, tokens = self.evaluator.evaluate(node.program)
         except EvaluationError as exc:
             # transient evaluator failure: score zero, keep searching
-            self.log.append(
-                "simulated",
-                round=round_index,
-                node_id=node.node_id,
-                C_total=node.compliance,
-                reward=0.0,
-                failure=str(exc),
-            )
             node.own_simulations += 1
-            return 0.0
+            return 0.0, dict(
+                round=round_index, node_id=node.node_id, C_total=node.compliance, reward=0.0, failure=str(exc)
+            )
         reward = min(1.0, max(0.0, reward))
-        if self.stages.simulation and node.scores is not None:
+        if self.stages.simulation:
             node.scores = self.scorer.with_magnitude(node.scores, traces)
             node.compliance = self.scorer.total(node.scores, self.weights)
         successful = [t for t in traces if t.success]
         peak = max((max(abs(v) for v in t.values) for t in successful if t.values), default=None)
-        self._log_tokens(
-            "simulated",
-            tokens,
-            round_index,
+        node.own_simulations += 1
+        node.own_reward_sum += reward
+        self.buffer.push(node.scores, reward)
+        counts = node.state.operator_histogram
+        histogram = tuple([counts.get(op, 0) for op in self.scorer.registry.names])
+        self._round_histograms.append((self.category, histogram))
+        return reward, dict(
+            round=round_index,
+            **_token_fields(tokens),
             node_id=node.node_id,
-            C_vector=node.scores.as_dict() if node.scores else None,
+            C_vector=node.scores.as_dict(),
             C_total=node.compliance,
             reward=reward,
             trace_peak=peak,
         )
-        node.own_simulations += 1
-        node.own_reward_sum += reward
-        if node.scores is not None:
-            self.buffer.push(node.scores, reward)
-        hist = histogram_vector(node.state, self.scorer.registry.names)
-        self._round_histograms.append((self.category, tuple(float(x) for x in hist)))
-        return reward
 
     # -- the loop ---------------------------------------------------------------
 
@@ -323,17 +310,16 @@ class Optimizer:
         else:
             targets = [node]
         for target in targets:
-            reward = self.simulate(target, round_index)
+            reward, fields = self.simulate(target, round_index)
             credit = backpropagate(target, reward, shaped=self.stages.backprop)
-            last = self.log.records[-1]
-            if last["event"] == "simulated" and last.get("node_id") == target.node_id:
-                last["credit"] = credit
+            self.log.append("simulated", **fields, credit=credit)
 
     def run(self) -> tuple[WorkflowProgram, RunLog]:
         budget = self.budget
         if budget.rounds > 0 and budget.simulations_per_round > 0:
-            reward = self.simulate(self.root, 0)
+            reward, fields = self.simulate(self.root, 0)
             backpropagate(self.root, reward, shaped=self.stages.backprop)
+            self.log.append("simulated", **fields)
 
         for round_index in range(budget.rounds):
             self._round_histograms = []
@@ -408,6 +394,16 @@ class Optimizer:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+
+def _token_fields(record: TokenRecord) -> dict:
+    """The usage fields of a record whose event consumed a proposer or executor request."""
+    return dict(
+        role=record.role,
+        request_id=record.request_id,
+        tokens_in=record.prompt_tokens,
+        tokens_out=record.completion_tokens,
+    )
 
 
 def _dominant_families(vector: ConstraintVector) -> list[str]:

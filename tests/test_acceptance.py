@@ -20,7 +20,6 @@ from wfopt.constraints import (
     DepthDiversityConfig,
     MagnitudeConfig,
     ThresholdSchedule,
-    aggregate,
     score_depth,
     score_diversity,
     score_magnitude,
@@ -124,10 +123,11 @@ def test_c1_formula_conformance():
     # aggregation (weighted geometric mean with smoothing)
     uniform = WeightVector.uniform()
     cfg = AggregationConfig()
-    assert aggregate(ConstraintVector(*(1.0,) * 6), uniform, cfg) == pytest.approx(1.01, abs=TOL)
-    assert aggregate(ConstraintVector(*(0.0,) * 6), uniform, cfg) == pytest.approx(0.01, abs=TOL)
+    total = ConstraintScorer(REGISTRY, agg=cfg).total
+    assert total(ConstraintVector(*(1.0,) * 6), uniform) == pytest.approx(1.01, abs=TOL)
+    assert total(ConstraintVector(*(0.0,) * 6), uniform) == pytest.approx(0.01, abs=TOL)
     mixed = math.exp((5 * math.log(1.01) + math.log(0.01)) / 6)
-    assert aggregate(ConstraintVector(1, 1, 1, 1, 0, 1), uniform, cfg) == pytest.approx(mixed, abs=TOL)
+    assert total(ConstraintVector(1, 1, 1, 1, 0, 1), uniform) == pytest.approx(mixed, abs=TOL)
 
     # depth-aware threshold
     sched = ThresholdSchedule()
@@ -243,17 +243,17 @@ def test_c2_property_suites():
         assert 0.0 <= score_magnitude(trace, mag_cfg) <= 1.0
 
     # aggregate range and per-component monotonicity
-    agg_cfg = AggregationConfig()
+    total = ConstraintScorer(REGISTRY, agg=AggregationConfig()).total
     for _ in range(cases):
         scores = rng.random(6)
         raw = rng.random(6) + 0.01
         weights = WeightVector.from_iterable(raw / raw.sum())
-        value = aggregate(ConstraintVector(*scores), weights, agg_cfg)
+        value = total(ConstraintVector(*scores), weights)
         assert 0.01 - 1e-12 <= value <= 1.01 + 1e-12
         i = int(rng.integers(6))
         bumped = scores.copy()
         bumped[i] = min(1.0, bumped[i] + rng.random() * 0.3)
-        assert aggregate(ConstraintVector(*bumped), weights, agg_cfg) >= value - 1e-12
+        assert total(ConstraintVector(*bumped), weights) >= value - 1e-12
 
     # weight simplex under arbitrary update sequences
     ada = AdaptationConfig()

@@ -74,6 +74,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"executor": {"mode": "external"}})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("refinement_period", 0), ("refinement_period", -3), ("cluster_count_per_category", 0)],
+    )
+    def test_motif_setting_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"motifs.{key} must be >= 1"):
+            config_from_dict({"motifs": {key: value}})
+
 
 class TestAblationGrid:
     def test_grid_contents(self):
@@ -111,6 +119,13 @@ class TestCli:
         config_path.write_text('{"bogus": true}')
         assert main(["run", "--config", str(config_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_refinement_period_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config_dict(motifs={"refinement_period": 0})))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert "motifs.refinement_period" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_external_executor_nonzero_exit(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

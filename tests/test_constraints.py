@@ -13,8 +13,6 @@ from wfopt.constraints import (
     DepthDiversityConfig,
     MagnitudeConfig,
     ThresholdSchedule,
-    aggregate,
-    aggregate_weighted,
     score_depth,
     score_diversity,
     score_magnitude,
@@ -35,7 +33,7 @@ from wfopt.model import (
     derive_state,
 )
 from wfopt.motifs import init_templates, score_pattern
-from wfopt.weights import WeightVector
+from wfopt.weights import FAMILIES, WeightVector
 
 from conftest import binary, chain, random_program
 
@@ -196,35 +194,38 @@ class TestScoreMagnitude:
 
 
 class TestAggregate:
-    def test_all_ones(self):
+    @pytest.fixture
+    def total(self, registry):
+        return ConstraintScorer(registry, agg=AggregationConfig()).total
+
+    def test_all_ones(self, total):
         c = ConstraintVector(1, 1, 1, 1, 1, 1)
-        assert aggregate(c, WeightVector.uniform(), AggregationConfig()) == pytest.approx(1.01, abs=1e-9)
+        assert total(c, WeightVector.uniform()) == pytest.approx(1.01, abs=1e-9)
 
-    def test_all_zeros(self):
+    def test_all_zeros(self, total):
         c = ConstraintVector(0, 0, 0, 0, 0, 0)
-        assert aggregate(c, WeightVector.uniform(), AggregationConfig()) == pytest.approx(0.01, abs=1e-9)
+        assert total(c, WeightVector.uniform()) == pytest.approx(0.01, abs=1e-9)
 
-    def test_one_family_at_zero(self):
+    def test_one_family_at_zero(self, total):
         # (1,1,1,1,0,1) with uniform weights: exp(mean of ln terms)
         c = ConstraintVector(1, 1, 1, 1, 0, 1)
         expected = math.exp((5 * math.log(1.01) + math.log(0.01)) / 6)
-        got = aggregate(c, WeightVector.uniform(), AggregationConfig())
+        got = total(c, WeightVector.uniform())
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.46805, abs=1e-4)
 
-    def test_range(self):
+    def test_range(self, total):
         rng = np.random.default_rng(2)
         eps = 0.01
         for _ in range(500):
             c = ConstraintVector(*rng.random(6))
             w = rng.random(6) + 0.01
             w = WeightVector.from_iterable(w / w.sum())
-            value = aggregate(c, w, AggregationConfig())
+            value = total(c, w)
             assert eps - 1e-12 <= value <= 1 + eps + 1e-12
 
-    def test_monotone_in_each_component(self):
+    def test_monotone_in_each_component(self, total):
         rng = np.random.default_rng(3)
-        cfg = AggregationConfig()
         for _ in range(200):
             base = rng.random(6) * 0.9
             w = rng.random(6) + 0.01
@@ -232,20 +233,25 @@ class TestAggregate:
             i = int(rng.integers(6))
             bumped = base.copy()
             bumped[i] += 0.05
-            assert aggregate(ConstraintVector(*bumped), w, cfg) >= aggregate(ConstraintVector(*base), w, cfg)
+            assert total(ConstraintVector(*bumped), w) >= total(ConstraintVector(*base), w)
 
-    def test_equal_scores_give_score_plus_epsilon(self):
+    def test_equal_scores_give_score_plus_epsilon(self, total):
         rng = np.random.default_rng(4)
         for _ in range(100):
             v = float(rng.random())
             w = rng.random(6) + 0.01
             w = WeightVector.from_iterable(w / w.sum())
-            got = aggregate(ConstraintVector(*(v,) * 6), w, AggregationConfig())
+            got = total(ConstraintVector(*(v,) * 6), w)
             assert got == pytest.approx(v + 0.01, abs=1e-9)
 
     def test_out_of_range_score_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_weighted({"units": 1.5}, {"units": 1.0}, 0.01, families=("units",))
+        # the one range check: `total` takes only a constructed vector
+        for i, family in enumerate(FAMILIES):
+            for bad in (-0.01, 1.01):
+                scores = [0.5] * 6
+                scores[i] = bad
+                with pytest.raises(ValueError, match=f"{family}="):
+                    ConstraintVector(*scores)
 
     def test_vector_validates_on_construction(self):
         with pytest.raises(ValueError):
@@ -376,12 +382,13 @@ class TestScorerMemos:
         first, second = WeightVector.uniform(), WeightVector(0.3, 0.1, 0.2, 0.1, 0.2, 0.1)
         for weights in (first, first, second, second, first):
             for vector in vectors:
-                expected = aggregate_weighted(vector.as_dict(), effective(weights.as_dict()), 0.01, scorer.enabled)
-                assert scorer.total(vector, weights) == expected
+                eff = effective(weights.as_dict())
+                num = den = 0.0
+                for fam in scorer.enabled:
+                    num += eff[fam] * math.log(vector.as_dict()[fam] + 0.01)
+                    den += eff[fam]
+                assert scorer.total(vector, weights) == math.exp(num / den)
         assert len(computed) == 3
-        for _ in range(2):  # a plain mapping may change between calls
-            assert scorer.total(vectors[0], first.as_dict()) == scorer.total(vectors[0], first)
-        assert len(computed) == 5
 
     def test_with_magnitude_builds_the_same_vector(self, registry):
         scorer = ConstraintScorer(registry)

@@ -10,9 +10,7 @@ from wfopt.harness import (
     SyntheticProposer,
     TokenRecord,
     cost,
-    load_problem_file,
     make_synthetic_suite,
-    save_problem_file,
     tokens_per_problem,
 )
 from wfopt.model import (
@@ -264,19 +262,3 @@ class TestAccounting:
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):
             TokenRecord("executor", -1, 0, "r")
-
-
-class TestProblemFiles:
-    def test_round_trip(self, tmp_path):
-        suite = make_synthetic_suite(seed=11, n_problems=10)
-        path = tmp_path / "problems.json"
-        save_problem_file(suite.all_problems(), path)
-        validation, test = load_problem_file(path)
-        assert validation.problems == suite.validation.problems
-        assert test.problems == suite.test.problems
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "problems.json"
-        path.write_text('{"problems": [], "split_ratio": [1, 4], "bogus": 1}')
-        with pytest.raises(ValueError, match="unknown"):
-            load_problem_file(path)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from wfopt.constraints import (
     AggregationConfig,
+    ConstraintScorer,
     ConstraintVector,
     DepthDiversityConfig,
     MagnitudeConfig,
     ThresholdSchedule,
-    aggregate,
     score_depth,
     score_diversity,
     score_magnitude,
@@ -36,17 +36,18 @@ def simplex(raw):
 
 @given(scores6, positive_weights)
 def test_aggregate_range(scores, raw_weights):
-    value = aggregate(ConstraintVector(*scores), simplex(raw_weights), AggregationConfig())
+    total = ConstraintScorer(REGISTRY, agg=AggregationConfig()).total
+    value = total(ConstraintVector(*scores), simplex(raw_weights))
     assert 0.01 - 1e-12 <= value <= 1.01 + 1e-12
 
 
 @given(scores6, positive_weights, st.integers(0, 5), st.floats(0.0, 0.3))
 def test_aggregate_monotone(scores, raw_weights, index, bump):
-    cfg = AggregationConfig()
+    total = ConstraintScorer(REGISTRY, agg=AggregationConfig()).total
     weights = simplex(raw_weights)
     bumped = list(scores)
     bumped[index] = min(1.0, bumped[index] + bump)
-    assert aggregate(ConstraintVector(*bumped), weights, cfg) >= aggregate(ConstraintVector(*scores), weights, cfg) - 1e-12
+    assert total(ConstraintVector(*bumped), weights) >= total(ConstraintVector(*scores), weights) - 1e-12
 
 
 @given(st.dictionaries(st.sampled_from(REGISTRY.names), st.integers(1, 50), min_size=1), st.integers(2, 12))

@@ -362,6 +362,35 @@ class TestFullRuns:
             if "credit" in record:
                 assert record["credit"] == pytest.approx(record["reward"], abs=1e-12)
 
+    @pytest.mark.parametrize("backprop", [True, False])
+    def test_every_simulated_record_but_the_roots_first_carries_credit(self, backprop):
+        from wfopt.harness import EvaluationError
+
+        suite, proposer, evaluator, scorer = self.small_setup()
+
+        class _EveryThirdFails:
+            calls = 0
+
+            def evaluate(self, program):
+                self.calls += 1
+                if self.calls % 3 == 0:
+                    raise EvaluationError("backend hiccup")
+                return evaluator.evaluate(program)
+
+        stages = StageSwitches(backprop=backprop)
+        optimizer = Optimizer(
+            suite.initial_program, proposer, _EveryThirdFails(), scorer,
+            budget=SearchBudget(rounds=3, simulations_per_round=4, seed=2),
+            stages=stages,
+        )
+        optimizer.run()
+        first, *rest = optimizer.log.by_event("simulated")
+        assert first["node_id"] == optimizer.root.node_id and "credit" not in first
+        assert any("failure" in r for r in rest) and any(r["reward"] > 0 for r in rest)
+        for record in rest:
+            expected = record["reward"] * record["C_total"] if backprop else record["reward"]
+            assert record["credit"] == expected
+
     def test_simulation_off_keeps_static_magnitude(self):
         suite, proposer, evaluator, scorer = self.small_setup()
         optimizer = Optimizer(

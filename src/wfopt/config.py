@@ -1,15 +1,17 @@
 """Run configuration: every engine constant in one strict JSON document.
 
 Unknown keys are rejected everywhere so typos cannot silently fall back to
-defaults. Defaults follow the published hyperparameters.
+defaults. Defaults follow the published hyperparameters. The keys of each
+section are the fields of its dataclass; a key a section leaves out keeps
+the value it has in `RunConfig()`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .constraints import (
     AggregationConfig,
@@ -21,7 +23,7 @@ from .harness import PriceMap, ProposerConfig
 from .search import SearchBudget, StageSwitches
 from .weights import FAMILIES, AdaptationConfig
 
-STAGES = ("selection", "expansion", "simulation", "backprop")
+STAGES = tuple(f.name for f in fields(StageSwitches))
 
 
 class ConfigError(ValueError):
@@ -41,6 +43,11 @@ class SuiteConfig:
             raise ConfigError("suite.n_problems must be >= 5")
         if self.category_count < 1:
             raise ConfigError("suite.category_count must be >= 1")
+        if self.n_roots < 1:
+            raise ConfigError("suite.n_roots must be >= 1")
+        # a target must differ from the one-operator initial program
+        if self.target_edits < 1:
+            raise ConfigError("suite.target_edits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,11 @@ class MotifConfig:
             raise ConfigError("motifs.refinement_period must be >= 1")
         if self.cluster_count_per_category < 1:
             raise ConfigError("motifs.cluster_count_per_category must be >= 1")
+        if self.max_per_category < self.templates_per_category:
+            raise ConfigError("motifs.max_per_category must be >= motifs.templates_per_category")
+        # the cosine distance of two non-negative unit vectors lies in [0, 1]
+        if not 0.0 <= self.min_separation <= 1.0:
+            raise ConfigError("motifs.min_separation must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -86,24 +98,16 @@ class AblationConfig:
         bad = set(self.enabled_stages) - set(STAGES)
         if bad:
             raise ConfigError(f"unknown injection stages: {sorted(bad)}")
-        if not self.enabled_stages:
-            raise ConfigError("at least one injection stage must be enabled")
+        self.stage_switches()  # rejects an empty stage set
         if not self.enabled_families:
             raise ConfigError("at least one constraint family must be enabled")
 
     def stage_switches(self) -> StageSwitches:
-        on = set(self.enabled_stages)
-        return StageSwitches(
-            selection="selection" in on,
-            expansion="expansion" in on,
-            simulation="simulation" in on,
-            backprop="backprop" in on,
-        )
+        return StageSwitches(**{stage: stage in self.enabled_stages for stage in STAGES})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 42
     category: Optional[str] = None   # None: use the suite's first category
     executor: ExecutorConfig = ExecutorConfig()
     aggregation: AggregationConfig = AggregationConfig()
@@ -118,143 +122,81 @@ class RunConfig:
     prices: PriceMap = field(default_factory=PriceMap.zero)
     ablation: AblationConfig = AblationConfig()
 
+    @property
+    def seed(self) -> int:
+        """The run's one seed; the JSON document holds it at the top level."""
+        return self.budget.seed
+
     def to_dict(self) -> dict:
-        return {
+        out: dict = {
             "seed": self.seed,
             "category": self.category,
-            "executor": {
-                "mode": self.executor.mode,
-                "address": self.executor.address,
-                "command": list(self.executor.command) if self.executor.command else None,
-            },
-            "aggregation": {
-                "epsilon": self.aggregation.epsilon,
-                "lambda_shaping": self.aggregation.lambda_shaping,
-                "uct_c": self.aggregation.uct_c,
-            },
-            "threshold": {
-                "tau0": self.threshold.tau0,
-                "tau_min": self.threshold.tau_min,
-                "decay_k": self.threshold.decay_k,
-            },
-            "depth_diversity": {"d_max": self.depth_diversity.d_max, "beta": self.depth_diversity.beta},
-            "magnitude": {"gamma": self.magnitude.gamma, "delta": self.magnitude.delta},
-            "adaptation": {
-                "eta": self.adaptation.eta,
-                "alpha": self.adaptation.alpha,
-                "warmup_rounds": self.adaptation.warmup_rounds,
-            },
-            "budget": {
-                "rounds": self.budget.rounds,
-                "simulations_per_round": self.budget.simulations_per_round,
-                "max_candidates_per_expansion": self.budget.max_candidates_per_expansion,
-            },
-            "suite": {
-                "n_problems": self.suite.n_problems,
-                "category_count": self.suite.category_count,
-                "n_roots": self.suite.n_roots,
-                "target_edits": self.suite.target_edits,
-                "unit_dims": list(self.suite.unit_dims) if self.suite.unit_dims else None,
-            },
-            "motifs": {
-                "templates_per_category": self.motifs.templates_per_category,
-                "refinement_period": self.motifs.refinement_period,
-                "cluster_count_per_category": self.motifs.cluster_count_per_category,
-                "min_separation": self.motifs.min_separation,
-                "max_per_category": self.motifs.max_per_category,
-            },
-            "proposer": {
-                "ops": list(self.proposer.ops) if self.proposer.ops else None,
-                "max_operator_nodes": self.proposer.max_operator_nodes,
-                "const_palette": list(self.proposer.const_palette),
-                "allow_insert": self.proposer.allow_insert,
-                "allow_replace": self.proposer.allow_replace,
-                "allow_delete": self.proposer.allow_delete,
-                "allow_rewire": self.proposer.allow_rewire,
-            },
             "prices": {role: list(p) for role, p in self.prices.prices.items()},
-            "ablation": {
-                "enabled_families": list(self.ablation.enabled_families),
-                "enabled_stages": list(self.ablation.enabled_stages),
-                "adaptive_weights": self.ablation.adaptive_weights,
-            },
         }
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            values = {f.name: getattr(section, f.name) for f in fields(section)}
+            out[name] = {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+        del out["budget"]["seed"]
+        return out
 
 
-def _section(data: Mapping, name: str, allowed: Sequence[str]) -> dict:
-    section = data.get(name, {})
-    if not isinstance(section, Mapping):
+# section name -> its defaults; the keys a section accepts are its fields
+_SECTIONS = {
+    f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig) if f.name not in ("category", "prices")
+}
+
+# list settings -> the type of each entry (None: entries kept as given)
+_LISTS = {
+    ("executor", "command"): str,
+    ("suite", "unit_dims"): None,
+    ("proposer", "ops"): str,
+    ("proposer", "const_palette"): float,
+    ("ablation", "enabled_families"): str,
+    ("ablation", "enabled_stages"): str,
+}
+
+
+def _section(name: str, default, given: object):
+    if not isinstance(given, Mapping):
         raise ConfigError(f"{name} must be an object")
-    unknown = set(section) - set(allowed)
+    declared = {f.name: f for f in fields(default) if (name, f.name) != ("budget", "seed")}
+    unknown = set(given) - set(declared)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    return dict(section)
+    values = dict(given)
+    for key, value in given.items():
+        # null stands for a list setting only where its dataclass default is None
+        if (name, key) not in _LISTS or (value is None and declared[key].default is None):
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name}.{key} must be a list")
+        entry = _LISTS[name, key]
+        values[key] = tuple(value) if entry is None else tuple(map(entry, value))
+    return replace(default, **values)
 
 
-_TOP_KEYS = (
-    "seed", "category", "executor", "aggregation", "threshold", "depth_diversity",
-    "magnitude", "adaptation", "budget", "suite", "motifs", "proposer", "prices", "ablation",
-)
+def _prices(given: object) -> PriceMap:
+    if not isinstance(given, Mapping):
+        raise ConfigError("prices must map role -> [input_price, output_price]")
+    for role, pair in given.items():
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"prices.{role} must be [input_price, output_price]")
+    return PriceMap({str(role): (float(pin), float(pout)) for role, (pin, pout) in given.items()})
 
 
 def config_from_dict(data: Mapping) -> RunConfig:
-    unknown = set(data) - set(_TOP_KEYS)
+    if not isinstance(data, Mapping):
+        raise ConfigError("config must be an object")
+    unknown = set(data) - {"seed", "category", "prices", *_SECTIONS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        executor = _section(data, "executor", ("mode", "address", "command"))
-        if executor.get("command") is not None:
-            executor["command"] = tuple(str(c) for c in executor["command"])
-        agg = _section(data, "aggregation", ("epsilon", "lambda_shaping", "uct_c"))
-        thr = _section(data, "threshold", ("tau0", "tau_min", "decay_k"))
-        dd = _section(data, "depth_diversity", ("d_max", "beta"))
-        mag = _section(data, "magnitude", ("gamma", "delta"))
-        ada = _section(data, "adaptation", ("eta", "alpha", "warmup_rounds"))
-        bud = _section(data, "budget", ("rounds", "simulations_per_round", "max_candidates_per_expansion"))
-        suite = _section(data, "suite", ("n_problems", "category_count", "n_roots", "target_edits", "unit_dims"))
-        if suite.get("unit_dims") is not None:
-            suite["unit_dims"] = tuple(suite["unit_dims"])
-        motifs = _section(
-            data, "motifs",
-            ("templates_per_category", "refinement_period", "cluster_count_per_category",
-             "min_separation", "max_per_category"),
-        )
-        prop = _section(
-            data, "proposer",
-            ("ops", "max_operator_nodes", "const_palette", "allow_insert",
-             "allow_replace", "allow_delete", "allow_rewire"),
-        )
-        if prop.get("ops") is not None:
-            prop["ops"] = tuple(str(o) for o in prop["ops"])
-        if "const_palette" in prop:
-            prop["const_palette"] = tuple(float(v) for v in prop["const_palette"])
-        abl = _section(data, "ablation", ("enabled_families", "enabled_stages", "adaptive_weights"))
-        for key in ("enabled_families", "enabled_stages"):
-            if key in abl:
-                abl[key] = tuple(str(x) for x in abl[key])
-        prices_raw = data.get("prices", {"optimizer": [0.0, 0.0], "executor": [0.0, 0.0]})
-        if not isinstance(prices_raw, Mapping):
-            raise ConfigError("prices must map role -> [input_price, output_price]")
-        prices = PriceMap({str(role): (float(p[0]), float(p[1])) for role, p in prices_raw.items()})
-
-        seed = int(data.get("seed", 42))
-        budget_kwargs = dict(bud)
-        return RunConfig(
-            seed=seed,
-            category=data.get("category"),
-            executor=ExecutorConfig(**executor),
-            aggregation=AggregationConfig(**agg),
-            threshold=ThresholdSchedule(**thr),
-            depth_diversity=DepthDiversityConfig(**dd),
-            magnitude=MagnitudeConfig(**mag),
-            adaptation=AdaptationConfig(**ada),
-            budget=SearchBudget(seed=seed, **budget_kwargs),
-            suite=SuiteConfig(**suite),
-            motifs=MotifConfig(**motifs),
-            proposer=ProposerConfig(**prop) if prop else ProposerConfig(ops=("add", "sub", "mul", "neg")),
-            prices=prices,
-            ablation=AblationConfig(**abl),
-        )
+        sections = {name: _section(name, default, data.get(name, {})) for name, default in _SECTIONS.items()}
+        seed = int(data.get("seed", _SECTIONS["budget"].seed))
+        sections["budget"] = replace(sections["budget"], seed=seed)
+        prices = _prices(data["prices"]) if "prices" in data else PriceMap.zero()
+        return RunConfig(category=data.get("category"), prices=prices, **sections)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -270,11 +212,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def with_overrides(config: RunConfig, *, seed: Optional[int] = None, executor: Optional[ExecutorConfig] = None) -> RunConfig:
-    from dataclasses import replace
-
     updated = config
     if seed is not None:
-        updated = replace(updated, seed=seed, budget=replace(updated.budget, seed=seed))
+        updated = replace(updated, budget=replace(updated.budget, seed=seed))
     if executor is not None:
         updated = replace(updated, executor=executor)
     return updated

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .adapter import ExternalEvaluator, HttpTransport, StdioTransport
-from .config import RunConfig
+from .config import STAGES, RunConfig
 from .constraints import ConstraintScorer
 from .harness import (
     SyntheticEvaluator,
@@ -184,7 +184,7 @@ def ablation_grid(config: RunConfig) -> dict[str, RunConfig]:
         grid[f"family_{family}"] = replace(
             config, ablation=replace(config.ablation, enabled_families=(family,))
         )
-    for stage in ("selection", "expansion", "simulation", "backprop"):
+    for stage in STAGES:
         grid[f"stage_{stage}"] = replace(
             config, ablation=replace(config.ablation, enabled_stages=(stage,))
         )

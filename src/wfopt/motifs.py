@@ -24,7 +24,7 @@ class FrozenLibraryError(RuntimeError):
     """Refinement was attempted on a frozen (test-time) library."""
 
 
-class MotifInitError(RuntimeError):
+class MotifInitError(ValueError):
     """Template generation could not satisfy the separation requirement."""
 
 

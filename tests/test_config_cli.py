@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -65,10 +68,57 @@ class TestConfigParsing:
         assert config.seed == 9
         assert config.budget.seed == 9
 
+    def test_seed_is_not_a_second_field(self):
+        with pytest.raises(TypeError):
+            RunConfig(seed=7)
+        with pytest.raises(TypeError):
+            replace(RunConfig(), seed=7)
+
     def test_round_trip_through_dict(self):
         config = config_from_dict(small_config_dict())
         again = config_from_dict(config.to_dict())
         assert again == config
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("proposer", {"ops": ()}),
+            ("executor", {"command": ()}),
+            ("suite", {"unit_dims": ()}),
+            ("proposer", {"ops": None}),
+        ],
+    )
+    def test_round_trip_keeps_empty_and_null_lists(self, section, value):
+        config = RunConfig()
+        config = replace(config, **{section: replace(getattr(config, section), **value)})
+        assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_partial_proposer_keeps_default_ops(self):
+        config = config_from_dict({"proposer": {"max_operator_nodes": 6}})
+        assert config.proposer == RunConfig().proposer
+        assert config.proposer.ops == ("add", "sub", "mul", "neg")
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("suite", {"unit_dims": "ab"}, "suite.unit_dims"),
+            ("proposer", {"ops": "add"}, "proposer.ops"),
+            ("proposer", {"const_palette": None}, "proposer.const_palette"),
+            ("suite", {"n_roots": 0}, "suite.n_roots"),
+            ("suite", {"target_edits": -1}, "suite.target_edits"),
+            ("prices", {"optimizer": [1]}, "prices.optimizer"),
+        ],
+    )
+    def test_malformed_setting_rejected(self, section, value, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict({section: value})
+
+    def test_readme_lists_every_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert config_from_dict(json.loads(block)) == RunConfig()
+        assert json.loads(block) == RunConfig().to_dict()
 
     def test_external_needs_address(self):
         with pytest.raises(ConfigError):
@@ -81,6 +131,19 @@ class TestConfigParsing:
     def test_motif_setting_below_one_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"motifs.{key} must be >= 1"):
             config_from_dict({"motifs": {key: value}})
+
+    @pytest.mark.parametrize(
+        "motifs, message",
+        [
+            ({"max_per_category": 0}, "motifs.max_per_category must be >= motifs.templates_per_category"),
+            ({"templates_per_category": 31}, "motifs.max_per_category must be >= motifs.templates_per_category"),
+            ({"min_separation": 1.5}, "motifs.min_separation must be in [0, 1]"),
+            ({"min_separation": -0.1}, "motifs.min_separation must be in [0, 1]"),
+        ],
+    )
+    def test_motif_setting_out_of_range_rejected(self, motifs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict({"motifs": motifs})
 
 
 class TestAblationGrid:
@@ -126,6 +189,16 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert "motifs.refinement_period" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "separation, message",
+        [(1.5, "motifs.min_separation must be in [0, 1]"), (1.0, "cannot place 10 templates")],
+    )
+    def test_bad_min_separation_exits_2(self, tmp_path, capsys, separation, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config_dict(motifs={"min_separation": separation})))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unreachable_external_executor_nonzero_exit(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

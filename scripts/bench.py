@@ -87,7 +87,7 @@ def fixed_program(n_ops: int) -> WorkflowProgram:
 def fixed_problems(n: int = 40) -> ProblemSet:
     return ProblemSet(
         tuple(
-            Problem({"x0": float(1 + i % 9), "x1": float(1 + (3 * i) % 7)}, float(i), "cat0", ())
+            Problem({"x0": float(1 + i % 9), "x1": float(1 + (3 * i) % 7)}, float(i), "cat0")
             for i in range(n)
         ),
         "validation",

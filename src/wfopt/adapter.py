@@ -11,7 +11,7 @@ child process's standard streams or POSTed over HTTP:
 
 The engine treats remote and synthetic implementations identically. An
 evaluate reply that is valid JSON but carries bad content (a reward that is
-not a finite number, a malformed trace) fails that one request with
+not a number in [0, 1], a malformed trace) fails that one request with
 `EvaluationError`; a reply that breaks the protocol itself raises
 `AdapterError`. A propose reply has no per-request failure: one that is not
 an object, reports an error, lacks a `candidates` list, holds a candidate
@@ -113,16 +113,15 @@ def problem_to_dict(problem: Problem) -> dict:
         "inputs": dict(problem.inputs),
         "expected": problem.expected,
         "category": problem.category,
-        "constants": list(problem.constants),
     }
 
 
 def problem_from_dict(entry: Mapping) -> Problem:
+    """Decode one problem; keys other than the three it reads are ignored."""
     return Problem(
         inputs={str(k): float(v) for k, v in entry["inputs"].items()},
         expected=float(entry["expected"]),
         category=str(entry.get("category", "default")),
-        constants=tuple(float(x) for x in entry.get("constants", [])),
     )
 
 
@@ -287,6 +286,8 @@ class ExternalEvaluator:
             reward = float(reward)
             if not math.isfinite(reward):
                 raise ValueError(f"non-finite reward {reward!r}")
+            if not 0.0 <= reward <= 1.0:
+                raise ValueError(f"reward {reward!r} is outside [0, 1]")
             entries = response.get("traces", [])
             if type(entries) is not list:
                 raise ValueError(f"traces is not a list: {entries!r}")

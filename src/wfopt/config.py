@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .constraints import (
     AggregationConfig,
@@ -157,6 +157,15 @@ _LISTS = {
 }
 
 
+def _check_type(key: str, value: object, hint) -> None:
+    """A bool, int or str setting takes exactly that JSON type; a float one any number but true/false."""
+    if get_origin(hint) is Union:  # Optional[X]; the caller has handled null
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    ok = type(value) in (int, float) if hint is float else type(value) is hint
+    if not ok:
+        raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
+
+
 def _section(name: str, default, given: object):
     if not isinstance(given, Mapping):
         raise ConfigError(f"{name} must be an object")
@@ -164,10 +173,14 @@ def _section(name: str, default, given: object):
     unknown = set(given) - set(declared)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    hints = get_type_hints(type(default))
     values = dict(given)
     for key, value in given.items():
-        # null stands for a list setting only where its dataclass default is None
-        if (name, key) not in _LISTS or (value is None and declared[key].default is None):
+        # null stands for a setting only where its dataclass default is None
+        if value is None and declared[key].default is None:
+            continue
+        if (name, key) not in _LISTS:
+            _check_type(f"{name}.{key}", value, hints[key])
             continue
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name}.{key} must be a list")
@@ -193,10 +206,14 @@ def config_from_dict(data: Mapping) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         sections = {name: _section(name, default, data.get(name, {})) for name, default in _SECTIONS.items()}
-        seed = int(data.get("seed", _SECTIONS["budget"].seed))
+        seed = data.get("seed", _SECTIONS["budget"].seed)
+        _check_type("seed", seed, int)
         sections["budget"] = replace(sections["budget"], seed=seed)
+        category = data.get("category")
+        if category is not None:
+            _check_type("category", category, str)
         prices = _prices(data["prices"]) if "prices" in data else PriceMap.zero()
-        return RunConfig(category=data.get("category"), prices=prices, **sections)
+        return RunConfig(category=category, prices=prices, **sections)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

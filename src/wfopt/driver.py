@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .adapter import ExternalEvaluator, HttpTransport, StdioTransport
-from .config import STAGES, RunConfig
+from .config import STAGES, ConfigError, RunConfig
 from .constraints import ConstraintScorer
 from .harness import (
     SyntheticEvaluator,
@@ -74,6 +74,8 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
     registry = default_registry()
     suite = build_suite(config)
     categories = sorted({p.category for p in suite.all_problems()})
+    if config.category is not None and config.category not in categories:
+        raise ConfigError(f"category {config.category!r} is not one of the suite's categories {categories}")
     category = config.category or categories[0]
 
     library = init_templates(

@@ -49,7 +49,6 @@ class Problem:
     inputs: Mapping[str, float]
     expected: float
     category: str
-    constants: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -229,19 +228,14 @@ class SyntheticProposer:
         blocked = _descendants(program, below) | {below}
         return [n.node_id for n in program.nodes if n.node_id not in blocked]
 
-    def _edit_sites(self, program: WorkflowProgram) -> list[tuple[str, Optional[Edge]]]:
-        # real edges first, then the virtual edge above the output node
-        sites: list[tuple[str, Optional[Edge]]] = [("edge", e) for e in program.edges]
-        sites.append(("output", None))
-        return sites
-
     def _insertions(self, program: WorkflowProgram):
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
         # second operands by anchor; the output site may pair with any node
         partners_of: dict[Optional[str], list[str]] = {None: [n.node_id for n in program.nodes]}
-        for where, edge in self._edit_sites(program):
+        # real edges first, then the virtual edge (None) above the output node
+        for edge in (*program.edges, None):
             src = edge.src if edge is not None else program.output
             anchor = edge.dst if edge is not None else None
             for kind in self._ops:
@@ -268,16 +262,14 @@ class SyntheticProposer:
         new_id: str,
         const_id: str,
     ) -> WorkflowProgram:
+        # an insertion has at most one ("const", value) operand
         nodes = list(program.nodes)
         edges = list(program.edges)
-        const_counter = 0
         operand_ids = []
         for operand in operands:
-            if isinstance(operand, tuple) and operand[0] == "const":
-                cid = f"{const_id}_{const_counter}" if const_counter else const_id
-                const_counter += 1
-                nodes.append(Node(cid, CONST_OP, value=float(operand[1])))
-                operand_ids.append(cid)
+            if isinstance(operand, tuple):
+                nodes.append(Node(const_id, CONST_OP, value=float(operand[1])))
+                operand_ids.append(const_id)
             else:
                 operand_ids.append(operand)
         nodes.append(Node(new_id, op))
@@ -363,35 +355,25 @@ class SyntheticProposer:
         return edits, record
 
 
+# a problem is solved when the output is within this of the expected value
+TOLERANCE = 1e-9
+
+
 class SyntheticEvaluator:
     """Interprets a program over a problem set; reward is the solved fraction."""
 
-    def __init__(
-        self,
-        problems: ProblemSet,
-        registry: Optional[OperatorRegistry] = None,
-        tolerance: float = 1e-9,
-        relative: bool = False,
-    ):
+    def __init__(self, problems: ProblemSet, registry: Optional[OperatorRegistry] = None):
         if not problems.problems:
             raise ValueError("evaluator needs a non-empty problem set")
         self.problems = problems
         self.registry = registry or default_registry()
-        self.tolerance = tolerance
-        self.relative = relative
         self._request_counter = 0
-
-    def _matches(self, output: float, expected: float) -> bool:
-        if self.relative:
-            scale = max(1.0, abs(expected))
-            return abs(output - expected) <= self.tolerance * scale
-        return abs(output - expected) <= self.tolerance
 
     def evaluate(self, program: WorkflowProgram) -> tuple[float, list[ExecutionTrace], TokenRecord]:
         traces = interpret_all(program, [p.inputs for p in self.problems.problems], self.registry)
         solved = 0
         for problem, trace in zip(self.problems.problems, traces):
-            if trace.success and trace.output is not None and self._matches(trace.output, problem.expected):
+            if trace.success and trace.output is not None and abs(trace.output - problem.expected) <= TOLERANCE:
                 solved += 1
         reward = solved / len(self.problems.problems)
         self._request_counter += 1
@@ -431,6 +413,10 @@ class SuiteGenerationError(RuntimeError):
     pass
 
 
+MAX_ATTEMPTS = 200  # tries at growing a usable target, and at sampling each problem's inputs
+PROBES = 4  # random input bindings a target is run on to judge it usable
+
+
 def make_synthetic_suite(
     seed: int,
     n_problems: int,
@@ -441,8 +427,6 @@ def make_synthetic_suite(
     n_roots: int = 2,
     target_edits: int = 3,
     unit_dims: Optional[Sequence[Optional[str]]] = None,
-    split_ratio: tuple[int, int] = (1, 4),
-    max_attempts: int = 200,
 ) -> SyntheticSuite:
     """Build a hidden-target optimization problem with a 1:4 val/test split.
 
@@ -485,16 +469,16 @@ def make_synthetic_suite(
     targets: dict[str, WorkflowProgram] = {}
     categories = [f"cat{i}" for i in range(category_count)]
     for category in categories:
-        targets[category] = _grow_target(initial, proposer, target_edits, rng, max_attempts)
+        targets[category] = _grow_target(initial, proposer, target_edits, rng)
 
     problems: list[Problem] = []
     for i in range(n_problems):
         category = categories[i % category_count]
         target = targets[category]
-        problem = _sample_problem(target, registry, rng, category, max_attempts)
+        problem = _sample_problem(target, registry, rng, category)
         problems.append(problem)
 
-    n_val = max(1, (n_problems * split_ratio[0]) // (split_ratio[0] + split_ratio[1]))
+    n_val = max(1, n_problems // 5)
     validation = ProblemSet(tuple(problems[:n_val]), "validation")
     test = ProblemSet(tuple(problems[n_val:]), "test")
     return SyntheticSuite(initial, targets, validation, test)
@@ -505,9 +489,8 @@ def _grow_target(
     proposer: SyntheticProposer,
     target_edits: int,
     rng: np.random.Generator,
-    max_attempts: int,
 ) -> WorkflowProgram:
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         program = initial
         for _ in range(target_edits):
             edits = proposer.enumerate_edits(program)
@@ -524,7 +507,6 @@ def _target_is_usable(
     initial: WorkflowProgram,
     registry: OperatorRegistry,
     rng: np.random.Generator,
-    probes: int = 4,
 ) -> bool:
     """Target must be multi-step (two distinct operator kinds), run cleanly,
     stay unit-consistent, vary with its inputs, and not coincide with the
@@ -535,7 +517,7 @@ def _target_is_usable(
         return False
     outputs = []
     differs = False
-    for _ in range(probes):
+    for _ in range(PROBES):
         inputs = {rid: float(rng.integers(1, 10)) for rid in program.roots}
         trace = interpret(program, inputs, registry)
         if not trace.success:
@@ -552,18 +534,12 @@ def _sample_problem(
     registry: OperatorRegistry,
     rng: np.random.Generator,
     category: str,
-    max_attempts: int,
 ) -> Problem:
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         inputs = {rid: float(rng.integers(1, 10)) for rid in target.roots}
         trace = interpret(target, inputs, registry)
         if trace.success and trace.output is not None and math.isfinite(trace.output):
-            return Problem(
-                inputs=inputs,
-                expected=trace.output,
-                category=category,
-                constants=trace.input_constants,
-            )
+            return Problem(inputs=inputs, expected=trace.output, category=category)
     raise SuiteGenerationError("target kept hitting domain violations on sampled inputs")
 
 

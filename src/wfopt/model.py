@@ -29,9 +29,9 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class InvalidProgramError(ValueError):
@@ -51,7 +51,6 @@ class DomainRule(str, Enum):
 class UnitBehavior(str, Enum):
     ADDITIVE = "additive"            # operands must share a unit signature
     MULTIPLICATIVE = "multiplicative"  # exponents combine by slot sign
-    TRANSFORM = "transform"          # derivative/integral style exponent shift
     UNITLESS = "unitless"            # result is dimensionless
 
 
@@ -73,8 +72,6 @@ class OperatorKind:
 
     ``unit_slot_signs`` applies to multiplicative operators: +1 adds the
     operand's exponents into the result signature, -1 subtracts them.
-    ``transform_dim``/``transform_shift`` apply to transform operators and
-    shift a single dimension exponent.
     """
 
     name: str
@@ -83,9 +80,6 @@ class OperatorKind:
     unit_behavior: UnitBehavior = UnitBehavior.UNITLESS
     shape_rule: ShapeRule = ShapeRule.ELEMENTWISE
     unit_slot_signs: Optional[tuple[int, ...]] = None
-    transform_dim: Optional[str] = None
-    transform_shift: int = 0
-    fn: Optional[Callable[..., float]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.arity < 0:
@@ -185,25 +179,12 @@ class UnitSignature:
     def as_dict(self) -> dict[str, int]:
         return dict(self.exponents)
 
-    def is_dimensionless(self) -> bool:
-        return not self.exponents
-
     def combine(self, others: Sequence["UnitSignature"], signs: Sequence[int]) -> "UnitSignature":
         exps = Counter(dict(self.exponents))
         for sig, sign in zip(others, signs):
             for dim, exp in sig.exponents:
                 exps[dim] += sign * exp
         return UnitSignature.of(exps)
-
-    def shifted(self, dim: str, delta: int) -> "UnitSignature":
-        exps = dict(self.exponents)
-        exps[dim] = exps.get(dim, 0) + delta
-        return UnitSignature.of(exps)
-
-    def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "*".join(f"{d}^{e}" if e != 1 else d for d, e in self.exponents)
 
 
 @dataclass(frozen=True)
@@ -549,10 +530,6 @@ def _check_units(kind: OperatorKind, inputs: Sequence[UnitSignature]) -> tuple[b
         return ok, (inputs[0] if ok else None)
     if kind.unit_behavior is UnitBehavior.MULTIPLICATIVE:
         return True, UnitSignature.of().combine(inputs, kind.slot_signs())
-    if kind.unit_behavior is UnitBehavior.TRANSFORM:
-        if kind.transform_dim is not None:
-            return True, inputs[0].shifted(kind.transform_dim, kind.transform_shift)
-        return True, inputs[0]
     return True, UnitSignature.of()  # UNITLESS
 
 
@@ -708,7 +685,7 @@ class _DomainViolation(Exception):
         self.reason = reason
 
 
-def _apply(op: str, kind: OperatorKind, args: list[float]) -> float:
+def _apply(op: str, args: list[float]) -> float:
     if op == "add":
         return args[0] + args[1]
     if op == "sub":
@@ -739,8 +716,6 @@ def _apply(op: str, kind: OperatorKind, args: list[float]) -> float:
             raise _DomainViolation("overflow in pow") from None
     if op == "neg":
         return -args[0]
-    if kind.fn is not None:
-        return kind.fn(*args)
     raise KeyError(f"operator {op!r} has no semantics")
 
 
@@ -773,7 +748,7 @@ def interpret_all(
     registry = registry or default_registry()
     inc = program.incoming()
     nm = program.node_map()
-    steps: list[tuple] = []   # (node id, op, operator kind or literal value, operand ids)
+    steps: list[tuple] = []   # (node id, op, literal value, operand ids)
     unresolved: Optional[Exception] = None
     for nid in topological_order(program):
         node = nm[nid]
@@ -784,7 +759,7 @@ def interpret_all(
                 steps.append((nid, CONST_OP, float(node.value), ()))  # type: ignore[arg-type]
             else:
                 kind = registry.get(node.op)
-                steps.append((nid, node.op, kind, tuple(inc[nid][k] for k in range(kind.arity))))
+                steps.append((nid, node.op, None, tuple(inc[nid][k] for k in range(kind.arity))))
         except (KeyError, TypeError, ValueError) as exc:
             unresolved = exc
             break
@@ -801,7 +776,7 @@ def _run_steps(
     leaf_values: list[float] = []
     intermediates: list[float] = []
 
-    for nid, op, kind, operands in steps:
+    for nid, op, literal, operands in steps:
         if op == INPUT_OP:
             if nid not in inputs:
                 raise MissingInputError(f"no input value for root {nid!r}")
@@ -810,10 +785,10 @@ def _run_steps(
         elif op == CONST_OP:
             # literals do not count toward V_in: a program must not be able
             # to widen its own magnitude tolerance by embedding big constants
-            v = kind
+            v = literal
         else:
             try:
-                v = _apply(op, kind, [values[a] for a in operands])
+                v = _apply(op, [values[a] for a in operands])
             except _DomainViolation as exc:
                 return ExecutionTrace(
                     values=tuple(intermediates),

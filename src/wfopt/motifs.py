@@ -148,16 +148,15 @@ def _farthest_point_init(points: np.ndarray, k: int, rng: np.random.Generator) -
     return points[centers].copy()
 
 
-def _kmeans_cosine(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int = 50,
-) -> tuple[np.ndarray, np.ndarray]:
+# Lloyd iterations of spherical k-means before it stops without converging
+KMEANS_MAX_ITER = 50
+
+
+def _kmeans_cosine(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Spherical k-means on unit vectors; returns (centers, cluster sizes)."""
     centers = _farthest_point_init(points, k, rng)
     labels = np.full(len(points), -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sims = points @ centers.T
         new_labels = np.argmax(sims, axis=1)
         if np.array_equal(new_labels, labels):
@@ -216,25 +215,16 @@ def refine(
                 continue
             candidate = centers[j]
             kept = [m for m in motifs if m.category == category]
-            if len(kept) >= lib.max_per_category and not any(
-                m.origin == "baseline_template"
-                and 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < lib.min_separation
-                for m in kept
-            ):
-                continue
-            clustered_close = any(
-                m.origin == "clustered"
-                and 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < lib.min_separation
-                for m in kept
-            )
-            if clustered_close:
-                continue
-            displaced = [
+            close = [
                 m for m in kept
-                if m.origin == "baseline_template"
-                and 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < lib.min_separation
+                if 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < lib.min_separation
             ]
-            for m in displaced:
+            if any(m.origin == "clustered" for m in close):
+                continue
+            # every close motif is a baseline now; at the cap one must make room
+            if len(kept) >= lib.max_per_category and not close:
+                continue
+            for m in close:
                 motifs.remove(m)
             motifs.append(Motif(category, tuple(float(x) for x in candidate), "clustered"))
     return replace(lib, motifs=tuple(motifs))

@@ -1,4 +1,7 @@
-"""Append-only run log, streamed to disk as newline-delimited JSON.
+"""Append-only run log, held in memory and written as newline-delimited JSON.
+
+The records stay in memory for the whole search; `save` writes them to disk
+in one pass, once the search has finished (a crashed run leaves no file).
 
 Record kinds: meta, selected, proposed, expanded, pruned, simulated,
 weights_updated, refined. Records carry tokens_in/tokens_out whenever the

@@ -50,8 +50,12 @@ class SearchNode:
     compliance: float = 0.0
     scores: Optional[ConstraintVector] = None
     expanded: bool = False
-    terminal: bool = False
     created_index: int = 0
+
+    @property
+    def terminal(self) -> bool:
+        """Expanded with no children: only a proposal with no candidates leaves a node so."""
+        return self.expanded and not self.children
 
     @property
     def q_value(self) -> float:
@@ -212,7 +216,6 @@ class Optimizer:
         )
         node.expanded = True
         if not candidates:
-            node.terminal = True
             return []
 
         tau = threshold(node.node_depth, self.schedule)
@@ -277,6 +280,8 @@ class Optimizer:
             return 0.0, dict(
                 round=round_index, node_id=node.node_id, C_total=node.compliance, reward=0.0, failure=str(exc)
             )
+        # a remote reward outside [0, 1] is rejected by the adapter; this
+        # bounds an evaluator passed in through the library API
         reward = min(1.0, max(0.0, reward))
         if self.stages.simulation:
             node.scores = self.scorer.with_magnitude(node.scores, traces)
@@ -304,7 +309,7 @@ class Optimizer:
     def _iteration(self, round_index: int) -> None:
         node = select(self.root, self.scorer.agg, shaped=self.stages.selection)
         self.log.append("selected", round=round_index, node_id=node.node_id, C_total=node.compliance)
-        if not node.expanded and not node.terminal:
+        if not node.expanded:
             children = self.expand(node, round_index)
             targets: Sequence[SearchNode] = children if children else [node]
         else:

@@ -43,8 +43,8 @@ from conftest import binary, chain
 
 PROBLEMS = ProblemSet(
     (
-        Problem(inputs={"x0": 2.0, "x1": 3.0}, expected=5.0, category="c", constants=(2.0, 3.0)),
-        Problem(inputs={"x0": 1.0, "x1": 1.0}, expected=2.0, category="c", constants=(1.0, 1.0)),
+        Problem(inputs={"x0": 2.0, "x1": 3.0}, expected=5.0, category="c"),
+        Problem(inputs={"x0": 1.0, "x1": 1.0}, expected=2.0, category="c"),
     ),
     "validation",
 )
@@ -96,6 +96,29 @@ class TestHandleRequest:
         with pytest.raises(EvaluationError, match="model refused"):
             evaluator.evaluate(binary("add", "input", "input"))
 
+    def test_evaluate_request_problem_fields(self, registry):
+        sent = []
+
+        class _Recorder:
+            def request(self, payload):
+                sent.append(json.loads(json.dumps(payload)))
+                return handle_request(payload, registry)
+
+        reward, _, _ = ExternalEvaluator(_Recorder(), PROBLEMS).evaluate(binary("add", "input", "input"))
+        assert reward == 1.0
+        problems = sent[0]["params"]["problems"]
+        assert [set(p) for p in problems] == [{"inputs", "expected", "category"}] * len(PROBLEMS)
+        assert problems[0] == {"inputs": {"x0": 2.0, "x1": 3.0}, "expected": 5.0, "category": "c"}
+
+    def test_problem_keys_it_does_not_read_are_ignored(self, registry):
+        """A client that still sends each problem's `constants` gets the same answer."""
+        program = binary("add", "input", "input")
+        request = _evaluate(program, PROBLEMS.problems)
+        older = json.loads(json.dumps(request))
+        for entry in older["params"]["problems"]:
+            entry["constants"] = list(entry["inputs"].values())
+        assert handle_request(older, registry) == handle_request(request, registry)
+
 
 GOOD_TRACE = {"values": [5.0], "inputs": [2.0, 3.0], "success": True, "output": 5.0, "violation": None}
 
@@ -104,6 +127,8 @@ BAD_CONTENT = [
     pytest.param({"reward": math.nan}, "non-finite reward nan", id="nan"),
     pytest.param({"reward": math.inf}, "non-finite reward inf", id="inf"),
     pytest.param({"reward": -math.inf}, "non-finite reward -inf", id="-inf"),
+    pytest.param({"reward": 1.5}, "reward 1.5 is outside [0, 1]", id="above-one"),
+    pytest.param({"reward": -0.1}, "reward -0.1 is outside [0, 1]", id="below-zero"),
     pytest.param({"reward": "high"}, "reward is not a number: 'high'", id="string"),
     pytest.param({"reward": None}, "reward is not a number: None", id="null"),
     pytest.param({"reward": True}, "reward is not a number: True", id="true"),
@@ -274,12 +299,12 @@ class TestSyntheticRoles:
         """One stdio server's responses are byte-identical to a fresh `handle_request` for each request."""
         config = ProposerConfig(ops=("add", "mul", "neg", "sqrt"), max_operator_nodes=3)
         other = (
-            Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c", constants=(-4.0, -1.0)),
-            Problem(inputs={"x0": -9.0, "x1": 2.0}, expected=-18.0, category="c", constants=(-9.0, 2.0)),
+            Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c"),
+            Problem(inputs={"x0": -9.0, "x1": 2.0}, expected=-18.0, category="c"),
         )
         # equal under `==`, but the sign of the zero reaches the trace of `neg`
-        zero = (Problem(inputs={"x0": 0.0}, expected=0.0, category="c", constants=(0.0,)),)
-        negative_zero = (Problem(inputs={"x0": -0.0}, expected=0.0, category="c", constants=(-0.0,)),)
+        zero = (Problem(inputs={"x0": 0.0}, expected=0.0, category="c"),)
+        negative_zero = (Problem(inputs={"x0": -0.0}, expected=0.0, category="c"),)
         add, failing = binary("add", "input", "input"), chain("sqrt", n_roots=2)
         payloads = [
             _evaluate(add, PROBLEMS.problems),

@@ -113,6 +113,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_dict({section: value})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            *(
+                ({"proposer": {key: "no"}}, f"proposer.{key} must be bool, got 'no'")
+                for key in ("allow_insert", "allow_replace", "allow_delete", "allow_rewire")
+            ),
+            ({"proposer": {"allow_insert": 0}}, "proposer.allow_insert must be bool, got 0"),
+            ({"proposer": {"allow_insert": None}}, "proposer.allow_insert must be bool, got None"),
+            ({"seed": 7.9}, "seed must be int, got 7.9"),
+            ({"seed": True}, "seed must be int, got True"),
+            ({"seed": "7"}, "seed must be int, got '7'"),
+            ({"budget": {"rounds": True}}, "budget.rounds must be int, got True"),
+            ({"budget": {"rounds": 2.0}}, "budget.rounds must be int, got 2.0"),
+            ({"budget": {"rounds": None}}, "budget.rounds must be int, got None"),
+            ({"threshold": {"tau0": True}}, "threshold.tau0 must be float, got True"),
+            ({"aggregation": {"epsilon": "0.1"}}, "aggregation.epsilon must be float, got '0.1'"),
+            ({"executor": {"mode": 5}}, "executor.mode must be str, got 5"),
+            ({"executor": {"address": 5}}, "executor.address must be str, got 5"),
+            ({"category": 0}, "category must be str, got 0"),
+        ],
+    )
+    def test_setting_of_wrong_type_rejected(self, data, message):
+        with pytest.raises(ConfigError) as raised:
+            config_from_dict(data)
+        assert str(raised.value) == message
+
+    def test_valid_setting_kept_as_given(self):
+        data = {"threshold": {"tau0": 1}, "executor": {"address": None}, "category": None, "seed": 7}
+        config = config_from_dict(data)
+        written = config.to_dict()
+        assert type(written["threshold"]["tau0"]) is int
+        assert (written["executor"]["address"], written["category"], written["seed"]) == (None, None, 7)
+        assert config_from_dict(written) == config
+
     def test_readme_lists_every_default(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Configuration", 1)[1]
@@ -199,6 +234,14 @@ class TestCli:
         config_path.write_text(json.dumps(small_config_dict(motifs={"min_separation": separation})))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_category_not_in_suite_exits_2(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config_dict(category="cat9")))
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: category 'cat9' is not one of the suite's categories ['cat0']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_external_executor_nonzero_exit(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

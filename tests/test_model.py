@@ -335,23 +335,6 @@ class TestAnalyses:
         program = binary("div", "input", "input", units=(length, time))
         assert analyze_program(program).units["n0"] == UnitSignature.of(length=1, time=-1)
 
-    def test_transform_shifts_dimension(self):
-        from wfopt.model import OperatorKind, OperatorRegistry, UnitBehavior, default_registry
-
-        ddt = OperatorKind("ddt", 1, unit_behavior=UnitBehavior.TRANSFORM,
-                           transform_dim="time", transform_shift=-1)
-        registry = OperatorRegistry(list(default_registry()) + [ddt])
-        length = UnitSignature.of(length=1)
-        program = WorkflowProgram(
-            nodes=(Node("x0", INPUT_OP, unit=length), Node("n0", "ddt")),
-            edges=(Edge("x0", "n0", 0),),
-            roots=("x0",),
-            output="n0",
-        )
-        analysis = analyze_program(program, registry)
-        assert analysis.unit_checks["n0"] is True
-        assert analysis.units["n0"] == UnitSignature.of(length=1, time=-1)
-
     def test_explicit_tag_overrides_propagation(self):
         length = UnitSignature.of(length=1)
         mass = UnitSignature.of(mass=1)

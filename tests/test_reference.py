@@ -222,7 +222,7 @@ def ref_interpret(program, inputs, registry):
             kind = registry.get(node.op)
             args = [values[inc[nid][k]] for k in range(kind.arity)]
             try:
-                v = _apply(node.op, kind, args)
+                v = _apply(node.op, args)
             except _DomainViolation as exc:
                 return ExecutionTrace(tuple(intermediates), tuple(leaf_values), False, None,
                                       f"{exc.reason} at node {nid!r}")

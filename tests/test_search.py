@@ -280,6 +280,13 @@ class TestExpansionGate:
         assert children == []
         assert optimizer.root.terminal
 
+    def test_terminal_is_derived_and_read_only(self):
+        optimizer, children = self.run_expand([0.7, 0.5])
+        assert children and not optimizer.root.terminal
+        assert not any(child.terminal for child in children)  # not expanded yet
+        with pytest.raises(AttributeError):
+            optimizer.root.terminal = True
+
 
 class TestFullRuns:
     def small_setup(self, seed=42, stages=StageSwitches(), lam=0.5):
@@ -416,7 +423,7 @@ class TestFullRuns:
             output="m2",
         )
         problems = ProblemSet(
-            (Problem(inputs={"x0": 9.0}, expected=6561.0, category="c", constants=(9.0,)),),
+            (Problem(inputs={"x0": 9.0}, expected=6561.0, category="c"),),
             "validation",
         )
         scorer = ConstraintScorer(registry, library=None, category="c")

@@ -1,4 +1,4 @@
-"""Golden digests of the default run.
+"""Golden digests of the default run, the desk-scale runs and the benchmark's workloads.
 
 `test_c6_determinism` compares two runs of one build; these digests hold the
 same artifacts fixed across changes to the code. A refactor must leave them
@@ -7,10 +7,12 @@ says in CHANGES.md which behaviour changed and why.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from wfopt.config import RunConfig
+from wfopt.config import RunConfig, config_from_dict
 from wfopt.constraints import AggregationConfig, ConstraintScorer, ThresholdSchedule
 from wfopt.driver import execute_run
 from wfopt.harness import ProposerConfig, SyntheticEvaluator, SyntheticProposer, make_synthetic_suite
@@ -67,3 +69,51 @@ def test_desk_run_logs_match_golden_digests(tmp_path, seed):
     path = tmp_path / "runlog.ndjson"
     desk_run_log(seed).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_RUNLOGS[seed]
+
+
+def _benchmark_workloads():
+    """`perfbench/workloads.py`, loaded by path: the benchmark is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the saved run log of one seed-42 search of each workload in
+# `perfbench/workloads.py`, computed at commit e367cdf. `edit_heavy` and
+# `wide_scoring` equal the digests that `python3 perfbench/run.py --workload W`
+# prints. `remote_eval` is evaluated in-process here, as the benchmark's
+# cross-check does: the config of the stdio peer names the interpreter's path,
+# so its run log, and the digest the benchmark prints, differ by machine.
+WORKLOAD_RUNLOGS = {
+    "edit_heavy": "a7eed2ed4c6315bb085f8097d102f1e83a0af05b6bc5e3951f1a55f58c764f19",
+    "wide_scoring": "58f595e48e2c19936bf9cf70b800f1589981fc06c7849dfb88db968f07805f41",
+    "remote_eval": "061b2eeab1c8f273b809774e81e85cc1bb1bdc35774e1a2d00c8b064fb2d68f7",
+}
+
+
+def runlog_digest(config, out):
+    execute_run(config_from_dict(config), out)
+    return hashlib.sha256((out / "runlog.ndjson").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_RUNLOGS))
+def test_workload_run_logs_match_golden_digests(tmp_path, workload):
+    config = _benchmark_workloads().run_config(workload, seed=42, in_process=True)
+    assert runlog_digest(config, tmp_path) == WORKLOAD_RUNLOGS[workload]
+
+
+# No run above offers a constant to the proposer. With a palette holding both
+# zeros, a candidate set that merged 0.0 and -0.0 would sample other edits and
+# so change this digest (computed at commit e367cdf).
+PALETTE_CONFIG = {
+    "seed": 42,
+    "budget": {"rounds": 4, "simulations_per_round": 8},
+    "proposer": {"ops": ["add", "sub", "mul", "neg"], "const_palette": [0.0, -0.0, 1.0], "max_operator_nodes": 4},
+}
+PALETTE_RUNLOG = "190549c639fa5e6fc5a2ce8658adf77a02fe34b1c384dba48c32b0bff083d618"
+
+
+def test_const_palette_run_log_matches_golden_digest(tmp_path):
+    assert runlog_digest(PALETTE_CONFIG, tmp_path) == PALETTE_RUNLOG

@@ -13,7 +13,7 @@ of the same two roles are supported through the wire protocol in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (
@@ -114,6 +114,9 @@ class ProposerConfig:
             raise ValueError("max_operator_nodes must be >= 1")
 
 
+_LEAF_OPS = (INPUT_OP, CONST_OP)
+
+
 def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
     out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
     for e in program.edges:
@@ -191,6 +194,12 @@ class SyntheticProposer:
         gets no insertions built at all, since each adds an operator node
         and would fail the size limit; on a dirty base pruning can bring an
         insertion back under it.
+
+        A candidate is built from parts it shares with its base and with the
+        other candidates of that base: the base's own `Node` and `Edge`
+        objects, and tuples of them cut or joined once per base, per edit
+        site or per operator kind. Every candidate is still validated and
+        keyed in full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
@@ -201,15 +210,14 @@ class SyntheticProposer:
             for candidate in candidates:
                 if prune:
                     candidate = _prune_dead(candidate)
-                if len(candidate.operator_nodes()) > max_nodes:
+                if len([n for n in candidate.nodes if n.op not in _LEAF_OPS]) > max_nodes:
                     continue
                 if not validate_program(candidate, registry).ok:
                     continue
-                key = canonical_key(candidate)
-                if key in seen:
-                    continue
-                seen.add(key)
-                results.append(candidate)
+                before = len(seen)
+                seen.add(canonical_key(candidate))
+                if len(seen) > before:
+                    results.append(candidate)
 
         one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
         clean = one_edge_per_slot and _prune_dead(program) is program
@@ -229,71 +237,85 @@ class SyntheticProposer:
         return [n.node_id for n in program.nodes if n.node_id not in blocked]
 
     def _insertions(self, program: WorkflowProgram):
+        """One new operator node on each edge, or above the output, for each
+        kind and choice of operands.
+
+        An insertion's nodes are the base's, then its constant if it has one,
+        then the new node: they depend only on the kind and the constant, so
+        each such tuple is built once per base. Its edges are the base's
+        without the anchor edge (the first one equal to it, as `list.remove`
+        picks), then the new node's operand edges by slot, then the anchor
+        edge re-pointed from the new node: they depend only on the site and
+        the operands, so each such tuple is built once per site and shared by
+        every kind.
+        """
+        nodes, edges, roots = program.nodes, program.edges, program.roots
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
+        op_nodes = {kind.name: nodes + (Node(new_id, kind.name),) for kind in self._ops}
+        # one constant per palette entry, by position: a dict by value would
+        # merge 0.0 and -0.0, which the canonical key tells apart
+        consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
+        const_nodes = {
+            kind.name: [nodes + (const, op_nodes[kind.name][-1]) for const in consts]
+            for kind in self._ops if kind.arity == 2
+        }
+        node_ids = [n.node_id for n in nodes]
+        # the new node's operand edges, by slot and then by operand
+        into = [{nid: Edge(nid, new_id, slot) for nid in (*node_ids, const_id)} for slot in (0, 1)]
         # second operands by anchor; the output site may pair with any node
-        partners_of: dict[Optional[str], list[str]] = {None: [n.node_id for n in program.nodes]}
+        partners_of: dict[Optional[str], list[str]] = {None: node_ids}
         # real edges first, then the virtual edge (None) above the output node
-        for edge in (*program.edges, None):
-            src = edge.src if edge is not None else program.output
-            anchor = edge.dst if edge is not None else None
+        for edge in (*edges, None):
+            if edge is None:
+                src, anchor, kept, repointed, output = program.output, None, edges, (), new_id
+            else:
+                src, anchor, output = edge.src, edge.dst, program.output
+                at = edges.index(edge)
+                kept = edges[:at] + edges[at + 1:]
+                repointed = (Edge(new_id, edge.dst, edge.slot),)
+            unary_edges = kept + (into[0][src],) + repointed
+            pair_edges = const_edges = None
             for kind in self._ops:
                 if kind.arity == 1:
-                    yield self._insert_node(program, edge, kind.name, [src], new_id, const_id)
+                    yield WorkflowProgram(op_nodes[kind.name], unary_edges, roots, output)
                 elif kind.arity == 2:
-                    partners = partners_of.get(anchor)
-                    if partners is None:
-                        partners = partners_of[anchor] = self._second_inputs(program, anchor)
-                    for partner in partners:
-                        yield self._insert_node(program, edge, kind.name, [src, partner], new_id, const_id)
-                        if partner != src:  # [src, src] has one operand order
-                            yield self._insert_node(program, edge, kind.name, [partner, src], new_id, const_id)
-                    for value in self.config.const_palette:
-                        yield self._insert_node(program, edge, kind.name, [src, ("const", value)], new_id, const_id)
-                        yield self._insert_node(program, edge, kind.name, [("const", value), src], new_id, const_id)
-
-    def _insert_node(
-        self,
-        program: WorkflowProgram,
-        edge: Optional[Edge],
-        op: str,
-        operands,
-        new_id: str,
-        const_id: str,
-    ) -> WorkflowProgram:
-        # an insertion has at most one ("const", value) operand
-        nodes = list(program.nodes)
-        edges = list(program.edges)
-        operand_ids = []
-        for operand in operands:
-            if isinstance(operand, tuple):
-                nodes.append(Node(const_id, CONST_OP, value=float(operand[1])))
-                operand_ids.append(const_id)
-            else:
-                operand_ids.append(operand)
-        nodes.append(Node(new_id, op))
-        for slot, operand_id in enumerate(operand_ids):
-            edges.append(Edge(operand_id, new_id, slot))
-        if edge is not None:
-            edges.remove(edge)
-            edges.append(Edge(new_id, edge.dst, edge.slot))
-            output = program.output
-        else:
-            output = new_id
-        return WorkflowProgram(tuple(nodes), tuple(edges), program.roots, output)
+                    if pair_edges is None:
+                        partners = partners_of.get(anchor)
+                        if partners is None:
+                            partners = partners_of[anchor] = self._second_inputs(program, anchor)
+                        pair_edges = []
+                        for partner in partners:
+                            pair_edges.append(kept + (into[0][src], into[1][partner]) + repointed)
+                            if partner != src:  # [src, src] has one operand order
+                                pair_edges.append(kept + (into[0][partner], into[1][src]) + repointed)
+                        const_edges = (
+                            kept + (into[0][src], into[1][const_id]) + repointed,
+                            kept + (into[0][const_id], into[1][src]) + repointed,
+                        )
+                    for kind_edges in pair_edges:
+                        yield WorkflowProgram(op_nodes[kind.name], kind_edges, roots, output)
+                    for with_const in const_nodes[kind.name]:
+                        for kind_edges in const_edges:
+                            yield WorkflowProgram(with_const, kind_edges, roots, output)
 
     def _replacements(self, program: WorkflowProgram):
+        """Each operator node given every other kind of its arity; a node
+        whose id repeats is replaced at every place it occurs."""
+        nodes = program.nodes
         for node in program.operator_nodes():
             arity = self.registry.get(node.op).arity
+            nid = node.node_id
+            places = [i for i, n in enumerate(nodes) if n.node_id == nid]
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
-                nodes = tuple(
-                    replace(n, op=kind.name) if n.node_id == node.node_id else n
-                    for n in program.nodes
-                )
-                yield WorkflowProgram(nodes, program.edges, program.roots, program.output)
+                replaced = list(nodes)
+                for i in places:
+                    n = nodes[i]
+                    replaced[i] = Node(nid, kind.name, n.unit, n.shape, n.value)
+                yield WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
 
     def _deletions(self, program: WorkflowProgram):
         inc = program.incoming()
@@ -314,19 +336,28 @@ class SyntheticProposer:
             yield WorkflowProgram(nodes, tuple(edges), program.roots, output)
 
     def _rewires(self, program: WorkflowProgram):
+        """Each edge given every other source that closes no cycle; every
+        edge equal to it is given the new source too."""
+        nodes, edges = program.nodes, program.edges
+        places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
+        for i, e in enumerate(edges):
+            places.setdefault((e.src, e.dst, e.slot), []).append(i)
         blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
-        for edge in program.edges:
-            blocked = blocked_by.get(edge.dst)
+        for edge in edges:
+            dst, slot = edge.dst, edge.slot
+            blocked = blocked_by.get(dst)
             if blocked is None:
-                blocked = blocked_by[edge.dst] = _descendants(program, edge.dst) | {edge.dst}
-            for node in program.nodes:
+                blocked = blocked_by[dst] = _descendants(program, dst) | {dst}
+            at = places[edge.src, dst, slot]
+            for node in nodes:
                 alt = node.node_id
                 if alt == edge.src or alt in blocked:
                     continue
-                edges = tuple(
-                    Edge(alt, e.dst, e.slot) if e == edge else e for e in program.edges
-                )
-                yield WorkflowProgram(program.nodes, edges, program.roots, program.output)
+                moved = Edge(alt, dst, slot)
+                rewired = list(edges)
+                for i in at:
+                    rewired[i] = moved
+                yield WorkflowProgram(nodes, tuple(rewired), program.roots, program.output)
 
     # -- the proposer role --------------------------------------------------
 

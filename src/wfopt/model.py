@@ -314,15 +314,16 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
 def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[str]:
     """The full structural check behind `validate_program`, in report order.
 
-    One pass over the nodes and one over the edges build every map the checks
-    need, with one arity lookup per operator node. A repeated node id also
-    reports a cycle, because fewer distinct ids than nodes can ever leave the
-    Kahn queue; the reachability check follows every edge, the rejected ones
-    included, as `WorkflowProgram.incoming` does. That check walks the graph
-    only when some violation was already found or some operator takes no
-    operands: otherwise every operator has all its slots filled from real
-    nodes and the graph is acyclic, so walking back from the output must end
-    at a leaf.
+    One pass over the nodes and one over the edges build every map the other
+    checks need, with one arity lookup per operator node. A repeated node id
+    also reports a cycle, because fewer distinct ids than nodes can ever leave
+    the Kahn queue. The reachability check walks the graph only when some
+    violation was already found or some operator takes no operands:
+    otherwise every operator has all its slots filled from real nodes and the
+    graph is acyclic, so walking back from the output must end at a leaf.
+    Only that walk reads the map of every edge into each node, the rejected
+    ones included, as `WorkflowProgram.incoming` builds it; it is built only
+    when the walk runs.
     """
     arities = registry.arities
     roots = program.roots
@@ -365,12 +366,10 @@ def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[st
     violations.extend(node_violations)
 
     slots: dict[str, dict[int, str]] = {}   # the edges that pass the checks below
-    inc: dict[str, dict[int, str]] = {}     # every edge, the last one per slot winning
     indeg = dict.fromkeys(arity, 0)
     out: dict[str, list[str]] = {}
     for edge in program.edges:
         src, dst, slot = edge.src, edge.dst, edge.slot
-        inc.setdefault(dst, {})[slot] = src
         if src not in arity or dst not in arity:
             violations.append(f"edge {src!r}->{dst!r} references a missing node")
             continue
@@ -410,12 +409,15 @@ def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[st
 
     if program.output not in arity:
         violations.append(f"output {program.output!r} is not a node")
-    elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, inc, program.output):
+    elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, program.edges, program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
     return violations
 
 
-def _reaches_leaf(arity: Mapping[str, int], inc: Mapping[str, Mapping[int, str]], nid: str) -> bool:
+def _reaches_leaf(arity: Mapping[str, int], edges: Sequence[Edge], nid: str) -> bool:
+    inc: dict[str, dict[int, str]] = {}  # every edge, the last one per slot winning
+    for edge in edges:
+        inc.setdefault(edge.dst, {})[edge.slot] = edge.src
     stack, seen = [nid], set()
     while stack:
         cur = stack.pop()
@@ -928,7 +930,12 @@ def canonical_key(program: WorkflowProgram) -> tuple:
         index[nid] = -1
         node = nm[nid]
         slot_map = inc.get(nid)
-        children = tuple([visit(slot_map[k]) for k in sorted(slot_map)]) if slot_map else ()
+        if slot_map is None:
+            children = ()
+        elif len(slot_map) == 1:
+            children = (visit(*slot_map.values()),)
+        else:
+            children = tuple([visit(slot_map[k]) for k in sorted(slot_map)])
         op = node.op
         if op == INPUT_OP:
             payload = nid

@@ -8,11 +8,13 @@ only for the edits that can orphan a node. The reference forms below are the
 plain versions they replaced: separate cycle and reachability walks, a
 `repr` of the post-order entry list, a re-sorted ready list walked once per
 input binding, and every candidate pruned, with its cycle-blocking set
-recomputed per operator kind and per edge. The fast forms must give the same
+recomputed per operator kind and per edge, and built by copying the base's
+node and edge lists. The fast forms must give the same
 reports, the same key equalities, the same traces and the same candidates on
 every input, invalid programs included.
 """
 
+import dataclasses
 import math
 import re
 
@@ -243,9 +245,32 @@ def ref_interpret_loop(program, inputs_list, registry):
     return [ref_interpret(program, inputs, registry) for inputs in inputs_list]
 
 
+def ref_insert_node(program, edge, op, operands, new_id, const_id):
+    """One insertion, built by copying the base's node and edge lists."""
+    nodes = list(program.nodes)
+    edges = list(program.edges)
+    operand_ids = []
+    for operand in operands:
+        if isinstance(operand, tuple):
+            nodes.append(Node(const_id, CONST_OP, value=float(operand[1])))
+            operand_ids.append(const_id)
+        else:
+            operand_ids.append(operand)
+    nodes.append(Node(new_id, op))
+    for slot, operand_id in enumerate(operand_ids):
+        edges.append(Edge(operand_id, new_id, slot))
+    if edge is not None:
+        edges.remove(edge)  # the first edge equal to the anchor
+        edges.append(Edge(new_id, edge.dst, edge.slot))
+        output = program.output
+    else:
+        output = new_id
+    return WorkflowProgram(tuple(nodes), tuple(edges), program.roots, output)
+
+
 def ref_insertions(proposer, program):
     """Insertions with the partner list recomputed for every binary kind."""
-    insert = proposer._insert_node
+    insert = ref_insert_node
     new_id = ref_fresh_id(program, "n")
     const_id = ref_fresh_id(program, "c")
     for edge in list(program.edges) + [None]:  # the output site last
@@ -274,8 +299,43 @@ def ref_fresh_id(program, prefix):
     return f"{prefix}{max(numbers, default=-1) + 1}"
 
 
+def ref_replacements(proposer, program):
+    """Each operator node given every other kind of its arity, all nodes copied."""
+    for node in program.operator_nodes():
+        arity = proposer.registry.get(node.op).arity
+        for kind in proposer._ops:
+            if kind.arity != arity or kind.name == node.op:
+                continue
+            nodes = tuple(
+                dataclasses.replace(n, op=kind.name) if n.node_id == node.node_id else n
+                for n in program.nodes
+            )
+            yield WorkflowProgram(nodes, program.edges, program.roots, program.output)
+
+
+def ref_deletions(proposer, program):
+    """Each unary operator node dropped, its consumers fed from its operand."""
+    inc = program.incoming()
+    for node in program.operator_nodes():
+        if proposer.registry.get(node.op).arity != 1:
+            continue
+        source = inc[node.node_id][0]
+        nodes = tuple(n for n in program.nodes if n.node_id != node.node_id)
+        edges = []
+        for e in program.edges:
+            if e.dst == node.node_id:
+                continue
+            if e.src == node.node_id:
+                edges.append(Edge(source, e.dst, e.slot))
+            else:
+                edges.append(e)
+        output = source if program.output == node.node_id else program.output
+        yield WorkflowProgram(nodes, tuple(edges), program.roots, output)
+
+
 def ref_rewires(program):
-    """Rewires with the descendants of an edge's consumer recomputed per edge."""
+    """Rewires with the descendants of an edge's consumer recomputed per edge;
+    every edge equal to the rewired one moves with it."""
     for edge in program.edges:
         blocked = _descendants(program, edge.dst) | {edge.dst}
         for node in program.nodes:
@@ -292,9 +352,9 @@ def ref_enumerate_edits(proposer, program):
     if config.allow_insert:
         generators.append(ref_insertions(proposer, program))
     if config.allow_replace:
-        generators.append(proposer._replacements(program))
+        generators.append(ref_replacements(proposer, program))
     if config.allow_delete:
-        generators.append(proposer._deletions(program))
+        generators.append(ref_deletions(proposer, program))
     if config.allow_rewire:
         generators.append(ref_rewires(program))
     seen = {canonical_key(program)}
@@ -541,15 +601,40 @@ def _two_edges_into_one_slot(program, rng):
     return _replace(program, edges=tuple(edges))
 
 
+def _equal_edges(program, rng):
+    """An invalid base that holds two equal edges: a new copy of one edge, put anywhere."""
+    edge = _pick(rng, program.edges)
+    edges = list(program.edges)
+    edges.insert(int(rng.integers(len(edges) + 1)), Edge(edge.src, edge.dst, edge.slot))
+    return _replace(program, edges=tuple(edges))
+
+
+def _same_raw_candidates(proposer, base):
+    """Each edit kind builds the reference's raw candidates, in its order; the
+    reference insertions also yield [src, src] a second time, right after the first."""
+    ref = list(ref_insertions(proposer, base))
+    ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
+    return (_same_candidates(list(proposer._insertions(base)), ref)
+            and _same_candidates(list(proposer._replacements(base)), list(ref_replacements(proposer, base)))
+            and _same_candidates(list(proposer._deletions(base)), list(ref_deletions(proposer, base)))
+            and _same_candidates(list(proposer._rewires(base)), list(ref_rewires(base))))
+
+
 class TestEnumerateEdits:
-    @pytest.mark.parametrize("ops", [None, ("add", "sub", "mul", "neg")], ids=["all-ops", "ops4"])
-    def test_candidates_match_reference(self, registry, ops):
+    @pytest.mark.parametrize("ops, equal_edges", [
+        (None, False), (("add", "sub", "mul", "neg"), False), (None, True),
+    ], ids=["all-ops", "ops4", "two-equal-edges"])
+    def test_candidates_match_reference(self, registry, ops, equal_edges):
+        # with two equal edges, an insertion on either replaces only the first
+        # (as list.remove does) and a rewire of either moves both
         rng = np.random.default_rng(31)
-        clean = dirty = 0
+        clean = dirty = kept = 0
         for i in range(90):
             base = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
             if i % 2:
                 base = _prune_dead(base)
+            if equal_edges:
+                base = _equal_edges(base, rng)
             if _prune_dead(base) is base:
                 clean += 1
             else:
@@ -557,8 +642,16 @@ class TestEnumerateEdits:
             config = ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
                                     max_operator_nodes=2 + i % 11)
             proposer = SyntheticProposer(registry, config)
-            assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
-        assert clean > 45 and dirty > 20
+            fast = proposer.enumerate_edits(base)
+            assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
+            kept += len(fast)
+            if equal_edges:
+                assert _same_raw_candidates(proposer, base)
+        if equal_edges:
+            # an edit keeps a valid program only where it drops both equal edges
+            assert kept > 0
+        else:
+            assert clean > 45 and dirty > 20
 
     def test_edit_kinds_switched_off(self, registry):
         rng = np.random.default_rng(32)

@@ -210,8 +210,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=15, help="samples per figure")
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--out-dir", type=Path, default=Path("."), help="created, with its parents, if missing")
     args = parser.parse_args()
+    args.out_dir.mkdir(parents=True, exist_ok=True)  # before the timing, so no run is lost to a missing directory
 
     report = {
         "label": args.label,

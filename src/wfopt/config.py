@@ -146,7 +146,8 @@ _SECTIONS = {
     f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig) if f.name not in ("category", "prices")
 }
 
-# list settings -> the type of each entry (None: entries kept as given)
+# list settings -> the type each entry is checked against and converted to
+# (None: entries kept as given)
 _LISTS = {
     ("executor", "command"): str,
     ("suite", "unit_dims"): None,
@@ -185,7 +186,11 @@ def _section(name: str, default, given: object):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name}.{key} must be a list")
         entry = _LISTS[name, key]
-        values[key] = tuple(value) if entry is None else tuple(map(entry, value))
+        if entry is not None:
+            for item in value:
+                _check_type(f"each entry of {name}.{key}", item, entry)
+            value = map(entry, value)
+        values[key] = tuple(value)
     return replace(default, **values)
 
 
@@ -195,6 +200,8 @@ def _prices(given: object) -> PriceMap:
     for role, pair in given.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"prices.{role} must be [input_price, output_price]")
+        for price in pair:
+            _check_type(f"each price of prices.{role}", price, float)
     return PriceMap({str(role): (float(pin), float(pout)) for role, (pin, pout) in given.items()})
 
 

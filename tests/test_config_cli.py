@@ -140,6 +140,31 @@ class TestConfigParsing:
             config_from_dict(data)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"proposer": {"const_palette": [True, "2"]}}, "each entry of proposer.const_palette must be float, got True"),
+            ({"proposer": {"const_palette": [1, "2"]}}, "each entry of proposer.const_palette must be float, got '2'"),
+            ({"proposer": {"ops": [1, 2]}}, "each entry of proposer.ops must be str, got 1"),
+            ({"executor": {"mode": "external", "command": ["python", None]}},
+             "each entry of executor.command must be str, got None"),
+            ({"ablation": {"enabled_stages": [False]}}, "each entry of ablation.enabled_stages must be str, got False"),
+            ({"prices": {"optimizer": [True, "0.5"]}}, "each price of prices.optimizer must be float, got True"),
+            ({"prices": {"executor": [0, "0.5"]}}, "each price of prices.executor must be float, got '0.5'"),
+        ],
+    )
+    def test_list_entry_of_wrong_type_rejected(self, data, message):
+        # a number in a float list or a price is converted, as before; a
+        # true/false, a string or a null is not taken for one
+        with pytest.raises(ConfigError) as raised:
+            config_from_dict(data)
+        assert str(raised.value) == message
+
+    def test_numbers_in_float_lists_become_floats(self):
+        config = config_from_dict({"proposer": {"const_palette": [1, -0.0]}, "prices": {"optimizer": [0, 2]}})
+        assert [repr(v) for v in config.proposer.const_palette] == ["1.0", "-0.0"]
+        assert [repr(v) for v in config.prices.for_role("optimizer")] == ["0.0", "2.0"]
+
     def test_valid_setting_kept_as_given(self):
         data = {"threshold": {"tau0": 1}, "executor": {"address": None}, "category": None, "seed": 7}
         config = config_from_dict(data)

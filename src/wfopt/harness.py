@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .model import (
     CONST_OP,
     INPUT_OP,
+    LEAF_OPS,
     Edge,
     ExecutionTrace,
     Node,
@@ -114,9 +115,6 @@ class ProposerConfig:
             raise ValueError("max_operator_nodes must be >= 1")
 
 
-_LEAF_OPS = (INPUT_OP, CONST_OP)
-
-
 def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
     out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
     for e in program.edges:
@@ -210,7 +208,7 @@ class SyntheticProposer:
             for candidate in candidates:
                 if prune:
                     candidate = _prune_dead(candidate)
-                if len([n for n in candidate.nodes if n.op not in _LEAF_OPS]) > max_nodes:
+                if len([n for n in candidate.nodes if n.op not in LEAF_OPS]) > max_nodes:
                     continue
                 if not validate_program(candidate, registry).ok:
                     continue
@@ -262,8 +260,10 @@ class SyntheticProposer:
             for kind in self._ops if kind.arity == 2
         }
         node_ids = [n.node_id for n in nodes]
-        # the new node's operand edges, by slot and then by operand
-        into = [{nid: Edge(nid, new_id, slot) for nid in (*node_ids, const_id)} for slot in (0, 1)]
+        # the new node's operand edges, by slot and then by operand; the
+        # source of an edge of an invalid base may be no node
+        operands = (*node_ids, *(e.src for e in edges), const_id)
+        into = [{nid: Edge(nid, new_id, slot) for nid in operands} for slot in (0, 1)]
         # second operands by anchor; the output site may pair with any node
         partners_of: dict[Optional[str], list[str]] = {None: node_ids}
         # real edges first, then the virtual edge (None) above the output node

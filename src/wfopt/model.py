@@ -64,6 +64,7 @@ class ShapeRule(str, Enum):
 # Pseudo-operators for leaf nodes; never part of an operator registry.
 INPUT_OP = "input"
 CONST_OP = "const"
+LEAF_OPS = (INPUT_OP, CONST_OP)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class Node:
     value: Optional[float] = None
 
     def is_leaf(self) -> bool:
-        return self.op in (INPUT_OP, CONST_OP)
+        return self.op in LEAF_OPS
 
 
 @dataclass(frozen=True)

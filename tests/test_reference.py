@@ -7,11 +7,11 @@ one topological walk per evaluation request, and a dead-node pruning walk
 only for the edits that can orphan a node. The reference forms below are the
 plain versions they replaced: separate cycle and reachability walks, a
 `repr` of the post-order entry list, a re-sorted ready list walked once per
-input binding, and every candidate pruned, with its cycle-blocking set
-recomputed per operator kind and per edge, and built by copying the base's
-node and edge lists. The fast forms must give the same
-reports, the same key equalities, the same traces and the same candidates on
-every input, invalid programs included.
+input binding, and every candidate built by copying the base's node and edge
+lists and then pruned, with its cycle-blocking set recomputed per operator
+kind and per edge. The fast forms must give the same reports, the same key
+equalities, the same traces and the same candidates on every input, invalid
+programs included.
 """
 
 import dataclasses

@@ -260,9 +260,9 @@ class SyntheticProposer:
             for kind in self._ops if kind.arity == 2
         }
         node_ids = [n.node_id for n in nodes]
-        # the new node's operand edges, by slot and then by operand; the
-        # source of an edge of an invalid base may be no node
-        operands = (*node_ids, *(e.src for e in edges), const_id)
+        # the new node's operand edges, by slot and then by operand; in an
+        # invalid base an edge's source or the output may be no node
+        operands = (*node_ids, *(e.src for e in edges), program.output, const_id)
         into = [{nid: Edge(nid, new_id, slot) for nid in operands} for slot in (0, 1)]
         # second operands by anchor; the output site may pair with any node
         partners_of: dict[Optional[str], list[str]] = {None: node_ids}
@@ -294,11 +294,11 @@ class SyntheticProposer:
                             kept + (into[0][src], into[1][const_id]) + repointed,
                             kept + (into[0][const_id], into[1][src]) + repointed,
                         )
-                    for kind_edges in pair_edges:
-                        yield WorkflowProgram(op_nodes[kind.name], kind_edges, roots, output)
+                    for operand_edges in pair_edges:
+                        yield WorkflowProgram(op_nodes[kind.name], operand_edges, roots, output)
                     for with_const in const_nodes[kind.name]:
-                        for kind_edges in const_edges:
-                            yield WorkflowProgram(with_const, kind_edges, roots, output)
+                        for operand_edges in const_edges:
+                            yield WorkflowProgram(with_const, operand_edges, roots, output)
 
     def _replacements(self, program: WorkflowProgram):
         """Each operator node given every other kind of its arity; a node

@@ -32,13 +32,24 @@ from wfopt.model import (
     Node,
     OperatorKind,
     OperatorRegistry,
+    ProgramAnalysis,
+    Shape,
+    Sign,
+    UnitSignature,
     ValidationReport,
     WorkflowProgram,
     _apply,
+    _check_shape,
+    _check_units,
+    _derive_sign,
     _DomainViolation,
+    _domain_ok,
+    _sign_of,
+    analyze_program,
     canonical_key,
     interpret,
     interpret_all,
+    topological_order,
     validate_program,
 )
 
@@ -202,6 +213,48 @@ def ref_topological_order(program):
     if len(order) != len(program.nodes):
         raise InvalidProgramError("cycle in operator graph")
     return order
+
+
+def ref_analyze_program(program, registry):
+    inc = program.incoming()
+    nm = program.node_map()
+    units = {}
+    shapes = {}
+    signs = {}
+    depths = {}
+    unit_checks = {}
+    type_checks = {}
+
+    for nid in ref_topological_order(program):
+        node = nm[nid]
+        if node.is_leaf():
+            const = node.op == CONST_OP
+            units[nid] = node.unit
+            shapes[nid] = node.shape if node.shape is not None else (Shape.scalar() if const else None)
+            signs[nid] = _sign_of(node.value) if const else Sign.UNKNOWN
+            depths[nid] = 0
+            continue
+        kind = registry.get(node.op)
+        args = [inc[nid][k] for k in range(kind.arity)]
+        depths[nid] = 1 + max(depths[a] for a in args)
+
+        in_units = [units[a] for a in args]
+        derived_unit = None
+        if all(u is not None for u in in_units):
+            unit_checks[nid], derived_unit = _check_units(kind, in_units)
+        units[nid] = node.unit if node.unit is not None else derived_unit
+
+        in_shapes = [shapes[a] for a in args]
+        shape_ok, derived_shape = True, None
+        if all(s is not None for s in in_shapes):
+            shape_ok, derived_shape = _check_shape(kind, in_shapes)
+        shapes[nid] = node.shape if node.shape is not None else derived_shape
+
+        in_signs = [signs[a] for a in args]
+        signs[nid] = _derive_sign(node.op, in_signs)
+        type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
+
+    return ProgramAnalysis(units, shapes, signs, depths[program.output], unit_checks, type_checks)
 
 
 def ref_interpret(program, inputs, registry):
@@ -824,3 +877,143 @@ class TestInterpretAll:
                 ref_interpret_loop(program, [{}], registry)
             with pytest.raises(KeyError, match="frobnicate"):
                 interpret_all(program, [{}], registry)
+
+
+# ---------------------------------------------------------------------------
+# analyze_program, interpret_all and topological_order on any program
+# ---------------------------------------------------------------------------
+
+UNIT_TAGS = [None, UnitSignature.of(), UnitSignature.of(length=1), UnitSignature.of(time=1), UnitSignature.of(length=1, time=-1)]
+SHAPE_TAGS = [None, Shape.scalar(), Shape.vector(2), Shape.vector(3), Shape.matrix(2, 3), Shape.matrix(3, 2)]
+CONST_VALUES = [-2.0, -0.0, 0.0, 0.5, 3.0]
+
+
+def _tagged(program, rng):
+    """A valid program with unit and shape tags on some nodes, and a literal
+    constant in place of some operands."""
+    nodes = list(program.nodes)
+    edges = list(program.edges)
+    for i, edge in enumerate(edges):
+        if rng.random() < 0.25:
+            cid = f"k{i}"
+            nodes.append(Node(cid, CONST_OP, value=_pick(rng, CONST_VALUES)))
+            edges[i] = Edge(cid, edge.dst, edge.slot)
+    nodes = [
+        dataclasses.replace(node, unit=_pick(rng, UNIT_TAGS), shape=_pick(rng, SHAPE_TAGS)) if rng.random() < 0.4 else node
+        for node in nodes
+    ]
+    return _replace(program, nodes=tuple(nodes), edges=tuple(edges))
+
+
+def _slot_twice(program, rng):
+    """A second edge, from a leaf, into a slot that already has one."""
+    if not program.edges:
+        return program
+    edge = _pick(rng, program.edges)
+    src = _pick(rng, [n.node_id for n in program.nodes if n.is_leaf()] or [edge.src])
+    edges = list(program.edges)
+    edges.insert(int(rng.integers(len(edges) + 1)), Edge(src, edge.dst, edge.slot))
+    return _replace(program, edges=tuple(edges))
+
+
+def _missing_slot(program, rng):
+    """One operand edge dropped, leaving its slot empty."""
+    if not program.edges:
+        return program
+    i = int(rng.integers(len(program.edges)))
+    return _replace(program, edges=program.edges[:i] + program.edges[i + 1:])
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _walk_outcomes(program, registry, inputs_list):
+    return (
+        _outcome(topological_order, program),
+        _outcome(analyze_program, program, registry),
+        _outcome(interpret_all, program, inputs_list, registry),
+    )
+
+
+def _ref_walk_outcomes(program, registry, inputs_list):
+    return (
+        _outcome(ref_topological_order, program),
+        _outcome(ref_analyze_program, program, registry),
+        _outcome(ref_interpret_loop, program, inputs_list, registry),
+    )
+
+
+# each names one way a program can break; the walks must break the same way
+MALFORMED = [duplicate_id, _slot_twice, bad_slot, missing_node, bad_node, _missing_slot, cycle,
+             edge_into_leaf, bad_output]
+
+
+class TestWalks:
+    def test_random_tagged_programs_match_reference(self, registry):
+        rng = np.random.default_rng(31)
+        consts = unit_checks = 0
+        for _ in range(300):
+            program = _tagged(random_program(rng, registry), rng)
+            expected = ref_analyze_program(program, registry)
+            assert analyze_program(program, registry) == expected
+            assert topological_order(program) == ref_topological_order(program)
+            inputs_list = _bindings(rng, program, 3)
+            assert interpret_all(program, inputs_list, registry) == ref_interpret_loop(program, inputs_list, registry)
+            consts += any(n.op == CONST_OP for n in program.nodes)
+            unit_checks += len(expected.unit_checks)
+        assert consts > 200 and unit_checks > 200
+
+    @pytest.mark.parametrize("mutate", MALFORMED, ids=lambda m: m.__name__.strip("_"))
+    def test_malformed_programs_match_reference(self, registry, mutate):
+        rng = np.random.default_rng(40 + MALFORMED.index(mutate))
+        changed = 0
+        for _ in range(200):
+            base = _tagged(random_program(rng, registry), rng)
+            program = mutate(base, rng)
+            inputs_list = _bindings(rng, program, 2)
+            expected = _ref_walk_outcomes(program, registry, inputs_list)
+            assert _walk_outcomes(program, registry, inputs_list) == expected
+            changed += expected != _ref_walk_outcomes(base, registry, inputs_list)
+        assert changed > 20
+
+    def test_combined_breakage_matches_reference(self, registry):
+        rng = np.random.default_rng(49)
+        for _ in range(400):
+            program = _tagged(random_program(rng, registry), rng)
+            for _ in range(int(rng.integers(2, 5))):
+                program = _pick(rng, MALFORMED)(program, rng)
+            inputs_list = _bindings(rng, program, 2)
+            if inputs_list and rng.random() < 0.2:
+                inputs_list[-1] = dict(list(inputs_list[-1].items())[1:])  # an unbound root
+            assert _walk_outcomes(program, registry, inputs_list) == _ref_walk_outcomes(program, registry, inputs_list)
+
+    @pytest.mark.parametrize("edges, error", [
+        ((Edge("x0", "n0", 0), Edge("ghost", "n0", 1)), "'ghost'"),
+        ((Edge("x0", "n0", 0), Edge("x0", "ghost", 1)), "'ghost'"),
+        ((Edge("x0", "n0", 0), Edge("x0", "n0", 1), Edge("spook", "ghost", 0)), "'ghost'"),
+    ])
+    def test_edge_to_or_from_a_missing_node_raises_at_once(self, registry, edges, error):
+        program = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("n0", "add")), edges=edges, roots=("x0",), output="n0",
+        )
+        for call in (lambda: topological_order(program), lambda: analyze_program(program, registry),
+                     lambda: interpret_all(program, [], registry)):
+            with pytest.raises(KeyError) as info:
+                call()
+            assert str(info.value) == error
+
+    def test_last_edge_into_a_slot_wins(self, registry):
+        program = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("c0", CONST_OP, value=-4.0), Node("n0", "neg")),
+            edges=(Edge("x0", "n0", 0), Edge("c0", "n0", 0)),
+            roots=("x0",),
+            output="n0",
+        )
+        assert analyze_program(program, registry).signs["n0"] is Sign.POS
+        assert interpret_all(program, [{"x0": 1.0}], registry)[0].output == 4.0
+        assert analyze_program(program, registry) == ref_analyze_program(program, registry)

@@ -354,15 +354,6 @@ class SyntheticRoles:
         return self._evaluator
 
 
-def handle_request(
-    payload: Mapping,
-    registry: Optional[OperatorRegistry] = None,
-    proposer_config: ProposerConfig = ProposerConfig(),
-) -> dict:
-    """Answer one request with freshly built roles."""
-    return SyntheticRoles(registry, proposer_config).handle(payload)
-
-
 def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()) -> None:
     """Answer one JSON request per input line until end of input, with one `SyntheticRoles`."""
     roles = SyntheticRoles(registry, proposer_config)

@@ -5,7 +5,8 @@ fixed order and returns a seeded sample; the synthetic evaluator interprets a
 program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
 exactly. The evaluator interprets every problem of a request in one
-`interpret_all` call, which orders the program once. Remote implementations
+`interpret_all` call, which orders the program and resolves its operands in
+one walk for all of them. Remote implementations
 of the same two roles are supported through the wire protocol in
 :mod:`wfopt.adapter`.
 """

@@ -5,15 +5,17 @@ a set of leaf nodes (named inputs and literal constants). Nodes may carry
 optional unit signatures (dimensional tags) and shape tags used by the static
 constraint checks; the interpreter itself is scalar-valued and deterministic.
 
-The static checks share one topological walk per program: `analyze_program`
-propagates unit signatures, shapes, value signs and depth together, and
-`derive_state` folds its per-operator verdicts into the `WorkflowState` the
-constraint scores read. `validate_program` builds its maps in one pass over
-the nodes and one over the edges, with one arity lookup per operator node in
-the map each `OperatorRegistry` builds once, and walks back from the output
-for reachability only when the other checks leave that in doubt.
-`canonical_key` returns a flat tuple, and `interpret_all` orders a program
-once for a whole list of input bindings. Every map over a program is
+`analyze_program` and `interpret_all` each make one `_ordered` walk, which
+orders a program and resolves every node's operand slots from one pass over
+the nodes and one over the edges. `analyze_program` propagates unit
+signatures, shapes, value signs and depth, and `derive_state` folds its
+per-operator verdicts into the `WorkflowState` the constraint scores read;
+`interpret_all` walks once for a whole list of input bindings.
+`validate_program` builds its own maps in one pass over the nodes and one
+over the edges, with one arity lookup per operator node in the map each
+`OperatorRegistry` builds once, and walks back from the output for
+reachability only when the other checks leave that in doubt.
+`canonical_key` returns a flat tuple. Every map over a program is
 transient. The one fact kept on a program is its validation verdict: a
 program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
@@ -237,6 +239,8 @@ class WorkflowProgram:
     output: str
 
     def node_map(self) -> dict[str, Node]:
+        # no caller in the package since `_ordered` indexes the nodes; the
+        # tests' reference forms read it, and the benchmark tracer counts it
         return {n.node_id: n for n in self.nodes}
 
     def incoming(self) -> dict[str, dict[int, str]]:
@@ -437,20 +441,33 @@ def topological_order(program: WorkflowProgram) -> list[str]:
     The ready set is a heap of declaration indices, so the order is the
     lexicographically smallest topological order by index.
     """
+    return [node.node_id for node, _ in _ordered(program)]
+
+
+def _ordered(program: WorkflowProgram) -> list[tuple[Node, dict[int, str]]]:
+    """Each node with its operand slots (slot -> operand id), in `topological_order`.
+
+    The last edge into a slot wins, and an edge from or to a missing node
+    raises `KeyError`. A repeated id indexes its last node only, so the
+    earlier one is never ready and the walk reports a cycle. The list is
+    whole before it is returned, so a cycle raises before any node is read.
+    """
     nodes = program.nodes
     index = {n.node_id: i for i, n in enumerate(nodes)}
     indeg = [0] * len(nodes)
     out: list[list[int]] = [[] for _ in nodes]
+    slots: list[dict[int, str]] = [{} for _ in nodes]
     for e in program.edges:
         dst = index[e.dst]
-        indeg[dst] += 1
         out[index[e.src]].append(dst)
+        indeg[dst] += 1
+        slots[dst][e.slot] = e.src
     ready = [i for i in index.values() if not indeg[i]]
     heapq.heapify(ready)
-    order: list[str] = []
+    order: list[tuple[Node, dict[int, str]]] = []
     while ready:
         i = heapq.heappop(ready)
-        order.append(nodes[i].node_id)
+        order.append((nodes[i], slots[i]))
         for nxt in out[i]:
             indeg[nxt] -= 1
             if not indeg[nxt]:
@@ -477,7 +494,7 @@ class ProgramAnalysis:
 
 
 def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ProgramAnalysis:
-    """Propagate units, shapes, signs and depth in a single topological walk.
+    """Propagate units, shapes, signs and depth in one `_ordered` walk.
 
     Explicit unit and shape tags on a node seed and override what propagation
     derives. An operator's unit check runs once all its input units are
@@ -486,8 +503,6 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
     its domain rule.
     """
     registry = registry or default_registry()
-    inc = program.incoming()
-    nm = program.node_map()
     units: dict[str, Optional[UnitSignature]] = {}
     shapes: dict[str, Optional[Shape]] = {}
     signs: dict[str, Sign] = {}
@@ -495,8 +510,8 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
     unit_checks: dict[str, bool] = {}
     type_checks: dict[str, bool] = {}
 
-    for nid in topological_order(program):
-        node = nm[nid]
+    for node, slots in _ordered(program):
+        nid = node.node_id
         if node.is_leaf():
             const = node.op == CONST_OP
             units[nid] = node.unit
@@ -505,7 +520,7 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
             depths[nid] = 0
             continue
         kind = registry.get(node.op)
-        args = [inc[nid][k] for k in range(kind.arity)]
+        args = [slots[k] for k in range(kind.arity)]
         depths[nid] = 1 + max(depths[a] for a in args)
 
         in_units = [units[a] for a in args]
@@ -743,29 +758,24 @@ def interpret_all(
 ) -> list[ExecutionTrace]:
     """`interpret` the program once per input binding, in order.
 
-    The program is put in topological order and each operator's operands are
-    resolved once for all bindings. A node that cannot be resolved (unknown
-    operator, missing slot, literal without a value) raises its error only
-    when a binding reaches it, as a per-binding walk would.
+    One `_ordered` walk puts the program in topological order and resolves
+    each operator's operands once for all bindings. A node that cannot be
+    resolved (unknown operator, missing slot, literal without a value)
+    raises its error only when a binding reaches it, as a per-binding walk
+    would; a cycle or an edge to a missing node raises at once.
     """
     registry = registry or default_registry()
-    inc = program.incoming()
-    nm = program.node_map()
     steps: list[tuple] = []   # (node id, op, literal value, operand ids)
     unresolved: Optional[Exception] = None
-    for nid in topological_order(program):
-        node = nm[nid]
+    for node, slots in _ordered(program):
+        op = node.op
         try:
-            if node.op == INPUT_OP:
-                steps.append((nid, INPUT_OP, None, ()))
-            elif node.op == CONST_OP:
-                steps.append((nid, CONST_OP, float(node.value), ()))  # type: ignore[arg-type]
-            else:
-                kind = registry.get(node.op)
-                steps.append((nid, node.op, None, tuple(inc[nid][k] for k in range(kind.arity))))
+            literal = float(node.value) if op == CONST_OP else None  # type: ignore[arg-type]
+            operands = () if op in LEAF_OPS else tuple(slots[k] for k in range(registry.get(op).arity))
         except (KeyError, TypeError, ValueError) as exc:
             unresolved = exc
             break
+        steps.append((node.node_id, op, literal, operands))
     return [_run_steps(steps, unresolved, program.output, inputs) for inputs in inputs_list]
 
 
@@ -792,6 +802,8 @@ def _run_steps(
         else:
             try:
                 v = _apply(op, [values[a] for a in operands])
+                if not math.isfinite(v):
+                    raise _DomainViolation("non-finite result")
             except _DomainViolation as exc:
                 return ExecutionTrace(
                     values=tuple(intermediates),
@@ -799,14 +811,6 @@ def _run_steps(
                     success=False,
                     output=None,
                     violation=f"{exc.reason} at node {nid!r}",
-                )
-            if not math.isfinite(v):
-                return ExecutionTrace(
-                    values=tuple(intermediates),
-                    input_constants=tuple(leaf_values),
-                    success=False,
-                    output=None,
-                    violation=f"non-finite result at node {nid!r}",
                 )
             intermediates.append(v)
         values[nid] = v

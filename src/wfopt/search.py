@@ -280,9 +280,10 @@ class Optimizer:
             return 0.0, dict(
                 round=round_index, node_id=node.node_id, C_total=node.compliance, reward=0.0, failure=str(exc)
             )
-        # a remote reward outside [0, 1] is rejected by the adapter; this
-        # bounds an evaluator passed in through the library API
-        reward = min(1.0, max(0.0, reward))
+        # the adapter rejects a remote reward outside [0, 1]; a library-API
+        # evaluator's is bounded here: NaN, negatives and -0.0 give 0.0, and
+        # anything above 1, +inf included, gives 1.0
+        reward = 1.0 if reward > 1.0 else float(reward) if reward > 0.0 else 0.0
         if self.stages.simulation:
             node.scores = self.scorer.with_magnitude(node.scores, traces)
             node.compliance = self.scorer.total(node.scores, self.weights)
@@ -371,6 +372,18 @@ class Optimizer:
 
     def best_program(self) -> WorkflowProgram:
         """Highest mean simulated reward; ties favor compliance, then age."""
+        return self._best_node().program
+
+    def best_node_stats(self) -> dict:
+        node = self._best_node()
+        return {
+            "node_id": node.node_id,
+            "mean_reward": node.mean_reward,
+            "simulations": node.own_simulations,
+            "compliance": node.compliance,
+        }
+
+    def _best_node(self) -> SearchNode:
         best = self.root
         best_key = (-1.0, -1.0, 0)
         for node in self._walk():
@@ -379,19 +392,7 @@ class Optimizer:
             key = (node.mean_reward, node.compliance, -node.created_index)
             if key > best_key:
                 best, best_key = node, key
-        return best.program
-
-    def best_node_stats(self) -> dict:
-        program = self.best_program()
-        for node in self._walk():
-            if node.program is program:
-                return {
-                    "node_id": node.node_id,
-                    "mean_reward": node.mean_reward,
-                    "simulations": node.own_simulations,
-                    "compliance": node.compliance,
-                }
-        return {}
+        return best
 
     def _walk(self):
         stack = [self.root]

@@ -17,7 +17,6 @@ from wfopt.adapter import (
     HttpTransport,
     StdioTransport,
     SyntheticRoles,
-    handle_request,
     problem_to_dict,
     serve_stdio,
     trace_from_dict,
@@ -54,10 +53,8 @@ class TestHandleRequest:
     def test_propose_matches_synthetic(self, registry):
         program = binary("add", "input", "input")
         config = ProposerConfig(ops=("add", "mul", "neg"))
-        response = handle_request(
-            {"kind": "propose", "program": program_to_dict(program), "params": {"count": 5, "seed": 9}},
-            registry,
-            config,
+        response = SyntheticRoles(registry, config).handle(
+            {"kind": "propose", "program": program_to_dict(program), "params": {"count": 5, "seed": 9}}
         )
         local, _ = SyntheticProposer(registry, config).propose(program, 5, np.random.default_rng(9))
         from wfopt.model import program_from_dict
@@ -68,22 +65,20 @@ class TestHandleRequest:
 
     def test_evaluate_matches_synthetic(self, registry):
         program = binary("add", "input", "input")
-        response = handle_request(
+        response = SyntheticRoles(registry).handle(
             {
                 "kind": "evaluate",
                 "program": program_to_dict(program),
                 "params": {"problems": [problem_to_dict(p) for p in PROBLEMS.problems]},
-            },
-            registry,
+            }
         )
         local_reward, local_traces, _ = SyntheticEvaluator(PROBLEMS, registry).evaluate(program)
         assert response["reward"] == local_reward == 1.0
         assert [trace_from_dict(t) for t in response["traces"]] == local_traces
 
     def test_unknown_kind_reports_error(self, registry):
-        response = handle_request(
-            {"kind": "destroy", "program": program_to_dict(binary("add", "input", "input"))},
-            registry,
+        response = SyntheticRoles(registry).handle(
+            {"kind": "destroy", "program": program_to_dict(binary("add", "input", "input"))}
         )
         assert "error" in response
 
@@ -102,7 +97,7 @@ class TestHandleRequest:
         class _Recorder:
             def request(self, payload):
                 sent.append(json.loads(json.dumps(payload)))
-                return handle_request(payload, registry)
+                return SyntheticRoles(registry).handle(payload)
 
         reward, _, _ = ExternalEvaluator(_Recorder(), PROBLEMS).evaluate(binary("add", "input", "input"))
         assert reward == 1.0
@@ -117,7 +112,7 @@ class TestHandleRequest:
         older = json.loads(json.dumps(request))
         for entry in older["params"]["problems"]:
             entry["constants"] = list(entry["inputs"].values())
-        assert handle_request(older, registry) == handle_request(request, registry)
+        assert SyntheticRoles(registry).handle(older) == SyntheticRoles(registry).handle(request)
 
 
 GOOD_TRACE = {"values": [5.0], "inputs": [2.0, 3.0], "success": True, "output": 5.0, "violation": None}
@@ -296,7 +291,7 @@ print(json.dumps({"evaluated": evaluated, "loaded": loaded, "proposed": roles.ha
 
 class TestSyntheticRoles:
     def test_kept_roles_answer_as_fresh_ones(self, registry, monkeypatch):
-        """One stdio server's responses are byte-identical to a fresh `handle_request` for each request."""
+        """One stdio server's responses are byte-identical to a fresh `SyntheticRoles` for each request."""
         config = ProposerConfig(ops=("add", "mul", "neg", "sqrt"), max_operator_nodes=3)
         other = (
             Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c"),
@@ -325,7 +320,7 @@ class TestSyntheticRoles:
 
         def fresh(payload):
             try:
-                return handle_request(payload, registry, config)
+                return SyntheticRoles(registry, config).handle(payload)
             except Exception as exc:
                 return {"error": str(exc)}
 
@@ -350,7 +345,7 @@ class TestSyntheticRoles:
         assert proc.returncode == 0, proc.stderr
         answer = json.loads(proc.stdout)
         assert answer["loaded"] == []
-        assert answer["evaluated"] == handle_request(requests[0], registry)
+        assert answer["evaluated"] == SyntheticRoles(registry).handle(requests[0])
         local, usage = SyntheticProposer(registry).propose(program, 5, np.random.default_rng(9))
         assert answer["proposed"]["candidates"] == [program_to_dict(p) for p in local]
         assert answer["proposed"]["usage"] == {"prompt_tokens": usage.prompt_tokens,
@@ -473,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        response = handle_request(payload, default_registry())
+        response = SyntheticRoles(default_registry()).handle(payload)
         body = json.dumps(response).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from wfopt import model
-from wfopt.harness import SyntheticProposer
+from wfopt.harness import Problem, ProblemSet, SyntheticEvaluator, SyntheticProposer
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -311,6 +311,43 @@ class TestInterpret:
             g.add_nodes_from(index)
             g.add_edges_from((e.src, e.dst) for e in program.edges)
             assert topological_order(program) == list(nx.lexicographical_topological_sort(g, key=index.__getitem__))
+
+
+class TestOneWalk:
+    """Scoring and evaluating a program each walk it once, through `_ordered`."""
+
+    def test_derive_state_and_evaluate_each_walk_once(self, registry, monkeypatch):
+        program = random_program(np.random.default_rng(8), registry)
+        problems = ProblemSet(
+            tuple(Problem({rid: float(i - 1) for rid in program.roots}, 0.0, "c") for i in range(3)), "validation"
+        )
+
+        def copy():  # an equal program that has not passed validation yet
+            return WorkflowProgram(program.nodes, program.edges, program.roots, program.output)
+
+        expected_state = derive_state(copy(), registry)
+        expected_reward, expected_traces, _ = SyntheticEvaluator(problems, registry).evaluate(copy())
+
+        walks = []
+        ordered = model._ordered
+
+        def counted(walked):
+            walks.append(walked)
+            return ordered(walked)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a traversal outside the shared walk")
+
+        monkeypatch.setattr(model, "_ordered", counted)
+        monkeypatch.setattr(model.WorkflowProgram, "incoming", forbidden)
+        monkeypatch.setattr(model.WorkflowProgram, "node_map", forbidden)
+        monkeypatch.setattr(model, "topological_order", forbidden)
+        fresh = copy()
+        assert derive_state(fresh, registry) == expected_state
+        assert len(walks) == 1 and walks[0] is fresh
+        reward, traces, _ = SyntheticEvaluator(problems, registry).evaluate(fresh)
+        assert (reward, traces) == (expected_reward, expected_traces)
+        assert len(walks) == 2 and walks[1] is fresh
 
 
 class TestAnalyses:

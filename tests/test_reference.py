@@ -1,17 +1,19 @@
 """The fast program checks against straightforward reference implementations.
 
-`validate_program`, `canonical_key`, `interpret_all` and
-`SyntheticProposer.enumerate_edits` are written for speed: one pass over the
-nodes and edges, a reachability walk only when it can fail, a flat tuple key,
-one topological walk per evaluation request, and a dead-node pruning walk
-only for the edits that can orphan a node. The reference forms below are the
-plain versions they replaced: separate cycle and reachability walks, a
-`repr` of the post-order entry list, a re-sorted ready list walked once per
-input binding, and every candidate built by copying the base's node and edge
+`validate_program`, `canonical_key`, `topological_order`,
+`analyze_program`, `interpret_all` and `SyntheticProposer.enumerate_edits`
+are written for speed: one pass over the nodes and edges, a reachability walk
+only when it can fail, a flat tuple key, one walk that orders a program and
+resolves its operands together for each analysis or evaluation request, and
+a dead-node pruning walk only for the edits that can orphan a node. The
+reference forms below are the plain versions they replaced: separate cycle
+and reachability walks, a `repr` of the post-order entry list, a re-sorted
+ready list walked once per input binding with the program's `incoming()` and
+`node_map()`, and every candidate built by copying the base's node and edge
 lists and then pruned, with its cycle-blocking set recomputed per operator
 kind and per edge. The fast forms must give the same reports, the same key
-equalities, the same traces and the same candidates on every input, invalid
-programs included.
+equalities, the same analyses, the same traces, the same errors and the same
+candidates on every input, invalid programs included.
 """
 
 import dataclasses

@@ -463,6 +463,33 @@ class TestFullRuns:
         for record in failures:
             assert record["reward"] == 0.0
 
+    def test_rewards_outside_the_unit_interval_are_clamped(self):
+        """NaN, negative values and -0.0 log 0.0; above 1, +inf included, logs 1.0."""
+        rewards = [math.nan, -0.0, -1, 1.5, math.inf, 0.5]
+        clamped = [0.0, 0.0, 0.0, 1.0, 1.0, 0.5]
+
+        class _WildEvaluator:
+            calls = 0
+
+            def evaluate(self, program):
+                self.calls += 1
+                return rewards[(self.calls - 1) % len(rewards)], [], TokenRecord("executor", 5, 5, f"exe-{self.calls}")
+
+        suite, proposer, _, scorer = self.small_setup()
+        optimizer = Optimizer(
+            suite.initial_program, proposer, _WildEvaluator(), scorer,
+            budget=SearchBudget(rounds=2, simulations_per_round=3, seed=5),
+        )
+        optimizer.run()
+        records = optimizer.log.by_event("simulated")
+        assert len(records) > len(rewards)
+        for i, record in enumerate(records):
+            reward = record["reward"]
+            assert reward == clamped[i % len(rewards)] and type(reward) is float
+            assert math.copysign(1.0, reward) == 1.0
+            if i:
+                assert record["credit"] == reward * record["C_total"]
+
     def test_motif_refinement_fires_on_schedule(self):
         registry = default_registry()
         from wfopt.motifs import init_templates

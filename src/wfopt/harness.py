@@ -6,9 +6,8 @@ program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
 exactly. The evaluator interprets every problem of a request in one
 `interpret_all` call, which orders the program and resolves its operands in
-one walk for all of them. Remote implementations
-of the same two roles are supported through the wire protocol in
-:mod:`wfopt.adapter`.
+one walk for all of them. Remote implementations of the same two roles are
+supported through the wire protocol in :mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations

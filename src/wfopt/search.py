@@ -281,9 +281,9 @@ class Optimizer:
                 round=round_index, node_id=node.node_id, C_total=node.compliance, reward=0.0, failure=str(exc)
             )
         # the adapter rejects a remote reward outside [0, 1]; a library-API
-        # evaluator's is bounded here: NaN, negatives and -0.0 give 0.0, and
-        # anything above 1, +inf included, gives 1.0
-        reward = 1.0 if reward > 1.0 else float(reward) if reward > 0.0 else 0.0
+        # evaluator's is bounded here: NaN fails `> 0.0` and so gives 0.0, as
+        # do negatives and -0.0, and anything above 1, +inf included, gives 1.0
+        reward = min(float(reward), 1.0) if reward > 0.0 else 0.0
         if self.stages.simulation:
             node.scores = self.scorer.with_magnitude(node.scores, traces)
             node.compliance = self.scorer.total(node.scores, self.weights)

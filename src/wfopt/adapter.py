@@ -21,7 +21,9 @@ that does not decode as a program or carries a bad usage count raises
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
 `SyntheticRoles` for its lifetime and loads numpy only for its first
-propose request, so an evaluate-only peer starts without it.
+propose request, so an evaluate-only peer starts without it. It validates
+each request's program before either role sees it, and answers an invalid
+one with ``{"error": "invalid program: <violations>"}``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .model import (
     default_registry,
     program_from_dict,
     program_to_dict,
+    validate_program,
 )
 
 if TYPE_CHECKING:
@@ -322,9 +325,18 @@ class SyntheticRoles:
         self._reusable = False
 
     def handle(self, payload: Mapping) -> dict:
+        """Answer one request. A program that fails `validate_program`
+        against this object's registry gets an in-band error, and neither
+        role sees it; one that passes is remembered as valid for that
+        registry, which lets the proposer check its edits edit by edit."""
         kind = payload.get("kind")
         program = program_from_dict(payload["program"])
         params = payload.get("params", {})
+        if kind not in ("propose", "evaluate"):
+            return {"error": f"unknown request kind {kind!r}"}
+        report = validate_program(program, self.registry)
+        if not report.ok:
+            return {"error": "invalid program: " + "; ".join(report.violations)}
         if kind == "propose":
             import numpy as np  # here, not at module level: an evaluate-only peer starts without it
 
@@ -334,14 +346,12 @@ class SyntheticRoles:
                 "candidates": [program_to_dict(c) for c in candidates],
                 "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
             }
-        if kind == "evaluate":
-            reward, traces, usage = self._evaluator_for(params["problems"]).evaluate(program)
-            return {
-                "reward": reward,
-                "traces": [trace_to_dict(t) for t in traces],
-                "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
-            }
-        return {"error": f"unknown request kind {kind!r}"}
+        reward, traces, usage = self._evaluator_for(params["problems"]).evaluate(program)
+        return {
+            "reward": reward,
+            "traces": [trace_to_dict(t) for t in traces],
+            "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
+        }
 
     def _evaluator_for(self, problem_dicts: list) -> SyntheticEvaluator:
         if not self._reusable or problem_dicts != self._problem_dicts:

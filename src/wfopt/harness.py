@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from .edits import DELETE, INSERT, REPLACE, REWIRE, EditBase, ProgramEdit, carry_edit
 from .model import (
     CONST_OP,
     INPUT_OP,
@@ -116,13 +117,16 @@ class ProposerConfig:
 
 
 def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
+    """Every node `nid` feeds, directly or not, along edges between nodes the
+    program has; an edge from or to a missing node leads nowhere."""
     out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
     for e in program.edges:
-        out[e.src].append(e.dst)
+        if e.src in out and e.dst in out:
+            out[e.src].append(e.dst)
     stack, seen = [nid], set()
     while stack:
         cur = stack.pop()
-        for nxt in out[cur]:
+        for nxt in out.get(cur, ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -196,45 +200,56 @@ class SyntheticProposer:
         A candidate is built from parts it shares with its base and with the
         other candidates of that base: the base's own `Node` and `Edge`
         objects, and tuples of them cut or joined once per base, per edit
-        site or per operator kind. Every candidate is still validated and
-        keyed in full.
+        site or per operator kind. On a clean base that already passed
+        `validate_program` against this proposer's registry object, each
+        candidate also carries its edit (`edits.ProgramEdit`) over maps of
+        the base built once (`edits.EditBase`). Its `validate_program` call
+        then checks only what the edit introduced, and its `canonical_key`
+        call walks the base's maps with the edit's changes and drops the
+        record. A candidate of any other base is validated and keyed in full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
         max_nodes = self.config.max_operator_nodes
         registry = self.registry
-
-        def emit(candidates, prune: bool) -> None:
-            for candidate in candidates:
-                if prune:
-                    candidate = _prune_dead(candidate)
-                if len([n for n in candidate.nodes if n.op not in LEAF_OPS]) > max_nodes:
-                    continue
-                if not validate_program(candidate, registry).ok:
-                    continue
-                before = len(seen)
-                seen.add(canonical_key(candidate))
-                if len(seen) > before:
-                    results.append(candidate)
-
-        one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
-        clean = one_edge_per_slot and _prune_dead(program) is program
-        if self.config.allow_insert and not (clean and len(program.operator_nodes()) >= max_nodes):
-            emit(self._insertions(program), not clean)
-        if self.config.allow_replace:
-            emit(self._replacements(program), not clean)
-        if self.config.allow_delete:
-            emit(self._deletions(program), not clean)
-        if self.config.allow_rewire:
-            emit(self._rewires(program), True)
+        for candidate in self._candidates(program):
+            if len([n for n in candidate.nodes if n.op not in LEAF_OPS]) > max_nodes:
+                continue
+            if not validate_program(candidate, registry).ok:
+                continue
+            before = len(seen)
+            seen.add(canonical_key(candidate))
+            if len(seen) > before:
+                results.append(candidate)
         return results
 
-    def _second_inputs(self, program: WorkflowProgram, below: str) -> list[str]:
-        """Candidate extra operands: any node that cannot close a cycle through `below`."""
-        blocked = _descendants(program, below) | {below}
-        return [n.node_id for n in program.nodes if n.node_id not in blocked]
+    def _candidates(self, program: WorkflowProgram):
+        """Every candidate `enumerate_edits` checks, in its order: pruned of
+        dead nodes where an edit can leave one, and carrying its edit record
+        where the base allows one."""
+        config = self.config
+        one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
+        clean = one_edge_per_slot and _prune_dead(program) is program
+        base = EditBase.of(program, self.registry) if clean else None
+        sources = []
+        if config.allow_insert and not (clean and len(program.operator_nodes()) >= config.max_operator_nodes):
+            sources.append((self._insertions(program, base), not clean))
+        if config.allow_replace:
+            sources.append((self._replacements(program, base), not clean))
+        if config.allow_delete:
+            sources.append((self._deletions(program, base), not clean))
+        if config.allow_rewire:
+            sources.append((self._rewires(program, base), True))
+        for candidates, prune in sources:
+            for candidate in candidates:
+                if prune:
+                    pruned = _prune_dead(candidate)
+                    if pruned is not candidate:
+                        carry_edit(candidate, pruned)
+                    candidate = pruned
+                yield candidate
 
-    def _insertions(self, program: WorkflowProgram):
+    def _insertions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """One new operator node on each edge, or above the output, for each
         kind and choice of operands.
 
@@ -245,7 +260,8 @@ class SyntheticProposer:
         picks), then the new node's operand edges by slot, then the anchor
         edge re-pointed from the new node: they depend only on the site and
         the operands, so each such tuple is built once per site and shared by
-        every kind.
+        every kind. With `base`, each insertion carries its edit record; the
+        operand lists it sets are shared the same way.
         """
         nodes, edges, roots = program.nodes, program.edges, program.roots
         # every insertion into this base adds the same fresh ids
@@ -264,8 +280,21 @@ class SyntheticProposer:
         # invalid base an edge's source or the output may be no node
         operands = (*node_ids, *(e.src for e in edges), program.output, const_id)
         into = [{nid: Edge(nid, new_id, slot) for nid in operands} for slot in (0, 1)]
-        # second operands by anchor; the output site may pair with any node
+        # by anchor: the anchor and its descendants, which no operand of the
+        # new node may be, and the other nodes, its second operands; the
+        # output site (None) feeds nothing, so any node may pair with it
+        blocked_of: dict[Optional[str], set[str]] = {None: set()}
         partners_of: dict[Optional[str], list[str]] = {None: node_ids}
+        fresh_ids = {len(nodes) + 1: (new_id,), len(nodes) + 2: (new_id, const_id)}
+        binary = any(kind.arity == 2 for kind in self._ops)
+
+        def choice(site, *args: str):
+            """One choice of the new node's operands at a site: the operand
+            ids, the edges, and the operand lists its edit record sets."""
+            kept, repointed, refed = site
+            edges_in = tuple(into[slot][a] for slot, a in enumerate(args))
+            return args, kept + edges_in + repointed, None if base is None else {new_id: args, **refed}
+
         # real edges first, then the virtual edge (None) above the output node
         for edge in (*edges, None):
             if edge is None:
@@ -275,34 +304,49 @@ class SyntheticProposer:
                 at = edges.index(edge)
                 kept = edges[:at] + edges[at + 1:]
                 repointed = (Edge(new_id, edge.dst, edge.slot),)
-            unary_edges = kept + (into[0][src],) + repointed
-            pair_edges = const_edges = None
+            blocked = blocked_of.get(anchor)
+            if blocked is None and (base is not None or binary):
+                blocked = blocked_of[anchor] = _descendants(program, anchor) | {anchor}
+            refed: dict[str, tuple[str, ...]] = {}  # the anchor, fed from the new node
+            if base is not None and edge is not None:
+                args = list(base.operands[anchor])
+                args[edge.slot] = new_id
+                refed[anchor] = tuple(args)
+            site = (kept, repointed, refed)
+            unary = choice(site, src)
+            pairs = with_const = None
             for kind in self._ops:
                 if kind.arity == 1:
-                    yield WorkflowProgram(op_nodes[kind.name], unary_edges, roots, output)
+                    built = ((op_nodes[kind.name], unary),)
                 elif kind.arity == 2:
-                    if pair_edges is None:
+                    if pairs is None:
                         partners = partners_of.get(anchor)
                         if partners is None:
-                            partners = partners_of[anchor] = self._second_inputs(program, anchor)
-                        pair_edges = []
+                            partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
+                        pairs = []
                         for partner in partners:
-                            pair_edges.append(kept + (into[0][src], into[1][partner]) + repointed)
+                            pairs.append(choice(site, src, partner))
                             if partner != src:  # [src, src] has one operand order
-                                pair_edges.append(kept + (into[0][partner], into[1][src]) + repointed)
-                        const_edges = (
-                            kept + (into[0][src], into[1][const_id]) + repointed,
-                            kept + (into[0][const_id], into[1][src]) + repointed,
-                        )
-                    for operand_edges in pair_edges:
-                        yield WorkflowProgram(op_nodes[kind.name], operand_edges, roots, output)
-                    for with_const in const_nodes[kind.name]:
-                        for operand_edges in const_edges:
-                            yield WorkflowProgram(with_const, operand_edges, roots, output)
+                                pairs.append(choice(site, partner, src))
+                        with_const = (choice(site, src, const_id), choice(site, const_id, src))
+                    built = [(op_nodes[kind.name], pair) for pair in pairs]
+                    built += [(node_tuple, pair) for node_tuple in const_nodes[kind.name] for pair in with_const]
+                else:
+                    continue
+                for node_tuple, (args, operand_edges, set_operands) in built:
+                    candidate = WorkflowProgram(node_tuple, operand_edges, roots, output)
+                    if base is not None:
+                        ProgramEdit(
+                            INSERT, base, output, set_operands, args, blocked,
+                            node_tuple[len(nodes):], fresh_ids[len(node_tuple)],
+                            anchor=None if edge is None else (anchor, edge.slot),
+                        ).attach(candidate)
+                    yield candidate
 
-    def _replacements(self, program: WorkflowProgram):
+    def _replacements(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each operator node given every other kind of its arity; a node
-        whose id repeats is replaced at every place it occurs."""
+        whose id repeats is replaced at every place it occurs. With `base`,
+        each carries its edit record."""
         nodes = program.nodes
         for node in program.operator_nodes():
             arity = self.registry.get(node.op).arity
@@ -315,29 +359,49 @@ class SyntheticProposer:
                 for i in places:
                     n = nodes[i]
                     replaced[i] = Node(nid, kind.name, n.unit, n.shape, n.value)
-                yield WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
+                candidate = WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
+                if base is not None:
+                    ProgramEdit(REPLACE, base, program.output, {}, nodes=(replaced[places[0]],)).attach(candidate)
+                yield candidate
 
-    def _deletions(self, program: WorkflowProgram):
+    def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
+        """Each unary operator node with an operand dropped, its consumers fed
+        from that operand; an unfed one has no deletion. With `base`, each
+        carries its edit record."""
         inc = program.incoming()
         for node in program.operator_nodes():
             if self.registry.get(node.op).arity != 1:
                 continue
-            source = inc[node.node_id][0]
-            nodes = tuple(n for n in program.nodes if n.node_id != node.node_id)
+            nid = node.node_id
+            source = inc[nid].get(0)
+            if source is None:
+                continue
+            nodes = tuple(n for n in program.nodes if n.node_id != nid)
             edges = []
             for e in program.edges:
-                if e.dst == node.node_id:
+                if e.dst == nid:
                     continue
-                if e.src == node.node_id:
+                if e.src == nid:
                     edges.append(Edge(source, e.dst, e.slot))
                 else:
                     edges.append(e)
-            output = source if program.output == node.node_id else program.output
-            yield WorkflowProgram(nodes, tuple(edges), program.roots, output)
+            output = source if program.output == nid else program.output
+            candidate = WorkflowProgram(nodes, tuple(edges), program.roots, output)
+            if base is not None:
+                refed = {
+                    reader: tuple(source if a == nid else a for a in base.operands[reader])
+                    for reader in base.consumers.get(nid, ())
+                }
+                blocked = _descendants(program, nid) | {nid}
+                ProgramEdit(
+                    DELETE, base, output, refed, (source,), blocked, removed=frozenset((nid,)),
+                ).attach(candidate)
+            yield candidate
 
-    def _rewires(self, program: WorkflowProgram):
+    def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each edge given every other source that closes no cycle; every
-        edge equal to it is given the new source too."""
+        edge equal to it is given the new source too. With `base`, each
+        carries its edit record."""
         nodes, edges = program.nodes, program.edges
         places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
         for i, e in enumerate(edges):
@@ -357,7 +421,14 @@ class SyntheticProposer:
                 rewired = list(edges)
                 for i in at:
                     rewired[i] = moved
-                yield WorkflowProgram(nodes, tuple(rewired), program.roots, program.output)
+                candidate = WorkflowProgram(nodes, tuple(rewired), program.roots, program.output)
+                if base is not None:
+                    args = list(base.operands[dst])
+                    args[slot] = alt
+                    ProgramEdit(
+                        REWIRE, base, program.output, {dst: tuple(args)}, (alt,), blocked, anchor=(dst, slot),
+                    ).attach(candidate)
+                yield candidate
 
     # -- the proposer role --------------------------------------------------
 

@@ -20,6 +20,14 @@ transient. The one fact kept on a program is its validation verdict: a
 program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
 
+A proposer candidate also carries, from when it is built until it is keyed,
+an edit record (`edits.ProgramEdit`): the one edit that made it from a base
+that passed `validate_program` and has no dead node. `validate_program`
+then checks only what the edit introduced, and `canonical_key` builds the
+key from the base's; both give exactly the report and the tuple the full
+check and the full walk give. `canonical_key` drops the record, so no kept
+program holds its base's maps.
+
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
 """
@@ -293,6 +301,9 @@ _INPUT_LEAF, _CONST_LEAF = -1, -2
 # would give each program a dict object of its own, about 64 more bytes.)
 _VALID_FOR = "_valid_for"
 _VALID = ValidationReport(ok=True)
+# The instance attribute holding a proposer candidate's edit record
+# (`edits.ProgramEdit`), held the same way until `canonical_key` removes it.
+_EDIT = "_edit"
 
 
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
@@ -304,14 +315,22 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     report without checking again. The verdict is never shared: another
     registry object (even an equal one, and every call that passes no
     registry builds a new default one) or an equal but distinct program gets
-    the full check, and an invalid program records nothing.
+    a check of its own, and an invalid program records nothing.
+
+    A proposer candidate that still carries its edit record is checked only
+    where the edit changed its base, when the base passed against this same
+    registry object (`edits.ProgramEdit.holds`). If it has no such record,
+    or that check fails, the full check runs, so every report is the one
+    the full check gives.
     """
     registry = registry or default_registry()
     if getattr(program, _VALID_FOR, None) is registry:
         return _VALID
-    violations = _violations(program, registry)
-    if violations:
-        return ValidationReport(ok=False, violations=tuple(violations))
+    edit = getattr(program, _EDIT, None)
+    if edit is None or not edit.holds(registry):
+        violations = _violations(program, registry)
+        if violations:
+            return ValidationReport(ok=False, violations=tuple(violations))
     object.__setattr__(program, _VALID_FOR, registry)
     return _VALID
 
@@ -918,7 +937,15 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     keeps the same root set). A cycle on the way raises
     `InvalidProgramError`: a node is marked as in progress while its
     operands are visited.
+
+    A proposer candidate that still carries its edit record is keyed from
+    its base's key and the edit (`edits.ProgramEdit.key`), to the same
+    tuple; the record is dropped here.
     """
+    edit = getattr(program, _EDIT, None)
+    if edit is not None:
+        object.__delattr__(program, _EDIT)
+        return edit.key()
     nm = {n.node_id: n for n in program.nodes}
     inc: dict[str, dict[int, str]] = {}
     for e in program.edges:

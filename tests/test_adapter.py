@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +36,7 @@ from wfopt.harness import (
     make_synthetic_suite,
 )
 from wfopt.search import Optimizer, SearchBudget
-from wfopt.model import canonical_key, default_registry, interpret, program_to_dict
+from wfopt.model import Edge, canonical_key, default_registry, interpret, program_to_dict
 
 from conftest import binary, chain
 
@@ -104,6 +105,26 @@ class TestHandleRequest:
         problems = sent[0]["params"]["problems"]
         assert [set(p) for p in problems] == [{"inputs", "expected", "category"}] * len(PROBLEMS)
         assert problems[0] == {"inputs": {"x0": 2.0, "x1": 3.0}, "expected": 5.0, "category": "c"}
+
+    @pytest.mark.parametrize("kind", ["propose", "evaluate"])
+    def test_invalid_program_is_refused(self, registry, kind):
+        """Neither role sees a program that fails validation; it used to raise KeyError: 'ghost'."""
+        request = _ghost_request(kind)
+        assert SyntheticRoles(registry).handle(request) == {"error": GHOST_ERROR}
+
+    def test_invalid_program_is_refused_over_stdio(self):
+        """Both request kinds get the in-band error from a `python -m wfopt.adapter` peer, which then
+        answers a valid request as before."""
+        valid = _evaluate(binary("add", "input", "input"), PROBLEMS.problems)
+        transport = StdioTransport([sys.executable, "-m", "wfopt.adapter"])
+        try:
+            assert transport.request(_ghost_request("propose")) == {"error": GHOST_ERROR}
+            assert transport.request(_ghost_request("evaluate")) == {"error": GHOST_ERROR}
+            assert transport.request(valid)["reward"] == 1.0
+        finally:
+            transport.close()
+        with pytest.raises(EvaluationError, match="invalid program"):
+            ExternalEvaluator(_Direct(), PROBLEMS).evaluate(_ghost_program())
 
     def test_problem_keys_it_does_not_read_are_ignored(self, registry):
         """A client that still sends each problem's `constants` gets the same answer."""
@@ -268,6 +289,28 @@ class TestProposeReply:
 def _evaluate(program, problems):
     return {"kind": "evaluate", "program": program_to_dict(program),
             "params": {"problems": [problem_to_dict(p) for p in problems]}}
+
+
+def _ghost_program():
+    """add(x0, x1) with one more edge into slot 0, from a node the program lacks."""
+    program = binary("add", "input", "input")
+    return dataclasses.replace(program, edges=program.edges + (Edge("ghost", "n0", 0),))
+
+
+GHOST_ERROR = "invalid program: edge 'ghost'->'n0' references a missing node"
+
+
+def _ghost_request(kind):
+    if kind == "propose":
+        return _propose(_ghost_program(), 5, 9)
+    return _evaluate(_ghost_program(), PROBLEMS.problems)
+
+
+class _Direct:
+    """A transport that answers with a fresh `SyntheticRoles`, through JSON both ways."""
+
+    def request(self, payload):
+        return json.loads(json.dumps(SyntheticRoles().handle(json.loads(json.dumps(payload)))))
 
 
 def _propose(program, count, seed):

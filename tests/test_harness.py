@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wfopt import driver, harness
+from wfopt.config import config_from_dict
 from wfopt.harness import (
     PriceMap,
     Problem,
@@ -15,6 +17,7 @@ from wfopt.harness import (
 )
 from wfopt.model import (
     INPUT_OP,
+    Edge,
     Node,
     WorkflowProgram,
     canonical_key,
@@ -105,6 +108,68 @@ class TestProposeEdits:
     def test_unknown_op_rejected(self, registry):
         with pytest.raises(ValueError):
             SyntheticProposer(registry, ProposerConfig(ops=("bogus",)))
+
+
+class TestEditRecords:
+    """A candidate of a clean base that passed validation is validated and keyed
+    from its edit record, with the same calls as before, and keeps no record."""
+
+    @pytest.mark.parametrize("dead_node, cap", [(False, 4), (True, 3)], ids=["clean-base", "dirty-base"])
+    def test_one_check_and_one_key_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
+        calls = []
+        validate, key = harness.validate_program, harness.canonical_key
+
+        def counted_validate(program, reg):
+            calls.append(("validate", program, hasattr(program, "_edit")))
+            return validate(program, reg)
+
+        def counted_key(program):
+            calls.append(("key", program, hasattr(program, "_edit")))
+            return key(program)
+
+        config = ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,), max_operator_nodes=cap)
+        proposer = SyntheticProposer(registry, config)
+        base = chain("neg", "neg", "neg", n_roots=2)  # with an unused root
+        if dead_node:  # a node that feeds nothing: no records, and pruning can keep an edit under the cap
+            base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
+                                   base.roots, base.output)
+        assert validate_program(base, registry).ok
+        candidates = list(proposer._candidates(base))
+        sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
+        # on a clean base every insertion stays within the cap; on a dirty one some do not
+        assert (len(sized) < len(candidates)) == dead_node
+
+        monkeypatch.setattr(harness, "validate_program", counted_validate)
+        monkeypatch.setattr(harness, "canonical_key", counted_key)
+        edits = proposer.enumerate_edits(base)
+
+        assert calls[0] == ("key", base, False)
+        checked = calls[1:]
+        # prune -> size -> validate -> key -> seen: each candidate within the
+        # cap, pruned of dead nodes, is validated and then keyed, both from
+        # its edit record on the clean base
+        assert [kind for kind, _, _ in checked] == ["validate", "key"] * len(sized)
+        assert [repr(p) for _, p, _ in checked[::2]] == [repr(c) for c in sized]
+        assert all(p is q for (_, p, _), (_, q, _) in zip(checked[::2], checked[1::2]))
+        assert all(recorded is not dead_node for _, _, recorded in checked)
+        assert all(harness._prune_dead(p) is p for _, p, _ in checked)
+        assert edits and {id(p) for p in edits} <= {id(p) for _, p, _ in checked}
+        assert not any(hasattr(p, "_edit") for p in edits)
+
+    def test_no_kept_program_holds_a_record(self, registry):
+        config = config_from_dict({
+            "seed": 5,
+            "budget": {"rounds": 2, "simulations_per_round": 4},
+            "proposer": {"ops": ["add", "sub", "mul", "neg"], "max_operator_nodes": 4},
+        })
+        result = driver.execute_run(config)
+        stack, seen = [result.optimizer.root], 0
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            assert not hasattr(node.program, "_edit")
+            seen += 1
+        assert seen > 4
 
 
 class TestEvaluate:

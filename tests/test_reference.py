@@ -4,8 +4,10 @@
 `analyze_program`, `interpret_all` and `SyntheticProposer.enumerate_edits`
 are written for speed: one pass over the nodes and edges, a reachability walk
 only when it can fail, a flat tuple key, one walk that orders a program and
-resolves its operands together for each analysis or evaluation request, and
-a dead-node pruning walk only for the edits that can orphan a node. The
+resolves its operands together for each analysis or evaluation request,
+a dead-node pruning walk only for the edits that can orphan a node, and a
+check and a key of each proposer candidate made from its edit of a valid
+base rather than from the whole candidate. The
 reference forms below are the plain versions they replaced: separate cycle
 and reachability walks, a `repr` of the post-order entry list, a re-sorted
 ready list walked once per input binding with the program's `incoming()` and
@@ -22,8 +24,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
+from wfopt.edits import DELETE, INSERT, REPLACE, REWIRE, EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -369,10 +374,10 @@ def ref_replacements(proposer, program):
 
 
 def ref_deletions(proposer, program):
-    """Each unary operator node dropped, its consumers fed from its operand."""
+    """Each unary operator node with an operand dropped, its consumers fed from that operand."""
     inc = program.incoming()
     for node in program.operator_nodes():
-        if proposer.registry.get(node.op).arity != 1:
+        if proposer.registry.get(node.op).arity != 1 or 0 not in inc[node.node_id]:
             continue
         source = inc[node.node_id][0]
         nodes = tuple(n for n in program.nodes if n.node_id != node.node_id)
@@ -727,6 +732,24 @@ class TestEnumerateEdits:
             assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
 
 
+    @pytest.mark.parametrize("nodes, edges", [
+        # an edge from a node the base lacks, before the real edge into that slot
+        ((Node("x0", INPUT_OP), Node("n0", "neg")), (Edge("ghost", "n0", 0), Edge("x0", "n0", 0))),
+        # an edge to a node the base lacks
+        ((Node("x0", INPUT_OP), Node("n0", "neg")), (Edge("x0", "n0", 0), Edge("x0", "ghost", 0))),
+        # a unary operator with no operand, feeding the output
+        ((Node("x0", INPUT_OP), Node("n0", "neg"), Node("n1", "add")), (Edge("x0", "n1", 0), Edge("n0", "n1", 1))),
+    ], ids=["edge-from-missing-node", "edge-to-missing-node", "unfed-unary"])
+    def test_invalid_bases_give_their_valid_candidates(self, registry, nodes, edges):
+        # each of these raised KeyError; descendants now follow only edges
+        # between nodes the base has, and an unfed unary node has no deletion
+        base = WorkflowProgram(nodes, edges, ("x0",), nodes[-1].node_id)
+        proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, -0.0, 1.0)))
+        fast = proposer.enumerate_edits(base)
+        assert fast
+        assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
+        assert _same_raw_candidates(proposer, base)
+
     def test_bases_at_the_size_cap(self, registry, monkeypatch):
         # every insertion into a clean base at the cap fails the size limit,
         # so none is built; on a dirty base pruning can keep one under it
@@ -812,6 +835,149 @@ class TestCanonicalKey:
         keys = [canonical_key(p) for p in programs]
         assert keys[0] != keys[1] and keys[2] != keys[3] and keys[4] == keys[5]
         assert _same_partition(programs)
+
+
+# ---------------------------------------------------------------------------
+# Edit-local validation and keys
+# ---------------------------------------------------------------------------
+
+def _with_dead_node(program, rng):
+    """A valid base with a node that feeds nothing: a unary operator on a root."""
+    root = _pick(rng, program.roots)
+    return _replace(program, nodes=program.nodes + (Node("d0", "neg"),), edges=program.edges + (Edge(root, "d0", 0),))
+
+
+def _dangling_edge(program, rng):
+    """An edge from or to a node the base lacks."""
+    dst = _pick(rng, [n.node_id for n in program.nodes if not n.is_leaf()])
+    edge = Edge("ghost", dst, 0) if rng.random() < 0.5 else Edge(_pick(rng, program.nodes).node_id, "ghost", 0)
+    edges = list(program.edges)
+    edges.insert(int(rng.integers(len(edges) + 1)), edge)
+    return _replace(program, edges=tuple(edges))
+
+
+# how each kind of base is made from a clean, valid random program
+EDIT_BASES = {
+    "valid": lambda program, rng: program,
+    "at-the-size-cap": lambda program, rng: program,
+    "invalid": lambda program, rng: _pick(rng, MUTATIONS)(program, rng),
+    "cyclic": cycle,
+    "dirty": _with_dead_node,
+    "duplicate-edge": _equal_edges,
+    "dangling-edge": _dangling_edge,
+}
+
+
+def _without_record(program):
+    """An equal program that carries no edit record and no verdict."""
+    return WorkflowProgram(program.nodes, program.edges, program.roots, program.output)
+
+
+@settings(derandomize=True, deadline=None, max_examples=140)
+@given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
+def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
+    """Each candidate of any base, checked and keyed as `enumerate_edits` does
+    (from its edit record where it carries one), gets the report of
+    `ref_validate_program` and the full walk's key, which splits candidates
+    as `ref_canonical_key` does."""
+    rng = np.random.default_rng(seed)
+    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
+    cap = len(base.operator_nodes()) if kind == "at-the-size-cap" else 12
+    ops = None if seed % 2 else ("add", "sub", "mul", "neg")
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
+                                                          max_operator_nodes=cap))
+    recorded = valid_base = validate_program(_without_record(base), registry).ok and _prune_dead(base) is base
+    keys = []
+    for candidate in proposer._candidates(base):
+        plain = _without_record(candidate)
+        recorded = recorded and hasattr(candidate, "_edit")
+        assert validate_program(candidate, registry) == ref_validate_program(plain, registry)
+        key = _outcome(canonical_key, candidate)
+        assert key == _outcome(canonical_key, plain)
+        assert not hasattr(candidate, "_edit")
+        if isinstance(key, tuple) and not (key and key[0] in (KeyError, InvalidProgramError)):
+            keys.append((key, ref_canonical_key(plain)))
+    # every candidate of a clean valid base went through the edit-local path
+    assert recorded == valid_base
+    assert len({k for k, _ in keys}) == len({r for _, r in keys}) == len(set(keys))
+
+
+def _lying_edits():
+    """Edits of add(neg(x0), x1) that each break one rule, told truthfully:
+    (the edited program's nodes, edges and output, the record's fields)."""
+    x0, x1, n0, n1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "neg"), Node("n1", "add")
+    nodes, edges = (x0, x1, n0, n1), (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1))
+    to_n1 = (Edge("x0", "n0", 0), Edge("n2", "n1", 0), Edge("x1", "n1", 1))
+
+    def inserted(new_nodes, operands):
+        new_id = new_nodes[-1].node_id
+        program = (nodes + new_nodes, to_n1[:1] + tuple(Edge(a, new_id, k) for k, a in enumerate(operands))
+                   + to_n1[1:], "n1")
+        record = dict(kind=INSERT, output="n1", operands={new_id: operands, "n1": ("n2", "x1")}, added=operands,
+                      blocked={"n1"}, nodes=new_nodes, fresh=tuple(n.node_id for n in new_nodes), anchor=("n1", 0))
+        return program, record
+
+    return {
+        "closes-a-cycle": (
+            (nodes, (Edge("n1", "n0", 0),) + edges[1:], "n1"),
+            dict(kind=REWIRE, output="n1", operands={"n0": ("n1",)}, added=("n1",), blocked={"n0", "n1"},
+                 anchor=("n0", 0))),
+        "from-a-missing-node": (
+            (nodes, edges[:2] + (Edge("ghost", "n1", 1),), "n1"),
+            dict(kind=REWIRE, output="n1", operands={"n1": ("n0", "ghost")}, added=("ghost",), blocked={"n1"},
+                 anchor=("n1", 1))),
+        "unknown-operator": (
+            ((x0, x1, Node("n0", "frob"), n1), edges, "n1"),
+            dict(kind=REPLACE, output="n1", operands={}, nodes=(Node("n0", "frob"),))),
+        "operator-with-a-value": (
+            ((x0, x1, Node("n0", "sqrt", value=1.0), n1), edges, "n1"),
+            dict(kind=REPLACE, output="n1", operands={}, nodes=(Node("n0", "sqrt", value=1.0),))),
+        "const-without-a-value": inserted((Node("c0", CONST_OP), Node("n2", "add")), ("n0", "c0")),
+        "wrong-arity": inserted((Node("n2", "neg"),), ("n0", "x1")),
+        "fresh-id-collides": inserted((Node("x1", CONST_OP, value=1.0), Node("n2", "add")), ("n0", "x1")),
+        "removed-node-still-read": (
+            ((x0, x1, n1), edges[1:], "n1"),
+            dict(kind=DELETE, output="n1", operands={}, added=("x0",), blocked={"n0", "n1"},
+                 removed=frozenset({"n0"}))),
+        "output-is-no-node": (
+            (nodes, edges, "ghost"),
+            dict(kind=REPLACE, output="ghost", operands={}, nodes=(Node("n0", "sqrt"),))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_lying_edits()))
+def test_edit_local_check_rejects_what_the_full_check_rejects(registry, name):
+    """A record that tells of a broken edit fails the edit-local check, and
+    the full check then reports the candidate as `ref_validate_program` does."""
+    base_nodes = (Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "neg"), Node("n1", "add"))
+    base = WorkflowProgram(base_nodes, (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)),
+                           ("x0", "x1"), "n1")
+    assert validate_program(base, registry).ok
+    (nodes, edges, output), fields = _lying_edits()[name]
+    candidate = WorkflowProgram(nodes, edges, base.roots, output)
+    kind = fields.pop("kind")
+    edit = ProgramEdit(kind, EditBase.of(base, registry), fields.pop("output"), fields.pop("operands"), **fields)
+    assert not edit.holds(registry)
+    expected = ref_validate_program(candidate, registry)
+    assert not expected.ok
+    assert validate_program(edit.attach(candidate), registry) == expected
+
+
+def test_edit_local_check_falls_back_to_the_full_one(registry):
+    """Against any registry but the one the base passed against, a candidate
+    gets the full check, so a registry without one of its operators reports it."""
+    base = _prune_dead(random_program(np.random.default_rng(3), registry, max_ops=4))
+    assert validate_program(base, registry).ok
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
+    narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
+    rejected = 0
+    for candidate in proposer._candidates(base):
+        expected = ref_validate_program(_without_record(candidate), narrow)
+        assert validate_program(candidate, narrow) == expected
+        rejected += not expected.ok
+        assert canonical_key(candidate) == canonical_key(_without_record(candidate))
+    assert rejected > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,7 @@ Each call runs on fixed programs with 3, 6 and 8 operator nodes, built the
 same way every time, so two checkouts can be compared call by call:
 
   enumerate_edits        SyntheticProposer over add/sub/mul/neg, max 8 nodes
-                         (the edit_heavy workload's proposer), on a program
-                         that passed validate_program, as every tree node's
-                         has; also per candidate
+                         (the edit_heavy workload's proposer); also per candidate
   validate_program       the default registry
   canonical_key
   derive_state+static_vector
@@ -173,7 +171,6 @@ def run(repeat: int) -> dict:
     for size in SIZES:
         program = fixed_program(size)
         key = str(size)
-        validate_program(program, registry)  # its candidates are then checked and keyed edit by edit
         children = proposer.enumerate_edits(program)
         entry = figures(lambda: proposer.enumerate_edits(program), repeat, candidates=len(children))
         entry["per_candidate_median_us"] = round(entry["median_us"] / len(children), 3)

@@ -21,42 +21,13 @@ from .model import (
     _EDIT,
     _VALID_FOR,
     CONST_OP,
-    INPUT_OP,
     LEAF_OPS,
     InvalidProgramError,
     Node,
     OperatorRegistry,
     WorkflowProgram,
+    _key_entry,
 )
-
-
-def _key_head(node: Node) -> tuple:
-    """A node's key entry, with () in place of an operator's operand indices."""
-    op = node.op
-    return (
-        op,
-        node.node_id if op == INPUT_OP else repr(node.value) if op == CONST_OP else (),
-        node.unit.exponents if node.unit is not None else None,
-        (node.shape.kind, node.shape.dims) if node.shape is not None else None,
-    )
-
-
-def _key_maps(program: WorkflowProgram) -> tuple[dict[str, tuple], dict[str, tuple[str, ...]]]:
-    """Each node's key head, the last node winning for a repeated id, and the
-    operand ids of each node with an edge in, by slot, the last edge into a
-    slot winning: what `_key_walk` reads. (`model.canonical_key` builds the
-    entries of the nodes it reaches only, which is faster for one walk; an
-    `EditBase` builds these maps once for all its candidates' walks.)"""
-    heads = {n.node_id: _key_head(n) for n in program.nodes}
-    slot_maps: dict[str, dict[int, str]] = {}
-    for e in program.edges:
-        slot_maps.setdefault(e.dst, {})[e.slot] = e.src
-    operands = {
-        nid: tuple(slots.values()) if len(slots) == 1 else tuple([slots[k] for k in sorted(slots)])
-        for nid, slots in slot_maps.items()
-    }
-    return heads, operands
-
 
 _UNCHANGED: Mapping = MappingProxyType({})
 
@@ -71,14 +42,16 @@ def _key_walk(
     changed_operands: Mapping[str, tuple[str, ...]] = _UNCHANGED,
     entered: Optional[dict[str, int]] = None,
 ) -> tuple:
-    """The post-order walk of `model.canonical_key`, from `output`, over
-    maps built beforehand (`_key_maps`).
+    """The post-order walk of `model.canonical_key`, from `output`, over maps
+    built beforehand: each node's head (its `model._key_entry` without
+    operands) and each node's operand ids by slot.
 
     A node's head and operands come from `changed_heads` and
-    `changed_operands` when they hold it, else from `heads` and `operands`.
-    `entries` and `index` (id -> entry index) may come filled with the
-    entries the walk would make first. A node missing from the heads raises
-    `KeyError`. `entered`, when given, records how many entries were
+    `changed_operands` when they hold it, else from `heads` and `operands`;
+    an operator's entry is its head with its operands' entry indices as the
+    payload. `entries` and `index` (id -> entry index) may come filled with
+    the entries the walk would make first. A node missing from the heads
+    raises `KeyError`. `entered`, when given, records how many entries were
     complete as the walk reached each node.
     """
 
@@ -118,110 +91,65 @@ class EditBase:
     each operator's operand ids in slot order, each node's consumers (one
     per edge out), and the base's own key walk: its entries, each reached
     node's entry index (also as (id, index) pairs in post-order), and
-    `reached[nid, k]`, how many entries the walk had made when it reached
-    operand `k` of operator `nid` (`k` equal to the arity: when it had
-    walked all of them). `tails` keeps the key tails `tail` builds, and
-    `inserts` the key stretches around each insertion's new entry: many
-    candidates share each.
+    `entered`, how many entries the walk had made when it reached each node.
+    `walks` keeps the walks its candidates share (`ProgramEdit.key`).
     """
 
     __slots__ = (
-        "registry", "heads", "operands", "consumers", "output", "key", "index", "post", "reached", "tails", "inserts",
+        "registry", "heads", "operands", "consumers", "output", "key", "index", "post", "entered", "walks",
     )
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
-        self.heads, self.operands = _key_maps(program)
+        self.heads = {n.node_id: _key_entry(n) for n in program.nodes}
+        slot_maps: dict[str, dict[int, str]] = {}
+        for e in program.edges:
+            slot_maps.setdefault(e.dst, {})[e.slot] = e.src
+        self.operands = {nid: tuple([slots[k] for k in sorted(slots)]) for nid, slots in slot_maps.items()}
         self.consumers: dict[str, list[str]] = {}
         for nid, args in self.operands.items():
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
         self.output = program.output
         self.index: dict[str, int] = {}
-        entered: dict[str, int] = {}
-        self.key = _key_walk(program.output, self.heads, self.operands, [], self.index, entered=entered)
+        self.entered: dict[str, int] = {}
+        self.key = _key_walk(program.output, self.heads, self.operands, [], self.index, entered=self.entered)
         self.post = sorted(self.index.items(), key=lambda item: item[1])
-        # after operand k the walk has made max(what it had, that operand's index + 1)
-        # entries: an operand walked just then ends the list, one walked before is in it
-        self.reached: dict[tuple[str, int], int] = {}
-        for nid, made in entered.items():
-            self.reached[nid, 0] = made
-            for k, a in enumerate(self.operands.get(nid, ())):
-                made = max(made, self.index[a] + 1)
-                self.reached[nid, k + 1] = made
-        self.tails: dict[tuple, Optional[tuple]] = {}
-        self.inserts: dict[tuple, tuple[int, tuple, tuple, tuple]] = {}
+        self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
 
     @staticmethod
     def of(program: WorkflowProgram, registry: OperatorRegistry) -> Optional["EditBase"]:
         """The record of a base that passed `validate_program` against this
         registry object; None for any other program. The caller vouches
-        for the rest: no dead node, one edge per input slot."""
-        if getattr(program, _VALID_FOR, None) is not registry:
+        for the rest: no dead node, one edge per input slot.
+
+        None also for every base when the registry has an operator of arity
+        0: with one, a valid program's output must reach a leaf, which an
+        edit can undo without breaking any rule `ProgramEdit.holds` checks
+        (a rewire of `add(z, x0)` to `add(z, z)`, `z` nullary)."""
+        if getattr(program, _VALID_FOR, None) is not registry or 0 in registry.arities.values():
             return None
         return EditBase(program, registry)
-
-    def tail(self, start: int, drop: int, shift: int, to: Optional[int] = None,
-             patch: Optional[tuple[str, int, int]] = None) -> Optional[tuple]:
-        """The end of a candidate's key whose walk matches the base's but
-        for a stretch at entry `start`, where the base's walk made `drop`
-        entries: the base's entries after the stretch, each index past it
-        moved by `shift`, each index into it replaced by `to`, and slot
-        `patch[1]` of node `patch[0]` set to index `patch[2]`. None when an
-        entry reads into the stretch and `to` is None."""
-        memo = (start, drop, shift, to, patch)
-        if memo in self.tails:
-            return self.tails[memo]
-        key = self.key
-        end = start + drop
-        at, slot, target = (self.index[patch[0]], patch[1], patch[2]) if patch else (-1, -1, -1)
-        entries: list[tuple] = []
-        for i in range(end, len(key)):
-            op, payload, unit, shape = entry = key[i]
-            if payload and op not in LEAF_OPS and (i == at or max(payload) >= start):
-                moved = []
-                for k, j in enumerate(payload):
-                    if i == at and k == slot:
-                        j = target
-                    elif j >= end:
-                        j += shift
-                    elif j >= start:
-                        if to is None:
-                            self.tails[memo] = None
-                            return None
-                        j = to
-                    moved.append(j)
-                entry = (op, tuple(moved), unit, shape)
-            entries.append(entry)
-        tail = self.tails[memo] = tuple(entries)
-        return tail
-
-
-# ProgramEdit kinds
-INSERT, REPLACE, DELETE, REWIRE = "insert", "replace", "delete", "rewire"
 
 
 class ProgramEdit:
     """One proposer candidate, told as one edit of an `EditBase`.
 
-    * `kind`: INSERT, REPLACE, DELETE or REWIRE.
+    * `output`: the candidate's output.
     * `operands`: the operand ids, by slot, of every node whose operands the
       edit sets: a new node, the node re-fed from it, a rewired node, a
       deleted node's consumers.
+    * `added`: the operands new to their destination that could close a
+      cycle; `blocked`: that destination and its descendants in the base,
+      none of which may feed it.
     * `nodes`: the nodes the edit adds or changes, an inserted operator last;
       `fresh`: the ids it adds; `removed`: the ids it drops.
-    * `added`: the operands new to their destination; `blocked`: that
-      destination and its descendants in the base, none of which may feed it.
-    * `output`: the candidate's output.
-    * `anchor`: the (node, slot) whose operand an insertion on an edge or a
-      rewire changes; None for any other edit.
     """
 
-    __slots__ = ("kind", "base", "output", "operands", "added", "blocked", "nodes", "fresh", "removed", "anchor")
+    __slots__ = ("base", "output", "operands", "added", "blocked", "nodes", "fresh", "removed")
 
     def __init__(
         self,
-        kind: str,
         base: EditBase,
         output: str,
         operands: Mapping[str, tuple[str, ...]],
@@ -230,9 +158,7 @@ class ProgramEdit:
         nodes: tuple[Node, ...] = (),
         fresh: tuple[str, ...] = (),
         removed: frozenset = _NOTHING,
-        anchor: Optional[tuple[str, int]] = None,
     ):
-        self.kind = kind
         self.base = base
         self.output = output
         self.operands = operands
@@ -241,7 +167,6 @@ class ProgramEdit:
         self.nodes = nodes
         self.fresh = fresh
         self.removed = removed
-        self.anchor = anchor
 
     def attach(self, program: WorkflowProgram) -> WorkflowProgram:
         """Let `program` carry this record until it is keyed; returns it."""
@@ -300,110 +225,56 @@ class ProgramEdit:
         return self.blocked.isdisjoint(self.added)
 
     def key(self) -> tuple:
-        """`model.canonical_key` of the candidate, from the base's key.
+        """`model.canonical_key` of the candidate.
 
-        Where the candidate's walk differs from the base's only in a stretch,
-        the key is the base's entries before it, the stretch's own, and the
-        base's entries after it moved along (`EditBase.tail`). A replacement
-        changes one entry; a deletion drops one, its readers taking its
-        operand's index; an insertion on an edge adds the new node's entry
-        (after a new leaf operand's) where the base's walk had walked that
-        edge's source, when the new node reaches no base node the base walks
-        later; a rewire drops what the old operand's walk added, when the
-        new operand was walked before and nothing later reads the dropped.
-        Any other candidate gets the base's entries up to the first node the
-        edit changed, then a walk from the output over the base's maps with
-        the edit's changes, which meets the nodes of those entries first
-        and takes their indices.
-        """
-        base, kind, operands = self.base, self.kind, self.operands
-        index, reached = base.index, base.reached
-        if kind == REPLACE:
-            node = self.nodes[0]
-            at = index[node.node_id]
-            op, _, unit, shape = _key_head(node)
-            return base.key[:at] + ((op, base.key[at][1], unit, shape),) + base.key[at + 1:]
-        if kind == DELETE:
-            (gone,) = self.removed
-            at = index[gone]
-            return base.key[:at] + base.tail(at, 1, -1, index[self.added[0]])
-        if kind == INSERT:
-            new_node = self.nodes[-1]
-            args = operands[new_node.node_id]
-            # the stretches around the new node's entry do not depend on its operator
-            memo = (self.anchor, args, tuple([_key_head(n) for n in self.nodes[:-1]]))
-            parts = base.inserts.get(memo)
-            if parts is None:
-                parts = base.inserts[memo] = self._around_insertion(args)
-            cut, before, children, after = parts
-            op, _, unit, shape = _key_head(new_node)
-            return base.key[:cut] + before + ((op, children, unit, shape),) + after
-        # a rewire
-        dst, slot = self.anchor
-        alt = operands[dst][slot]
-        start, end = reached[dst, slot], reached[dst, slot + 1]
-        if index.get(alt, start) < start:
-            tail = base.tail(start, end - start, start - end, None, (dst, slot, index[alt]))
-            if tail is not None:
-                return base.key[:start] + tail
-        walked = dict(base.post[:start])
-        return _key_walk(self.output, base.heads, base.operands, list(base.key[:start]), walked, _UNCHANGED, operands)
-
-    def _around_insertion(self, args: tuple[str, ...]) -> tuple[int, tuple, tuple, tuple]:
-        """An insertion's key entries before the new node's, as how many of
-        the base's come first and the entries after those; its operand
-        indices; and the entries after it.
-
-        The walk reaches the new node where the base's walk reached the
-        anchor edge's source `src` (above the output: first), and walks
-        `src` from it as the base did. If each operand before `src` is one
-        the base had walked by then, and each after it one the base had
-        walked by the end of `src` or a new leaf, nothing else changes: the
-        base's entries up to the end of `src`, the new leaves', the new
-        node's, then the base's remaining entries moved past the new ones,
-        the anchor slot fed from the new node. Otherwise the walk from the
-        output runs, from the base's entries up to where it first meets the
-        new node.
+        The walk's order depends on the output and the operands only, and a
+        node's entry is `model._key_entry` of the node and its operands'
+        indices. So the candidates of a base with the same output, operand
+        lists set and leaf ids added share one walk, kept on the base (all
+        replacements; an insertion's operator kinds and constants), and each
+        sets the entries of the nodes it adds or changes.
         """
         base = self.base
-        new_id = self.nodes[-1].node_id
-        if self.anchor is None:
-            src, start, end = base.output, 0, len(base.key)
-        else:
-            dst, slot = self.anchor
-            src = base.operands[dst][slot]
-            start, end = base.reached[dst, slot], base.reached[dst, slot + 1]
-        leaves: list[tuple] = []
-        children = []
-        walked = False  # whether the new node's walk has passed `src`
-        for a in args:
-            i = base.index.get(a)
-            if a == src:
-                walked = True
-            elif i is None and walked and a not in self.operands and a not in base.operands:
-                i = end + len(leaves)
-                leaves.append(self._head(a))
-            elif i is None or i >= (end if walked else start):
-                break
-            children.append(i)
-        else:
-            shift = len(leaves) + 1
-            after = () if self.anchor is None else base.tail(end, 0, shift, None, (dst, slot, end + shift - 1))
-            return end, tuple(leaves), tuple(children), after
-        prefix = end if args[0] == src else start
-        index = dict(base.post[:prefix])
-        entries = _key_walk(
-            self.output, base.heads, base.operands, list(base.key[:prefix]), index,
-            {n.node_id: _key_head(n) for n in self.nodes}, self.operands,
-        )
-        at = index[new_id]
-        return 0, entries[:at], entries[at][1], entries[at + 1:]
+        nodes = self.nodes
+        shared = (self.output, tuple(self.operands.items()), tuple([n.node_id for n in nodes if n.op in LEAF_OPS]))
+        walked = base.walks.get(shared)
+        if walked is None:
+            walked = base.walks[shared] = self._walk()
+        key, index = walked
+        for node in nodes:
+            at = index.get(node.node_id)
+            if at is not None:
+                key = key[:at] + (_key_entry(node, key[at][1]),) + key[at + 1:]
+        return key
 
-    def _head(self, nid: str) -> tuple:
-        for node in self.nodes:
-            if node.node_id == nid:
-                return _key_head(node)
-        return self.base.heads[nid]
+    def _walk(self) -> tuple[tuple, dict[str, int]]:
+        """The key walk of the candidate, and each node's index in it.
+
+        It makes the base's entries until it reaches the first node whose
+        operands the edit changed (at once if the output changed), at its
+        first changed operand. It starts from those entries and walks from
+        the output over the base's maps with the edit's changes, meeting the
+        nodes of those entries first and taking their indices. The entries
+        of the nodes the edit adds or changes are left for `key` to set.
+        """
+        base = self.base
+        index, entered, base_operands = base.index, base.entered, base.operands
+        start = len(base.key) if self.output == base.output else 0
+        for nid, args in self.operands.items():
+            made = entered.get(nid, start)
+            if made >= start:
+                continue
+            # after each operand the walk had made its entries or, if walked
+            # before, kept what it had
+            for old, new in zip(base_operands.get(nid, ()), args):
+                if old != new:
+                    break
+                made = max(made, index[old] + 1)
+            start = min(start, made)
+        heads = {n.node_id: _key_entry(n) for n in self.nodes}
+        walked = dict(base.post[:start])
+        key = _key_walk(self.output, base.heads, base_operands, list(base.key[:start]), walked, heads, self.operands)
+        return key, walked
 
 
 def carry_edit(program: WorkflowProgram, pruned: WorkflowProgram) -> None:

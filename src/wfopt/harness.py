@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import DELETE, INSERT, REPLACE, REWIRE, EditBase, ProgramEdit, carry_edit
+from .edits import EditBase, ProgramEdit, carry_edit
 from .model import (
     CONST_OP,
     INPUT_OP,
@@ -201,11 +201,13 @@ class SyntheticProposer:
         other candidates of that base: the base's own `Node` and `Edge`
         objects, and tuples of them cut or joined once per base, per edit
         site or per operator kind. On a clean base that already passed
-        `validate_program` against this proposer's registry object, each
-        candidate also carries its edit (`edits.ProgramEdit`) over maps of
-        the base built once (`edits.EditBase`). Its `validate_program` call
-        then checks only what the edit introduced, and its `canonical_key`
-        call walks the base's maps with the edit's changes and drops the
+        `validate_program` against this proposer's registry object (one
+        without a nullary operator), each candidate also carries its edit
+        (`edits.ProgramEdit`) over maps of the base built once
+        (`edits.EditBase`). Its `validate_program` call then checks only
+        what the edit introduced, and its `canonical_key` call reuses the
+        base's key entries before the first node the edit changed, walks the
+        base's maps with the edit's changes for the rest and drops the
         record. A candidate of any other base is validated and keyed in full.
         """
         seen = {canonical_key(program)}
@@ -336,10 +338,9 @@ class SyntheticProposer:
                 for node_tuple, (args, operand_edges, set_operands) in built:
                     candidate = WorkflowProgram(node_tuple, operand_edges, roots, output)
                     if base is not None:
+                        new_nodes = node_tuple[len(nodes):]
                         ProgramEdit(
-                            INSERT, base, output, set_operands, args, blocked,
-                            node_tuple[len(nodes):], fresh_ids[len(node_tuple)],
-                            anchor=None if edge is None else (anchor, edge.slot),
+                            base, output, set_operands, args, blocked, new_nodes, fresh_ids[len(node_tuple)],
                         ).attach(candidate)
                     yield candidate
 
@@ -361,7 +362,7 @@ class SyntheticProposer:
                     replaced[i] = Node(nid, kind.name, n.unit, n.shape, n.value)
                 candidate = WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
                 if base is not None:
-                    ProgramEdit(REPLACE, base, program.output, {}, nodes=(replaced[places[0]],)).attach(candidate)
+                    ProgramEdit(base, program.output, {}, nodes=(replaced[places[0]],)).attach(candidate)
                 yield candidate
 
     def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
@@ -392,10 +393,8 @@ class SyntheticProposer:
                     reader: tuple(source if a == nid else a for a in base.operands[reader])
                     for reader in base.consumers.get(nid, ())
                 }
-                blocked = _descendants(program, nid) | {nid}
-                ProgramEdit(
-                    DELETE, base, output, refed, (source,), blocked, removed=frozenset((nid,)),
-                ).attach(candidate)
+                # the new operand already fed the consumers through `nid`: no cycle
+                ProgramEdit(base, output, refed, removed=frozenset((nid,))).attach(candidate)
             yield candidate
 
     def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
@@ -425,9 +424,7 @@ class SyntheticProposer:
                 if base is not None:
                     args = list(base.operands[dst])
                     args[slot] = alt
-                    ProgramEdit(
-                        REWIRE, base, program.output, {dst: tuple(args)}, (alt,), blocked, anchor=(dst, slot),
-                    ).attach(candidate)
+                    ProgramEdit(base, program.output, {dst: tuple(args)}, (alt,), blocked).attach(candidate)
                 yield candidate
 
     # -- the proposer role --------------------------------------------------

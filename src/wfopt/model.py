@@ -22,11 +22,14 @@ passed against, so checking it again against that registry is a lookup.
 
 A proposer candidate also carries, from when it is built until it is keyed,
 an edit record (`edits.ProgramEdit`): the one edit that made it from a base
-that passed `validate_program` and has no dead node. `validate_program`
-then checks only what the edit introduced, and `canonical_key` builds the
-key from the base's; both give exactly the report and the tuple the full
-check and the full walk give. `canonical_key` drops the record, so no kept
-program holds its base's maps.
+that passed `validate_program`, against a registry with no nullary
+operator, and has no dead node. `validate_program` then checks only what
+the edit introduced. `canonical_key` reuses the base's key entries before
+the first node the edit changed and walks the base's maps with the edit's
+changes from there, a walk that the candidates differing only in the nodes
+they add or change share. Both give exactly the report and the tuple the
+full check and the full walk give. `canonical_key` drops the record, so no
+kept program holds its base's maps.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -939,8 +942,9 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     operands are visited.
 
     A proposer candidate that still carries its edit record is keyed from
-    its base's key and the edit (`edits.ProgramEdit.key`), to the same
-    tuple; the record is dropped here.
+    its base's key entries and maps and the edit (`edits.ProgramEdit.key`),
+    to the same tuple; the record is dropped here. Every entry, here and
+    there, is built by `_key_entry`.
     """
     edit = getattr(program, _EDIT, None)
     if edit is not None:
@@ -968,24 +972,25 @@ def canonical_key(program: WorkflowProgram) -> tuple:
             children = (visit(*slot_map.values()),)
         else:
             children = tuple([visit(slot_map[k]) for k in sorted(slot_map)])
-        op = node.op
-        if op == INPUT_OP:
-            payload = nid
-        elif op == CONST_OP:
-            payload = repr(node.value)
-        else:
-            payload = children
         index[nid] = i = len(entries)
-        entries.append((
-            op,
-            payload,
-            node.unit.exponents if node.unit is not None else None,
-            (node.shape.kind, node.shape.dims) if node.shape is not None else None,
-        ))
+        entries.append(_key_entry(node, children))
         return i
 
     visit(program.output)
     return tuple(entries)
+
+
+def _key_entry(node: Node, children: tuple = ()) -> tuple:
+    """`node`'s entry in `canonical_key`, `children` being its operands' entry
+    indices: the one definition of the entry's layout, which the edit-local
+    key walk (`edits.ProgramEdit.key`) also builds its entries from."""
+    op = node.op
+    return (
+        op,
+        node.node_id if op == INPUT_OP else repr(node.value) if op == CONST_OP else children,
+        node.unit.exponents if node.unit is not None else None,
+        (node.shape.kind, node.shape.dims) if node.shape is not None else None,
+    )
 
 
 def fresh_node_id(program: WorkflowProgram, prefix: str = "n") -> str:

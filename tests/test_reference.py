@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
-from wfopt.edits import DELETE, INSERT, REPLACE, REWIRE, EditBase, ProgramEdit
+from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -914,35 +914,32 @@ def _lying_edits():
         new_id = new_nodes[-1].node_id
         program = (nodes + new_nodes, to_n1[:1] + tuple(Edge(a, new_id, k) for k, a in enumerate(operands))
                    + to_n1[1:], "n1")
-        record = dict(kind=INSERT, output="n1", operands={new_id: operands, "n1": ("n2", "x1")}, added=operands,
-                      blocked={"n1"}, nodes=new_nodes, fresh=tuple(n.node_id for n in new_nodes), anchor=("n1", 0))
+        record = dict(output="n1", operands={new_id: operands, "n1": ("n2", "x1")}, added=operands,
+                      blocked={"n1"}, nodes=new_nodes, fresh=tuple(n.node_id for n in new_nodes))
         return program, record
 
     return {
         "closes-a-cycle": (
             (nodes, (Edge("n1", "n0", 0),) + edges[1:], "n1"),
-            dict(kind=REWIRE, output="n1", operands={"n0": ("n1",)}, added=("n1",), blocked={"n0", "n1"},
-                 anchor=("n0", 0))),
+            dict(output="n1", operands={"n0": ("n1",)}, added=("n1",), blocked={"n0", "n1"})),
         "from-a-missing-node": (
             (nodes, edges[:2] + (Edge("ghost", "n1", 1),), "n1"),
-            dict(kind=REWIRE, output="n1", operands={"n1": ("n0", "ghost")}, added=("ghost",), blocked={"n1"},
-                 anchor=("n1", 1))),
+            dict(output="n1", operands={"n1": ("n0", "ghost")}, added=("ghost",), blocked={"n1"})),
         "unknown-operator": (
             ((x0, x1, Node("n0", "frob"), n1), edges, "n1"),
-            dict(kind=REPLACE, output="n1", operands={}, nodes=(Node("n0", "frob"),))),
+            dict(output="n1", operands={}, nodes=(Node("n0", "frob"),))),
         "operator-with-a-value": (
             ((x0, x1, Node("n0", "sqrt", value=1.0), n1), edges, "n1"),
-            dict(kind=REPLACE, output="n1", operands={}, nodes=(Node("n0", "sqrt", value=1.0),))),
+            dict(output="n1", operands={}, nodes=(Node("n0", "sqrt", value=1.0),))),
         "const-without-a-value": inserted((Node("c0", CONST_OP), Node("n2", "add")), ("n0", "c0")),
         "wrong-arity": inserted((Node("n2", "neg"),), ("n0", "x1")),
         "fresh-id-collides": inserted((Node("x1", CONST_OP, value=1.0), Node("n2", "add")), ("n0", "x1")),
         "removed-node-still-read": (
             ((x0, x1, n1), edges[1:], "n1"),
-            dict(kind=DELETE, output="n1", operands={}, added=("x0",), blocked={"n0", "n1"},
-                 removed=frozenset({"n0"}))),
+            dict(output="n1", operands={}, removed=frozenset({"n0"}))),
         "output-is-no-node": (
             (nodes, edges, "ghost"),
-            dict(kind=REPLACE, output="ghost", operands={}, nodes=(Node("n0", "sqrt"),))),
+            dict(output="ghost", operands={}, nodes=(Node("n0", "sqrt"),))),
     }
 
 
@@ -956,12 +953,50 @@ def test_edit_local_check_rejects_what_the_full_check_rejects(registry, name):
     assert validate_program(base, registry).ok
     (nodes, edges, output), fields = _lying_edits()[name]
     candidate = WorkflowProgram(nodes, edges, base.roots, output)
-    kind = fields.pop("kind")
-    edit = ProgramEdit(kind, EditBase.of(base, registry), fields.pop("output"), fields.pop("operands"), **fields)
+    edit = ProgramEdit(EditBase.of(base, registry), fields.pop("output"), fields.pop("operands"), **fields)
     assert not edit.holds(registry)
     expected = ref_validate_program(candidate, registry)
     assert not expected.ok
     assert validate_program(edit.attach(candidate), registry) == expected
+
+
+def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
+    """Two records of one base with the same output and operand lists, one
+    making n0 a constant and one another operator, each get the full walk's
+    key: an operator's entry needs its operands' indices, which the walk
+    of the other does not give."""
+    x0, x1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP)
+    base = WorkflowProgram((x0, x1, Node("n0", "neg"), Node("n1", "add")),
+                           (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
+    assert validate_program(base, registry).ok
+    record = EditBase.of(base, registry)
+    for changed in (Node("n0", CONST_OP, value=1.0), Node("n0", "sqrt")):
+        candidate = WorkflowProgram((x0, x1, changed, base.nodes[3]), base.edges, base.roots, "n1")
+        expected = canonical_key(candidate)
+        edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, nodes=(changed,))  # n0 is walked again
+        assert canonical_key(edit.attach(candidate)) == expected
+
+
+def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
+    """With an operator of arity 0, a valid program's output must reach a
+    leaf, a rule no edit-local check sees: the rewire of add(z, x0) to
+    add(z, z), z nullary, keeps every other one. So such a registry gives
+    no base a record, and each candidate gets the full check."""
+    nullary = OperatorRegistry(list(registry) + [OperatorKind("pi", 0)])
+    base = WorkflowProgram((Node("x0", INPUT_OP), Node("z", "pi"), Node("n0", "add")),
+                           (Edge("z", "n0", 0), Edge("x0", "n0", 1)), ("x0",), "n0")
+    assert validate_program(base, nullary).ok
+    assert EditBase.of(base, nullary) is None
+    rewired = WorkflowProgram(base.nodes, (Edge("z", "n0", 0), Edge("z", "n0", 1)), base.roots, "n0")
+    assert ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}, ("z",), {"n0"}).holds(nullary)
+    assert ref_validate_program(rewired, nullary).violations == ("output 'n0' is not reachable from any leaf",)
+    proposer = SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
+    candidates = list(proposer._candidates(base))
+    assert repr(rewired) in {repr(c) for c in candidates}
+    for candidate in candidates:
+        assert not hasattr(candidate, "_edit")
+        assert validate_program(candidate, nullary) == ref_validate_program(_without_record(candidate), nullary)
+    assert repr(rewired) not in {repr(c) for c in proposer.enumerate_edits(base)}
 
 
 def test_edit_local_check_falls_back_to_the_full_one(registry):

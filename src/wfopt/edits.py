@@ -258,18 +258,25 @@ class ProgramEdit:
         of the nodes the edit adds or changes are left for `key` to set.
         """
         base = self.base
-        index, entered, base_operands = base.index, base.entered, base.operands
-        start = len(base.key) if self.output == base.output else 0
-        for nid, args in self.operands.items():
-            made = entered.get(nid, start)
+        index, base_operands, operands = base.index, base.operands, self.operands
+
+        def past(old: str, new: str, made: int) -> int:
+            """How many of the base's entries the walk has made, from `made`,
+            once it has walked `new` where the base's walked `old`: old's too
+            if `new` is old, or a new node whose first operand is old."""
+            if new == old or (new not in index and operands.get(new, (None,))[0] == old):
+                return max(made, index[old] + 1)
+            return made
+
+        start = past(base.output, self.output, 0)
+        for nid, args in operands.items():
+            made = base.entered.get(nid, start)
             if made >= start:
                 continue
-            # after each operand the walk had made its entries or, if walked
-            # before, kept what it had
             for old, new in zip(base_operands.get(nid, ()), args):
-                if old != new:
+                made = past(old, new, made)
+                if new != old:
                     break
-                made = max(made, index[old] + 1)
             start = min(start, made)
         heads = {n.node_id: _key_entry(n) for n in self.nodes}
         walked = dict(base.post[:start])

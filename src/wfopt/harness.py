@@ -207,8 +207,10 @@ class SyntheticProposer:
         (`edits.EditBase`). Its `validate_program` call then checks only
         what the edit introduced, and its `canonical_key` call reuses the
         base's key entries before the first node the edit changed, walks the
-        base's maps with the edit's changes for the rest and drops the
-        record. A candidate of any other base is validated and keyed in full.
+        base's maps with the edit's changes for the rest (one walk for the
+        candidates that differ only in the nodes they add or change) and
+        drops the record. A candidate of any other base is validated and
+        keyed in full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []

@@ -67,7 +67,7 @@ def _key_walk(
         head = changed_heads.get(nid) or heads[nid]
         args = changed_operands[nid] if nid in changed_operands else operands.get(nid)
         if args:
-            children = tuple([visit(a) for a in args])
+            children = tuple(map(visit, args))
             op, _, unit, shape = head
             if op not in LEAF_OPS:
                 head = (op, children, unit, shape)

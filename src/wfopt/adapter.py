@@ -9,10 +9,14 @@ child process's standard streams or POSTed over HTTP:
     request:  {"kind": "evaluate", "program": {...}, "params": {"problems": [...]}}
     response: {"reward": r, "traces": [{...}], "usage": {...}}
 
-The engine treats remote and synthetic implementations identically. An
-evaluate reply that is valid JSON but carries bad content (a reward that is
-not a number in [0, 1], a malformed trace) fails that one request with
-`EvaluationError`; a reply that breaks the protocol itself raises
+A transport sends one encoded request line and returns the decoded reply.
+`ExternalEvaluator` encodes its problem list once, when it is built, and
+splices it after each request's program, so every request is still exactly
+the `json.dumps` of its payload. The engine treats remote and synthetic
+implementations identically. An evaluate reply that is valid JSON but
+carries bad content (a reward that is not a number in [0, 1], a malformed
+trace) fails that one request with `EvaluationError`; a reply that breaks
+the protocol itself raises
 `AdapterError`. A propose reply has no per-request failure: one that is not
 an object, reports an error, lacks a `candidates` list, holds a candidate
 that does not decode as a program or carries a bad usage count raises
@@ -148,7 +152,8 @@ def _usage_record(role: str, usage: Mapping, request_id: str) -> TokenRecord:
 
 
 class _Transport:
-    def request(self, payload: dict) -> dict:
+    def request(self, line: str) -> dict:
+        """Send one encoded request (a JSON document, no newline); return the decoded reply."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -169,10 +174,10 @@ class StdioTransport(_Transport):
         except OSError as exc:
             raise AdapterError(f"cannot start external role: {exc}") from None
 
-    def request(self, payload: dict) -> dict:
+    def request(self, line: str) -> dict:
         assert self._proc.stdin and self._proc.stdout
         try:
-            self._proc.stdin.write(json.dumps(payload) + "\n")
+            self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
             line = self._proc.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
@@ -204,12 +209,12 @@ class HttpTransport(_Transport):
         self.address = address
         self.timeout = timeout
 
-    def request(self, payload: dict) -> dict:
+    def request(self, line: str) -> dict:
         import urllib.request  # here, not at module level: it pulls in http.client and ssl
 
         req = urllib.request.Request(
             self.address,
-            data=json.dumps(payload).encode(),
+            data=line.encode(),
             headers={"Content-Type": "application/json"},
         )
         try:
@@ -232,13 +237,13 @@ class ExternalProposer:
 
     def propose(self, program: WorkflowProgram, count: int, rng: np.random.Generator):
         seed = int(rng.integers(2**31 - 1))
-        response = self.transport.request(
+        response = self.transport.request(json.dumps(
             {
                 "kind": "propose",
                 "program": program_to_dict(program),
                 "params": {"count": count, "seed": seed},
             }
-        )
+        ))
         if not isinstance(response, dict):
             raise AdapterError("propose response is not a JSON object")
         if "error" in response:
@@ -264,17 +269,16 @@ class ExternalEvaluator:
             raise ValueError("evaluator needs a non-empty problem set")
         self.transport = transport
         self.problems = problems
-        # every request carries the same list; it is encoded once
-        self._problem_dicts = [problem_to_dict(p) for p in problems.problems]
+        # Every request carries the same problem list, so its JSON is encoded
+        # once and spliced after each program's: `json.dumps` of the whole
+        # request gives these bytes, with its default separators.
+        problems_json = json.dumps([problem_to_dict(p) for p in problems.problems])
+        self._request_tail = ', "params": {"problems": ' + problems_json + "}}"
         self._request_counter = 0
 
     def evaluate(self, program: WorkflowProgram):
         response = self.transport.request(
-            {
-                "kind": "evaluate",
-                "program": program_to_dict(program),
-                "params": {"problems": self._problem_dicts},
-            }
+            '{"kind": "evaluate", "program": ' + json.dumps(program_to_dict(program)) + self._request_tail
         )
         if not isinstance(response, dict):
             raise AdapterError("evaluate response is not a JSON object")

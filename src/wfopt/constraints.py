@@ -150,11 +150,11 @@ def score_magnitude(trace: ExecutionTrace, cfg: MagnitudeConfig) -> float:
     """
     if not trace.values:
         return 0.5
-    peak_in = max((abs(v) for v in trace.input_constants), default=0.0)
+    peak_in = max(map(abs, trace.input_constants), default=0.0)
     if peak_in == 0.0:
         return 0.5
     theta = peak_in * 10.0 ** cfg.gamma
-    peak = max(abs(v) for v in trace.values)
+    peak = max(map(abs, trace.values))
     if peak <= theta:
         return 1.0
     return max(0.0, 1.0 - cfg.delta * (peak - theta) / theta)

@@ -6,8 +6,9 @@ program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
 exactly. The evaluator interprets every problem of a request in one
 `interpret_all` call, which orders the program and resolves its operands in
-one walk for all of them. Remote implementations of the same two roles are
-supported through the wire protocol in :mod:`wfopt.adapter`.
+one walk for all of them, then runs each step once over all their values.
+Remote implementations of the same two roles are supported through the wire
+protocol in :mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations
@@ -348,11 +349,15 @@ class SyntheticProposer:
 
     def _replacements(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each operator node given every other kind of its arity; a node
-        whose id repeats is replaced at every place it occurs. With `base`,
-        each carries its edit record."""
+        whose id repeats is replaced at every place it occurs, and one whose
+        operator the registry lacks has no replacement. With `base`, each
+        carries its edit record."""
         nodes = program.nodes
+        arities = self.registry.arities
         for node in program.operator_nodes():
-            arity = self.registry.get(node.op).arity
+            arity = arities.get(node.op)
+            if arity is None:
+                continue
             nid = node.node_id
             places = [i for i, n in enumerate(nodes) if n.node_id == nid]
             for kind in self._ops:
@@ -369,11 +374,12 @@ class SyntheticProposer:
 
     def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each unary operator node with an operand dropped, its consumers fed
-        from that operand; an unfed one has no deletion. With `base`, each
-        carries its edit record."""
+        from that operand; an unfed one, and one whose operator the registry
+        lacks, has no deletion. With `base`, each carries its edit record."""
         inc = program.incoming()
+        arities = self.registry.arities
         for node in program.operator_nodes():
-            if self.registry.get(node.op).arity != 1:
+            if arities.get(node.op) != 1:
                 continue
             nid = node.node_id
             source = inc[nid].get(0)

@@ -10,7 +10,8 @@ orders a program and resolves every node's operand slots from one pass over
 the nodes and one over the edges. `analyze_program` propagates unit
 signatures, shapes, value signs and depth, and `derive_state` folds its
 per-operator verdicts into the `WorkflowState` the constraint scores read;
-`interpret_all` walks once for a whole list of input bindings.
+`interpret_all` walks once for a whole list of input bindings and runs each
+step over the column of every binding's values.
 `validate_program` builds its own maps in one pass over the nodes and one
 over the edges, with one arity lookup per operator node in the map each
 `OperatorRegistry` builds once, and walks back from the output for
@@ -40,6 +41,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -773,6 +775,10 @@ def interpret(
     return interpret_all(program, (inputs,), registry)[0]
 
 
+# The operators mapped over whole columns, by name and arity; each gives what `_apply` gives.
+_COLUMN_OPS = {("add", 2): operator.add, ("sub", 2): operator.sub, ("mul", 2): operator.mul, ("neg", 1): operator.neg}
+
+
 def interpret_all(
     program: WorkflowProgram,
     inputs_list: Iterable[Mapping[str, float]],
@@ -780,75 +786,97 @@ def interpret_all(
 ) -> list[ExecutionTrace]:
     """`interpret` the program once per input binding, in order.
 
-    One `_ordered` walk puts the program in topological order and resolves
-    each operator's operands once for all bindings. A node that cannot be
-    resolved (unknown operator, missing slot, literal without a value)
-    raises its error only when a binding reaches it, as a per-binding walk
-    would; a cycle or an edge to a missing node raises at once.
+    One `_ordered` walk orders the program and resolves each operator's
+    operands, and each step runs once over a column holding its value for
+    every binding still live. `add`, `sub`, `mul` and `neg` map over their
+    operand columns; any other operator, and a column with a non-finite
+    result, goes binding by binding through `_apply` with its checks. A
+    binding leaves the columns when it fails (with its failed trace) or when
+    its own walk raises (an unbound root, a bad input value, an operator
+    without semantics). A node that cannot be resolved (unknown operator,
+    missing slot, literal without a value) ends the walk, and every binding
+    still live raises its error; a cycle or an edge to a missing node raises
+    at once. The call raises the error of the first binding that has one, as
+    a loop over the bindings would, and otherwise returns the traces.
     """
     registry = registry or default_registry()
-    steps: list[tuple] = []   # (node id, op, literal value, operand ids)
+    bindings = list(inputs_list)
+    results: list = [None] * len(bindings)   # per binding: its trace, or the error its walk raises
+    live = list(range(len(bindings)))         # the binding of each row of a column
+    columns: list[list[float]] = []           # one per step walked
+    column_of: dict[str, int] = {}
+    leaf_at: list[int] = []                   # the columns of `input_constants`
+    value_at: list[int] = []                  # the columns of `values`
     unresolved: Optional[Exception] = None
     for node, slots in _ordered(program):
-        op = node.op
+        nid, op = node.node_id, node.op
         try:
             literal = float(node.value) if op == CONST_OP else None  # type: ignore[arg-type]
-            operands = () if op in LEAF_OPS else tuple(slots[k] for k in range(registry.get(op).arity))
+            operands = [] if op in LEAF_OPS else [columns[column_of[slots[k]]] for k in range(registry.get(op).arity)]
         except (KeyError, TypeError, ValueError) as exc:
             unresolved = exc
             break
-        steps.append((node.node_id, op, literal, operands))
-    return [_run_steps(steps, unresolved, program.output, inputs) for inputs in inputs_list]
-
-
-def _run_steps(
-    steps: Sequence[tuple],
-    unresolved: Optional[Exception],
-    output_id: str,
-    inputs: Mapping[str, float],
-) -> ExecutionTrace:
-    values: dict[str, float] = {}
-    leaf_values: list[float] = []
-    intermediates: list[float] = []
-
-    for nid, op, literal, operands in steps:
+        left: dict[int, object] = {}   # row -> the failed trace or error of a binding that leaves here
         if op == INPUT_OP:
-            if nid not in inputs:
-                raise MissingInputError(f"no input value for root {nid!r}")
-            v = float(inputs[nid])
-            leaf_values.append(v)
+            leaf_at.append(len(columns))
+            try:
+                column = [float(bindings[i][nid]) for i in live]
+            except Exception:
+                column = [0.0] * len(live)
+                for row, i in enumerate(live):
+                    try:
+                        if nid not in bindings[i]:
+                            raise MissingInputError(f"no input value for root {nid!r}")
+                        column[row] = float(bindings[i][nid])
+                    except Exception as exc:
+                        left[row] = exc
         elif op == CONST_OP:
             # literals do not count toward V_in: a program must not be able
             # to widen its own magnitude tolerance by embedding big constants
-            v = literal
+            column = [literal] * len(live)  # type: ignore[list-item]
         else:
-            try:
-                v = _apply(op, [values[a] for a in operands])
-                if not math.isfinite(v):
-                    raise _DomainViolation("non-finite result")
-            except _DomainViolation as exc:
-                return ExecutionTrace(
-                    values=tuple(intermediates),
-                    input_constants=tuple(leaf_values),
-                    success=False,
-                    output=None,
-                    violation=f"{exc.reason} at node {nid!r}",
-                )
-            intermediates.append(v)
-        values[nid] = v
-    if unresolved is not None:
-        raise unresolved
-
-    output = values[output_id]
-    if not intermediates:
-        # leaf-only program: record the output value so the trace is non-empty
-        intermediates = [output]
-    return ExecutionTrace(
-        values=tuple(intermediates),
-        input_constants=tuple(leaf_values),
-        success=True,
-        output=output,
-    )
+            fn = _COLUMN_OPS.get((op, len(operands)))
+            column = list(map(fn, *operands)) if fn else []
+            if fn is None or not all(map(math.isfinite, column)):
+                column = [0.0] * len(live)
+                for row in range(len(live)):
+                    try:
+                        column[row] = v = _apply(op, [c[row] for c in operands])
+                        if not math.isfinite(v):
+                            raise _DomainViolation("non-finite result")
+                    except _DomainViolation as exc:
+                        left[row] = ExecutionTrace(
+                            tuple(columns[c][row] for c in value_at), tuple(columns[c][row] for c in leaf_at),
+                            False, None, f"{exc.reason} at node {nid!r}",
+                        )
+                    except Exception as exc:
+                        left[row] = exc
+            value_at.append(len(columns))
+        column_of[nid] = len(columns)
+        columns.append(column)
+        if left:
+            for row, outcome in left.items():
+                results[live[row]] = outcome
+            kept = [row for row in range(len(live)) if row not in left]
+            live = [live[row] for row in kept]
+            columns = [[c[row] for row in kept] for c in columns]
+    if live:
+        if unresolved is None and program.output not in column_of:
+            unresolved = KeyError(program.output)
+        if unresolved is not None:
+            for i in live:
+                results[i] = unresolved
+        else:
+            outputs = columns[column_of[program.output]]
+            # a leaf-only program records its output, so the trace is non-empty
+            values = zip(*[columns[c] for c in value_at]) if value_at else zip(outputs)
+            inputs = zip(*[columns[c] for c in leaf_at]) if leaf_at else [()] * len(live)
+            for i, vals, ins, out in zip(live, values, inputs, outputs):
+                results[i] = ExecutionTrace(vals, ins, True, out)
+    for outcome in results:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,7 @@ class Optimizer:
         if self.stages.simulation:
             node.scores = self.scorer.with_magnitude(node.scores, traces)
             node.compliance = self.scorer.total(node.scores, self.weights)
-        successful = [t for t in traces if t.success]
-        peak = max((max(abs(v) for v in t.values) for t in successful if t.values), default=None)
+        peak = max((max(map(abs, t.values)) for t in traces if t.success and t.values), default=None)
         node.own_simulations += 1
         node.own_reward_sum += reward
         self.buffer.push(node.scores, reward)

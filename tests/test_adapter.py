@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ class TestHandleRequest:
 
     def test_in_band_error_raises_evaluation_error(self):
         class _ErrTransport:
-            def request(self, payload):
+            def request(self, line):
                 return {"error": "model refused"}
 
         evaluator = ExternalEvaluator(_ErrTransport(), PROBLEMS)
@@ -96,9 +98,9 @@ class TestHandleRequest:
         sent = []
 
         class _Recorder:
-            def request(self, payload):
-                sent.append(json.loads(json.dumps(payload)))
-                return SyntheticRoles(registry).handle(payload)
+            def request(self, line):
+                sent.append(json.loads(line))
+                return SyntheticRoles(registry).handle(json.loads(line))
 
         reward, _, _ = ExternalEvaluator(_Recorder(), PROBLEMS).evaluate(binary("add", "input", "input"))
         assert reward == 1.0
@@ -118,9 +120,9 @@ class TestHandleRequest:
         valid = _evaluate(binary("add", "input", "input"), PROBLEMS.problems)
         transport = StdioTransport([sys.executable, "-m", "wfopt.adapter"])
         try:
-            assert transport.request(_ghost_request("propose")) == {"error": GHOST_ERROR}
-            assert transport.request(_ghost_request("evaluate")) == {"error": GHOST_ERROR}
-            assert transport.request(valid)["reward"] == 1.0
+            assert transport.request(json.dumps(_ghost_request("propose"))) == {"error": GHOST_ERROR}
+            assert transport.request(json.dumps(_ghost_request("evaluate"))) == {"error": GHOST_ERROR}
+            assert transport.request(json.dumps(valid))["reward"] == 1.0
         finally:
             transport.close()
         with pytest.raises(EvaluationError, match="invalid program"):
@@ -182,7 +184,7 @@ class TestNonFiniteReward:
         def __init__(self, reply):
             self.reply = reply
 
-        def request(self, payload):
+        def request(self, line):
             # what json.loads makes of a peer that prints this reply, NaN and Infinity included
             return json.loads(json.dumps(self.reply))
 
@@ -259,7 +261,7 @@ class TestProposeReply:
         def __init__(self, reply):
             self.reply = reply
 
-        def request(self, payload):
+        def request(self, line):
             return json.loads(json.dumps(self.reply))
 
     def test_good_reply_is_accepted(self):
@@ -309,8 +311,8 @@ def _ghost_request(kind):
 class _Direct:
     """A transport that answers with a fresh `SyntheticRoles`, through JSON both ways."""
 
-    def request(self, payload):
-        return json.loads(json.dumps(SyntheticRoles().handle(json.loads(json.dumps(payload)))))
+    def request(self, line):
+        return json.loads(json.dumps(SyntheticRoles().handle(json.loads(line))))
 
 
 def _propose(program, count, seed):
@@ -456,7 +458,7 @@ class TestStdioAdapter:
         transport = StdioTransport([sys.executable, "-c", peer])
         try:
             with pytest.raises(AdapterError, match="malformed response line"):
-                transport.request({"kind": "evaluate"})
+                transport.request('{"kind": "evaluate"}')
         finally:
             transport.close()
 
@@ -464,9 +466,126 @@ class TestStdioAdapter:
         transport = StdioTransport([sys.executable, "-c", "pass"])
         try:
             with pytest.raises(AdapterError):
-                transport.request({"kind": "propose"})
+                transport.request('{"kind": "propose"}')
         finally:
             transport.close()
+
+
+# Problem lists whose JSON is easy to get wrong by hand: both zeros, the
+# largest floats, integer-valued floats (written `2.0`, not `2`) and a
+# category that `json.dumps` writes with `\u` escapes.
+WIRE_PROBLEMS = ProblemSet(
+    (
+        Problem(inputs={"x0": -0.0, "x1": 1e308}, expected=2.0, category="caf\u00e9"),
+        Problem(inputs={"x0": 0.0, "x1": -1.7976931348623157e308}, expected=-0.0, category="\u6e2c\u8a66"),
+        Problem(inputs={"x0": 3.0, "x1": 1e-320}, expected=1e16, category="c"),
+    ),
+    "validation",
+)
+
+# A stdio peer that appends each line it reads to the file named by its
+# argument, byte for byte, and answers with an empty evaluation.
+RECORDING_PEER = """
+import sys
+for line in sys.stdin.buffer:
+    with open(sys.argv[1], "ab") as fh:
+        fh.write(line)
+    sys.stdout.write('{"reward": 0.0, "traces": []}\\n')
+    sys.stdout.flush()
+"""
+
+
+class TestWireBytes:
+    """An evaluate request is the `json.dumps` of its whole payload, though
+    the evaluator encodes its problem list only once."""
+
+    PROGRAMS = [binary("add", "input", "input"), binary("mul", "input", -0.0), chain("neg", "neg")]
+
+    @staticmethod
+    def payloads(problems):
+        return [json.dumps(_evaluate(program, problems.problems)) for program in TestWireBytes.PROGRAMS]
+
+    def test_stdio_lines(self, tmp_path):
+        received = tmp_path / "received"
+        transport = StdioTransport([sys.executable, "-c", RECORDING_PEER, str(received)])
+        try:
+            evaluator = ExternalEvaluator(transport, WIRE_PROBLEMS)
+            for program in self.PROGRAMS:
+                evaluator.evaluate(program)
+        finally:
+            transport.close()
+        expected = "".join(line + "\n" for line in self.payloads(WIRE_PROBLEMS))
+        assert received.read_bytes() == expected.encode()
+
+    def test_http_bodies(self):
+        bodies = []
+
+        class RecordingHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
+                body = b'{"reward": 0.0, "traces": []}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with _http_server(RecordingHandler) as address:
+            evaluator = ExternalEvaluator(HttpTransport(address, timeout=10), WIRE_PROBLEMS)
+            for program in self.PROGRAMS:
+                evaluator.evaluate(program)
+        assert bodies == [payload.encode() for payload in self.payloads(WIRE_PROBLEMS)]
+
+    @pytest.mark.parametrize("problems", [WIRE_PROBLEMS, PROBLEMS], ids=["extremes", "plain"])
+    def test_lines_decode_to_the_payload(self, problems):
+        sent = []
+
+        class Recorder:
+            def request(self, line):
+                sent.append(line)
+                return {"reward": 0.0, "traces": []}
+
+        evaluator = ExternalEvaluator(Recorder(), problems)
+        for program in self.PROGRAMS:
+            evaluator.evaluate(program)
+        assert sent == self.payloads(problems)
+        assert [repr(json.loads(line)) for line in sent] == [
+            repr(_evaluate(program, problems.problems)) for program in self.PROGRAMS
+        ]
+
+
+def _perfbench_tracer():
+    """`perfbench/tracer.py`, loaded by path: the benchmark is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_remote_run_logs_what_the_untraced_run_logs(tmp_path):
+    """The benchmark's tracer swaps the adapter's `json` for a proxy holding
+    only `dumps`, `loads` and `JSONDecodeError`; a search through a stdio peer
+    must run under it and log the same bytes."""
+    config = config_from_dict({
+        "seed": 3,
+        "budget": {"rounds": 2, "simulations_per_round": 3, "max_candidates_per_expansion": 4},
+        "suite": {"n_problems": 10},
+        "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 2},
+        "executor": {"mode": "external", "command": [sys.executable, "-m", "wfopt.adapter"]},
+    })
+    driver.execute_run(config, tmp_path / "plain")
+    tracing = _perfbench_tracer()
+    tracer = tracing.Tracer(run_id="traced")
+    with tracing.patched() as patches:
+        tracer.install(patches)
+        driver.execute_run(config, tmp_path / "traced")
+    assert tracer.calls["adapter.request"] > 1
+    assert tracer.counts["adapter.bytes_out"] > 0 and tracer.counts["adapter.bytes_in"] > 0
+    traced = (tmp_path / "traced" / "runlog.ndjson").read_bytes()
+    assert traced == (tmp_path / "plain" / "runlog.ndjson").read_bytes()
 
 
 class TestRunClosesStdioPeer:
@@ -557,7 +676,7 @@ class TestHttpAdapter:
 
         with _http_server(GarbageHandler) as address:
             with pytest.raises(AdapterError, match="malformed response"):
-                HttpTransport(address, timeout=10).request({"kind": "evaluate"})
+                HttpTransport(address, timeout=10).request('{"kind": "evaluate"}')
 
     def test_evaluate_over_http(self, server):
         evaluator = ExternalEvaluator(HttpTransport(server), PROBLEMS)
@@ -568,4 +687,4 @@ class TestHttpAdapter:
     def test_unreachable_address(self):
         transport = HttpTransport("http://127.0.0.1:1/", timeout=0.2)
         with pytest.raises(AdapterError):
-            transport.request({"kind": "evaluate"})
+            transport.request('{"kind": "evaluate"}')

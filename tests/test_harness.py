@@ -109,6 +109,23 @@ class TestProposeEdits:
         with pytest.raises(ValueError):
             SyntheticProposer(registry, ProposerConfig(ops=("bogus",)))
 
+    def test_base_with_an_operator_the_registry_lacks(self, registry):
+        """A node whose operator the registry lacks gets no replacement and no
+        deletion; the other candidates are validated as usual, so only those
+        that drop the node are kept."""
+        proposer = SyntheticProposer(registry)
+        alone = binary("frob", "input", "input")
+        assert proposer.enumerate_edits(alone) == []
+        inner = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "frob"), Node("n1", "add")),
+            edges=(Edge("x0", "n0", 0), Edge("x1", "n0", 1), Edge("n0", "n1", 0), Edge("x1", "n1", 1)),
+            roots=("x0", "x1"),
+            output="n1",
+        )
+        edits = proposer.enumerate_edits(inner)
+        assert all(validate_program(p, default_registry()).ok for p in edits)
+        assert sorted((e.src, e.slot) for p in edits for e in p.edges) == [("x0", 0), ("x1", 0), ("x1", 1), ("x1", 1)]
+
 
 class TestEditRecords:
     """A candidate of a clean base that passed validation is validated and keyed

@@ -5,13 +5,15 @@
 are written for speed: one pass over the nodes and edges, a reachability walk
 only when it can fail, a flat tuple key, one walk that orders a program and
 resolves its operands together for each analysis or evaluation request,
-a dead-node pruning walk only for the edits that can orphan a node, and a
+each evaluation step run once over the values of all input bindings, a
+dead-node pruning walk only for the edits that can orphan a node, and a
 check and a key of each proposer candidate made from its edit of a valid
 base rather than from the whole candidate. The
 reference forms below are the plain versions they replaced: separate cycle
 and reachability walks, a `repr` of the post-order entry list, a re-sorted
 ready list walked once per input binding with the program's `incoming()` and
-`node_map()`, and every candidate built by copying the base's node and edge
+`node_map()`, one step plan run binding by binding (`ref_interpret_all`),
+and every candidate built by copying the base's node and edge
 lists and then pruned, with its cycle-blocking set recomputed per operator
 kind and per edge. The fast forms must give the same reports, the same key
 equalities, the same analyses, the same traces, the same errors and the same
@@ -32,6 +34,7 @@ from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
+    LEAF_OPS,
     Edge,
     ExecutionTrace,
     InvalidProgramError,
@@ -51,9 +54,11 @@ from wfopt.model import (
     _derive_sign,
     _DomainViolation,
     _domain_ok,
+    _ordered,
     _sign_of,
     analyze_program,
     canonical_key,
+    default_registry,
     interpret,
     interpret_all,
     topological_order,
@@ -303,6 +308,54 @@ def ref_interpret(program, inputs, registry):
 def ref_interpret_loop(program, inputs_list, registry):
     """The per-problem loop the evaluator ran: one full interpret per binding."""
     return [ref_interpret(program, inputs, registry) for inputs in inputs_list]
+
+
+def ref_interpret_all(program, inputs_list, registry):
+    """The loop `interpret_all` ran before it went column by column: one
+    `_ordered` walk builds the step plan, then the plan runs once per binding,
+    and the first binding whose walk raises ends the call."""
+    steps = []   # (node id, op, literal value, operand ids)
+    unresolved = None
+    for node, slots in _ordered(program):
+        op = node.op
+        try:
+            literal = float(node.value) if op == CONST_OP else None
+            operands = () if op in LEAF_OPS else tuple(slots[k] for k in range(registry.get(op).arity))
+        except (KeyError, TypeError, ValueError) as exc:
+            unresolved = exc
+            break
+        steps.append((node.node_id, op, literal, operands))
+    return [ref_run_steps(steps, unresolved, program.output, inputs) for inputs in inputs_list]
+
+
+def ref_run_steps(steps, unresolved, output_id, inputs):
+    values = {}
+    leaf_values = []
+    intermediates = []
+    for nid, op, literal, operands in steps:
+        if op == INPUT_OP:
+            if nid not in inputs:
+                raise MissingInputError(f"no input value for root {nid!r}")
+            v = float(inputs[nid])
+            leaf_values.append(v)
+        elif op == CONST_OP:
+            v = literal
+        else:
+            try:
+                v = _apply(op, [values[a] for a in operands])
+                if not math.isfinite(v):
+                    raise _DomainViolation("non-finite result")
+            except _DomainViolation as exc:
+                return ExecutionTrace(tuple(intermediates), tuple(leaf_values), False, None,
+                                      f"{exc.reason} at node {nid!r}")
+            intermediates.append(v)
+        values[nid] = v
+    if unresolved is not None:
+        raise unresolved
+    output = values[output_id]
+    if not intermediates:
+        intermediates = [output]
+    return ExecutionTrace(tuple(intermediates), tuple(leaf_values), True, output)
 
 
 def ref_insert_node(program, edge, op, operands, new_id, const_id):
@@ -1080,6 +1133,108 @@ class TestInterpretAll:
                 ref_interpret_loop(program, [{}], registry)
             with pytest.raises(KeyError, match="frobnicate"):
                 interpret_all(program, [{}], registry)
+
+
+# Registries for the column-by-column differential test besides the default
+# one: one adding a binary and a nullary operator that have no semantics, and
+# one that gives arithmetic names other arities than `_apply` reads.
+_ODD_REGISTRIES = [
+    OperatorRegistry([*default_registry(), OperatorKind("frob", 2), OperatorKind("pi", 0)]),
+    OperatorRegistry([OperatorKind("add", 1), OperatorKind("neg", 2), OperatorKind("sub", 3), OperatorKind("mul", 2),
+                      OperatorKind("pow", 2)]),
+]
+# zeros of both signs, values whose products and powers overflow, non-finite
+# values, and values `float` rejects
+_EXTREMES = [0.0, -0.0, 1.0, -2.0, 0.5, 3.0, 1e308, -1e308, 1e-308, math.inf, -math.inf, math.nan]
+_BAD_VALUES = ["x", None]
+
+
+@st.composite
+def _programs_and_bindings(draw):
+    """A random program over some registry, and a list of bindings for it.
+    Now and then a program is cyclic or unresolved, or a binding lacks a root
+    or holds a value `float` rejects."""
+
+    def rarely():
+        return draw(st.integers(0, 24)) == 0
+
+    registry = draw(st.sampled_from([default_registry()] * 3 + _ODD_REGISTRIES))
+    kinds = list(registry)
+    n_inputs = draw(st.integers(0, 3))
+    nodes = [Node(f"x{i}", INPUT_OP) for i in range(n_inputs)]
+    for i in range(draw(st.integers(0, 2))):
+        nodes.append(Node(f"c{i}", CONST_OP, value=None if rarely() else draw(st.sampled_from(_EXTREMES))))
+    edges = []
+    for i in range(draw(st.integers(0, 6))):
+        # "zap" is in no registry, so the walk cannot resolve it
+        kind = OperatorKind("zap", 1) if rarely() else draw(st.sampled_from(kinds))
+        ids = [n.node_id for n in nodes]
+        for slot in range(kind.arity):
+            if not ids or rarely():
+                continue   # an empty slot
+            # an operand declared later may close a cycle
+            pool = ids + [f"n{i + 1}"] if rarely() else ids
+            edges.append(Edge(draw(st.sampled_from(pool)), f"n{i}", slot))
+        nodes.append(Node(f"n{i}", kind.name))
+    ids = [n.node_id for n in nodes]
+    edges = [e for e in edges if e.src in ids]
+    nodes = draw(st.permutations(nodes))
+    output = "ghost" if not ids or rarely() else ids[-1] if draw(st.booleans()) else draw(st.sampled_from(ids))
+    roots = tuple(f"x{i}" for i in range(n_inputs))
+    program = WorkflowProgram(tuple(nodes), tuple(edges), roots, output)
+    value = st.sampled_from(_EXTREMES) | st.integers(-4, 4).map(float)
+    bindings = []
+    for _ in range(0 if rarely() else draw(st.integers(1, 6))):
+        binding = {}
+        for rid in roots:
+            if not rarely():
+                binding[rid] = draw(st.sampled_from(_BAD_VALUES)) if rarely() else draw(value)
+        bindings.append(binding)
+    return program, registry, bindings
+
+
+def _repr_outcome(fn, *args):
+    """The `repr` of what a call returns, or the type and message of what it
+    raises: `repr` tells 0.0 from -0.0 and matches NaN with NaN."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(case=_programs_and_bindings())
+def test_column_interpreter_matches_the_binding_loop(case):
+    program, registry, bindings = case
+    assert _repr_outcome(interpret_all, program, bindings, registry) == \
+        _repr_outcome(ref_interpret_all, program, bindings, registry)
+
+
+def test_column_interpreter_leaves_failed_bindings_behind(registry):
+    """Bindings that fail, and one that raises after others failed, leave
+    the columns at the step where they stop, and the rest go on."""
+    program = WorkflowProgram(
+        nodes=(Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "mul"), Node("n1", "log"),
+               Node("n2", "add")),
+        edges=(Edge("x0", "n0", 0), Edge("x0", "n0", 1), Edge("n0", "n1", 0), Edge("n1", "n2", 0),
+               Edge("x1", "n2", 1)),
+        roots=("x0", "x1"),
+        output="n2",
+    )
+    bindings = [{"x0": 1e308, "x1": 1.0}, {"x0": 2.0, "x1": -0.0}, {"x0": 0.0, "x1": 1.0},
+                {"x0": math.nan, "x1": 1.0}, {"x0": -3.0, "x1": 2.0}]
+    traces = interpret_all(program, bindings, registry)
+    assert repr(traces) == repr(ref_interpret_all(program, bindings, registry))
+    assert [t.success for t in traces] == [False, True, False, False, True]
+    assert traces[0].violation == "non-finite result at node 'n0'"
+    assert traces[2].violation == "log of non-positive value at node 'n1'"
+    assert traces[4].values == (9.0, math.log(9.0), math.log(9.0) + 2.0)
+    for raising in ({"x0": 2.0}, {"x0": 2.0, "x1": "x"}):
+        with pytest.raises((MissingInputError, ValueError)) as info:
+            interpret_all(program, bindings + [raising, {}], registry)
+        with pytest.raises(type(info.value)) as ref_info:
+            ref_interpret_all(program, bindings + [raising, {}], registry)
+        assert str(info.value) == str(ref_info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ the `json.dumps` of its payload. The engine treats remote and synthetic
 implementations identically. An evaluate reply that is valid JSON but
 carries bad content (a reward that is not a number in [0, 1], a malformed
 trace) fails that one request with `EvaluationError`; a reply that breaks
-the protocol itself raises
-`AdapterError`. A propose reply has no per-request failure: one that is not
-an object, reports an error, lacks a `candidates` list, holds a candidate
-that does not decode as a program or carries a bad usage count raises
-`AdapterError`.
+the protocol itself raises `AdapterError`. A propose reply has no
+per-request failure: one that is not an object, reports an error, lacks a
+`candidates` list, holds a candidate that does not decode as a program or
+carries a bad usage count raises `AdapterError`.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
@@ -179,15 +178,15 @@ class StdioTransport(_Transport):
         try:
             self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
+            reply = self._proc.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
             raise AdapterError(f"external role pipe failed: {exc}") from None
         except UnicodeDecodeError as exc:
             raise AdapterError(f"malformed response line: {exc}") from None
-        if not line:
+        if not reply:
             raise AdapterError("external role closed the stream")
         try:
-            return json.loads(line)
+            return json.loads(reply)
         except json.JSONDecodeError as exc:
             raise AdapterError(f"malformed response line: {exc}") from None
 

@@ -803,22 +803,20 @@ def interpret_all(
     bindings = list(inputs_list)
     results: list = [None] * len(bindings)   # per binding: its trace, or the error its walk raises
     live = list(range(len(bindings)))         # the binding of each row of a column
-    columns: list[list[float]] = []           # one per step walked
-    column_of: dict[str, int] = {}
-    leaf_at: list[int] = []                   # the columns of `input_constants`
-    value_at: list[int] = []                  # the columns of `values`
+    column_of: dict[str, list[float]] = {}    # node id -> its column
+    leaf_columns: list[list[float]] = []      # the columns of `input_constants`
+    value_columns: list[list[float]] = []     # the columns of `values`
     unresolved: Optional[Exception] = None
     for node, slots in _ordered(program):
         nid, op = node.node_id, node.op
         try:
             literal = float(node.value) if op == CONST_OP else None  # type: ignore[arg-type]
-            operands = [] if op in LEAF_OPS else [columns[column_of[slots[k]]] for k in range(registry.get(op).arity)]
+            operands = [] if op in LEAF_OPS else [column_of[slots[k]] for k in range(registry.get(op).arity)]
         except (KeyError, TypeError, ValueError) as exc:
             unresolved = exc
             break
         left: dict[int, object] = {}   # row -> the failed trace or error of a binding that leaves here
         if op == INPUT_OP:
-            leaf_at.append(len(columns))
             try:
                 column = [float(bindings[i][nid]) for i in live]
             except Exception:
@@ -830,6 +828,7 @@ def interpret_all(
                         column[row] = float(bindings[i][nid])
                     except Exception as exc:
                         left[row] = exc
+            leaf_columns.append(column)
         elif op == CONST_OP:
             # literals do not count toward V_in: a program must not be able
             # to widen its own magnitude tolerance by embedding big constants
@@ -846,20 +845,20 @@ def interpret_all(
                             raise _DomainViolation("non-finite result")
                     except _DomainViolation as exc:
                         left[row] = ExecutionTrace(
-                            tuple(columns[c][row] for c in value_at), tuple(columns[c][row] for c in leaf_at),
+                            tuple(c[row] for c in value_columns), tuple(c[row] for c in leaf_columns),
                             False, None, f"{exc.reason} at node {nid!r}",
                         )
                     except Exception as exc:
                         left[row] = exc
-            value_at.append(len(columns))
-        column_of[nid] = len(columns)
-        columns.append(column)
+            value_columns.append(column)
+        column_of[nid] = column
         if left:
             for row, outcome in left.items():
                 results[live[row]] = outcome
             kept = [row for row in range(len(live)) if row not in left]
             live = [live[row] for row in kept]
-            columns = [[c[row] for row in kept] for c in columns]
+            for c in column_of.values():   # in place: the lists above hold the same columns
+                c[:] = [c[row] for row in kept]
     if live:
         if unresolved is None and program.output not in column_of:
             unresolved = KeyError(program.output)
@@ -867,10 +866,10 @@ def interpret_all(
             for i in live:
                 results[i] = unresolved
         else:
-            outputs = columns[column_of[program.output]]
+            outputs = column_of[program.output]
             # a leaf-only program records its output, so the trace is non-empty
-            values = zip(*[columns[c] for c in value_at]) if value_at else zip(outputs)
-            inputs = zip(*[columns[c] for c in leaf_at]) if leaf_at else [()] * len(live)
+            values = zip(*value_columns) if value_columns else zip(outputs)
+            inputs = zip(*leaf_columns) if leaf_columns else [()] * len(live)
             for i, vals, ins, out in zip(live, values, inputs, outputs):
                 results[i] = ExecutionTrace(vals, ins, True, out)
     for outcome in results:

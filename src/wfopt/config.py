@@ -9,6 +9,7 @@ the value it has in `RunConfig()`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
@@ -159,12 +160,15 @@ _LISTS = {
 
 
 def _check_type(key: str, value: object, hint) -> None:
-    """A bool, int or str setting takes exactly that JSON type; a float one any number but true/false."""
+    """A bool, int or str setting takes exactly that JSON type; a float one any
+    finite number but true/false (`json.loads` reads NaN and Infinity)."""
     if get_origin(hint) is Union:  # Optional[X]; the caller has handled null
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     ok = type(value) in (int, float) if hint is float else type(value) is hint
     if not ok:
         raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _section(name: str, default, given: object):

@@ -5,16 +5,18 @@ passed `validate_program` against its registry object and has no dead node,
 and gives each candidate of that base a `ProgramEdit`, held on the program
 as `model._EDIT` until the candidate is keyed. `model.validate_program`
 then asks the record whether the edit kept the program valid
-(`ProgramEdit.holds`), and `model.canonical_key` asks it for the key
-(`ProgramEdit.key`); each call costs about what the edit touched rather than
-what the program holds. The answers are the full check's and the full
-walk's: a record that cannot vouch sends `validate_program` to the full
-check, and `tests/test_reference.py` compares both paths on random bases.
+(`ProgramEdit.holds`), at about the cost of what the edit touched rather
+than what the program holds, and `model.canonical_key` asks it for the key
+(`ProgramEdit.key`): the walk of `model._key_walk` over the base's maps with
+the edit's operand changes, shared by the candidates of a base that differ
+only in the nodes they add or change. The answers are the full check's and
+the full walk's: a record that cannot vouch sends `validate_program` to the
+full check, and `tests/test_reference.py` compares both paths on random
+bases.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .model import (
@@ -22,62 +24,13 @@ from .model import (
     _VALID_FOR,
     CONST_OP,
     LEAF_OPS,
-    InvalidProgramError,
     Node,
     OperatorRegistry,
     WorkflowProgram,
     _key_entry,
+    _key_maps,
+    _key_walk,
 )
-
-_UNCHANGED: Mapping = MappingProxyType({})
-
-
-def _key_walk(
-    output: str,
-    heads: Mapping[str, tuple],
-    operands: Mapping[str, tuple[str, ...]],
-    entries: list[tuple],
-    index: dict[str, int],
-    changed_heads: Mapping[str, tuple] = _UNCHANGED,
-    changed_operands: Mapping[str, tuple[str, ...]] = _UNCHANGED,
-    entered: Optional[dict[str, int]] = None,
-) -> tuple:
-    """The post-order walk of `model.canonical_key`, from `output`, over maps
-    built beforehand: each node's head (its `model._key_entry` without
-    operands) and each node's operand ids by slot.
-
-    A node's head and operands come from `changed_heads` and
-    `changed_operands` when they hold it, else from `heads` and `operands`;
-    an operator's entry is its head with its operands' entry indices as the
-    payload. `entries` and `index` (id -> entry index) may come filled with
-    the entries the walk would make first. A node missing from the heads
-    raises `KeyError`. `entered`, when given, records how many entries were
-    complete as the walk reached each node.
-    """
-
-    def visit(nid: str) -> int:
-        i = index.get(nid)
-        if i is not None:
-            if i < 0:
-                raise InvalidProgramError("cycle in operator graph")
-            return i
-        index[nid] = -1
-        if entered is not None:
-            entered[nid] = len(entries)
-        head = changed_heads.get(nid) or heads[nid]
-        args = changed_operands[nid] if nid in changed_operands else operands.get(nid)
-        if args:
-            children = tuple(map(visit, args))
-            op, _, unit, shape = head
-            if op not in LEAF_OPS:
-                head = (op, children, unit, shape)
-        index[nid] = i = len(entries)
-        entries.append(head)
-        return i
-
-    visit(output)
-    return tuple(entries)
-
 
 _NOTHING: frozenset = frozenset()
 
@@ -87,34 +40,21 @@ class EditBase:
 
     Built once per base by the proposer, only for a base that passed
     `validate_program` against the proposer's registry object and has no
-    dead node and one edge per input slot. It holds each node's key head,
-    each operator's operand ids in slot order, each node's consumers (one
-    per edge out), and the base's own key walk: its entries, each reached
-    node's entry index (also as (id, index) pairs in post-order), and
-    `entered`, how many entries the walk had made when it reached each node.
-    `walks` keeps the walks its candidates share (`ProgramEdit.key`).
+    dead node and one edge per input slot. It holds the base's maps from
+    `model._key_maps` (each node's key head, each operator's operand ids in
+    slot order) and each node's consumers (one per edge out). `walks` keeps
+    the key walks its candidates share (`ProgramEdit.key`).
     """
 
-    __slots__ = (
-        "registry", "heads", "operands", "consumers", "output", "key", "index", "post", "entered", "walks",
-    )
+    __slots__ = ("registry", "heads", "operands", "consumers", "walks")
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
-        self.heads = {n.node_id: _key_entry(n) for n in program.nodes}
-        slot_maps: dict[str, dict[int, str]] = {}
-        for e in program.edges:
-            slot_maps.setdefault(e.dst, {})[e.slot] = e.src
-        self.operands = {nid: tuple([slots[k] for k in sorted(slots)]) for nid, slots in slot_maps.items()}
+        self.heads, self.operands = _key_maps(program)
         self.consumers: dict[str, list[str]] = {}
         for nid, args in self.operands.items():
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
-        self.output = program.output
-        self.index: dict[str, int] = {}
-        self.entered: dict[str, int] = {}
-        self.key = _key_walk(program.output, self.heads, self.operands, [], self.index, entered=self.entered)
-        self.post = sorted(self.index.items(), key=lambda item: item[1])
         self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
 
     @staticmethod
@@ -231,57 +171,30 @@ class ProgramEdit:
         node's entry is `model._key_entry` of the node and its operands'
         indices. So the candidates of a base with the same output, operand
         lists set and leaf ids added share one walk, kept on the base (all
-        replacements; an insertion's operator kinds and constants), and each
-        sets the entries of the nodes it adds or changes.
+        replacements; an insertion's operator kinds and constants). The
+        walk runs from empty entries at the output, over the base's maps
+        with the edit's operand changes; it takes the base's head for every
+        node the base has, so no candidate's change leaks into the walk the
+        others read. Each candidate then sets the entry of every node it
+        adds or changes from the node and its operands' indices in the walk.
         """
         base = self.base
-        nodes = self.nodes
-        shared = (self.output, tuple(self.operands.items()), tuple([n.node_id for n in nodes if n.op in LEAF_OPS]))
+        nodes, operands = self.nodes, self.operands
+        shared = (self.output, tuple(operands.items()), tuple([n.node_id for n in nodes if n.op in LEAF_OPS]))
         walked = base.walks.get(shared)
         if walked is None:
-            walked = base.walks[shared] = self._walk()
+            index: dict[str, int] = {}
+            fresh_heads = {n.node_id: _key_entry(n) for n in nodes}
+            key = _key_walk(self.output, base.heads, base.operands, index, fresh_heads, operands)
+            walked = base.walks[shared] = (key, index)
         key, index = walked
         for node in nodes:
-            at = index.get(node.node_id)
+            nid = node.node_id
+            at = index.get(nid)
             if at is not None:
-                key = key[:at] + (_key_entry(node, key[at][1]),) + key[at + 1:]
+                args = operands[nid] if nid in operands else base.operands.get(nid, ())
+                key = key[:at] + (_key_entry(node, tuple([index[a] for a in args])),) + key[at + 1:]
         return key
-
-    def _walk(self) -> tuple[tuple, dict[str, int]]:
-        """The key walk of the candidate, and each node's index in it.
-
-        It makes the base's entries until it reaches the first node whose
-        operands the edit changed (at once if the output changed), at its
-        first changed operand. It starts from those entries and walks from
-        the output over the base's maps with the edit's changes, meeting the
-        nodes of those entries first and taking their indices. The entries
-        of the nodes the edit adds or changes are left for `key` to set.
-        """
-        base = self.base
-        index, base_operands, operands = base.index, base.operands, self.operands
-
-        def past(old: str, new: str, made: int) -> int:
-            """How many of the base's entries the walk has made, from `made`,
-            once it has walked `new` where the base's walked `old`: old's too
-            if `new` is old, or a new node whose first operand is old."""
-            if new == old or (new not in index and operands.get(new, (None,))[0] == old):
-                return max(made, index[old] + 1)
-            return made
-
-        start = past(base.output, self.output, 0)
-        for nid, args in operands.items():
-            made = base.entered.get(nid, start)
-            if made >= start:
-                continue
-            for old, new in zip(base_operands.get(nid, ()), args):
-                made = past(old, new, made)
-                if new != old:
-                    break
-            start = min(start, made)
-        heads = {n.node_id: _key_entry(n) for n in self.nodes}
-        walked = dict(base.post[:start])
-        key = _key_walk(self.output, base.heads, base_operands, list(base.key[:start]), walked, heads, self.operands)
-        return key, walked
 
 
 def carry_edit(program: WorkflowProgram, pruned: WorkflowProgram) -> None:

@@ -206,12 +206,12 @@ class SyntheticProposer:
         without a nullary operator), each candidate also carries its edit
         (`edits.ProgramEdit`) over maps of the base built once
         (`edits.EditBase`). Its `validate_program` call then checks only
-        what the edit introduced, and its `canonical_key` call reuses the
-        base's key entries before the first node the edit changed, walks the
-        base's maps with the edit's changes for the rest (one walk for the
-        candidates that differ only in the nodes they add or change) and
-        drops the record. A candidate of any other base is validated and
-        keyed in full.
+        what the edit introduced, and its `canonical_key` call walks the
+        base's maps with the edit's operand changes (one walk for the
+        candidates that differ only in the nodes they add or change), sets
+        the entries of the nodes the edit adds or changes and drops the
+        record. A candidate of any other base is validated and keyed in
+        full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []

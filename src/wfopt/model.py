@@ -25,12 +25,12 @@ A proposer candidate also carries, from when it is built until it is keyed,
 an edit record (`edits.ProgramEdit`): the one edit that made it from a base
 that passed `validate_program`, against a registry with no nullary
 operator, and has no dead node. `validate_program` then checks only what
-the edit introduced. `canonical_key` reuses the base's key entries before
-the first node the edit changed and walks the base's maps with the edit's
-changes from there, a walk that the candidates differing only in the nodes
-they add or change share. Both give exactly the report and the tuple the
-full check and the full walk give. `canonical_key` drops the record, so no
-kept program holds its base's maps.
+the edit introduced. `canonical_key` walks the base's maps with the edit's
+operand changes, in a walk the candidates that differ only in the nodes
+they add or change share, and sets those nodes' entries. Both give exactly
+the report and the tuple the full check and the full walk give; the key
+is made by the one walk, `_key_walk`, on either path. `canonical_key`
+drops the record, so no kept program holds its base's maps.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -46,6 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -350,9 +351,9 @@ def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[st
     violation was already found or some operator takes no operands:
     otherwise every operator has all its slots filled from real nodes and the
     graph is acyclic, so walking back from the output must end at a leaf.
-    Only that walk reads the map of every edge into each node, the rejected
-    ones included, as `WorkflowProgram.incoming` builds it; it is built only
-    when the walk runs.
+    Only that walk reads every edge into each node, the rejected ones
+    included, as the operand lists of `_key_maps`; they are built only when
+    the walk runs.
     """
     arities = registry.arities
     roots = program.roots
@@ -438,15 +439,12 @@ def _violations(program: WorkflowProgram, registry: OperatorRegistry) -> list[st
 
     if program.output not in arity:
         violations.append(f"output {program.output!r} is not a node")
-    elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, program.edges, program.output):
+    elif (violations or nullary) and not cyclic and not _reaches_leaf(arity, _key_maps(program)[1], program.output):
         violations.append(f"output {program.output!r} is not reachable from any leaf")
     return violations
 
 
-def _reaches_leaf(arity: Mapping[str, int], edges: Sequence[Edge], nid: str) -> bool:
-    inc: dict[str, dict[int, str]] = {}  # every edge, the last one per slot winning
-    for edge in edges:
-        inc.setdefault(edge.dst, {})[edge.slot] = edge.src
+def _reaches_leaf(arity: Mapping[str, int], operands: Mapping[str, tuple[str, ...]], nid: str) -> bool:
     stack, seen = [nid], set()
     while stack:
         cur = stack.pop()
@@ -455,7 +453,7 @@ def _reaches_leaf(arity: Mapping[str, int], edges: Sequence[Edge], nid: str) -> 
         seen.add(cur)
         if arity[cur] < 0:
             return True
-        stack.extend(inc.get(cur, {}).values())
+        stack.extend(operands.get(cur, ()))
     return False
 
 
@@ -964,24 +962,69 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     1.0, stay distinct). Linking entries by index keeps shared and duplicated
     subexpressions apart, so the key distinguishes programs whose operator
     histograms differ. Unused roots are ignored (every edit of a program
-    keeps the same root set). A cycle on the way raises
-    `InvalidProgramError`: a node is marked as in progress while its
-    operands are visited.
+    keeps the same root set). A cycle on the way, or a node the program
+    lacks (the output, or an edge's source), raises `InvalidProgramError`.
 
-    A proposer candidate that still carries its edit record is keyed from
-    its base's key entries and maps and the edit (`edits.ProgramEdit.key`),
-    to the same tuple; the record is dropped here. Every entry, here and
-    there, is built by `_key_entry`.
+    The key is `_key_walk` over the maps `_key_maps` builds. A proposer
+    candidate that still carries its edit record is keyed by the same walk
+    over its base's maps and the edit (`edits.ProgramEdit.key`), to the same
+    tuple; the record is dropped here.
     """
     edit = getattr(program, _EDIT, None)
     if edit is not None:
         object.__delattr__(program, _EDIT)
         return edit.key()
-    nm = {n.node_id: n for n in program.nodes}
-    inc: dict[str, dict[int, str]] = {}
+    return _key_walk(program.output, *_key_maps(program), {})
+
+
+def _key_entry(node: Node, children: tuple = ()) -> tuple:
+    """`node`'s entry in `canonical_key`, `children` being its operands' entry
+    indices: the one definition of the entry's layout. With no children it
+    is the node's head, which `_key_walk` completes with its operands'
+    indices, and `edits.ProgramEdit.key` builds the entries of the nodes an
+    edit adds or changes with it."""
+    op = node.op
+    return (
+        op,
+        node.node_id if op == INPUT_OP else repr(node.value) if op == CONST_OP else children,
+        node.unit.exponents if node.unit is not None else None,
+        (node.shape.kind, node.shape.dims) if node.shape is not None else None,
+    )
+
+
+def _key_maps(program: WorkflowProgram) -> tuple[dict[str, tuple], dict[str, tuple[str, ...]]]:
+    """The maps `_key_walk` reads: each node's head (its `_key_entry` without
+    operands) and each node's operand ids in slot order, from every edge into
+    it, the last edge into a slot winning."""
+    heads = {n.node_id: _key_entry(n) for n in program.nodes}
+    slot_maps: dict[str, dict[int, str]] = {}
     for e in program.edges:
-        inc.setdefault(e.dst, {})[e.slot] = e.src
-    index: dict[str, int] = {}
+        slot_maps.setdefault(e.dst, {})[e.slot] = e.src
+    operands = {nid: tuple([slots[k] for k in sorted(slots)]) for nid, slots in slot_maps.items()}
+    return heads, operands
+
+
+_UNCHANGED: Mapping = MappingProxyType({})
+
+
+def _key_walk(
+    output: str,
+    heads: Mapping[str, tuple],
+    operands: Mapping[str, tuple[str, ...]],
+    index: dict[str, int],
+    fresh_heads: Mapping[str, tuple] = _UNCHANGED,
+    changed_operands: Mapping[str, tuple[str, ...]] = _UNCHANGED,
+) -> tuple:
+    """The post-order walk of `canonical_key`, from `output`, over the maps
+    of `_key_maps`; fills `index` (id -> entry index).
+
+    A node's head comes from `heads`, or from `fresh_heads` for a node that
+    `heads` lacks; its operands come from `changed_operands` when that holds
+    it, else from `operands`. An operator's entry is its head with its
+    operands' entry indices as the payload. A node in progress is met again
+    on a cycle, and a node in neither map is missing: both raise
+    `InvalidProgramError`.
+    """
     entries: list[tuple] = []
 
     def visit(nid: str) -> int:
@@ -991,33 +1034,21 @@ def canonical_key(program: WorkflowProgram) -> tuple:
                 raise InvalidProgramError("cycle in operator graph")
             return i
         index[nid] = -1
-        node = nm[nid]
-        slot_map = inc.get(nid)
-        if slot_map is None:
-            children = ()
-        elif len(slot_map) == 1:
-            children = (visit(*slot_map.values()),)
-        else:
-            children = tuple([visit(slot_map[k]) for k in sorted(slot_map)])
+        head = heads.get(nid) or fresh_heads.get(nid)
+        if head is None:
+            raise InvalidProgramError(f"missing node {nid!r} in operator graph")
+        args = changed_operands[nid] if nid in changed_operands else operands.get(nid)
+        if args:
+            children = tuple(map(visit, args))
+            op, _, unit, shape = head
+            if op not in LEAF_OPS:
+                head = (op, children, unit, shape)
         index[nid] = i = len(entries)
-        entries.append(_key_entry(node, children))
+        entries.append(head)
         return i
 
-    visit(program.output)
+    visit(output)
     return tuple(entries)
-
-
-def _key_entry(node: Node, children: tuple = ()) -> tuple:
-    """`node`'s entry in `canonical_key`, `children` being its operands' entry
-    indices: the one definition of the entry's layout, which the edit-local
-    key walk (`edits.ProgramEdit.key`) also builds its entries from."""
-    op = node.op
-    return (
-        op,
-        node.node_id if op == INPUT_OP else repr(node.value) if op == CONST_OP else children,
-        node.unit.exponents if node.unit is not None else None,
-        (node.shape.kind, node.shape.dims) if node.shape is not None else None,
-    )
 
 
 def fresh_node_id(program: WorkflowProgram, prefix: str = "n") -> str:

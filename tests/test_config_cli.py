@@ -133,6 +133,13 @@ class TestConfigParsing:
             ({"executor": {"mode": 5}}, "executor.mode must be str, got 5"),
             ({"executor": {"address": 5}}, "executor.address must be str, got 5"),
             ({"category": 0}, "category must be str, got 0"),
+            # json.loads reads NaN, Infinity and -Infinity as floats
+            (json.loads('{"aggregation": {"uct_c": NaN}}'), "aggregation.uct_c must be a finite number, got nan"),
+            (json.loads('{"aggregation": {"epsilon": Infinity}}'),
+             "aggregation.epsilon must be a finite number, got inf"),
+            (json.loads('{"adaptation": {"eta": Infinity}}'), "adaptation.eta must be a finite number, got inf"),
+            (json.loads('{"depth_diversity": {"beta": NaN}}'), "depth_diversity.beta must be a finite number, got nan"),
+            (json.loads('{"threshold": {"tau0": -Infinity}}'), "threshold.tau0 must be a finite number, got -inf"),
         ],
     )
     def test_setting_of_wrong_type_rejected(self, data, message):
@@ -151,6 +158,12 @@ class TestConfigParsing:
             ({"ablation": {"enabled_stages": [False]}}, "each entry of ablation.enabled_stages must be str, got False"),
             ({"prices": {"optimizer": [True, "0.5"]}}, "each price of prices.optimizer must be float, got True"),
             ({"prices": {"executor": [0, "0.5"]}}, "each price of prices.executor must be float, got '0.5'"),
+            (json.loads('{"proposer": {"const_palette": [NaN]}}'),
+             "each entry of proposer.const_palette must be a finite number, got nan"),
+            (json.loads('{"prices": {"optimizer": [NaN, 1]}}'),
+             "each price of prices.optimizer must be a finite number, got nan"),
+            (json.loads('{"prices": {"executor": [0, Infinity]}}'),
+             "each price of prices.executor must be a finite number, got inf"),
         ],
     )
     def test_list_entry_of_wrong_type_rejected(self, data, message):

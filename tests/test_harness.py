@@ -173,6 +173,47 @@ class TestEditRecords:
         assert edits and {id(p) for p in edits} <= {id(p) for _, p, _ in checked}
         assert not any(hasattr(p, "_edit") for p in edits)
 
+    @pytest.mark.parametrize("kind, cap, counts", [
+        ("clean", 4, (109, 110, 102)),
+        ("dirty", 3, (50, 51, 5)),
+        ("invalid", 4, (108, 4, 3)),
+    ])
+    def test_call_counts_the_benchmark_tracer_reads(self, registry, monkeypatch, kind, cap, counts):
+        """`perfbench/tracer.py` derives dedup hits from these counts: one
+        `validate_program` call per candidate within the size cap, one
+        `canonical_key` call for the base and one per candidate that
+        validates."""
+        base = chain("neg", "neg", "neg", n_roots=2)
+        if kind == "dirty":  # d0 feeds nothing; pruning brings some insertions under the cap
+            base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
+                                   base.roots, base.output)
+        elif kind == "invalid":  # n1's operator is unknown; a rewire of n2 past it drops it
+            base = WorkflowProgram(tuple(Node("n1", "frob") if n.node_id == "n1" else n for n in base.nodes),
+                                   base.edges, base.roots, base.output)
+        assert validate_program(base, registry).ok is (kind != "invalid")
+        proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
+                                                              max_operator_nodes=cap))
+        sized = [c for c in proposer._candidates(base) if len(c.operator_nodes()) <= cap]
+        plain = [WorkflowProgram(c.nodes, c.edges, c.roots, c.output) for c in sized]  # no record, no verdict
+        valid = [c for c in plain if validate_program(c, registry).ok]
+
+        calls = {"validate": 0, "key": 0}
+        validate, key = harness.validate_program, harness.canonical_key
+
+        def counted_validate(program, reg):
+            calls["validate"] += 1
+            return validate(program, reg)
+
+        def counted_key(program):
+            calls["key"] += 1
+            return key(program)
+
+        monkeypatch.setattr(harness, "validate_program", counted_validate)
+        monkeypatch.setattr(harness, "canonical_key", counted_key)
+        edits = proposer.enumerate_edits(base)
+        assert (calls["validate"], calls["key"]) == (len(sized), 1 + len(valid))
+        assert (calls["validate"], calls["key"], len(edits)) == counts
+
     def test_no_kept_program_holds_a_record(self, registry):
         config = config_from_dict({
             "seed": 5,

@@ -463,8 +463,15 @@ class TestCanonicalKey:
         assert canonical_key(shared) != canonical_key(duplicated)
 
     def test_cycle_raises_invalid_program(self, registry):
-        program = two_node_cycle()
-        with pytest.raises(InvalidProgramError, match="cycle in operator graph"):
-            canonical_key(program)
-        with pytest.raises(InvalidProgramError, match="cycle in operator graph"):
-            SyntheticProposer(registry).enumerate_edits(program)
+        # add(x0, x1), then an edge from a node it lacks into the same slot 1
+        ghost = WorkflowProgram(
+            nodes=(Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "add")),
+            edges=(Edge("x0", "n0", 0), Edge("x1", "n0", 1), Edge("ghost", "n0", 1)),
+            roots=("x0", "x1"),
+            output="n0",
+        )
+        for program, error in ((two_node_cycle(), "cycle in operator graph"), (ghost, "missing node 'ghost'")):
+            with pytest.raises(InvalidProgramError, match=error):
+                canonical_key(program)
+            with pytest.raises(InvalidProgramError, match=error):
+                SyntheticProposer(registry).enumerate_edits(program)

@@ -1014,10 +1014,15 @@ def test_edit_local_check_rejects_what_the_full_check_rejects(registry, name):
 
 
 def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
-    """Two records of one base with the same output and operand lists, one
-    making n0 a constant and one another operator, each get the full walk's
-    key: an operator's entry needs its operands' indices, which the walk
-    of the other does not give."""
+    """Records of one base that share a key walk each get the full walk's key.
+
+    Two records with the same output and operand lists, one making n0 a
+    constant and one another operator, walk apart: an operator's entry needs
+    its operands' indices, which the walk of the other does not give. Two
+    replacements of different nodes share one walk, keyed in turn: neither
+    may see the other's operator. A constant made an operator has the
+    constant's entry in the shared walk, so its own entry is built from its
+    operands' indices, not from the walk's entry."""
     x0, x1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP)
     base = WorkflowProgram((x0, x1, Node("n0", "neg"), Node("n1", "add")),
                            (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
@@ -1028,6 +1033,26 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
         expected = canonical_key(candidate)
         edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, nodes=(changed,))  # n0 is walked again
         assert canonical_key(edit.attach(candidate)) == expected
+    walks = len(record.walks)
+    for changed in (Node("n0", "sqrt"), Node("n1", "mul")):
+        nodes = tuple(changed if n.node_id == changed.node_id else n for n in base.nodes)
+        candidate = WorkflowProgram(nodes, base.edges, base.roots, "n1")
+        expected = canonical_key(candidate)
+        assert canonical_key(ProgramEdit(record, "n1", {}, nodes=(changed,)).attach(candidate)) == expected
+    assert len(record.walks) == walks + 1
+
+    with_const = WorkflowProgram((x0, x1, Node("c0", CONST_OP, value=2.0), Node("n1", "add")),
+                                 (Edge("c0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
+    assert validate_program(with_const, registry).ok
+    record = EditBase.of(with_const, registry)
+    for changed in (Node("c0", "neg"), Node("c0", "sqrt")):
+        candidate = WorkflowProgram((x0, x1, changed, with_const.nodes[3]),
+                                    (Edge("x0", "c0", 0),) + with_const.edges, with_const.roots, "n1")
+        expected = canonical_key(candidate)
+        edit = ProgramEdit(record, "n1", {"c0": ("x0",)}, ("x0",), {"c0", "n1"}, nodes=(changed,))
+        assert edit.holds(registry)
+        assert canonical_key(edit.attach(candidate)) == expected
+    assert len(record.walks) == 1
 
 
 def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):

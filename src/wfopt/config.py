@@ -161,14 +161,20 @@ _LISTS = {
 
 def _check_type(key: str, value: object, hint) -> None:
     """A bool, int or str setting takes exactly that JSON type; a float one any
-    finite number but true/false (`json.loads` reads NaN and Infinity)."""
+    number but true/false that is finite as a float (`json.loads` reads NaN
+    and Infinity, and an integer of any size)."""
     if get_origin(hint) is Union:  # Optional[X]; the caller has handled null
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     ok = type(value) in (int, float) if hint is float else type(value) is hint
     if not ok:
         raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
-    if type(value) is float and not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if hint is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(f"{key} must be a finite number, got an integer too large for a float") from None
+        if not finite:
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _section(name: str, default, given: object):

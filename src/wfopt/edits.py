@@ -9,8 +9,9 @@ then asks the record whether the edit kept the program valid
 than what the program holds, and `model.canonical_key` asks it for the key
 (`ProgramEdit.key`): the walk of `model._key_walk` over the base's maps with
 the edit's operand changes, shared by the candidates of a base that differ
-only in the nodes they add or change. The answers are the full check's and
-the full walk's: a record that cannot vouch sends `validate_program` to the
+only in the nodes they add or change. The proposer's size check reads the
+record too (`operator_count`). The answers are the full check's and the
+full walk's: a record that cannot vouch sends `validate_program` to the
 full check, and `tests/test_reference.py` compares both paths on random
 bases.
 """
@@ -42,15 +43,17 @@ class EditBase:
     `validate_program` against the proposer's registry object and has no
     dead node and one edge per input slot. It holds the base's maps from
     `model._key_maps` (each node's key head, each operator's operand ids in
-    slot order) and each node's consumers (one per edge out). `walks` keeps
-    the key walks its candidates share (`ProgramEdit.key`).
+    slot order), each node's consumers (one per edge out) and its number of
+    operator nodes. `walks` keeps the key walks its candidates share
+    (`ProgramEdit.key`).
     """
 
-    __slots__ = ("registry", "heads", "operands", "consumers", "walks")
+    __slots__ = ("registry", "heads", "operands", "consumers", "walks", "operator_count")
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
         self.heads, self.operands = _key_maps(program)
+        self.operator_count = len([h for h in self.heads.values() if h[0] not in LEAF_OPS])
         self.consumers: dict[str, list[str]] = {}
         for nid, args in self.operands.items():
             for a in args:
@@ -207,3 +210,23 @@ def carry_edit(program: WorkflowProgram, pruned: WorkflowProgram) -> None:
     kept = {n.node_id for n in pruned.nodes}
     edit.removed = edit.removed.union(nid for nid in (*edit.base.heads, *edit.fresh) if nid not in kept)
     edit.attach(pruned)
+
+
+def operator_count(program: WorkflowProgram) -> int:
+    """`program`'s number of operator nodes. With an edit record, it is the
+    base's count with each node the edit adds, changes or removes counted as
+    it now is, and `program.nodes` is not read."""
+    edit = getattr(program, _EDIT, None)
+    if edit is None:
+        return len([n for n in program.nodes if n.op not in LEAF_OPS])
+    heads, removed = edit.base.heads, edit.removed
+    count = edit.base.operator_count
+    for node in edit.nodes:
+        nid = node.node_id
+        if nid not in removed:
+            head = heads.get(nid)
+            count += (node.op not in LEAF_OPS) - (head is not None and head[0] not in LEAF_OPS)
+    for nid in removed:
+        head = heads.get(nid)
+        count -= head is not None and head[0] not in LEAF_OPS
+    return count

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import EditBase, ProgramEdit, carry_edit
+from .edits import EditBase, ProgramEdit, carry_edit, operator_count
 from .model import (
     CONST_OP,
     INPUT_OP,
-    LEAF_OPS,
     Edge,
     ExecutionTrace,
     Node,
@@ -162,6 +161,14 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
+def _pruned(candidate: WorkflowProgram) -> WorkflowProgram:
+    """`_prune_dead` of a proposer candidate, carrying its edit record."""
+    pruned = _prune_dead(candidate)
+    if pruned is not candidate:
+        carry_edit(candidate, pruned)
+    return pruned
+
+
 class SyntheticProposer:
     """Enumerates structural edits: insert, replace, delete, rewire.
 
@@ -193,6 +200,9 @@ class SyntheticProposer:
         every edge, and deleting a unary node hands its consumers its only
         operand. There the other edits skip the pruning walk, which would
         return them unchanged; on any other base every candidate is pruned.
+        Where the base has an edit record (below), a rewire is pruned only
+        when the rewired edge was the last consumer of an old source other
+        than an input: no other rewire leaves a node that pruning drops.
         A clean base that already has `max_operator_nodes` operator nodes
         gets no insertions built at all, since each adds an operator node
         and would fail the size limit; on a dirty base pruning can bring an
@@ -210,15 +220,16 @@ class SyntheticProposer:
         base's maps with the edit's operand changes (one walk for the
         candidates that differ only in the nodes they add or change), sets
         the entries of the nodes the edit adds or changes and drops the
-        record. A candidate of any other base is validated and keyed in
-        full.
+        record. Its size is the base's operator count, corrected by the nodes
+        the edit adds, changes and removes (`edits.operator_count`). A
+        candidate of any other base is sized, validated and keyed in full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
         max_nodes = self.config.max_operator_nodes
         registry = self.registry
         for candidate in self._candidates(program):
-            if len([n for n in candidate.nodes if n.op not in LEAF_OPS]) > max_nodes:
+            if operator_count(candidate) > max_nodes:
                 continue
             if not validate_program(candidate, registry).ok:
                 continue
@@ -244,15 +255,10 @@ class SyntheticProposer:
         if config.allow_delete:
             sources.append((self._deletions(program, base), not clean))
         if config.allow_rewire:
-            sources.append((self._rewires(program, base), True))
+            sources.append((self._rewires(program, base), base is None))
         for candidates, prune in sources:
             for candidate in candidates:
-                if prune:
-                    pruned = _prune_dead(candidate)
-                    if pruned is not candidate:
-                        carry_edit(candidate, pruned)
-                    candidate = pruned
-                yield candidate
+                yield _pruned(candidate) if prune else candidate
 
     def _insertions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """One new operator node on each edge, or above the output, for each
@@ -408,7 +414,9 @@ class SyntheticProposer:
     def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each edge given every other source that closes no cycle; every
         edge equal to it is given the new source too. With `base`, each
-        carries its edit record."""
+        carries its edit record, and a rewire is pruned here if it can leave
+        a node feeding nothing; the caller prunes every rewire of any other
+        base."""
         nodes, edges = program.nodes, program.edges
         places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
         for i, e in enumerate(edges):
@@ -420,6 +428,9 @@ class SyntheticProposer:
             if blocked is None:
                 blocked = blocked_by[dst] = _descendants(program, dst) | {dst}
             at = places[edge.src, dst, slot]
+            # on a clean base only the old source can be left feeding nothing,
+            # when this edge was its last consumer; an input is never dropped
+            orphans = base is not None and len(base.consumers[edge.src]) == 1 and base.heads[edge.src][0] != INPUT_OP
             for node in nodes:
                 alt = node.node_id
                 if alt == edge.src or alt in blocked:
@@ -433,6 +444,8 @@ class SyntheticProposer:
                     args = list(base.operands[dst])
                     args[slot] = alt
                     ProgramEdit(base, program.output, {dst: tuple(args)}, (alt,), blocked).attach(candidate)
+                    if orphans:
+                        candidate = _pruned(candidate)
                 yield candidate
 
     # -- the proposer role --------------------------------------------------

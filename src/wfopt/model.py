@@ -1020,35 +1020,54 @@ def _key_walk(
 
     A node's head comes from `heads`, or from `fresh_heads` for a node that
     `heads` lacks; its operands come from `changed_operands` when that holds
-    it, else from `operands`. An operator's entry is its head with its
-    operands' entry indices as the payload. A node in progress is met again
-    on a cycle, and a node in neither map is missing: both raise
-    `InvalidProgramError`.
+    it, else from `operands`. Operands are entered in slot order, each one's
+    subtree finished before the next is entered. A node's index is -1 while
+    its operands are walked, so meeting it again is a cycle; a node in
+    neither map is missing: both raise `InvalidProgramError`. An operator's
+    entry, built once all its operands are done, is its head with their
+    entry indices as the payload.
+
+    The walk keeps its own stack of the nodes in progress rather than
+    recursing through a nested function. Such a function refers to itself
+    through its closure: a reference cycle, which keeps the walk's maps and
+    entries alive until the cyclic collector runs. Without one, reference
+    counting frees each walk as it returns, and no recursion limit bounds
+    the depth of a program it can key.
     """
     entries: list[tuple] = []
-
-    def visit(nid: str) -> int:
-        i = index.get(nid)
-        if i is not None:
-            if i < 0:
+    # each node in progress: its id, head, operands and the iterator over
+    # the operands not yet entered
+    path: list[tuple] = []
+    todo = iter((output,))
+    while True:
+        for nid in todo:
+            i = index.get(nid)
+            if i is None:
+                head = heads.get(nid) or fresh_heads.get(nid)
+                if head is None:
+                    raise InvalidProgramError(f"missing node {nid!r} in operator graph")
+                args = changed_operands[nid] if nid in changed_operands else operands.get(nid)
+                if args:
+                    index[nid] = -1
+                    todo = iter(args)
+                    path.append((nid, head, args, todo))
+                    break
+                index[nid] = len(entries)
+                entries.append(head)
+            elif i < 0:
                 raise InvalidProgramError("cycle in operator graph")
-            return i
-        index[nid] = -1
-        head = heads.get(nid) or fresh_heads.get(nid)
-        if head is None:
-            raise InvalidProgramError(f"missing node {nid!r} in operator graph")
-        args = changed_operands[nid] if nid in changed_operands else operands.get(nid)
-        if args:
-            children = tuple(map(visit, args))
+        else:
+            # every operand of the innermost node in progress is done
+            if not path:
+                return tuple(entries)
+            nid, head, args, _ = path.pop()
             op, _, unit, shape = head
             if op not in LEAF_OPS:
-                head = (op, children, unit, shape)
-        index[nid] = i = len(entries)
-        entries.append(head)
-        return i
-
-    visit(output)
-    return tuple(entries)
+                head = (op, tuple([index[a] for a in args]), unit, shape)
+            index[nid] = len(entries)
+            entries.append(head)
+            if path:
+                todo = path[-1][3]
 
 
 def fresh_node_id(program: WorkflowProgram, prefix: str = "n") -> str:

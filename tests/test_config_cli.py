@@ -140,6 +140,11 @@ class TestConfigParsing:
             (json.loads('{"adaptation": {"eta": Infinity}}'), "adaptation.eta must be a finite number, got inf"),
             (json.loads('{"depth_diversity": {"beta": NaN}}'), "depth_diversity.beta must be a finite number, got nan"),
             (json.loads('{"threshold": {"tau0": -Infinity}}'), "threshold.tau0 must be a finite number, got -inf"),
+            # and an integer of any size, which float() cannot always take
+            ({"aggregation": {"uct_c": 10**400}},
+             "aggregation.uct_c must be a finite number, got an integer too large for a float"),
+            (json.loads('{"threshold": {"tau0": -1' + "0" * 400 + '}}'),
+             "threshold.tau0 must be a finite number, got an integer too large for a float"),
         ],
     )
     def test_setting_of_wrong_type_rejected(self, data, message):
@@ -164,6 +169,10 @@ class TestConfigParsing:
              "each price of prices.optimizer must be a finite number, got nan"),
             (json.loads('{"prices": {"executor": [0, Infinity]}}'),
              "each price of prices.executor must be a finite number, got inf"),
+            ({"prices": {"optimizer": [10**400, 1]}},
+             "each price of prices.optimizer must be a finite number, got an integer too large for a float"),
+            (json.loads('{"proposer": {"const_palette": [1' + "0" * 400 + ']}}'),
+             "each entry of proposer.const_palette must be a finite number, got an integer too large for a float"),
         ],
     )
     def test_list_entry_of_wrong_type_rejected(self, data, message):

@@ -475,3 +475,17 @@ class TestCanonicalKey:
                 canonical_key(program)
             with pytest.raises(InvalidProgramError, match=error):
                 SyntheticProposer(registry).enumerate_edits(program)
+
+    def test_chain_deeper_than_the_recursion_limit(self, registry):
+        # 1500 operators deep, past the interpreter's default limit of 1000
+        deep = chain(*["neg"] * 1500)
+        assert validate_program(deep, registry).ok
+        key = canonical_key(deep)
+        assert len(key) == 1501
+        assert key[0] == (INPUT_OP, "x0", None, None)
+        assert [entry[1] for entry in key[1:]] == [(i,) for i in range(1500)]
+        # the chain fed from its own output, or from a node it lacks
+        for source, error in (("n1499", "cycle in operator graph"), ("ghost", "missing node 'ghost'")):
+            broken = WorkflowProgram(deep.nodes, (Edge(source, "n0", 0),) + deep.edges[1:], deep.roots, deep.output)
+            with pytest.raises(InvalidProgramError, match=error):
+                canonical_key(broken)

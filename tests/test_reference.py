@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
-from wfopt.edits import EditBase, ProgramEdit
+from wfopt.edits import EditBase, ProgramEdit, operator_count
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -929,10 +929,11 @@ def _without_record(program):
 @settings(derandomize=True, deadline=None, max_examples=140)
 @given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
 def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
-    """Each candidate of any base, checked and keyed as `enumerate_edits` does
-    (from its edit record where it carries one), gets the report of
-    `ref_validate_program` and the full walk's key, which splits candidates
-    as `ref_canonical_key` does."""
+    """Each candidate of any base, sized, checked and keyed as
+    `enumerate_edits` does (from its edit record where it carries one), gets
+    its operator count, the report of `ref_validate_program` and the full
+    walk's key, which splits candidates as `ref_canonical_key` does; a
+    candidate of a clean valid base has no dead node."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
@@ -945,6 +946,9 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     for candidate in proposer._candidates(base):
         plain = _without_record(candidate)
         recorded = recorded and hasattr(candidate, "_edit")
+        if valid_base:  # where edits that cannot orphan a node skip pruning
+            assert _prune_dead(plain) is plain
+        assert operator_count(candidate) == len(plain.operator_nodes())
         assert validate_program(candidate, registry) == ref_validate_program(plain, registry)
         key = _outcome(canonical_key, candidate)
         assert key == _outcome(canonical_key, plain)

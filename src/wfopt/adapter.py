@@ -187,7 +187,7 @@ class StdioTransport(_Transport):
             raise AdapterError("external role closed the stream")
         try:
             return json.loads(reply)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise AdapterError(f"malformed response line: {exc}") from None
 
     def close(self) -> None:
@@ -223,7 +223,7 @@ class HttpTransport(_Transport):
             raise AdapterError(f"external role at {self.address} unreachable: {exc}") from None
         try:
             return json.loads(body.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise AdapterError(f"malformed response from {self.address}: {exc}") from None
 
 
@@ -331,7 +331,8 @@ class SyntheticRoles:
         """Answer one request. A program that fails `validate_program`
         against this object's registry gets an in-band error, and neither
         role sees it; one that passes is remembered as valid for that
-        registry, which lets the proposer check its edits edit by edit."""
+        registry, which lets the proposer make its candidates from edit
+        records, valid by construction."""
         kind = payload.get("kind")
         program = program_from_dict(payload["program"])
         params = payload.get("params", {})

@@ -1,19 +1,20 @@
 """Proposer candidates told as one edit of a validated base.
 
-`SyntheticProposer.enumerate_edits` builds one `EditBase` per base that
-passed `validate_program` against its registry object and has no dead node,
-and gives each candidate of that base a `ProgramEdit`, held on the program
-as `model._EDIT` until the candidate is keyed. `model.validate_program`
-then asks the record whether the edit kept the program valid
-(`ProgramEdit.holds`), at about the cost of what the edit touched rather
-than what the program holds, and `model.canonical_key` asks it for the key
-(`ProgramEdit.key`): the walk of `model._key_walk` over the base's maps with
-the edit's operand changes, shared by the candidates of a base that differ
-only in the nodes they add or change. The proposer's size check reads the
-record too (`operator_count`). The answers are the full check's and the
-full walk's: a record that cannot vouch sends `validate_program` to the
-full check, and `tests/test_reference.py` compares both paths on random
-bases.
+`SyntheticProposer._candidates` builds one `EditBase` per base that passed
+`validate_program` against its registry object, under a registry with no
+nullary operator, and has no dead node, and yields each candidate of that
+base beside its `ProgramEdit`. Every edit the proposer makes of such a base
+keeps it valid: fresh ids come from `model.fresh_node_id`, a replacement
+keeps its node's arity, a deletion hands a unary node's consumers its
+operand, and no new operand is its destination or one of its descendants.
+So the record vouches for its candidate as it is built (`ProgramEdit.vouch`),
+and the candidate's `validate_program` call is the verdict lookup. The
+record also gives the candidate's size (`ProgramEdit.operator_count`) and
+its key (`ProgramEdit.key`, passed to `model.canonical_key`): the walk of
+`model._key_walk` over the base's maps with the edit's operand changes,
+shared by the candidates of a base that differ only in the nodes they add
+or change. `tests/test_reference.py` checks every record candidate of
+random bases against the reference check, count and key.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .model import (
-    _EDIT,
     _VALID_FOR,
-    CONST_OP,
     LEAF_OPS,
     Node,
     OperatorRegistry,
@@ -37,7 +36,7 @@ _NOTHING: frozenset = frozenset()
 
 
 class EditBase:
-    """What the edit-local checks read of one base program.
+    """What a record reads of one base program.
 
     Built once per base by the proposer, only for a base that passed
     `validate_program` against the proposer's registry object and has no
@@ -67,9 +66,9 @@ class EditBase:
         for the rest: no dead node, one edge per input slot.
 
         None also for every base when the registry has an operator of arity
-        0: with one, a valid program's output must reach a leaf, which an
-        edit can undo without breaking any rule `ProgramEdit.holds` checks
-        (a rewire of `add(z, x0)` to `add(z, z)`, `z` nullary)."""
+        0: with one, a valid program's output must reach a leaf, and an edit
+        can undo that, so an edit no longer keeps the program valid by
+        construction (a rewire of `add(z, x0)` to `add(z, z)`, `z` nullary)."""
         if getattr(program, _VALID_FOR, None) is not registry or 0 in registry.arities.values():
             return None
         return EditBase(program, registry)
@@ -82,90 +81,46 @@ class ProgramEdit:
     * `operands`: the operand ids, by slot, of every node whose operands the
       edit sets: a new node, the node re-fed from it, a rewired node, a
       deleted node's consumers.
-    * `added`: the operands new to their destination that could close a
-      cycle; `blocked`: that destination and its descendants in the base,
-      none of which may feed it.
     * `nodes`: the nodes the edit adds or changes, an inserted operator last;
-      `fresh`: the ids it adds; `removed`: the ids it drops.
+      `removed`: the ids it drops.
     """
 
-    __slots__ = ("base", "output", "operands", "added", "blocked", "nodes", "fresh", "removed")
+    __slots__ = ("base", "output", "operands", "nodes", "removed")
 
     def __init__(
         self,
         base: EditBase,
         output: str,
         operands: Mapping[str, tuple[str, ...]],
-        added: tuple[str, ...] = (),
-        blocked: frozenset | set = _NOTHING,
         nodes: tuple[Node, ...] = (),
-        fresh: tuple[str, ...] = (),
         removed: frozenset = _NOTHING,
     ):
         self.base = base
         self.output = output
         self.operands = operands
-        self.added = added
-        self.blocked = blocked
         self.nodes = nodes
-        self.fresh = fresh
         self.removed = removed
 
-    def attach(self, program: WorkflowProgram) -> WorkflowProgram:
-        """Let `program` carry this record until it is keyed; returns it."""
-        object.__setattr__(program, _EDIT, self)
-        return program
+    def vouch(self, candidate: WorkflowProgram) -> None:
+        """Record `candidate`, the program this edit made, as valid for the
+        base's registry, as `validate_program` records a program that passed:
+        the edit kept the base valid by construction."""
+        object.__setattr__(candidate, _VALID_FOR, self.base.registry)
 
-    def holds(self, registry: OperatorRegistry) -> bool:
-        """Whether the candidate passes `validate_program`, judged from what
-        the edit introduced into a base that passed against `registry`.
-
-        Its fresh ids collide with no node and with each other. Each node it
-        adds or changes is a constant with a value, or an operator of the
-        registry without a value and with one operand per slot. Every
-        operand list it sets names nodes the candidate has and keeps its
-        node's arity; no removed node still feeds a node that stays; no new
-        operand is its destination or one of its descendants; the output is
-        a node. False sends the caller to the full check.
-        """
-        base = self.base
-        if base.registry is not registry:
-            return False
-        known, fresh, removed = base.heads, self.fresh, self.removed
-        if len(set(fresh)) != len(fresh) or not known.keys().isdisjoint(fresh):
-            return False
-        operands, base_operands, arities = self.operands, base.operands, registry.arities
-        arity: dict[str, int] = {}  # of each node the edit adds or changes
+    def operator_count(self) -> int:
+        """The candidate's number of operator nodes: the base's count with
+        each node the edit adds, changes or removes counted as it now is."""
+        heads, removed = self.base.heads, self.removed
+        count = self.base.operator_count
         for node in self.nodes:
-            nid, op = node.node_id, node.op
-            if op == CONST_OP:
-                if node.value is None:
-                    return False
-                arity[nid] = 0
-            else:
-                n_slots = arities.get(op)  # None for an input or an unknown operator
-                if n_slots is None or node.value is not None:
-                    return False
-                arity[nid] = n_slots
-            if nid not in operands:
-                if len(base_operands.get(nid, ())) != arity[nid]:
-                    return False
-                if (nid not in known and nid not in fresh) or nid in removed:
-                    return False
-        for nid, args in operands.items():
-            if len(args) != arity.get(nid, len(base_operands.get(nid, ()))):
-                return False
-            for a in (nid, *args):
-                if (a not in known and a not in fresh) or a in removed:
-                    return False
-        for gone in removed:
-            for reader in base.consumers.get(gone, ()):
-                if reader not in removed and gone in operands.get(reader, base_operands[reader]):
-                    return False
-        output = self.output
-        if (output not in known and output not in fresh) or output in removed:
-            return False
-        return self.blocked.isdisjoint(self.added)
+            nid = node.node_id
+            if nid not in removed:
+                head = heads.get(nid)
+                count += (node.op not in LEAF_OPS) - (head is not None and head[0] not in LEAF_OPS)
+        for nid in removed:
+            head = heads.get(nid)
+            count -= head is not None and head[0] not in LEAF_OPS
+        return count
 
     def key(self) -> tuple:
         """`model.canonical_key` of the candidate.
@@ -198,35 +153,3 @@ class ProgramEdit:
                 args = operands[nid] if nid in operands else base.operands.get(nid, ())
                 key = key[:at] + (_key_entry(node, tuple([index[a] for a in args])),) + key[at + 1:]
         return key
-
-
-def carry_edit(program: WorkflowProgram, pruned: WorkflowProgram) -> None:
-    """Move `program`'s edit record, if any, to `pruned`: the same program
-    with some dead nodes and their edges dropped. The record then also
-    removes every id `pruned` lacks."""
-    edit = getattr(program, _EDIT, None)
-    if edit is None:
-        return
-    kept = {n.node_id for n in pruned.nodes}
-    edit.removed = edit.removed.union(nid for nid in (*edit.base.heads, *edit.fresh) if nid not in kept)
-    edit.attach(pruned)
-
-
-def operator_count(program: WorkflowProgram) -> int:
-    """`program`'s number of operator nodes. With an edit record, it is the
-    base's count with each node the edit adds, changes or removes counted as
-    it now is, and `program.nodes` is not read."""
-    edit = getattr(program, _EDIT, None)
-    if edit is None:
-        return len([n for n in program.nodes if n.op not in LEAF_OPS])
-    heads, removed = edit.base.heads, edit.removed
-    count = edit.base.operator_count
-    for node in edit.nodes:
-        nid = node.node_id
-        if nid not in removed:
-            head = heads.get(nid)
-            count += (node.op not in LEAF_OPS) - (head is not None and head[0] not in LEAF_OPS)
-    for nid in removed:
-        head = heads.get(nid)
-        count -= head is not None and head[0] not in LEAF_OPS
-    return count

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import EditBase, ProgramEdit, carry_edit, operator_count
+from .edits import EditBase, ProgramEdit
 from .model import (
     CONST_OP,
     INPUT_OP,
@@ -161,14 +161,6 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
-def _pruned(candidate: WorkflowProgram) -> WorkflowProgram:
-    """`_prune_dead` of a proposer candidate, carrying its edit record."""
-    pruned = _prune_dead(candidate)
-    if pruned is not candidate:
-        carry_edit(candidate, pruned)
-    return pruned
-
-
 class SyntheticProposer:
     """Enumerates structural edits: insert, replace, delete, rewire.
 
@@ -194,58 +186,62 @@ class SyntheticProposer:
 
         Each candidate is pruned of dead nodes, checked against the size
         limit, validated and deduplicated by canonical key, in that order. On
-        a clean base, where every node feeds the output and each input slot
-        has one edge, only a rewire can orphan a node: an insertion keeps the
-        anchor edge's source live through the new node, a replacement keeps
-        every edge, and deleting a unary node hands its consumers its only
-        operand. There the other edits skip the pruning walk, which would
-        return them unchanged; on any other base every candidate is pruned.
-        Where the base has an edit record (below), a rewire is pruned only
-        when the rewired edge was the last consumer of an old source other
-        than an input: no other rewire leaves a node that pruning drops.
-        A clean base that already has `max_operator_nodes` operator nodes
-        gets no insertions built at all, since each adds an operator node
-        and would fail the size limit; on a dirty base pruning can bring an
-        insertion back under it.
+        a clean base, where every node feeds the output, each input slot has
+        one edge and no edge ends at a leaf, only a rewire can orphan a node:
+        an insertion keeps the anchor edge's source live through the new
+        node, a replacement keeps every edge, and deleting a unary node hands
+        its consumers its only operand. There the other edits skip the
+        pruning walk, which would return them unchanged; on any other base
+        every candidate is pruned. Where the base has an edit record (below),
+        a rewire is pruned only when the rewired edge was the last consumer
+        of an old source other than an input: no other rewire leaves a node
+        that pruning drops. A clean base that already has
+        `max_operator_nodes` operator nodes gets no insertions built at all,
+        since each adds an operator node and would fail the size limit; on a
+        dirty base pruning can bring an insertion back under it.
 
         A candidate is built from parts it shares with its base and with the
         other candidates of that base: the base's own `Node` and `Edge`
         objects, and tuples of them cut or joined once per base, per edit
         site or per operator kind. On a clean base that already passed
         `validate_program` against this proposer's registry object (one
-        without a nullary operator), each candidate also carries its edit
+        without a nullary operator), each candidate comes with its edit
         (`edits.ProgramEdit`) over maps of the base built once
-        (`edits.EditBase`). Its `validate_program` call then checks only
-        what the edit introduced, and its `canonical_key` call walks the
-        base's maps with the edit's operand changes (one walk for the
-        candidates that differ only in the nodes they add or change), sets
-        the entries of the nodes the edit adds or changes and drops the
-        record. Its size is the base's operator count, corrected by the nodes
-        the edit adds, changes and removes (`edits.operator_count`). A
-        candidate of any other base is sized, validated and keyed in full.
+        (`edits.EditBase`). Such an edit keeps the base valid by
+        construction, so the record vouches for its candidate as it is made,
+        and the candidate's `validate_program` call is the verdict lookup.
+        Its size is the base's operator count, corrected by the nodes the
+        edit adds, changes and removes (`ProgramEdit.operator_count`), and
+        its `canonical_key` walks the base's maps with the edit's operand
+        changes (one walk for the candidates that differ only in the nodes
+        they add or change). A candidate of any other base is sized,
+        validated and keyed in full.
         """
         seen = {canonical_key(program)}
         results: list[WorkflowProgram] = []
         max_nodes = self.config.max_operator_nodes
         registry = self.registry
-        for candidate in self._candidates(program):
-            if operator_count(candidate) > max_nodes:
+        for candidate, edit in self._candidates(program):
+            size = len(candidate.operator_nodes()) if edit is None else edit.operator_count()
+            if size > max_nodes:
                 continue
             if not validate_program(candidate, registry).ok:
                 continue
             before = len(seen)
-            seen.add(canonical_key(candidate))
+            seen.add(canonical_key(candidate, edit))
             if len(seen) > before:
                 results.append(candidate)
         return results
 
     def _candidates(self, program: WorkflowProgram):
-        """Every candidate `enumerate_edits` checks, in its order: pruned of
-        dead nodes where an edit can leave one, and carrying its edit record
-        where the base allows one."""
+        """Every candidate `enumerate_edits` checks, in its order, beside its
+        edit record (None where the base allows none): pruned of dead nodes
+        where an edit can leave one, and vouched valid by its record."""
         config = self.config
         one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
-        clean = one_edge_per_slot and _prune_dead(program) is program
+        leaves = {n.node_id for n in program.nodes if n.is_leaf()}
+        clean = (one_edge_per_slot and all(e.dst not in leaves for e in program.edges)
+                 and _prune_dead(program) is program)
         base = EditBase.of(program, self.registry) if clean else None
         sources = []
         if config.allow_insert and not (clean and len(program.operator_nodes()) >= config.max_operator_nodes):
@@ -257,12 +253,17 @@ class SyntheticProposer:
         if config.allow_rewire:
             sources.append((self._rewires(program, base), base is None))
         for candidates, prune in sources:
-            for candidate in candidates:
-                yield _pruned(candidate) if prune else candidate
+            for candidate, edit in candidates:
+                if prune:
+                    candidate = _prune_dead(candidate)
+                elif edit is not None:
+                    edit.vouch(candidate)
+                yield candidate, edit
 
     def _insertions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """One new operator node on each edge, or above the output, for each
-        kind and choice of operands.
+        kind and choice of operands, beside its edit record over `base`
+        (None without one).
 
         An insertion's nodes are the base's, then its constant if it has one,
         then the new node: they depend only on the kind and the constant, so
@@ -271,8 +272,7 @@ class SyntheticProposer:
         picks), then the new node's operand edges by slot, then the anchor
         edge re-pointed from the new node: they depend only on the site and
         the operands, so each such tuple is built once per site and shared by
-        every kind. With `base`, each insertion carries its edit record; the
-        operand lists it sets are shared the same way.
+        every kind. The operand lists a record sets are shared the same way.
         """
         nodes, edges, roots = program.nodes, program.edges, program.roots
         # every insertion into this base adds the same fresh ids
@@ -291,20 +291,17 @@ class SyntheticProposer:
         # invalid base an edge's source or the output may be no node
         operands = (*node_ids, *(e.src for e in edges), program.output, const_id)
         into = [{nid: Edge(nid, new_id, slot) for nid in operands} for slot in (0, 1)]
-        # by anchor: the anchor and its descendants, which no operand of the
-        # new node may be, and the other nodes, its second operands; the
-        # output site (None) feeds nothing, so any node may pair with it
-        blocked_of: dict[Optional[str], set[str]] = {None: set()}
+        # by anchor: the nodes that are neither the anchor nor one of its
+        # descendants, the new node's second operands; the output site
+        # (None) feeds nothing, so any node may pair with it
         partners_of: dict[Optional[str], list[str]] = {None: node_ids}
-        fresh_ids = {len(nodes) + 1: (new_id,), len(nodes) + 2: (new_id, const_id)}
-        binary = any(kind.arity == 2 for kind in self._ops)
 
         def choice(site, *args: str):
-            """One choice of the new node's operands at a site: the operand
-            ids, the edges, and the operand lists its edit record sets."""
+            """One choice of the new node's operands at a site: the edges, and
+            the operand lists its edit record sets."""
             kept, repointed, refed = site
             edges_in = tuple(into[slot][a] for slot, a in enumerate(args))
-            return args, kept + edges_in + repointed, None if base is None else {new_id: args, **refed}
+            return kept + edges_in + repointed, None if base is None else {new_id: args, **refed}
 
         # real edges first, then the virtual edge (None) above the output node
         for edge in (*edges, None):
@@ -315,9 +312,6 @@ class SyntheticProposer:
                 at = edges.index(edge)
                 kept = edges[:at] + edges[at + 1:]
                 repointed = (Edge(new_id, edge.dst, edge.slot),)
-            blocked = blocked_of.get(anchor)
-            if blocked is None and (base is not None or binary):
-                blocked = blocked_of[anchor] = _descendants(program, anchor) | {anchor}
             refed: dict[str, tuple[str, ...]] = {}  # the anchor, fed from the new node
             if base is not None and edge is not None:
                 args = list(base.operands[anchor])
@@ -333,6 +327,7 @@ class SyntheticProposer:
                     if pairs is None:
                         partners = partners_of.get(anchor)
                         if partners is None:
+                            blocked = _descendants(program, anchor) | {anchor}
                             partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
                         pairs = []
                         for partner in partners:
@@ -344,20 +339,15 @@ class SyntheticProposer:
                     built += [(node_tuple, pair) for node_tuple in const_nodes[kind.name] for pair in with_const]
                 else:
                     continue
-                for node_tuple, (args, operand_edges, set_operands) in built:
-                    candidate = WorkflowProgram(node_tuple, operand_edges, roots, output)
-                    if base is not None:
-                        new_nodes = node_tuple[len(nodes):]
-                        ProgramEdit(
-                            base, output, set_operands, args, blocked, new_nodes, fresh_ids[len(node_tuple)],
-                        ).attach(candidate)
-                    yield candidate
+                for node_tuple, (operand_edges, set_operands) in built:
+                    edit = None if base is None else ProgramEdit(base, output, set_operands, node_tuple[len(nodes):])
+                    yield WorkflowProgram(node_tuple, operand_edges, roots, output), edit
 
     def _replacements(self, program: WorkflowProgram, base: Optional[EditBase] = None):
-        """Each operator node given every other kind of its arity; a node
-        whose id repeats is replaced at every place it occurs, and one whose
-        operator the registry lacks has no replacement. With `base`, each
-        carries its edit record."""
+        """Each operator node given every other kind of its arity, beside its
+        edit record over `base` (None without one); a node whose id repeats
+        is replaced at every place it occurs, and one whose operator the
+        registry lacks has no replacement."""
         nodes = program.nodes
         arities = self.registry.arities
         for node in program.operator_nodes():
@@ -374,14 +364,13 @@ class SyntheticProposer:
                     n = nodes[i]
                     replaced[i] = Node(nid, kind.name, n.unit, n.shape, n.value)
                 candidate = WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
-                if base is not None:
-                    ProgramEdit(base, program.output, {}, nodes=(replaced[places[0]],)).attach(candidate)
-                yield candidate
+                yield candidate, None if base is None else ProgramEdit(base, program.output, {}, (replaced[places[0]],))
 
     def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each unary operator node with an operand dropped, its consumers fed
-        from that operand; an unfed one, and one whose operator the registry
-        lacks, has no deletion. With `base`, each carries its edit record."""
+        from that operand, beside its edit record over `base` (None without
+        one); an unfed one, and one whose operator the registry lacks, has
+        no deletion."""
         inc = program.incoming()
         arities = self.registry.arities
         for node in program.operator_nodes():
@@ -402,21 +391,21 @@ class SyntheticProposer:
                     edges.append(e)
             output = source if program.output == nid else program.output
             candidate = WorkflowProgram(nodes, tuple(edges), program.roots, output)
-            if base is not None:
-                refed = {
-                    reader: tuple(source if a == nid else a for a in base.operands[reader])
-                    for reader in base.consumers.get(nid, ())
-                }
-                # the new operand already fed the consumers through `nid`: no cycle
-                ProgramEdit(base, output, refed, removed=frozenset((nid,))).attach(candidate)
-            yield candidate
+            if base is None:
+                yield candidate, None
+                continue
+            refed = {
+                reader: tuple(source if a == nid else a for a in base.operands[reader])
+                for reader in base.consumers.get(nid, ())
+            }
+            yield candidate, ProgramEdit(base, output, refed, removed=frozenset((nid,)))
 
     def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
-        """Each edge given every other source that closes no cycle; every
-        edge equal to it is given the new source too. With `base`, each
-        carries its edit record, and a rewire is pruned here if it can leave
-        a node feeding nothing; the caller prunes every rewire of any other
-        base."""
+        """Each edge given every other source that closes no cycle, beside its
+        edit record over `base` (None without one); every edge equal to it is
+        given the new source too. With `base`, a rewire is pruned here if it
+        can leave a node feeding nothing; the caller prunes every rewire of
+        any other base."""
         nodes, edges = program.nodes, program.edges
         places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
         for i, e in enumerate(edges):
@@ -440,13 +429,18 @@ class SyntheticProposer:
                 for i in at:
                     rewired[i] = moved
                 candidate = WorkflowProgram(nodes, tuple(rewired), program.roots, program.output)
-                if base is not None:
-                    args = list(base.operands[dst])
-                    args[slot] = alt
-                    ProgramEdit(base, program.output, {dst: tuple(args)}, (alt,), blocked).attach(candidate)
-                    if orphans:
-                        candidate = _pruned(candidate)
-                yield candidate
+                if base is None:
+                    yield candidate, None
+                    continue
+                args = list(base.operands[dst])
+                args[slot] = alt
+                edit = ProgramEdit(base, program.output, {dst: tuple(args)})
+                if orphans:
+                    # the record also drops what pruning drops
+                    candidate = _prune_dead(candidate)
+                    kept = {n.node_id for n in candidate.nodes}
+                    edit.removed = frozenset([nid for nid in base.heads if nid not in kept])
+                yield candidate, edit
 
     # -- the proposer role --------------------------------------------------
 

@@ -21,16 +21,13 @@ transient. The one fact kept on a program is its validation verdict: a
 program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
 
-A proposer candidate also carries, from when it is built until it is keyed,
-an edit record (`edits.ProgramEdit`): the one edit that made it from a base
-that passed `validate_program`, against a registry with no nullary
-operator, and has no dead node. `validate_program` then checks only what
-the edit introduced. `canonical_key` walks the base's maps with the edit's
-operand changes, in a walk the candidates that differ only in the nodes
-they add or change share, and sets those nodes' entries. Both give exactly
-the report and the tuple the full check and the full walk give; the key
-is made by the one walk, `_key_walk`, on either path. `canonical_key`
-drops the record, so no kept program holds its base's maps.
+A proposer candidate of a validated base is made beside its edit record
+(`edits.ProgramEdit`): the one edit that made it from that base. The
+proposer's edits keep a base valid by construction, so the record vouches
+for the candidate with the same verdict `validate_program` keeps, and
+`canonical_key` takes the record to key the candidate from its base's maps
+and the edit's operand changes, by the same walk, `_key_walk`, to the same
+tuple. Nothing of the record is kept on the program.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -47,7 +44,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .edits import ProgramEdit
 
 
 class InvalidProgramError(ValueError):
@@ -307,9 +307,6 @@ _INPUT_LEAF, _CONST_LEAF = -1, -2
 # would give each program a dict object of its own, about 64 more bytes.)
 _VALID_FOR = "_valid_for"
 _VALID = ValidationReport(ok=True)
-# The instance attribute holding a proposer candidate's edit record
-# (`edits.ProgramEdit`), held the same way until `canonical_key` removes it.
-_EDIT = "_edit"
 
 
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
@@ -323,20 +320,17 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     registry builds a new default one) or an equal but distinct program gets
     a check of its own, and an invalid program records nothing.
 
-    A proposer candidate that still carries its edit record is checked only
-    where the edit changed its base, when the base passed against this same
-    registry object (`edits.ProgramEdit.holds`). If it has no such record,
-    or that check fails, the full check runs, so every report is the one
-    the full check gives.
+    The one other writer of the verdict is `edits.ProgramEdit.vouch`: a
+    proposer candidate made by one edit of a base that passed against the
+    proposer's registry object is valid by construction, so its record
+    vouches for it as it is built and its check here is the lookup.
     """
     registry = registry or default_registry()
     if getattr(program, _VALID_FOR, None) is registry:
         return _VALID
-    edit = getattr(program, _EDIT, None)
-    if edit is None or not edit.holds(registry):
-        violations = _violations(program, registry)
-        if violations:
-            return ValidationReport(ok=False, violations=tuple(violations))
+    violations = _violations(program, registry)
+    if violations:
+        return ValidationReport(ok=False, violations=tuple(violations))
     object.__setattr__(program, _VALID_FOR, registry)
     return _VALID
 
@@ -952,7 +946,7 @@ def loads_program(text: str) -> WorkflowProgram:
     return program_from_dict(json.loads(text))
 
 
-def canonical_key(program: WorkflowProgram) -> tuple:
+def canonical_key(program: WorkflowProgram, edit: Optional[ProgramEdit] = None) -> tuple:
     """Renaming-invariant key for the sub-DAG feeding the output.
 
     The key is a flat tuple of post-order entries, one per node reachable
@@ -965,14 +959,12 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     keeps the same root set). A cycle on the way, or a node the program
     lacks (the output, or an edge's source), raises `InvalidProgramError`.
 
-    The key is `_key_walk` over the maps `_key_maps` builds. A proposer
-    candidate that still carries its edit record is keyed by the same walk
-    over its base's maps and the edit (`edits.ProgramEdit.key`), to the same
-    tuple; the record is dropped here.
+    The key is `_key_walk` over the maps `_key_maps` builds. Given `edit`,
+    the record of the one edit that made `program` from a proposer's base,
+    the key is the same walk over the base's maps and the edit
+    (`edits.ProgramEdit.key`), to the same tuple, and `program` is not read.
     """
-    edit = getattr(program, _EDIT, None)
     if edit is not None:
-        object.__delattr__(program, _EDIT)
         return edit.key()
     return _key_walk(program.output, *_key_maps(program), {})
 

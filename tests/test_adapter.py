@@ -435,12 +435,26 @@ class TestStdioAdapter:
         assert record.role == "executor"
 
     def test_engine_agnostic_to_transport(self, registry, transport):
-        """Remote and in-process roles produce identical evaluations."""
+        """Remote and in-process roles produce identical evaluations and
+        identical candidates. The peer validates each request's program, so
+        its proposer builds every candidate from an edit record; the
+        in-process proposer gets a program with no verdict and checks and
+        keys every candidate in full."""
         program = binary("mul", "input", "input")
         remote = ExternalEvaluator(transport, PROBLEMS).evaluate(program)
         local = SyntheticEvaluator(PROBLEMS, registry).evaluate(program)
         assert remote[0] == local[0]
         assert remote[1] == local[1]
+
+        base = binary("add", "input", "input")
+        remote_candidates, _ = ExternalProposer(transport).propose(base, 6, np.random.default_rng(5))
+        # the peer's proposer, seeded as `ExternalProposer.propose` seeds it:
+        # with one draw of the caller's generator
+        proposer = SyntheticProposer(default_registry(), ProposerConfig(ops=("add", "mul", "neg")))
+        seed = int(np.random.default_rng(5).integers(2**31 - 1))
+        local_candidates, _ = proposer.propose(binary("add", "input", "input"), 6, np.random.default_rng(seed))
+        assert len(proposer.enumerate_edits(base)) > len(remote_candidates) == 6
+        assert [program_to_dict(c) for c in remote_candidates] == [program_to_dict(c) for c in local_candidates]
 
     def test_peer_module_runs_once(self):
         """`-m wfopt.adapter` must not import the module a second time before running it."""
@@ -452,10 +466,14 @@ class TestStdioAdapter:
         assert reward == 1.0
         assert len(traces) == 2
 
-    @pytest.mark.parametrize("reply", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
-    def test_garbage_reply_raises_adapter_error(self, reply):
-        peer = f"import sys\nsys.stdin.readline()\nsys.stdout.buffer.write({reply!r} + b'\\n')\nsys.stdout.flush()"
-        transport = StdioTransport([sys.executable, "-c", peer])
+    @pytest.mark.parametrize("reply", [b"not json", b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-json", "not-utf8", "deep-nesting"])
+    def test_garbage_reply_raises_adapter_error(self, reply, tmp_path):
+        # a file, not `-c`: one command-line argument is capped at 128 KiB
+        peer = tmp_path / "peer.py"
+        peer.write_text(f"import sys\nsys.stdin.readline()\n"
+                        f"sys.stdout.buffer.write({reply!r} + b'\\n')\nsys.stdout.flush()")
+        transport = StdioTransport([sys.executable, str(peer)])
         try:
             with pytest.raises(AdapterError, match="malformed response line"):
                 transport.request('{"kind": "evaluate"}')
@@ -661,7 +679,8 @@ class TestHttpAdapter:
         with _http_server(_Handler) as address:
             yield address
 
-    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-json", "not-utf8", "deep-nesting"])
     def test_garbage_reply_raises_adapter_error(self, body):
         class GarbageHandler(BaseHTTPRequestHandler):
             def do_POST(self):

@@ -4,7 +4,7 @@ from types import FunctionType
 import numpy as np
 import pytest
 
-from wfopt import driver, harness
+from wfopt import driver, harness, model
 from wfopt.config import config_from_dict
 from wfopt.harness import (
     PriceMap,
@@ -131,8 +131,8 @@ class TestProposeEdits:
 
 
 class TestEditRecords:
-    """A candidate of a clean base that passed validation is validated and keyed
-    from its edit record, with the same calls as before, and keeps no record."""
+    """A candidate of a clean base that passed validation is vouched valid by
+    its edit record and keyed from it, with the same calls as before."""
 
     @pytest.mark.parametrize("dead_node, cap", [(False, 4), (True, 3)], ids=["clean-base", "dirty-base"])
     def test_one_check_and_one_key_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
@@ -140,12 +140,13 @@ class TestEditRecords:
         validate, key = harness.validate_program, harness.canonical_key
 
         def counted_validate(program, reg):
-            calls.append(("validate", program, hasattr(program, "_edit")))
+            # a candidate its record vouched for already carries the verdict
+            calls.append(("validate", program, hasattr(program, model._VALID_FOR)))
             return validate(program, reg)
 
-        def counted_key(program):
-            calls.append(("key", program, hasattr(program, "_edit")))
-            return key(program)
+        def counted_key(program, edit=None):
+            calls.append(("key", program, edit is not None))
+            return key(program, edit)
 
         config = ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,), max_operator_nodes=cap)
         proposer = SyntheticProposer(registry, config)
@@ -154,7 +155,7 @@ class TestEditRecords:
             base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
                                    base.roots, base.output)
         assert validate_program(base, registry).ok
-        candidates = list(proposer._candidates(base))
+        candidates = [c for c, _ in proposer._candidates(base)]
         sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
         # on a clean base every insertion stays within the cap; on a dirty one some do not
         assert (len(sized) < len(candidates)) == dead_node
@@ -166,15 +167,14 @@ class TestEditRecords:
         assert calls[0] == ("key", base, False)
         checked = calls[1:]
         # prune -> size -> validate -> key -> seen: each candidate within the
-        # cap, pruned of dead nodes, is validated and then keyed, both from
-        # its edit record on the clean base
+        # cap, pruned of dead nodes, is validated and then keyed; on the clean
+        # base it comes vouched for by its edit record and is keyed from it
         assert [kind for kind, _, _ in checked] == ["validate", "key"] * len(sized)
         assert [repr(p) for _, p, _ in checked[::2]] == [repr(c) for c in sized]
         assert all(p is q for (_, p, _), (_, q, _) in zip(checked[::2], checked[1::2]))
         assert all(recorded is not dead_node for _, _, recorded in checked)
         assert all(harness._prune_dead(p) is p for _, p, _ in checked)
         assert edits and {id(p) for p in edits} <= {id(p) for _, p, _ in checked}
-        assert not any(hasattr(p, "_edit") for p in edits)
 
     @pytest.mark.parametrize("kind, cap, counts", [
         ("clean", 4, (109, 110, 102)),
@@ -196,8 +196,8 @@ class TestEditRecords:
         assert validate_program(base, registry).ok is (kind != "invalid")
         proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
                                                               max_operator_nodes=cap))
-        sized = [c for c in proposer._candidates(base) if len(c.operator_nodes()) <= cap]
-        plain = [WorkflowProgram(c.nodes, c.edges, c.roots, c.output) for c in sized]  # no record, no verdict
+        sized = [c for c, _ in proposer._candidates(base) if len(c.operator_nodes()) <= cap]
+        plain = [WorkflowProgram(c.nodes, c.edges, c.roots, c.output) for c in sized]  # no verdict
         valid = [c for c in plain if validate_program(c, registry).ok]
 
         calls = {"validate": 0, "key": 0}
@@ -207,30 +207,15 @@ class TestEditRecords:
             calls["validate"] += 1
             return validate(program, reg)
 
-        def counted_key(program):
+        def counted_key(program, edit=None):
             calls["key"] += 1
-            return key(program)
+            return key(program, edit)
 
         monkeypatch.setattr(harness, "validate_program", counted_validate)
         monkeypatch.setattr(harness, "canonical_key", counted_key)
         edits = proposer.enumerate_edits(base)
         assert (calls["validate"], calls["key"]) == (len(sized), 1 + len(valid))
         assert (calls["validate"], calls["key"], len(edits)) == counts
-
-    def test_no_kept_program_holds_a_record(self, registry):
-        config = config_from_dict({
-            "seed": 5,
-            "budget": {"rounds": 2, "simulations_per_round": 4},
-            "proposer": {"ops": ["add", "sub", "mul", "neg"], "max_operator_nodes": 4},
-        })
-        result = driver.execute_run(config)
-        stack, seen = [result.optimizer.root], 0
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            assert not hasattr(node.program, "_edit")
-            seen += 1
-        assert seen > 4
 
     def test_search_leaves_no_cyclic_garbage(self, tmp_path):
         """What a search makes per candidate, its key walk included, is freed

@@ -127,7 +127,7 @@ def test_every_generated_edit_is_valid_after_pruning(seed):
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
     for generate in generators:
-        for candidate in generate(program):
+        for candidate, _ in generate(program):
             report = validate_program(_prune_dead(candidate), REGISTRY)
             assert report.ok, report.violations
 
@@ -141,7 +141,7 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
     for _ in range(60):
         program = _prune_dead(random_program(rng, REGISTRY))
         for generate in (proposer._insertions, proposer._replacements, proposer._deletions):
-            for candidate in generate(program):
+            for candidate, _ in generate(program):
                 assert _prune_dead(candidate) is candidate
-        orphaning_rewires += sum(_prune_dead(c) is not c for c in proposer._rewires(program))
+        orphaning_rewires += sum(_prune_dead(c) is not c for c, _ in proposer._rewires(program))
     assert orphaning_rewires > 0

@@ -7,8 +7,9 @@ only when it can fail, a flat tuple key, one walk that orders a program and
 resolves its operands together for each analysis or evaluation request,
 each evaluation step run once over the values of all input bindings, a
 dead-node pruning walk only for the edits that can orphan a node, and a
-check and a key of each proposer candidate made from its edit of a valid
-base rather than from the whole candidate. The
+size and a key of each proposer candidate made from its edit of a valid
+base rather than from the whole candidate, with no check of a candidate
+that edit keeps valid by construction. The
 reference forms below are the plain versions they replaced: separate cycle
 and reachability walks, a `repr` of the post-order entry list, a re-sorted
 ready list walked once per input binding with the program's `incoming()` and
@@ -26,11 +27,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
-from wfopt.edits import EditBase, ProgramEdit, operator_count
+from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -727,10 +728,13 @@ def _same_raw_candidates(proposer, base):
     reference insertions also yield [src, src] a second time, right after the first."""
     ref = list(ref_insertions(proposer, base))
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
-    return (_same_candidates(list(proposer._insertions(base)), ref)
-            and _same_candidates(list(proposer._replacements(base)), list(ref_replacements(proposer, base)))
-            and _same_candidates(list(proposer._deletions(base)), list(ref_deletions(proposer, base)))
-            and _same_candidates(list(proposer._rewires(base)), list(ref_rewires(base))))
+    def built(generate):
+        return [candidate for candidate, _ in generate(base)]
+
+    return (_same_candidates(built(proposer._insertions), ref)
+            and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
+            and _same_candidates(built(proposer._deletions), list(ref_deletions(proposer, base)))
+            and _same_candidates(built(proposer._rewires), list(ref_rewires(base))))
 
 
 class TestEnumerateEdits:
@@ -831,7 +835,7 @@ class TestEnumerateEdits:
         fewer = 0
         for _ in range(40):
             base = random_program(rng, registry, max_ops=5)
-            raw = list(proposer._insertions(base))
+            raw = [candidate for candidate, _ in proposer._insertions(base)]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -866,11 +870,11 @@ class TestCanonicalKey:
             assert _same_partition([base] + edits)
             # the raw candidates, before deduplication, repeat programs; the
             # reference insertions keep both operand orders of [src, src]
-            raw = [
+            raw = [_prune_dead(c) for c in ref_insertions(proposer, base)]
+            raw += [
                 _prune_dead(c)
-                for gen in (lambda p: ref_insertions(proposer, p), proposer._replacements,
-                            proposer._deletions, proposer._rewires)
-                for c in gen(base)
+                for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
+                for c, _ in gen(base)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -921,19 +925,23 @@ EDIT_BASES = {
 }
 
 
-def _without_record(program):
-    """An equal program that carries no edit record and no verdict."""
+def _without_verdict(program):
+    """An equal program that carries no validation verdict."""
     return WorkflowProgram(program.nodes, program.edges, program.roots, program.output)
 
 
 @settings(derandomize=True, deadline=None, max_examples=140)
 @given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
+# an edge from a root into an unused root: an insertion on it adds a node that
+# feeds only that root, which pruning drops
+@example(kind="invalid", seed=80)
 def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     """Each candidate of any base, sized, checked and keyed as
-    `enumerate_edits` does (from its edit record where it carries one), gets
-    its operator count, the report of `ref_validate_program` and the full
-    walk's key, which splits candidates as `ref_canonical_key` does; a
-    candidate of a clean valid base has no dead node."""
+    `enumerate_edits` does (from its edit record where it comes with one),
+    gets its operator count, the report of `ref_validate_program` and the
+    full walk's key, which splits candidates as `ref_canonical_key` does. A
+    candidate with a record is valid by construction, so it passes
+    `ref_validate_program`; a candidate of a clean base has no dead node."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
@@ -941,80 +949,30 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     ops = None if seed % 2 else ("add", "sub", "mul", "neg")
     proposer = SyntheticProposer(registry, ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
                                                           max_operator_nodes=cap))
-    recorded = valid_base = validate_program(_without_record(base), registry).ok and _prune_dead(base) is base
-    keys = []
-    for candidate in proposer._candidates(base):
-        plain = _without_record(candidate)
-        recorded = recorded and hasattr(candidate, "_edit")
-        if valid_base:  # where edits that cannot orphan a node skip pruning
-            assert _prune_dead(plain) is plain
-        assert operator_count(candidate) == len(plain.operator_nodes())
-        assert validate_program(candidate, registry) == ref_validate_program(plain, registry)
-        key = _outcome(canonical_key, candidate)
+    # clean as `enumerate_edits` defines it: every node feeds the output, and
+    # each input slot has one edge
+    clean = _prune_dead(base) is base and len({(e.dst, e.slot) for e in base.edges}) == len(base.edges)
+    valid_base = clean and ref_validate_program(base, registry).ok
+    keys, recorded = [], []
+    for candidate, edit in proposer._candidates(base):
+        plain = _without_verdict(candidate)
+        if clean:  # where edits that cannot orphan a node skip pruning
+            pruned = _prune_dead(plain)
+            assert len(pruned.nodes) == len(plain.nodes)  # no dead node
+            assert pruned is plain or not valid_base
+        expected = ref_validate_program(plain, registry)
+        if edit is not None:
+            assert expected.ok, expected.violations
+            assert edit.operator_count() == len(plain.operator_nodes())
+        assert validate_program(candidate, registry) == expected
+        key = _outcome(canonical_key, candidate, edit)
         assert key == _outcome(canonical_key, plain)
-        assert not hasattr(candidate, "_edit")
         if isinstance(key, tuple) and not (key and key[0] in (KeyError, InvalidProgramError)):
             keys.append((key, ref_canonical_key(plain)))
-    # every candidate of a clean valid base went through the edit-local path
-    assert recorded == valid_base
+        recorded.append(edit is not None)
+    # every candidate of a clean valid base, and no other, comes with a record
+    assert recorded == [valid_base] * len(recorded)
     assert len({k for k, _ in keys}) == len({r for _, r in keys}) == len(set(keys))
-
-
-def _lying_edits():
-    """Edits of add(neg(x0), x1) that each break one rule, told truthfully:
-    (the edited program's nodes, edges and output, the record's fields)."""
-    x0, x1, n0, n1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "neg"), Node("n1", "add")
-    nodes, edges = (x0, x1, n0, n1), (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1))
-    to_n1 = (Edge("x0", "n0", 0), Edge("n2", "n1", 0), Edge("x1", "n1", 1))
-
-    def inserted(new_nodes, operands):
-        new_id = new_nodes[-1].node_id
-        program = (nodes + new_nodes, to_n1[:1] + tuple(Edge(a, new_id, k) for k, a in enumerate(operands))
-                   + to_n1[1:], "n1")
-        record = dict(output="n1", operands={new_id: operands, "n1": ("n2", "x1")}, added=operands,
-                      blocked={"n1"}, nodes=new_nodes, fresh=tuple(n.node_id for n in new_nodes))
-        return program, record
-
-    return {
-        "closes-a-cycle": (
-            (nodes, (Edge("n1", "n0", 0),) + edges[1:], "n1"),
-            dict(output="n1", operands={"n0": ("n1",)}, added=("n1",), blocked={"n0", "n1"})),
-        "from-a-missing-node": (
-            (nodes, edges[:2] + (Edge("ghost", "n1", 1),), "n1"),
-            dict(output="n1", operands={"n1": ("n0", "ghost")}, added=("ghost",), blocked={"n1"})),
-        "unknown-operator": (
-            ((x0, x1, Node("n0", "frob"), n1), edges, "n1"),
-            dict(output="n1", operands={}, nodes=(Node("n0", "frob"),))),
-        "operator-with-a-value": (
-            ((x0, x1, Node("n0", "sqrt", value=1.0), n1), edges, "n1"),
-            dict(output="n1", operands={}, nodes=(Node("n0", "sqrt", value=1.0),))),
-        "const-without-a-value": inserted((Node("c0", CONST_OP), Node("n2", "add")), ("n0", "c0")),
-        "wrong-arity": inserted((Node("n2", "neg"),), ("n0", "x1")),
-        "fresh-id-collides": inserted((Node("x1", CONST_OP, value=1.0), Node("n2", "add")), ("n0", "x1")),
-        "removed-node-still-read": (
-            ((x0, x1, n1), edges[1:], "n1"),
-            dict(output="n1", operands={}, removed=frozenset({"n0"}))),
-        "output-is-no-node": (
-            (nodes, edges, "ghost"),
-            dict(output="ghost", operands={}, nodes=(Node("n0", "sqrt"),))),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_lying_edits()))
-def test_edit_local_check_rejects_what_the_full_check_rejects(registry, name):
-    """A record that tells of a broken edit fails the edit-local check, and
-    the full check then reports the candidate as `ref_validate_program` does."""
-    base_nodes = (Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "neg"), Node("n1", "add"))
-    base = WorkflowProgram(base_nodes, (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)),
-                           ("x0", "x1"), "n1")
-    assert validate_program(base, registry).ok
-    (nodes, edges, output), fields = _lying_edits()[name]
-    candidate = WorkflowProgram(nodes, edges, base.roots, output)
-    edit = ProgramEdit(EditBase.of(base, registry), fields.pop("output"), fields.pop("operands"), **fields)
-    assert not edit.holds(registry)
-    expected = ref_validate_program(candidate, registry)
-    assert not expected.ok
-    assert validate_program(edit.attach(candidate), registry) == expected
 
 
 def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
@@ -1035,14 +993,14 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
     for changed in (Node("n0", CONST_OP, value=1.0), Node("n0", "sqrt")):
         candidate = WorkflowProgram((x0, x1, changed, base.nodes[3]), base.edges, base.roots, "n1")
         expected = canonical_key(candidate)
-        edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, nodes=(changed,))  # n0 is walked again
-        assert canonical_key(edit.attach(candidate)) == expected
+        edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, (changed,))  # n0 is walked again
+        assert canonical_key(candidate, edit) == expected
     walks = len(record.walks)
     for changed in (Node("n0", "sqrt"), Node("n1", "mul")):
         nodes = tuple(changed if n.node_id == changed.node_id else n for n in base.nodes)
         candidate = WorkflowProgram(nodes, base.edges, base.roots, "n1")
         expected = canonical_key(candidate)
-        assert canonical_key(ProgramEdit(record, "n1", {}, nodes=(changed,)).attach(candidate)) == expected
+        assert canonical_key(candidate, ProgramEdit(record, "n1", {}, (changed,))) == expected
     assert len(record.walks) == walks + 1
 
     with_const = WorkflowProgram((x0, x1, Node("c0", CONST_OP, value=2.0), Node("n1", "add")),
@@ -1053,47 +1011,51 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
         candidate = WorkflowProgram((x0, x1, changed, with_const.nodes[3]),
                                     (Edge("x0", "c0", 0),) + with_const.edges, with_const.roots, "n1")
         expected = canonical_key(candidate)
-        edit = ProgramEdit(record, "n1", {"c0": ("x0",)}, ("x0",), {"c0", "n1"}, nodes=(changed,))
-        assert edit.holds(registry)
-        assert canonical_key(edit.attach(candidate)) == expected
+        assert ref_validate_program(candidate, registry).ok
+        assert canonical_key(candidate, ProgramEdit(record, "n1", {"c0": ("x0",)}, (changed,))) == expected
     assert len(record.walks) == 1
 
 
 def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
     """With an operator of arity 0, a valid program's output must reach a
-    leaf, a rule no edit-local check sees: the rewire of add(z, x0) to
-    add(z, z), z nullary, keeps every other one. So such a registry gives
-    no base a record, and each candidate gets the full check."""
+    leaf, and an edit can break that: the rewire of add(z, x0) to add(z, z),
+    z nullary, keeps every other rule. A record of it would vouch for an
+    invalid program. So such a registry gives no base a record, and each
+    candidate gets the full check."""
     nullary = OperatorRegistry(list(registry) + [OperatorKind("pi", 0)])
     base = WorkflowProgram((Node("x0", INPUT_OP), Node("z", "pi"), Node("n0", "add")),
                            (Edge("z", "n0", 0), Edge("x0", "n0", 1)), ("x0",), "n0")
     assert validate_program(base, nullary).ok
     assert EditBase.of(base, nullary) is None
     rewired = WorkflowProgram(base.nodes, (Edge("z", "n0", 0), Edge("z", "n0", 1)), base.roots, "n0")
-    assert ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}, ("z",), {"n0"}).holds(nullary)
     assert ref_validate_program(rewired, nullary).violations == ("output 'n0' is not reachable from any leaf",)
+    vouched = _without_verdict(rewired)
+    ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}).vouch(vouched)
+    assert validate_program(vouched, nullary).ok  # what a record would have made of it
     proposer = SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
     candidates = list(proposer._candidates(base))
-    assert repr(rewired) in {repr(c) for c in candidates}
-    for candidate in candidates:
-        assert not hasattr(candidate, "_edit")
-        assert validate_program(candidate, nullary) == ref_validate_program(_without_record(candidate), nullary)
+    assert repr(rewired) in {repr(c) for c, _ in candidates}
+    for candidate, edit in candidates:
+        assert edit is None
+        assert validate_program(candidate, nullary) == ref_validate_program(_without_verdict(candidate), nullary)
     assert repr(rewired) not in {repr(c) for c in proposer.enumerate_edits(base)}
 
 
 def test_edit_local_check_falls_back_to_the_full_one(registry):
-    """Against any registry but the one the base passed against, a candidate
-    gets the full check, so a registry without one of its operators reports it."""
+    """A record vouches for its candidate only against the registry object
+    the base passed against: against any other, the candidate gets the full
+    check, so a registry without one of its operators reports it."""
     base = _prune_dead(random_program(np.random.default_rng(3), registry, max_ops=4))
     assert validate_program(base, registry).ok
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
     rejected = 0
-    for candidate in proposer._candidates(base):
-        expected = ref_validate_program(_without_record(candidate), narrow)
+    for candidate, edit in proposer._candidates(base):
+        assert edit is not None
+        expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok
-        assert canonical_key(candidate) == canonical_key(_without_record(candidate))
+        assert canonical_key(candidate, edit) == canonical_key(_without_verdict(candidate))
     assert rejected > 0
 
 

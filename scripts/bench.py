@@ -5,7 +5,11 @@ Each call runs on fixed programs with 3, 6 and 8 operator nodes, built the
 same way every time, so two checkouts can be compared call by call:
 
   enumerate_edits        SyntheticProposer over add/sub/mul/neg, max 8 nodes
-                         (the edit_heavy workload's proposer); also per candidate
+                         (the edit_heavy workload's proposer), on programs that
+                         passed validate_program against its registry, as every
+                         program the search proposes from did; also per candidate
+  propose                the same proposer drawing 8 candidates, with a
+                         generator seeded the same way on every call
   validate_program       the default registry
   canonical_key
   derive_state+static_vector
@@ -63,6 +67,7 @@ from wfopt.weights import WeightVector
 
 SIZES = (3, 6, 8)
 CHILDREN_OF = 6  # the program size whose edits "score children" scores
+PROPOSED = 8  # candidates per propose call, the search's default per expansion
 OPS = ("add", "mul", "neg", "sub")
 SAMPLE_S = 0.02
 TREE_CALLS = 200  # select+backprop calls per sample, on one fresh tree
@@ -166,16 +171,22 @@ def run(repeat: int) -> dict:
             scorer.total(scorer.static_vector(child, derive_state(child, registry)), weights)
 
     results: dict[str, dict] = {name: {} for name in (
-        "enumerate_edits", "validate_program", "canonical_key", "derive_state+static_vector",
+        "enumerate_edits", "propose", "validate_program", "canonical_key", "derive_state+static_vector",
         "score children", "with_magnitude", "evaluate")}
     for size in SIZES:
         program = fixed_program(size)
+        # the proposer makes its candidates from edit records only for a
+        # program that passed validation against its registry object
+        if not validate_program(program, registry).ok:
+            raise RuntimeError(f"fixed program of {size} operators is invalid")
         key = str(size)
         children = proposer.enumerate_edits(program)
         entry = figures(lambda: proposer.enumerate_edits(program), repeat, candidates=len(children))
         entry["per_candidate_median_us"] = round(entry["median_us"] / len(children), 3)
         entry["per_candidate_best_us"] = round(entry["best_us"] / len(children), 3)
         results["enumerate_edits"][key] = entry
+        results["propose"][key] = figures(lambda: proposer.propose(program, PROPOSED, np.random.default_rng(size)),
+                                          repeat, count=PROPOSED)
         results["validate_program"][key] = figures(lambda: validate_program(unchecked(program), registry), repeat)
         results["canonical_key"][key] = figures(lambda: canonical_key(program), repeat)
         results["derive_state+static_vector"][key] = figures(

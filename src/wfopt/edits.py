@@ -1,20 +1,22 @@
 """Proposer candidates told as one edit of a validated base.
 
-`SyntheticProposer._candidates` builds one `EditBase` per base that passed
-`validate_program` against its registry object, under a registry with no
-nullary operator, and has no dead node, and yields each candidate of that
-base beside its `ProgramEdit`. Every edit the proposer makes of such a base
-keeps it valid: fresh ids come from `model.fresh_node_id`, a replacement
-keeps its node's arity, a deletion hands a unary node's consumers its
-operand, and no new operand is its destination or one of its descendants.
-So the record vouches for its candidate as it is built (`ProgramEdit.vouch`),
-and the candidate's `validate_program` call is the verdict lookup. The
-record also gives the candidate's size (`ProgramEdit.operator_count`) and
-its key (`ProgramEdit.key`, passed to `model.canonical_key`): the walk of
-`model._key_walk` over the base's maps with the edit's operand changes,
-shared by the candidates of a base that differ only in the nodes they add
-or change. `tests/test_reference.py` checks every record candidate of
-random bases against the reference check, count and key.
+`SyntheticProposer._candidates` builds one `EditBase` per clean base that
+passed `validate_program` against its registry object, under a registry
+with no nullary operator, and yields each candidate of that base as its
+`ProgramEdit` beside a deferred build. Every edit the proposer makes of such
+a base keeps it valid: fresh ids come from `model.fresh_node_id`, a
+replacement keeps its node's arity, a deletion hands a unary node's
+consumers its operand, and no new operand is its destination or one of its
+descendants. So a candidate is sized (`ProgramEdit.operator_count`) and
+keyed (`ProgramEdit.key`: the walk of `model._key_walk` over the base's maps
+with the edit's operand changes, shared by the candidates of a base that
+differ only in the nodes they add or change) from its record alone, and only
+a candidate that is kept is built; its record then vouches for it
+(`ProgramEdit.vouch`), so `validate_program` of it is the verdict lookup.
+A rewire that leaves its old source feeding nothing drops, on its record,
+what pruning would drop (`EditBase.dropped`). `tests/test_reference.py`
+checks every record candidate of random bases against the reference check,
+count and key.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Mapping, Optional
 
 from .model import (
     _VALID_FOR,
+    INPUT_OP,
     LEAF_OPS,
     Node,
     OperatorRegistry,
@@ -73,6 +76,30 @@ class EditBase:
             return None
         return EditBase(program, registry)
 
+    def dropped(self, src: str, kept: Optional[str] = None) -> frozenset:
+        """The nodes that feed nothing once one edge out of `src` is moved to
+        the source `kept`, which pruning drops.
+
+        Empty if `src` is an input or has another consumer. Else `src`, and
+        each node that is no input and not `kept` (which gains a consumer)
+        whose every consumer is dropped: the base is acyclic and every node
+        of it feeds the output, so counting each node's consumers left finds
+        exactly the nodes no longer live."""
+        consumers, heads, operands = self.consumers, self.heads, self.operands
+        if len(consumers[src]) > 1 or heads[src][0] == INPUT_OP:
+            return _NOTHING
+        dropped, stack = [src], [src]
+        left: dict[str, int] = {}  # consumers not dropped yet, of a node met
+        while stack:
+            for a in operands.get(stack.pop(), ()):
+                if a == kept or heads[a][0] == INPUT_OP:
+                    continue
+                n = left[a] = left.get(a, len(consumers[a])) - 1
+                if not n:
+                    dropped.append(a)
+                    stack.append(a)
+        return frozenset(dropped)
+
 
 class ProgramEdit:
     """One proposer candidate, told as one edit of an `EditBase`.
@@ -82,7 +109,11 @@ class ProgramEdit:
       edit sets: a new node, the node re-fed from it, a rewired node, a
       deleted node's consumers.
     * `nodes`: the nodes the edit adds or changes, an inserted operator last;
-      `removed`: the ids it drops.
+      `removed`: the ids it drops (a deleted node, or what a rewire leaves
+      feeding nothing).
+
+    It holds ids and nodes only, no edge: the proposer builds the candidate
+    apart from it, and only if the candidate is kept.
     """
 
     __slots__ = ("base", "output", "operands", "nodes", "removed")

@@ -1,14 +1,15 @@
 """Deterministic stand-ins for the optimizer/executor roles, plus accounting.
 
 The synthetic proposer enumerates minimal structural edits of a program in a
-fixed order and returns a seeded sample; the synthetic evaluator interprets a
-program over a problem set. Both emit token records whose sizes are
-deterministic functions of payload size, so efficiency metrics reproduce
-exactly. The evaluator interprets every problem of a request in one
-`interpret_all` call, which orders the program and resolves its operands in
-one walk for all of them, then runs each step once over all their values.
-Remote implementations of the same two roles are supported through the wire
-protocol in :mod:`wfopt.adapter`.
+fixed order and returns a seeded sample; where the program has edit records
+it draws the sample over them and builds only the candidates it draws. The
+synthetic evaluator interprets a program over a problem set. Both emit token
+records whose sizes are deterministic functions of payload size, so
+efficiency metrics reproduce exactly. The evaluator interprets every problem
+of a request in one `interpret_all` call, which orders the program and
+resolves its operands in one walk for all of them, then runs each step once
+over all their values. Remote implementations of the same two roles are
+supported through the wire protocol in :mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations
@@ -136,20 +137,24 @@ def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
 def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     """Drop operator/const nodes that no longer feed the output; keep roots.
 
-    A program with nothing to drop is returned as it is. Of the proposer's
-    edits of such a program (with one edge per input slot), only a rewire can
-    orphan a node: the rewired edge's old source, when that edge was its only
-    consumer, and whatever fed only that source.
+    A node the program lacks feeds nothing: the walk back from the output
+    stops there, so what fed only such a node is dropped with its edge, and
+    pruning again drops nothing more. A program with nothing to drop is
+    returned as it is. Of the proposer's edits of such a program (with one
+    edge per input slot), only a rewire can orphan a node: the rewired
+    edge's old source, when that edge was its only consumer, and whatever
+    fed only that source.
     """
     inc = program.incoming()
+    present = {n.node_id for n in program.nodes}
     live: set[str] = set()
     stack = [program.output]
     while stack:
         cur = stack.pop()
-        if cur in live:
+        if cur in live or cur not in present:
             continue
         live.add(cur)
-        stack.extend(inc.get(cur, {}).values())
+        stack.extend(inc[cur].values())
     nodes = tuple(
         n for n in program.nodes
         if n.node_id in live or n.op == INPUT_OP
@@ -159,6 +164,66 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     if len(nodes) == len(program.nodes) and len(edges) == len(program.edges):
         return program
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
+
+
+# The deferred builds of `SyntheticProposer`'s edits. An edit generator
+# yields each candidate as a flat entry `(edit, make, *args)`: its record (None
+# without one), then the function that builds it and that function's
+# arguments. A kept entry holds no more objects than that tuple and the record,
+# which keeps the collector's count of new objects down while a pass holds the
+# entries of every distinct candidate.
+
+def _replaced(program: WorkflowProgram, places: list[int], new_nodes: list[Node]) -> WorkflowProgram:
+    """`program` with the node at each of `places` swapped for the new node
+    at the same position."""
+    nodes = list(program.nodes)
+    for i, node in zip(places, new_nodes):
+        nodes[i] = node
+    return WorkflowProgram(tuple(nodes), program.edges, program.roots, program.output)
+
+
+def _deleted(program: WorkflowProgram, nid: str, source: str, output: str) -> WorkflowProgram:
+    """`program` without the node `nid`, its consumers fed from `source`."""
+    nodes = tuple(n for n in program.nodes if n.node_id != nid)
+    edges = []
+    for e in program.edges:
+        if e.dst == nid:
+            continue
+        edges.append(Edge(source, e.dst, e.slot) if e.src == nid else e)
+    return WorkflowProgram(nodes, tuple(edges), program.roots, output)
+
+
+def _rewired(
+    program: WorkflowProgram, at: list[int], edge: Edge, alt: str, dropped: frozenset = frozenset(),
+) -> WorkflowProgram:
+    """`program` with the edges at `at`, each equal to `edge`, moved to the
+    source `alt`, and without the nodes in `dropped` and their edges."""
+    moved = Edge(alt, edge.dst, edge.slot)
+    edges = list(program.edges)
+    for i in at:
+        edges[i] = moved
+    nodes = program.nodes
+    if dropped:
+        nodes = tuple([n for n in nodes if n.node_id not in dropped])
+        edges = [e for e in edges if e.src not in dropped and e.dst not in dropped]
+    return WorkflowProgram(nodes, tuple(edges), program.roots, program.output)
+
+
+def _make(entry: tuple) -> WorkflowProgram:
+    """The program of an edit generator's entry `(edit, make, *args)`."""
+    return entry[1](*entry[2:])
+
+
+def _built(entry: tuple) -> WorkflowProgram:
+    """The candidate of a `SyntheticProposer._candidates` entry: the built
+    program of an entry `(None, candidate)`; else made now from the entry
+    and vouched for by its record."""
+    edit = entry[0]
+    if edit is None:
+        return entry[1]
+    candidate = _make(entry)
+    edit.vouch(candidate)
+    return candidate
 
 
 class SyntheticProposer:
@@ -185,64 +250,81 @@ class SyntheticProposer:
         """All valid, distinct single-edit neighbours in fixed order.
 
         Each candidate is pruned of dead nodes, checked against the size
-        limit, validated and deduplicated by canonical key, in that order. On
-        a clean base, where every node feeds the output, each input slot has
-        one edge and no edge ends at a leaf, only a rewire can orphan a node:
-        an insertion keeps the anchor edge's source live through the new
-        node, a replacement keeps every edge, and deleting a unary node hands
-        its consumers its only operand. There the other edits skip the
-        pruning walk, which would return them unchanged; on any other base
-        every candidate is pruned. Where the base has an edit record (below),
-        a rewire is pruned only when the rewired edge was the last consumer
-        of an old source other than an input: no other rewire leaves a node
-        that pruning drops. A clean base that already has
-        `max_operator_nodes` operator nodes gets no insertions built at all,
-        since each adds an operator node and would fail the size limit; on a
-        dirty base pruning can bring an insertion back under it.
+        limit, validated and deduplicated by canonical key, the base's own
+        key first, in that order. On a clean base, where every node feeds
+        the output, each input slot has one edge and no edge ends at a leaf,
+        only a rewire can orphan a node: an insertion keeps the anchor edge's
+        source live through the new node, a replacement keeps every edge, and
+        deleting a unary node hands its consumers its only operand. There the
+        other edits are not pruned, since pruning would return them
+        unchanged; on any other base every candidate is pruned. A clean base
+        that already has `max_operator_nodes` operator nodes gets no
+        insertions at all, since each adds an operator node and would fail
+        the size limit; on a dirty base pruning can bring an insertion back
+        under it.
+
+        A clean base that already passed `validate_program` against this
+        proposer's registry object, as every program the search holds did,
+        under a registry without a nullary operator, has edit records: each
+        candidate comes as its edit (`edits.ProgramEdit`) over maps of the
+        base built once (`edits.EditBase`), beside a deferred build. Such an
+        edit keeps the base valid by construction, so the candidate gets no
+        check. Its size is the base's operator count, corrected by the nodes
+        the edit adds, changes and removes (`ProgramEdit.operator_count`);
+        its key walks the base's maps with the edit's operand changes (one
+        walk for the candidates that differ only in the nodes they add or
+        change: `ProgramEdit.key`); and a rewire that leaves its old source
+        feeding nothing drops on its record what pruning would drop
+        (`EditBase.dropped`). So the pass reads records only, and each
+        candidate it keeps is built after it, and vouched for by its record
+        as it is built. This method builds every one; `propose` builds only
+        those its sample draws. A candidate of any other base is built,
+        pruned, sized, validated and keyed in full.
 
         A candidate is built from parts it shares with its base and with the
         other candidates of that base: the base's own `Node` and `Edge`
         objects, and tuples of them cut or joined once per base, per edit
-        site or per operator kind. On a clean base that already passed
-        `validate_program` against this proposer's registry object (one
-        without a nullary operator), each candidate comes with its edit
-        (`edits.ProgramEdit`) over maps of the base built once
-        (`edits.EditBase`). Such an edit keeps the base valid by
-        construction, so the record vouches for its candidate as it is made,
-        and the candidate's `validate_program` call is the verdict lookup.
-        Its size is the base's operator count, corrected by the nodes the
-        edit adds, changes and removes (`ProgramEdit.operator_count`), and
-        its `canonical_key` walks the base's maps with the edit's operand
-        changes (one walk for the candidates that differ only in the nodes
-        they add or change). A candidate of any other base is sized,
-        validated and keyed in full.
+        site or per operator kind.
         """
+        return [_built(entry) for entry in self._distinct(program)]
+
+    def _distinct(self, program: WorkflowProgram) -> list[tuple]:
+        """The pass `enumerate_edits` and `propose` share: the entry of each
+        distinct candidate within the size limit that `_candidates` yields,
+        in its order, unbuilt where it has a record."""
         seen = {canonical_key(program)}
-        results: list[WorkflowProgram] = []
+        kept: list[tuple] = []
         max_nodes = self.config.max_operator_nodes
         registry = self.registry
-        for candidate, edit in self._candidates(program):
-            size = len(candidate.operator_nodes()) if edit is None else edit.operator_count()
-            if size > max_nodes:
-                continue
-            if not validate_program(candidate, registry).ok:
-                continue
+        for entry in self._candidates(program):
+            edit = entry[0]
+            if edit is None:
+                candidate = entry[1]
+                if len(candidate.operator_nodes()) > max_nodes or not validate_program(candidate, registry).ok:
+                    continue
+                key = canonical_key(candidate)
+            else:
+                if edit.operator_count() > max_nodes:
+                    continue
+                key = edit.key()
             before = len(seen)
-            seen.add(canonical_key(candidate, edit))
+            seen.add(key)
             if len(seen) > before:
-                results.append(candidate)
-        return results
+                kept.append(entry)
+        return kept
 
     def _candidates(self, program: WorkflowProgram):
-        """Every candidate `enumerate_edits` checks, in its order, beside its
-        edit record (None where the base allows none): pruned of dead nodes
-        where an edit can leave one, and vouched valid by its record."""
-        config = self.config
+        """Every candidate `_distinct` checks, in its order, as an entry: on
+        a base with edit records, the generator's entry `(edit, make,
+        *args)`, unbuilt (`_built` builds it); on any other base, `(None,
+        candidate)`, the candidate built and pruned of dead nodes where an
+        edit can leave one."""
+        config, registry = self.config, self.registry
         one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
         leaves = {n.node_id for n in program.nodes if n.is_leaf()}
         clean = (one_edge_per_slot and all(e.dst not in leaves for e in program.edges)
                  and _prune_dead(program) is program)
-        base = EditBase.of(program, self.registry) if clean else None
+        base = EditBase.of(program, registry) if clean else None
         sources = []
         if config.allow_insert and not (clean and len(program.operator_nodes()) >= config.max_operator_nodes):
             sources.append((self._insertions(program, base), not clean))
@@ -251,19 +333,19 @@ class SyntheticProposer:
         if config.allow_delete:
             sources.append((self._deletions(program, base), not clean))
         if config.allow_rewire:
-            sources.append((self._rewires(program, base), base is None))
-        for candidates, prune in sources:
-            for candidate, edit in candidates:
-                if prune:
-                    candidate = _prune_dead(candidate)
-                elif edit is not None:
-                    edit.vouch(candidate)
-                yield candidate, edit
+            sources.append((self._rewires(program, base), True))
+        for entries, prune in sources:
+            if base is not None:
+                yield from entries
+                continue
+            for entry in entries:
+                candidate = _make(entry)
+                yield None, _prune_dead(candidate) if prune else candidate
 
     def _insertions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """One new operator node on each edge, or above the output, for each
-        kind and choice of operands, beside its edit record over `base`
-        (None without one).
+        kind and choice of operands, as its edit record over `base` (None
+        without one) beside its deferred build.
 
         An insertion's nodes are the base's, then its constant if it has one,
         then the new node: they depend only on the kind and the constant, so
@@ -278,12 +360,15 @@ class SyntheticProposer:
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
-        op_nodes = {kind.name: nodes + (Node(new_id, kind.name),) for kind in self._ops}
+        # each kind's new node, and the candidate's nodes beside the ones it
+        # adds, which its record holds
+        new_nodes = {kind.name: Node(new_id, kind.name) for kind in self._ops}
+        op_nodes = {name: (nodes + (new,), (new,)) for name, new in new_nodes.items()}
         # one constant per palette entry, by position: a dict by value would
         # merge 0.0 and -0.0, which the canonical key tells apart
         consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
         const_nodes = {
-            kind.name: [nodes + (const, op_nodes[kind.name][-1]) for const in consts]
+            kind.name: [(nodes + (const, new_nodes[kind.name]), (const, new_nodes[kind.name])) for const in consts]
             for kind in self._ops if kind.arity == 2
         }
         node_ids = [n.node_id for n in nodes]
@@ -336,18 +421,18 @@ class SyntheticProposer:
                                 pairs.append(choice(site, partner, src))
                         with_const = (choice(site, src, const_id), choice(site, const_id, src))
                     built = [(op_nodes[kind.name], pair) for pair in pairs]
-                    built += [(node_tuple, pair) for node_tuple in const_nodes[kind.name] for pair in with_const]
+                    built += [(node_lists, pair) for node_lists in const_nodes[kind.name] for pair in with_const]
                 else:
                     continue
-                for node_tuple, (operand_edges, set_operands) in built:
-                    edit = None if base is None else ProgramEdit(base, output, set_operands, node_tuple[len(nodes):])
-                    yield WorkflowProgram(node_tuple, operand_edges, roots, output), edit
+                for (node_tuple, added), (operand_edges, set_operands) in built:
+                    edit = None if base is None else ProgramEdit(base, output, set_operands, added)
+                    yield edit, WorkflowProgram, node_tuple, operand_edges, roots, output
 
     def _replacements(self, program: WorkflowProgram, base: Optional[EditBase] = None):
-        """Each operator node given every other kind of its arity, beside its
-        edit record over `base` (None without one); a node whose id repeats
-        is replaced at every place it occurs, and one whose operator the
-        registry lacks has no replacement."""
+        """Each operator node given every other kind of its arity, as its edit
+        record over `base` (None without one) beside its deferred build; a
+        node whose id repeats is replaced at every place it occurs, and one
+        whose operator the registry lacks has no replacement."""
         nodes = program.nodes
         arities = self.registry.arities
         for node in program.operator_nodes():
@@ -359,18 +444,15 @@ class SyntheticProposer:
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
-                replaced = list(nodes)
-                for i in places:
-                    n = nodes[i]
-                    replaced[i] = Node(nid, kind.name, n.unit, n.shape, n.value)
-                candidate = WorkflowProgram(tuple(replaced), program.edges, program.roots, program.output)
-                yield candidate, None if base is None else ProgramEdit(base, program.output, {}, (replaced[places[0]],))
+                new_nodes = [Node(nid, kind.name, nodes[i].unit, nodes[i].shape, nodes[i].value) for i in places]
+                edit = None if base is None else ProgramEdit(base, program.output, {}, (new_nodes[0],))
+                yield edit, _replaced, program, places, new_nodes
 
     def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
         """Each unary operator node with an operand dropped, its consumers fed
-        from that operand, beside its edit record over `base` (None without
-        one); an unfed one, and one whose operator the registry lacks, has
-        no deletion."""
+        from that operand, as its edit record over `base` (None without one)
+        beside its deferred build; an unfed one, and one whose operator the
+        registry lacks, has no deletion."""
         inc = program.incoming()
         arities = self.registry.arities
         for node in program.operator_nodes():
@@ -380,67 +462,49 @@ class SyntheticProposer:
             source = inc[nid].get(0)
             if source is None:
                 continue
-            nodes = tuple(n for n in program.nodes if n.node_id != nid)
-            edges = []
-            for e in program.edges:
-                if e.dst == nid:
-                    continue
-                if e.src == nid:
-                    edges.append(Edge(source, e.dst, e.slot))
-                else:
-                    edges.append(e)
             output = source if program.output == nid else program.output
-            candidate = WorkflowProgram(nodes, tuple(edges), program.roots, output)
             if base is None:
-                yield candidate, None
+                yield None, _deleted, program, nid, source, output
                 continue
             refed = {
                 reader: tuple(source if a == nid else a for a in base.operands[reader])
                 for reader in base.consumers.get(nid, ())
             }
-            yield candidate, ProgramEdit(base, output, refed, removed=frozenset((nid,)))
+            yield ProgramEdit(base, output, refed, removed=frozenset((nid,))), _deleted, program, nid, source, output
 
     def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
-        """Each edge given every other source that closes no cycle, beside its
-        edit record over `base` (None without one); every edge equal to it is
-        given the new source too. With `base`, a rewire is pruned here if it
-        can leave a node feeding nothing; the caller prunes every rewire of
-        any other base."""
+        """Each edge given every other source that closes no cycle, as its edit
+        record over `base` (None without one) beside its deferred build;
+        every edge equal to it is given the new source too. With `base`, a
+        rewire that leaves nodes feeding nothing drops them, on its record
+        and in its build; the caller prunes every rewire of any other base."""
         nodes, edges = program.nodes, program.edges
         places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
         for i, e in enumerate(edges):
             places.setdefault((e.src, e.dst, e.slot), []).append(i)
         blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
         for edge in edges:
-            dst, slot = edge.dst, edge.slot
+            src, dst, slot = edge.src, edge.dst, edge.slot
             blocked = blocked_by.get(dst)
             if blocked is None:
                 blocked = blocked_by[dst] = _descendants(program, dst) | {dst}
-            at = places[edge.src, dst, slot]
-            # on a clean base only the old source can be left feeding nothing,
-            # when this edge was its last consumer; an input is never dropped
-            orphans = base is not None and len(base.consumers[edge.src]) == 1 and base.heads[edge.src][0] != INPUT_OP
+            at = places[src, dst, slot]
+            if base is not None:
+                # what the move leaves feeding nothing, unless the new source
+                # is one of those nodes, which then stays with what feeds it
+                dead = base.dropped(src)
+                args = list(base.operands[dst])
             for node in nodes:
                 alt = node.node_id
-                if alt == edge.src or alt in blocked:
+                if alt == src or alt in blocked:
                     continue
-                moved = Edge(alt, dst, slot)
-                rewired = list(edges)
-                for i in at:
-                    rewired[i] = moved
-                candidate = WorkflowProgram(nodes, tuple(rewired), program.roots, program.output)
                 if base is None:
-                    yield candidate, None
+                    yield None, _rewired, program, at, edge, alt
                     continue
-                args = list(base.operands[dst])
+                dropped = base.dropped(src, alt) if alt in dead else dead
                 args[slot] = alt
-                edit = ProgramEdit(base, program.output, {dst: tuple(args)})
-                if orphans:
-                    # the record also drops what pruning drops
-                    candidate = _prune_dead(candidate)
-                    kept = {n.node_id for n in candidate.nodes}
-                    edit.removed = frozenset([nid for nid in base.heads if nid not in kept])
-                yield candidate, edit
+                edit = ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
+                yield edit, _rewired, program, at, edge, alt, dropped
 
     # -- the proposer role --------------------------------------------------
 
@@ -450,13 +514,22 @@ class SyntheticProposer:
         count: int,
         rng: np.random.Generator,
     ) -> tuple[list[WorkflowProgram], TokenRecord]:
-        """Seeded sample of up to `count` distinct valid edits."""
+        """Seeded sample of up to `count` distinct valid edits.
+
+        The candidates of `enumerate_edits`, in its order, taken by the first
+        `count` indices of `rng.permutation` of their number; with no more
+        than `count` of them, all in order, and `rng` is not drawn from. The
+        sample is drawn over the entries of the same pass before anything is
+        built, so where the base has edit records only the drawn candidates
+        are built.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        edits = self.enumerate_edits(program)
-        if len(edits) > count:
-            order = rng.permutation(len(edits))
-            edits = [edits[i] for i in order[:count]]
+        entries = self._distinct(program)
+        if len(entries) > count:
+            order = rng.permutation(len(entries))
+            entries = [entries[i] for i in order[:count]]
+        edits = [_built(entry) for entry in entries]
         self._request_counter += 1
         prompt = 40 + 12 * len(program.nodes) + 6 * len(program.edges)
         completion = sum(8 + 3 * len(c.nodes) for c in edits)

@@ -21,13 +21,13 @@ transient. The one fact kept on a program is its validation verdict: a
 program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
 
-A proposer candidate of a validated base is made beside its edit record
-(`edits.ProgramEdit`): the one edit that made it from that base. The
-proposer's edits keep a base valid by construction, so the record vouches
-for the candidate with the same verdict `validate_program` keeps, and
-`canonical_key` takes the record to key the candidate from its base's maps
-and the edit's operand changes, by the same walk, `_key_walk`, to the same
-tuple. Nothing of the record is kept on the program.
+A proposer candidate of a validated base is first told as its edit record
+(`edits.ProgramEdit`): the one edit that makes it from that base. The
+record keys the candidate from its base's maps and the edit's operand
+changes, by the same walk, `_key_walk`, to the tuple `canonical_key` gives
+the built program. The proposer's edits keep a base valid by construction,
+so the record vouches for the candidate, once built, with the same verdict
+`validate_program` keeps. Nothing of the record is kept on the program.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -44,10 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
-
-if TYPE_CHECKING:
-    from .edits import ProgramEdit
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class InvalidProgramError(ValueError):
@@ -323,7 +320,7 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     The one other writer of the verdict is `edits.ProgramEdit.vouch`: a
     proposer candidate made by one edit of a base that passed against the
     proposer's registry object is valid by construction, so its record
-    vouches for it as it is built and its check here is the lookup.
+    vouches for it as it is built, and any check of it here is the lookup.
     """
     registry = registry or default_registry()
     if getattr(program, _VALID_FOR, None) is registry:
@@ -946,7 +943,7 @@ def loads_program(text: str) -> WorkflowProgram:
     return program_from_dict(json.loads(text))
 
 
-def canonical_key(program: WorkflowProgram, edit: Optional[ProgramEdit] = None) -> tuple:
+def canonical_key(program: WorkflowProgram) -> tuple:
     """Renaming-invariant key for the sub-DAG feeding the output.
 
     The key is a flat tuple of post-order entries, one per node reachable
@@ -959,13 +956,11 @@ def canonical_key(program: WorkflowProgram, edit: Optional[ProgramEdit] = None) 
     keeps the same root set). A cycle on the way, or a node the program
     lacks (the output, or an edge's source), raises `InvalidProgramError`.
 
-    The key is `_key_walk` over the maps `_key_maps` builds. Given `edit`,
-    the record of the one edit that made `program` from a proposer's base,
-    the key is the same walk over the base's maps and the edit
-    (`edits.ProgramEdit.key`), to the same tuple, and `program` is not read.
+    The key is `_key_walk` over the maps `_key_maps` builds. The record of
+    one edit of a proposer's base keys the program that edit makes by the
+    same walk over the base's maps and the edit (`edits.ProgramEdit.key`),
+    to the same tuple, before the program is built.
     """
-    if edit is not None:
-        return edit.key()
     return _key_walk(program.output, *_key_maps(program), {})
 
 

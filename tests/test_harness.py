@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wfopt import driver, harness, model
+from wfopt.edits import ProgramEdit
 from wfopt.config import config_from_dict
 from wfopt.harness import (
     PriceMap,
@@ -131,23 +132,40 @@ class TestProposeEdits:
 
 
 class TestEditRecords:
-    """A candidate of a clean base that passed validation is vouched valid by
-    its edit record and keyed from it, with the same calls as before."""
+    """A candidate of a clean base that passed validation is sized and keyed
+    from its edit record, gets no check, and is built, and vouched valid by
+    its record, only if it is kept."""
 
-    @pytest.mark.parametrize("dead_node, cap", [(False, 4), (True, 3)], ids=["clean-base", "dirty-base"])
-    def test_one_check_and_one_key_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
-        calls = []
-        validate, key = harness.validate_program, harness.canonical_key
+    @staticmethod
+    def count_calls(monkeypatch, calls):
+        """Log each `validate_program` and `canonical_key` call the proposer
+        makes, each record key and each program `harness` builds, in order."""
+        validate, key, record_key = harness.validate_program, harness.canonical_key, ProgramEdit.key
 
         def counted_validate(program, reg):
-            # a candidate its record vouched for already carries the verdict
-            calls.append(("validate", program, hasattr(program, model._VALID_FOR)))
+            calls.append(("validate", program))
             return validate(program, reg)
 
-        def counted_key(program, edit=None):
-            calls.append(("key", program, edit is not None))
-            return key(program, edit)
+        def counted_key(program):
+            calls.append(("key", program))
+            return key(program)
 
+        def counted_record_key(edit):
+            calls.append(("record key", edit))
+            return record_key(edit)
+
+        def counted_build(*args, **kwargs):
+            program = WorkflowProgram(*args, **kwargs)
+            calls.append(("build", program))
+            return program
+
+        monkeypatch.setattr(harness, "validate_program", counted_validate)
+        monkeypatch.setattr(harness, "canonical_key", counted_key)
+        monkeypatch.setattr(ProgramEdit, "key", counted_record_key)
+        monkeypatch.setattr(harness, "WorkflowProgram", counted_build)
+
+    @pytest.mark.parametrize("dead_node, cap", [(False, 4), (True, 3)], ids=["clean-base", "dirty-base"])
+    def test_checks_keys_and_builds_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
         config = ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,), max_operator_nodes=cap)
         proposer = SyntheticProposer(registry, config)
         base = chain("neg", "neg", "neg", n_roots=2)  # with an unused root
@@ -155,37 +173,63 @@ class TestEditRecords:
             base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
                                    base.roots, base.output)
         assert validate_program(base, registry).ok
-        candidates = [c for c, _ in proposer._candidates(base)]
+        entries = list(proposer._candidates(base))
+        assert all((entry[0] is None) is dead_node for entry in entries)
+        candidates = [harness._built(entry) for entry in entries]
         sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
         # on a clean base every insertion stays within the cap; on a dirty one some do not
         assert (len(sized) < len(candidates)) == dead_node
 
-        monkeypatch.setattr(harness, "validate_program", counted_validate)
-        monkeypatch.setattr(harness, "canonical_key", counted_key)
+        calls: list = []
+        self.count_calls(monkeypatch, calls)
         edits = proposer.enumerate_edits(base)
+        assert calls[0] == ("key", base)
+        if dead_node:
+            # built and pruned of dead nodes, then size -> validate -> key ->
+            # seen: each candidate within the cap is validated, then keyed
+            checked = [(kind, p) for kind, p in calls[1:] if kind != "build"]
+            assert [kind for kind, _ in checked] == ["validate", "key"] * len(sized)
+            assert [repr(p) for _, p in checked[::2]] == [repr(c) for c in sized]
+            assert all(p is q for (_, p), (_, q) in zip(checked[::2], checked[1::2]))
+            assert all(harness._prune_dead(p) is p for _, p in checked)
+            assert {id(p) for p in edits} <= {id(p) for _, p in checked}
+        else:
+            # size -> key -> seen from each record, in order, with no check;
+            # then each distinct candidate is built, and vouched for
+            keyed = [edit for kind, edit in calls[1:1 + len(sized)]]
+            assert all(kind == "record key" for kind, _ in calls[1:1 + len(sized)])
+            assert [(e.output, e.operands, e.nodes, e.removed) for e in keyed] == [
+                (e.output, e.operands, e.nodes, e.removed) for e, *_ in entries if e.operator_count() <= cap]
+            built = calls[1 + len(sized):]
+            assert [kind for kind, _ in built] == ["build"] * len(edits)
+            assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))
+            assert all(getattr(p, model._VALID_FOR, None) is registry for p in edits)
+        assert edits and len(edits) < len(sized)
 
-        assert calls[0] == ("key", base, False)
-        checked = calls[1:]
-        # prune -> size -> validate -> key -> seen: each candidate within the
-        # cap, pruned of dead nodes, is validated and then keyed; on the clean
-        # base it comes vouched for by its edit record and is keyed from it
-        assert [kind for kind, _, _ in checked] == ["validate", "key"] * len(sized)
-        assert [repr(p) for _, p, _ in checked[::2]] == [repr(c) for c in sized]
-        assert all(p is q for (_, p, _), (_, q, _) in zip(checked[::2], checked[1::2]))
-        assert all(recorded is not dead_node for _, _, recorded in checked)
-        assert all(harness._prune_dead(p) is p for _, p, _ in checked)
-        assert edits and {id(p) for p in edits} <= {id(p) for _, p, _ in checked}
+        # a sample builds only what it draws on a clean base, and every
+        # candidate on a dirty one; it checks and keys as the enumeration does
+        del calls[:]
+        drawn, _ = proposer.propose(base, 5, np.random.default_rng(0))
+        assert len(drawn) == 5
+        builds = [p for kind, p in calls if kind == "build"]
+        if dead_node:
+            assert len(builds) >= len(candidates)
+        else:
+            assert builds == drawn and all(p is q for p, q in zip(builds, drawn))
+        assert [kind for kind, _ in calls].count("validate") == (len(sized) if dead_node else 0)
 
     @pytest.mark.parametrize("kind, cap, counts", [
-        ("clean", 4, (109, 110, 102)),
-        ("dirty", 3, (50, 51, 5)),
-        ("invalid", 4, (108, 4, 3)),
+        ("clean", 4, (0, 1, 109, 102)),
+        ("dirty", 3, (50, 51, 0, 5)),
+        ("invalid", 4, (108, 4, 0, 3)),
     ])
     def test_call_counts_the_benchmark_tracer_reads(self, registry, monkeypatch, kind, cap, counts):
-        """`perfbench/tracer.py` derives dedup hits from these counts: one
-        `validate_program` call per candidate within the size cap, one
-        `canonical_key` call for the base and one per candidate that
-        validates."""
+        """`perfbench/tracer.py` derives dedup hits from these counts. A base
+        without records gets one `validate_program` call per candidate within
+        the size cap, one `canonical_key` call for the base and one per
+        candidate that validates. A base with records gets only the base's
+        key; its candidates are sized and keyed from their records, one
+        `ProgramEdit.key` each, and are never checked."""
         base = chain("neg", "neg", "neg", n_roots=2)
         if kind == "dirty":  # d0 feeds nothing; pruning brings some insertions under the cap
             base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
@@ -196,26 +240,20 @@ class TestEditRecords:
         assert validate_program(base, registry).ok is (kind != "invalid")
         proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
                                                               max_operator_nodes=cap))
-        sized = [c for c, _ in proposer._candidates(base) if len(c.operator_nodes()) <= cap]
+        candidates = [harness._built(entry) for entry in proposer._candidates(base)]
+        sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
         plain = [WorkflowProgram(c.nodes, c.edges, c.roots, c.output) for c in sized]  # no verdict
         valid = [c for c in plain if validate_program(c, registry).ok]
 
-        calls = {"validate": 0, "key": 0}
-        validate, key = harness.validate_program, harness.canonical_key
-
-        def counted_validate(program, reg):
-            calls["validate"] += 1
-            return validate(program, reg)
-
-        def counted_key(program, edit=None):
-            calls["key"] += 1
-            return key(program, edit)
-
-        monkeypatch.setattr(harness, "validate_program", counted_validate)
-        monkeypatch.setattr(harness, "canonical_key", counted_key)
+        calls: list = []
+        self.count_calls(monkeypatch, calls)
         edits = proposer.enumerate_edits(base)
-        assert (calls["validate"], calls["key"]) == (len(sized), 1 + len(valid))
-        assert (calls["validate"], calls["key"], len(edits)) == counts
+        counted = tuple([kind for kind, _ in calls].count(k) for k in ("validate", "key", "record key"))
+        if kind == "clean":
+            assert counted == (0, 1, len(sized))
+        else:
+            assert counted == (len(sized), 1 + len(valid), 0)
+        assert counted + (len(edits),) == counts
 
     def test_search_leaves_no_cyclic_garbage(self, tmp_path):
         """What a search makes per candidate, its key walk included, is freed

@@ -17,7 +17,7 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, _make, _prune_dead
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
@@ -127,8 +127,8 @@ def test_every_generated_edit_is_valid_after_pruning(seed):
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
     for generate in generators:
-        for candidate, _ in generate(program):
-            report = validate_program(_prune_dead(candidate), REGISTRY)
+        for entry in generate(program):
+            report = validate_program(_prune_dead(_make(entry)), REGISTRY)
             assert report.ok, report.violations
 
 
@@ -141,7 +141,9 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
     for _ in range(60):
         program = _prune_dead(random_program(rng, REGISTRY))
         for generate in (proposer._insertions, proposer._replacements, proposer._deletions):
-            for candidate, _ in generate(program):
+            for entry in generate(program):
+                candidate = _make(entry)
                 assert _prune_dead(candidate) is candidate
-        orphaning_rewires += sum(_prune_dead(c) is not c for c, _ in proposer._rewires(program))
+        rewires = [_make(entry) for entry in proposer._rewires(program)]
+        orphaning_rewires += sum(_prune_dead(c) is not c for c in rewires)
     assert orphaning_rewires > 0

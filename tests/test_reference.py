@@ -22,6 +22,7 @@ candidates on every input, invalid programs included.
 """
 
 import dataclasses
+import json
 import math
 import re
 
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfopt.harness import ProposerConfig, SyntheticProposer, _descendants, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _built, _descendants, _make, _prune_dead
 from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
@@ -49,6 +50,7 @@ from wfopt.model import (
     UnitSignature,
     ValidationReport,
     WorkflowProgram,
+    _VALID_FOR,
     _apply,
     _check_shape,
     _check_units,
@@ -62,6 +64,7 @@ from wfopt.model import (
     default_registry,
     interpret,
     interpret_all,
+    program_to_dict,
     topological_order,
     validate_program,
 )
@@ -729,7 +732,7 @@ def _same_raw_candidates(proposer, base):
     ref = list(ref_insertions(proposer, base))
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
     def built(generate):
-        return [candidate for candidate, _ in generate(base)]
+        return [_make(entry) for entry in generate(base)]
 
     return (_same_candidates(built(proposer._insertions), ref)
             and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
@@ -835,7 +838,7 @@ class TestEnumerateEdits:
         fewer = 0
         for _ in range(40):
             base = random_program(rng, registry, max_ops=5)
-            raw = [candidate for candidate, _ in proposer._insertions(base)]
+            raw = [_make(entry) for entry in proposer._insertions(base)]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -872,9 +875,9 @@ class TestCanonicalKey:
             # reference insertions keep both operand orders of [src, src]
             raw = [_prune_dead(c) for c in ref_insertions(proposer, base)]
             raw += [
-                _prune_dead(c)
+                _prune_dead(_make(entry))
                 for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for c, _ in gen(base)
+                for entry in gen(base)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -937,10 +940,11 @@ def _without_verdict(program):
 @example(kind="invalid", seed=80)
 def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     """Each candidate of any base, sized, checked and keyed as
-    `enumerate_edits` does (from its edit record where it comes with one),
-    gets its operator count, the report of `ref_validate_program` and the
-    full walk's key, which splits candidates as `ref_canonical_key` does. A
-    candidate with a record is valid by construction, so it passes
+    `enumerate_edits` does (from its edit record, before it is built, where
+    it comes with one), gets its operator count, the report of
+    `ref_validate_program` and the full walk's key, which splits candidates
+    as `ref_canonical_key` does. A candidate with a record is valid by
+    construction, so once built and vouched for it passes
     `ref_validate_program`; a candidate of a clean base has no dead node."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
@@ -954,7 +958,12 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     clean = _prune_dead(base) is base and len({(e.dst, e.slot) for e in base.edges}) == len(base.edges)
     valid_base = clean and ref_validate_program(base, registry).ok
     keys, recorded = [], []
-    for candidate, edit in proposer._candidates(base):
+    for entry in proposer._candidates(base):
+        edit = entry[0]
+        # a record sizes and keys its candidate before it is built
+        size = None if edit is None else edit.operator_count()
+        key = _outcome(canonical_key, entry[1]) if edit is None else _outcome(edit.key)
+        candidate = _built(entry)
         plain = _without_verdict(candidate)
         if clean:  # where edits that cannot orphan a node skip pruning
             pruned = _prune_dead(plain)
@@ -963,9 +972,8 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
         expected = ref_validate_program(plain, registry)
         if edit is not None:
             assert expected.ok, expected.violations
-            assert edit.operator_count() == len(plain.operator_nodes())
+            assert size == len(plain.operator_nodes())
         assert validate_program(candidate, registry) == expected
-        key = _outcome(canonical_key, candidate, edit)
         assert key == _outcome(canonical_key, plain)
         if isinstance(key, tuple) and not (key and key[0] in (KeyError, InvalidProgramError)):
             keys.append((key, ref_canonical_key(plain)))
@@ -994,13 +1002,13 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
         candidate = WorkflowProgram((x0, x1, changed, base.nodes[3]), base.edges, base.roots, "n1")
         expected = canonical_key(candidate)
         edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, (changed,))  # n0 is walked again
-        assert canonical_key(candidate, edit) == expected
+        assert edit.key() == expected
     walks = len(record.walks)
     for changed in (Node("n0", "sqrt"), Node("n1", "mul")):
         nodes = tuple(changed if n.node_id == changed.node_id else n for n in base.nodes)
         candidate = WorkflowProgram(nodes, base.edges, base.roots, "n1")
         expected = canonical_key(candidate)
-        assert canonical_key(candidate, ProgramEdit(record, "n1", {}, (changed,))) == expected
+        assert ProgramEdit(record, "n1", {}, (changed,)).key() == expected
     assert len(record.walks) == walks + 1
 
     with_const = WorkflowProgram((x0, x1, Node("c0", CONST_OP, value=2.0), Node("n1", "add")),
@@ -1012,7 +1020,7 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
                                     (Edge("x0", "c0", 0),) + with_const.edges, with_const.roots, "n1")
         expected = canonical_key(candidate)
         assert ref_validate_program(candidate, registry).ok
-        assert canonical_key(candidate, ProgramEdit(record, "n1", {"c0": ("x0",)}, (changed,))) == expected
+        assert ProgramEdit(record, "n1", {"c0": ("x0",)}, (changed,)).key() == expected
     assert len(record.walks) == 1
 
 
@@ -1033,9 +1041,9 @@ def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
     ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}).vouch(vouched)
     assert validate_program(vouched, nullary).ok  # what a record would have made of it
     proposer = SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
-    candidates = list(proposer._candidates(base))
-    assert repr(rewired) in {repr(c) for c, _ in candidates}
-    for candidate, edit in candidates:
+    entries = list(proposer._candidates(base))
+    assert repr(rewired) in {repr(c) for _, c in entries}
+    for edit, candidate in entries:
         assert edit is None
         assert validate_program(candidate, nullary) == ref_validate_program(_without_verdict(candidate), nullary)
     assert repr(rewired) not in {repr(c) for c in proposer.enumerate_edits(base)}
@@ -1050,13 +1058,116 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
     rejected = 0
-    for candidate, edit in proposer._candidates(base):
+    for entry in proposer._candidates(base):
+        edit = entry[0]
         assert edit is not None
+        key = edit.key()
+        candidate = _built(entry)
         expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok
-        assert canonical_key(candidate, edit) == canonical_key(_without_verdict(candidate))
+        assert key == canonical_key(_without_verdict(candidate))
     assert rejected > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 80))
+def test_propose_is_a_seeded_sample_of_every_candidate(registry, kind, seed, count):
+    """`propose` returns what building every candidate, as `enumerate_edits`
+    does, then taking the first `count` of `rng.permutation` of their number
+    returns: the same programs in the same order (by `program_to_dict`, which
+    `json` writes with -0.0 apart from 0.0), the same token record and the
+    same verdicts; and it leaves `rng` as that leaves it, undrawn when there
+    are no more than `count`. A base whose key cannot be taken raises the
+    same error."""
+    rng = np.random.default_rng(seed)
+    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
+    cap = len(base.operator_nodes()) if kind == "at-the-size-cap" else 2 + seed % 9
+    config = ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
+                            const_palette=(0.0, -0.0, 1.0), max_operator_nodes=cap)
+    expected = _outcome(SyntheticProposer(registry, config).enumerate_edits, base)
+    drawn_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _outcome(SyntheticProposer(registry, config).propose, base, count, drawn_rng)
+    if not isinstance(expected, list):
+        assert got == expected
+        return
+    if len(expected) > count:
+        order = reference_rng.permutation(len(expected))
+        expected = [expected[i] for i in order[:count]]
+    candidates, record = got
+    assert [json.dumps(program_to_dict(c)) for c in candidates] == [json.dumps(program_to_dict(c)) for c in expected]
+    assert record == TokenRecord(
+        role="optimizer",
+        prompt_tokens=40 + 12 * len(base.nodes) + 6 * len(base.edges),
+        completion_tokens=sum(8 + 3 * len(c.nodes) for c in expected),
+        request_id="opt-00001",
+    )
+    assert all(getattr(c, _VALID_FOR, None) is getattr(e, _VALID_FOR, None) is registry
+               for c, e in zip(candidates, expected))
+    assert drawn_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
+    """Each rewire of a base with records builds exactly `_prune_dead` of the
+    plain rewire, and its record drops exactly what pruning drops. The new
+    source stays, with what feeds it, even where it fed only the old one: a
+    rewire of n2 from n1 to n0, n0 feeding only n1, drops n1 and keeps n0."""
+    x0, x1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP)
+    pinned = WorkflowProgram((x0, x1, Node("n0", "neg"), Node("n1", "neg"), Node("n2", "add")),
+                             (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("n1", "n2", 0), Edge("x1", "n2", 1)),
+                             ("x0", "x1"), "n2")
+    rng = np.random.default_rng(36)
+    bases = [pinned] + [_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 8)))) for _ in range(80)]
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
+    pruned = kept_source = 0
+    for base in bases:
+        assert validate_program(base, registry).ok
+        record = EditBase.of(base, registry)
+        for entry, plain_entry in zip(proposer._rewires(base, record), proposer._rewires(base), strict=True):
+            edit, built, plain = entry[0], _make(entry), _make(plain_entry)
+            expected = _prune_dead(plain)
+            assert built == expected and repr(built) == repr(expected)
+            assert edit.removed == {n.node_id for n in plain.nodes} - {n.node_id for n in built.nodes}
+            pruned += bool(edit.removed)
+            old, new = next((e, f) for e, f in zip(base.edges, plain.edges) if e != f)
+            if new.src in record.dropped(old.src):
+                kept_source += 1
+                assert new.src not in edit.removed and old.src in edit.removed
+    assert pruned > 50 and kept_source > 0
+
+
+def test_prune_dead_drops_what_feeds_only_a_missing_node():
+    """n1 = pow(x2, x0) feeds only n3, which the program lacks, and n3 feeds
+    the output: the one pruning drops n1 with the edges of n3."""
+    program = WorkflowProgram(
+        (Node("x0", INPUT_OP), Node("x2", INPUT_OP), Node("n1", "pow"), Node("n2", "add")),
+        (Edge("x2", "n1", 0), Edge("x0", "n1", 1), Edge("n1", "n3", 0), Edge("n3", "n2", 0), Edge("x0", "n2", 1)),
+        ("x0", "x2"), "n2")
+    once = _prune_dead(program)
+    assert [n.node_id for n in once.nodes] == ["x0", "x2", "n2"]
+    assert once.edges == (Edge("x0", "n2", 1),)
+    assert _prune_dead(once) is once
+
+
+@settings(derandomize=True, deadline=None, max_examples=140)
+@given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
+# bases with an edge from or to a missing node, some of whose candidates a
+# walk through that node left with a node that fed only its edge
+@example(kind="invalid", seed=10)
+@example(kind="invalid", seed=15)
+@example(kind="invalid", seed=82)
+def test_prune_dead_is_idempotent(registry, kind, seed):
+    """Pruning any base, or any candidate of it before pruning, once more
+    drops nothing: `_prune_dead` returns its argument."""
+    rng = np.random.default_rng(seed)
+    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
+                                                          const_palette=(0.0, -0.0, 1.0)))
+    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
+    for program in [base] + [_make(entry) for generate in generators for entry in generate(base)]:
+        once = _prune_dead(program)
+        assert _prune_dead(once) is once
 
 
 # ---------------------------------------------------------------------------

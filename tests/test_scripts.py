@@ -35,6 +35,7 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
     sizes = ["3", "6", "8"]
     assert {name: sorted(rows) for name, rows in results.items()} == {
         "enumerate_edits": sizes,
+        "propose": sizes,
         "validate_program": sizes,
         "canonical_key": sizes,
         "derive_state+static_vector": sizes,

@@ -19,14 +19,17 @@ trace) fails that one request with `EvaluationError`; a reply that breaks
 the protocol itself raises `AdapterError`. A propose reply has no
 per-request failure: one that is not an object, reports an error, lacks a
 `candidates` list, holds a candidate that does not decode as a program or
-carries a bad usage count raises `AdapterError`.
+carries a bad usage count raises `AdapterError`. So does a reply longer than
+`MAX_REPLY`, which is read no further.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
 `SyntheticRoles` for its lifetime and loads numpy only for its first
 propose request, so an evaluate-only peer starts without it. It validates
 each request's program before either role sees it, and answers an invalid
-one with ``{"error": "invalid program: <violations>"}``.
+one with ``{"error": "invalid program: <violations>"}``. The proposer edits
+a valid program with dead nodes (nodes that do not feed the output) as the
+program pruned of them, so it answers with the pruned program's candidates.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ if TYPE_CHECKING:
 
 class AdapterError(RuntimeError):
     """Remote role unreachable or speaking a malformed protocol."""
+
+
+MAX_REPLY = 1 << 24  # the longest reply read: characters of a stdio line, newline included, or HTTP body bytes
 
 
 def trace_to_dict(trace: ExecutionTrace) -> dict:
@@ -178,13 +184,15 @@ class StdioTransport(_Transport):
         try:
             self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
-            reply = self._proc.stdout.readline()
+            reply = self._proc.stdout.readline(MAX_REPLY + 1)
         except (BrokenPipeError, OSError) as exc:
             raise AdapterError(f"external role pipe failed: {exc}") from None
         except UnicodeDecodeError as exc:
             raise AdapterError(f"malformed response line: {exc}") from None
         if not reply:
             raise AdapterError("external role closed the stream")
+        if len(reply) > MAX_REPLY:
+            raise AdapterError(f"response line longer than {MAX_REPLY} characters")
         try:
             return json.loads(reply)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
@@ -218,9 +226,11 @@ class HttpTransport(_Transport):
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = resp.read()
+                body = resp.read(MAX_REPLY + 1)
         except OSError as exc:
             raise AdapterError(f"external role at {self.address} unreachable: {exc}") from None
+        if len(body) > MAX_REPLY:
+            raise AdapterError(f"response from {self.address} longer than {MAX_REPLY} bytes")
         try:
             return json.loads(body.decode())
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -331,8 +341,9 @@ class SyntheticRoles:
         """Answer one request. A program that fails `validate_program`
         against this object's registry gets an in-band error, and neither
         role sees it; one that passes is remembered as valid for that
-        registry, which lets the proposer make its candidates from edit
-        records, valid by construction."""
+        registry, so the proposer's own check of it is the verdict lookup.
+        A propose request for a program with dead nodes gets the candidates
+        of the program pruned of them."""
         kind = payload.get("kind")
         program = program_from_dict(payload["program"])
         params = payload.get("params", {})

@@ -1,22 +1,21 @@
 """Proposer candidates told as one edit of a validated base.
 
-`SyntheticProposer._candidates` builds one `EditBase` per clean base that
-passed `validate_program` against its registry object, under a registry
-with no nullary operator, and yields each candidate of that base as its
-`ProgramEdit` beside a deferred build. Every edit the proposer makes of such
-a base keeps it valid: fresh ids come from `model.fresh_node_id`, a
-replacement keeps its node's arity, a deletion hands a unary node's
-consumers its operand, and no new operand is its destination or one of its
-descendants. So a candidate is sized (`ProgramEdit.operator_count`) and
-keyed (`ProgramEdit.key`: the walk of `model._key_walk` over the base's maps
-with the edit's operand changes, shared by the candidates of a base that
-differ only in the nodes they add or change) from its record alone, and only
-a candidate that is kept is built; its record then vouches for it
-(`ProgramEdit.vouch`), so `validate_program` of it is the verdict lookup.
-A rewire that leaves its old source feeding nothing drops, on its record,
-what pruning would drop (`EditBase.dropped`). `tests/test_reference.py`
-checks every record candidate of random bases against the reference check,
-count and key.
+`SyntheticProposer` checks its base once, on entry, prunes a dirty one once,
+then builds one `EditBase` of the clean, valid base and yields each
+candidate as its `ProgramEdit` beside a deferred build. Under a registry
+with no nullary operator every edit it makes keeps the base valid: fresh ids
+come from `model.fresh_node_id`, a replacement keeps its node's arity, a
+deletion hands a unary node's consumers its operand, and no new operand is
+its destination or one of its descendants. So a candidate is sized
+(`ProgramEdit.operator_count`) and keyed (`ProgramEdit.key`: the walk of
+`model._key_walk` over the base's maps with the edit's operand changes,
+shared by the candidates of a base that differ only in the nodes they add or
+change) from its record alone, and only a candidate that is kept is built;
+its record then vouches for it (`ProgramEdit.vouch`), so `validate_program`
+of it is the verdict lookup. A rewire that leaves its old source feeding
+nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
+`tests/test_reference.py` checks every candidate of random bases against the
+reference check, count and key.
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ _NOTHING: frozenset = frozenset()
 class EditBase:
     """What a record reads of one base program.
 
-    Built once per base by the proposer, only for a base that passed
+    Built once per base by the proposer, for a base that passed
     `validate_program` against the proposer's registry object and has no
-    dead node and one edge per input slot. It holds the base's maps from
-    `model._key_maps` (each node's key head, each operator's operand ids in
-    slot order), each node's consumers (one per edge out) and its number of
-    operator nodes. `walks` keeps the key walks its candidates share
-    (`ProgramEdit.key`).
+    dead node. It holds the base's maps from `model._key_maps` (each node's
+    key head, each operator's operand ids in slot order), each node's
+    consumers (one per edge out) and its number of operator nodes. `walks`
+    keeps the key walks its candidates share (`ProgramEdit.key`).
     """
 
     __slots__ = ("registry", "heads", "operands", "consumers", "walks", "operator_count")
@@ -61,20 +59,6 @@ class EditBase:
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
         self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
-
-    @staticmethod
-    def of(program: WorkflowProgram, registry: OperatorRegistry) -> Optional["EditBase"]:
-        """The record of a base that passed `validate_program` against this
-        registry object; None for any other program. The caller vouches
-        for the rest: no dead node, one edge per input slot.
-
-        None also for every base when the registry has an operator of arity
-        0: with one, a valid program's output must reach a leaf, and an edit
-        can undo that, so an edit no longer keeps the program valid by
-        construction (a rewire of `add(z, x0)` to `add(z, z)`, `z` nullary)."""
-        if getattr(program, _VALID_FOR, None) is not registry or 0 in registry.arities.values():
-            return None
-        return EditBase(program, registry)
 
     def dropped(self, src: str, kept: Optional[str] = None) -> frozenset:
         """The nodes that feed nothing once one edge out of `src` is moved to
@@ -141,16 +125,13 @@ class ProgramEdit:
     def operator_count(self) -> int:
         """The candidate's number of operator nodes: the base's count with
         each node the edit adds, changes or removes counted as it now is."""
-        heads, removed = self.base.heads, self.removed
+        heads = self.base.heads
         count = self.base.operator_count
         for node in self.nodes:
-            nid = node.node_id
-            if nid not in removed:
-                head = heads.get(nid)
-                count += (node.op not in LEAF_OPS) - (head is not None and head[0] not in LEAF_OPS)
-        for nid in removed:
-            head = heads.get(nid)
-            count -= head is not None and head[0] not in LEAF_OPS
+            head = heads.get(node.node_id)
+            count += (node.op not in LEAF_OPS) - (head is not None and head[0] not in LEAF_OPS)
+        for nid in self.removed:
+            count -= heads[nid][0] not in LEAF_OPS
         return count
 
     def key(self) -> tuple:

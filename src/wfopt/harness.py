@@ -1,8 +1,8 @@
 """Deterministic stand-ins for the optimizer/executor roles, plus accounting.
 
-The synthetic proposer enumerates minimal structural edits of a program in a
-fixed order and returns a seeded sample; where the program has edit records
-it draws the sample over them and builds only the candidates it draws. The
+The synthetic proposer checks and prunes its base once, enumerates the base's
+minimal structural edits in a fixed order as edit records, and returns a
+seeded sample drawn over them: only the candidates it draws are built. The
 synthetic evaluator interprets a program over a problem set. Both emit token
 records whose sizes are deterministic functions of payload size, so
 efficiency metrics reproduce exactly. The evaluator interprets every problem
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .edits import EditBase, ProgramEdit
@@ -24,6 +25,7 @@ from .model import (
     INPUT_OP,
     Edge,
     ExecutionTrace,
+    InvalidProgramError,
     Node,
     OperatorRegistry,
     UnitSignature,
@@ -117,17 +119,12 @@ class ProposerConfig:
             raise ValueError("max_operator_nodes must be >= 1")
 
 
-def _descendants(program: WorkflowProgram, nid: str) -> set[str]:
-    """Every node `nid` feeds, directly or not, along edges between nodes the
-    program has; an edge from or to a missing node leads nowhere."""
-    out: dict[str, list[str]] = {n.node_id: [] for n in program.nodes}
-    for e in program.edges:
-        if e.src in out and e.dst in out:
-            out[e.src].append(e.dst)
+def _descendants(base: EditBase, nid: str) -> set[str]:
+    """Every node `nid` feeds, directly or not."""
+    consumers = base.consumers
     stack, seen = [nid], set()
     while stack:
-        cur = stack.pop()
-        for nxt in out.get(cur, ()):
+        for nxt in consumers.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -140,10 +137,9 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     A node the program lacks feeds nothing: the walk back from the output
     stops there, so what fed only such a node is dropped with its edge, and
     pruning again drops nothing more. A program with nothing to drop is
-    returned as it is. Of the proposer's edits of such a program (with one
-    edge per input slot), only a rewire can orphan a node: the rewired
-    edge's old source, when that edge was its only consumer, and whatever
-    fed only that source.
+    returned as it is. The proposer prunes a dirty base once, before it
+    edits it; of its edits of a clean base only a rewire can orphan a node,
+    and its record drops what pruning would (`EditBase.dropped`).
     """
     inc = program.incoming()
     present = {n.node_id for n in program.nodes}
@@ -167,18 +163,16 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
 
 
 # The deferred builds of `SyntheticProposer`'s edits. An edit generator
-# yields each candidate as a flat entry `(edit, make, *args)`: its record (None
-# without one), then the function that builds it and that function's
-# arguments. A kept entry holds no more objects than that tuple and the record,
-# which keeps the collector's count of new objects down while a pass holds the
-# entries of every distinct candidate.
+# yields each candidate as a flat entry `(edit, make, *args)`: its record,
+# then the function that builds it and that function's arguments. A kept
+# entry holds no more objects than that tuple and the record, which keeps
+# the collector's count of new objects down while a pass holds the entries
+# of every distinct candidate.
 
-def _replaced(program: WorkflowProgram, places: list[int], new_nodes: list[Node]) -> WorkflowProgram:
-    """`program` with the node at each of `places` swapped for the new node
-    at the same position."""
+def _replaced(program: WorkflowProgram, at: int, node: Node) -> WorkflowProgram:
+    """`program` with the node at position `at` swapped for `node`."""
     nodes = list(program.nodes)
-    for i, node in zip(places, new_nodes):
-        nodes[i] = node
+    nodes[at] = node
     return WorkflowProgram(tuple(nodes), program.edges, program.roots, program.output)
 
 
@@ -193,15 +187,12 @@ def _deleted(program: WorkflowProgram, nid: str, source: str, output: str) -> Wo
     return WorkflowProgram(nodes, tuple(edges), program.roots, output)
 
 
-def _rewired(
-    program: WorkflowProgram, at: list[int], edge: Edge, alt: str, dropped: frozenset = frozenset(),
-) -> WorkflowProgram:
-    """`program` with the edges at `at`, each equal to `edge`, moved to the
-    source `alt`, and without the nodes in `dropped` and their edges."""
-    moved = Edge(alt, edge.dst, edge.slot)
+def _rewired(program: WorkflowProgram, at: int, alt: str, dropped: frozenset) -> WorkflowProgram:
+    """`program` with the edge at position `at` moved to the source `alt`,
+    and without the nodes in `dropped` and their edges."""
+    edge = program.edges[at]
     edges = list(program.edges)
-    for i in at:
-        edges[i] = moved
+    edges[at] = Edge(alt, edge.dst, edge.slot)
     nodes = program.nodes
     if dropped:
         nodes = tuple([n for n in nodes if n.node_id not in dropped])
@@ -209,20 +200,11 @@ def _rewired(
     return WorkflowProgram(nodes, tuple(edges), program.roots, program.output)
 
 
-def _make(entry: tuple) -> WorkflowProgram:
-    """The program of an edit generator's entry `(edit, make, *args)`."""
-    return entry[1](*entry[2:])
-
-
 def _built(entry: tuple) -> WorkflowProgram:
-    """The candidate of a `SyntheticProposer._candidates` entry: the built
-    program of an entry `(None, candidate)`; else made now from the entry
-    and vouched for by its record."""
-    edit = entry[0]
-    if edit is None:
-        return entry[1]
-    candidate = _make(entry)
-    edit.vouch(candidate)
+    """The candidate of an edit generator's entry `(edit, make, *args)`,
+    made now and vouched for by its record."""
+    candidate = entry[1](*entry[2:])
+    entry[0].vouch(candidate)
     return candidate
 
 
@@ -232,11 +214,18 @@ class SyntheticProposer:
     Edits are generated in a fixed structural order; `propose` then applies a
     seeded permutation and returns the first `count` distinct candidates, so
     a fixed seed always yields the identical list.
+
+    The registry may have no operator of arity 0: with one, an edit could
+    leave a valid base's output reaching no leaf (`add(z, x0)` rewired to
+    `add(z, z)`, `z` nullary), so edits would not keep a base valid.
     """
 
     def __init__(self, registry: Optional[OperatorRegistry] = None, config: ProposerConfig = ProposerConfig()):
         self.registry = registry or default_registry()
         self.config = config
+        nullary = [kind.name for kind in self.registry if kind.arity == 0]
+        if nullary:
+            raise ValueError(f"proposer registry has nullary operators {nullary!r}")
         names = config.ops if config.ops is not None else self.registry.names
         for name in names:
             if name not in self.registry:
@@ -247,39 +236,25 @@ class SyntheticProposer:
     # -- edit enumeration ---------------------------------------------------
 
     def enumerate_edits(self, program: WorkflowProgram) -> list[WorkflowProgram]:
-        """All valid, distinct single-edit neighbours in fixed order.
+        """All distinct single-edit neighbours in fixed order.
 
-        Each candidate is pruned of dead nodes, checked against the size
-        limit, validated and deduplicated by canonical key, the base's own
-        key first, in that order. On a clean base, where every node feeds
-        the output, each input slot has one edge and no edge ends at a leaf,
-        only a rewire can orphan a node: an insertion keeps the anchor edge's
-        source live through the new node, a replacement keeps every edge, and
-        deleting a unary node hands its consumers its only operand. There the
-        other edits are not pruned, since pruning would return them
-        unchanged; on any other base every candidate is pruned. A clean base
-        that already has `max_operator_nodes` operator nodes gets no
-        insertions at all, since each adds an operator node and would fail
-        the size limit; on a dirty base pruning can bring an insertion back
-        under it.
+        The base is checked once, on entry: one that fails `validate_program`
+        against this proposer's registry raises `InvalidProgramError` with
+        its violations (for a program the search holds, the check is the
+        verdict lookup). A base with dead nodes is pruned of them first, and
+        the pruned program is edited in its place.
 
-        A clean base that already passed `validate_program` against this
-        proposer's registry object, as every program the search holds did,
-        under a registry without a nullary operator, has edit records: each
-        candidate comes as its edit (`edits.ProgramEdit`) over maps of the
-        base built once (`edits.EditBase`), beside a deferred build. Such an
-        edit keeps the base valid by construction, so the candidate gets no
-        check. Its size is the base's operator count, corrected by the nodes
-        the edit adds, changes and removes (`ProgramEdit.operator_count`);
-        its key walks the base's maps with the edit's operand changes (one
-        walk for the candidates that differ only in the nodes they add or
-        change: `ProgramEdit.key`); and a rewire that leaves its old source
-        feeding nothing drops on its record what pruning would drop
-        (`EditBase.dropped`). So the pass reads records only, and each
-        candidate it keeps is built after it, and vouched for by its record
-        as it is built. This method builds every one; `propose` builds only
-        those its sample draws. A candidate of any other base is built,
-        pruned, sized, validated and keyed in full.
+        Every edit of that clean, valid base keeps it valid by construction,
+        so no candidate is checked. Each comes as its edit record
+        (`edits.ProgramEdit`) over maps of the base built once
+        (`edits.EditBase`), beside a deferred build. The record sizes the
+        candidate (`ProgramEdit.operator_count`) and keys it for
+        deduplication against the base and the candidates before it
+        (`ProgramEdit.key`); a rewire drops on its record what it leaves
+        feeding nothing (`EditBase.dropped`). A base with
+        `max_operator_nodes` operator nodes gets no insertions. Each kept
+        candidate is built after the pass, and vouched for by its record:
+        this method builds every one, `propose` only those it draws.
 
         A candidate is built from parts it shares with its base and with the
         other candidates of that base: the base's own `Node` and `Edge`
@@ -289,72 +264,52 @@ class SyntheticProposer:
         return [_built(entry) for entry in self._distinct(program)]
 
     def _distinct(self, program: WorkflowProgram) -> list[tuple]:
-        """The pass `enumerate_edits` and `propose` share: the entry of each
-        distinct candidate within the size limit that `_candidates` yields,
-        in its order, unbuilt where it has a record."""
-        seen = {canonical_key(program)}
+        """The pass `enumerate_edits` and `propose` share: the base checked
+        and pruned, then the entry of each distinct candidate within the
+        size limit, in the edit generators' order, unbuilt."""
+        registry, config = self.registry, self.config
+        report = validate_program(program, registry)
+        if not report.ok:
+            raise InvalidProgramError("; ".join(report.violations))
+        pruned = _prune_dead(program)
+        if pruned is not program:
+            validate_program(pruned, registry)  # an EditBase is built of a program that passed
+        base = EditBase(pruned, registry)
+        max_nodes = config.max_operator_nodes
+        sources = []
+        if config.allow_insert and base.operator_count < max_nodes:
+            sources.append(self._insertions(pruned, base))
+        if config.allow_replace:
+            sources.append(self._replacements(pruned, base))
+        if config.allow_delete:
+            sources.append(self._deletions(pruned, base))
+        if config.allow_rewire:
+            sources.append(self._rewires(pruned, base))
+        seen = {canonical_key(pruned)}
         kept: list[tuple] = []
-        max_nodes = self.config.max_operator_nodes
-        registry = self.registry
-        for entry in self._candidates(program):
+        for entry in chain.from_iterable(sources):
             edit = entry[0]
-            if edit is None:
-                candidate = entry[1]
-                if len(candidate.operator_nodes()) > max_nodes or not validate_program(candidate, registry).ok:
-                    continue
-                key = canonical_key(candidate)
-            else:
-                if edit.operator_count() > max_nodes:
-                    continue
-                key = edit.key()
+            if edit.operator_count() > max_nodes:
+                continue
             before = len(seen)
-            seen.add(key)
+            seen.add(edit.key())
             if len(seen) > before:
                 kept.append(entry)
         return kept
 
-    def _candidates(self, program: WorkflowProgram):
-        """Every candidate `_distinct` checks, in its order, as an entry: on
-        a base with edit records, the generator's entry `(edit, make,
-        *args)`, unbuilt (`_built` builds it); on any other base, `(None,
-        candidate)`, the candidate built and pruned of dead nodes where an
-        edit can leave one."""
-        config, registry = self.config, self.registry
-        one_edge_per_slot = len({(e.dst, e.slot) for e in program.edges}) == len(program.edges)
-        leaves = {n.node_id for n in program.nodes if n.is_leaf()}
-        clean = (one_edge_per_slot and all(e.dst not in leaves for e in program.edges)
-                 and _prune_dead(program) is program)
-        base = EditBase.of(program, registry) if clean else None
-        sources = []
-        if config.allow_insert and not (clean and len(program.operator_nodes()) >= config.max_operator_nodes):
-            sources.append((self._insertions(program, base), not clean))
-        if config.allow_replace:
-            sources.append((self._replacements(program, base), not clean))
-        if config.allow_delete:
-            sources.append((self._deletions(program, base), not clean))
-        if config.allow_rewire:
-            sources.append((self._rewires(program, base), True))
-        for entries, prune in sources:
-            if base is not None:
-                yield from entries
-                continue
-            for entry in entries:
-                candidate = _make(entry)
-                yield None, _prune_dead(candidate) if prune else candidate
-
-    def _insertions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
+    def _insertions(self, program: WorkflowProgram, base: EditBase):
         """One new operator node on each edge, or above the output, for each
-        kind and choice of operands, as its edit record over `base` (None
-        without one) beside its deferred build.
+        kind and choice of operands, as its edit record over `base` beside
+        its deferred build.
 
         An insertion's nodes are the base's, then its constant if it has one,
         then the new node: they depend only on the kind and the constant, so
         each such tuple is built once per base. Its edges are the base's
-        without the anchor edge (the first one equal to it, as `list.remove`
-        picks), then the new node's operand edges by slot, then the anchor
-        edge re-pointed from the new node: they depend only on the site and
-        the operands, so each such tuple is built once per site and shared by
-        every kind. The operand lists a record sets are shared the same way.
+        without the anchor edge, then the new node's operand edges by slot,
+        then the anchor edge re-pointed from the new node: they depend only
+        on the site and the operands, so each such tuple is built once per
+        site and shared by every kind. The operand lists a record sets are
+        shared the same way.
         """
         nodes, edges, roots = program.nodes, program.edges, program.roots
         # every insertion into this base adds the same fresh ids
@@ -372,10 +327,8 @@ class SyntheticProposer:
             for kind in self._ops if kind.arity == 2
         }
         node_ids = [n.node_id for n in nodes]
-        # the new node's operand edges, by slot and then by operand; in an
-        # invalid base an edge's source or the output may be no node
-        operands = (*node_ids, *(e.src for e in edges), program.output, const_id)
-        into = [{nid: Edge(nid, new_id, slot) for nid in operands} for slot in (0, 1)]
+        # the new node's operand edges, by slot and then by operand
+        into = [{nid: Edge(nid, new_id, slot) for nid in (*node_ids, const_id)} for slot in (0, 1)]
         # by anchor: the nodes that are neither the anchor nor one of its
         # descendants, the new node's second operands; the output site
         # (None) feeds nothing, so any node may pair with it
@@ -386,22 +339,19 @@ class SyntheticProposer:
             the operand lists its edit record sets."""
             kept, repointed, refed = site
             edges_in = tuple(into[slot][a] for slot, a in enumerate(args))
-            return kept + edges_in + repointed, None if base is None else {new_id: args, **refed}
+            return kept + edges_in + repointed, {new_id: args, **refed}
 
         # real edges first, then the virtual edge (None) above the output node
-        for edge in (*edges, None):
+        for at, edge in enumerate((*edges, None)):
             if edge is None:
-                src, anchor, kept, repointed, output = program.output, None, edges, (), new_id
+                src, anchor, kept, repointed, refed, output = program.output, None, edges, (), {}, new_id
             else:
                 src, anchor, output = edge.src, edge.dst, program.output
-                at = edges.index(edge)
                 kept = edges[:at] + edges[at + 1:]
-                repointed = (Edge(new_id, edge.dst, edge.slot),)
-            refed: dict[str, tuple[str, ...]] = {}  # the anchor, fed from the new node
-            if base is not None and edge is not None:
+                repointed = (Edge(new_id, anchor, edge.slot),)
                 args = list(base.operands[anchor])
                 args[edge.slot] = new_id
-                refed[anchor] = tuple(args)
+                refed = {anchor: tuple(args)}  # the anchor, fed from the new node
             site = (kept, repointed, refed)
             unary = choice(site, src)
             pairs = with_const = None
@@ -412,7 +362,7 @@ class SyntheticProposer:
                     if pairs is None:
                         partners = partners_of.get(anchor)
                         if partners is None:
-                            blocked = _descendants(program, anchor) | {anchor}
+                            blocked = _descendants(base, anchor) | {anchor}
                             partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
                         pairs = []
                         for partner in partners:
@@ -425,86 +375,62 @@ class SyntheticProposer:
                 else:
                     continue
                 for (node_tuple, added), (operand_edges, set_operands) in built:
-                    edit = None if base is None else ProgramEdit(base, output, set_operands, added)
+                    edit = ProgramEdit(base, output, set_operands, added)
                     yield edit, WorkflowProgram, node_tuple, operand_edges, roots, output
 
-    def _replacements(self, program: WorkflowProgram, base: Optional[EditBase] = None):
+    def _replacements(self, program: WorkflowProgram, base: EditBase):
         """Each operator node given every other kind of its arity, as its edit
-        record over `base` (None without one) beside its deferred build; a
-        node whose id repeats is replaced at every place it occurs, and one
-        whose operator the registry lacks has no replacement."""
-        nodes = program.nodes
+        record over `base` beside its deferred build."""
         arities = self.registry.arities
-        for node in program.operator_nodes():
-            arity = arities.get(node.op)
-            if arity is None:
+        for at, node in enumerate(program.nodes):
+            if node.is_leaf():
                 continue
-            nid = node.node_id
-            places = [i for i, n in enumerate(nodes) if n.node_id == nid]
+            arity = arities[node.op]
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
-                new_nodes = [Node(nid, kind.name, nodes[i].unit, nodes[i].shape, nodes[i].value) for i in places]
-                edit = None if base is None else ProgramEdit(base, program.output, {}, (new_nodes[0],))
-                yield edit, _replaced, program, places, new_nodes
+                new = Node(node.node_id, kind.name, node.unit, node.shape, node.value)
+                yield ProgramEdit(base, program.output, {}, (new,)), _replaced, program, at, new
 
-    def _deletions(self, program: WorkflowProgram, base: Optional[EditBase] = None):
-        """Each unary operator node with an operand dropped, its consumers fed
-        from that operand, as its edit record over `base` (None without one)
-        beside its deferred build; an unfed one, and one whose operator the
-        registry lacks, has no deletion."""
-        inc = program.incoming()
-        arities = self.registry.arities
+    def _deletions(self, program: WorkflowProgram, base: EditBase):
+        """Each unary operator node with its operand dropped, its consumers
+        fed from that operand, as its edit record over `base` beside its
+        deferred build."""
+        arities, operands = self.registry.arities, base.operands
         for node in program.operator_nodes():
-            if arities.get(node.op) != 1:
+            if arities[node.op] != 1:
                 continue
             nid = node.node_id
-            source = inc[nid].get(0)
-            if source is None:
-                continue
+            source = operands[nid][0]
             output = source if program.output == nid else program.output
-            if base is None:
-                yield None, _deleted, program, nid, source, output
-                continue
             refed = {
-                reader: tuple(source if a == nid else a for a in base.operands[reader])
+                reader: tuple(source if a == nid else a for a in operands[reader])
                 for reader in base.consumers.get(nid, ())
             }
             yield ProgramEdit(base, output, refed, removed=frozenset((nid,))), _deleted, program, nid, source, output
 
-    def _rewires(self, program: WorkflowProgram, base: Optional[EditBase] = None):
+    def _rewires(self, program: WorkflowProgram, base: EditBase):
         """Each edge given every other source that closes no cycle, as its edit
-        record over `base` (None without one) beside its deferred build;
-        every edge equal to it is given the new source too. With `base`, a
-        rewire that leaves nodes feeding nothing drops them, on its record
-        and in its build; the caller prunes every rewire of any other base."""
-        nodes, edges = program.nodes, program.edges
-        places: dict[tuple[str, str, int], list[int]] = {}  # an edge's fields -> where it occurs
-        for i, e in enumerate(edges):
-            places.setdefault((e.src, e.dst, e.slot), []).append(i)
+        record over `base` beside its deferred build. A rewire that leaves
+        nodes feeding nothing drops them, on its record and in its build."""
         blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
-        for edge in edges:
+        for at, edge in enumerate(program.edges):
             src, dst, slot = edge.src, edge.dst, edge.slot
             blocked = blocked_by.get(dst)
             if blocked is None:
-                blocked = blocked_by[dst] = _descendants(program, dst) | {dst}
-            at = places[src, dst, slot]
-            if base is not None:
-                # what the move leaves feeding nothing, unless the new source
-                # is one of those nodes, which then stays with what feeds it
-                dead = base.dropped(src)
-                args = list(base.operands[dst])
-            for node in nodes:
+                blocked = blocked_by[dst] = _descendants(base, dst) | {dst}
+            # what the move leaves feeding nothing, unless the new source is
+            # one of those nodes, which then stays with what feeds it
+            dead = base.dropped(src)
+            args = list(base.operands[dst])
+            for node in program.nodes:
                 alt = node.node_id
                 if alt == src or alt in blocked:
-                    continue
-                if base is None:
-                    yield None, _rewired, program, at, edge, alt
                     continue
                 dropped = base.dropped(src, alt) if alt in dead else dead
                 args[slot] = alt
                 edit = ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
-                yield edit, _rewired, program, at, edge, alt, dropped
+                yield edit, _rewired, program, at, alt, dropped
 
     # -- the proposer role --------------------------------------------------
 
@@ -519,9 +445,10 @@ class SyntheticProposer:
         The candidates of `enumerate_edits`, in its order, taken by the first
         `count` indices of `rng.permutation` of their number; with no more
         than `count` of them, all in order, and `rng` is not drawn from. The
-        sample is drawn over the entries of the same pass before anything is
-        built, so where the base has edit records only the drawn candidates
-        are built.
+        base is checked and pruned as there, and an invalid one raises
+        `InvalidProgramError`. The sample is drawn over the edit records of
+        the same pass before anything is built, so only the drawn candidates
+        are built. The prompt tokens count the program as passed in.
         """
         if count < 1:
             raise ValueError("count must be >= 1")

@@ -21,12 +21,12 @@ transient. The one fact kept on a program is its validation verdict: a
 program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
 
-A proposer candidate of a validated base is first told as its edit record
-(`edits.ProgramEdit`): the one edit that makes it from that base. The
-record keys the candidate from its base's maps and the edit's operand
-changes, by the same walk, `_key_walk`, to the tuple `canonical_key` gives
-the built program. The proposer's edits keep a base valid by construction,
-so the record vouches for the candidate, once built, with the same verdict
+The proposer checks its base once, on entry, and tells each candidate as
+its edit record (`edits.ProgramEdit`): the one edit that makes it from that
+base. The record keys the candidate from the base's maps and the edit's
+operand changes, by the same walk, `_key_walk`, to the tuple `canonical_key`
+gives the built program. The edits keep the base valid by construction, so
+the record vouches for the candidate, once built, with the same verdict
 `validate_program` keeps. Nothing of the record is kept on the program.
 
 Everything in this module is an immutable value: programs, traces, and
@@ -317,10 +317,10 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     registry builds a new default one) or an equal but distinct program gets
     a check of its own, and an invalid program records nothing.
 
-    The one other writer of the verdict is `edits.ProgramEdit.vouch`: a
-    proposer candidate made by one edit of a base that passed against the
-    proposer's registry object is valid by construction, so its record
-    vouches for it as it is built, and any check of it here is the lookup.
+    The proposer checks each base here, on entry. The one other writer of
+    the verdict is `edits.ProgramEdit.vouch`: a proposer candidate made by
+    one edit of a base that passed against the proposer's registry object
+    is valid by construction, so its record vouches for it as it is built.
     """
     registry = registry or default_registry()
     if getattr(program, _VALID_FOR, None) is registry:

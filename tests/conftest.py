@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wfopt.edits import EditBase
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -72,3 +73,18 @@ def random_program(rng: np.random.Generator, registry, max_ops: int = 8) -> Work
     program = WorkflowProgram(tuple(nodes), tuple(edges), tuple(n.node_id for n in nodes if n.op == INPUT_OP), ids[-1])
     assert validate_program(program, registry).ok
     return program
+
+
+def build(entry):
+    """The program an edit generator's entry `(edit, make, *args)` builds,
+    without the verdict its record would vouch."""
+    return entry[1](*entry[2:])
+
+
+def every_entry(proposer, program):
+    """Every entry `proposer`'s edit generators yield for a clean, valid
+    `program`, in the proposer's order, before the size limit and
+    deduplication: `(edit, make, *args)`."""
+    base = EditBase(program, proposer.registry)
+    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
+    return [entry for generate in generators for entry in generate(program, base)]

@@ -25,7 +25,7 @@ from wfopt.adapter import (
     trace_from_dict,
     trace_to_dict,
 )
-from wfopt import driver
+from wfopt import adapter, driver
 from wfopt.config import config_from_dict
 from wfopt.constraints import ConstraintScorer
 from wfopt.harness import (
@@ -38,7 +38,7 @@ from wfopt.harness import (
     make_synthetic_suite,
 )
 from wfopt.search import Optimizer, SearchBudget
-from wfopt.model import Edge, canonical_key, default_registry, interpret, program_to_dict
+from wfopt.model import Edge, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_to_dict
 
 from conftest import binary, chain
 
@@ -127,6 +127,23 @@ class TestHandleRequest:
             transport.close()
         with pytest.raises(EvaluationError, match="invalid program"):
             ExternalEvaluator(_Direct(), PROBLEMS).evaluate(_ghost_program())
+
+    def test_program_with_a_dead_node_gets_its_pruned_candidates(self, registry):
+        """A valid program with a node that feeds nothing is proposed from as
+        the program pruned of it; the prompt still counts the program sent."""
+        pruned = chain("neg", "neg", n_roots=2)
+        dead = WorkflowProgram(pruned.nodes + (Node("d0", "neg"),), pruned.edges + (Edge("x1", "d0", 0),),
+                               pruned.roots, pruned.output)
+        config = ProposerConfig(ops=("add", "mul", "neg"))
+
+        def propose(program):
+            request = {"kind": "propose", "program": program_to_dict(program), "params": {"count": 5, "seed": 9}}
+            return SyntheticRoles(registry, config).handle(request)
+
+        got, want = propose(dead), propose(pruned)
+        assert len(got["candidates"]) == 5
+        assert got["candidates"] == want["candidates"]
+        assert got["usage"] == dict(want["usage"], prompt_tokens=want["usage"]["prompt_tokens"] + 12 + 6)
 
     def test_problem_keys_it_does_not_read_are_ignored(self, registry):
         """A client that still sends each problem's `constants` gets the same answer."""
@@ -437,9 +454,8 @@ class TestStdioAdapter:
     def test_engine_agnostic_to_transport(self, registry, transport):
         """Remote and in-process roles produce identical evaluations and
         identical candidates. The peer validates each request's program, so
-        its proposer builds every candidate from an edit record; the
-        in-process proposer gets a program with no verdict and checks and
-        keys every candidate in full."""
+        its proposer's own check of it is the verdict lookup; the in-process
+        proposer gets a program with no verdict, and checks it on entry."""
         program = binary("mul", "input", "input")
         remote = ExternalEvaluator(transport, PROBLEMS).evaluate(program)
         local = SyntheticEvaluator(PROBLEMS, registry).evaluate(program)
@@ -475,6 +491,29 @@ class TestStdioAdapter:
                         f"sys.stdout.buffer.write({reply!r} + b'\\n')\nsys.stdout.flush()")
         transport = StdioTransport([sys.executable, str(peer)])
         try:
+            with pytest.raises(AdapterError, match="malformed response line"):
+                transport.request('{"kind": "evaluate"}')
+        finally:
+            transport.close()
+
+    def test_over_long_reply_raises_adapter_error(self, tmp_path, monkeypatch):
+        # a valid evaluate reply; the cap counts its newline
+        reply = json.dumps({"reward": 1.0, "traces": [], "pad": "x" * 200})
+        peer = tmp_path / "peer.py"
+        peer.write_text(f"import sys\nfor _ in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        transport = StdioTransport([sys.executable, str(peer)])
+        try:
+            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
+            assert transport.request('{"kind": "evaluate"}')["reward"] == 1.0
+            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply))
+            with pytest.raises(AdapterError, match=f"longer than {len(reply)} characters"):
+                transport.request('{"kind": "evaluate"}')
+            monkeypatch.setattr(adapter, "MAX_REPLY", 100)
+            with pytest.raises(AdapterError, match="longer than 100 characters"):
+                transport.request('{"kind": "evaluate"}')
+            # the transport read one character past the cap and no further:
+            # the rest of that line is what the next request reads
+            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
             with pytest.raises(AdapterError, match="malformed response line"):
                 transport.request('{"kind": "evaluate"}')
         finally:
@@ -696,6 +735,28 @@ class TestHttpAdapter:
         with _http_server(GarbageHandler) as address:
             with pytest.raises(AdapterError, match="malformed response"):
                 HttpTransport(address, timeout=10).request('{"kind": "evaluate"}')
+
+    def test_over_long_reply_raises_adapter_error(self, monkeypatch):
+        body = json.dumps({"reward": 1.0, "traces": [], "pad": "x" * 200}).encode()
+
+        class LongHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with _http_server(LongHandler) as address:
+            transport = HttpTransport(address, timeout=10)
+            monkeypatch.setattr(adapter, "MAX_REPLY", len(body))
+            assert transport.request('{"kind": "evaluate"}')["reward"] == 1.0
+            monkeypatch.setattr(adapter, "MAX_REPLY", len(body) - 1)
+            with pytest.raises(AdapterError, match=f"longer than {len(body) - 1} bytes"):
+                transport.request('{"kind": "evaluate"}')
 
     def test_evaluate_over_http(self, server):
         evaluator = ExternalEvaluator(HttpTransport(server), PROBLEMS)

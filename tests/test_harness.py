@@ -22,16 +22,16 @@ from wfopt.harness import (
 from wfopt.model import (
     INPUT_OP,
     Edge,
+    InvalidProgramError,
     Node,
     WorkflowProgram,
     canonical_key,
-    default_registry,
     interpret,
     validate_program,
 )
 from wfopt.runlog import RunLog
 
-from conftest import binary, chain
+from conftest import binary, chain, every_entry
 
 
 def trivial_program():
@@ -114,27 +114,32 @@ class TestProposeEdits:
             SyntheticProposer(registry, ProposerConfig(ops=("bogus",)))
 
     def test_base_with_an_operator_the_registry_lacks(self, registry):
-        """A node whose operator the registry lacks gets no replacement and no
-        deletion; the other candidates are validated as usual, so only those
-        that drop the node are kept."""
+        """A base with a node whose operator the registry lacks is refused on
+        entry, by `enumerate_edits` and `propose` alike, with the violations
+        `validate_program` reports."""
         proposer = SyntheticProposer(registry)
         alone = binary("frob", "input", "input")
-        assert proposer.enumerate_edits(alone) == []
         inner = WorkflowProgram(
             nodes=(Node("x0", INPUT_OP), Node("x1", INPUT_OP), Node("n0", "frob"), Node("n1", "add")),
             edges=(Edge("x0", "n0", 0), Edge("x1", "n0", 1), Edge("n0", "n1", 0), Edge("x1", "n1", 1)),
             roots=("x0", "x1"),
             output="n1",
         )
-        edits = proposer.enumerate_edits(inner)
-        assert all(validate_program(p, default_registry()).ok for p in edits)
-        assert sorted((e.src, e.slot) for p in edits for e in p.edges) == [("x0", 0), ("x1", 0), ("x1", 1), ("x1", 1)]
+        for base in (alone, inner):
+            violations = validate_program(base, registry).violations
+            assert "node 'n0': unknown operator 'frob'" in violations
+            for call in (proposer.enumerate_edits, lambda p: proposer.propose(p, 4, np.random.default_rng(0))):
+                with pytest.raises(InvalidProgramError) as raised:
+                    call(base)
+                assert str(raised.value) == "; ".join(violations)
+        assert proposer._request_counter == 0
 
 
 class TestEditRecords:
-    """A candidate of a clean base that passed validation is sized and keyed
-    from its edit record, gets no check, and is built, and vouched valid by
-    its record, only if it is kept."""
+    """The proposer checks its base once, on entry, and prunes a dirty one
+    once. Each candidate is sized and keyed from its edit record, gets no
+    check, and is built, and vouched valid by its record, only if it is
+    kept."""
 
     @staticmethod
     def count_calls(monkeypatch, calls):
@@ -168,91 +173,75 @@ class TestEditRecords:
     def test_checks_keys_and_builds_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
         config = ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,), max_operator_nodes=cap)
         proposer = SyntheticProposer(registry, config)
-        base = chain("neg", "neg", "neg", n_roots=2)  # with an unused root
-        if dead_node:  # a node that feeds nothing: no records, and pruning can keep an edit under the cap
+        clean = base = chain("neg", "neg", "neg", n_roots=2)  # with an unused root
+        if dead_node:  # a node that feeds nothing: pruning it brings the base to the cap
             base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
                                    base.roots, base.output)
         assert validate_program(base, registry).ok
-        entries = list(proposer._candidates(base))
-        assert all((entry[0] is None) is dead_node for entry in entries)
-        candidates = [harness._built(entry) for entry in entries]
-        sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
-        # on a clean base every insertion stays within the cap; on a dirty one some do not
-        assert (len(sized) < len(candidates)) == dead_node
+        entries = every_entry(proposer, clean)
+        sized = [entry for entry in entries if entry[0].operator_count() <= cap]
+        # below the cap every insertion stays within it; at the cap none does
+        assert (len(sized) < len(entries)) == dead_node
 
         calls: list = []
         self.count_calls(monkeypatch, calls)
         edits = proposer.enumerate_edits(base)
-        assert calls[0] == ("key", base)
-        if dead_node:
-            # built and pruned of dead nodes, then size -> validate -> key ->
-            # seen: each candidate within the cap is validated, then keyed
-            checked = [(kind, p) for kind, p in calls[1:] if kind != "build"]
-            assert [kind for kind, _ in checked] == ["validate", "key"] * len(sized)
-            assert [repr(p) for _, p in checked[::2]] == [repr(c) for c in sized]
-            assert all(p is q for (_, p), (_, q) in zip(checked[::2], checked[1::2]))
-            assert all(harness._prune_dead(p) is p for _, p in checked)
-            assert {id(p) for p in edits} <= {id(p) for _, p in checked}
-        else:
-            # size -> key -> seen from each record, in order, with no check;
-            # then each distinct candidate is built, and vouched for
-            keyed = [edit for kind, edit in calls[1:1 + len(sized)]]
-            assert all(kind == "record key" for kind, _ in calls[1:1 + len(sized)])
-            assert [(e.output, e.operands, e.nodes, e.removed) for e in keyed] == [
-                (e.output, e.operands, e.nodes, e.removed) for e, *_ in entries if e.operator_count() <= cap]
-            built = calls[1 + len(sized):]
-            assert [kind for kind, _ in built] == ["build"] * len(edits)
-            assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))
-            assert all(getattr(p, model._VALID_FOR, None) is registry for p in edits)
+        # the base is checked on entry (the verdict lookup here); a dirty one
+        # is pruned once, and its pruned copy checked, then keyed
+        head = [("validate", base)] + [("build", clean), ("validate", clean)] * dead_node + [("key", clean)]
+        assert calls[:len(head)] == head
+        # size -> key -> seen from each record, in order, with no check;
+        # then each distinct candidate is built, and vouched for
+        after = calls[len(head):]
+        keyed = [edit for kind, edit in after[:len(sized)]]
+        assert all(kind == "record key" for kind, _ in after[:len(sized)])
+        assert [(e.output, e.operands, e.nodes, e.removed) for e in keyed] == [
+            (e.output, e.operands, e.nodes, e.removed) for e, *_ in sized]
+        built = after[len(sized):]
+        assert [kind for kind, _ in built] == ["build"] * len(edits)
+        assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))
+        assert all(getattr(p, model._VALID_FOR, None) is registry for p in edits)
         assert edits and len(edits) < len(sized)
 
-        # a sample builds only what it draws on a clean base, and every
-        # candidate on a dirty one; it checks and keys as the enumeration does
+        # a sample builds only what it draws, and checks only the base
         del calls[:]
         drawn, _ = proposer.propose(base, 5, np.random.default_rng(0))
         assert len(drawn) == 5
-        builds = [p for kind, p in calls if kind == "build"]
-        if dead_node:
-            assert len(builds) >= len(candidates)
-        else:
-            assert builds == drawn and all(p is q for p, q in zip(builds, drawn))
-        assert [kind for kind, _ in calls].count("validate") == (len(sized) if dead_node else 0)
+        builds = [p for kind, p in calls if kind == "build"][dead_node:]
+        assert builds == drawn and all(p is q for p, q in zip(builds, drawn))
+        assert [kind for kind, _ in calls].count("validate") == 1 + dead_node
 
     @pytest.mark.parametrize("kind, cap, counts", [
-        ("clean", 4, (0, 1, 109, 102)),
-        ("dirty", 3, (50, 51, 0, 5)),
-        ("invalid", 4, (108, 4, 0, 3)),
+        ("clean", 4, (1, 1, 109, 102)),
+        ("dirty", 3, (2, 1, 9, 5)),
+        ("invalid", 4, (1, 0, 0, 0)),
     ])
     def test_call_counts_the_benchmark_tracer_reads(self, registry, monkeypatch, kind, cap, counts):
         """`perfbench/tracer.py` derives dedup hits from these counts. A base
-        without records gets one `validate_program` call per candidate within
-        the size cap, one `canonical_key` call for the base and one per
-        candidate that validates. A base with records gets only the base's
-        key; its candidates are sized and keyed from their records, one
-        `ProgramEdit.key` each, and are never checked."""
+        gets one `validate_program` call on entry, a dirty one a second for
+        its pruned copy, and one `canonical_key` call for the base it edits;
+        its candidates are sized and keyed from their records, one
+        `ProgramEdit.key` each within the size cap, and are never checked.
+        An invalid base is refused after its one check."""
         base = chain("neg", "neg", "neg", n_roots=2)
-        if kind == "dirty":  # d0 feeds nothing; pruning brings some insertions under the cap
+        if kind == "dirty":  # d0 feeds nothing; pruning brings the base to the cap
             base = WorkflowProgram(base.nodes + (Node("d0", "neg"),), base.edges + (Edge("x1", "d0", 0),),
                                    base.roots, base.output)
-        elif kind == "invalid":  # n1's operator is unknown; a rewire of n2 past it drops it
+        elif kind == "invalid":  # n1's operator is unknown
             base = WorkflowProgram(tuple(Node("n1", "frob") if n.node_id == "n1" else n for n in base.nodes),
                                    base.edges, base.roots, base.output)
         assert validate_program(base, registry).ok is (kind != "invalid")
         proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
                                                               max_operator_nodes=cap))
-        candidates = [harness._built(entry) for entry in proposer._candidates(base)]
-        sized = [c for c in candidates if len(c.operator_nodes()) <= cap]
-        plain = [WorkflowProgram(c.nodes, c.edges, c.roots, c.output) for c in sized]  # no verdict
-        valid = [c for c in plain if validate_program(c, registry).ok]
-
         calls: list = []
         self.count_calls(monkeypatch, calls)
-        edits = proposer.enumerate_edits(base)
-        counted = tuple([kind for kind, _ in calls].count(k) for k in ("validate", "key", "record key"))
-        if kind == "clean":
-            assert counted == (0, 1, len(sized))
+        if kind == "invalid":
+            with pytest.raises(InvalidProgramError, match="unknown operator 'frob'"):
+                proposer.enumerate_edits(base)
+            edits = []
         else:
-            assert counted == (len(sized), 1 + len(valid), 0)
+            edits = proposer.enumerate_edits(base)
+        counted = tuple([kind for kind, _ in calls].count(k) for k in ("validate", "key", "record key"))
         assert counted + (len(edits),) == counts
 
     def test_search_leaves_no_cyclic_garbage(self, tmp_path):

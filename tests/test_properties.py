@@ -17,11 +17,11 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.harness import ProposerConfig, SyntheticProposer, _make, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead, _rewired
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
-from conftest import random_program
+from conftest import build, every_entry, random_program
 
 REGISTRY = default_registry()
 
@@ -120,30 +120,28 @@ def test_random_programs_interpret_or_fail_cleanly(seed):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_every_generated_edit_is_valid_after_pruning(seed):
-    """Each edit generator builds only valid programs from a valid base, before
-    the proposer's size limit and deduplication apply."""
+    """Each edit generator builds only valid programs from a valid base, pruned
+    of its dead nodes as the proposer prunes it, before the proposer's size
+    limit and deduplication apply."""
     rng = np.random.default_rng(seed)
-    program = random_program(rng, REGISTRY)
+    program = _prune_dead(random_program(rng, REGISTRY))
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
-    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    for generate in generators:
-        for entry in generate(program):
-            report = validate_program(_prune_dead(_make(entry)), REGISTRY)
-            assert report.ok, report.violations
+    for entry in every_entry(proposer, program):
+        report = validate_program(build(entry), REGISTRY)
+        assert report.ok, report.violations
 
 
 def test_only_rewires_orphan_nodes_of_a_clean_base():
-    """On a base where every node feeds the output, pruning leaves each
-    insertion, replacement and deletion as it is; a rewire can orphan a node."""
+    """On a base where every node feeds the output, no candidate is left with
+    a dead node: insertions, replacements and deletions orphan none, and a
+    rewire that orphans some drops them, on its record and in its build."""
     rng = np.random.default_rng(17)
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     orphaning_rewires = 0
     for _ in range(60):
         program = _prune_dead(random_program(rng, REGISTRY))
-        for generate in (proposer._insertions, proposer._replacements, proposer._deletions):
-            for entry in generate(program):
-                candidate = _make(entry)
-                assert _prune_dead(candidate) is candidate
-        rewires = [_make(entry) for entry in proposer._rewires(program)]
-        orphaning_rewires += sum(_prune_dead(c) is not c for c in rewires)
+        for entry in every_entry(proposer, program):
+            candidate = build(entry)
+            assert _prune_dead(candidate) is candidate
+            orphaning_rewires += entry[1] is _rewired and bool(entry[0].removed)
     assert orphaning_rewires > 0

@@ -5,20 +5,22 @@
 are written for speed: one pass over the nodes and edges, a reachability walk
 only when it can fail, a flat tuple key, one walk that orders a program and
 resolves its operands together for each analysis or evaluation request,
-each evaluation step run once over the values of all input bindings, a
-dead-node pruning walk only for the edits that can orphan a node, and a
-size and a key of each proposer candidate made from its edit of a valid
-base rather than from the whole candidate, with no check of a candidate
-that edit keeps valid by construction. The
-reference forms below are the plain versions they replaced: separate cycle
-and reachability walks, a `repr` of the post-order entry list, a re-sorted
-ready list walked once per input binding with the program's `incoming()` and
-`node_map()`, one step plan run binding by binding (`ref_interpret_all`),
-and every candidate built by copying the base's node and edge
-lists and then pruned, with its cycle-blocking set recomputed per operator
-kind and per edge. The fast forms must give the same reports, the same key
-equalities, the same analyses, the same traces, the same errors and the same
-candidates on every input, invalid programs included.
+each evaluation step run once over the values of all input bindings, one
+check and at most one dead-node pruning walk per proposer base, and a size
+and a key of each proposer candidate made from its edit of that base rather
+than from the whole candidate, with no check of a candidate that edit keeps
+valid by construction. The reference forms below are the plain versions
+they replaced: separate cycle and reachability walks, a `repr` of the
+post-order entry list, a re-sorted ready list walked once per input binding
+with the program's `incoming()` and `node_map()`, one step plan run binding
+by binding (`ref_interpret_all`), and every candidate built by copying the
+base's node and edge lists, then pruned and checked, with its
+cycle-blocking set recomputed per operator kind and per edge from an
+out-map of the edges (`ref_descendants`). The fast forms must give the same reports, the same key
+equalities, the same analyses, the same traces and the same errors on every
+input, invalid programs included. The proposer refuses an invalid base with
+the reference's violations, and gives a valid one the reference's candidates
+of its copy pruned of dead nodes.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _built, _descendants, _make, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _built, _prune_dead
 from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
@@ -69,7 +71,7 @@ from wfopt.model import (
     validate_program,
 )
 
-from conftest import random_program
+from conftest import build, every_entry, random_program
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +387,22 @@ def ref_insert_node(program, edge, op, operands, new_id, const_id):
     return WorkflowProgram(tuple(nodes), tuple(edges), program.roots, output)
 
 
+def ref_descendants(program, nid):
+    """Every node `nid` feeds, directly or not, along edges between nodes the
+    program has, from an out-map of the edges built for each call."""
+    out = {n.node_id: [] for n in program.nodes}
+    for e in program.edges:
+        if e.src in out and e.dst in out:
+            out[e.src].append(e.dst)
+    stack, seen = [nid], set()
+    while stack:
+        for nxt in out.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def ref_insertions(proposer, program):
     """Insertions with the partner list recomputed for every binary kind."""
     insert = ref_insert_node
@@ -398,7 +416,7 @@ def ref_insertions(proposer, program):
                 yield insert(program, edge, kind.name, [src], new_id, const_id)
             elif kind.arity == 2:
                 if edge is not None:
-                    blocked = _descendants(program, anchor) | {anchor}
+                    blocked = ref_descendants(program, anchor) | {anchor}
                     partners = [n.node_id for n in program.nodes if n.node_id not in blocked]
                 else:
                     partners = [n.node_id for n in program.nodes]
@@ -454,7 +472,7 @@ def ref_rewires(program):
     """Rewires with the descendants of an edge's consumer recomputed per edge;
     every edge equal to the rewired one moves with it."""
     for edge in program.edges:
-        blocked = _descendants(program, edge.dst) | {edge.dst}
+        blocked = ref_descendants(program, edge.dst) | {edge.dst}
         for node in program.nodes:
             if node.node_id == edge.src or node.node_id in blocked:
                 continue
@@ -708,10 +726,24 @@ def _same_candidates(fast, ref):
     return fast == ref and [repr(c) for c in fast] == [repr(c) for c in ref]
 
 
+def _refused(proposer, base):
+    """`enumerate_edits` and `propose` of `base` each raise
+    `InvalidProgramError` with the violations of `ref_validate_program`,
+    and the proposer counts no request."""
+    expected = ref_validate_program(base, proposer.registry)
+    assert not expected.ok
+    requests = proposer._request_counter
+    for call in (proposer.enumerate_edits, lambda p: proposer.propose(p, 3, np.random.default_rng(0))):
+        with pytest.raises(InvalidProgramError) as raised:
+            call(base)
+        assert str(raised.value) == "; ".join(expected.violations)
+    assert proposer._request_counter == requests
+
+
 def _two_edges_into_one_slot(program, rng):
     """An invalid, acyclic base: an extra edge into a slot that already has one."""
     edge = _pick(rng, program.edges)
-    blocked = _descendants(program, edge.dst) | {edge.dst}
+    blocked = ref_descendants(program, edge.dst) | {edge.dst}
     src = _pick(rng, [n.node_id for n in program.nodes if n.node_id not in blocked])
     edges = list(program.edges)
     edges.insert(int(rng.integers(len(edges) + 1)), Edge(src, edge.dst, edge.slot))
@@ -727,17 +759,21 @@ def _equal_edges(program, rng):
 
 
 def _same_raw_candidates(proposer, base):
-    """Each edit kind builds the reference's raw candidates, in its order; the
-    reference insertions also yield [src, src] a second time, right after the first."""
+    """Each edit kind builds the reference's raw candidates of a clean, valid
+    base, in its order, a rewire pruned of the nodes it orphans; the
+    reference insertions also yield [src, src] a second time, right after
+    the first."""
     ref = list(ref_insertions(proposer, base))
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
+    record = EditBase(base, proposer.registry)
+
     def built(generate):
-        return [_make(entry) for entry in generate(base)]
+        return [build(entry) for entry in generate(base, record)]
 
     return (_same_candidates(built(proposer._insertions), ref)
             and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
             and _same_candidates(built(proposer._deletions), list(ref_deletions(proposer, base)))
-            and _same_candidates(built(proposer._rewires), list(ref_rewires(base))))
+            and _same_candidates(built(proposer._rewires), [_prune_dead(c) for c in ref_rewires(base)]))
 
 
 class TestEnumerateEdits:
@@ -745,32 +781,31 @@ class TestEnumerateEdits:
         (None, False), (("add", "sub", "mul", "neg"), False), (None, True),
     ], ids=["all-ops", "ops4", "two-equal-edges"])
     def test_candidates_match_reference(self, registry, ops, equal_edges):
-        # with two equal edges, an insertion on either replaces only the first
-        # (as list.remove does) and a rewire of either moves both
+        # a dirty base gives the candidates of its pruned copy; a base with
+        # two equal edges is invalid, and refused
         rng = np.random.default_rng(31)
-        clean = dirty = kept = 0
+        clean = dirty = 0
         for i in range(90):
             base = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
             if i % 2:
                 base = _prune_dead(base)
             if equal_edges:
                 base = _equal_edges(base, rng)
-            if _prune_dead(base) is base:
-                clean += 1
-            else:
-                dirty += 1
             config = ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
                                     max_operator_nodes=2 + i % 11)
             proposer = SyntheticProposer(registry, config)
-            fast = proposer.enumerate_edits(base)
-            assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
-            kept += len(fast)
             if equal_edges:
-                assert _same_raw_candidates(proposer, base)
-        if equal_edges:
-            # an edit keeps a valid program only where it drops both equal edges
-            assert kept > 0
-        else:
+                _refused(proposer, base)
+                continue
+            pruned = _prune_dead(base)
+            if pruned is base:
+                clean += 1
+            else:
+                dirty += 1
+            fast = proposer.enumerate_edits(base)
+            assert _same_candidates(fast, ref_enumerate_edits(proposer, pruned))
+            assert _same_raw_candidates(proposer, pruned)
+        if not equal_edges:
             assert clean > 45 and dirty > 20
 
     def test_edit_kinds_switched_off(self, registry):
@@ -784,13 +819,11 @@ class TestEnumerateEdits:
 
     def test_base_with_two_edges_into_one_slot(self, registry):
         # such a base may look clean to the pruning walk, which keeps the last
-        # edge per slot, yet an insertion on the other edge can orphan a node
+        # edge per slot; it is invalid, and refused
         rng = np.random.default_rng(33)
         for _ in range(60):
             base = _two_edges_into_one_slot(_prune_dead(random_program(rng, registry, max_ops=5)), rng)
-            proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(1.0,), max_operator_nodes=8))
-            assert _same_candidates(proposer.enumerate_edits(base), ref_enumerate_edits(proposer, base))
-
+            _refused(SyntheticProposer(registry, ProposerConfig(const_palette=(1.0,), max_operator_nodes=8)), base)
 
     @pytest.mark.parametrize("nodes, edges", [
         # an edge from a node the base lacks, before the real edge into that slot
@@ -800,34 +833,30 @@ class TestEnumerateEdits:
         # a unary operator with no operand, feeding the output
         ((Node("x0", INPUT_OP), Node("n0", "neg"), Node("n1", "add")), (Edge("x0", "n1", 0), Edge("n0", "n1", 1))),
     ], ids=["edge-from-missing-node", "edge-to-missing-node", "unfed-unary"])
-    def test_invalid_bases_give_their_valid_candidates(self, registry, nodes, edges):
-        # each of these raised KeyError; descendants now follow only edges
-        # between nodes the base has, and an unfed unary node has no deletion
+    def test_invalid_bases_are_refused(self, registry, nodes, edges):
         base = WorkflowProgram(nodes, edges, ("x0",), nodes[-1].node_id)
-        proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, -0.0, 1.0)))
-        fast = proposer.enumerate_edits(base)
-        assert fast
-        assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
-        assert _same_raw_candidates(proposer, base)
+        _refused(SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, -0.0, 1.0))), base)
 
     def test_bases_at_the_size_cap(self, registry, monkeypatch):
         # every insertion into a clean base at the cap fails the size limit,
-        # so none is built; on a dirty base pruning can keep one under it
+        # so none is made; a dirty base is pruned first, which can bring it
+        # under the cap
         rng = np.random.default_rng(34)
         clean = dirty = kept_insertions = 0
         for _ in range(80):
             base = random_program(rng, registry, max_ops=6)
+            pruned = _prune_dead(base)
             config = ProposerConfig(const_palette=(1.0,), max_operator_nodes=len(base.operator_nodes()))
             proposer = SyntheticProposer(registry, config)
             fast = proposer.enumerate_edits(base)
-            assert _same_candidates(fast, ref_enumerate_edits(proposer, base))
-            if _prune_dead(base) is base:
+            assert _same_candidates(fast, ref_enumerate_edits(proposer, pruned))
+            if pruned is base:
                 clean += 1
                 monkeypatch.setattr(proposer, "_insertions", None)  # calling it would raise
                 assert _same_candidates(proposer.enumerate_edits(base), fast)
             else:
                 dirty += 1
-                new_id = ref_fresh_id(base, "n")
+                new_id = ref_fresh_id(pruned, "n")
                 kept_insertions += sum(any(n.node_id == new_id for n in c.nodes) for c in fast)
         assert clean > 20 and dirty > 20 and kept_insertions > 0
 
@@ -837,8 +866,8 @@ class TestEnumerateEdits:
         proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, 1.0)))
         fewer = 0
         for _ in range(40):
-            base = random_program(rng, registry, max_ops=5)
-            raw = [_make(entry) for entry in proposer._insertions(base)]
+            base = _prune_dead(random_program(rng, registry, max_ops=5))
+            raw = [build(entry) for entry in proposer._insertions(base, EditBase(base, registry))]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -874,10 +903,12 @@ class TestCanonicalKey:
             # the raw candidates, before deduplication, repeat programs; the
             # reference insertions keep both operand orders of [src, src]
             raw = [_prune_dead(c) for c in ref_insertions(proposer, base)]
+            pruned = _prune_dead(base)
+            record = EditBase(pruned, registry)
             raw += [
-                _prune_dead(_make(entry))
+                build(entry)
                 for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for entry in gen(base)
+                for entry in gen(pruned, record)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -935,17 +966,16 @@ def _without_verdict(program):
 
 @settings(derandomize=True, deadline=None, max_examples=140)
 @given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
-# an edge from a root into an unused root: an insertion on it adds a node that
-# feeds only that root, which pruning drops
+# an edge from a root into an unused root: refused, as every invalid base is
 @example(kind="invalid", seed=80)
 def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
-    """Each candidate of any base, sized, checked and keyed as
-    `enumerate_edits` does (from its edit record, before it is built, where
-    it comes with one), gets its operator count, the report of
-    `ref_validate_program` and the full walk's key, which splits candidates
-    as `ref_canonical_key` does. A candidate with a record is valid by
-    construction, so once built and vouched for it passes
-    `ref_validate_program`; a candidate of a clean base has no dead node."""
+    """A base that fails `ref_validate_program` is refused with its
+    violations. Each candidate of any other base, pruned of its dead nodes
+    first, is sized and keyed as `enumerate_edits` does, from its edit
+    record before it is built, and gets its operator count and the full
+    walk's key, which splits candidates as `ref_canonical_key` does. It is
+    valid by construction, so once built and vouched for it passes
+    `ref_validate_program`, and it has no dead node."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
@@ -953,33 +983,26 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     ops = None if seed % 2 else ("add", "sub", "mul", "neg")
     proposer = SyntheticProposer(registry, ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
                                                           max_operator_nodes=cap))
-    # clean as `enumerate_edits` defines it: every node feeds the output, and
-    # each input slot has one edge
-    clean = _prune_dead(base) is base and len({(e.dst, e.slot) for e in base.edges}) == len(base.edges)
-    valid_base = clean and ref_validate_program(base, registry).ok
-    keys, recorded = [], []
-    for entry in proposer._candidates(base):
+    valid = ref_validate_program(base, registry).ok
+    if kind != "invalid":  # a random mutation may leave the base valid
+        assert valid is (kind in ("valid", "at-the-size-cap", "dirty"))
+    if not valid:
+        _refused(proposer, base)
+        return
+    keys = []
+    for entry in every_entry(proposer, _prune_dead(base)):
         edit = entry[0]
         # a record sizes and keys its candidate before it is built
-        size = None if edit is None else edit.operator_count()
-        key = _outcome(canonical_key, entry[1]) if edit is None else _outcome(edit.key)
+        size, key = edit.operator_count(), edit.key()
         candidate = _built(entry)
         plain = _without_verdict(candidate)
-        if clean:  # where edits that cannot orphan a node skip pruning
-            pruned = _prune_dead(plain)
-            assert len(pruned.nodes) == len(plain.nodes)  # no dead node
-            assert pruned is plain or not valid_base
+        assert _prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
-        if edit is not None:
-            assert expected.ok, expected.violations
-            assert size == len(plain.operator_nodes())
+        assert expected.ok, expected.violations
+        assert size == len(plain.operator_nodes())
         assert validate_program(candidate, registry) == expected
-        assert key == _outcome(canonical_key, plain)
-        if isinstance(key, tuple) and not (key and key[0] in (KeyError, InvalidProgramError)):
-            keys.append((key, ref_canonical_key(plain)))
-        recorded.append(edit is not None)
-    # every candidate of a clean valid base, and no other, comes with a record
-    assert recorded == [valid_base] * len(recorded)
+        assert key == canonical_key(plain)
+        keys.append((key, ref_canonical_key(plain)))
     assert len({k for k, _ in keys}) == len({r for _, r in keys}) == len(set(keys))
 
 
@@ -997,7 +1020,7 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
     base = WorkflowProgram((x0, x1, Node("n0", "neg"), Node("n1", "add")),
                            (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
     assert validate_program(base, registry).ok
-    record = EditBase.of(base, registry)
+    record = EditBase(base, registry)
     for changed in (Node("n0", CONST_OP, value=1.0), Node("n0", "sqrt")):
         candidate = WorkflowProgram((x0, x1, changed, base.nodes[3]), base.edges, base.roots, "n1")
         expected = canonical_key(candidate)
@@ -1014,7 +1037,7 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
     with_const = WorkflowProgram((x0, x1, Node("c0", CONST_OP, value=2.0), Node("n1", "add")),
                                  (Edge("c0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
     assert validate_program(with_const, registry).ok
-    record = EditBase.of(with_const, registry)
+    record = EditBase(with_const, registry)
     for changed in (Node("c0", "neg"), Node("c0", "sqrt")):
         candidate = WorkflowProgram((x0, x1, changed, with_const.nodes[3]),
                                     (Edge("x0", "c0", 0),) + with_const.edges, with_const.roots, "n1")
@@ -1028,25 +1051,18 @@ def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
     """With an operator of arity 0, a valid program's output must reach a
     leaf, and an edit can break that: the rewire of add(z, x0) to add(z, z),
     z nullary, keeps every other rule. A record of it would vouch for an
-    invalid program. So such a registry gives no base a record, and each
-    candidate gets the full check."""
+    invalid program. So the proposer refuses such a registry."""
     nullary = OperatorRegistry(list(registry) + [OperatorKind("pi", 0)])
     base = WorkflowProgram((Node("x0", INPUT_OP), Node("z", "pi"), Node("n0", "add")),
                            (Edge("z", "n0", 0), Edge("x0", "n0", 1)), ("x0",), "n0")
     assert validate_program(base, nullary).ok
-    assert EditBase.of(base, nullary) is None
     rewired = WorkflowProgram(base.nodes, (Edge("z", "n0", 0), Edge("z", "n0", 1)), base.roots, "n0")
     assert ref_validate_program(rewired, nullary).violations == ("output 'n0' is not reachable from any leaf",)
     vouched = _without_verdict(rewired)
     ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}).vouch(vouched)
     assert validate_program(vouched, nullary).ok  # what a record would have made of it
-    proposer = SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
-    entries = list(proposer._candidates(base))
-    assert repr(rewired) in {repr(c) for _, c in entries}
-    for edit, candidate in entries:
-        assert edit is None
-        assert validate_program(candidate, nullary) == ref_validate_program(_without_verdict(candidate), nullary)
-    assert repr(rewired) not in {repr(c) for c in proposer.enumerate_edits(base)}
+    with pytest.raises(ValueError, match="nullary operators"):
+        SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
 
 
 def test_edit_local_check_falls_back_to_the_full_one(registry):
@@ -1058,10 +1074,8 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
     rejected = 0
-    for entry in proposer._candidates(base):
-        edit = entry[0]
-        assert edit is not None
-        key = edit.key()
+    for entry in every_entry(proposer, base):
+        key = entry[0].key()
         candidate = _built(entry)
         expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
@@ -1078,8 +1092,7 @@ def test_propose_is_a_seeded_sample_of_every_candidate(registry, kind, seed, cou
     returns: the same programs in the same order (by `program_to_dict`, which
     `json` writes with -0.0 apart from 0.0), the same token record and the
     same verdicts; and it leaves `rng` as that leaves it, undrawn when there
-    are no more than `count`. A base whose key cannot be taken raises the
-    same error."""
+    are no more than `count`. An invalid base raises the same error."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
@@ -1123,9 +1136,9 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
     pruned = kept_source = 0
     for base in bases:
         assert validate_program(base, registry).ok
-        record = EditBase.of(base, registry)
-        for entry, plain_entry in zip(proposer._rewires(base, record), proposer._rewires(base), strict=True):
-            edit, built, plain = entry[0], _make(entry), _make(plain_entry)
+        record = EditBase(base, registry)
+        for entry, plain in zip(proposer._rewires(base, record), ref_rewires(base), strict=True):
+            edit, built = entry[0], build(entry)
             expected = _prune_dead(plain)
             assert built == expected and repr(built) == repr(expected)
             assert edit.removed == {n.node_id for n in plain.nodes} - {n.node_id for n in built.nodes}
@@ -1158,14 +1171,16 @@ def test_prune_dead_drops_what_feeds_only_a_missing_node():
 @example(kind="invalid", seed=15)
 @example(kind="invalid", seed=82)
 def test_prune_dead_is_idempotent(registry, kind, seed):
-    """Pruning any base, or any candidate of it before pruning, once more
-    drops nothing: `_prune_dead` returns its argument."""
+    """Pruning any base, or any raw candidate the reference edits make of
+    it, once more drops nothing: `_prune_dead` returns its argument."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
                                                           const_palette=(0.0, -0.0, 1.0)))
-    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    for program in [base] + [_make(entry) for generate in generators for entry in generate(base)]:
+    raw = [*ref_insertions(proposer, base), *ref_rewires(base)]
+    if all(n.op in registry for n in base.operator_nodes()):  # these read every operator's arity
+        raw += [*ref_replacements(proposer, base), *ref_deletions(proposer, base)]
+    for program in [base] + raw:
         once = _prune_dead(program)
         assert _prune_dead(once) is once
 

@@ -166,9 +166,18 @@ class _Transport:
 
 
 class StdioTransport(_Transport):
-    """Spawn a child process and exchange one JSON line per request."""
+    """Spawn a child process and exchange one JSON line per request.
+
+    A request that fails mid-line (the pipe fails, the stream closes, the
+    reply is not UTF-8 or is longer than `MAX_REPLY`) leaves the two ends
+    out of step: what is left of that line would be read as the next reply.
+    So the first such failure breaks the transport, and every later request
+    raises `AdapterError` naming it, without touching the pipe. A whole line
+    that is not a valid reply leaves the ends in step and breaks nothing.
+    """
 
     def __init__(self, command: Sequence[str]):
+        self._broken: Optional[str] = None  # the failure that broke the transport
         try:
             self._proc = subprocess.Popen(
                 list(command),
@@ -179,20 +188,26 @@ class StdioTransport(_Transport):
         except OSError as exc:
             raise AdapterError(f"cannot start external role: {exc}") from None
 
+    def _break(self, reason: str) -> AdapterError:
+        self._broken = reason
+        return AdapterError(reason)
+
     def request(self, line: str) -> dict:
+        if self._broken is not None:
+            raise AdapterError(f"external role transport broken by an earlier failure: {self._broken}")
         assert self._proc.stdin and self._proc.stdout
         try:
             self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
             reply = self._proc.stdout.readline(MAX_REPLY + 1)
         except (BrokenPipeError, OSError) as exc:
-            raise AdapterError(f"external role pipe failed: {exc}") from None
+            raise self._break(f"external role pipe failed: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise AdapterError(f"malformed response line: {exc}") from None
+            raise self._break(f"malformed response line: {exc}") from None
         if not reply:
-            raise AdapterError("external role closed the stream")
+            raise self._break("external role closed the stream")
         if len(reply) > MAX_REPLY:
-            raise AdapterError(f"response line longer than {MAX_REPLY} characters")
+            raise self._break(f"response line longer than {MAX_REPLY} characters")
         try:
             return json.loads(reply)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -3,9 +3,11 @@
 Score conventions: every family score lies in [0, 1]; 0.5 is the neutral
 prior used whenever the metadata needed to judge a program is absent.
 
-The static families read only the `WorkflowState` that `derive_state` builds
-from one analysis walk of the program: units and types count its per-operator
-check verdicts, depth and diversity read its depth and operator histogram.
+The static families read only the `WorkflowState` of the program: units and
+types divide its counts of passed by made per-operator checks, depth and
+diversity read its depth and operator histogram. `derive_state` builds it
+from one analysis walk of the program, or returns the one a proposer child
+carries, derived from its edit record and its base's analysis.
 
 `ConstraintScorer.total` is the one aggregation of a `ConstraintVector` into
 C_total, the weighted geometric mean the four search stages consume; the
@@ -129,16 +131,16 @@ def score_units(state: WorkflowState) -> float:
     either from explicit tags or by propagation. With no checkable operation
     the score is the neutral prior 0.5.
     """
-    if not state.unit_checks:
+    if not state.unit_checked:
         return 0.5
-    return sum(state.unit_checks) / len(state.unit_checks)
+    return state.unit_passed / state.unit_checked
 
 
 def score_types(state: WorkflowState) -> float:
     """Fraction of operator applications passing shape and domain-rule checks."""
-    if not state.type_checks:
+    if not state.type_checked:
         return 0.5
-    return sum(state.type_checks) / len(state.type_checks)
+    return state.type_passed / state.type_checked
 
 
 def score_magnitude(trace: ExecutionTrace, cfg: MagnitudeConfig) -> float:

@@ -14,8 +14,14 @@ change) from its record alone, and only a candidate that is kept is built;
 its record then vouches for it (`ProgramEdit.vouch`), so `validate_program`
 of it is the verdict lookup. A rewire that leaves its old source feeding
 nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
-`tests/test_reference.py` checks every candidate of random bases against the
-reference check, count and key.
+
+A candidate `propose` returns also carries its `WorkflowState`, derived by
+`ProgramEdit.state` from one `analyze_program` of the base, built on the
+first such call, and the nodes the edit touched, each recomputed by
+`model._transfer`; `derive_state` returns it for the proposer's registry
+object. `enumerate_edits` derives no state, so growing a suite never
+analyses a base. `tests/test_reference.py` checks every candidate of random
+bases against the reference check, count, key and analysis.
 """
 
 from __future__ import annotations
@@ -23,15 +29,22 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .model import (
+    _STATE_FOR,
     _VALID_FOR,
     INPUT_OP,
     LEAF_OPS,
     Node,
     OperatorRegistry,
+    ProgramAnalysis,
     WorkflowProgram,
+    WorkflowState,
+    _check_counts,
     _key_entry,
     _key_maps,
     _key_walk,
+    _operator_histogram,
+    _transfer,
+    analyze_program,
 )
 
 _NOTHING: frozenset = frozenset()
@@ -45,13 +58,18 @@ class EditBase:
     dead node. It holds the base's maps from `model._key_maps` (each node's
     key head, each operator's operand ids in slot order), each node's
     consumers (one per edge out) and its number of operator nodes. `walks`
-    keeps the key walks its candidates share (`ProgramEdit.key`).
+    keeps the key walks its candidates share (`ProgramEdit.key`). What
+    `ProgramEdit.state` reads of the base, its `analyze_program` result,
+    its check counts and its nodes by id, is built on the first call to
+    `analyzed`, so a pass that derives no state never pays for it.
     """
 
-    __slots__ = ("registry", "heads", "operands", "consumers", "walks", "operator_count")
+    __slots__ = ("registry", "program", "heads", "operands", "consumers", "walks", "operator_count", "_analyzed")
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
+        self.program = program
+        self._analyzed: Optional[tuple] = None
         self.heads, self.operands = _key_maps(program)
         self.operator_count = len([h for h in self.heads.values() if h[0] not in LEAF_OPS])
         self.consumers: dict[str, list[str]] = {}
@@ -59,6 +77,15 @@ class EditBase:
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
         self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
+
+    def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
+        """The base's `analyze_program` result, its check counts
+        (`model._check_counts`) and its nodes by id, built on the first call."""
+        if self._analyzed is None:
+            program = self.program
+            analysis = analyze_program(program, self.registry)
+            self._analyzed = (analysis, _check_counts(analysis), {n.node_id: n for n in program.nodes})
+        return self._analyzed
 
     def dropped(self, src: str, kept: Optional[str] = None) -> frozenset:
         """The nodes that feed nothing once one edge out of `src` is moved to
@@ -116,11 +143,91 @@ class ProgramEdit:
         self.nodes = nodes
         self.removed = removed
 
-    def vouch(self, candidate: WorkflowProgram) -> None:
+    def vouch(self, candidate: WorkflowProgram, with_state: bool = False) -> None:
         """Record `candidate`, the program this edit made, as valid for the
         base's registry, as `validate_program` records a program that passed:
-        the edit kept the base valid by construction."""
-        object.__setattr__(candidate, _VALID_FOR, self.base.registry)
+        the edit kept the base valid by construction. With `with_state`, also
+        attach its `state` for that registry object, which `derive_state`
+        then returns."""
+        registry = self.base.registry
+        object.__setattr__(candidate, _VALID_FOR, registry)
+        if with_state:
+            object.__setattr__(candidate, _STATE_FOR, (registry, self.state(candidate)))
+
+    def state(self, candidate: WorkflowProgram) -> WorkflowState:
+        """`model.derive_state` of `candidate`, the program this edit made,
+        from the base's analysis and the nodes the edit touched.
+
+        Units, shapes, signs and depth flow from operands to consumers, so
+        only the touched nodes can differ from the base's: the nodes the
+        edit adds or changes and those whose operands it sets, with their
+        consumers up to the output (`EditBase.consumers`), less the nodes it
+        removes. Each is recomputed by `model._transfer`, operands first, in
+        a walk from the output that enters touched nodes only. The counts
+        are the base's, less the base's verdicts of the touched and removed
+        nodes, plus the touched nodes' new ones; the depth is the output's.
+        The histogram counts `candidate.nodes` in declaration order, as
+        `derive_state` does.
+
+        The walk keeps its own stack, so no nested function refers to
+        itself and the walk's maps are freed by reference counting.
+        """
+        base = self.base
+        analysis, counts, base_nodes = base.analyzed()
+        unit_passed, unit_checked, type_passed, type_checked = counts
+        changed = {n.node_id: n for n in self.nodes}
+        removed, operands, consumers = self.removed, self.operands, base.consumers
+        touched: set[str] = set()
+        stack = [*changed, *operands]
+        while stack:
+            nid = stack.pop()
+            if nid not in touched and nid not in removed:
+                touched.add(nid)
+                stack.extend(consumers.get(nid, ()))
+
+        unit_checks, type_checks = analysis.unit_checks, analysis.type_checks
+        for nid in (*touched, *removed):
+            ok = unit_checks.get(nid)
+            if ok is not None:
+                unit_passed -= ok
+                unit_checked -= 1
+            ok = type_checks.get(nid)
+            if ok is not None:
+                type_passed -= ok
+                type_checked -= 1
+
+        units, shapes, signs = dict(analysis.units), dict(analysis.shapes), dict(analysis.signs)
+        depths = dict(analysis.depths)
+        registry, base_operands = base.registry, base.operands
+        output = self.output
+        done: set[str] = set()
+        stack = [output] if output in touched else []
+        while stack:
+            nid = stack[-1]
+            args = operands[nid] if nid in operands else base_operands.get(nid, ())
+            todo = [a for a in args if a in touched and a not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if nid in done:
+                continue
+            done.add(nid)
+            node = changed.get(nid) or base_nodes[nid]
+            kind = None if node.op in LEAF_OPS else registry.get(node.op)
+            units[nid], shapes[nid], signs[nid], unit_ok, type_ok = _transfer(
+                node, kind, [units[a] for a in args], [shapes[a] for a in args], [signs[a] for a in args]
+            )
+            depths[nid] = 1 + max([depths[a] for a in args]) if args else 0
+            if unit_ok is not None:
+                unit_passed += unit_ok
+                unit_checked += 1
+            if type_ok is not None:
+                type_passed += type_ok
+                type_checked += 1
+        return WorkflowState(
+            depths[output], _operator_histogram(candidate), unit_passed, unit_checked, type_passed, type_checked
+        )
 
     def operator_count(self) -> int:
         """The candidate's number of operator nodes: the base's count with

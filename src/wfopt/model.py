@@ -8,7 +8,8 @@ constraint checks; the interpreter itself is scalar-valued and deterministic.
 `analyze_program` and `interpret_all` each make one `_ordered` walk, which
 orders a program and resolves every node's operand slots from one pass over
 the nodes and one over the edges. `analyze_program` propagates unit
-signatures, shapes, value signs and depth, and `derive_state` folds its
+signatures, shapes, value signs and depth, each node's by `_transfer`, the
+one definition of the per-operator rules, and `derive_state` counts its
 per-operator verdicts into the `WorkflowState` the constraint scores read;
 `interpret_all` walks once for a whole list of input bindings and runs each
 step over the column of every binding's values.
@@ -17,9 +18,10 @@ over the edges, with one arity lookup per operator node in the map each
 `OperatorRegistry` builds once, and walks back from the output for
 reachability only when the other checks leave that in doubt.
 `canonical_key` returns a flat tuple. Every map over a program is
-transient. The one fact kept on a program is its validation verdict: a
-program that passed `validate_program` remembers the registry object it
+transient. Two facts are kept on a program. One is its validation verdict:
+a program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
+The other, on a child the proposer returns only, is its `WorkflowState`.
 
 The proposer checks its base once, on entry, and tells each candidate as
 its edit record (`edits.ProgramEdit`): the one edit that makes it from that
@@ -27,7 +29,12 @@ base. The record keys the candidate from the base's maps and the edit's
 operand changes, by the same walk, `_key_walk`, to the tuple `canonical_key`
 gives the built program. The edits keep the base valid by construction, so
 the record vouches for the candidate, once built, with the same verdict
-`validate_program` keeps. Nothing of the record is kept on the program.
+`validate_program` keeps. A child `propose` returns also carries its state,
+derived from one analysis of the base and the nodes its edit touched
+(`edits.ProgramEdit.state`, by `_transfer`), which `derive_state` returns
+for that registry object; so expansion orders no child, and the child's one
+`_ordered` walk is its evaluation's. Nothing else of the record is kept on
+the program.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -274,14 +281,17 @@ class ValidationReport:
 class WorkflowState:
     """Lightweight program view consumed by the constraint checks.
 
-    ``unit_checks`` holds one pass/fail per operator whose input units are
-    all known; ``type_checks`` one per operator node.
+    The unit check counts cover the operators whose input units are all
+    known, the type check counts every operator node: how many passed and
+    how many were checked, which is all the scores read of the verdicts.
     """
 
     depth: int
     operator_histogram: Mapping[str, int]
-    unit_checks: tuple[bool, ...] = ()
-    type_checks: tuple[bool, ...] = ()
+    unit_passed: int = 0
+    unit_checked: int = 0
+    type_passed: int = 0
+    type_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -304,6 +314,10 @@ _INPUT_LEAF, _CONST_LEAF = -1, -2
 # would give each program a dict object of its own, about 64 more bytes.)
 _VALID_FOR = "_valid_for"
 _VALID = ValidationReport(ok=True)
+# The instance attribute, written the same way, holding `(registry, state)`:
+# a proposer candidate's `WorkflowState`, derived from its edit record for
+# that registry object, which `derive_state` returns.
+_STATE_FOR = "_state_for"
 
 
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
@@ -501,7 +515,8 @@ class ProgramAnalysis:
     units: Mapping[str, Optional[UnitSignature]]
     shapes: Mapping[str, Optional[Shape]]
     signs: Mapping[str, Sign]
-    depth: int                       # longest leaf-to-output path, in edges
+    depths: Mapping[str, int]        # longest path from a leaf to each node, in edges
+    depth: int                       # the output's depth
     unit_checks: Mapping[str, bool]  # operator nodes whose input units are all known
     type_checks: Mapping[str, bool]  # every operator node: shape and domain rule
 
@@ -509,11 +524,10 @@ class ProgramAnalysis:
 def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ProgramAnalysis:
     """Propagate units, shapes, signs and depth in one `_ordered` walk.
 
-    Explicit unit and shape tags on a node seed and override what propagation
-    derives. An operator's unit check runs once all its input units are
-    known; its type check passes when its shapes agree (unknowable shapes pass
-    vacuously) and no input sign, known only from literal constants, breaks
-    its domain rule.
+    Each node's facts and verdicts come from `_transfer` of the node and its
+    operands' facts, the one definition of the rules; a node's depth is one
+    more than its deepest operand's, a leaf's 0. The verdict maps keep the
+    walk's order.
     """
     registry = registry or default_registry()
     units: dict[str, Optional[UnitSignature]] = {}
@@ -525,34 +539,62 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
 
     for node, slots in _ordered(program):
         nid = node.node_id
-        if node.is_leaf():
-            const = node.op == CONST_OP
-            units[nid] = node.unit
-            shapes[nid] = node.shape if node.shape is not None else (Shape.scalar() if const else None)
-            signs[nid] = _sign_of(node.value) if const else Sign.UNKNOWN  # type: ignore[arg-type]
+        if node.op in LEAF_OPS:
+            kind, args = None, ()
             depths[nid] = 0
-            continue
-        kind = registry.get(node.op)
-        args = [slots[k] for k in range(kind.arity)]
-        depths[nid] = 1 + max(depths[a] for a in args)
+        else:
+            kind = registry.get(node.op)
+            args = [slots[k] for k in range(kind.arity)]
+            depths[nid] = 1 + max([depths[a] for a in args])
+        units[nid], shapes[nid], signs[nid], unit_ok, type_ok = _transfer(
+            node, kind, [units[a] for a in args], [shapes[a] for a in args], [signs[a] for a in args]
+        )
+        if unit_ok is not None:
+            unit_checks[nid] = unit_ok
+        if type_ok is not None:
+            type_checks[nid] = type_ok
 
-        in_units = [units[a] for a in args]
-        derived_unit: Optional[UnitSignature] = None
-        if all(u is not None for u in in_units):
-            unit_checks[nid], derived_unit = _check_units(kind, in_units)  # type: ignore[arg-type]
-        units[nid] = node.unit if node.unit is not None else derived_unit
+    return ProgramAnalysis(units, shapes, signs, depths, depths[program.output], unit_checks, type_checks)
 
-        in_shapes = [shapes[a] for a in args]
-        shape_ok, derived_shape = True, None
-        if all(s is not None for s in in_shapes):
-            shape_ok, derived_shape = _check_shape(kind, in_shapes)  # type: ignore[arg-type]
-        shapes[nid] = node.shape if node.shape is not None else derived_shape
 
-        in_signs = [signs[a] for a in args]
-        signs[nid] = _derive_sign(node.op, in_signs)
-        type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
+def _transfer(
+    node: Node,
+    kind: Optional[OperatorKind],
+    units: Sequence[Optional[UnitSignature]],
+    shapes: Sequence[Optional[Shape]],
+    signs: Sequence[Sign],
+) -> tuple[Optional[UnitSignature], Optional[Shape], Sign, Optional[bool], Optional[bool]]:
+    """One node's step of the analysis: its unit, shape and sign, its unit
+    verdict and its type verdict, from its operands' facts in slot order.
 
-    return ProgramAnalysis(units, shapes, signs, depths[program.output], unit_checks, type_checks)
+    `kind` is the node's operator kind, None for a leaf. A leaf's facts are
+    its tags, a literal being a scalar unless tagged and signed by its value;
+    it has no verdicts. Explicit unit and shape tags on an operator override
+    what it derives. Its unit check runs once all its operand units are
+    known (else its unit verdict is None); its type check passes when its
+    shapes agree (unknowable shapes pass vacuously) and no operand sign,
+    known only from literal constants, breaks its domain rule.
+    """
+    if kind is None:
+        if node.op == CONST_OP:
+            shape = node.shape if node.shape is not None else _SCALAR
+            return node.unit, shape, _sign_of(node.value), None, None  # type: ignore[arg-type]
+        return node.unit, node.shape, Sign.UNKNOWN, None, None
+    # `None in` meets a None by identity first; a unit or a shape is never
+    # equal to None, so this is `all(u is not None ...)` without a generator
+    unit_ok = unit = shape = None
+    if None not in units:
+        unit_ok, unit = _check_units(kind, units)  # type: ignore[arg-type]
+    shape_ok = True
+    if None not in shapes:
+        shape_ok, shape = _check_shape(kind, shapes)  # type: ignore[arg-type]
+    return (
+        node.unit if node.unit is not None else unit,
+        node.shape if node.shape is not None else shape,
+        _derive_sign(node.op, signs),
+        unit_ok,
+        shape_ok and _domain_ok(kind.domain_rule, signs),
+    )
 
 
 def _check_units(kind: OperatorKind, inputs: Sequence[UnitSignature]) -> tuple[bool, Optional[UnitSignature]]:
@@ -564,8 +606,12 @@ def _check_units(kind: OperatorKind, inputs: Sequence[UnitSignature]) -> tuple[b
     return True, UnitSignature.of()  # UNITLESS
 
 
+# Shape is frozen, so every check shares one scalar.
+_SCALAR = Shape.scalar()
+
+
 def _check_shape(kind: OperatorKind, inputs: Sequence[Shape]) -> tuple[bool, Optional[Shape]]:
-    scalar = Shape.scalar()
+    scalar = _SCALAR
     if kind.shape_rule is ShapeRule.MATMUL and kind.arity == 2:
         a, b = inputs
         if a == scalar:
@@ -617,16 +663,20 @@ _NEGATE = {
 }
 
 
+# The sign classes `_sign_add` and `_sign_mul` test against, built once.
+_NONNEG = frozenset((Sign.POS, Sign.NONNEG))
+_NONPOS = frozenset((Sign.NEG, Sign.NONPOS))
+_STRICT = frozenset((Sign.POS, Sign.NEG))
+
+
 def _sign_add(a: Sign, b: Sign) -> Sign:
     if a is Sign.ZERO:
         return b
     if b is Sign.ZERO:
         return a
-    nonneg = {Sign.POS, Sign.NONNEG}
-    nonpos = {Sign.NEG, Sign.NONPOS}
-    if a in nonneg and b in nonneg:
+    if a in _NONNEG and b in _NONNEG:
         return Sign.POS if (a is Sign.POS or b is Sign.POS) else Sign.NONNEG
-    if a in nonpos and b in nonpos:
+    if a in _NONPOS and b in _NONPOS:
         return Sign.NEG if (a is Sign.NEG or b is Sign.NEG) else Sign.NONPOS
     return Sign.UNKNOWN
 
@@ -636,9 +686,8 @@ def _sign_mul(a: Sign, b: Sign) -> Sign:
         return Sign.ZERO
     if Sign.UNKNOWN in (a, b):
         return Sign.UNKNOWN
-    strict = {Sign.POS, Sign.NEG}
-    positive = (a in (Sign.POS, Sign.NONNEG)) == (b in (Sign.POS, Sign.NONNEG))
-    if a in strict and b in strict:
+    positive = (a in _NONNEG) == (b in _NONNEG)
+    if a in _STRICT and b in _STRICT:
         return Sign.POS if positive else Sign.NEG
     return Sign.NONNEG if positive else Sign.NONPOS
 
@@ -690,25 +739,48 @@ def _derive_sign(op: str, args: list[Sign]) -> Sign:
 def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> WorkflowState:
     """Validate a program and project it onto the constraint-facing view.
 
-    Raises `InvalidProgramError` on an invalid program. The check goes
-    through `validate_program`, so a program that already passed it against
-    this registry object (every candidate of a `SyntheticProposer` built on
-    it) costs a lookup; any other program, or the same one with another
-    registry, is checked in full. The view comes from one `analyze_program` walk; the
+    Raises `InvalidProgramError` on an invalid program. A candidate that
+    `SyntheticProposer.propose` returned carries its state, derived from its
+    edit record for the proposer's registry object, next to its verdict
+    (`edits.ProgramEdit.vouch`): while the program is valid for this
+    registry object and its state was derived for it, that state is
+    returned. Any other program (the search's initial one, a decoded or a
+    remote one, an `enumerate_edits` candidate), the same one with another
+    registry, or one whose verdict was since recorded for another registry,
+    goes through `validate_program` (a lookup for a program that passed
+    against this registry object) and one `analyze_program` walk. The
     operator histogram keeps node-declaration order.
     """
     registry = registry or default_registry()
+    attached = getattr(program, _STATE_FOR, None)
+    if attached is not None and attached[0] is registry and getattr(program, _VALID_FOR, None) is registry:
+        return attached[1]
     report = validate_program(program, registry)
     if not report.ok:
         raise InvalidProgramError("; ".join(report.violations))
     analysis = analyze_program(program, registry)
-    histogram = Counter(n.op for n in program.operator_nodes())
+    unit_passed, unit_checked, type_passed, type_checked = _check_counts(analysis)
     return WorkflowState(
-        depth=analysis.depth,
-        operator_histogram=dict(histogram),
-        unit_checks=tuple(analysis.unit_checks.values()),
-        type_checks=tuple(analysis.type_checks.values()),
+        analysis.depth, _operator_histogram(program), unit_passed, unit_checked, type_passed, type_checked
     )
+
+
+def _check_counts(analysis: ProgramAnalysis) -> tuple[int, int, int, int]:
+    """How many unit checks of `analysis` passed and were made, then how
+    many type checks."""
+    unit_checks, type_checks = analysis.unit_checks.values(), analysis.type_checks.values()
+    return sum(unit_checks), len(unit_checks), sum(type_checks), len(type_checks)
+
+
+def _operator_histogram(program: WorkflowProgram) -> dict[str, int]:
+    """Operator name -> node count, in the order the names first appear
+    among the program's nodes."""
+    counts: dict[str, int] = {}
+    for node in program.nodes:
+        op = node.op
+        if op not in LEAF_OPS:
+            counts[op] = counts.get(op, 0) + 1
+    return counts
 
 
 class _DomainViolation(Exception):

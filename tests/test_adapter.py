@@ -499,25 +499,56 @@ class TestStdioAdapter:
     def test_over_long_reply_raises_adapter_error(self, tmp_path, monkeypatch):
         # a valid evaluate reply; the cap counts its newline
         reply = json.dumps({"reward": 1.0, "traces": [], "pad": "x" * 200})
-        peer = tmp_path / "peer.py"
-        peer.write_text(f"import sys\nfor _ in sys.stdin:\n    print({reply!r}, flush=True)\n")
+        peer, seen = tmp_path / "peer.py", tmp_path / "seen"
+        peer.write_text(f"import sys\nn = 0\nfor _ in sys.stdin:\n    n += 1\n    print({reply!r}, flush=True)\n"
+                        f"open({str(seen)!r}, 'w').write(str(n))\n")
         transport = StdioTransport([sys.executable, str(peer)])
         try:
             monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
             assert transport.request('{"kind": "evaluate"}')["reward"] == 1.0
             monkeypatch.setattr(adapter, "MAX_REPLY", len(reply))
-            with pytest.raises(AdapterError, match=f"longer than {len(reply)} characters"):
+            first = f"response line longer than {len(reply)} characters"
+            with pytest.raises(AdapterError, match=first):
                 transport.request('{"kind": "evaluate"}')
-            monkeypatch.setattr(adapter, "MAX_REPLY", 100)
-            with pytest.raises(AdapterError, match="longer than 100 characters"):
-                transport.request('{"kind": "evaluate"}')
-            # the transport read one character past the cap and no further:
-            # the rest of that line is what the next request reads
-            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
-            with pytest.raises(AdapterError, match="malformed response line"):
-                transport.request('{"kind": "evaluate"}')
+            # the rest of that line is still in the pipe: the transport is
+            # broken, and every later request names the first failure, even
+            # one whose reply would now fit
+            for cap in (100, len(reply) + 1):
+                monkeypatch.setattr(adapter, "MAX_REPLY", cap)
+                with pytest.raises(AdapterError, match=f"broken by an earlier failure: {first}"):
+                    transport.request('{"kind": "evaluate"}')
         finally:
             transport.close()
+        assert seen.read_text() == "2"  # the later requests never reached the peer
+
+    @pytest.mark.parametrize("answer, first", [
+        ("sys.stdout.buffer.write(b'\\xff\\xfe{}\\n')", "malformed response line"),
+        ("sys.exit(0)", "external role closed the stream"),
+    ], ids=["not-utf8", "closed"])
+    def test_failure_mid_line_breaks_the_transport(self, tmp_path, answer, first):
+        """A reply that is not UTF-8, or a stream that closes, breaks the
+        transport as an over-long reply does; a whole line that is not JSON
+        does not."""
+        peer, seen = tmp_path / "peer.py", tmp_path / "seen"
+        peer.write_text(
+            f"import sys\nn = 0\nfor line in sys.stdin:\n    n += 1\n"
+            f"    open({str(seen)!r}, 'w').write(str(n))\n"
+            f"    if n == 1:\n        print('not json', flush=True)\n"
+            f"    else:\n        {answer}\n        sys.stdout.flush()\n"
+        )
+        transport = StdioTransport([sys.executable, str(peer)])
+        try:
+            with pytest.raises(AdapterError, match="malformed response line: Expecting value"):
+                transport.request('{"kind": "evaluate"}')
+            with pytest.raises(AdapterError, match=first) as failure:
+                transport.request('{"kind": "evaluate"}')
+            for _ in range(2):
+                with pytest.raises(AdapterError, match="broken by an earlier failure: ") as later:
+                    transport.request('{"kind": "evaluate"}')
+                assert str(later.value).endswith(str(failure.value))
+        finally:
+            transport.close()
+        assert seen.read_text() == "2"
 
     def test_dead_process_raises(self):
         transport = StdioTransport([sys.executable, "-c", "pass"])

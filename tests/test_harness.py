@@ -1,10 +1,11 @@
 import gc
+from collections import Counter
 from types import FunctionType
 
 import numpy as np
 import pytest
 
-from wfopt import driver, harness, model
+from wfopt import driver, harness, model, search
 from wfopt.edits import ProgramEdit
 from wfopt.config import config_from_dict
 from wfopt.harness import (
@@ -276,6 +277,46 @@ class TestEditRecords:
         # 99 objects here; a key walk that recursed through a closure would
         # leave about 20 per walk, about 38000 over this search's 1808 walks
         assert total < 1000
+
+
+    def test_search_orders_each_child_once(self, tmp_path, monkeypatch):
+        """Expansion orders no program: each `propose` call analyses its base
+        once, and each child it returns comes with its state, derived from its
+        edit record. So a child's one `_ordered` walk is its evaluation's."""
+        config = config_from_dict({
+            "seed": 42,
+            "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
+            "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 4},
+        })
+        walks, calls, where = Counter(), Counter(), ["elsewhere"]
+        ordered = model._ordered
+
+        def counted(program):
+            walks[where[-1]] += 1
+            return ordered(program)
+
+        def region(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                where.append(name)
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    where.pop()
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        monkeypatch.setattr(model, "_ordered", counted)
+        region(search.Optimizer, "expand")
+        region(SyntheticProposer, "propose")
+        region(SyntheticEvaluator, "evaluate")
+        driver.execute_run(config, tmp_path)
+        assert calls["propose"] == calls["expand"] > 0 and calls["evaluate"] > calls["propose"]
+        assert walks["expand"] == 0
+        assert walks["propose"] == calls["propose"]
+        assert walks["evaluate"] == calls["evaluate"]
 
 
 class TestEvaluate:

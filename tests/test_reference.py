@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ from wfopt.model import (
     UnitSignature,
     ValidationReport,
     WorkflowProgram,
+    WorkflowState,
+    _STATE_FOR,
     _VALID_FOR,
     _apply,
     _check_shape,
@@ -64,6 +67,7 @@ from wfopt.model import (
     analyze_program,
     canonical_key,
     default_registry,
+    derive_state,
     interpret,
     interpret_all,
     program_to_dict,
@@ -272,7 +276,7 @@ def ref_analyze_program(program, registry):
         signs[nid] = _derive_sign(node.op, in_signs)
         type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
 
-    return ProgramAnalysis(units, shapes, signs, depths[program.output], unit_checks, type_checks)
+    return ProgramAnalysis(units, shapes, signs, depths, depths[program.output], unit_checks, type_checks)
 
 
 def ref_interpret(program, inputs, registry):
@@ -1148,6 +1152,58 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
                 kept_source += 1
                 assert new.src not in edit.removed and old.src in edit.removed
     assert pruned > 50 and kept_source > 0
+
+
+def ref_state(program, registry):
+    """`derive_state` of a valid program, from `ref_analyze_program` and a
+    `Counter` of its operator nodes."""
+    analysis = ref_analyze_program(program, registry)
+    units, types = list(analysis.unit_checks.values()), list(analysis.type_checks.values())
+    histogram = Counter(n.op for n in program.nodes if not n.is_leaf())
+    return WorkflowState(analysis.depth, dict(histogram), sum(units), len(units), sum(types), len(types))
+
+
+def _same_state(state, expected):
+    assert state == expected
+    # diversity sums its entropy terms in the histogram's order
+    assert list(state.operator_histogram.items()) == list(expected.operator_histogram.items())
+
+
+# the clean, valid bases a proposer edits (a dirty one once pruned)
+STATE_BASES = ("valid", "at-the-size-cap", "dirty")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(STATE_BASES), tagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
+    """Every record candidate's `ProgramEdit.state`, derived from the base's
+    analysis and the nodes the edit touched, equals the full analysis of an
+    unvouched copy of the built candidate (`derive_state`, and the reference
+    analysis), the histogram's order included. So does the state each
+    candidate `propose` returns carries. Tagged bases carry unit and shape
+    tags and literals; the palette holds 0.0, -0.0 and a repeated value."""
+    rng = np.random.default_rng(seed)
+    program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
+    if tagged:
+        program = _tagged(program, rng)
+    base = EDIT_BASES[kind](_prune_dead(program), rng)
+    assert validate_program(base, registry).ok
+    cap = len(_prune_dead(base).operator_nodes()) if kind == "at-the-size-cap" else 12
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
+                                                          const_palette=(0.0, -0.0, 1.0, 1.0), max_operator_nodes=cap))
+    clean = _prune_dead(base)
+    validate_program(clean, registry)
+    entries = every_entry(proposer, clean)
+    for entry in entries:
+        candidate = build(entry)
+        expected = derive_state(_without_verdict(candidate), registry)
+        _same_state(entry[0].state(candidate), expected)
+        _same_state(expected, ref_state(candidate, registry))
+    drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
+    for candidate in drawn:
+        attached = getattr(candidate, _STATE_FOR)
+        assert attached[0] is registry
+        _same_state(attached[1], derive_state(_without_verdict(candidate), registry))
 
 
 def test_prune_dead_drops_what_feeds_only_a_missing_node():

@@ -16,10 +16,14 @@ same way every time, so two checkouts can be compared call by call:
                          scoring with a seeded motif library of the default size,
                          each call on a fresh copy of the program and with a
                          fresh scorer, so nothing is remembered between calls
-  score children         derive_state + static_vector + total over every
-                         candidate of enumerate_edits of the 6-node program
-                         (validated by the proposer), with a fresh scorer per
-                         sample; also per child
+  score children         enumerate_edits of the 6-node program, then
+                         derive_state + static_vector + total over every
+                         candidate, with a fresh scorer per sample: each
+                         candidate's state comes from the edit record it
+                         carries and one analysis of the base, as a search's
+                         children do, and a record is derived once, so the
+                         candidates are made anew in every call (the
+                         enumerate_edits row times that part); also per child
   with_magnitude         folding the 40 fixed traces of `evaluate` into a vector
   evaluate               SyntheticEvaluator over 40 fixed problems
   select+backprop        one select and one backpropagate on a fixed tree
@@ -165,9 +169,9 @@ def run(repeat: int) -> dict:
         # an equal program that has not passed validate_program yet
         return dataclasses.replace(program)
 
-    def score_children(children: list[WorkflowProgram]) -> None:
+    def score_children(program: WorkflowProgram) -> None:
         scorer = new_scorer()
-        for child in children:
+        for child in proposer.enumerate_edits(program):
             scorer.total(scorer.static_vector(child, derive_state(child, registry)), weights)
 
     results: dict[str, dict] = {name: {} for name in (
@@ -188,7 +192,7 @@ def run(repeat: int) -> dict:
         results["derive_state+static_vector"][key] = figures(
             lambda: new_scorer().static_vector(program, derive_state(unchecked(program), registry)), repeat)
         if size == CHILDREN_OF:
-            entry = figures(lambda: score_children(children), repeat, children=len(children))
+            entry = figures(lambda: score_children(program), repeat, children=len(children))
             entry["per_child_median_us"] = round(entry["median_us"] / len(children), 3)
             entry["per_child_best_us"] = round(entry["best_us"] / len(children), 3)
             results["score children"][key] = entry

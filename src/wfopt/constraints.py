@@ -6,8 +6,8 @@ prior used whenever the metadata needed to judge a program is absent.
 The static families read only the `WorkflowState` of the program: units and
 types divide its counts of passed by made per-operator checks, depth and
 diversity read its depth and operator histogram. `derive_state` builds it
-from one analysis walk of the program, or returns the one a proposer child
-carries, derived from its edit record and its base's analysis.
+from one analysis walk of the program, or, for a proposer candidate, from
+the edit record it carries and its base's analysis.
 
 `ConstraintScorer.total` is the one aggregation of a `ConstraintVector` into
 C_total, the weighted geometric mean the four search stages consume; the

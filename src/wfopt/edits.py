@@ -15,13 +15,15 @@ its record then vouches for it (`ProgramEdit.vouch`), so `validate_program`
 of it is the verdict lookup. A rewire that leaves its old source feeding
 nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
 
-A candidate `propose` returns also carries its `WorkflowState`, derived by
-`ProgramEdit.state` from one `analyze_program` of the base, built on the
-first such call, and the nodes the edit touched, each recomputed by
-`model._transfer`; `derive_state` returns it for the proposer's registry
-object. `enumerate_edits` derives no state, so growing a suite never
-analyses a base. `tests/test_reference.py` checks every candidate of random
-bases against the reference check, count, key and analysis.
+A built candidate also carries its record, from which `derive_state`, on
+its first call against the proposer's registry object, derives its
+`WorkflowState` (`ProgramEdit.state`: one `analyze_program` of the base,
+made on the first such call, and the nodes the edit touched, each
+recomputed by `model._transfer`) and keeps that state in the record's
+place. A candidate no one scores, as one a suite grows through or one the
+stdio peer sends, is never analysed. `tests/test_reference.py` checks every
+candidate of random bases against the reference check, count, key and
+analysis.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class EditBase:
     dead node. It holds the base's maps from `model._key_maps` (each node's
     key head, each operator's operand ids in slot order), each node's
     consumers (one per edge out) and its number of operator nodes. `walks`
-    keeps the key walks its candidates share (`ProgramEdit.key`). What
+    keeps the key walks its candidates share (`ProgramEdit.key`), which the
+    proposer clears after its dedup pass. What
     `ProgramEdit.state` reads of the base, its `analyze_program` result,
     its check counts and its nodes by id, is built on the first call to
     `analyzed`, so a pass that derives no state never pays for it.
@@ -143,16 +146,15 @@ class ProgramEdit:
         self.nodes = nodes
         self.removed = removed
 
-    def vouch(self, candidate: WorkflowProgram, with_state: bool = False) -> None:
+    def vouch(self, candidate: WorkflowProgram) -> None:
         """Record `candidate`, the program this edit made, as valid for the
         base's registry, as `validate_program` records a program that passed:
-        the edit kept the base valid by construction. With `with_state`, also
-        attach its `state` for that registry object, which `derive_state`
-        then returns."""
+        the edit kept the base valid by construction. Attach this record
+        beside it, from which `derive_state` derives its `state` for that
+        registry object."""
         registry = self.base.registry
         object.__setattr__(candidate, _VALID_FOR, registry)
-        if with_state:
-            object.__setattr__(candidate, _STATE_FOR, (registry, self.state(candidate)))
+        object.__setattr__(candidate, _STATE_FOR, (registry, self))
 
     def state(self, candidate: WorkflowProgram) -> WorkflowState:
         """`model.derive_state` of `candidate`, the program this edit made,

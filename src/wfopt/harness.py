@@ -3,7 +3,7 @@
 The synthetic proposer checks and prunes its base once, enumerates the base's
 minimal structural edits in a fixed order as edit records, and returns a
 seeded sample drawn over them: only the candidates it draws are built, each
-with the state its record and one analysis of the base derive. The
+carrying the record its state is derived from when it is first scored. The
 synthetic evaluator interprets a program over a problem set. Both emit token
 records whose sizes are deterministic functions of payload size, so
 efficiency metrics reproduce exactly. The evaluator interprets every problem
@@ -201,12 +201,11 @@ def _rewired(program: WorkflowProgram, at: int, alt: str, dropped: frozenset) ->
     return WorkflowProgram(nodes, tuple(edges), program.roots, program.output)
 
 
-def _built(entry: tuple, with_state: bool = False) -> WorkflowProgram:
+def _built(entry: tuple) -> WorkflowProgram:
     """The candidate of an edit generator's entry `(edit, make, *args)`,
-    made now and vouched for by its record, with its state attached if
-    `with_state` (`ProgramEdit.vouch`)."""
+    made now and vouched for by its record."""
     candidate = entry[1](*entry[2:])
-    entry[0].vouch(candidate, with_state)
+    entry[0].vouch(candidate)
     return candidate
 
 
@@ -297,6 +296,7 @@ class SyntheticProposer:
             seen.add(edit.key())
             if len(seen) > before:
                 kept.append(entry)
+        base.walks.clear()  # they serve the dedup only; the records the candidates carry need not hold them
         return kept
 
     def _insertions(self, program: WorkflowProgram, base: EditBase):
@@ -450,11 +450,11 @@ class SyntheticProposer:
         base is checked and pruned as there, and an invalid one raises
         `InvalidProgramError`. The sample is drawn over the edit records of
         the same pass before anything is built, so only the drawn candidates
-        are built. Each carries its `WorkflowState`, derived from its record
-        and one analysis of the base (`ProgramEdit.state`), for
-        `derive_state` against this proposer's registry object; the base's
-        analysis is dropped with its `EditBase` when the call returns. The
-        prompt tokens count the program as passed in.
+        are built. Each carries its record, from which `derive_state`
+        against this proposer's registry object derives its `WorkflowState`
+        and one analysis of the base the drawn candidates share
+        (`ProgramEdit.state`); no state is derived here. The prompt tokens
+        count the program as passed in.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -462,7 +462,7 @@ class SyntheticProposer:
         if len(entries) > count:
             order = rng.permutation(len(entries))
             entries = [entries[i] for i in order[:count]]
-        edits = [_built(entry, True) for entry in entries]
+        edits = [_built(entry) for entry in entries]
         self._request_counter += 1
         prompt = 40 + 12 * len(program.nodes) + 6 * len(program.edges)
         completion = sum(8 + 3 * len(c.nodes) for c in edits)

@@ -21,7 +21,8 @@ reachability only when the other checks leave that in doubt.
 transient. Two facts are kept on a program. One is its validation verdict:
 a program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
-The other, on a child the proposer returns only, is its `WorkflowState`.
+The other, on a candidate the proposer builds only, is its edit record, and
+once it is scored the `WorkflowState` derived from that record.
 
 The proposer checks its base once, on entry, and tells each candidate as
 its edit record (`edits.ProgramEdit`): the one edit that makes it from that
@@ -29,12 +30,12 @@ base. The record keys the candidate from the base's maps and the edit's
 operand changes, by the same walk, `_key_walk`, to the tuple `canonical_key`
 gives the built program. The edits keep the base valid by construction, so
 the record vouches for the candidate, once built, with the same verdict
-`validate_program` keeps. A child `propose` returns also carries its state,
-derived from one analysis of the base and the nodes its edit touched
-(`edits.ProgramEdit.state`, by `_transfer`), which `derive_state` returns
-for that registry object; so expansion orders no child, and the child's one
-`_ordered` walk is its evaluation's. Nothing else of the record is kept on
-the program.
+`validate_program` keeps, and stays beside it. The first `derive_state`
+of the candidate for that registry object derives its state from one
+analysis of the base, shared by the base's candidates, and the nodes its
+edit touched (`edits.ProgramEdit.state`, by `_transfer`), and keeps the
+state in the record's place; so expansion orders no child, and the child's
+one `_ordered` walk is its evaluation's.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -314,9 +315,10 @@ _INPUT_LEAF, _CONST_LEAF = -1, -2
 # would give each program a dict object of its own, about 64 more bytes.)
 _VALID_FOR = "_valid_for"
 _VALID = ValidationReport(ok=True)
-# The instance attribute, written the same way, holding `(registry, state)`:
-# a proposer candidate's `WorkflowState`, derived from its edit record for
-# that registry object, which `derive_state` returns.
+# The instance attribute, written the same way, holding `(registry, edit)`
+# on a proposer candidate: its edit record over a base valid for that
+# registry object, which `derive_state` replaces with `(registry, state)`,
+# the `WorkflowState` it derives from the record, on the first call.
 _STATE_FOR = "_state_for"
 
 
@@ -516,7 +518,6 @@ class ProgramAnalysis:
     shapes: Mapping[str, Optional[Shape]]
     signs: Mapping[str, Sign]
     depths: Mapping[str, int]        # longest path from a leaf to each node, in edges
-    depth: int                       # the output's depth
     unit_checks: Mapping[str, bool]  # operator nodes whose input units are all known
     type_checks: Mapping[str, bool]  # every operator node: shape and domain rule
 
@@ -554,7 +555,7 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
         if type_ok is not None:
             type_checks[nid] = type_ok
 
-    return ProgramAnalysis(units, shapes, signs, depths, depths[program.output], unit_checks, type_checks)
+    return ProgramAnalysis(units, shapes, signs, depths, unit_checks, type_checks)
 
 
 def _transfer(
@@ -739,29 +740,37 @@ def _derive_sign(op: str, args: list[Sign]) -> Sign:
 def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> WorkflowState:
     """Validate a program and project it onto the constraint-facing view.
 
-    Raises `InvalidProgramError` on an invalid program. A candidate that
-    `SyntheticProposer.propose` returned carries its state, derived from its
-    edit record for the proposer's registry object, next to its verdict
+    Raises `InvalidProgramError` on an invalid program. A candidate the
+    `SyntheticProposer` built carries its edit record next to its verdict
     (`edits.ProgramEdit.vouch`): while the program is valid for this
-    registry object and its state was derived for it, that state is
-    returned. Any other program (the search's initial one, a decoded or a
-    remote one, an `enumerate_edits` candidate), the same one with another
+    registry object and the record is over a base valid for it, its state
+    is derived from the record on the first call (`ProgramEdit.state`), kept
+    in the record's place, and returned. Any other program (the search's
+    initial one, a decoded or a remote one), the same one with another
     registry, or one whose verdict was since recorded for another registry,
     goes through `validate_program` (a lookup for a program that passed
     against this registry object) and one `analyze_program` walk. The
     operator histogram keeps node-declaration order.
+
+    Two threads scoring one candidate at once may both derive its state;
+    the states are equal, and either is kept.
     """
     registry = registry or default_registry()
     attached = getattr(program, _STATE_FOR, None)
     if attached is not None and attached[0] is registry and getattr(program, _VALID_FOR, None) is registry:
-        return attached[1]
+        state = attached[1]
+        if not isinstance(state, WorkflowState):  # the record: derive once, keep the state
+            state = state.state(program)
+            object.__setattr__(program, _STATE_FOR, (registry, state))
+        return state
     report = validate_program(program, registry)
     if not report.ok:
         raise InvalidProgramError("; ".join(report.violations))
     analysis = analyze_program(program, registry)
     unit_passed, unit_checked, type_passed, type_checked = _check_counts(analysis)
     return WorkflowState(
-        analysis.depth, _operator_histogram(program), unit_passed, unit_checked, type_passed, type_checked
+        analysis.depths[program.output], _operator_histogram(program),
+        unit_passed, unit_checked, type_passed, type_checked,
     )
 
 

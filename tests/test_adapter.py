@@ -502,24 +502,28 @@ class TestStdioAdapter:
         peer, seen = tmp_path / "peer.py", tmp_path / "seen"
         peer.write_text(f"import sys\nn = 0\nfor _ in sys.stdin:\n    n += 1\n    print({reply!r}, flush=True)\n"
                         f"open({str(seen)!r}, 'w').write(str(n))\n")
-        transport = StdioTransport([sys.executable, str(peer)])
-        try:
-            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
-            assert transport.request('{"kind": "evaluate"}')["reward"] == 1.0
-            monkeypatch.setattr(adapter, "MAX_REPLY", len(reply))
-            first = f"response line longer than {len(reply)} characters"
-            with pytest.raises(AdapterError, match=first):
-                transport.request('{"kind": "evaluate"}')
-            # the rest of that line is still in the pipe: the transport is
-            # broken, and every later request names the first failure, even
-            # one whose reply would now fit
-            for cap in (100, len(reply) + 1):
+        for cap in (len(reply), 100):  # the line's newline does not fit; the read stops inside the line
+            transport = StdioTransport([sys.executable, str(peer)])
+            try:
+                monkeypatch.setattr(adapter, "MAX_REPLY", len(reply) + 1)
+                assert transport.request('{"kind": "evaluate"}')["reward"] == 1.0
                 monkeypatch.setattr(adapter, "MAX_REPLY", cap)
-                with pytest.raises(AdapterError, match=f"broken by an earlier failure: {first}"):
+                first = f"response line longer than {cap} characters"
+                with pytest.raises(AdapterError, match=first):
                     transport.request('{"kind": "evaluate"}')
-        finally:
-            transport.close()
-        assert seen.read_text() == "2"  # the later requests never reached the peer
+                # the transport is broken: every later request names the
+                # first failure, even one whose reply would now fit
+                for later in (100, len(reply) + 1):
+                    monkeypatch.setattr(adapter, "MAX_REPLY", later)
+                    with pytest.raises(AdapterError, match=f"broken by an earlier failure: {first}"):
+                        transport.request('{"kind": "evaluate"}')
+                # the transport read one character past the cap and no
+                # further: the rest of the line is all the pipe still holds
+                transport._proc.stdin.close()
+                assert transport._proc.stdout.read() == (reply + "\n")[cap + 1:]
+            finally:
+                transport.close()
+            assert seen.read_text() == "2"  # the later requests never reached the peer
 
     @pytest.mark.parametrize("answer, first", [
         ("sys.stdout.buffer.write(b'\\xff\\xfe{}\\n')", "malformed response line"),

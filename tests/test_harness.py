@@ -280,9 +280,10 @@ class TestEditRecords:
 
 
     def test_search_orders_each_child_once(self, tmp_path, monkeypatch):
-        """Expansion orders no program: each `propose` call analyses its base
-        once, and each child it returns comes with its state, derived from its
-        edit record. So a child's one `_ordered` walk is its evaluation's."""
+        """Expansion orders no child: `propose` analyses nothing, and each
+        child it returns carries its edit record, from which scoring derives
+        its state after one analysis of its base, made once per expansion.
+        So a child's one `_ordered` walk is its evaluation's."""
         config = config_from_dict({
             "seed": 42,
             "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
@@ -314,8 +315,8 @@ class TestEditRecords:
         region(SyntheticEvaluator, "evaluate")
         driver.execute_run(config, tmp_path)
         assert calls["propose"] == calls["expand"] > 0 and calls["evaluate"] > calls["propose"]
-        assert walks["expand"] == 0
-        assert walks["propose"] == calls["propose"]
+        assert walks["propose"] == 0
+        assert walks["expand"] == calls["expand"]
         assert walks["evaluate"] == calls["evaluate"]
 
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from wfopt import model
+from wfopt.edits import ProgramEdit
 from wfopt.harness import Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, SyntheticProposer
 from wfopt.model import (
     CONST_OP,
@@ -154,7 +155,7 @@ class TestDeriveState:
                     lengths[succ] = max(lengths[succ], lengths[nid] + 1)
             analysis = analyze_program(program, registry)
             assert analysis.depths == lengths  # every node's, the dead ones too
-            assert analysis.depth == lengths[program.output]
+            assert derive_state(program, registry).depth == lengths[program.output]
 
     def test_deterministic(self, registry):
         program = binary("add", "input", "input")
@@ -352,23 +353,18 @@ class TestOneWalk:
         assert (reward, traces) == (expected_reward, expected_traces)
         assert len(walks) == 2 and walks[1] is fresh
 
-    def test_proposer_children_carry_their_state(self, registry, monkeypatch):
-        """A child `propose` returns carries its state, derived from its edit
-        record: `derive_state` against the proposer's registry object returns
-        it without a walk. Across the trust boundary each program takes the
-        full walk, and gets an equal state: the child against another
-        registry, a decoded copy of it, an `enumerate_edits` candidate, and a
-        child whose verdict was since recorded for another registry."""
+    def test_proposer_candidates_carry_their_record(self, registry, monkeypatch):
+        """A candidate the proposer builds carries its edit record, and
+        `propose` and `enumerate_edits` analyse nothing. The first
+        `derive_state` of a base's candidate against the proposer's registry
+        object makes one walk, the base's analysis, which the other
+        candidates of that call share; each keeps the state it derives in
+        its record's place and returns it, with no walk, after. Across the
+        trust boundary each program takes the full walk, and gets an equal
+        state: the child against another registry, a decoded copy of it, and
+        a child whose verdict was since recorded for another registry."""
         base = random_program(np.random.default_rng(11), registry, max_ops=4)
         proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, -0.0, 2.0)))
-        children, _ = proposer.propose(base, 12, np.random.default_rng(2))
-        enumerated = proposer.enumerate_edits(base)
-        assert len(children) == 12 and len(enumerated) > 12
-
-        def full(program):  # the state of an equal program with no verdict
-            return derive_state(WorkflowProgram(program.nodes, program.edges, program.roots, program.output), registry)
-
-        expected = [full(c) for c in children]
         walks = []
         ordered = model._ordered
 
@@ -377,6 +373,16 @@ class TestOneWalk:
             return ordered(walked)
 
         monkeypatch.setattr(model, "_ordered", counted)
+        children, _ = proposer.propose(base, 12, np.random.default_rng(2))
+        enumerated = proposer.enumerate_edits(base)
+        assert walks == []
+        assert len(children) == 12 and len(enumerated) > 12
+        for candidate in children + enumerated:
+            attached = getattr(candidate, model._STATE_FOR)
+            assert attached[0] is registry and isinstance(attached[1], ProgramEdit)
+
+        def full(program):  # the state of an equal program with no verdict
+            return derive_state(WorkflowProgram(program.nodes, program.edges, program.roots, program.output), registry)
 
         def derived(program, reg, walked):
             del walks[:]
@@ -385,15 +391,16 @@ class TestOneWalk:
             return state
 
         other = OperatorRegistry(list(registry))
-        for child, state in zip(children, expected):
-            assert derived(child, registry, 0) is getattr(child, model._STATE_FOR)[1]
-            assert derived(child, registry, 0) == state
+        for candidates in (children, enumerated):
+            for i, candidate in enumerate(candidates):
+                state = derived(candidate, registry, 0 if i else 1)
+                assert state == full(candidate)
+                assert getattr(candidate, model._STATE_FOR) == (registry, state)
+                assert derived(candidate, registry, 0) is state
+        for child in children:
+            state = full(child)
             assert derived(child, other, 1) == state
             assert derived(loads_program(dumps_program(child)), registry, 1) == state
-        for candidate in enumerated:
-            assert not hasattr(candidate, model._STATE_FOR)
-            assert derived(candidate, registry, 1) == full(candidate)
-        for child, state in zip(children, expected):
             assert validate_program(child, other).ok  # the verdict now names `other`
             assert derived(child, other, 1) == state
             assert derived(child, registry, 1) == state

@@ -276,7 +276,7 @@ def ref_analyze_program(program, registry):
         signs[nid] = _derive_sign(node.op, in_signs)
         type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
 
-    return ProgramAnalysis(units, shapes, signs, depths, depths[program.output], unit_checks, type_checks)
+    return ProgramAnalysis(units, shapes, signs, depths, unit_checks, type_checks)
 
 
 def ref_interpret(program, inputs, registry):
@@ -1160,7 +1160,8 @@ def ref_state(program, registry):
     analysis = ref_analyze_program(program, registry)
     units, types = list(analysis.unit_checks.values()), list(analysis.type_checks.values())
     histogram = Counter(n.op for n in program.nodes if not n.is_leaf())
-    return WorkflowState(analysis.depth, dict(histogram), sum(units), len(units), sum(types), len(types))
+    depth = analysis.depths[program.output]
+    return WorkflowState(depth, dict(histogram), sum(units), len(units), sum(types), len(types))
 
 
 def _same_state(state, expected):
@@ -1179,8 +1180,9 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
     """Every record candidate's `ProgramEdit.state`, derived from the base's
     analysis and the nodes the edit touched, equals the full analysis of an
     unvouched copy of the built candidate (`derive_state`, and the reference
-    analysis), the histogram's order included. So does the state each
-    candidate `propose` returns carries. Tagged bases carry unit and shape
+    analysis), the histogram's order included. So does `derive_state` of
+    each candidate `propose` returns, from the record it carries. Tagged
+    bases carry unit and shape
     tags and literals; the palette holds 0.0, -0.0 and a repeated value."""
     rng = np.random.default_rng(seed)
     program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
@@ -1201,9 +1203,8 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
         _same_state(expected, ref_state(candidate, registry))
     drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
     for candidate in drawn:
-        attached = getattr(candidate, _STATE_FOR)
-        assert attached[0] is registry
-        _same_state(attached[1], derive_state(_without_verdict(candidate), registry))
+        assert getattr(candidate, _STATE_FOR)[0] is registry
+        _same_state(derive_state(candidate, registry), derive_state(_without_verdict(candidate), registry))
 
 
 def test_prune_dead_drops_what_feeds_only_a_missing_node():

@@ -1,8 +1,8 @@
 """Proposer candidates told as one edit of a validated base.
 
 `SyntheticProposer` checks its base once, on entry, prunes a dirty one once,
-then builds one `EditBase` of the clean, valid base and yields each
-candidate as its `ProgramEdit` beside a deferred build. Under a registry
+then builds one `EditBase` of the clean, valid base, and each of its edit
+generators yields each candidate as its `ProgramEdit` only. Under a registry
 with no nullary operator every edit it makes keeps the base valid: fresh ids
 come from `model.fresh_node_id`, a replacement keeps its node's arity, a
 deletion hands a unary node's consumers its operand, and no new operand is
@@ -10,10 +10,11 @@ its destination or one of its descendants. So a candidate is sized
 (`ProgramEdit.operator_count`) and keyed (`ProgramEdit.key`: the walk of
 `model._key_walk` over the base's maps with the edit's operand changes,
 shared by the candidates of a base that differ only in the nodes they add or
-change) from its record alone, and only a candidate that is kept is built;
-its record then vouches for it (`ProgramEdit.vouch`), so `validate_program`
-of it is the verdict lookup. A rewire that leaves its old source feeding
-nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
+change) from its record alone, and only a candidate that is kept is built
+from its record (`ProgramEdit.build`); its record then vouches for it
+(`ProgramEdit.vouch`), so `validate_program` of it is the verdict lookup. A
+rewire that leaves its old source feeding nothing drops, on its record, what
+pruning would drop (`EditBase.dropped`).
 
 A built candidate also carries its record, from which `derive_state`, on
 its first call against the proposer's registry object, derives its
@@ -22,8 +23,8 @@ made on the first such call, and the nodes the edit touched, each
 recomputed by `model._transfer`) and keeps that state in the record's
 place. A candidate no one scores, as one a suite grows through or one the
 stdio peer sends, is never analysed. `tests/test_reference.py` checks every
-candidate of random bases against the reference check, count, key and
-analysis.
+candidate of random bases against the reference candidates, check, count,
+key and analysis.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .model import (
     _VALID_FOR,
     INPUT_OP,
     LEAF_OPS,
+    Edge,
     Node,
     OperatorRegistry,
     ProgramAnalysis,
@@ -61,13 +63,16 @@ class EditBase:
     key head, each operator's operand ids in slot order), each node's
     consumers (one per edge out) and its number of operator nodes. `walks`
     keeps the key walks its candidates share (`ProgramEdit.key`), which the
-    proposer clears after its dedup pass. What
-    `ProgramEdit.state` reads of the base, its `analyze_program` result,
-    its check counts and its nodes by id, is built on the first call to
-    `analyzed`, so a pass that derives no state never pays for it.
+    proposer clears after its dedup pass; `edges` keeps each new `Edge` a
+    build makes, so the candidates built of one base share them (`edge`).
+    What `ProgramEdit.state` reads of the base, its `analyze_program`
+    result, its check counts and its nodes by id, is built on the first
+    call to `analyzed`, so a pass that derives no state never pays for it.
     """
 
-    __slots__ = ("registry", "program", "heads", "operands", "consumers", "walks", "operator_count", "_analyzed")
+    __slots__ = (
+        "registry", "program", "heads", "operands", "consumers", "walks", "edges", "operator_count", "_analyzed"
+    )
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
@@ -80,6 +85,14 @@ class EditBase:
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
         self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
+        self.edges: dict[tuple[str, str, int], Edge] = {}
+
+    def edge(self, src: str, dst: str, slot: int) -> Edge:
+        """The one `Edge(src, dst, slot)` the builds of this base share."""
+        edge = self.edges.get((src, dst, slot))
+        if edge is None:
+            edge = self.edges[(src, dst, slot)] = Edge(src, dst, slot)
+        return edge
 
     def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
         """The base's `analyze_program` result, its check counts
@@ -126,8 +139,9 @@ class ProgramEdit:
       `removed`: the ids it drops (a deleted node, or what a rewire leaves
       feeding nothing).
 
-    It holds ids and nodes only, no edge: the proposer builds the candidate
-    apart from it, and only if the candidate is kept.
+    It holds ids and nodes only, no edge: the record is all the proposer
+    keeps of a candidate until it is drawn, and `build` then makes the
+    candidate from it and the base's program.
     """
 
     __slots__ = ("base", "output", "operands", "nodes", "removed")
@@ -145,6 +159,51 @@ class ProgramEdit:
         self.operands = operands
         self.nodes = nodes
         self.removed = removed
+
+    def build(self) -> WorkflowProgram:
+        """The candidate this edit makes of the base's program, unvouched.
+
+        Its nodes are the base's, each changed node in its place and the
+        removed ones left out, then the added nodes in record order. Its
+        edges are the base's in order, less those into removed nodes; an edge
+        into a node whose operands the edit sets is fed from that node's
+        operand in its slot (a valid base has one edge per slot), and one
+        re-fed from an added node moves to the end. After the base's come
+        each added node's operand edges by slot, then those re-fed ones. A
+        new edge is the base's shared one (`EditBase.edge`); nodes are never
+        shared by value, since `Node` equality merges the literals 0.0 and
+        -0.0, which the canonical key tells apart.
+        """
+        base = self.base
+        program, heads = base.program, base.heads
+        changed = {n.node_id: n for n in self.nodes if n.node_id in heads}
+        added = tuple([n for n in self.nodes if n.node_id not in heads])
+        removed, operands = self.removed, self.operands
+        nodes = program.nodes
+        if changed or removed:
+            nodes = tuple([changed.get(n.node_id, n) for n in nodes if n.node_id not in removed])
+        edges = program.edges
+        if operands or removed:
+            edge = base.edge
+            kept: list[Edge] = []
+            refed: list[Edge] = []
+            for e in edges:
+                dst = e.dst
+                if dst in operands:
+                    src = operands[dst][e.slot]
+                    if src != e.src:
+                        e = edge(src, dst, e.slot)
+                        if src not in heads:
+                            refed.append(e)
+                            continue
+                elif dst in removed:
+                    continue
+                kept.append(e)
+            for node in added:
+                nid = node.node_id
+                kept += [edge(a, nid, slot) for slot, a in enumerate(operands.get(nid, ()))]
+            edges = tuple(kept + refed)
+        return WorkflowProgram(nodes + added, edges, program.roots, self.output)
 
     def vouch(self, candidate: WorkflowProgram) -> None:
         """Record `candidate`, the program this edit made, as valid for the

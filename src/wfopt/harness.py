@@ -163,49 +163,10 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
-# The deferred builds of `SyntheticProposer`'s edits. An edit generator
-# yields each candidate as a flat entry `(edit, make, *args)`: its record,
-# then the function that builds it and that function's arguments. A kept
-# entry holds no more objects than that tuple and the record, which keeps
-# the collector's count of new objects down while a pass holds the entries
-# of every distinct candidate.
-
-def _replaced(program: WorkflowProgram, at: int, node: Node) -> WorkflowProgram:
-    """`program` with the node at position `at` swapped for `node`."""
-    nodes = list(program.nodes)
-    nodes[at] = node
-    return WorkflowProgram(tuple(nodes), program.edges, program.roots, program.output)
-
-
-def _deleted(program: WorkflowProgram, nid: str, source: str, output: str) -> WorkflowProgram:
-    """`program` without the node `nid`, its consumers fed from `source`."""
-    nodes = tuple(n for n in program.nodes if n.node_id != nid)
-    edges = []
-    for e in program.edges:
-        if e.dst == nid:
-            continue
-        edges.append(Edge(source, e.dst, e.slot) if e.src == nid else e)
-    return WorkflowProgram(nodes, tuple(edges), program.roots, output)
-
-
-def _rewired(program: WorkflowProgram, at: int, alt: str, dropped: frozenset) -> WorkflowProgram:
-    """`program` with the edge at position `at` moved to the source `alt`,
-    and without the nodes in `dropped` and their edges."""
-    edge = program.edges[at]
-    edges = list(program.edges)
-    edges[at] = Edge(alt, edge.dst, edge.slot)
-    nodes = program.nodes
-    if dropped:
-        nodes = tuple([n for n in nodes if n.node_id not in dropped])
-        edges = [e for e in edges if e.src not in dropped and e.dst not in dropped]
-    return WorkflowProgram(nodes, tuple(edges), program.roots, program.output)
-
-
-def _built(entry: tuple) -> WorkflowProgram:
-    """The candidate of an edit generator's entry `(edit, make, *args)`,
-    made now and vouched for by its record."""
-    candidate = entry[1](*entry[2:])
-    entry[0].vouch(candidate)
+def _built(edit: ProgramEdit) -> WorkflowProgram:
+    """The candidate of `edit`, built now and vouched for by its record."""
+    candidate = edit.build()
+    edit.vouch(candidate)
     return candidate
 
 
@@ -248,25 +209,20 @@ class SyntheticProposer:
         Every edit of that clean, valid base keeps it valid by construction,
         so no candidate is checked. Each comes as its edit record
         (`edits.ProgramEdit`) over maps of the base built once
-        (`edits.EditBase`), beside a deferred build. The record sizes the
-        candidate (`ProgramEdit.operator_count`) and keys it for
-        deduplication against the base and the candidates before it
-        (`ProgramEdit.key`); a rewire drops on its record what it leaves
-        feeding nothing (`EditBase.dropped`). A base with
-        `max_operator_nodes` operator nodes gets no insertions. Each kept
-        candidate is built after the pass, and vouched for by its record:
-        this method builds every one, `propose` only those it draws.
-
-        A candidate is built from parts it shares with its base and with the
-        other candidates of that base: the base's own `Node` and `Edge`
-        objects, and tuples of them cut or joined once per base, per edit
-        site or per operator kind.
+        (`edits.EditBase`). The record sizes the candidate
+        (`ProgramEdit.operator_count`) and keys it for deduplication against
+        the base and the candidates before it (`ProgramEdit.key`); a rewire
+        drops on its record what it leaves feeding nothing
+        (`EditBase.dropped`). A base with `max_operator_nodes` operator nodes
+        gets no insertions. Each kept record is built after the pass
+        (`ProgramEdit.build`) and vouches for its candidate: this method
+        builds every one, `propose` only those it draws.
         """
-        return [_built(entry) for entry in self._distinct(program)]
+        return [_built(edit) for edit in self._distinct(program)]
 
-    def _distinct(self, program: WorkflowProgram) -> list[tuple]:
+    def _distinct(self, program: WorkflowProgram) -> list[ProgramEdit]:
         """The pass `enumerate_edits` and `propose` share: the base checked
-        and pruned, then the entry of each distinct candidate within the
+        and pruned, then the record of each distinct candidate within the
         size limit, in the edit generators' order, unbuilt."""
         registry, config = self.registry, self.config
         report = validate_program(program, registry)
@@ -287,79 +243,55 @@ class SyntheticProposer:
         if config.allow_rewire:
             sources.append(self._rewires(pruned, base))
         seen = {canonical_key(pruned)}
-        kept: list[tuple] = []
-        for entry in chain.from_iterable(sources):
-            edit = entry[0]
+        kept: list[ProgramEdit] = []
+        for edit in chain.from_iterable(sources):
             if edit.operator_count() > max_nodes:
                 continue
             before = len(seen)
             seen.add(edit.key())
             if len(seen) > before:
-                kept.append(entry)
+                kept.append(edit)
         base.walks.clear()  # they serve the dedup only; the records the candidates carry need not hold them
         return kept
 
     def _insertions(self, program: WorkflowProgram, base: EditBase):
         """One new operator node on each edge, or above the output, for each
-        kind and choice of operands, as its edit record over `base` beside
-        its deferred build.
+        kind and choice of operands, as its edit record over `base`.
 
-        An insertion's nodes are the base's, then its constant if it has one,
-        then the new node: they depend only on the kind and the constant, so
-        each such tuple is built once per base. Its edges are the base's
-        without the anchor edge, then the new node's operand edges by slot,
-        then the anchor edge re-pointed from the new node: they depend only
-        on the site and the operands, so each such tuple is built once per
-        site and shared by every kind. The operand lists a record sets are
-        shared the same way.
+        A record's nodes are its constant, if it has one, then the new node:
+        they depend only on the kind and the constant, so each such tuple is
+        made once per base. The operand lists it sets, the new node's and
+        those of the node re-fed from it, depend only on the site and the
+        operands, so each such map is made once per site and shared by every
+        kind.
         """
-        nodes, edges, roots = program.nodes, program.edges, program.roots
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
-        # each kind's new node, and the candidate's nodes beside the ones it
-        # adds, which its record holds
-        new_nodes = {kind.name: Node(new_id, kind.name) for kind in self._ops}
-        op_nodes = {name: (nodes + (new,), (new,)) for name, new in new_nodes.items()}
+        added = {kind.name: (Node(new_id, kind.name),) for kind in self._ops}
         # one constant per palette entry, by position: a dict by value would
         # merge 0.0 and -0.0, which the canonical key tells apart
         consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
-        const_nodes = {
-            kind.name: [(nodes + (const, new_nodes[kind.name]), (const, new_nodes[kind.name])) for const in consts]
-            for kind in self._ops if kind.arity == 2
-        }
-        node_ids = [n.node_id for n in nodes]
-        # the new node's operand edges, by slot and then by operand
-        into = [{nid: Edge(nid, new_id, slot) for nid in (*node_ids, const_id)} for slot in (0, 1)]
+        const_nodes = {kind.name: [(const, *added[kind.name]) for const in consts] for kind in self._ops}
+        node_ids = [n.node_id for n in program.nodes]
         # by anchor: the nodes that are neither the anchor nor one of its
         # descendants, the new node's second operands; the output site
         # (None) feeds nothing, so any node may pair with it
         partners_of: dict[Optional[str], list[str]] = {None: node_ids}
-
-        def choice(site, *args: str):
-            """One choice of the new node's operands at a site: the edges, and
-            the operand lists its edit record sets."""
-            kept, repointed, refed = site
-            edges_in = tuple(into[slot][a] for slot, a in enumerate(args))
-            return kept + edges_in + repointed, {new_id: args, **refed}
-
         # real edges first, then the virtual edge (None) above the output node
-        for at, edge in enumerate((*edges, None)):
+        for edge in (*program.edges, None):
             if edge is None:
-                src, anchor, kept, repointed, refed, output = program.output, None, edges, (), {}, new_id
+                src, anchor, refed, output = program.output, None, {}, new_id
             else:
                 src, anchor, output = edge.src, edge.dst, program.output
-                kept = edges[:at] + edges[at + 1:]
-                repointed = (Edge(new_id, anchor, edge.slot),)
                 args = list(base.operands[anchor])
                 args[edge.slot] = new_id
                 refed = {anchor: tuple(args)}  # the anchor, fed from the new node
-            site = (kept, repointed, refed)
-            unary = choice(site, src)
+            unary = {new_id: (src,), **refed}
             pairs = with_const = None
             for kind in self._ops:
                 if kind.arity == 1:
-                    built = ((op_nodes[kind.name], unary),)
+                    yield ProgramEdit(base, output, unary, added[kind.name])
                 elif kind.arity == 2:
                     if pairs is None:
                         partners = partners_of.get(anchor)
@@ -368,36 +300,31 @@ class SyntheticProposer:
                             partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
                         pairs = []
                         for partner in partners:
-                            pairs.append(choice(site, src, partner))
+                            pairs.append({new_id: (src, partner), **refed})
                             if partner != src:  # [src, src] has one operand order
-                                pairs.append(choice(site, partner, src))
-                        with_const = (choice(site, src, const_id), choice(site, const_id, src))
-                    built = [(op_nodes[kind.name], pair) for pair in pairs]
-                    built += [(node_lists, pair) for node_lists in const_nodes[kind.name] for pair in with_const]
-                else:
-                    continue
-                for (node_tuple, added), (operand_edges, set_operands) in built:
-                    edit = ProgramEdit(base, output, set_operands, added)
-                    yield edit, WorkflowProgram, node_tuple, operand_edges, roots, output
+                                pairs.append({new_id: (partner, src), **refed})
+                        with_const = ({new_id: (src, const_id), **refed}, {new_id: (const_id, src), **refed})
+                    for operands in pairs:
+                        yield ProgramEdit(base, output, operands, added[kind.name])
+                    for nodes in const_nodes[kind.name]:
+                        for operands in with_const:
+                            yield ProgramEdit(base, output, operands, nodes)
 
     def _replacements(self, program: WorkflowProgram, base: EditBase):
         """Each operator node given every other kind of its arity, as its edit
-        record over `base` beside its deferred build."""
+        record over `base`."""
         arities = self.registry.arities
-        for at, node in enumerate(program.nodes):
-            if node.is_leaf():
-                continue
+        for node in program.operator_nodes():
             arity = arities[node.op]
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
                 new = Node(node.node_id, kind.name, node.unit, node.shape, node.value)
-                yield ProgramEdit(base, program.output, {}, (new,)), _replaced, program, at, new
+                yield ProgramEdit(base, program.output, {}, (new,))
 
     def _deletions(self, program: WorkflowProgram, base: EditBase):
         """Each unary operator node with its operand dropped, its consumers
-        fed from that operand, as its edit record over `base` beside its
-        deferred build."""
+        fed from that operand, as its edit record over `base`."""
         arities, operands = self.registry.arities, base.operands
         for node in program.operator_nodes():
             if arities[node.op] != 1:
@@ -409,14 +336,14 @@ class SyntheticProposer:
                 reader: tuple(source if a == nid else a for a in operands[reader])
                 for reader in base.consumers.get(nid, ())
             }
-            yield ProgramEdit(base, output, refed, removed=frozenset((nid,))), _deleted, program, nid, source, output
+            yield ProgramEdit(base, output, refed, removed=frozenset((nid,)))
 
     def _rewires(self, program: WorkflowProgram, base: EditBase):
         """Each edge given every other source that closes no cycle, as its edit
-        record over `base` beside its deferred build. A rewire that leaves
-        nodes feeding nothing drops them, on its record and in its build."""
+        record over `base`. A rewire that leaves nodes feeding nothing drops
+        them on its record."""
         blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
-        for at, edge in enumerate(program.edges):
+        for edge in program.edges:
             src, dst, slot = edge.src, edge.dst, edge.slot
             blocked = blocked_by.get(dst)
             if blocked is None:
@@ -431,8 +358,7 @@ class SyntheticProposer:
                     continue
                 dropped = base.dropped(src, alt) if alt in dead else dead
                 args[slot] = alt
-                edit = ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
-                yield edit, _rewired, program, at, alt, dropped
+                yield ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
 
     # -- the proposer role --------------------------------------------------
 
@@ -449,8 +375,8 @@ class SyntheticProposer:
         than `count` of them, all in order, and `rng` is not drawn from. The
         base is checked and pruned as there, and an invalid one raises
         `InvalidProgramError`. The sample is drawn over the edit records of
-        the same pass before anything is built, so only the drawn candidates
-        are built. Each carries its record, from which `derive_state`
+        the same pass before anything is built, so only the drawn records
+        are built (`ProgramEdit.build`). Each carries its record, from which `derive_state`
         against this proposer's registry object derives its `WorkflowState`
         and one analysis of the base the drawn candidates share
         (`ProgramEdit.state`); no state is derived here. The prompt tokens
@@ -458,11 +384,11 @@ class SyntheticProposer:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        entries = self._distinct(program)
-        if len(entries) > count:
-            order = rng.permutation(len(entries))
-            entries = [entries[i] for i in order[:count]]
-        edits = [_built(entry) for entry in entries]
+        records = self._distinct(program)
+        if len(records) > count:
+            order = rng.permutation(len(records))
+            records = [records[i] for i in order[:count]]
+        edits = [_built(edit) for edit in records]
         self._request_counter += 1
         prompt = 40 + 12 * len(program.nodes) + 6 * len(program.edges)
         completion = sum(8 + 3 * len(c.nodes) for c in edits)

@@ -75,16 +75,10 @@ def random_program(rng: np.random.Generator, registry, max_ops: int = 8) -> Work
     return program
 
 
-def build(entry):
-    """The program an edit generator's entry `(edit, make, *args)` builds,
-    without the verdict its record would vouch."""
-    return entry[1](*entry[2:])
-
-
 def every_entry(proposer, program):
-    """Every entry `proposer`'s edit generators yield for a clean, valid
-    `program`, in the proposer's order, before the size limit and
-    deduplication: `(edit, make, *args)`."""
+    """Every edit record `proposer`'s edit generators yield for a clean,
+    valid `program`, in the proposer's order, before the size limit and
+    deduplication."""
     base = EditBase(program, proposer.registry)
     generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    return [entry for generate in generators for entry in generate(program, base)]
+    return [edit for generate in generators for edit in generate(program, base)]

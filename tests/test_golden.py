@@ -80,16 +80,19 @@ def _benchmark_workloads():
     return module
 
 
-# sha256 of the saved run log of one seed-42 search of each workload in
-# `perfbench/workloads.py`, computed at commit e367cdf. `edit_heavy` and
-# `wide_scoring` equal the digests that `python3 perfbench/run.py --workload W`
-# prints. `remote_eval` is evaluated in-process here, as the benchmark's
-# cross-check does: the config of the stdio peer names the interpreter's path,
-# so its run log, and the digest the benchmark prints, differ by machine.
+# sha256 of the saved run log of one search of each workload in
+# `perfbench/workloads.py`, by workload and seed: seed 42 computed at commit
+# e367cdf, seed 7 at commit c8c6c3a. `edit_heavy` and `wide_scoring` equal the
+# digests that `python3 perfbench/run.py --workload W --seed S` prints.
+# `remote_eval` is evaluated in-process here, as the benchmark's cross-check
+# does: the config of the stdio peer names the interpreter's path, so its run
+# log, and the digest the benchmark prints, differ by machine.
 WORKLOAD_RUNLOGS = {
-    "edit_heavy": "a7eed2ed4c6315bb085f8097d102f1e83a0af05b6bc5e3951f1a55f58c764f19",
-    "wide_scoring": "58f595e48e2c19936bf9cf70b800f1589981fc06c7849dfb88db968f07805f41",
-    "remote_eval": "061b2eeab1c8f273b809774e81e85cc1bb1bdc35774e1a2d00c8b064fb2d68f7",
+    ("edit_heavy", 42): "a7eed2ed4c6315bb085f8097d102f1e83a0af05b6bc5e3951f1a55f58c764f19",
+    ("wide_scoring", 42): "58f595e48e2c19936bf9cf70b800f1589981fc06c7849dfb88db968f07805f41",
+    ("remote_eval", 42): "061b2eeab1c8f273b809774e81e85cc1bb1bdc35774e1a2d00c8b064fb2d68f7",
+    ("edit_heavy", 7): "d01bd29f2be295fa5a13954118195b786a3f2697a6ce0a7eae3deb1961000229",
+    ("wide_scoring", 7): "94a1067849c18c38b90f8b6fb3331d9e714c18dc73ae461cf81c2b5a94f15ff6",
 }
 
 
@@ -98,10 +101,13 @@ def runlog_digest(config, out):
     return hashlib.sha256((out / "runlog.ndjson").read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_RUNLOGS))
-def test_workload_run_logs_match_golden_digests(tmp_path, workload):
-    config = _benchmark_workloads().run_config(workload, seed=42, in_process=True)
-    assert runlog_digest(config, tmp_path) == WORKLOAD_RUNLOGS[workload]
+@pytest.mark.parametrize(
+    "workload, seed", sorted(WORKLOAD_RUNLOGS),
+    ids=[w if s == 42 else f"{w}-seed{s}" for w, s in sorted(WORKLOAD_RUNLOGS)],
+)
+def test_workload_run_logs_match_golden_digests(tmp_path, workload, seed):
+    config = _benchmark_workloads().run_config(workload, seed=seed, in_process=True)
+    assert runlog_digest(config, tmp_path) == WORKLOAD_RUNLOGS[workload, seed]
 
 
 # No run above offers a constant to the proposer. With a palette holding both

@@ -145,7 +145,8 @@ class TestEditRecords:
     @staticmethod
     def count_calls(monkeypatch, calls):
         """Log each `validate_program` and `canonical_key` call the proposer
-        makes, each record key and each program `harness` builds, in order."""
+        makes, each record key and each program `harness` (a pruned base)
+        or `edits` (a candidate, from its record) builds, in order."""
         validate, key, record_key = harness.validate_program, harness.canonical_key, ProgramEdit.key
 
         def counted_validate(program, reg):
@@ -169,6 +170,7 @@ class TestEditRecords:
         monkeypatch.setattr(harness, "canonical_key", counted_key)
         monkeypatch.setattr(ProgramEdit, "key", counted_record_key)
         monkeypatch.setattr(harness, "WorkflowProgram", counted_build)
+        monkeypatch.setattr("wfopt.edits.WorkflowProgram", counted_build)
 
     @pytest.mark.parametrize("dead_node, cap", [(False, 4), (True, 3)], ids=["clean-base", "dirty-base"])
     def test_checks_keys_and_builds_per_candidate_in_order(self, registry, monkeypatch, dead_node, cap):
@@ -180,7 +182,7 @@ class TestEditRecords:
                                    base.roots, base.output)
         assert validate_program(base, registry).ok
         entries = every_entry(proposer, clean)
-        sized = [entry for entry in entries if entry[0].operator_count() <= cap]
+        sized = [edit for edit in entries if edit.operator_count() <= cap]
         # below the cap every insertion stays within it; at the cap none does
         assert (len(sized) < len(entries)) == dead_node
 
@@ -197,7 +199,7 @@ class TestEditRecords:
         keyed = [edit for kind, edit in after[:len(sized)]]
         assert all(kind == "record key" for kind, _ in after[:len(sized)])
         assert [(e.output, e.operands, e.nodes, e.removed) for e in keyed] == [
-            (e.output, e.operands, e.nodes, e.removed) for e, *_ in sized]
+            (e.output, e.operands, e.nodes, e.removed) for e in sized]
         built = after[len(sized):]
         assert [kind for kind, _ in built] == ["build"] * len(edits)
         assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))

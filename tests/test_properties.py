@@ -17,11 +17,12 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead, _rewired
+from wfopt.edits import EditBase
+from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
-from conftest import build, every_entry, random_program
+from conftest import every_entry, random_program
 
 REGISTRY = default_registry()
 
@@ -126,8 +127,8 @@ def test_every_generated_edit_is_valid_after_pruning(seed):
     rng = np.random.default_rng(seed)
     program = _prune_dead(random_program(rng, REGISTRY))
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
-    for entry in every_entry(proposer, program):
-        report = validate_program(build(entry), REGISTRY)
+    for edit in every_entry(proposer, program):
+        report = validate_program(edit.build(), REGISTRY)
         assert report.ok, report.violations
 
 
@@ -140,8 +141,9 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
     orphaning_rewires = 0
     for _ in range(60):
         program = _prune_dead(random_program(rng, REGISTRY))
-        for entry in every_entry(proposer, program):
-            candidate = build(entry)
+        for edit in every_entry(proposer, program):
+            candidate = edit.build()
             assert _prune_dead(candidate) is candidate
-            orphaning_rewires += entry[1] is _rewired and bool(entry[0].removed)
+        rewires = proposer._rewires(program, EditBase(program, REGISTRY))
+        orphaning_rewires += sum(bool(edit.removed) for edit in rewires)
     assert orphaning_rewires > 0

@@ -75,7 +75,7 @@ from wfopt.model import (
     validate_program,
 )
 
-from conftest import build, every_entry, random_program
+from conftest import every_entry, random_program
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +772,7 @@ def _same_raw_candidates(proposer, base):
     record = EditBase(base, proposer.registry)
 
     def built(generate):
-        return [build(entry) for entry in generate(base, record)]
+        return [edit.build() for edit in generate(base, record)]
 
     return (_same_candidates(built(proposer._insertions), ref)
             and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
@@ -871,7 +871,7 @@ class TestEnumerateEdits:
         fewer = 0
         for _ in range(40):
             base = _prune_dead(random_program(rng, registry, max_ops=5))
-            raw = [build(entry) for entry in proposer._insertions(base, EditBase(base, registry))]
+            raw = [edit.build() for edit in proposer._insertions(base, EditBase(base, registry))]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -910,9 +910,9 @@ class TestCanonicalKey:
             pruned = _prune_dead(base)
             record = EditBase(pruned, registry)
             raw += [
-                build(entry)
+                edit.build()
                 for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for entry in gen(pruned, record)
+                for edit in gen(pruned, record)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -994,11 +994,10 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
         _refused(proposer, base)
         return
     keys = []
-    for entry in every_entry(proposer, _prune_dead(base)):
-        edit = entry[0]
+    for edit in every_entry(proposer, _prune_dead(base)):
         # a record sizes and keys its candidate before it is built
         size, key = edit.operator_count(), edit.key()
-        candidate = _built(entry)
+        candidate = _built(edit)
         plain = _without_verdict(candidate)
         assert _prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
@@ -1078,9 +1077,9 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
     rejected = 0
-    for entry in every_entry(proposer, base):
-        key = entry[0].key()
-        candidate = _built(entry)
+    for edit in every_entry(proposer, base):
+        key = edit.key()
+        candidate = _built(edit)
         expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok
@@ -1141,8 +1140,8 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
     for base in bases:
         assert validate_program(base, registry).ok
         record = EditBase(base, registry)
-        for entry, plain in zip(proposer._rewires(base, record), ref_rewires(base), strict=True):
-            edit, built = entry[0], build(entry)
+        for edit, plain in zip(proposer._rewires(base, record), ref_rewires(base), strict=True):
+            built = edit.build()
             expected = _prune_dead(plain)
             assert built == expected and repr(built) == repr(expected)
             assert edit.removed == {n.node_id for n in plain.nodes} - {n.node_id for n in built.nodes}
@@ -1196,10 +1195,10 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
     clean = _prune_dead(base)
     validate_program(clean, registry)
     entries = every_entry(proposer, clean)
-    for entry in entries:
-        candidate = build(entry)
+    for edit in entries:
+        candidate = edit.build()
         expected = derive_state(_without_verdict(candidate), registry)
-        _same_state(entry[0].state(candidate), expected)
+        _same_state(edit.state(candidate), expected)
         _same_state(expected, ref_state(candidate, registry))
     drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
     for candidate in drawn:

@@ -68,10 +68,6 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.dot(av, bv) / (na * nb))
 
 
-def cosine_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    return 1.0 - cosine_similarity(a, b)
-
-
 def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
@@ -281,7 +277,3 @@ def library_from_dict(data: Mapping) -> MotifLibrary:
 
 def save_library(lib: MotifLibrary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(library_to_dict(lib), sort_keys=True, indent=2) + "\n")
-
-
-def load_library(path: str | Path) -> MotifLibrary:
-    return library_from_dict(json.loads(Path(path).read_text()))

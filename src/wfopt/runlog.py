@@ -41,9 +41,6 @@ class RunLog:
         for record in self.records:
             yield encode(record) + "\n"
 
-    def to_ndjson(self) -> str:
-        return "".join(self._lines())
-
     def save(self, path: str | Path) -> None:
         # line by line: the whole log as one string, and again as the bytes
         # written, would be the peak memory of a run

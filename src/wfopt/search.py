@@ -53,11 +53,6 @@ class SearchNode:
     created_index: int = 0
 
     @property
-    def terminal(self) -> bool:
-        """Expanded with no children: only a proposal with no candidates leaves a node so."""
-        return self.expanded and not self.children
-
-    @property
     def q_value(self) -> float:
         return self.total_value / self.visit_count if self.visit_count > 0 else 0.0
 

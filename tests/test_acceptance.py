@@ -54,7 +54,6 @@ from wfopt.model import (
 from wfopt.motifs import (
     FrozenLibraryError,
     MotifLibrary,
-    cosine_distance,
     cosine_similarity,
     refine,
     score_pattern,
@@ -475,7 +474,7 @@ def test_c8_motif_refinement():
     refined = refine(lib, observed, round_index=3, seed=7)
     motifs = refined.in_category("cat")
     assert len(motifs) == 2, f"expected exactly two retained motifs, got {len(motifs)}"
-    assert cosine_distance(motifs[0].vector, motifs[1].vector) >= 0.3
+    assert 1 - cosine_similarity(motifs[0].vector, motifs[1].vector) >= 0.3
 
     frozen = refined.freeze()
     state = WorkflowState(1, {"add": 3, "mul": 1})

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,12 +11,10 @@ from wfopt.motifs import (
     Motif,
     MotifInitError,
     MotifLibrary,
-    cosine_distance,
     cosine_similarity,
     init_templates,
     library_from_dict,
     library_to_dict,
-    load_library,
     refine,
     save_library,
     score_pattern,
@@ -58,7 +57,7 @@ class TestCosine:
         for _ in range(100):
             a = rng.random(8) + 1e-6
             b = rng.random(8) + 1e-6
-            assert cosine_distance(a, b) == pytest.approx(scipy_cosine_distance(a, b), abs=1e-9)
+            assert 1 - cosine_similarity(a, b) == pytest.approx(scipy_cosine_distance(a, b), abs=1e-9)
 
 
 class TestScorePattern:
@@ -110,7 +109,7 @@ class TestInitTemplates:
             motifs = lib.in_category(cat)
             for i in range(len(motifs)):
                 for j in range(i + 1, len(motifs)):
-                    assert cosine_distance(motifs[i].vector, motifs[j].vector) >= 0.3 - 1e-12
+                    assert 1 - cosine_similarity(motifs[i].vector, motifs[j].vector) >= 0.3 - 1e-12
 
     def test_deterministic(self):
         a = init_templates(["a"], 10, registry_ops=OPS, seed=42)
@@ -148,7 +147,7 @@ class TestRefine:
         rng = np.random.default_rng(9)
         a_center = np.array([5.0, 1.0, 0, 0, 0, 0, 0, 0])
         b_center = np.array([0, 0, 0, 1.0, 5.0, 0, 0, 0])
-        assert cosine_distance(a_center, b_center) >= 0.8
+        assert 1 - cosine_similarity(a_center, b_center) >= 0.8
         observed = []
         for _ in range(20):
             observed.append(("a", tuple(a_center + rng.random(8) * 0.1)))
@@ -156,7 +155,7 @@ class TestRefine:
         refined = refine(lib, observed, round_index=3, seed=7)
         motifs = refined.in_category("a")
         assert len(motifs) == 2
-        assert cosine_distance(motifs[0].vector, motifs[1].vector) >= 0.3
+        assert 1 - cosine_similarity(motifs[0].vector, motifs[1].vector) >= 0.3
 
     def test_frozen_rejects(self):
         lib = init_templates(["a"], 10, registry_ops=OPS, seed=42).freeze()
@@ -190,7 +189,7 @@ class TestRefine:
         motifs = refined.in_category("a")
         for i in range(len(motifs)):
             for j in range(i + 1, len(motifs)):
-                d = cosine_distance(motifs[i].vector, motifs[j].vector)
+                d = 1 - cosine_similarity(motifs[i].vector, motifs[j].vector)
                 assert d >= 0.3 - 1e-9, (i, j, d)
 
     def test_clustered_replaces_nearby_baseline(self):
@@ -215,13 +214,13 @@ class TestPersistence:
         lib = init_templates(["a", "b"], 10, registry_ops=OPS, seed=42)
         path = tmp_path / "motifs.json"
         save_library(lib, path)
-        assert load_library(path) == lib
+        assert library_from_dict(json.loads(path.read_text())) == lib
 
     def test_frozen_flag_persisted(self, tmp_path):
         lib = init_templates(["a"], 10, registry_ops=OPS, seed=42).freeze()
         path = tmp_path / "motifs.json"
         save_library(lib, path)
-        assert load_library(path).frozen is True
+        assert library_from_dict(json.loads(path.read_text())).frozen is True
 
     def test_dict_schema(self):
         lib = init_templates(["a"], 10, registry_ops=OPS, seed=42)

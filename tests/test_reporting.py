@@ -72,6 +72,5 @@ def test_ndjson_bytes_match_json_dumps(tmp_path):
                correlations=None, scores=[float("inf"), float("nan"), 3])
     log.append("weights_updated", round=1, weights={"units": 1 / 3}, updated=True)
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
-    assert log.to_ndjson() == expected
     log.save(tmp_path / "log.ndjson")
     assert (tmp_path / "log.ndjson").read_bytes() == expected.encode()

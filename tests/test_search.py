@@ -276,16 +276,16 @@ class TestExpansionGate:
             assert record["C_total"] < record["tau"]
 
     def test_zero_candidates_marks_terminal(self):
+        # terminal: expanded with no children, which only a proposal with no
+        # candidates leaves a node
         optimizer, children = self.run_expand([])
         assert children == []
-        assert optimizer.root.terminal
+        assert optimizer.root.expanded and not optimizer.root.children
 
-    def test_terminal_is_derived_and_read_only(self):
+    def test_expansion_with_candidates_is_not_terminal(self):
         optimizer, children = self.run_expand([0.7, 0.5])
-        assert children and not optimizer.root.terminal
-        assert not any(child.terminal for child in children)  # not expanded yet
-        with pytest.raises(AttributeError):
-            optimizer.root.terminal = True
+        assert children and optimizer.root.expanded
+        assert not any(child.expanded or child.children for child in children)  # not expanded yet
 
 
 class TestFullRuns:
@@ -308,15 +308,16 @@ class TestFullRuns:
         assert best == suite.initial_program
         assert log.by_event("simulated") == []
 
-    def test_determinism_across_runs(self):
+    def test_determinism_across_runs(self, tmp_path):
         results = []
-        for _ in range(2):
+        for run in range(2):
             suite, proposer, evaluator, scorer = self.small_setup()
             best, log = Optimizer(
                 suite.initial_program, proposer, evaluator, scorer,
                 budget=SearchBudget(rounds=5, simulations_per_round=6, seed=42),
             ).run()
-            results.append((best, log.to_ndjson()))
+            log.save(tmp_path / f"{run}.ndjson")
+            results.append((best, (tmp_path / f"{run}.ndjson").read_bytes()))
         assert results[0][0] == results[1][0]
         assert results[0][1] == results[1][1]
 

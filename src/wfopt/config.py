@@ -240,7 +240,7 @@ def config_from_dict(data: Mapping) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(data)
 

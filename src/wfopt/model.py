@@ -1021,7 +1021,18 @@ def dumps_program(program: WorkflowProgram) -> str:
 
 
 def loads_program(text: str) -> WorkflowProgram:
-    return program_from_dict(json.loads(text))
+    """The program of a workflow JSON document. Malformed JSON, JSON nested
+    too deeply to decode, and a document `program_from_dict` cannot read (a
+    missing key, a null or mistyped field, an exponent too large for an
+    int) raise `ValueError`."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed program JSON: {exc}") from None
+    try:
+        return program_from_dict(data)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed program: {exc!r}") from None
 
 
 def canonical_key(program: WorkflowProgram) -> tuple:

@@ -54,7 +54,10 @@ class RunLog:
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                record = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise ValueError(f"{path}:{lineno}: malformed log line: {exc}") from None
+            if not isinstance(record, dict) or "event" not in record:
+                raise ValueError(f"{path}:{lineno}: log line is not a JSON object with an 'event'")
+            records.append(record)
         return RunLog(records)

@@ -11,6 +11,7 @@ from wfopt.config import (
     ExecutorConfig,
     RunConfig,
     config_from_dict,
+    load_config,
     with_overrides,
 )
 from wfopt.driver import ablation_grid, execute_run
@@ -325,6 +326,48 @@ class TestCli:
         bad.write_text('{"event": "meta"}\nnot json at all\n')
         assert main(["report", str(bad)]) == 2
         assert "2" in capsys.readouterr().err  # names the offending line
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1,2]", "bad.ndjson:2: log line is not a JSON object with an 'event'"),
+        ('{"round": 0}', "bad.ndjson:2: log line is not a JSON object with an 'event'"),
+        ("[" * 100_000, "bad.ndjson:2: malformed log line"),
+        ('{"event": "simulated", "reward": 0.5}', "simulated record without 'round'"),
+        ('{"event": "simulated", "round": 0}', "simulated record without 'reward'"),
+    ], ids=["not-an-object", "no-event", "nested-too-deeply", "no-round", "no-reward"])
+    def test_report_bad_log_line_exits_2(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text('{"event": "meta"}\n' + line + "\n")
+        assert main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: invalid JSON:")
+        with pytest.raises(ConfigError):
+            load_config(config_path)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        json.dumps({"nodes": None, "edges": [], "roots": [], "output": "x0"}),
+        json.dumps({"nodes": [{"id": "x0", "op": "input"}], "edges": None, "roots": ["x0"], "output": "x0"}),
+        json.dumps({"nodes": [{"id": "x0", "op": "input", "unit": [1]}], "edges": [], "roots": ["x0"],
+                    "output": "x0"}),
+        '{"nodes": [{"id": "x0", "op": "input", "unit": {"m": 1e400}}], "edges": [], "roots": ["x0"], "output": "x0"}',
+        json.dumps({"nodes": [{"id": "x0", "op": "input"}], "edges": [], "roots": ["x0"]}),
+        "null",
+    ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null"])
+    def test_export_malformed_workflow_exits_2(self, tmp_path, capsys, text):
+        source, dest = tmp_path / "bad.json", tmp_path / "out.json"
+        source.write_text(text)
+        with pytest.raises(ValueError):
+            loads_program(text)
+        assert main(["export", str(source), str(dest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not dest.exists()
 
     def test_export_round_trip_bytes(self, tmp_path):
         config_path = tmp_path / "config.json"

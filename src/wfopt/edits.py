@@ -63,16 +63,13 @@ class EditBase:
     key head, each operator's operand ids in slot order), each node's
     consumers (one per edge out) and its number of operator nodes. `walks`
     keeps the key walks its candidates share (`ProgramEdit.key`), which the
-    proposer clears after its dedup pass; `edges` keeps each new `Edge` a
-    build makes, so the candidates built of one base share them (`edge`).
-    What `ProgramEdit.state` reads of the base, its `analyze_program`
-    result, its check counts and its nodes by id, is built on the first
-    call to `analyzed`, so a pass that derives no state never pays for it.
+    proposer clears after its dedup pass. What
+    `ProgramEdit.state` reads of the base, its `analyze_program` result,
+    its check counts and its nodes by id, is built on the first call to
+    `analyzed`, so a pass that derives no state never pays for it.
     """
 
-    __slots__ = (
-        "registry", "program", "heads", "operands", "consumers", "walks", "edges", "operator_count", "_analyzed"
-    )
+    __slots__ = ("registry", "program", "heads", "operands", "consumers", "walks", "operator_count", "_analyzed")
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
@@ -85,14 +82,6 @@ class EditBase:
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
         self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
-        self.edges: dict[tuple[str, str, int], Edge] = {}
-
-    def edge(self, src: str, dst: str, slot: int) -> Edge:
-        """The one `Edge(src, dst, slot)` the builds of this base share."""
-        edge = self.edges.get((src, dst, slot))
-        if edge is None:
-            edge = self.edges[(src, dst, slot)] = Edge(src, dst, slot)
-        return edge
 
     def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
         """The base's `analyze_program` result, its check counts
@@ -128,6 +117,14 @@ class EditBase:
         return frozenset(dropped)
 
 
+def _edge(shared: dict, src: str, dst: str, slot: int) -> Edge:
+    """The one `Edge(src, dst, slot)` of the builds that pass `shared`."""
+    edge = shared.get((src, dst, slot))
+    if edge is None:
+        edge = shared[(src, dst, slot)] = Edge(src, dst, slot)
+    return edge
+
+
 class ProgramEdit:
     """One proposer candidate, told as one edit of an `EditBase`.
 
@@ -160,7 +157,7 @@ class ProgramEdit:
         self.nodes = nodes
         self.removed = removed
 
-    def build(self) -> WorkflowProgram:
+    def build(self, shared: Optional[dict] = None) -> WorkflowProgram:
         """The candidate this edit makes of the base's program, unvouched.
 
         Its nodes are the base's, each changed node in its place and the
@@ -169,41 +166,54 @@ class ProgramEdit:
         into a node whose operands the edit sets is fed from that node's
         operand in its slot (a valid base has one edge per slot), and one
         re-fed from an added node moves to the end. After the base's come
-        each added node's operand edges by slot, then those re-fed ones. A
-        new edge is the base's shared one (`EditBase.edge`); nodes are never
-        shared by value, since `Node` equality merges the literals 0.0 and
-        -0.0, which the canonical key tells apart.
+        each added node's operand edges by slot, then those re-fed ones.
+
+        `shared` is a memo the builds of one base's records pass in
+        (`harness._built`), so their candidates, which a search tree keeps,
+        share what they have in common: each new `Edge`, each edge tuple (by
+        the operands set, the ids removed and the ids added), and an
+        insertion's node tuple. That one is keyed by the identity of the
+        record's node tuple, kept alive beside it, never by value: `Node`
+        equality merges the literals 0.0 and -0.0, which the canonical key
+        tells apart.
         """
         base = self.base
         program, heads = base.program, base.heads
+        shared = {} if shared is None else shared
         changed = {n.node_id: n for n in self.nodes if n.node_id in heads}
         added = tuple([n for n in self.nodes if n.node_id not in heads])
         removed, operands = self.removed, self.operands
-        nodes = program.nodes
         if changed or removed:
-            nodes = tuple([changed.get(n.node_id, n) for n in nodes if n.node_id not in removed])
+            nodes = tuple([changed.get(n.node_id, n) for n in program.nodes if n.node_id not in removed]) + added
+        else:  # every node the record holds is added
+            hit = shared.get(id(self.nodes))
+            if hit is None:
+                hit = shared[id(self.nodes)] = (self.nodes, program.nodes + added)
+            nodes = hit[1]
         edges = program.edges
         if operands or removed:
-            edge = base.edge
-            kept: list[Edge] = []
-            refed: list[Edge] = []
-            for e in edges:
-                dst = e.dst
-                if dst in operands:
-                    src = operands[dst][e.slot]
-                    if src != e.src:
-                        e = edge(src, dst, e.slot)
-                        if src not in heads:
-                            refed.append(e)
-                            continue
-                elif dst in removed:
-                    continue
-                kept.append(e)
-            for node in added:
-                nid = node.node_id
-                kept += [edge(a, nid, slot) for slot, a in enumerate(operands.get(nid, ()))]
-            edges = tuple(kept + refed)
-        return WorkflowProgram(nodes + added, edges, program.roots, self.output)
+            key = (tuple(operands.items()), removed, tuple([n.node_id for n in added]))
+            edges = shared.get(key)
+            if edges is None:
+                kept: list[Edge] = []
+                refed: list[Edge] = []
+                for e in program.edges:
+                    dst = e.dst
+                    if dst in operands:
+                        src = operands[dst][e.slot]
+                        if src != e.src:
+                            e = _edge(shared, src, dst, e.slot)
+                            if src not in heads:
+                                refed.append(e)
+                                continue
+                    elif dst in removed:
+                        continue
+                    kept.append(e)
+                for node in added:
+                    nid = node.node_id
+                    kept += [_edge(shared, a, nid, slot) for slot, a in enumerate(operands.get(nid, ()))]
+                edges = shared[key] = tuple(kept + refed)
+        return WorkflowProgram(nodes, edges, program.roots, self.output)
 
     def vouch(self, candidate: WorkflowProgram) -> None:
         """Record `candidate`, the program this edit made, as valid for the

@@ -163,11 +163,16 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
-def _built(edit: ProgramEdit) -> WorkflowProgram:
-    """The candidate of `edit`, built now and vouched for by its record."""
-    candidate = edit.build()
-    edit.vouch(candidate)
-    return candidate
+def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
+    """The candidates of `records`, one base's, built now and each vouched
+    for by its record; they share the parts they have in common."""
+    shared: dict = {}
+    candidates = []
+    for edit in records:
+        candidate = edit.build(shared)
+        edit.vouch(candidate)
+        candidates.append(candidate)
+    return candidates
 
 
 class SyntheticProposer:
@@ -218,7 +223,7 @@ class SyntheticProposer:
         (`ProgramEdit.build`) and vouches for its candidate: this method
         builds every one, `propose` only those it draws.
         """
-        return [_built(edit) for edit in self._distinct(program)]
+        return _built(self._distinct(program))
 
     def _distinct(self, program: WorkflowProgram) -> list[ProgramEdit]:
         """The pass `enumerate_edits` and `propose` share: the base checked
@@ -388,7 +393,7 @@ class SyntheticProposer:
         if len(records) > count:
             order = rng.permutation(len(records))
             records = [records[i] for i in order[:count]]
-        edits = [_built(edit) for edit in records]
+        edits = _built(records)
         self._request_counter += 1
         prompt = 40 + 12 * len(program.nodes) + 6 * len(program.edges)
         completion = sum(8 + 3 * len(c.nodes) for c in edits)

@@ -33,23 +33,16 @@ def _population_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
-def _simulations(log: RunLog) -> list[tuple[int, float]]:
-    """The round and reward of each `simulated` record, in order; a record
-    without one raises `ValueError` naming it."""
-    pairs = []
+def round_scores(log: RunLog) -> list[float]:
+    """Per-round validation score: the best reward simulated within the round.
+    A `simulated` record without a `round` or a `reward` raises `ValueError`."""
+    per_round: dict[int, float] = {}
     for record in log.by_event("simulated"):
         for key in ("round", "reward"):
             if key not in record:
                 raise ValueError(f"simulated record without {key!r}")
-        pairs.append((record["round"], record["reward"]))
-    return pairs
-
-
-def round_scores(log: RunLog) -> list[float]:
-    """Per-round validation score: the best reward simulated within the round."""
-    per_round: dict[int, float] = {}
-    for rnd, reward in _simulations(log):
-        per_round[rnd] = max(per_round.get(rnd, 0.0), reward)
+        rnd = record["round"]
+        per_round[rnd] = max(per_round.get(rnd, 0.0), record["reward"])
     return [per_round[r] for r in sorted(per_round)]
 
 
@@ -62,7 +55,7 @@ def analyze(log: RunLog, path: str = "<log>") -> RunStats:
     proposed = sum(int(r.get("count", 0)) for r in log.by_event("proposed"))
     pruned = len(log.by_event("pruned"))
     scores = round_scores(log)
-    rewards = [reward for _, reward in _simulations(log)]
+    rewards = [r["reward"] for r in log.by_event("simulated")]  # each checked by round_scores
     return RunStats(
         path=path,
         rounds=len(scores),

@@ -117,14 +117,6 @@ class EditBase:
         return frozenset(dropped)
 
 
-def _edge(shared: dict, src: str, dst: str, slot: int) -> Edge:
-    """The one `Edge(src, dst, slot)` of the builds that pass `shared`."""
-    edge = shared.get((src, dst, slot))
-    if edge is None:
-        edge = shared[(src, dst, slot)] = Edge(src, dst, slot)
-    return edge
-
-
 class ProgramEdit:
     """One proposer candidate, told as one edit of an `EditBase`.
 
@@ -168,14 +160,11 @@ class ProgramEdit:
         re-fed from an added node moves to the end. After the base's come
         each added node's operand edges by slot, then those re-fed ones.
 
-        `shared` is a memo the builds of one base's records pass in
-        (`harness._built`), so their candidates, which a search tree keeps,
-        share what they have in common: each new `Edge`, each edge tuple (by
-        the operands set, the ids removed and the ids added), and an
-        insertion's node tuple. That one is keyed by the identity of the
-        record's node tuple, kept alive beside it, never by value: `Node`
-        equality merges the literals 0.0 and -0.0, which the canonical key
-        tells apart.
+        The builds of one base's records pass one memo, `shared`, so the
+        candidates a search tree keeps share each new `Edge`, each edge
+        tuple and an insertion's node tuple. The last is keyed by the
+        identity of the record's node tuple, never by value: `Node` equality
+        merges the literals 0.0 and -0.0, which the canonical key tells apart.
         """
         base = self.base
         program, heads = base.program, base.heads
@@ -185,11 +174,8 @@ class ProgramEdit:
         removed, operands = self.removed, self.operands
         if changed or removed:
             nodes = tuple([changed.get(n.node_id, n) for n in program.nodes if n.node_id not in removed]) + added
-        else:  # every node the record holds is added
-            hit = shared.get(id(self.nodes))
-            if hit is None:
-                hit = shared[id(self.nodes)] = (self.nodes, program.nodes + added)
-            nodes = hit[1]
+        else:  # every node the record holds is added; the value keeps the key's object alive
+            nodes = shared.setdefault(id(self.nodes), (self.nodes, program.nodes + added))[1]
         edges = program.edges
         if operands or removed:
             key = (tuple(operands.items()), removed, tuple([n.node_id for n in added]))
@@ -202,7 +188,7 @@ class ProgramEdit:
                     if dst in operands:
                         src = operands[dst][e.slot]
                         if src != e.src:
-                            e = _edge(shared, src, dst, e.slot)
+                            e = shared.setdefault((src, dst, e.slot), Edge(src, dst, e.slot))
                             if src not in heads:
                                 refed.append(e)
                                 continue
@@ -211,19 +197,20 @@ class ProgramEdit:
                     kept.append(e)
                 for node in added:
                     nid = node.node_id
-                    kept += [_edge(shared, a, nid, slot) for slot, a in enumerate(operands.get(nid, ()))]
+                    kept += [shared.setdefault((a, nid, k), Edge(a, nid, k)) for k, a in enumerate(operands.get(nid, ()))]
                 edges = shared[key] = tuple(kept + refed)
         return WorkflowProgram(nodes, edges, program.roots, self.output)
 
-    def vouch(self, candidate: WorkflowProgram) -> None:
+    def vouch(self, candidate: WorkflowProgram) -> WorkflowProgram:
         """Record `candidate`, the program this edit made, as valid for the
         base's registry, as `validate_program` records a program that passed:
         the edit kept the base valid by construction. Attach this record
         beside it, from which `derive_state` derives its `state` for that
-        registry object."""
+        registry object. Returns `candidate`."""
         registry = self.base.registry
         object.__setattr__(candidate, _VALID_FOR, registry)
         object.__setattr__(candidate, _STATE_FOR, (registry, self))
+        return candidate
 
     def state(self, candidate: WorkflowProgram) -> WorkflowState:
         """`model.derive_state` of `candidate`, the program this edit made,

@@ -164,15 +164,10 @@ def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
 
 
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
-    """The candidates of `records`, one base's, built now and each vouched
-    for by its record; they share the parts they have in common."""
+    """The candidates of `records`, one base's, built now and vouched for by
+    their records; they share the parts they have in common."""
     shared: dict = {}
-    candidates = []
-    for edit in records:
-        candidate = edit.build(shared)
-        edit.vouch(candidate)
-        candidates.append(candidate)
-    return candidates
+    return [edit.vouch(edit.build(shared)) for edit in records]
 
 
 class SyntheticProposer:

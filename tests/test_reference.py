@@ -34,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _built, _prune_dead
+from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _prune_dead
 from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
@@ -997,7 +997,7 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     for edit in every_entry(proposer, _prune_dead(base)):
         # a record sizes and keys its candidate before it is built
         size, key = edit.operator_count(), edit.key()
-        candidate, = _built([edit])
+        candidate = edit.vouch(edit.build())
         plain = _without_verdict(candidate)
         assert _prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
@@ -1079,7 +1079,7 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     rejected = 0
     for edit in every_entry(proposer, base):
         key = edit.key()
-        candidate, = _built([edit])
+        candidate = edit.vouch(edit.build())
         expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok

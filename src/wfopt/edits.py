@@ -2,19 +2,28 @@
 
 `SyntheticProposer` checks its base once, on entry, prunes a dirty one once,
 then builds one `EditBase` of the clean, valid base, and each of its edit
-generators yields each candidate as its `ProgramEdit` only. Under a registry
-with no nullary operator every edit it makes keeps the base valid: fresh ids
-come from `model.fresh_node_id`, a replacement keeps its node's arity, a
-deletion hands a unary node's consumers its operand, and no new operand is
-its destination or one of its descendants. So a candidate is sized
-(`ProgramEdit.operator_count`) and keyed (`ProgramEdit.key`: the walk of
-`model._key_walk` over the base's maps with the edit's operand changes,
-shared by the candidates of a base that differ only in the nodes they add or
-change) from its record alone, and only a candidate that is kept is built
-from its record (`ProgramEdit.build`); its record then vouches for it
-(`ProgramEdit.vouch`), so `validate_program` of it is the verdict lookup. A
-rewire that leaves its old source feeding nothing drops, on its record, what
-pruning would drop (`EditBase.dropped`).
+generators yields each candidate as its `ProgramEdit` with the candidate's
+fingerprint beside it. Under a registry with no nullary operator every edit
+it makes keeps the base valid: fresh ids come from `model.fresh_node_id`, a
+replacement keeps its node's arity, a deletion hands a unary node's
+consumers its operand, and no new operand is its destination or one of its
+descendants. So a candidate is sized (`ProgramEdit.operator_count`),
+fingerprinted and, when needed, keyed from its record alone, and only a
+candidate that is kept is built from its record (`ProgramEdit.build`); its
+record then vouches for it (`ProgramEdit.vouch`), so `validate_program` of
+it is the verdict lookup. A rewire that leaves its old source feeding
+nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
+
+A fingerprint is a linear hash of the candidate's expression tree, unfolded
+from its output (Karp and Rabin, IBM J. Res. Dev. 1987): `t(v) = w(head(v))
++ sum over slots s of r_s * t(operand_s(v))` modulo the prime `MODULUS`, the
+program's being `t(output)`. The head is the key's (`model._key_entry`), so
+the fingerprint is a function of `model.canonical_key`: equal keys give
+equal fingerprints. One edit changes it by one term, read from two tables of
+the base built once per pass (`TreeSums`), so the proposer keys a record
+(`ProgramEdit.key`: one `model._key_walk` over the base's maps with the
+edit's heads and operand changes) only when its fingerprint meets the
+base's or an earlier record's; about nine records in ten are never keyed.
 
 A built candidate also carries its record, from which `derive_state`, on
 its first call against the proposer's registry object, derives its
@@ -24,11 +33,13 @@ recomputed by `model._transfer`) and keeps that state in the record's
 place. A candidate no one scores, as one a suite grows through or one the
 stdio peer sends, is never analysed. `tests/test_reference.py` checks every
 candidate of random bases against the reference candidates, check, count,
-key and analysis.
+key, fingerprint and analysis.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from hashlib import blake2b
 from typing import Mapping, Optional
 
 from .model import (
@@ -61,15 +72,13 @@ class EditBase:
     `validate_program` against the proposer's registry object and has no
     dead node. It holds the base's maps from `model._key_maps` (each node's
     key head, each operator's operand ids in slot order), each node's
-    consumers (one per edge out) and its number of operator nodes. `walks`
-    keeps the key walks its candidates share (`ProgramEdit.key`), which the
-    proposer clears after its dedup pass. What
+    consumers (one per edge out) and its number of operator nodes. What
     `ProgramEdit.state` reads of the base, its `analyze_program` result,
     its check counts and its nodes by id, is built on the first call to
     `analyzed`, so a pass that derives no state never pays for it.
     """
 
-    __slots__ = ("registry", "program", "heads", "operands", "consumers", "walks", "operator_count", "_analyzed")
+    __slots__ = ("registry", "program", "heads", "operands", "consumers", "operator_count", "_analyzed")
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
@@ -81,7 +90,6 @@ class EditBase:
         for nid, args in self.operands.items():
             for a in args:
                 self.consumers.setdefault(a, []).append(nid)
-        self.walks: dict[tuple, tuple[tuple, dict[str, int]]] = {}
 
     def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
         """The base's `analyze_program` result, its check counts
@@ -300,33 +308,91 @@ class ProgramEdit:
         return count
 
     def key(self) -> tuple:
-        """`model.canonical_key` of the candidate.
-
-        The walk's order depends on the output and the operands only, and a
-        node's entry is `model._key_entry` of the node and its operands'
-        indices. So the candidates of a base with the same output, operand
-        lists set and leaf ids added share one walk, kept on the base (all
-        replacements; an insertion's operator kinds and constants). The
-        walk runs from empty entries at the output, over the base's maps
-        with the edit's operand changes; it takes the base's head for every
-        node the base has, so no candidate's change leaks into the walk the
-        others read. Each candidate then sets the entry of every node it
-        adds or changes from the node and its operands' indices in the walk.
-        """
+        """`model.canonical_key` of the candidate: one `model._key_walk` from
+        its output over the base's maps, with the heads of the nodes the edit
+        adds or changes and the operand lists it sets. A removed node feeds
+        nothing in the candidate, so the walk never meets it."""
         base = self.base
-        nodes, operands = self.nodes, self.operands
-        shared = (self.output, tuple(operands.items()), tuple([n.node_id for n in nodes if n.op in LEAF_OPS]))
-        walked = base.walks.get(shared)
-        if walked is None:
-            index: dict[str, int] = {}
-            fresh_heads = {n.node_id: _key_entry(n) for n in nodes}
-            key = _key_walk(self.output, base.heads, base.operands, index, fresh_heads, operands)
-            walked = base.walks[shared] = (key, index)
-        key, index = walked
-        for node in nodes:
-            nid = node.node_id
-            at = index.get(nid)
-            if at is not None:
-                args = operands[nid] if nid in operands else base.operands.get(nid, ())
-                key = key[:at] + (_key_entry(node, tuple([index[a] for a in args])),) + key[at + 1:]
-        return key
+        fresh_heads = {n.node_id: _key_entry(n) for n in self.nodes}
+        return _key_walk(self.output, base.heads, base.operands, fresh_heads, self.operands)
+
+
+# a Mersenne prime: every fingerprint is a residue modulo it
+MODULUS = (1 << 61) - 1
+
+
+def _residue(value) -> int:
+    """A fixed pseudo-random residue of `value`, from a digest of its repr:
+    the same in every process, as `hash` of a str is not."""
+    return int.from_bytes(blake2b(repr(value).encode(), digest_size=8).digest(), "big") % MODULUS
+
+
+def head_weight(head: tuple) -> int:
+    """`w(head)`: the weight of a key head (`model._key_entry` of a node)."""
+    return _residue(head)
+
+
+@lru_cache(maxsize=None)
+def slot_weight(slot: int) -> int:
+    """`r_s`: the weight of operand slot `slot`."""
+    return _residue(("slot", slot))
+
+
+class TreeSums:
+    """The two tables of one base's fingerprint, built once per proposer pass.
+
+    * `sums`: `t(v)` of every node of the base;
+    * `paths`: `p(v)` of every node that feeds the output, the sum over the
+      paths from the output to `v` of the product of the slot weights along
+      each, `p(output)` being 1; an edit that swaps one occurrence-weighted
+      subtree for another changes the fingerprint by `p` times the change;
+    * `total`: the base's fingerprint, `t(output)`.
+
+    `weight` gives each head its `head_weight` once per pass, so heads the
+    key holds equal weigh the same even where their reprs differ (an
+    exponent of 1 and one of 1.0). Both walks keep their own stack, so no
+    nested function refers to itself.
+    """
+
+    __slots__ = ("sums", "paths", "total", "_weights")
+
+    def __init__(self, base: EditBase):
+        self._weights: dict[tuple, int] = {}
+        heads, operands = base.heads, base.operands
+        output = base.program.output
+        sums: dict[str, int] = {}
+        order: list[str] = []  # operands before their consumers
+        stack = [output]
+        while stack:
+            nid = stack[-1]
+            if nid in sums:
+                stack.pop()
+                continue
+            args = operands.get(nid, ())
+            todo = [a for a in args if a not in sums]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            total = self.weight(heads[nid])
+            for slot, a in enumerate(args):
+                total += slot_weight(slot) * sums[a]
+            sums[nid] = total % MODULUS
+            order.append(nid)
+        for nid, head in heads.items():  # an unused root: a leaf no walk meets
+            if nid not in sums:
+                sums[nid] = self.weight(head)
+        paths = {output: 1}
+        for nid in reversed(order):
+            above = paths[nid]
+            for slot, a in enumerate(operands.get(nid, ())):
+                paths[a] = (paths.get(a, 0) + above * slot_weight(slot)) % MODULUS
+        self.sums, self.paths, self.total = sums, paths, sums[output]
+
+    def weight(self, head: tuple) -> int:
+        """`head_weight(head)`, made once per pass for each head."""
+        weights = self._weights
+        weight = weights.get(head)
+        if weight is None:
+            weight = weights[head] = head_weight(head)
+        return weight

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import EditBase, ProgramEdit
+from .edits import MODULUS, EditBase, ProgramEdit, TreeSums, slot_weight
 from .model import (
     CONST_OP,
     INPUT_OP,
@@ -31,6 +31,7 @@ from .model import (
     OperatorRegistry,
     UnitSignature,
     WorkflowProgram,
+    _key_entry,
     analyze_program,
     canonical_key,
     default_registry,
@@ -209,13 +210,15 @@ class SyntheticProposer:
         Every edit of that clean, valid base keeps it valid by construction,
         so no candidate is checked. Each comes as its edit record
         (`edits.ProgramEdit`) over maps of the base built once
-        (`edits.EditBase`). The record sizes the candidate
-        (`ProgramEdit.operator_count`) and keys it for deduplication against
-        the base and the candidates before it (`ProgramEdit.key`); a rewire
-        drops on its record what it leaves feeding nothing
-        (`EditBase.dropped`). A base with `max_operator_nodes` operator nodes
-        gets no insertions. Each kept record is built after the pass
-        (`ProgramEdit.build`) and vouches for its candidate: this method
+        (`edits.EditBase`), with its fingerprint beside it; a rewire drops on
+        its record what it leaves feeding nothing (`EditBase.dropped`). A
+        candidate is a duplicate when its canonical key is the base's or an
+        earlier candidate's, and only a record whose fingerprint meets one of
+        theirs can be one, so only such records are keyed
+        (`ProgramEdit.key`). A base with `max_operator_nodes` operator nodes
+        gets no insertions, and only a base above that size sizes its records
+        (`ProgramEdit.operator_count`). Each kept record is built after the
+        pass (`ProgramEdit.build`) and vouches for its candidate: this method
         builds every one, `propose` only those it draws.
         """
         return _built(self._distinct(program))
@@ -223,7 +226,15 @@ class SyntheticProposer:
     def _distinct(self, program: WorkflowProgram) -> list[ProgramEdit]:
         """The pass `enumerate_edits` and `propose` share: the base checked
         and pruned, then the record of each distinct candidate within the
-        size limit, in the edit generators' order, unbuilt."""
+        size limit, in the edit generators' order, unbuilt.
+
+        The fingerprint is a function of the canonical key (`edits`), so a
+        record whose fingerprint neither the base nor an earlier record has
+        cannot repeat either, and is kept unkeyed. A record whose fingerprint
+        meets one already met is keyed, and so is the first record met with
+        that fingerprint, once; it is dropped if its key is one of theirs.
+        The kept records and their order are those of keying every record.
+        """
         registry, config = self.registry, self.config
         report = validate_program(program, registry)
         if not report.ok:
@@ -232,31 +243,45 @@ class SyntheticProposer:
         if pruned is not program:
             validate_program(pruned, registry)  # an EditBase is built of a program that passed
         base = EditBase(pruned, registry)
+        sums = TreeSums(base)
         max_nodes = config.max_operator_nodes
+        # insertions are made only below the cap, and no other edit adds an
+        # operator, so only a base above it makes records over it
+        over = base.operator_count > max_nodes
         sources = []
         if config.allow_insert and base.operator_count < max_nodes:
-            sources.append(self._insertions(pruned, base))
+            sources.append(self._insertions(pruned, base, sums))
         if config.allow_replace:
-            sources.append(self._replacements(pruned, base))
+            sources.append(self._replacements(pruned, base, sums))
         if config.allow_delete:
-            sources.append(self._deletions(pruned, base))
+            sources.append(self._deletions(pruned, base, sums))
         if config.allow_rewire:
-            sources.append(self._rewires(pruned, base))
-        seen = {canonical_key(pruned)}
+            sources.append(self._rewires(pruned, base, sums))
+        keys = {canonical_key(pruned)}
+        # each fingerprint met: the first record met with it while that is
+        # unkeyed, else None (the base's key is in `keys`)
+        met: dict[int, Optional[ProgramEdit]] = {sums.total: None}
         kept: list[ProgramEdit] = []
-        for edit in chain.from_iterable(sources):
-            if edit.operator_count() > max_nodes:
+        for fingerprint, edit in chain.from_iterable(sources):
+            if over and edit.operator_count() > max_nodes:
                 continue
-            before = len(seen)
-            seen.add(edit.key())
-            if len(seen) > before:
+            first = met.setdefault(fingerprint, edit)
+            if first is edit:
                 kept.append(edit)
-        base.walks.clear()  # they serve the dedup only; the records the candidates carry need not hold them
+                continue
+            if first is not None:
+                keys.add(first.key())
+                met[fingerprint] = None
+            before = len(keys)
+            keys.add(edit.key())
+            if len(keys) > before:
+                kept.append(edit)
         return kept
 
-    def _insertions(self, program: WorkflowProgram, base: EditBase):
+    def _insertions(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
         """One new operator node on each edge, or above the output, for each
-        kind and choice of operands, as its edit record over `base`.
+        kind and choice of operands, as its edit record over `base` with its
+        fingerprint from `sums`.
 
         A record's nodes are its constant, if it has one, then the new node:
         they depend only on the kind and the constant, so each such tuple is
@@ -264,6 +289,12 @@ class SyntheticProposer:
         those of the node re-fed from it, depend only on the site and the
         operands, so each such map is made once per site and shared by every
         kind.
+
+        The new node `N` takes the place of `src` in one slot `s` of the
+        anchor, which every path to that slot reaches, so the fingerprint is
+        the base's plus `p(anchor) * r_s * (t(N) - t(src))`; above the output
+        it is `t(N)`. `t(N)` is the kind's weight plus each operand's `t`, a
+        constant's being its weight, times its slot's weight.
         """
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
@@ -273,6 +304,10 @@ class SyntheticProposer:
         # merge 0.0 and -0.0, which the canonical key tells apart
         consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
         const_nodes = {kind.name: [(const, *added[kind.name]) for const in consts] for kind in self._ops}
+        sum_of, path_of, total = sums.sums, sums.paths, sums.total
+        kind_weights = {name: sums.weight(_key_entry(nodes[0])) for name, nodes in added.items()}
+        const_weights = [sums.weight(_key_entry(const)) for const in consts]
+        first, second = slot_weight(0), slot_weight(1)
         node_ids = [n.node_id for n in program.nodes]
         # by anchor: the nodes that are neither the anchor nor one of its
         # descendants, the new node's second operands; the output site
@@ -281,51 +316,73 @@ class SyntheticProposer:
         # real edges first, then the virtual edge (None) above the output node
         for edge in (*program.edges, None):
             if edge is None:
-                src, anchor, refed, output = program.output, None, {}, new_id
+                src, anchor, refed, output, scale = program.output, None, {}, new_id, 1
             else:
                 src, anchor, output = edge.src, edge.dst, program.output
                 args = list(base.operands[anchor])
                 args[edge.slot] = new_id
                 refed = {anchor: tuple(args)}  # the anchor, fed from the new node
+                scale = path_of[anchor] * slot_weight(edge.slot) % MODULUS
+            # a record's fingerprint is offset + scale * t(N); lead and trail
+            # weigh t of the new node's first and second operand
+            offset = (total - scale * sum_of[src]) % MODULUS
+            lead, trail = scale * first % MODULUS, scale * second % MODULUS
+            src_sum = sum_of[src]
             unary = {new_id: (src,), **refed}
-            pairs = with_const = None
+            pairs = with_const = const_terms = None
             for kind in self._ops:
+                at = (offset + scale * kind_weights[kind.name]) % MODULUS
                 if kind.arity == 1:
-                    yield ProgramEdit(base, output, unary, added[kind.name])
+                    yield (at + lead * src_sum) % MODULUS, ProgramEdit(base, output, unary, added[kind.name])
                 elif kind.arity == 2:
                     if pairs is None:
                         partners = partners_of.get(anchor)
                         if partners is None:
                             blocked = _descendants(base, anchor) | {anchor}
                             partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
+                        # each choice of operands: its terms of the fingerprint, and its operand lists
                         pairs = []
                         for partner in partners:
-                            pairs.append({new_id: (src, partner), **refed})
+                            other = sum_of[partner]
+                            term = (lead * src_sum + trail * other) % MODULUS
+                            pairs.append((term, {new_id: (src, partner), **refed}))
                             if partner != src:  # [src, src] has one operand order
-                                pairs.append({new_id: (partner, src), **refed})
+                                term = (lead * other + trail * src_sum) % MODULUS
+                                pairs.append((term, {new_id: (partner, src), **refed}))
                         with_const = ({new_id: (src, const_id), **refed}, {new_id: (const_id, src), **refed})
-                    for operands in pairs:
-                        yield ProgramEdit(base, output, operands, added[kind.name])
-                    for nodes in const_nodes[kind.name]:
-                        for operands in with_const:
-                            yield ProgramEdit(base, output, operands, nodes)
+                        const_terms = [
+                            ((lead * src_sum + trail * weight) % MODULUS, (lead * weight + trail * src_sum) % MODULUS)
+                            for weight in const_weights
+                        ]
+                    for term, operands in pairs:
+                        yield (at + term) % MODULUS, ProgramEdit(base, output, operands, added[kind.name])
+                    for nodes, terms in zip(const_nodes[kind.name], const_terms):
+                        for term, operands in zip(terms, with_const):
+                            yield (at + term) % MODULUS, ProgramEdit(base, output, operands, nodes)
 
-    def _replacements(self, program: WorkflowProgram, base: EditBase):
+    def _replacements(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
         """Each operator node given every other kind of its arity, as its edit
-        record over `base`."""
-        arities = self.registry.arities
+        record over `base`. Its fingerprint is the base's plus `p(v)` times
+        the change of `v`'s weight."""
+        arities, heads = self.registry.arities, base.heads
         for node in program.operator_nodes():
             arity = arities[node.op]
+            nid = node.node_id
+            scale = sums.paths[nid]
+            offset = sums.total - scale * sums.weight(heads[nid])
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
-                new = Node(node.node_id, kind.name, node.unit, node.shape, node.value)
-                yield ProgramEdit(base, program.output, {}, (new,))
+                new = Node(nid, kind.name, node.unit, node.shape, node.value)
+                fingerprint = (offset + scale * sums.weight(_key_entry(new))) % MODULUS
+                yield fingerprint, ProgramEdit(base, program.output, {}, (new,))
 
-    def _deletions(self, program: WorkflowProgram, base: EditBase):
+    def _deletions(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
         """Each unary operator node with its operand dropped, its consumers
-        fed from that operand, as its edit record over `base`."""
-        arities, operands = self.registry.arities, base.operands
+        fed from that operand, as its edit record over `base`. Its
+        fingerprint is the base's plus `p(v) * (t(operand) - t(v))`, the
+        output's included."""
+        arities, operands, sum_of = self.registry.arities, base.operands, sums.sums
         for node in program.operator_nodes():
             if arities[node.op] != 1:
                 continue
@@ -336,12 +393,16 @@ class SyntheticProposer:
                 reader: tuple(source if a == nid else a for a in operands[reader])
                 for reader in base.consumers.get(nid, ())
             }
-            yield ProgramEdit(base, output, refed, removed=frozenset((nid,)))
+            fingerprint = (sums.total + sums.paths[nid] * (sum_of[source] - sum_of[nid])) % MODULUS
+            yield fingerprint, ProgramEdit(base, output, refed, removed=frozenset((nid,)))
 
-    def _rewires(self, program: WorkflowProgram, base: EditBase):
+    def _rewires(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
         """Each edge given every other source that closes no cycle, as its edit
         record over `base`. A rewire that leaves nodes feeding nothing drops
-        them on its record."""
+        them on its record. Its fingerprint is the base's plus
+        `p(dst) * r_slot * (t(alt) - t(src))`: what the move drops leaves the
+        tree with the old source's occurrence."""
+        sum_of = sums.sums
         blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
         for edge in program.edges:
             src, dst, slot = edge.src, edge.dst, edge.slot
@@ -352,13 +413,16 @@ class SyntheticProposer:
             # one of those nodes, which then stays with what feeds it
             dead = base.dropped(src)
             args = list(base.operands[dst])
+            scale = sums.paths[dst] * slot_weight(slot) % MODULUS
+            offset = sums.total - scale * sum_of[src]
             for node in program.nodes:
                 alt = node.node_id
                 if alt == src or alt in blocked:
                     continue
                 dropped = base.dropped(src, alt) if alt in dead else dead
                 args[slot] = alt
-                yield ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
+                fingerprint = (offset + scale * sum_of[alt]) % MODULUS
+                yield fingerprint, ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
 
     # -- the proposer role --------------------------------------------------
 

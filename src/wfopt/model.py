@@ -26,7 +26,11 @@ once it is scored the `WorkflowState` derived from that record.
 
 The proposer checks its base once, on entry, and tells each candidate as
 its edit record (`edits.ProgramEdit`): the one edit that makes it from that
-base. The record keys the candidate from the base's maps and the edit's
+base. Beside the record comes the candidate's fingerprint, a hash of its
+expression tree that one term of the base's tables gives, and equal keys
+give equal fingerprints. So only a record whose fingerprint meets the
+base's or an earlier record's is keyed. The record keys the candidate from
+the base's maps, the heads of the nodes the edit adds or changes and its
 operand changes, by the same walk, `_key_walk`, to the tuple `canonical_key`
 gives the built program. The edits keep the base valid by construction, so
 the record vouches for the candidate, once built, with the same verdict
@@ -1051,17 +1055,19 @@ def canonical_key(program: WorkflowProgram) -> tuple:
     The key is `_key_walk` over the maps `_key_maps` builds. The record of
     one edit of a proposer's base keys the program that edit makes by the
     same walk over the base's maps and the edit (`edits.ProgramEdit.key`),
-    to the same tuple, before the program is built.
+    to the same tuple, without building it; the proposer asks for that key
+    only when the record's fingerprint meets another's.
     """
-    return _key_walk(program.output, *_key_maps(program), {})
+    return _key_walk(program.output, *_key_maps(program))
 
 
 def _key_entry(node: Node, children: tuple = ()) -> tuple:
     """`node`'s entry in `canonical_key`, `children` being its operands' entry
     indices: the one definition of the entry's layout. With no children it
     is the node's head, which `_key_walk` completes with its operands'
-    indices, and `edits.ProgramEdit.key` builds the entries of the nodes an
-    edit adds or changes with it."""
+    indices; `edits.ProgramEdit.key` builds the heads of the nodes an edit
+    adds or changes with it, and a fingerprint weighs each node by its head
+    (`edits.head_weight`)."""
     op = node.op
     return (
         op,
@@ -1090,16 +1096,16 @@ def _key_walk(
     output: str,
     heads: Mapping[str, tuple],
     operands: Mapping[str, tuple[str, ...]],
-    index: dict[str, int],
     fresh_heads: Mapping[str, tuple] = _UNCHANGED,
     changed_operands: Mapping[str, tuple[str, ...]] = _UNCHANGED,
 ) -> tuple:
     """The post-order walk of `canonical_key`, from `output`, over the maps
-    of `_key_maps`; fills `index` (id -> entry index).
+    of `_key_maps`.
 
-    A node's head comes from `heads`, or from `fresh_heads` for a node that
-    `heads` lacks; its operands come from `changed_operands` when that holds
-    it, else from `operands`. Operands are entered in slot order, each one's
+    A node's head comes from `fresh_heads` when that holds it, else from
+    `heads`, so a record's key reads the heads of the nodes its edit adds or
+    changes before the base's. Its operands come from `changed_operands`
+    when that holds it, else from `operands`. Operands are entered in slot order, each one's
     subtree finished before the next is entered. A node's index is -1 while
     its operands are walked, so meeting it again is a cycle; a node in
     neither map is missing: both raise `InvalidProgramError`. An operator's
@@ -1114,6 +1120,7 @@ def _key_walk(
     the depth of a program it can key.
     """
     entries: list[tuple] = []
+    index: dict[str, int] = {}  # id -> entry index
     # each node in progress: its id, head, operands and the iterator over
     # the operands not yet entered
     path: list[tuple] = []
@@ -1122,7 +1129,7 @@ def _key_walk(
         for nid in todo:
             i = index.get(nid)
             if i is None:
-                head = heads.get(nid) or fresh_heads.get(nid)
+                head = fresh_heads.get(nid) or heads.get(nid)
                 if head is None:
                     raise InvalidProgramError(f"missing node {nid!r} in operator graph")
                 args = changed_operands[nid] if nid in changed_operands else operands.get(nid)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .harness import PriceMap, cost, tokens_per_problem
 from .runlog import RunLog
@@ -33,26 +34,80 @@ def _population_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+_REQUIRED = object()
+
+
+def _mistyped(record: Mapping, name: str, what: str) -> ValueError:
+    text = json.dumps(record, sort_keys=True)
+    text = text if len(text) <= 120 else text[:117] + "..."
+    return ValueError(f"{record.get('event')} record {text}: {name!r} is not {what}")
+
+
+def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
+    """`record[name]`, an int, or a number for `kind` float (never a bool), or
+    `default` when the record lacks it. A missing field with no default, or a
+    value of another type, raises `ValueError` naming the record and field."""
+    if name not in record:
+        if default is _REQUIRED:
+            raise ValueError(f"{record.get('event')} record without {name!r}")
+        return default
+    value = record[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise _mistyped(record, name, "a number" if kind is float else "an integer")
+    return value
+
+
+def _prices(meta: Mapping) -> PriceMap:
+    """The meta record's per-role (input, output) prices, zero without any."""
+    prices = meta.get("prices")
+    if not prices:
+        return PriceMap.zero()
+    if not isinstance(prices, dict):
+        raise _mistyped(meta, "prices", "an object of roles")
+    pairs = {}
+    for role, pair in prices.items():
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)):
+            raise _mistyped(meta, "prices", f"a pair of numbers for role {role!r}")
+        pairs[role] = tuple(pair)
+    return PriceMap(pairs)
+
+
+def _check_usage(log: RunLog, prices: PriceMap) -> None:
+    """Each record's token counts are integers or null, and the role they are
+    charged to has a price."""
+    for record in log:
+        if record.get("tokens_in") is None and record.get("tokens_out") is None:
+            continue
+        for name in ("tokens_in", "tokens_out"):
+            if record.get(name) is not None:
+                _field(record, name, int)
+        role = record.get("role", "executor")
+        if not isinstance(role, str) or role not in prices.prices:
+            raise _mistyped(record, "role", "a priced role")
+
+
 def round_scores(log: RunLog) -> list[float]:
     """Per-round validation score: the best reward simulated within the round.
-    A `simulated` record without a `round` or a `reward` raises `ValueError`."""
+    A `simulated` record without an integer `round` or a numeric `reward`
+    raises `ValueError`."""
     per_round: dict[int, float] = {}
     for record in log.by_event("simulated"):
-        for key in ("round", "reward"):
-            if key not in record:
-                raise ValueError(f"simulated record without {key!r}")
-        rnd = record["round"]
-        per_round[rnd] = max(per_round.get(rnd, 0.0), record["reward"])
+        rnd, reward = _field(record, "round", int), _field(record, "reward", float)
+        per_round[rnd] = max(per_round.get(rnd, 0.0), reward)
     return [per_round[r] for r in sorted(per_round)]
 
 
 def analyze(log: RunLog, path: str = "<log>") -> RunStats:
+    """The stats of one run log. A field of the wrong type, in a record this
+    reads, raises `ValueError` naming the record and the field."""
     meta_records = log.by_event("meta")
     meta = meta_records[0] if meta_records else {}
-    n_problems = int(meta.get("n_problems", 1))
-    prices = PriceMap({role: tuple(p) for role, p in meta.get("prices", {}).items()}) if meta.get("prices") else PriceMap.zero()
+    n_problems = _field(meta, "n_problems", int, 1)
+    prices = _prices(meta)
+    _check_usage(log, prices)
 
-    proposed = sum(int(r.get("count", 0)) for r in log.by_event("proposed"))
+    proposed = sum(_field(r, "count", int, 0) for r in log.by_event("proposed"))
     pruned = len(log.by_event("pruned"))
     scores = round_scores(log)
     rewards = [r["reward"] for r in log.by_event("simulated")]  # each checked by round_scores

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from wfopt.edits import EditBase
+from wfopt.edits import MODULUS, EditBase, TreeSums, head_weight, slot_weight
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
     Edge,
     Node,
     WorkflowProgram,
+    _key_entry,
     default_registry,
     validate_program,
 )
@@ -75,10 +76,38 @@ def random_program(rng: np.random.Generator, registry, max_ops: int = 8) -> Work
     return program
 
 
-def every_entry(proposer, program):
-    """Every edit record `proposer`'s edit generators yield for a clean,
-    valid `program`, in the proposer's order, before the size limit and
-    deduplication."""
+def every_pair(proposer, program):
+    """Every (fingerprint, edit record) pair `proposer`'s edit generators
+    yield for a clean, valid `program`, in the proposer's order, before the
+    size limit and deduplication."""
     base = EditBase(program, proposer.registry)
+    sums = TreeSums(base)
     generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    return [edit for generate in generators for edit in generate(program, base)]
+    return [pair for generate in generators for pair in generate(program, base, sums)]
+
+
+def every_entry(proposer, program):
+    """The edit records of `every_pair`, in its order."""
+    return [edit for _, edit in every_pair(proposer, program)]
+
+
+def fingerprint(program):
+    """A program's fingerprint from scratch: `t(output)` over the tree unfolded
+    from its output, `t(v)` being `head_weight` of `v`'s key head plus each
+    operand's `t` times its slot's `slot_weight`, modulo `MODULUS`."""
+    heads = {n.node_id: _key_entry(n) for n in program.nodes}
+    slots: dict[str, dict[int, str]] = {}
+    for e in program.edges:
+        slots.setdefault(e.dst, {})[e.slot] = e.src
+    sums: dict[str, int] = {}
+    stack = [program.output]
+    while stack:
+        nid = stack[-1]
+        todo = [a for a in slots.get(nid, {}).values() if a not in sums]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        below = sum(slot_weight(k) * sums[a] for k, a in slots.get(nid, {}).items())
+        sums[nid] = (head_weight(heads[nid]) + below) % MODULUS
+    return sums[program.output]

@@ -341,6 +341,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"event": "simulated", "round": 0, "reward": "x"}', "'reward' is not a number"),
+        ('{"event": "proposed", "round": 0, "count": [1]}', "'count' is not an integer"),
+        ('{"event": "meta", "round": null, "prices": {"optimizer": 5}}',
+         "'prices' is not a pair of numbers for role 'optimizer'"),
+        ('{"event": "simulated", "round": [0], "reward": 0.5}', "'round' is not an integer"),
+        ('{"event": "simulated", "round": 0, "reward": 0.5, "role": "critic", "tokens_in": 3}',
+         "'role' is not a priced role"),
+    ], ids=["string-reward", "list-count", "number-prices", "list-round", "unpriced-role"])
+    def test_report_mistyped_field_exits_2(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(line + "\n")
+        assert main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        event = json.loads(line)["event"]
+        assert err.startswith(f"error: {event} record {{") and message in err
+
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("[" * 100_000)

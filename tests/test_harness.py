@@ -16,6 +16,7 @@ from wfopt.harness import (
     SyntheticEvaluator,
     SyntheticProposer,
     TokenRecord,
+    _prune_dead,
     cost,
     make_synthetic_suite,
     tokens_per_problem,
@@ -32,7 +33,7 @@ from wfopt.model import (
 )
 from wfopt.runlog import RunLog
 
-from conftest import binary, chain, every_entry
+from conftest import binary, chain, every_entry, every_pair, fingerprint
 
 
 def trivial_program():
@@ -136,11 +137,31 @@ class TestProposeEdits:
         assert proposer._request_counter == 0
 
 
+def met_records(proposer, base, cap):
+    """The records within `cap` of the clean `base`, and those of them the
+    proposer keys, in the order it keys them: a record is keyed if and only
+    if its fingerprint meets the base's or an earlier record's, and the first
+    record met with a fingerprint is keyed when a later one meets it."""
+    sized = [(fp, edit) for fp, edit in every_pair(proposer, base) if edit.operator_count() <= cap]
+    met, keyed = {fingerprint(base): None}, []
+    for fp, edit in sized:
+        first = met.setdefault(fp, edit)
+        if first is edit:
+            continue
+        if first is not None:
+            keyed.append(first)
+            met[fp] = None
+        keyed.append(edit)
+    shared = Counter([fingerprint(base)] + [fp for fp, _ in sized])
+    assert {id(e) for e in keyed} == {id(e) for fp, e in sized if shared[fp] > 1}
+    return [edit for _, edit in sized], keyed
+
+
 class TestEditRecords:
     """The proposer checks its base once, on entry, and prunes a dirty one
-    once. Each candidate is sized and keyed from its edit record, gets no
-    check, and is built, and vouched valid by its record, only if it is
-    kept."""
+    once. Each candidate is fingerprinted from its edit record, and keyed
+    from it only if its fingerprint meets another's; it gets no check, and
+    is built, and vouched valid by its record, only if it is kept."""
 
     @staticmethod
     def count_calls(monkeypatch, calls):
@@ -182,9 +203,10 @@ class TestEditRecords:
                                    base.roots, base.output)
         assert validate_program(base, registry).ok
         entries = every_entry(proposer, clean)
-        sized = [edit for edit in entries if edit.operator_count() <= cap]
+        sized, met = met_records(proposer, clean, cap)
         # below the cap every insertion stays within it; at the cap none does
         assert (len(sized) < len(entries)) == dead_node
+        assert 0 < len(met) < len(sized)
 
         calls: list = []
         self.count_calls(monkeypatch, calls)
@@ -193,14 +215,14 @@ class TestEditRecords:
         # is pruned once, and its pruned copy checked, then keyed
         head = [("validate", base)] + [("build", clean), ("validate", clean)] * dead_node + [("key", clean)]
         assert calls[:len(head)] == head
-        # size -> key -> seen from each record, in order, with no check;
-        # then each distinct candidate is built, and vouched for
+        # the records whose fingerprints meet are keyed, in order, with no
+        # check; then each distinct candidate is built, and vouched for
         after = calls[len(head):]
-        keyed = [edit for kind, edit in after[:len(sized)]]
-        assert all(kind == "record key" for kind, _ in after[:len(sized)])
+        keyed = [edit for kind, edit in after[:len(met)]]
+        assert all(kind == "record key" for kind, _ in after[:len(met)])
         assert [(e.output, e.operands, e.nodes, e.removed) for e in keyed] == [
-            (e.output, e.operands, e.nodes, e.removed) for e in sized]
-        built = after[len(sized):]
+            (e.output, e.operands, e.nodes, e.removed) for e in met]
+        built = after[len(met):]
         assert [kind for kind, _ in built] == ["build"] * len(edits)
         assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))
         assert all(getattr(p, model._VALID_FOR, None) is registry for p in edits)
@@ -215,16 +237,17 @@ class TestEditRecords:
         assert [kind for kind, _ in calls].count("validate") == 1 + dead_node
 
     @pytest.mark.parametrize("kind, cap, counts", [
-        ("clean", 4, (1, 1, 109, 102)),
-        ("dirty", 3, (2, 1, 9, 5)),
+        ("clean", 4, (1, 1, 9, 102)),
+        ("dirty", 3, (2, 1, 5, 5)),
         ("invalid", 4, (1, 0, 0, 0)),
     ])
     def test_call_counts_the_benchmark_tracer_reads(self, registry, monkeypatch, kind, cap, counts):
         """`perfbench/tracer.py` derives dedup hits from these counts. A base
         gets one `validate_program` call on entry, a dirty one a second for
         its pruned copy, and one `canonical_key` call for the base it edits;
-        its candidates are sized and keyed from their records, one
-        `ProgramEdit.key` each within the size cap, and are never checked.
+        its candidates are fingerprinted from their records, and one
+        `ProgramEdit.key` is made of each record within the size cap whose
+        fingerprint meets the base's or another record's; none is checked.
         An invalid base is refused after its one check."""
         base = chain("neg", "neg", "neg", n_roots=2)
         if kind == "dirty":  # d0 feeds nothing; pruning brings the base to the cap
@@ -236,6 +259,8 @@ class TestEditRecords:
         assert validate_program(base, registry).ok is (kind != "invalid")
         proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
                                                               max_operator_nodes=cap))
+        if kind != "invalid":
+            assert len(met_records(proposer, _prune_dead(base), cap)[1]) == counts[2]
         calls: list = []
         self.count_calls(monkeypatch, calls)
         if kind == "invalid":

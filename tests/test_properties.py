@@ -17,7 +17,7 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.edits import EditBase
+from wfopt.edits import EditBase, TreeSums
 from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
@@ -144,6 +144,7 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
         for edit in every_entry(proposer, program):
             candidate = edit.build()
             assert _prune_dead(candidate) is candidate
-        rewires = proposer._rewires(program, EditBase(program, REGISTRY))
-        orphaning_rewires += sum(bool(edit.removed) for edit in rewires)
+        base = EditBase(program, REGISTRY)
+        rewires = proposer._rewires(program, base, TreeSums(base))
+        orphaning_rewires += sum(bool(edit.removed) for _, edit in rewires)
     assert orphaning_rewires > 0

@@ -6,10 +6,10 @@ are written for speed: one pass over the nodes and edges, a reachability walk
 only when it can fail, a flat tuple key, one walk that orders a program and
 resolves its operands together for each analysis or evaluation request,
 each evaluation step run once over the values of all input bindings, one
-check and at most one dead-node pruning walk per proposer base, and a size
-and a key of each proposer candidate made from its edit of that base rather
-than from the whole candidate, with no check of a candidate that edit keeps
-valid by construction. The reference forms below are the plain versions
+check and at most one dead-node pruning walk per proposer base, and a size,
+a fingerprint and, where fingerprints meet, a key of each proposer candidate
+made from its edit of that base rather than from the whole candidate, with
+no check of a candidate that edit keeps valid by construction. The reference forms below are the plain versions
 they replaced: separate cycle and reachability walks, a `repr` of the
 post-order entry list, a re-sorted ready list walked once per input binding
 with the program's `incoming()` and `node_map()`, one step plan run binding
@@ -34,8 +34,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfopt import edits
 from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _prune_dead
-from wfopt.edits import EditBase, ProgramEdit
+from wfopt.edits import EditBase, ProgramEdit, TreeSums
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -75,7 +76,7 @@ from wfopt.model import (
     validate_program,
 )
 
-from conftest import every_entry, random_program
+from conftest import every_entry, every_pair, fingerprint, random_program
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +771,10 @@ def _same_raw_candidates(proposer, base):
     ref = list(ref_insertions(proposer, base))
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
     record = EditBase(base, proposer.registry)
+    sums = TreeSums(record)
 
     def built(generate):
-        return [edit.build() for edit in generate(base, record)]
+        return [edit.build() for _, edit in generate(base, record, sums)]
 
     return (_same_candidates(built(proposer._insertions), ref)
             and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
@@ -871,7 +873,8 @@ class TestEnumerateEdits:
         fewer = 0
         for _ in range(40):
             base = _prune_dead(random_program(rng, registry, max_ops=5))
-            raw = [edit.build() for edit in proposer._insertions(base, EditBase(base, registry))]
+            record = EditBase(base, registry)
+            raw = [edit.build() for _, edit in proposer._insertions(base, record, TreeSums(record))]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -909,10 +912,11 @@ class TestCanonicalKey:
             raw = [_prune_dead(c) for c in ref_insertions(proposer, base)]
             pruned = _prune_dead(base)
             record = EditBase(pruned, registry)
+            sums = TreeSums(record)
             raw += [
                 edit.build()
                 for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for edit in gen(pruned, record)
+                for _, edit in gen(pruned, record, sums)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -975,8 +979,8 @@ def _without_verdict(program):
 def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     """A base that fails `ref_validate_program` is refused with its
     violations. Each candidate of any other base, pruned of its dead nodes
-    first, is sized and keyed as `enumerate_edits` does, from its edit
-    record before it is built, and gets its operator count and the full
+    first, is sized and keyed as `enumerate_edits` sizes and keys one, from
+    its edit record before it is built, and gets its operator count and the full
     walk's key, which splits candidates as `ref_canonical_key` does. It is
     valid by construction, so once built and vouched for it passes
     `ref_validate_program`, and it has no dead node."""
@@ -1009,16 +1013,11 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     assert len({k for k, _ in keys}) == len({r for _, r in keys}) == len(set(keys))
 
 
-def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
-    """Records of one base that share a key walk each get the full walk's key.
-
-    Two records with the same output and operand lists, one making n0 a
-    constant and one another operator, walk apart: an operator's entry needs
-    its operands' indices, which the walk of the other does not give. Two
-    replacements of different nodes share one walk, keyed in turn: neither
-    may see the other's operator. A constant made an operator has the
-    constant's entry in the shared walk, so its own entry is built from its
-    operands' indices, not from the walk's entry."""
+def test_edit_keys_read_the_edits_heads_before_the_base(registry):
+    """A record's key reads the head of each node its edit adds or changes
+    before the base's head of that id, and gets the full walk's key: n0 made
+    a constant or another operator, with its operand list set; n0 or n1 given
+    another operator kind; and a constant c0 made an operator fed from x0."""
     x0, x1 = Node("x0", INPUT_OP), Node("x1", INPUT_OP)
     base = WorkflowProgram((x0, x1, Node("n0", "neg"), Node("n1", "add")),
                            (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
@@ -1026,16 +1025,12 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
     record = EditBase(base, registry)
     for changed in (Node("n0", CONST_OP, value=1.0), Node("n0", "sqrt")):
         candidate = WorkflowProgram((x0, x1, changed, base.nodes[3]), base.edges, base.roots, "n1")
-        expected = canonical_key(candidate)
-        edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, (changed,))  # n0 is walked again
-        assert edit.key() == expected
-    walks = len(record.walks)
+        edit = ProgramEdit(record, "n1", {"n0": ("x0",)}, (changed,))
+        assert edit.key() == canonical_key(candidate)
     for changed in (Node("n0", "sqrt"), Node("n1", "mul")):
         nodes = tuple(changed if n.node_id == changed.node_id else n for n in base.nodes)
         candidate = WorkflowProgram(nodes, base.edges, base.roots, "n1")
-        expected = canonical_key(candidate)
-        assert ProgramEdit(record, "n1", {}, (changed,)).key() == expected
-    assert len(record.walks) == walks + 1
+        assert ProgramEdit(record, "n1", {}, (changed,)).key() == canonical_key(candidate)
 
     with_const = WorkflowProgram((x0, x1, Node("c0", CONST_OP, value=2.0), Node("n1", "add")),
                                  (Edge("c0", "n1", 0), Edge("x1", "n1", 1)), ("x0", "x1"), "n1")
@@ -1044,10 +1039,88 @@ def test_edit_keys_share_a_walk_only_with_the_same_leaves(registry):
     for changed in (Node("c0", "neg"), Node("c0", "sqrt")):
         candidate = WorkflowProgram((x0, x1, changed, with_const.nodes[3]),
                                     (Edge("x0", "c0", 0),) + with_const.edges, with_const.roots, "n1")
-        expected = canonical_key(candidate)
         assert ref_validate_program(candidate, registry).ok
-        assert ProgramEdit(record, "n1", {"c0": ("x0",)}, (changed,)).key() == expected
-    assert len(record.walks) == 1
+        assert ProgramEdit(record, "n1", {"c0": ("x0",)}, (changed,)).key() == canonical_key(candidate)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(sorted(EDIT_BASES)), palette=st.booleans(), tagged=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_edit_fingerprints_are_the_built_candidates(registry, kind, palette, tagged, seed):
+    """Each record's fingerprint, one term from the base's two tables, is the
+    from-scratch fingerprint of the candidate the record builds; the base's
+    is the base's. Equal canonical keys, the base's included, give equal
+    fingerprints, so a record whose fingerprint meets no other's repeats no
+    key. Tagged bases carry unit and shape tags and literals, 0.0 and -0.0
+    among them; with `palette` the insertions add 0.0, -0.0 and 1.0. An
+    invalid base is refused before any record is made."""
+    rng = np.random.default_rng(seed)
+    program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
+    if tagged:
+        program = _tagged(program, rng)
+    base = EDIT_BASES[kind](_prune_dead(program), rng)
+    proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
+                                                          const_palette=(0.0, -0.0, 1.0) if palette else ()))
+    if not ref_validate_program(base, registry).ok:
+        _refused(proposer, base)
+        return
+    clean = _prune_dead(base)
+    assert TreeSums(EditBase(clean, registry)).total == fingerprint(clean)
+    fingerprints = {canonical_key(clean): {fingerprint(clean)}}
+    for fp, edit in every_pair(proposer, clean):
+        candidate = edit.build()
+        assert fp == fingerprint(candidate)
+        fingerprints.setdefault(canonical_key(candidate), set()).add(fp)
+    assert all(len(fps) == 1 for fps in fingerprints.values())
+
+
+def test_dedup_is_exact_whatever_the_weights(registry, monkeypatch):
+    """With every head weighing 0, every fingerprint is 0, so every record
+    meets the base's and is keyed. `enumerate_edits` and `propose` then
+    return the same programs as with the real weights: the fingerprints
+    decide which records are keyed, never which are kept."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for i in range(60):
+        kind = STATE_BASES[i % len(STATE_BASES)]
+        program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
+        if i % 4 < 2:
+            program = _tagged(program, rng)
+        base = EDIT_BASES[kind](_prune_dead(program), rng)
+        clean = _prune_dead(base)
+        cap = len(clean.operator_nodes()) if kind == "at-the-size-cap" else 2 + i % 9
+        config = ProposerConfig(ops=None if i % 3 else ("add", "sub", "mul", "neg"),
+                                const_palette=(0.0, -0.0, 1.0) if i % 2 else (), max_operator_nodes=cap)
+        cases.append((base, clean, config))
+    keyed = []
+    key = ProgramEdit.key
+
+    def counted_key(edit):
+        keyed.append(edit)
+        return key(edit)
+
+    def outcomes():
+        listed = []
+        for i, (base, _, config) in enumerate(cases):
+            proposer = SyntheticProposer(registry, config)
+            every = proposer.enumerate_edits(base)
+            drawn, _ = proposer.propose(base, 1 + i % 7, np.random.default_rng(i))
+            listed.append([[json.dumps(program_to_dict(c)) for c in programs] for programs in (every, drawn)])
+        return listed
+
+    monkeypatch.setattr(ProgramEdit, "key", counted_key)
+    real = outcomes()
+    real_keys = len(keyed)
+    monkeypatch.setattr(edits, "head_weight", lambda head: 0)
+    del keyed[:]
+    assert outcomes() == real
+    sized = 0
+    for base, clean, config in cases:
+        proposer = SyntheticProposer(registry, config)
+        pairs = every_pair(proposer, clean)
+        assert {fp for fp, _ in pairs} <= {0} == {TreeSums(EditBase(clean, registry)).total}
+        sized += sum(edit.operator_count() <= config.max_operator_nodes for _, edit in pairs)
+    assert len(keyed) == 2 * sized > 10 * real_keys
 
 
 def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
@@ -1140,7 +1213,7 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
     for base in bases:
         assert validate_program(base, registry).ok
         record = EditBase(base, registry)
-        for edit, plain in zip(proposer._rewires(base, record), ref_rewires(base), strict=True):
+        for (_, edit), plain in zip(proposer._rewires(base, record, TreeSums(record)), ref_rewires(base), strict=True):
             built = edit.build()
             expected = _prune_dead(plain)
             assert built == expected and repr(built) == repr(expected)

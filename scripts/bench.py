@@ -158,7 +158,7 @@ def git_rev() -> str:
 def run(repeat: int) -> dict:
     registry = default_registry()
     proposer = SyntheticProposer(registry, ProposerConfig(ops=OPS, max_operator_nodes=8))
-    library = init_templates(["cat0"], MotifConfig().templates_per_category, registry_ops=registry.names, seed=42)
+    library = init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=42)
     evaluator = SyntheticEvaluator(fixed_problems(), registry)
     weights = WeightVector.uniform()
 

@@ -104,10 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"run": cmd_run, "report": cmd_report, "export": cmd_export, "ablate": cmd_ablate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, AdapterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, AdapterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

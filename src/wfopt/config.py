@@ -21,6 +21,7 @@ from .constraints import (
     ThresholdSchedule,
 )
 from .harness import PriceMap, ProposerConfig
+from .motifs import MotifConfig
 from .search import SearchBudget, StageSwitches
 from .weights import FAMILIES, AdaptationConfig
 
@@ -49,28 +50,6 @@ class SuiteConfig:
         # a target must differ from the one-operator initial program
         if self.target_edits < 1:
             raise ConfigError("suite.target_edits must be >= 1")
-
-
-@dataclass(frozen=True)
-class MotifConfig:
-    templates_per_category: int = 10
-    refinement_period: int = 3
-    cluster_count_per_category: int = 20
-    min_separation: float = 0.3
-    max_per_category: int = 30
-
-    def __post_init__(self) -> None:
-        # refinement runs on rounds divisible by the period, and keeps up to
-        # that many centroids per category; below 1 either is meaningless
-        if self.refinement_period < 1:
-            raise ConfigError("motifs.refinement_period must be >= 1")
-        if self.cluster_count_per_category < 1:
-            raise ConfigError("motifs.cluster_count_per_category must be >= 1")
-        if self.max_per_category < self.templates_per_category:
-            raise ConfigError("motifs.max_per_category must be >= motifs.templates_per_category")
-        # the cosine distance of two non-negative unit vectors lies in [0, 1]
-        if not 0.0 <= self.min_separation <= 1.0:
-            raise ConfigError("motifs.min_separation must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -147,11 +126,11 @@ _SECTIONS = {
     f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig) if f.name not in ("category", "prices")
 }
 
-# list settings -> the type each entry is checked against and converted to
-# (None: entries kept as given)
+# list settings -> the type each entry is checked against (a float list's
+# numbers are converted to floats; null is an entry only of an Optional list)
 _LISTS = {
     ("executor", "command"): str,
-    ("suite", "unit_dims"): None,
+    ("suite", "unit_dims"): Optional[str],
     ("proposer", "ops"): str,
     ("proposer", "const_palette"): float,
     ("ablation", "enabled_families"): str,
@@ -196,11 +175,10 @@ def _section(name: str, default, given: object):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name}.{key} must be a list")
         entry = _LISTS[name, key]
-        if entry is not None:
-            for item in value:
+        for item in value:
+            if item is not None or type(None) not in get_args(entry):
                 _check_type(f"each entry of {name}.{key}", item, entry)
-            value = map(entry, value)
-        values[key] = tuple(value)
+        values[key] = tuple(map(float, value)) if entry is float else tuple(value)
     return replace(default, **values)
 
 

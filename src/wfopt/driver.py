@@ -78,16 +78,7 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
         raise ConfigError(f"category {config.category!r} is not one of the suite's categories {categories}")
     category = config.category or categories[0]
 
-    library = init_templates(
-        categories,
-        config.motifs.templates_per_category,
-        registry_ops=registry.names,
-        seed=config.seed,
-        refinement_period=config.motifs.refinement_period,
-        cluster_count_per_category=config.motifs.cluster_count_per_category,
-        min_separation=config.motifs.min_separation,
-        max_per_category=config.motifs.max_per_category,
-    )
+    library = init_templates(categories, config.motifs, registry_ops=registry.names, seed=config.seed)
     scorer = ConstraintScorer(
         registry,
         agg=config.aggregation,

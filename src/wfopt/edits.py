@@ -1,39 +1,45 @@
 """Proposer candidates told as one edit of a validated base.
 
-`SyntheticProposer` checks its base once, on entry, prunes a dirty one once,
-then builds one `EditBase` of the clean, valid base, and each of its edit
-generators yields each candidate as its `ProgramEdit` with the candidate's
-fingerprint beside it. Under a registry with no nullary operator every edit
-it makes keeps the base valid: fresh ids come from `model.fresh_node_id`, a
-replacement keeps its node's arity, a deletion hands a unary node's
-consumers its operand, and no new operand is its destination or one of its
-descendants. So a candidate is sized (`ProgramEdit.operator_count`),
-fingerprinted and, when needed, keyed from its record alone, and only a
-candidate that is kept is built from its record (`ProgramEdit.build`); its
-record then vouches for it (`ProgramEdit.vouch`), so `validate_program` of
-it is the verdict lookup. A rewire that leaves its old source feeding
-nothing drops, on its record, what pruning would drop (`EditBase.dropped`).
+`SyntheticProposer` checks its base once, on entry, and builds one
+`EditBase` of it: the base's maps, built once, and one walk from its output
+that fills the fingerprint tables and finds its dead nodes. Only a base with
+dead nodes is pruned of them, checked and given its own `EditBase`. Each
+edit generator then yields each candidate as its `ProgramEdit` over that
+clean, valid base, with the candidate's fingerprint beside it. Under a
+registry with no nullary operator every edit it makes keeps the base valid:
+fresh ids come from `model.fresh_node_id`, a replacement keeps its node's
+arity, a deletion hands a unary node's consumers its operand, and no new
+operand is its destination or one of its descendants (`EditBase.blocked`).
+So a candidate is sized (`ProgramEdit.operator_count`), fingerprinted and,
+when needed, keyed from its record alone, and only a candidate that is kept
+is built from its record (`ProgramEdit.build`); its record then vouches for
+it (`ProgramEdit.vouch`) with the verdict `validate_program` keeps, so
+`validate_program` of it is a lookup. A rewire that leaves its old source
+feeding nothing drops, on its record, what pruning would drop
+(`EditBase.dropped`).
 
 A fingerprint is a linear hash of the candidate's expression tree, unfolded
 from its output (Karp and Rabin, IBM J. Res. Dev. 1987): `t(v) = w(head(v))
 + sum over slots s of r_s * t(operand_s(v))` modulo the prime `MODULUS`, the
 program's being `t(output)`. The head is the key's (`model._key_entry`), so
 the fingerprint is a function of `model.canonical_key`: equal keys give
-equal fingerprints. One edit changes it by one term, read from two tables of
-the base built once per pass (`TreeSums`), so the proposer keys a record
+equal fingerprints. One edit changes it by one term, read from the base's
+tables (`EditBase.sums` and `EditBase.paths`), so the proposer keys a record
 (`ProgramEdit.key`: one `model._key_walk` over the base's maps with the
-edit's heads and operand changes) only when its fingerprint meets the
-base's or an earlier record's; about nine records in ten are never keyed.
+edit's heads and operand changes, to the tuple `canonical_key` gives the
+built candidate) only when its fingerprint meets the base's or an earlier
+record's; about nine records in ten are never keyed.
 
 A built candidate also carries its record, from which `derive_state`, on
 its first call against the proposer's registry object, derives its
 `WorkflowState` (`ProgramEdit.state`: one `analyze_program` of the base,
 made on the first such call, and the nodes the edit touched, each
 recomputed by `model._transfer`) and keeps that state in the record's
-place. A candidate no one scores, as one a suite grows through or one the
-stdio peer sends, is never analysed. `tests/test_reference.py` checks every
-candidate of random bases against the reference candidates, check, count,
-key, fingerprint and analysis.
+place. So expansion orders no child, and a child's one `model._ordered`
+walk is its evaluation's. A candidate no one scores, as one a suite grows
+through or one the stdio peer sends, is never analysed.
+`tests/test_reference.py` checks every candidate of random bases against
+the reference candidates, check, count, key, fingerprint and analysis.
 """
 
 from __future__ import annotations
@@ -66,30 +72,110 @@ _NOTHING: frozenset = frozenset()
 
 
 class EditBase:
-    """What a record reads of one base program.
+    """One base program, as the proposer's edits and their records read it.
 
-    Built once per base by the proposer, for a base that passed
-    `validate_program` against the proposer's registry object and has no
-    dead node. It holds the base's maps from `model._key_maps` (each node's
-    key head, each operator's operand ids in slot order), each node's
-    consumers (one per edge out) and its number of operator nodes. What
-    `ProgramEdit.state` reads of the base, its `analyze_program` result,
-    its check counts and its nodes by id, is built on the first call to
-    `analyzed`, so a pass that derives no state never pays for it.
+    The proposer builds one per base, of a base that passed `validate_program`
+    against its registry object. It holds the base's maps from
+    `model._key_maps` (each node's key head, each operator's operand ids in
+    slot order), each node's consumers (one per edge out) and its number of
+    operator nodes. One post-order walk from the output over those maps
+    fills the fingerprint tables:
+
+    * `sums`: `t(v)` of every node the walk meets and of every unused root;
+    * `paths`: `p(v)` of every node the walk meets, the sum over the paths
+      from the output to `v` of the product of the slot weights along each,
+      `p(output)` being 1; an edit that swaps one occurrence-weighted
+      subtree for another changes the fingerprint by `p` times the change;
+    * `total`: the base's fingerprint, `t(output)`;
+
+    and finds `dead`, the nodes that are no input and that the walk misses:
+    those that feed nothing the output reads, which pruning drops. Only a
+    base with no dead node is edited. `blocked` and `weight` memoise, for
+    every edit of the base, a node's descendants and a head's weight. What
+    `ProgramEdit.state` reads of the base, its `analyze_program` result, its
+    check counts and its nodes by id, is built on the first call to
+    `analyzed`, so a pass that derives no state never pays for it. Every
+    walk keeps its own stack, so no nested function refers to itself.
     """
 
-    __slots__ = ("registry", "program", "heads", "operands", "consumers", "operator_count", "_analyzed")
+    __slots__ = (
+        "registry", "program", "heads", "operands", "consumers", "operator_count",
+        "sums", "paths", "total", "dead", "_weights", "_blocked", "_analyzed",
+    )
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
         self.program = program
         self._analyzed: Optional[tuple] = None
-        self.heads, self.operands = _key_maps(program)
-        self.operator_count = len([h for h in self.heads.values() if h[0] not in LEAF_OPS])
-        self.consumers: dict[str, list[str]] = {}
-        for nid, args in self.operands.items():
+        self._weights: dict[tuple, int] = {}
+        self._blocked: dict[str, set[str]] = {}
+        self.heads, self.operands = heads, operands = _key_maps(program)
+        self.operator_count = len([h for h in heads.values() if h[0] not in LEAF_OPS])
+        consumers: dict[str, list[str]] = {}
+        for nid, args in operands.items():
             for a in args:
-                self.consumers.setdefault(a, []).append(nid)
+                consumers.setdefault(a, []).append(nid)
+        self.consumers = consumers
+
+        output = program.output
+        sums: dict[str, int] = {}
+        order: list[str] = []  # operands before their consumers
+        stack = [output]
+        while stack:
+            nid = stack[-1]
+            if nid in sums:
+                stack.pop()
+                continue
+            args = operands.get(nid, ())
+            todo = [a for a in args if a not in sums]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            total = self.weight(heads[nid])
+            for slot, a in enumerate(args):
+                total += slot_weight(slot) * sums[a]
+            sums[nid] = total % MODULUS
+            order.append(nid)
+        dead = []
+        for nid, head in heads.items():
+            if nid not in sums:
+                if head[0] == INPUT_OP:  # an unused root
+                    sums[nid] = self.weight(head)
+                else:
+                    dead.append(nid)
+        paths = {output: 1}
+        for nid in reversed(order):
+            above = paths[nid]
+            for slot, a in enumerate(operands.get(nid, ())):
+                paths[a] = (paths.get(a, 0) + above * slot_weight(slot)) % MODULUS
+        self.sums, self.paths, self.total, self.dead = sums, paths, sums[output], frozenset(dead)
+
+    def weight(self, head: tuple) -> int:
+        """`head_weight(head)`, made once per base for each head, so heads
+        the key holds equal weigh the same even where their reprs differ (an
+        exponent of 1 and one of 1.0)."""
+        weights = self._weights
+        weight = weights.get(head)
+        if weight is None:
+            weight = weights[head] = head_weight(head)
+        return weight
+
+    def blocked(self, nid: str) -> set[str]:
+        """`nid` and every node it feeds, directly or not, made once per base
+        for each node: no new operand of `nid`, nor of a node inserted to
+        feed it, may be one of them, or the edit would close a cycle."""
+        blocked = self._blocked.get(nid)
+        if blocked is None:
+            consumers = self.consumers
+            blocked = self._blocked[nid] = {nid}
+            stack = [nid]
+            while stack:
+                for nxt in consumers.get(stack.pop(), ()):
+                    if nxt not in blocked:
+                        blocked.add(nxt)
+                        stack.append(nxt)
+        return blocked
 
     def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
         """The base's `analyze_program` result, its check counts
@@ -336,63 +422,3 @@ def head_weight(head: tuple) -> int:
 def slot_weight(slot: int) -> int:
     """`r_s`: the weight of operand slot `slot`."""
     return _residue(("slot", slot))
-
-
-class TreeSums:
-    """The two tables of one base's fingerprint, built once per proposer pass.
-
-    * `sums`: `t(v)` of every node of the base;
-    * `paths`: `p(v)` of every node that feeds the output, the sum over the
-      paths from the output to `v` of the product of the slot weights along
-      each, `p(output)` being 1; an edit that swaps one occurrence-weighted
-      subtree for another changes the fingerprint by `p` times the change;
-    * `total`: the base's fingerprint, `t(output)`.
-
-    `weight` gives each head its `head_weight` once per pass, so heads the
-    key holds equal weigh the same even where their reprs differ (an
-    exponent of 1 and one of 1.0). Both walks keep their own stack, so no
-    nested function refers to itself.
-    """
-
-    __slots__ = ("sums", "paths", "total", "_weights")
-
-    def __init__(self, base: EditBase):
-        self._weights: dict[tuple, int] = {}
-        heads, operands = base.heads, base.operands
-        output = base.program.output
-        sums: dict[str, int] = {}
-        order: list[str] = []  # operands before their consumers
-        stack = [output]
-        while stack:
-            nid = stack[-1]
-            if nid in sums:
-                stack.pop()
-                continue
-            args = operands.get(nid, ())
-            todo = [a for a in args if a not in sums]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            total = self.weight(heads[nid])
-            for slot, a in enumerate(args):
-                total += slot_weight(slot) * sums[a]
-            sums[nid] = total % MODULUS
-            order.append(nid)
-        for nid, head in heads.items():  # an unused root: a leaf no walk meets
-            if nid not in sums:
-                sums[nid] = self.weight(head)
-        paths = {output: 1}
-        for nid in reversed(order):
-            above = paths[nid]
-            for slot, a in enumerate(operands.get(nid, ())):
-                paths[a] = (paths.get(a, 0) + above * slot_weight(slot)) % MODULUS
-        self.sums, self.paths, self.total = sums, paths, sums[output]
-
-    def weight(self, head: tuple) -> int:
-        """`head_weight(head)`, made once per pass for each head."""
-        weights = self._weights
-        weight = weights.get(head)
-        if weight is None:
-            weight = weights[head] = head_weight(head)
-        return weight

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import MODULUS, EditBase, ProgramEdit, TreeSums, slot_weight
+from .edits import MODULUS, EditBase, ProgramEdit, slot_weight
 from .model import (
     CONST_OP,
     INPUT_OP,
@@ -121,49 +121,6 @@ class ProposerConfig:
             raise ValueError("max_operator_nodes must be >= 1")
 
 
-def _descendants(base: EditBase, nid: str) -> set[str]:
-    """Every node `nid` feeds, directly or not."""
-    consumers = base.consumers
-    stack, seen = [nid], set()
-    while stack:
-        for nxt in consumers.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _prune_dead(program: WorkflowProgram) -> WorkflowProgram:
-    """Drop operator/const nodes that no longer feed the output; keep roots.
-
-    A node the program lacks feeds nothing: the walk back from the output
-    stops there, so what fed only such a node is dropped with its edge, and
-    pruning again drops nothing more. A program with nothing to drop is
-    returned as it is. The proposer prunes a dirty base once, before it
-    edits it; of its edits of a clean base only a rewire can orphan a node,
-    and its record drops what pruning would (`EditBase.dropped`).
-    """
-    inc = program.incoming()
-    present = {n.node_id for n in program.nodes}
-    live: set[str] = set()
-    stack = [program.output]
-    while stack:
-        cur = stack.pop()
-        if cur in live or cur not in present:
-            continue
-        live.add(cur)
-        stack.extend(inc[cur].values())
-    nodes = tuple(
-        n for n in program.nodes
-        if n.node_id in live or n.op == INPUT_OP
-    )
-    kept = {n.node_id for n in nodes}
-    edges = tuple(e for e in program.edges if e.src in kept and e.dst in kept)
-    if len(nodes) == len(program.nodes) and len(edges) == len(program.edges):
-        return program
-    return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
-
-
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
     """The candidates of `records`, one base's, built now and vouched for by
     their records; they share the parts they have in common."""
@@ -205,28 +162,59 @@ class SyntheticProposer:
         against this proposer's registry raises `InvalidProgramError` with
         its violations (for a program the search holds, the check is the
         verdict lookup). A base with dead nodes is pruned of them first, and
-        the pruned program is edited in its place.
+        the pruned program is edited in its place (`_base`).
 
         Every edit of that clean, valid base keeps it valid by construction,
         so no candidate is checked. Each comes as its edit record
-        (`edits.ProgramEdit`) over maps of the base built once
-        (`edits.EditBase`), with its fingerprint beside it; a rewire drops on
-        its record what it leaves feeding nothing (`EditBase.dropped`). A
-        candidate is a duplicate when its canonical key is the base's or an
-        earlier candidate's, and only a record whose fingerprint meets one of
-        theirs can be one, so only such records are keyed
-        (`ProgramEdit.key`). A base with `max_operator_nodes` operator nodes
-        gets no insertions, and only a base above that size sizes its records
+        (`edits.ProgramEdit`) over the base's one `edits.EditBase`, with its
+        fingerprint beside it; a rewire drops on its record what it leaves
+        feeding nothing (`EditBase.dropped`). A candidate is a duplicate when
+        its canonical key is the base's or an earlier candidate's, and only a
+        record whose fingerprint meets one of theirs can be one, so only such
+        records are keyed (`ProgramEdit.key`). A base with
+        `max_operator_nodes` operator nodes gets no insertions, and only a
+        base above that size sizes its records
         (`ProgramEdit.operator_count`). Each kept record is built after the
         pass (`ProgramEdit.build`) and vouches for its candidate: this method
         builds every one, `propose` only those it draws.
         """
         return _built(self._distinct(program))
 
+    def _base(self, program: WorkflowProgram) -> EditBase:
+        """The `EditBase` this proposer edits for `program`.
+
+        `program` is checked once: one that fails `validate_program` raises
+        `InvalidProgramError`. The walk of its `EditBase` finds its dead
+        nodes, the operators and constants that feed nothing the output
+        reads. Only when there are some is its copy without them and their
+        edges built, in the same order and with every root, checked (an
+        `EditBase` is built of a program that passed), and given its own
+        `EditBase`. Of the edits of a clean base only a rewire can orphan a
+        node, and its record drops what pruning would (`EditBase.dropped`).
+        """
+        registry = self.registry
+        report = validate_program(program, registry)
+        if not report.ok:
+            raise InvalidProgramError("; ".join(report.violations))
+        base = EditBase(program, registry)
+        dead = base.dead
+        if dead:
+            # a node that feeds a live one is live, so every edge out of a
+            # dead node goes into one
+            pruned = WorkflowProgram(
+                nodes=tuple([n for n in program.nodes if n.node_id not in dead]),
+                edges=tuple([e for e in program.edges if e.dst not in dead]),
+                roots=program.roots,
+                output=program.output,
+            )
+            validate_program(pruned, registry)
+            base = EditBase(pruned, registry)
+        return base
+
     def _distinct(self, program: WorkflowProgram) -> list[ProgramEdit]:
-        """The pass `enumerate_edits` and `propose` share: the base checked
-        and pruned, then the record of each distinct candidate within the
-        size limit, in the edit generators' order, unbuilt.
+        """The pass `enumerate_edits` and `propose` share: the record of each
+        distinct candidate within the size limit, in the edit generators'
+        order, unbuilt, each over the one `EditBase` of `_base(program)`.
 
         The fingerprint is a function of the canonical key (`edits`), so a
         record whose fingerprint neither the base nor an earlier record has
@@ -235,32 +223,25 @@ class SyntheticProposer:
         that fingerprint, once; it is dropped if its key is one of theirs.
         The kept records and their order are those of keying every record.
         """
-        registry, config = self.registry, self.config
-        report = validate_program(program, registry)
-        if not report.ok:
-            raise InvalidProgramError("; ".join(report.violations))
-        pruned = _prune_dead(program)
-        if pruned is not program:
-            validate_program(pruned, registry)  # an EditBase is built of a program that passed
-        base = EditBase(pruned, registry)
-        sums = TreeSums(base)
+        config = self.config
+        base = self._base(program)
         max_nodes = config.max_operator_nodes
         # insertions are made only below the cap, and no other edit adds an
         # operator, so only a base above it makes records over it
         over = base.operator_count > max_nodes
         sources = []
         if config.allow_insert and base.operator_count < max_nodes:
-            sources.append(self._insertions(pruned, base, sums))
+            sources.append(self._insertions(base))
         if config.allow_replace:
-            sources.append(self._replacements(pruned, base, sums))
+            sources.append(self._replacements(base))
         if config.allow_delete:
-            sources.append(self._deletions(pruned, base, sums))
+            sources.append(self._deletions(base))
         if config.allow_rewire:
-            sources.append(self._rewires(pruned, base, sums))
-        keys = {canonical_key(pruned)}
+            sources.append(self._rewires(base))
+        keys = {canonical_key(base.program)}
         # each fingerprint met: the first record met with it while that is
         # unkeyed, else None (the base's key is in `keys`)
-        met: dict[int, Optional[ProgramEdit]] = {sums.total: None}
+        met: dict[int, Optional[ProgramEdit]] = {base.total: None}
         kept: list[ProgramEdit] = []
         for fingerprint, edit in chain.from_iterable(sources):
             if over and edit.operator_count() > max_nodes:
@@ -278,17 +259,19 @@ class SyntheticProposer:
                 kept.append(edit)
         return kept
 
-    def _insertions(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
+    def _insertions(self, base: EditBase):
         """One new operator node on each edge, or above the output, for each
         kind and choice of operands, as its edit record over `base` with its
-        fingerprint from `sums`.
+        fingerprint from the base's tables.
 
         A record's nodes are its constant, if it has one, then the new node:
         they depend only on the kind and the constant, so each such tuple is
         made once per base. The operand lists it sets, the new node's and
         those of the node re-fed from it, depend only on the site and the
         operands, so each such map is made once per site and shared by every
-        kind.
+        kind. The new node's second operand is neither the anchor nor one of
+        its descendants (`EditBase.blocked`); above the output, where nothing
+        is fed from it, any node.
 
         The new node `N` takes the place of `src` in one slot `s` of the
         anchor, which every path to that slot reaches, so the fingerprint is
@@ -296,6 +279,7 @@ class SyntheticProposer:
         it is `t(N)`. `t(N)` is the kind's weight plus each operand's `t`, a
         constant's being its weight, times its slot's weight.
         """
+        program = base.program
         # every insertion into this base adds the same fresh ids
         new_id = fresh_node_id(program)
         const_id = fresh_node_id(program, "c")
@@ -304,21 +288,18 @@ class SyntheticProposer:
         # merge 0.0 and -0.0, which the canonical key tells apart
         consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
         const_nodes = {kind.name: [(const, *added[kind.name]) for const in consts] for kind in self._ops}
-        sum_of, path_of, total = sums.sums, sums.paths, sums.total
-        kind_weights = {name: sums.weight(_key_entry(nodes[0])) for name, nodes in added.items()}
-        const_weights = [sums.weight(_key_entry(const)) for const in consts]
+        sum_of, path_of, total = base.sums, base.paths, base.total
+        kind_weights = {name: base.weight(_key_entry(nodes[0])) for name, nodes in added.items()}
+        const_weights = [base.weight(_key_entry(const)) for const in consts]
         first, second = slot_weight(0), slot_weight(1)
         node_ids = [n.node_id for n in program.nodes]
-        # by anchor: the nodes that are neither the anchor nor one of its
-        # descendants, the new node's second operands; the output site
-        # (None) feeds nothing, so any node may pair with it
-        partners_of: dict[Optional[str], list[str]] = {None: node_ids}
         # real edges first, then the virtual edge (None) above the output node
         for edge in (*program.edges, None):
             if edge is None:
-                src, anchor, refed, output, scale = program.output, None, {}, new_id, 1
+                src, blocked, refed, output, scale = program.output, (), {}, new_id, 1
             else:
                 src, anchor, output = edge.src, edge.dst, program.output
+                blocked = base.blocked(anchor)
                 args = list(base.operands[anchor])
                 args[edge.slot] = new_id
                 refed = {anchor: tuple(args)}  # the anchor, fed from the new node
@@ -336,13 +317,11 @@ class SyntheticProposer:
                     yield (at + lead * src_sum) % MODULUS, ProgramEdit(base, output, unary, added[kind.name])
                 elif kind.arity == 2:
                     if pairs is None:
-                        partners = partners_of.get(anchor)
-                        if partners is None:
-                            blocked = _descendants(base, anchor) | {anchor}
-                            partners = partners_of[anchor] = [nid for nid in node_ids if nid not in blocked]
                         # each choice of operands: its terms of the fingerprint, and its operand lists
                         pairs = []
-                        for partner in partners:
+                        for partner in node_ids:
+                            if partner in blocked:
+                                continue
                             other = sum_of[partner]
                             term = (lead * src_sum + trail * other) % MODULUS
                             pairs.append((term, {new_id: (src, partner), **refed}))
@@ -360,29 +339,29 @@ class SyntheticProposer:
                         for term, operands in zip(terms, with_const):
                             yield (at + term) % MODULUS, ProgramEdit(base, output, operands, nodes)
 
-    def _replacements(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
+    def _replacements(self, base: EditBase):
         """Each operator node given every other kind of its arity, as its edit
         record over `base`. Its fingerprint is the base's plus `p(v)` times
         the change of `v`'s weight."""
-        arities, heads = self.registry.arities, base.heads
-        for node in program.operator_nodes():
+        arities, heads, output = self.registry.arities, base.heads, base.program.output
+        for node in base.program.operator_nodes():
             arity = arities[node.op]
             nid = node.node_id
-            scale = sums.paths[nid]
-            offset = sums.total - scale * sums.weight(heads[nid])
+            scale = base.paths[nid]
+            offset = base.total - scale * base.weight(heads[nid])
             for kind in self._ops:
                 if kind.arity != arity or kind.name == node.op:
                     continue
                 new = Node(nid, kind.name, node.unit, node.shape, node.value)
-                fingerprint = (offset + scale * sums.weight(_key_entry(new))) % MODULUS
-                yield fingerprint, ProgramEdit(base, program.output, {}, (new,))
+                fingerprint = (offset + scale * base.weight(_key_entry(new))) % MODULUS
+                yield fingerprint, ProgramEdit(base, output, {}, (new,))
 
-    def _deletions(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
+    def _deletions(self, base: EditBase):
         """Each unary operator node with its operand dropped, its consumers
         fed from that operand, as its edit record over `base`. Its
         fingerprint is the base's plus `p(v) * (t(operand) - t(v))`, the
         output's included."""
-        arities, operands, sum_of = self.registry.arities, base.operands, sums.sums
+        arities, program, operands, sum_of = self.registry.arities, base.program, base.operands, base.sums
         for node in program.operator_nodes():
             if arities[node.op] != 1:
                 continue
@@ -393,28 +372,25 @@ class SyntheticProposer:
                 reader: tuple(source if a == nid else a for a in operands[reader])
                 for reader in base.consumers.get(nid, ())
             }
-            fingerprint = (sums.total + sums.paths[nid] * (sum_of[source] - sum_of[nid])) % MODULUS
+            fingerprint = (base.total + base.paths[nid] * (sum_of[source] - sum_of[nid])) % MODULUS
             yield fingerprint, ProgramEdit(base, output, refed, removed=frozenset((nid,)))
 
-    def _rewires(self, program: WorkflowProgram, base: EditBase, sums: TreeSums):
+    def _rewires(self, base: EditBase):
         """Each edge given every other source that closes no cycle, as its edit
         record over `base`. A rewire that leaves nodes feeding nothing drops
         them on its record. Its fingerprint is the base's plus
         `p(dst) * r_slot * (t(alt) - t(src))`: what the move drops leaves the
         tree with the old source's occurrence."""
-        sum_of = sums.sums
-        blocked_by: dict[str, set[str]] = {}  # edge.dst -> itself and its descendants
+        program, sum_of = base.program, base.sums
         for edge in program.edges:
             src, dst, slot = edge.src, edge.dst, edge.slot
-            blocked = blocked_by.get(dst)
-            if blocked is None:
-                blocked = blocked_by[dst] = _descendants(base, dst) | {dst}
+            blocked = base.blocked(dst)
             # what the move leaves feeding nothing, unless the new source is
             # one of those nodes, which then stays with what feeds it
             dead = base.dropped(src)
             args = list(base.operands[dst])
-            scale = sums.paths[dst] * slot_weight(slot) % MODULUS
-            offset = sums.total - scale * sum_of[src]
+            scale = base.paths[dst] * slot_weight(slot) % MODULUS
+            offset = base.total - scale * sum_of[src]
             for node in program.nodes:
                 alt = node.node_id
                 if alt == src or alt in blocked:

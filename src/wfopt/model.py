@@ -22,24 +22,9 @@ transient. Two facts are kept on a program. One is its validation verdict:
 a program that passed `validate_program` remembers the registry object it
 passed against, so checking it again against that registry is a lookup.
 The other, on a candidate the proposer builds only, is its edit record, and
-once it is scored the `WorkflowState` derived from that record.
-
-The proposer checks its base once, on entry, and tells each candidate as
-its edit record (`edits.ProgramEdit`): the one edit that makes it from that
-base. Beside the record comes the candidate's fingerprint, a hash of its
-expression tree that one term of the base's tables gives, and equal keys
-give equal fingerprints. So only a record whose fingerprint meets the
-base's or an earlier record's is keyed. The record keys the candidate from
-the base's maps, the heads of the nodes the edit adds or changes and its
-operand changes, by the same walk, `_key_walk`, to the tuple `canonical_key`
-gives the built program. The edits keep the base valid by construction, so
-the record vouches for the candidate, once built, with the same verdict
-`validate_program` keeps, and stays beside it. The first `derive_state`
-of the candidate for that registry object derives its state from one
-analysis of the base, shared by the base's candidates, and the nodes its
-edit touched (`edits.ProgramEdit.state`, by `_transfer`), and keeps the
-state in the record's place; so expansion orders no child, and the child's
-one `_ordered` walk is its evaluation's.
+once it is scored the `WorkflowState` derived from that record
+(`edits.ProgramEdit`, which tells how records are keyed, vouched for and
+analysed).
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -267,6 +252,8 @@ class WorkflowProgram:
         return {n.node_id: n for n in self.nodes}
 
     def incoming(self) -> dict[str, dict[int, str]]:
+        # no caller in the package since the proposer's `EditBase` finds dead
+        # nodes; the tests' reference forms read it, and the tracer counts it
         inc: dict[str, dict[int, str]] = {n.node_id: {} for n in self.nodes}
         for e in self.edges:
             inc.setdefault(e.dst, {})[e.slot] = e.src
@@ -964,14 +951,25 @@ def _shape_to_json(shape: Shape):
     return {"matrix": list(shape.dims)}
 
 
+def _integer(value, what: str) -> int:
+    """`value`, a JSON integer, as an int: an int, or a float with no
+    fractional part (JSON Schema counts `1.0` an integer). Anything else, a
+    bool, a string or another number, raises `ValueError` naming `what`."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _shape_from_json(obj) -> Shape:
     if obj == "scalar":
         return Shape.scalar()
     if isinstance(obj, dict) and "vector" in obj:
-        return Shape.vector(int(obj["vector"]))
+        return Shape.vector(_integer(obj["vector"], "a shape dimension"))
     if isinstance(obj, dict) and "matrix" in obj:
         m, n = obj["matrix"]
-        return Shape.matrix(int(m), int(n))
+        return Shape.matrix(_integer(m, "a shape dimension"), _integer(n, "a shape dimension"))
     raise ValueError(f"bad shape tag: {obj!r}")
 
 
@@ -1007,11 +1005,15 @@ def program_from_dict(data: Mapping) -> WorkflowProgram:
         bad = set(entry) - _NODE_KEYS
         if bad:
             raise ValueError(f"unknown node keys: {sorted(bad)}")
-        unit = UnitSignature.of({str(k): int(v) for k, v in entry["unit"].items()}) if "unit" in entry else None
+        unit = (
+            UnitSignature.of({str(k): _integer(v, f"the exponent of {k!r}") for k, v in entry["unit"].items()})
+            if "unit" in entry
+            else None
+        )
         shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
         value = float(entry["value"]) if "value" in entry else None
         nodes.append(Node(str(entry["id"]), str(entry["op"]), unit=unit, shape=shape, value=value))
-    edges = tuple(Edge(str(s), str(d), int(k)) for s, d, k in data["edges"])
+    edges = tuple(Edge(str(s), str(d), _integer(k, "an edge slot")) for s, d, k in data["edges"])
     return WorkflowProgram(
         nodes=tuple(nodes),
         edges=edges,
@@ -1027,8 +1029,9 @@ def dumps_program(program: WorkflowProgram) -> str:
 def loads_program(text: str) -> WorkflowProgram:
     """The program of a workflow JSON document. Malformed JSON, JSON nested
     too deeply to decode, and a document `program_from_dict` cannot read (a
-    missing key, a null or mistyped field, an exponent too large for an
-    int) raise `ValueError`."""
+    missing key, a null or mistyped field, a slot, unit exponent or shape
+    dimension that is no JSON integer, a value too large for a float)
+    raise `ValueError`."""
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -36,13 +36,35 @@ class Motif:
 
 
 @dataclass(frozen=True)
-class MotifLibrary:
-    motifs: tuple[Motif, ...]
-    registry_ops: tuple[str, ...]
+class MotifConfig:
+    """The motif settings of a run: how many templates `init_templates`
+    places per category, and the four `refine` reads of the library."""
+
+    templates_per_category: int = 10
     refinement_period: int = 3
     cluster_count_per_category: int = 20
     min_separation: float = 0.3
     max_per_category: int = 30
+
+    def __post_init__(self) -> None:
+        # refinement runs on rounds divisible by the period, and keeps up to
+        # that many centroids per category; below 1 either is meaningless
+        if self.refinement_period < 1:
+            raise ValueError("motifs.refinement_period must be >= 1")
+        if self.cluster_count_per_category < 1:
+            raise ValueError("motifs.cluster_count_per_category must be >= 1")
+        if self.max_per_category < self.templates_per_category:
+            raise ValueError("motifs.max_per_category must be >= motifs.templates_per_category")
+        # the cosine distance of two non-negative unit vectors lies in [0, 1]
+        if not 0.0 <= self.min_separation <= 1.0:
+            raise ValueError("motifs.min_separation must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class MotifLibrary:
+    motifs: tuple[Motif, ...]
+    registry_ops: tuple[str, ...]
+    config: MotifConfig = MotifConfig()
     frozen: bool = False
 
     def in_category(self, category: str) -> tuple[Motif, ...]:
@@ -88,16 +110,15 @@ def score_pattern(state: WorkflowState, category: str, lib: MotifLibrary) -> flo
 
 def init_templates(
     categories: Sequence[str],
-    templates_per_category: int,
+    config: MotifConfig,
     *,
     registry_ops: Sequence[str],
     seed: int = 42,
-    refinement_period: int = 3,
-    cluster_count_per_category: int = 20,
-    min_separation: float = 0.3,
-    max_per_category: int = 30,
 ) -> MotifLibrary:
-    """Seeded generation of well-spread baseline template directions."""
+    """Seeded generation of well-spread baseline template directions:
+    `config.templates_per_category` per category, each at least
+    `config.min_separation` from the others. The library holds `config`."""
+    templates_per_category, min_separation = config.templates_per_category, config.min_separation
     if not 10 <= templates_per_category <= 15:
         raise ValueError("templates_per_category must lie in [10, 15]")
     dim = len(registry_ops)
@@ -124,14 +145,7 @@ def init_templates(
             Motif(category, tuple(float(x) for x in vec), "baseline_template")
             for vec in accepted
         )
-    return MotifLibrary(
-        motifs=tuple(motifs),
-        registry_ops=tuple(registry_ops),
-        refinement_period=refinement_period,
-        cluster_count_per_category=cluster_count_per_category,
-        min_separation=min_separation,
-        max_per_category=max_per_category,
-    )
+    return MotifLibrary(motifs=tuple(motifs), registry_ops=tuple(registry_ops), config=config)
 
 
 def _farthest_point_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,10 +197,11 @@ def refine(
     """
     if lib.frozen:
         raise FrozenLibraryError("refine called on a frozen motif library")
-    if round_index % lib.refinement_period != 0:
+    config = lib.config
+    if round_index % config.refinement_period != 0:
         raise ValueError(
             f"round {round_index} is not on the refinement schedule "
-            f"(period {lib.refinement_period})"
+            f"(period {config.refinement_period})"
         )
 
     by_category: dict[str, list[np.ndarray]] = {}
@@ -203,7 +218,7 @@ def refine(
     rng = np.random.default_rng(seed)
     for category in sorted(by_category):
         samples = np.stack(by_category[category])
-        k = min(lib.cluster_count_per_category, len(samples))
+        k = min(config.cluster_count_per_category, len(samples))
         centers, sizes = _kmeans_cosine(samples, k, rng)
         order = sorted(range(k), key=lambda j: (-int(sizes[j]), j))
         for j in order:
@@ -213,12 +228,12 @@ def refine(
             kept = [m for m in motifs if m.category == category]
             close = [
                 m for m in kept
-                if 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < lib.min_separation
+                if 1.0 - float(np.dot(candidate, np.asarray(m.vector))) < config.min_separation
             ]
             if any(m.origin == "clustered" for m in close):
                 continue
             # every close motif is a baseline now; at the cap one must make room
-            if len(kept) >= lib.max_per_category and not close:
+            if len(kept) >= config.max_per_category and not close:
                 continue
             for m in close:
                 motifs.remove(m)
@@ -248,15 +263,18 @@ def library_to_dict(lib: MotifLibrary) -> dict:
         "categories": categories,
         "frozen": lib.frozen,
         "params": {
-            "refinement_period": lib.refinement_period,
-            "cluster_count_per_category": lib.cluster_count_per_category,
-            "min_separation": lib.min_separation,
-            "max_per_category": lib.max_per_category,
+            "refinement_period": lib.config.refinement_period,
+            "cluster_count_per_category": lib.config.cluster_count_per_category,
+            "min_separation": lib.config.min_separation,
+            "max_per_category": lib.config.max_per_category,
         },
     }
 
 
 def library_from_dict(data: Mapping) -> MotifLibrary:
+    """The library `library_to_dict` wrote. Its `params` hold the four
+    settings `refine` reads; `templates_per_category`, read only by
+    `init_templates`, is not saved and comes back as the default."""
     if data.get("version") != LIBRARY_FORMAT_VERSION:
         raise ValueError(f"unsupported library version {data.get('version')!r}")
     params = data.get("params", {})
@@ -264,13 +282,16 @@ def library_from_dict(data: Mapping) -> MotifLibrary:
     for cat in data["categories"]:
         for m in cat["motifs"]:
             motifs.append(Motif(cat["name"], tuple(float(x) for x in m["vector"]), m["origin"]))
-    return MotifLibrary(
-        motifs=tuple(motifs),
-        registry_ops=tuple(data["registry"]),
+    config = MotifConfig(
         refinement_period=int(params.get("refinement_period", 3)),
         cluster_count_per_category=int(params.get("cluster_count_per_category", 20)),
         min_separation=float(params.get("min_separation", 0.3)),
         max_per_category=int(params.get("max_per_category", 30)),
+    )
+    return MotifLibrary(
+        motifs=tuple(motifs),
+        registry_ops=tuple(data["registry"]),
+        config=config,
         frozen=bool(data["frozen"]),
     )
 

@@ -347,7 +347,7 @@ class Optimizer:
         lib = self.scorer.library
         if lib is None or lib.frozen:
             return
-        if round_index == 0 or round_index % lib.refinement_period != 0:
+        if round_index == 0 or round_index % lib.config.refinement_period != 0:
             return
         if not self._round_histograms:
             return

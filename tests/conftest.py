@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wfopt.edits import MODULUS, EditBase, TreeSums, head_weight, slot_weight
+from wfopt.edits import MODULUS, EditBase, head_weight, slot_weight
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -76,14 +76,40 @@ def random_program(rng: np.random.Generator, registry, max_ops: int = 8) -> Work
     return program
 
 
+def prune_dead(program: WorkflowProgram) -> WorkflowProgram:
+    """The reference pruning: drop the operator and const nodes that do not
+    feed the output, from the program's `incoming()` map; keep the roots.
+
+    A node the program lacks feeds nothing: the walk back from the output
+    stops there, so what fed only such a node is dropped with its edge, and
+    pruning again drops nothing more. A program with nothing to drop is
+    returned as it is. The proposer prunes a base by the dead nodes its
+    `EditBase` walk finds, and a rewire's record drops what this drops."""
+    inc = program.incoming()
+    present = {n.node_id for n in program.nodes}
+    live: set[str] = set()
+    stack = [program.output]
+    while stack:
+        cur = stack.pop()
+        if cur in live or cur not in present:
+            continue
+        live.add(cur)
+        stack.extend(inc[cur].values())
+    nodes = tuple(n for n in program.nodes if n.node_id in live or n.op == INPUT_OP)
+    kept = {n.node_id for n in nodes}
+    edges = tuple(e for e in program.edges if e.src in kept and e.dst in kept)
+    if len(nodes) == len(program.nodes) and len(edges) == len(program.edges):
+        return program
+    return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
+
+
 def every_pair(proposer, program):
     """Every (fingerprint, edit record) pair `proposer`'s edit generators
     yield for a clean, valid `program`, in the proposer's order, before the
     size limit and deduplication."""
     base = EditBase(program, proposer.registry)
-    sums = TreeSums(base)
     generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    return [pair for generate in generators for pair in generate(program, base, sums)]
+    return [pair for generate in generators for pair in generate(base)]
 
 
 def every_entry(proposer, program):

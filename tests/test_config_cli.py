@@ -87,6 +87,7 @@ class TestConfigParsing:
             ("executor", {"command": ()}),
             ("suite", {"unit_dims": ()}),
             ("proposer", {"ops": None}),
+            ("suite", {"unit_dims": ("m", None)}),
         ],
     )
     def test_round_trip_keeps_empty_and_null_lists(self, section, value):
@@ -174,6 +175,9 @@ class TestConfigParsing:
              "each price of prices.optimizer must be a finite number, got an integer too large for a float"),
             (json.loads('{"proposer": {"const_palette": [1' + "0" * 400 + ']}}'),
              "each entry of proposer.const_palette must be a finite number, got an integer too large for a float"),
+            ({"suite": {"unit_dims": [{"a": 1}]}}, "each entry of suite.unit_dims must be str, got {'a': 1}"),
+            ({"suite": {"unit_dims": [5, "m"]}}, "each entry of suite.unit_dims must be str, got 5"),
+            ({"suite": {"unit_dims": [5]}}, "each entry of suite.unit_dims must be str, got 5"),
         ],
     )
     def test_list_entry_of_wrong_type_rejected(self, data, message):
@@ -376,7 +380,16 @@ class TestCli:
         '{"nodes": [{"id": "x0", "op": "input", "unit": {"m": 1e400}}], "edges": [], "roots": ["x0"], "output": "x0"}',
         json.dumps({"nodes": [{"id": "x0", "op": "input"}], "edges": [], "roots": ["x0"]}),
         "null",
-    ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null"])
+        *(json.dumps({"nodes": [{"id": "x0", "op": "input", "unit": {"m": exponent}}], "edges": [], "roots": ["x0"],
+                      "output": "x0"}) for exponent in (1.5, True, "1")),
+        *(json.dumps({"nodes": [{"id": "x0", "op": "input"}, {"id": "n0", "op": "add"}],
+                      "edges": [["x0", "n0", 0], ["x0", "n0", slot]], "roots": ["x0"], "output": "n0"})
+          for slot in (1.9, True, "1")),
+        *(json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": shape}], "edges": [], "roots": ["x0"],
+                      "output": "x0"}) for shape in ({"vector": 2.5}, {"vector": "3"}, {"matrix": [2, False]})),
+    ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null",
+            "fractional-exponent", "bool-exponent", "string-exponent", "fractional-slot", "bool-slot", "string-slot",
+            "fractional-dimension", "string-dimension", "bool-dimension"])
     def test_export_malformed_workflow_exits_2(self, tmp_path, capsys, text):
         source, dest = tmp_path / "bad.json", tmp_path / "out.json"
         source.write_text(text)

@@ -32,7 +32,7 @@ from wfopt.model import (
     WorkflowState,
     derive_state,
 )
-from wfopt.motifs import init_templates, score_pattern
+from wfopt.motifs import MotifConfig, init_templates, score_pattern
 from wfopt.weights import FAMILIES, WeightVector
 
 from conftest import binary, chain, random_program
@@ -331,7 +331,7 @@ class TestScorerMemos:
 
     @pytest.fixture
     def library(self, registry):
-        return init_templates(["cat0"], 10, registry_ops=registry.names, seed=5)
+        return init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=5)
 
     def test_pattern_matched_once_per_histogram(self, registry, library, monkeypatch):
         matched = []
@@ -364,7 +364,7 @@ class TestScorerMemos:
         state = make_state(histogram={"add": 1, "mul": 2})
         program = binary("add", "input", "input")
         assert scorer.static_vector(program, state).pattern == score_pattern(state, "cat0", library)
-        other = init_templates(["cat0", "cat1"], 10, registry_ops=registry.names, seed=6)
+        other = init_templates(["cat0", "cat1"], MotifConfig(), registry_ops=registry.names, seed=6)
         assert score_pattern(state, "cat0", other) != score_pattern(state, "cat0", library)
         scorer.library = other
         assert scorer.static_vector(program, state).pattern == score_pattern(state, "cat0", other)

@@ -16,7 +16,6 @@ from wfopt.harness import (
     SyntheticEvaluator,
     SyntheticProposer,
     TokenRecord,
-    _prune_dead,
     cost,
     make_synthetic_suite,
     tokens_per_problem,
@@ -33,7 +32,7 @@ from wfopt.model import (
 )
 from wfopt.runlog import RunLog
 
-from conftest import binary, chain, every_entry, every_pair, fingerprint
+from conftest import binary, chain, every_entry, every_pair, fingerprint, prune_dead
 
 
 def trivial_program():
@@ -260,7 +259,7 @@ class TestEditRecords:
         proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg"), const_palette=(1.0,),
                                                               max_operator_nodes=cap))
         if kind != "invalid":
-            assert len(met_records(proposer, _prune_dead(base), cap)[1]) == counts[2]
+            assert len(met_records(proposer, prune_dead(base), cap)[1]) == counts[2]
         calls: list = []
         self.count_calls(monkeypatch, calls)
         if kind == "invalid":

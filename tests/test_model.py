@@ -482,6 +482,16 @@ class TestSerialization:
         restored = program_from_dict(program_to_dict(program))
         assert restored == program
 
+    def test_integral_floats_read_as_integers(self):
+        # JSON Schema counts 1.0 an integer; 1.5 and true are rejected
+        data = {"nodes": [{"id": "x0", "op": "input", "unit": {"m": 1.0}, "shape": {"matrix": [2.0, 3]}},
+                          {"id": "n0", "op": "neg"}],
+                "edges": [["x0", "n0", 0.0]], "roots": ["x0"], "output": "n0"}
+        program = program_from_dict(data)
+        assert program.nodes[0].unit.exponents == (("m", 1),) and program.nodes[0].shape.dims == (2, 3)
+        assert [type(v) for v in (program.nodes[0].unit.exponents[0][1], *program.nodes[0].shape.dims,
+                                  program.edges[0].slot)] == [int] * 4
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown program keys"):
             program_from_dict({"nodes": [], "edges": [], "roots": [], "output": "x", "extra": 1})

@@ -9,6 +9,7 @@ from wfopt.model import WorkflowState, default_registry
 from wfopt.motifs import (
     FrozenLibraryError,
     Motif,
+    MotifConfig,
     MotifInitError,
     MotifLibrary,
     cosine_similarity,
@@ -98,13 +99,13 @@ class TestScorePattern:
 
 class TestInitTemplates:
     def test_counts(self):
-        lib = init_templates(["a", "b", "c", "d"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a", "b", "c", "d"], MotifConfig(), registry_ops=OPS, seed=42)
         assert len(lib.motifs) == 40
         for cat in ("a", "b", "c", "d"):
             assert len(lib.in_category(cat)) == 10
 
     def test_pairwise_separation(self):
-        lib = init_templates(["a", "b"], 12, registry_ops=OPS, seed=42)
+        lib = init_templates(["a", "b"], MotifConfig(templates_per_category=12), registry_ops=OPS, seed=42)
         for cat in ("a", "b"):
             motifs = lib.in_category(cat)
             for i in range(len(motifs)):
@@ -112,25 +113,25 @@ class TestInitTemplates:
                     assert 1 - cosine_similarity(motifs[i].vector, motifs[j].vector) >= 0.3 - 1e-12
 
     def test_deterministic(self):
-        a = init_templates(["a"], 10, registry_ops=OPS, seed=42)
-        b = init_templates(["a"], 10, registry_ops=OPS, seed=42)
+        a = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
+        b = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
         assert a == b
 
     def test_template_count_bounds(self):
         with pytest.raises(ValueError):
-            init_templates(["a"], 9, registry_ops=OPS)
+            init_templates(["a"], MotifConfig(templates_per_category=9), registry_ops=OPS)
         with pytest.raises(ValueError):
-            init_templates(["a"], 16, registry_ops=OPS)
+            init_templates(["a"], MotifConfig(templates_per_category=16), registry_ops=OPS)
 
     def test_infeasible_separation(self):
         # two dimensions cannot host 10 non-negative directions 0.95 apart
         with pytest.raises(MotifInitError):
-            init_templates(["a"], 10, registry_ops=("add", "mul"), min_separation=0.95, seed=1)
+            init_templates(["a"], MotifConfig(min_separation=0.95), registry_ops=("add", "mul"), seed=1)
 
 
 class TestRefine:
     def test_no_observations_unchanged(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
         assert refine(lib, [], round_index=3, seed=1) == lib
 
     def test_duplicated_point_collapses_to_one_motif(self):
@@ -158,12 +159,12 @@ class TestRefine:
         assert 1 - cosine_similarity(motifs[0].vector, motifs[1].vector) >= 0.3
 
     def test_frozen_rejects(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42).freeze()
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42).freeze()
         with pytest.raises(FrozenLibraryError):
             refine(lib, [("a", (1.0,) * 8)], round_index=3, seed=1)
 
     def test_frozen_scores_unchanged_after_rejection(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42).freeze()
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42).freeze()
         state = state_with({"add": 1, "mul": 2})
         before = score_pattern(state, "a", lib)
         with pytest.raises(FrozenLibraryError):
@@ -176,13 +177,13 @@ class TestRefine:
             refine(lib, [("a", (1.0,) * 8)], round_index=4, seed=1)
 
     def test_deterministic(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
         rng = np.random.default_rng(3)
         observed = [("a", tuple(rng.random(8))) for _ in range(40)]
         assert refine(lib, observed, 3, seed=5) == refine(lib, observed, 3, seed=5)
 
     def test_separation_invariant_after_refine(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
         rng = np.random.default_rng(4)
         observed = [("a", tuple(rng.random(8))) for _ in range(60)]
         refined = refine(lib, observed, 3, seed=5)
@@ -202,7 +203,7 @@ class TestRefine:
         assert motifs[0].origin == "clustered"
 
     def test_size_cap_respected(self):
-        lib = empty_library(max_per_category=3)
+        lib = empty_library(config=MotifConfig(templates_per_category=3, max_per_category=3))
         rng = np.random.default_rng(8)
         observed = [("a", tuple(rng.random(8))) for _ in range(100)]
         refined = refine(lib, observed, 3, seed=6)
@@ -211,19 +212,19 @@ class TestRefine:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        lib = init_templates(["a", "b"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a", "b"], MotifConfig(), registry_ops=OPS, seed=42)
         path = tmp_path / "motifs.json"
         save_library(lib, path)
         assert library_from_dict(json.loads(path.read_text())) == lib
 
     def test_frozen_flag_persisted(self, tmp_path):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42).freeze()
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42).freeze()
         path = tmp_path / "motifs.json"
         save_library(lib, path)
         assert library_from_dict(json.loads(path.read_text())).frozen is True
 
     def test_dict_schema(self):
-        lib = init_templates(["a"], 10, registry_ops=OPS, seed=42)
+        lib = init_templates(["a"], MotifConfig(), registry_ops=OPS, seed=42)
         data = library_to_dict(lib)
         assert set(data) == {"version", "registry", "categories", "frozen", "params"}
         assert data["categories"][0]["name"] == "a"

@@ -17,12 +17,12 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
-from wfopt.edits import EditBase, TreeSums
-from wfopt.harness import ProposerConfig, SyntheticProposer, _prune_dead
+from wfopt.edits import EditBase
+from wfopt.harness import ProposerConfig, SyntheticProposer
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
 from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
-from conftest import every_entry, random_program
+from conftest import every_entry, prune_dead, random_program
 
 REGISTRY = default_registry()
 
@@ -125,7 +125,7 @@ def test_every_generated_edit_is_valid_after_pruning(seed):
     of its dead nodes as the proposer prunes it, before the proposer's size
     limit and deduplication apply."""
     rng = np.random.default_rng(seed)
-    program = _prune_dead(random_program(rng, REGISTRY))
+    program = prune_dead(random_program(rng, REGISTRY))
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     for edit in every_entry(proposer, program):
         report = validate_program(edit.build(), REGISTRY)
@@ -140,11 +140,10 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     orphaning_rewires = 0
     for _ in range(60):
-        program = _prune_dead(random_program(rng, REGISTRY))
+        program = prune_dead(random_program(rng, REGISTRY))
         for edit in every_entry(proposer, program):
             candidate = edit.build()
-            assert _prune_dead(candidate) is candidate
-        base = EditBase(program, REGISTRY)
-        rewires = proposer._rewires(program, base, TreeSums(base))
+            assert prune_dead(candidate) is candidate
+        rewires = proposer._rewires(EditBase(program, REGISTRY))
         orphaning_rewires += sum(bool(edit.removed) for _, edit in rewires)
     assert orphaning_rewires > 0

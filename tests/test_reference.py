@@ -6,7 +6,7 @@ are written for speed: one pass over the nodes and edges, a reachability walk
 only when it can fail, a flat tuple key, one walk that orders a program and
 resolves its operands together for each analysis or evaluation request,
 each evaluation step run once over the values of all input bindings, one
-check and at most one dead-node pruning walk per proposer base, and a size,
+check and one walk per proposer base that also finds its dead nodes, and a size,
 a fingerprint and, where fingerprints meet, a key of each proposer candidate
 made from its edit of that base rather than from the whole candidate, with
 no check of a candidate that edit keeps valid by construction. The reference forms below are the plain versions
@@ -20,7 +20,8 @@ out-map of the edges (`ref_descendants`). The fast forms must give the same repo
 equalities, the same analyses, the same traces and the same errors on every
 input, invalid programs included. The proposer refuses an invalid base with
 the reference's violations, and gives a valid one the reference's candidates
-of its copy pruned of dead nodes.
+of its copy pruned of dead nodes by `conftest.prune_dead`, from the
+program's `incoming()`.
 """
 
 import dataclasses
@@ -35,8 +36,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfopt import edits
-from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord, _prune_dead
-from wfopt.edits import EditBase, ProgramEdit, TreeSums
+from wfopt.harness import ProposerConfig, SyntheticProposer, TokenRecord
+from wfopt.edits import EditBase, ProgramEdit
 from wfopt.model import (
     CONST_OP,
     INPUT_OP,
@@ -76,7 +77,7 @@ from wfopt.model import (
     validate_program,
 )
 
-from conftest import every_entry, every_pair, fingerprint, random_program
+from conftest import every_entry, every_pair, fingerprint, prune_dead, random_program
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,7 @@ def ref_enumerate_edits(proposer, program):
     results = []
     for generator in generators:
         for candidate in generator:
-            candidate = _prune_dead(candidate)
+            candidate = prune_dead(candidate)
             if len(candidate.operator_nodes()) > config.max_operator_nodes:
                 continue
             if not validate_program(candidate, proposer.registry).ok:
@@ -718,7 +719,7 @@ class TestValidateWithNullaryOperator:
                 edges[i] = Edge("p0", edges[i].dst, edges[i].slot)
             else:
                 output = "p0"
-            mutated = _prune_dead(WorkflowProgram(nodes, tuple(edges), program.roots, output))
+            mutated = prune_dead(WorkflowProgram(nodes, tuple(edges), program.roots, output))
             assert validate_program(mutated, nullary_registry) == ref_validate_program(mutated, nullary_registry)
 
 
@@ -771,15 +772,14 @@ def _same_raw_candidates(proposer, base):
     ref = list(ref_insertions(proposer, base))
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
     record = EditBase(base, proposer.registry)
-    sums = TreeSums(record)
 
     def built(generate):
-        return [edit.build() for _, edit in generate(base, record, sums)]
+        return [edit.build() for _, edit in generate(record)]
 
     return (_same_candidates(built(proposer._insertions), ref)
             and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
             and _same_candidates(built(proposer._deletions), list(ref_deletions(proposer, base)))
-            and _same_candidates(built(proposer._rewires), [_prune_dead(c) for c in ref_rewires(base)]))
+            and _same_candidates(built(proposer._rewires), [prune_dead(c) for c in ref_rewires(base)]))
 
 
 class TestEnumerateEdits:
@@ -794,7 +794,7 @@ class TestEnumerateEdits:
         for i in range(90):
             base = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
             if i % 2:
-                base = _prune_dead(base)
+                base = prune_dead(base)
             if equal_edges:
                 base = _equal_edges(base, rng)
             config = ProposerConfig(ops=ops, const_palette=(0.0, -0.0, 1.0),
@@ -803,7 +803,7 @@ class TestEnumerateEdits:
             if equal_edges:
                 _refused(proposer, base)
                 continue
-            pruned = _prune_dead(base)
+            pruned = prune_dead(base)
             if pruned is base:
                 clean += 1
             else:
@@ -817,7 +817,7 @@ class TestEnumerateEdits:
     def test_edit_kinds_switched_off(self, registry):
         rng = np.random.default_rng(32)
         for i in range(40):
-            base = _prune_dead(random_program(rng, registry, max_ops=5))
+            base = prune_dead(random_program(rng, registry, max_ops=5))
             flags = dict(allow_insert=bool(i & 1), allow_replace=bool(i & 2),
                          allow_delete=bool(i & 4), allow_rewire=bool(i & 8))
             proposer = SyntheticProposer(registry, ProposerConfig(max_operator_nodes=8, **flags))
@@ -828,7 +828,7 @@ class TestEnumerateEdits:
         # edge per slot; it is invalid, and refused
         rng = np.random.default_rng(33)
         for _ in range(60):
-            base = _two_edges_into_one_slot(_prune_dead(random_program(rng, registry, max_ops=5)), rng)
+            base = _two_edges_into_one_slot(prune_dead(random_program(rng, registry, max_ops=5)), rng)
             _refused(SyntheticProposer(registry, ProposerConfig(const_palette=(1.0,), max_operator_nodes=8)), base)
 
     @pytest.mark.parametrize("nodes, edges", [
@@ -851,7 +851,7 @@ class TestEnumerateEdits:
         clean = dirty = kept_insertions = 0
         for _ in range(80):
             base = random_program(rng, registry, max_ops=6)
-            pruned = _prune_dead(base)
+            pruned = prune_dead(base)
             config = ProposerConfig(const_palette=(1.0,), max_operator_nodes=len(base.operator_nodes()))
             proposer = SyntheticProposer(registry, config)
             fast = proposer.enumerate_edits(base)
@@ -872,9 +872,8 @@ class TestEnumerateEdits:
         proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, 1.0)))
         fewer = 0
         for _ in range(40):
-            base = _prune_dead(random_program(rng, registry, max_ops=5))
-            record = EditBase(base, registry)
-            raw = [edit.build() for _, edit in proposer._insertions(base, record, TreeSums(record))]
+            base = prune_dead(random_program(rng, registry, max_ops=5))
+            raw = [edit.build() for _, edit in proposer._insertions(EditBase(base, registry))]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -909,14 +908,13 @@ class TestCanonicalKey:
             assert _same_partition([base] + edits)
             # the raw candidates, before deduplication, repeat programs; the
             # reference insertions keep both operand orders of [src, src]
-            raw = [_prune_dead(c) for c in ref_insertions(proposer, base)]
-            pruned = _prune_dead(base)
+            raw = [prune_dead(c) for c in ref_insertions(proposer, base)]
+            pruned = prune_dead(base)
             record = EditBase(pruned, registry)
-            sums = TreeSums(record)
             raw += [
                 edit.build()
                 for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for _, edit in gen(pruned, record, sums)
+                for _, edit in gen(record)
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -985,7 +983,7 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     valid by construction, so once built and vouched for it passes
     `ref_validate_program`, and it has no dead node."""
     rng = np.random.default_rng(seed)
-    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    base = EDIT_BASES[kind](prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
     cap = len(base.operator_nodes()) if kind == "at-the-size-cap" else 12
     ops = None if seed % 2 else ("add", "sub", "mul", "neg")
@@ -998,12 +996,12 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
         _refused(proposer, base)
         return
     keys = []
-    for edit in every_entry(proposer, _prune_dead(base)):
+    for edit in every_entry(proposer, prune_dead(base)):
         # a record sizes and keys its candidate before it is built
         size, key = edit.operator_count(), edit.key()
         candidate = edit.vouch(edit.build())
         plain = _without_verdict(candidate)
-        assert _prune_dead(plain) is plain  # no dead node
+        assert prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
         assert expected.ok, expected.violations
         assert size == len(plain.operator_nodes())
@@ -1058,14 +1056,14 @@ def test_edit_fingerprints_are_the_built_candidates(registry, kind, palette, tag
     program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
     if tagged:
         program = _tagged(program, rng)
-    base = EDIT_BASES[kind](_prune_dead(program), rng)
+    base = EDIT_BASES[kind](prune_dead(program), rng)
     proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
                                                           const_palette=(0.0, -0.0, 1.0) if palette else ()))
     if not ref_validate_program(base, registry).ok:
         _refused(proposer, base)
         return
-    clean = _prune_dead(base)
-    assert TreeSums(EditBase(clean, registry)).total == fingerprint(clean)
+    clean = prune_dead(base)
+    assert EditBase(clean, registry).total == fingerprint(clean)
     fingerprints = {canonical_key(clean): {fingerprint(clean)}}
     for fp, edit in every_pair(proposer, clean):
         candidate = edit.build()
@@ -1086,8 +1084,8 @@ def test_dedup_is_exact_whatever_the_weights(registry, monkeypatch):
         program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
         if i % 4 < 2:
             program = _tagged(program, rng)
-        base = EDIT_BASES[kind](_prune_dead(program), rng)
-        clean = _prune_dead(base)
+        base = EDIT_BASES[kind](prune_dead(program), rng)
+        clean = prune_dead(base)
         cap = len(clean.operator_nodes()) if kind == "at-the-size-cap" else 2 + i % 9
         config = ProposerConfig(ops=None if i % 3 else ("add", "sub", "mul", "neg"),
                                 const_palette=(0.0, -0.0, 1.0) if i % 2 else (), max_operator_nodes=cap)
@@ -1118,7 +1116,7 @@ def test_dedup_is_exact_whatever_the_weights(registry, monkeypatch):
     for base, clean, config in cases:
         proposer = SyntheticProposer(registry, config)
         pairs = every_pair(proposer, clean)
-        assert {fp for fp, _ in pairs} <= {0} == {TreeSums(EditBase(clean, registry)).total}
+        assert {fp for fp, _ in pairs} <= {0} == {EditBase(clean, registry).total}
         sized += sum(edit.operator_count() <= config.max_operator_nodes for _, edit in pairs)
     assert len(keyed) == 2 * sized > 10 * real_keys
 
@@ -1145,7 +1143,7 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     """A record vouches for its candidate only against the registry object
     the base passed against: against any other, the candidate gets the full
     check, so a registry without one of its operators reports it."""
-    base = _prune_dead(random_program(np.random.default_rng(3), registry, max_ops=4))
+    base = prune_dead(random_program(np.random.default_rng(3), registry, max_ops=4))
     assert validate_program(base, registry).ok
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     narrow = OperatorRegistry([kind for kind in registry if kind.name != "sub"])
@@ -1170,7 +1168,7 @@ def test_propose_is_a_seeded_sample_of_every_candidate(registry, kind, seed, cou
     same verdicts; and it leaves `rng` as that leaves it, undrawn when there
     are no more than `count`. An invalid base raises the same error."""
     rng = np.random.default_rng(seed)
-    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    base = EDIT_BASES[kind](prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
     validate_program(base, registry)  # a valid base carries its verdict, as a tree node's program does
     cap = len(base.operator_nodes()) if kind == "at-the-size-cap" else 2 + seed % 9
     config = ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
@@ -1198,7 +1196,7 @@ def test_propose_is_a_seeded_sample_of_every_candidate(registry, kind, seed, cou
 
 
 def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
-    """Each rewire of a base with records builds exactly `_prune_dead` of the
+    """Each rewire of a base with records builds exactly `prune_dead` of the
     plain rewire, and its record drops exactly what pruning drops. The new
     source stays, with what feeds it, even where it fed only the old one: a
     rewire of n2 from n1 to n0, n0 feeding only n1, drops n1 and keeps n0."""
@@ -1207,15 +1205,15 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
                              (Edge("x0", "n0", 0), Edge("n0", "n1", 0), Edge("n1", "n2", 0), Edge("x1", "n2", 1)),
                              ("x0", "x1"), "n2")
     rng = np.random.default_rng(36)
-    bases = [pinned] + [_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 8)))) for _ in range(80)]
+    bases = [pinned] + [prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 8)))) for _ in range(80)]
     proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     pruned = kept_source = 0
     for base in bases:
         assert validate_program(base, registry).ok
         record = EditBase(base, registry)
-        for (_, edit), plain in zip(proposer._rewires(base, record, TreeSums(record)), ref_rewires(base), strict=True):
+        for (_, edit), plain in zip(proposer._rewires(record), ref_rewires(base), strict=True):
             built = edit.build()
-            expected = _prune_dead(plain)
+            expected = prune_dead(plain)
             assert built == expected and repr(built) == repr(expected)
             assert edit.removed == {n.node_id for n in plain.nodes} - {n.node_id for n in built.nodes}
             pruned += bool(edit.removed)
@@ -1260,12 +1258,12 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
     program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
     if tagged:
         program = _tagged(program, rng)
-    base = EDIT_BASES[kind](_prune_dead(program), rng)
+    base = EDIT_BASES[kind](prune_dead(program), rng)
     assert validate_program(base, registry).ok
-    cap = len(_prune_dead(base).operator_nodes()) if kind == "at-the-size-cap" else 12
+    cap = len(prune_dead(base).operator_nodes()) if kind == "at-the-size-cap" else 12
     proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
                                                           const_palette=(0.0, -0.0, 1.0, 1.0), max_operator_nodes=cap))
-    clean = _prune_dead(base)
+    clean = prune_dead(base)
     validate_program(clean, registry)
     entries = every_entry(proposer, clean)
     for edit in entries:
@@ -1279,39 +1277,38 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
         _same_state(derive_state(candidate, registry), derive_state(_without_verdict(candidate), registry))
 
 
-def test_prune_dead_drops_what_feeds_only_a_missing_node():
-    """n1 = pow(x2, x0) feeds only n3, which the program lacks, and n3 feeds
-    the output: the one pruning drops n1 with the edges of n3."""
-    program = WorkflowProgram(
-        (Node("x0", INPUT_OP), Node("x2", INPUT_OP), Node("n1", "pow"), Node("n2", "add")),
-        (Edge("x2", "n1", 0), Edge("x0", "n1", 1), Edge("n1", "n3", 0), Edge("n3", "n2", 0), Edge("x0", "n2", 1)),
-        ("x0", "x2"), "n2")
-    once = _prune_dead(program)
-    assert [n.node_id for n in once.nodes] == ["x0", "x2", "n2"]
-    assert once.edges == (Edge("x0", "n2", 1),)
-    assert _prune_dead(once) is once
-
-
 @settings(derandomize=True, deadline=None, max_examples=140)
-@given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
-# bases with an edge from or to a missing node, some of whose candidates a
-# walk through that node left with a node that fed only its edge
-@example(kind="invalid", seed=10)
-@example(kind="invalid", seed=15)
-@example(kind="invalid", seed=82)
-def test_prune_dead_is_idempotent(registry, kind, seed):
-    """Pruning any base, or any raw candidate the reference edits make of
-    it, once more drops nothing: `_prune_dead` returns its argument."""
+@given(kind=st.sampled_from(STATE_BASES), raw=st.booleans(), tagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_edited_base_is_the_input_pruned(registry, kind, raw, tagged, seed):
+    """The base the proposer edits is `prune_dead` of the valid program it
+    is given, dirty or clean: the same nodes and edges in the same order
+    (by `program_to_dict`, which `json` writes with -0.0 apart from 0.0),
+    the given program itself when nothing is dead. The dead nodes the walk
+    of the given program's `EditBase` finds are those pruning drops, and an
+    `EditBase` of the pruned base finds none. A random program as drawn
+    (`raw`) is dirty more often than not; tagged ones carry unit and shape
+    tags and literals. Pruning that base, or any raw candidate the
+    reference edits make of it, once more drops nothing: `prune_dead`
+    returns its argument."""
     rng = np.random.default_rng(seed)
-    base = EDIT_BASES[kind](_prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
+    program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
+    if tagged:
+        program = _tagged(program, rng)
+    given = EDIT_BASES[kind](program if raw else prune_dead(program), rng)
+    assert validate_program(given, registry).ok
     proposer = SyntheticProposer(registry, ProposerConfig(ops=None if seed % 2 else ("add", "sub", "mul", "neg"),
                                                           const_palette=(0.0, -0.0, 1.0)))
-    raw = [*ref_insertions(proposer, base), *ref_rewires(base)]
-    if all(n.op in registry for n in base.operator_nodes()):  # these read every operator's arity
-        raw += [*ref_replacements(proposer, base), *ref_deletions(proposer, base)]
-    for program in [base] + raw:
-        once = _prune_dead(program)
-        assert _prune_dead(once) is once
+    base = proposer._base(given)
+    expected = prune_dead(given)
+    assert json.dumps(program_to_dict(base.program)) == json.dumps(program_to_dict(expected))
+    assert (base.program is given) is (expected is given)
+    assert EditBase(given, registry).dead == {n.node_id for n in given.nodes} - {n.node_id for n in expected.nodes}
+    assert not base.dead
+    candidates = [*ref_insertions(proposer, expected), *ref_replacements(proposer, expected),
+                  *ref_deletions(proposer, expected), *ref_rewires(expected)]
+    for candidate in [expected] + candidates:
+        once = prune_dead(candidate)
+        assert prune_dead(once) is once
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from wfopt.search import (
     select,
     selection_score,
 )
-from wfopt.motifs import init_templates, score_pattern
+from wfopt.motifs import MotifConfig, init_templates, score_pattern
 from conftest import binary, random_program
 
 
@@ -497,7 +497,7 @@ class TestFullRuns:
 
         config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=2)
         suite = make_synthetic_suite(seed=4, n_problems=10, proposer_config=config, target_edits=2)
-        library = init_templates(["cat0"], 10, registry_ops=registry.names, seed=4)
+        library = init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=4)
         scorer = ConstraintScorer(registry, library=library, category="cat0")
         optimizer = Optimizer(
             suite.initial_program,
@@ -517,7 +517,7 @@ class TestScoringMemoAcrossRefinement:
         registry = default_registry()
         config = ProposerConfig(ops=("add", "sub", "mul", "neg"), max_operator_nodes=4)
         suite = make_synthetic_suite(seed=4, n_problems=10, proposer_config=config)
-        library = init_templates(["cat0"], 10, registry_ops=registry.names, seed=4)
+        library = init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=4)
         scorer = ConstraintScorer(registry, library=library, category="cat0")
         optimizer = Optimizer(
             suite.initial_program, SyntheticProposer(registry, config),
@@ -548,7 +548,7 @@ class TestScoringMemoAcrossRefinement:
         registry = default_registry()
         config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=4)
         suite = make_synthetic_suite(seed=42, n_problems=10, proposer_config=config)
-        library = init_templates(["cat0"], 10, registry_ops=registry.names, seed=42)
+        library = init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=42)
         matched = []
 
         def counted(state, category, lib):

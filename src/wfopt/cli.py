@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 from .adapter import AdapterError
 from .config import ConfigError, ExecutorConfig, RunConfig, load_config, with_overrides
 from .driver import ablation_grid, execute_run, export_workflow
+from .harness import SuiteGenerationError
 from .model import loads_program, validate_program
 from .reporting import report
 
@@ -104,7 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"run": cmd_run, "report": cmd_report, "export": cmd_export, "ablate": cmd_ablate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, AdapterError, ValueError, OSError) as exc:
+    except (ConfigError, AdapterError, SuiteGenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

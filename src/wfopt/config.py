@@ -193,6 +193,23 @@ def _prices(given: object) -> PriceMap:
     return PriceMap({str(role): (float(pin), float(pout)) for role, (pin, pout) in given.items()})
 
 
+def _checked_seed(seed: object) -> int:
+    """The run's seed: an int that numpy can seed a generator with."""
+    _check_type("seed", seed, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _check_proposer(proposer: ProposerConfig) -> None:
+    """A proposer with no operator or no edit kind cannot grow a target."""
+    if proposer.ops is not None and not proposer.ops:
+        raise ConfigError("proposer.ops must name at least one operator (or be null for the whole registry)")
+    flags = ("allow_insert", "allow_replace", "allow_delete", "allow_rewire")
+    if not any(getattr(proposer, flag) for flag in flags):
+        raise ConfigError(f"proposer allows no edit kind: set one of {', '.join('proposer.' + f for f in flags)}")
+
+
 def config_from_dict(data: Mapping) -> RunConfig:
     if not isinstance(data, Mapping):
         raise ConfigError("config must be an object")
@@ -201,8 +218,8 @@ def config_from_dict(data: Mapping) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         sections = {name: _section(name, default, data.get(name, {})) for name, default in _SECTIONS.items()}
-        seed = data.get("seed", _SECTIONS["budget"].seed)
-        _check_type("seed", seed, int)
+        _check_proposer(sections["proposer"])
+        seed = _checked_seed(data.get("seed", _SECTIONS["budget"].seed))
         sections["budget"] = replace(sections["budget"], seed=seed)
         category = data.get("category")
         if category is not None:
@@ -226,7 +243,7 @@ def load_config(path: str | Path) -> RunConfig:
 def with_overrides(config: RunConfig, *, seed: Optional[int] = None, executor: Optional[ExecutorConfig] = None) -> RunConfig:
     updated = config
     if seed is not None:
-        updated = replace(updated, budget=replace(updated.budget, seed=seed))
+        updated = replace(updated, budget=replace(updated.budget, seed=_checked_seed(seed)))
     if executor is not None:
         updated = replace(updated, executor=executor)
     return updated

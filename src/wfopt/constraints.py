@@ -12,11 +12,21 @@ the edit record it carries and its base's analysis.
 `ConstraintScorer.total` is the one aggregation of a `ConstraintVector` into
 C_total, the weighted geometric mean the four search stages consume; the
 search and the tests both call it.
+
+The scores are functions of a few counts, so a search scores the same
+compliance state over and over: a `ConstraintScorer` computes each distinct
+result once and returns the same object after that. Its three memos hold
+static vectors by state (dropped when `library` or `category` is
+reassigned), totals by vector (dropped with the effective weights when
+`total` is given another `WeightVector` object) and folded vectors by their
+fields (never dropped: the fold reads none of the scorer's state). A
+remembered result is bit for bit what a fresh computation gives.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -169,17 +179,28 @@ def threshold(depth: int, sched: ThresholdSchedule) -> float:
     return max(sched.tau_min, sched.tau0 - sched.decay_k * depth)
 
 
+# the bits of a vector's six fields: a key that keeps 0.0 and -0.0 apart
+_pack_fields = struct.Struct("<6d").pack
+
+
 class ConstraintScorer:
     """Composes the six family scores against one registry/motif-library setup.
 
     Disabled families are pinned to the neutral 0.5 and their weight mass is
     redistributed uniformly over the enabled families when aggregating.
 
-    Two results are remembered between calls, each for the object it was
-    computed from: pattern scores for the `library` object (and category)
-    they were matched against, and the effective weights for the last
-    `WeightVector` object passed to `total`. Assigning a new library, as
-    motif refinement does, or passing another weight vector drops them.
+    Three memos keep every result it has computed, so each distinct input is
+    scored once:
+    - static vectors, keyed by the state's depth, its histogram items in
+      declaration order and its four check counts, for the current `library`
+      object and `category`; reassigning either, as motif refinement does,
+      drops them;
+    - totals, keyed by vector, for the last `WeightVector` object passed to
+      `total`, beside its effective weights; another weight vector drops
+      both;
+    - folded vectors, keyed by the bits of their six fields, so `0.0` and
+      `-0.0` stay apart; they depend on nothing the scorer can change.
+    Only `library` and `category` may be reassigned on a scorer.
     """
 
     def __init__(
@@ -205,12 +226,16 @@ class ConstraintScorer:
         self.library = library
         self.category = category
         self.enabled = tuple(f for f in FAMILIES if f in set(enabled_families))
-        # pattern score by histogram counts, valid for one (library, category)
-        self._patterns: dict[tuple, float] = {}
-        self._patterns_for: tuple = (None, None)
-        # effective weights of the last WeightVector object `total` was given
+        # static vector by state key, valid for one (library, category)
+        self._static: dict[tuple, ConstraintVector] = {}
+        self._static_for: tuple = (None, None)
+        # effective weights of the last WeightVector object `total` was given,
+        # and the totals computed with them
         self._weights_for: Optional[WeightVector] = None
         self._effective: dict[str, float] = {}
+        self._totals: dict[ConstraintVector, float] = {}
+        # folded vector by the packed bits of its fields
+        self._folded: dict[bytes, ConstraintVector] = {}
 
     def _on(self, family: str) -> bool:
         return family in self.enabled
@@ -218,43 +243,48 @@ class ConstraintScorer:
     def static_vector(self, program: WorkflowProgram, state: WorkflowState) -> ConstraintVector:
         """Pre-execution scores of `program`, read from its derived `state`.
 
-        Magnitude stays at 1.0 until a trace exists. The pattern score is a
-        function of the histogram's counts over the library's operators, so
-        it is matched once per distinct count tuple and remembered until
-        `library` or `category` is reassigned. Diversity sums its entropy
-        terms in the histogram's declaration order and is computed afresh.
+        Magnitude stays at 1.0 until a trace exists. The vector is a function
+        of the state's depth, its histogram (diversity sums its entropy terms
+        in declaration order, so the order is part of the key) and its check
+        counts: it is computed once per distinct state and remembered until
+        `library` or `category` is reassigned.
         """
-        library = self.library
-        if library is not None and self._on("pattern"):
-            pattern = self._pattern(state, library)
-        else:
-            pattern = 0.5
-        return ConstraintVector(
-            units=score_units(state) if self._on("units") else 0.5,
-            types=score_types(state) if self._on("types") else 0.5,
-            pattern=pattern,
-            magnitude=1.0 if self._on("magnitude") else 0.5,
-            depth=score_depth(state, self.depth_diversity) if self._on("depth") else 0.5,
-            diversity=score_diversity(state, len(self.registry)) if self._on("diversity") else 0.5,
+        library, category = self.library, self.category
+        if self._static_for[0] is not library or self._static_for[1] != category:
+            self._static = {}
+            self._static_for = (library, category)
+        key = (
+            state.depth,
+            tuple(state.operator_histogram.items()),
+            state.unit_passed,
+            state.unit_checked,
+            state.type_passed,
+            state.type_checked,
         )
-
-    def _pattern(self, state: WorkflowState, library: MotifLibrary) -> float:
-        if self._patterns_for[0] is not library or self._patterns_for[1] != self.category:
-            self._patterns = {}
-            self._patterns_for = (library, self.category)
-        histogram = state.operator_histogram
-        key = tuple([histogram.get(op, 0) for op in library.registry_ops])
-        score = self._patterns.get(key)
-        if score is None:
-            score = self._patterns[key] = score_pattern(state, self.category, library)
-        return score
+        vector = self._static.get(key)
+        if vector is None:
+            on = self._on
+            vector = self._static[key] = ConstraintVector(
+                units=score_units(state) if on("units") else 0.5,
+                types=score_types(state) if on("types") else 0.5,
+                pattern=score_pattern(state, category, library) if library is not None and on("pattern") else 0.5,
+                magnitude=1.0 if on("magnitude") else 0.5,
+                depth=score_depth(state, self.depth_diversity) if on("depth") else 0.5,
+                diversity=score_diversity(state, len(self.registry)) if on("diversity") else 0.5,
+            )
+        return vector
 
     def with_magnitude(self, vector: ConstraintVector, traces: Sequence[ExecutionTrace]) -> ConstraintVector:
         """Fold measured magnitude scores (mean over traces) into a vector."""
         if not self._on("magnitude") or not traces:
             return vector
         mean = sum(score_magnitude(t, self.magnitude) for t in traces) / len(traces)
-        return ConstraintVector(vector.units, vector.types, vector.pattern, mean, vector.depth, vector.diversity)
+        fields = (vector.units, vector.types, vector.pattern, mean, vector.depth, vector.diversity)
+        key = _pack_fields(*fields)
+        folded = self._folded.get(key)
+        if folded is None:
+            folded = self._folded[key] = ConstraintVector(*fields)
+        return folded
 
     def effective_weights(self, weights: Mapping[str, float]) -> dict[str, float]:
         disabled_mass = sum(weights[f] for f in FAMILIES if not self._on(f))
@@ -268,10 +298,13 @@ class ConstraintScorer:
         positive by construction of `vector` and `weights`.
         """
         if weights is self._weights_for:
+            total = self._totals.get(vector)
+            if total is not None:
+                return total
             eff = self._effective
         else:
             eff = self.effective_weights(weights.as_dict())
-            self._weights_for, self._effective = weights, eff
+            self._weights_for, self._effective, self._totals = weights, eff, {}
         scores = vector.as_dict()
         epsilon = self.agg.epsilon
         num = 0.0
@@ -280,4 +313,7 @@ class ConstraintScorer:
             w = eff[fam]
             num += w * math.log(scores[fam] + epsilon)
             den += w
-        return math.exp(num / den)
+        # vectors equal by value share a total: a score of -0.0 adds to
+        # epsilon > 0 as 0.0 does, so the sign of a zero cannot reach it
+        total = self._totals[vector] = math.exp(num / den)
+        return total

@@ -8,6 +8,7 @@ from wfopt.model import (
     Edge,
     Node,
     WorkflowProgram,
+    WorkflowState,
     _key_entry,
     default_registry,
     validate_program,
@@ -74,6 +75,18 @@ def random_program(rng: np.random.Generator, registry, max_ops: int = 8) -> Work
     program = WorkflowProgram(tuple(nodes), tuple(edges), tuple(n.node_id for n in nodes if n.op == INPUT_OP), ids[-1])
     assert validate_program(program, registry).ok
     return program
+
+
+def state_key(state: WorkflowState) -> tuple:
+    """What a `ConstraintScorer`'s static vector is a function of."""
+    return (
+        state.depth,
+        tuple(state.operator_histogram.items()),
+        state.unit_passed,
+        state.unit_checked,
+        state.type_passed,
+        state.type_checked,
+    )
 
 
 def prune_dead(program: WorkflowProgram) -> WorkflowProgram:

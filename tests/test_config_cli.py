@@ -83,12 +83,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "section, value",
         [
-            ("proposer", {"ops": ()}),
             ("executor", {"command": ()}),
             ("suite", {"unit_dims": ()}),
             ("proposer", {"ops": None}),
             ("suite", {"unit_dims": ("m", None)}),
         ],
+        # the ids the cases had beside a case of empty `proposer.ops`, which
+        # is now refused (test_proposer_that_cannot_edit_rejected)
+        ids=["executor-value1", "suite-value2", "proposer-value3", "suite-value4"],
     )
     def test_round_trip_keeps_empty_and_null_lists(self, section, value):
         config = RunConfig()
@@ -233,6 +235,27 @@ class TestConfigParsing:
             config_from_dict({"motifs": motifs})
 
 
+    @pytest.mark.parametrize(
+        "proposer, key",
+        [
+            ({"ops": []}, "proposer.ops"),
+            ({flag: False for flag in ("allow_insert", "allow_replace", "allow_delete", "allow_rewire")},
+             "proposer.allow_insert"),
+        ],
+        ids=["no-ops", "no-edit-kind"],
+    )
+    def test_proposer_that_cannot_edit_rejected(self, proposer, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict({"proposer": proposer})
+
+    @pytest.mark.parametrize("seed", [-1, -5, -(2**70)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be >= 0, got {seed}")):
+            config_from_dict({"seed": seed})
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be >= 0, got {seed}")):
+            with_overrides(RunConfig(), seed=seed)
+        assert config_from_dict({"seed": 0}).seed == with_overrides(RunConfig(), seed=0).seed == 0
+
 class TestAblationGrid:
     def test_grid_contents(self):
         grid = ablation_grid(RunConfig())
@@ -294,6 +317,31 @@ class TestCli:
         assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert "error: category 'cat9' is not one of the suite's categories ['cat0']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "proposer, message",
+        [
+            ({"ops": []}, "error: proposer.ops must name at least one operator"),
+            ({flag: False for flag in ("allow_insert", "allow_replace", "allow_delete", "allow_rewire")},
+             "error: proposer allows no edit kind"),
+            ({"ops": ["neg"], "max_operator_nodes": 1}, "error: could not grow a usable target program"),
+        ],
+        ids=["no-ops", "no-edit-kind", "cannot-grow-a-target"],
+    )
+    def test_proposer_that_cannot_grow_a_target_exits_2(self, tmp_path, capsys, proposer, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"proposer": proposer}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "-3"], ["--config", "negative-seed.json"]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        Path("negative-seed.json").write_text(json.dumps({"seed": -5}))
+        assert main(["run", *args, "--out", "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -")
+        assert not Path("out").exists()
 
     def test_unreachable_external_executor_nonzero_exit(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -35,7 +35,7 @@ from wfopt.model import (
 from wfopt.motifs import MotifConfig, init_templates, score_pattern
 from wfopt.weights import FAMILIES, WeightVector
 
-from conftest import binary, chain, random_program
+from conftest import binary, chain, random_program, state_key
 
 
 def make_state(depth=1, histogram=None):
@@ -326,38 +326,46 @@ class TestConstraintScorer:
 
 
 class TestScorerMemos:
-    """Pattern scores and effective weights are computed once per input and
-    come out bit-identical to computing them afresh."""
+    """Static vectors, totals and folded vectors are computed once per input
+    and come out bit-identical to computing them afresh."""
 
     @pytest.fixture
     def library(self, registry):
         return init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=5)
 
-    def test_pattern_matched_once_per_histogram(self, registry, library, monkeypatch):
+    def test_each_state_is_scored_once(self, registry, library, monkeypatch):
         matched = []
 
         def counted(state, category, lib):
-            matched.append(tuple(state.operator_histogram.get(op, 0) for op in lib.registry_ops))
+            matched.append(state_key(state))
             return score_pattern(state, category, lib)
 
         monkeypatch.setattr(constraints, "score_pattern", counted)
         scorer = ConstraintScorer(registry, library=library, category="cat0")
+        vectors = {}
         rng = np.random.default_rng(8)
         for _ in range(200):
             program = random_program(rng, registry, max_ops=3)
             state = derive_state(program, registry)
             vector = scorer.static_vector(program, state)
             assert vector.pattern == score_pattern(state, "cat0", library)
-        assert len(matched) == len(set(matched)) < 150
+            assert vectors.setdefault(state_key(state), vector) is vector
+        assert len(matched) == len(set(matched)) == len(vectors) < 150
 
     def test_histogram_order_and_foreign_ops_share_a_score(self, registry, library, monkeypatch):
+        # the pattern reads counts over the library's operators only, but
+        # diversity sums in declaration order and counts every operator, so
+        # each histogram is a state of its own
         calls = []
-        monkeypatch.setattr(constraints, "score_pattern", lambda *args: calls.append(args) or 0.25)
+        monkeypatch.setattr(constraints, "score_pattern", lambda *args: calls.append(args) or score_pattern(*args))
         scorer = ConstraintScorer(registry, library=library, category="cat0")
         program = binary("add", "input", "input")
-        for histogram in ({"add": 2, "neg": 1}, {"neg": 1, "add": 2}, {"neg": 1, "add": 2, "other": 4}):
-            assert scorer.static_vector(program, make_state(histogram=histogram)).pattern == 0.25
-        assert len(calls) == 1
+        histograms = ({"add": 2, "neg": 1}, {"neg": 1, "add": 2}, {"neg": 1, "add": 2, "other": 4})
+        first = [scorer.static_vector(program, make_state(histogram=h)) for h in histograms]
+        again = [scorer.static_vector(program, make_state(histogram=dict(h))) for h in histograms]
+        assert len({v.pattern for v in first}) == 1
+        assert all(a is b for a, b in zip(first, again))
+        assert len(calls) == 3
 
     def test_new_library_or_category_drops_the_memo(self, registry, library):
         scorer = ConstraintScorer(registry, library=library, category="cat0")
@@ -399,4 +407,10 @@ class TestScorerMemos:
         assert updated == dataclasses.replace(vector, magnitude=updated.magnitude)
         assert updated.magnitude == pytest.approx(mean, abs=1e-12)
         assert scorer.with_magnitude(vector, []) is vector
+        # the same fold is the same object; a zero of the other sign is not
+        assert scorer.with_magnitude(vector, traces) is updated
+        zeros = ConstraintVector(0.0, 0.8, 0.7, 1.0, 0.6, 0.5)
+        signed = ConstraintVector(-0.0, 0.8, 0.7, 1.0, 0.6, 0.5)
+        assert repr(scorer.with_magnitude(zeros, traces).units) == "0.0"
+        assert repr(scorer.with_magnitude(signed, traces).units) == "-0.0"
 

@@ -82,8 +82,9 @@ def _benchmark_workloads():
 
 # sha256 of the saved run log of one search of each workload in
 # `perfbench/workloads.py`, by workload and seed: seed 42 computed at commit
-# e367cdf, seed 7 at commit c8c6c3a. `edit_heavy` and `wide_scoring` equal the
-# digests that `python3 perfbench/run.py --workload W --seed S` prints.
+# e367cdf, seed 7 at commit c8c6c3a (`remote_eval` at commit 97c74d5).
+# `edit_heavy` and `wide_scoring` equal the digests that
+# `python3 perfbench/run.py --workload W --seed S` prints.
 # `remote_eval` is evaluated in-process here, as the benchmark's cross-check
 # does: the config of the stdio peer names the interpreter's path, so its run
 # log, and the digest the benchmark prints, differ by machine.
@@ -93,6 +94,7 @@ WORKLOAD_RUNLOGS = {
     ("remote_eval", 42): "061b2eeab1c8f273b809774e81e85cc1bb1bdc35774e1a2d00c8b064fb2d68f7",
     ("edit_heavy", 7): "d01bd29f2be295fa5a13954118195b786a3f2697a6ce0a7eae3deb1961000229",
     ("wide_scoring", 7): "94a1067849c18c38b90f8b6fb3331d9e714c18dc73ae461cf81c2b5a94f15ff6",
+    ("remote_eval", 7): "2715c5871731ce952eb299d380b8b01ae2a9960795b382c9134980321d32195c",
 }
 
 

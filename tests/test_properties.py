@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,9 +21,10 @@ from wfopt.constraints import (
 from wfopt.edits import EditBase
 from wfopt.harness import ProposerConfig, SyntheticProposer
 from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
-from wfopt.weights import AdaptationConfig, ObservationBuffer, WeightVector, update_weights
+from wfopt.motifs import MotifConfig, init_templates
+from wfopt.weights import FAMILIES, AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
-from conftest import every_entry, prune_dead, random_program
+from conftest import binary, every_entry, prune_dead, random_program
 
 REGISTRY = default_registry()
 
@@ -147,3 +149,92 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
         rewires = proposer._rewires(EditBase(program, REGISTRY))
         orphaning_rewires += sum(bool(edit.removed) for _, edit in rewires)
     assert orphaning_rewires > 0
+
+
+# Inputs of the scorer's memos: a small pool of each, so that a sequence of
+# calls repeats inputs, as a search does.
+LIBRARIES = [None] + [
+    init_templates(["cat0", "cat1"], MotifConfig(), registry_ops=REGISTRY.names, seed=seed) for seed in (3, 4)
+]
+CATEGORIES = ["cat0", "cat1", "none"]
+_zeros_and_more = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def workflow_states(draw):
+    ops = st.sampled_from(REGISTRY.names[:5] + ("other",))
+    unit_checked, type_checked = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return WorkflowState(
+        depth=draw(st.integers(0, 20)),
+        operator_histogram=draw(st.dictionaries(ops, st.integers(0, 4), max_size=4)),
+        unit_passed=draw(st.integers(0, unit_checked)),
+        unit_checked=unit_checked,
+        type_passed=draw(st.integers(0, type_checked)),
+        type_checked=type_checked,
+    )
+
+
+def _flip_zeros(vector):
+    """`vector` with the sign of each of its zeros flipped."""
+    return ConstraintVector(*(-x if x == 0.0 else x for x in vector.as_tuple()))
+
+
+def _variants(state):
+    """`state` and three states that differ from it in one part of the key."""
+    histogram = state.operator_histogram
+    return [
+        state,
+        dataclasses.replace(state, depth=state.depth + 6),
+        dataclasses.replace(state, operator_histogram=dict(reversed(list(histogram.items())))),
+        dataclasses.replace(state, unit_passed=state.unit_checked - state.unit_passed,
+                            type_passed=state.type_checked - state.type_passed),
+    ]
+
+
+def _bits(result):
+    if isinstance(result, ConstraintVector):
+        return [repr(x) for x in result.as_tuple()]
+    return repr(result)
+
+
+trace_values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 130.0, 1e4]) | st.floats(-1e6, 1e6), max_size=4)
+STATIC_CALLS = [("static", i) for i in range(12)]
+VECTOR_CALLS = [(kind, v, i) for kind in ("total", "fold") for v in range(8) for i in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(FAMILIES), min_size=1, unique=True),
+    st.lists(workflow_states(), min_size=3, max_size=3),
+    st.lists(st.lists(_zeros_and_more, min_size=6, max_size=6), min_size=4, max_size=4),
+    st.lists(positive_weights, min_size=3, max_size=3),
+    st.lists(st.lists(st.tuples(trace_values, trace_values), min_size=1, max_size=3), min_size=3, max_size=3),
+    st.lists(st.tuples(st.sampled_from(LIBRARIES), st.sampled_from(CATEGORIES)), min_size=2, max_size=4),
+    st.permutations(STATIC_CALLS + VECTOR_CALLS),
+)
+def test_a_scorer_with_memos_scores_as_a_fresh_one(families, states, raw_vectors, raw_weights, raw_traces, setups, calls):
+    """Whatever a scorer has scored before, each static vector, total and
+    folded vector it returns is, to the sign of a zero, what a new scorer
+    returns: after `library` or `category` is reassigned, for every weight
+    vector object, and for vectors that differ only in the sign of a zero."""
+    program = binary("add", "input", "input")
+    states = [variant for state in states for variant in _variants(state)]
+    drawn = [ConstraintVector(*raw) for raw in raw_vectors]
+    vectors = drawn + [_flip_zeros(v) for v in drawn]
+    weights = [simplex(raw) for raw in raw_weights]
+    traces = [[ExecutionTrace(tuple(v), tuple(i), True, None) for v, i in group] for group in raw_traces]
+    scorer = ConstraintScorer(REGISTRY, enabled_families=families)
+    for library, category in setups:
+        scorer.library, scorer.category = library, category
+        for call in calls * 2:
+            fresh = ConstraintScorer(REGISTRY, library=library, category=category, enabled_families=families)
+            kind, index, other = (*call, None)[:3]
+            if kind == "static":
+                state = states[index]
+                assert _bits(scorer.static_vector(program, state)) == _bits(fresh.static_vector(program, state))
+            elif kind == "total":
+                vector, w = vectors[index], weights[other]
+                assert _bits(scorer.total(vector, w)) == _bits(fresh.total(vector, w))
+            else:
+                vector, group = vectors[index], traces[other]
+                assert _bits(scorer.with_magnitude(vector, group)) == _bits(fresh.with_magnitude(vector, group))

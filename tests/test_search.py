@@ -23,7 +23,7 @@ from wfopt.search import (
     selection_score,
 )
 from wfopt.motifs import MotifConfig, init_templates, score_pattern
-from conftest import binary, random_program
+from conftest import binary, random_program, state_key
 
 
 def leaf_node(compliance=0.5, visits=0, value=0.0, depth=0):
@@ -544,7 +544,7 @@ class TestScoringMemoAcrossRefinement:
         # a memo kept across the refinement would show
         assert [v.pattern for v in after] != [v.pattern for v in before]
 
-    def test_search_matches_each_histogram_once_per_library(self, monkeypatch):
+    def test_search_scores_each_state_once_per_library(self, monkeypatch):
         registry = default_registry()
         config = ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=4)
         suite = make_synthetic_suite(seed=42, n_problems=10, proposer_config=config)
@@ -552,7 +552,7 @@ class TestScoringMemoAcrossRefinement:
         matched = []
 
         def counted(state, category, lib):
-            matched.append((lib, tuple(state.operator_histogram.get(op, 0) for op in lib.registry_ops)))
+            matched.append((lib, state_key(state)))
             return score_pattern(state, category, lib)
 
         monkeypatch.setattr(constraints, "score_pattern", counted)

@@ -30,14 +30,15 @@ edit's heads and operand changes, to the tuple `canonical_key` gives the
 built candidate) only when its fingerprint meets the base's or an earlier
 record's; about nine records in ten are never keyed.
 
-A built candidate also carries its record, from which `derive_state`, on
-its first call against the proposer's registry object, derives its
-`WorkflowState` (`ProgramEdit.state`: one `analyze_program` of the base,
-made on the first such call, and the nodes the edit touched, each
-recomputed by `model._transfer`) and keeps that state in the record's
-place. So expansion orders no child, and a child's one `model._ordered`
-walk is its evaluation's. A candidate no one scores, as one a suite grows
-through or one the stdio peer sends, is never analysed.
+A built candidate also carries its record, in its verdict slot
+(`model._VERDICT`) beside the registry it is valid for. From it
+`derive_state`, on its first call against the proposer's registry object,
+derives its `WorkflowState` (`ProgramEdit.state`: one `analyze_program` of
+the base, made on the first such call, read with new facts for the nodes
+the edit touched, each made by `model._transfer`) and puts that state in
+the record's place. So expansion orders no child, and a child's one
+`model._ordered` walk is its evaluation's. A candidate no one scores, as
+one a suite grows through or one the stdio peer sends, is never analysed.
 `tests/test_reference.py` checks every candidate of random bases against
 the reference candidates, check, count, key, fingerprint and analysis.
 """
@@ -49,11 +50,11 @@ from hashlib import blake2b
 from typing import Mapping, Optional
 
 from .model import (
-    _STATE_FOR,
-    _VALID_FOR,
+    _VERDICT,
     INPUT_OP,
     LEAF_OPS,
     Edge,
+    Facts,
     Node,
     OperatorRegistry,
     ProgramAnalysis,
@@ -211,6 +212,16 @@ class EditBase:
         return frozenset(dropped)
 
 
+class _NewFacts(dict):
+    """The new facts of the nodes an edit touched, by id; a lookup of any
+    other node reads `base`, the base's (`in` sees the new ones only)."""
+
+    __slots__ = ("base",)
+
+    def __missing__(self, nid: str) -> Facts:
+        return self.base[nid]
+
+
 class ProgramEdit:
     """One proposer candidate, told as one edit of an `EditBase`.
 
@@ -296,30 +307,29 @@ class ProgramEdit:
         return WorkflowProgram(nodes, edges, program.roots, self.output)
 
     def vouch(self, candidate: WorkflowProgram) -> WorkflowProgram:
-        """Record `candidate`, the program this edit made, as valid for the
-        base's registry, as `validate_program` records a program that passed:
-        the edit kept the base valid by construction. Attach this record
-        beside it, from which `derive_state` derives its `state` for that
-        registry object. Returns `candidate`."""
-        registry = self.base.registry
-        object.__setattr__(candidate, _VALID_FOR, registry)
-        object.__setattr__(candidate, _STATE_FOR, (registry, self))
+        """Write `(registry, self)` into the verdict slot of `candidate`, the
+        program this edit made: valid for the base's registry, as
+        `validate_program` records a program that passed, since the edit kept
+        the base valid by construction, and carrying this record, from which
+        `derive_state` derives its `state` for that registry object. Returns
+        `candidate`."""
+        object.__setattr__(candidate, _VERDICT, (self.base.registry, self))
         return candidate
 
     def state(self, candidate: WorkflowProgram) -> WorkflowState:
         """`model.derive_state` of `candidate`, the program this edit made,
         from the base's analysis and the nodes the edit touched.
 
-        Units, shapes, signs and depth flow from operands to consumers, so
-        only the touched nodes can differ from the base's: the nodes the
-        edit adds or changes and those whose operands it sets, with their
-        consumers up to the output (`EditBase.consumers`), less the nodes it
-        removes. Each is recomputed by `model._transfer`, operands first, in
-        a walk from the output that enters touched nodes only. The counts
-        are the base's, less the base's verdicts of the touched and removed
-        nodes, plus the touched nodes' new ones; the depth is the output's.
-        The histogram counts `candidate.nodes` in declaration order, as
-        `derive_state` does.
+        Facts flow from operands to consumers, so only the touched nodes can
+        differ from the base's: the nodes the edit adds or changes and those
+        whose operands it sets, with their consumers up to the output
+        (`EditBase.consumers`), less the nodes it removes. Each gets new
+        facts from `model._transfer`, operands first, in a walk from the
+        output that enters touched nodes only; every other node's are the
+        base's. The counts are the base's, less the base's verdicts of the
+        touched and removed nodes, plus the touched nodes' new ones; the
+        depth is the output's. The histogram counts `candidate.nodes` in
+        declaration order, as `derive_state` does.
 
         The walk keeps its own stack, so no nested function refers to
         itself and the walk's maps are freed by reference counting.
@@ -348,29 +358,22 @@ class ProgramEdit:
                 type_passed -= ok
                 type_checked -= 1
 
-        units, shapes, signs = dict(analysis.units), dict(analysis.shapes), dict(analysis.signs)
-        depths = dict(analysis.depths)
         registry, base_operands = base.registry, base.operands
         output = self.output
-        done: set[str] = set()
+        facts = _NewFacts()
+        facts.base = analysis.facts
         stack = [output] if output in touched else []
         while stack:
             nid = stack[-1]
             args = operands[nid] if nid in operands else base_operands.get(nid, ())
-            todo = [a for a in args if a in touched and a not in done]
+            todo = [a for a in args if a in touched and a not in facts]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            if nid in done:
+            if nid in facts:
                 continue
-            done.add(nid)
-            node = changed.get(nid) or base_nodes[nid]
-            kind = None if node.op in LEAF_OPS else registry.get(node.op)
-            units[nid], shapes[nid], signs[nid], unit_ok, type_ok = _transfer(
-                node, kind, [units[a] for a in args], [shapes[a] for a in args], [signs[a] for a in args]
-            )
-            depths[nid] = 1 + max([depths[a] for a in args]) if args else 0
+            facts[nid], unit_ok, type_ok = _transfer(changed.get(nid) or base_nodes[nid], registry, args, facts)
             if unit_ok is not None:
                 unit_passed += unit_ok
                 unit_checked += 1
@@ -378,7 +381,7 @@ class ProgramEdit:
                 type_passed += type_ok
                 type_checked += 1
         return WorkflowState(
-            depths[output], _operator_histogram(candidate), unit_passed, unit_checked, type_passed, type_checked
+            facts[output].depth, _operator_histogram(candidate), unit_passed, unit_checked, type_passed, type_checked
         )
 
     def operator_count(self) -> int:

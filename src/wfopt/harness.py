@@ -585,7 +585,12 @@ def _grow_target(
             program = edits[int(rng.integers(len(edits)))]
         if program.operator_nodes() and _target_is_usable(program, initial, proposer.registry, rng):
             return program
-    raise SuiteGenerationError("could not grow a usable target program")
+    ops, cap = proposer.config.ops, proposer.config.max_operator_nodes
+    raise SuiteGenerationError(
+        f"could not grow a usable target program in {MAX_ATTEMPTS} attempts with proposer.ops = "
+        f"{ops if ops is None else list(ops)}, proposer.max_operator_nodes = {cap} "
+        f"and suite.target_edits = {target_edits}"
+    )
 
 
 def _target_is_usable(

@@ -7,24 +7,22 @@ constraint checks; the interpreter itself is scalar-valued and deterministic.
 
 `analyze_program` and `interpret_all` each make one `_ordered` walk, which
 orders a program and resolves every node's operand slots from one pass over
-the nodes and one over the edges. `analyze_program` propagates unit
-signatures, shapes, value signs and depth, each node's by `_transfer`, the
-one definition of the per-operator rules, and `derive_state` counts its
-per-operator verdicts into the `WorkflowState` the constraint scores read;
-`interpret_all` walks once for a whole list of input bindings and runs each
-step over the column of every binding's values.
+the nodes and one over the edges. `analyze_program` keeps one `Facts` tuple
+per node (unit signature, shape, value sign and depth), each made by
+`_transfer`, the one definition of the per-node rules, and `derive_state`
+counts its per-operator verdicts into the `WorkflowState` the constraint
+scores read; `interpret_all` walks once for a whole list of input bindings
+and runs each step over the column of every binding's values.
 `validate_program` builds its own maps in one pass over the nodes and one
 over the edges, with one arity lookup per operator node in the map each
 `OperatorRegistry` builds once, and walks back from the output for
 reachability only when the other checks leave that in doubt.
 `canonical_key` returns a flat tuple. Every map over a program is
-transient. Two facts are kept on a program. One is its validation verdict:
-a program that passed `validate_program` remembers the registry object it
-passed against, so checking it again against that registry is a lookup.
-The other, on a candidate the proposer builds only, is its edit record, and
-once it is scored the `WorkflowState` derived from that record
-(`edits.ProgramEdit`, which tells how records are keyed, vouched for and
-analysed).
+transient. One slot on a program, `_VERDICT`, records what is established
+about it: the registry object it was found valid for, and, on a candidate
+the proposer builds only, its edit record, replaced by the `WorkflowState`
+derived from that record once it is scored (`edits.ProgramEdit`, which
+tells how records are keyed, vouched for and analysed).
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -41,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidProgramError(ValueError):
@@ -298,19 +296,17 @@ class ExecutionTrace:
 # What validate_program records in place of an arity for the two leaf kinds.
 _INPUT_LEAF, _CONST_LEAF = -1, -2
 
-# The instance attribute naming the registry a program passed validation
-# against. The program is frozen, so the attribute is written past its
-# __setattr__ with object.__setattr__, as the dataclass __init__ writes its
-# fields; it is no field, so equality, hashing and repr do not see it.
-# (Going through `program.__dict__`, as functools.cached_property does,
-# would give each program a dict object of its own, about 64 more bytes.)
-_VALID_FOR = "_valid_for"
+# The instance attribute holding what is established about a program:
+# `(registry, None)` once it passed `validate_program` against that registry
+# object, or `(registry, edit)` on a proposer candidate, valid for it by
+# construction, whose edit record `derive_state` replaces with the
+# `WorkflowState` it derives from it. The program is frozen, so the attribute
+# is written with object.__setattr__, as the dataclass __init__ writes its
+# fields; it is no field, so equality, hashing and repr do not see it. (Going
+# through `program.__dict__`, as functools.cached_property does, would give
+# each program a dict object of its own, about 64 more bytes.)
+_VERDICT = "_verdict"
 _VALID = ValidationReport(ok=True)
-# The instance attribute, written the same way, holding `(registry, edit)`
-# on a proposer candidate: its edit record over a base valid for that
-# registry object, which `derive_state` replaces with `(registry, state)`,
-# the `WorkflowState` it derives from the record, on the first call.
-_STATE_FOR = "_state_for"
 
 
 def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ValidationReport:
@@ -328,14 +324,16 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     the verdict is `edits.ProgramEdit.vouch`: a proposer candidate made by
     one edit of a base that passed against the proposer's registry object
     is valid by construction, so its record vouches for it as it is built.
+    A pass here writes `(registry, None)` over whatever the slot held.
     """
     registry = registry or default_registry()
-    if getattr(program, _VALID_FOR, None) is registry:
+    verdict = getattr(program, _VERDICT, None)
+    if verdict is not None and verdict[0] is registry:
         return _VALID
     violations = _violations(program, registry)
     if violations:
         return ValidationReport(ok=False, violations=tuple(violations))
-    object.__setattr__(program, _VALID_FOR, registry)
+    object.__setattr__(program, _VERDICT, (registry, None))
     return _VALID
 
 
@@ -501,14 +499,20 @@ def _ordered(program: WorkflowProgram) -> list[tuple[Node, dict[int, str]]]:
 # Static analysis: unit signatures, shapes, value signs and depth in one walk.
 # ---------------------------------------------------------------------------
 
+class Facts(NamedTuple):
+    """What the analysis knows of one node."""
+
+    unit: Optional[UnitSignature]    # None: not known
+    shape: Optional[Shape]           # None: not known
+    sign: Sign
+    depth: int                       # longest path from a leaf to the node, in edges
+
+
 @dataclass(frozen=True)
 class ProgramAnalysis:
     """What one topological walk over a program knows about each node."""
 
-    units: Mapping[str, Optional[UnitSignature]]
-    shapes: Mapping[str, Optional[Shape]]
-    signs: Mapping[str, Sign]
-    depths: Mapping[str, int]        # longest path from a leaf to each node, in edges
+    facts: Mapping[str, Facts]
     unit_checks: Mapping[str, bool]  # operator nodes whose input units are all known
     type_checks: Mapping[str, bool]  # every operator node: shape and domain rule
 
@@ -517,61 +521,54 @@ def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistr
     """Propagate units, shapes, signs and depth in one `_ordered` walk.
 
     Each node's facts and verdicts come from `_transfer` of the node and its
-    operands' facts, the one definition of the rules; a node's depth is one
-    more than its deepest operand's, a leaf's 0. The verdict maps keep the
-    walk's order.
+    operands' facts, the one definition of the rules. The verdict maps keep
+    the walk's order.
     """
     registry = registry or default_registry()
-    units: dict[str, Optional[UnitSignature]] = {}
-    shapes: dict[str, Optional[Shape]] = {}
-    signs: dict[str, Sign] = {}
-    depths: dict[str, int] = {}
+    facts: dict[str, Facts] = {}
     unit_checks: dict[str, bool] = {}
     type_checks: dict[str, bool] = {}
-
     for node, slots in _ordered(program):
         nid = node.node_id
-        if node.op in LEAF_OPS:
-            kind, args = None, ()
-            depths[nid] = 0
-        else:
-            kind = registry.get(node.op)
-            args = [slots[k] for k in range(kind.arity)]
-            depths[nid] = 1 + max([depths[a] for a in args])
-        units[nid], shapes[nid], signs[nid], unit_ok, type_ok = _transfer(
-            node, kind, [units[a] for a in args], [shapes[a] for a in args], [signs[a] for a in args]
-        )
+        facts[nid], unit_ok, type_ok = _transfer(node, registry, slots, facts)
         if unit_ok is not None:
             unit_checks[nid] = unit_ok
         if type_ok is not None:
             type_checks[nid] = type_ok
-
-    return ProgramAnalysis(units, shapes, signs, depths, unit_checks, type_checks)
+    return ProgramAnalysis(facts, unit_checks, type_checks)
 
 
 def _transfer(
     node: Node,
-    kind: Optional[OperatorKind],
-    units: Sequence[Optional[UnitSignature]],
-    shapes: Sequence[Optional[Shape]],
-    signs: Sequence[Sign],
-) -> tuple[Optional[UnitSignature], Optional[Shape], Sign, Optional[bool], Optional[bool]]:
-    """One node's step of the analysis: its unit, shape and sign, its unit
-    verdict and its type verdict, from its operands' facts in slot order.
+    registry: OperatorRegistry,
+    slots: Mapping[int, str] | Sequence[str],
+    facts: Mapping[str, Facts],
+) -> tuple[Facts, Optional[bool], Optional[bool]]:
+    """One node's step of the analysis: its `Facts`, its unit verdict and its
+    type verdict, from its operands' facts.
 
-    `kind` is the node's operator kind, None for a leaf. A leaf's facts are
-    its tags, a literal being a scalar unless tagged and signed by its value;
-    it has no verdicts. Explicit unit and shape tags on an operator override
-    what it derives. Its unit check runs once all its operand units are
-    known (else its unit verdict is None); its type check passes when its
-    shapes agree (unknowable shapes pass vacuously) and no operand sign,
-    known only from literal constants, breaks its domain rule.
+    `slots` gives the node's operand ids by slot (a slot map, or a tuple in
+    slot order) and `facts` each operand's facts. A leaf reads no operand
+    and has no verdicts: its facts are its tags at depth 0, a literal being
+    a scalar unless tagged and signed by its value. An operator reads the
+    operand in each slot of its kind (an unknown operator or a missing slot
+    raises `KeyError`), and its depth is one more than its deepest
+    operand's. Explicit unit and shape tags on an operator override what it
+    derives. Its unit check runs once all its operand units are known (else
+    its unit verdict is None); its type check passes when its shapes agree
+    (unknowable shapes pass vacuously) and no operand sign, known only from
+    literal constants, breaks its domain rule.
     """
-    if kind is None:
-        if node.op == CONST_OP:
+    op = node.op
+    if op in LEAF_OPS:
+        if op == CONST_OP:
             shape = node.shape if node.shape is not None else _SCALAR
-            return node.unit, shape, _sign_of(node.value), None, None  # type: ignore[arg-type]
-        return node.unit, node.shape, Sign.UNKNOWN, None, None
+            return Facts(node.unit, shape, _sign_of(node.value), 0), None, None  # type: ignore[arg-type]
+        return Facts(node.unit, node.shape, Sign.UNKNOWN, 0), None, None
+    kind = registry.get(op)
+    args = [facts[slots[k]] for k in range(kind.arity)]
+    depth = 1 + max([a.depth for a in args])
+    units, shapes, signs, _ = zip(*args)
     # `None in` meets a None by identity first; a unit or a shape is never
     # equal to None, so this is `all(u is not None ...)` without a generator
     unit_ok = unit = shape = None
@@ -581,9 +578,12 @@ def _transfer(
     if None not in shapes:
         shape_ok, shape = _check_shape(kind, shapes)  # type: ignore[arg-type]
     return (
-        node.unit if node.unit is not None else unit,
-        node.shape if node.shape is not None else shape,
-        _derive_sign(node.op, signs),
+        Facts(
+            node.unit if node.unit is not None else unit,
+            node.shape if node.shape is not None else shape,
+            _derive_sign(op, signs),
+            depth,
+        ),
         unit_ok,
         shape_ok and _domain_ok(kind.domain_rule, signs),
     )
@@ -692,7 +692,7 @@ def _domain_ok(rule: DomainRule, arg_signs: Sequence[Sign]) -> bool:
     return True
 
 
-def _derive_sign(op: str, args: list[Sign]) -> Sign:
+def _derive_sign(op: str, args: Sequence[Sign]) -> Sign:
     if op == "neg":
         return _NEGATE[args[0]]
     if op == "add":
@@ -732,27 +732,27 @@ def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] 
     """Validate a program and project it onto the constraint-facing view.
 
     Raises `InvalidProgramError` on an invalid program. A candidate the
-    `SyntheticProposer` built carries its edit record next to its verdict
-    (`edits.ProgramEdit.vouch`): while the program is valid for this
-    registry object and the record is over a base valid for it, its state
-    is derived from the record on the first call (`ProgramEdit.state`), kept
-    in the record's place, and returned. Any other program (the search's
-    initial one, a decoded or a remote one), the same one with another
-    registry, or one whose verdict was since recorded for another registry,
-    goes through `validate_program` (a lookup for a program that passed
-    against this registry object) and one `analyze_program` walk. The
-    operator histogram keeps node-declaration order.
+    `SyntheticProposer` built holds its edit record in its verdict slot
+    (`edits.ProgramEdit.vouch`): while the slot names this registry object,
+    its state is derived from the record on the first call
+    (`ProgramEdit.state`), kept in the record's place, and returned. Any
+    other program (the search's initial one, a decoded or a remote one), the
+    same one with another registry, or one whose slot `validate_program`
+    has since written, goes through `validate_program` (a lookup for a
+    program that passed against this registry object) and one
+    `analyze_program` walk, and its state is not kept. The operator
+    histogram keeps node-declaration order.
 
     Two threads scoring one candidate at once may both derive its state;
     the states are equal, and either is kept.
     """
     registry = registry or default_registry()
-    attached = getattr(program, _STATE_FOR, None)
-    if attached is not None and attached[0] is registry and getattr(program, _VALID_FOR, None) is registry:
-        state = attached[1]
+    verdict = getattr(program, _VERDICT, None)
+    if verdict is not None and verdict[0] is registry and verdict[1] is not None:
+        state = verdict[1]
         if not isinstance(state, WorkflowState):  # the record: derive once, keep the state
             state = state.state(program)
-            object.__setattr__(program, _STATE_FOR, (registry, state))
+            object.__setattr__(program, _VERDICT, (registry, state))
         return state
     report = validate_program(program, registry)
     if not report.ok:
@@ -760,7 +760,7 @@ def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] 
     analysis = analyze_program(program, registry)
     unit_passed, unit_checked, type_passed, type_checked = _check_counts(analysis)
     return WorkflowState(
-        analysis.depths[program.output], _operator_histogram(program),
+        analysis.facts[program.output].depth, _operator_histogram(program),
         unit_passed, unit_checked, type_passed, type_checked,
     )
 
@@ -962,6 +962,21 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _string(value, what: str) -> str:
+    """`value`, a JSON string; anything else raises `ValueError` naming `what`."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{what} must be a string, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    """`value`, a JSON number, as a float; anything else, a bool included,
+    raises `ValueError` naming `what`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 def _shape_from_json(obj) -> Shape:
     if obj == "scalar":
         return Shape.scalar()
@@ -1011,14 +1026,19 @@ def program_from_dict(data: Mapping) -> WorkflowProgram:
             else None
         )
         shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
-        value = float(entry["value"]) if "value" in entry else None
-        nodes.append(Node(str(entry["id"]), str(entry["op"]), unit=unit, shape=shape, value=value))
-    edges = tuple(Edge(str(s), str(d), _integer(k, "an edge slot")) for s, d, k in data["edges"])
+        value = _number(entry["value"], "a node value") if "value" in entry else None
+        nodes.append(Node(_string(entry["id"], "a node id"), _string(entry["op"], "a node op"),
+                          unit=unit, shape=shape, value=value))
+    edges = tuple(Edge(_string(s, "an edge source"), _string(d, "an edge destination"), _integer(k, "an edge slot"))
+                  for s, d, k in data["edges"])
+    roots = data["roots"]
+    if not isinstance(roots, list):  # a string would be read as a list of one-letter roots
+        raise ValueError(f"roots must be a list, got {roots!r}")
     return WorkflowProgram(
         nodes=tuple(nodes),
         edges=edges,
-        roots=tuple(str(r) for r in data["roots"]),
-        output=str(data["output"]),
+        roots=tuple(_string(r, "a root") for r in roots),
+        output=_string(data["output"], "the output"),
     )
 
 
@@ -1029,9 +1049,10 @@ def dumps_program(program: WorkflowProgram) -> str:
 def loads_program(text: str) -> WorkflowProgram:
     """The program of a workflow JSON document. Malformed JSON, JSON nested
     too deeply to decode, and a document `program_from_dict` cannot read (a
-    missing key, a null or mistyped field, a slot, unit exponent or shape
-    dimension that is no JSON integer, a value too large for a float)
-    raise `ValueError`."""
+    missing key, a null or mistyped field, roots that are no JSON list, an
+    id, op, root, output or edge end that is no JSON string, a value that is
+    no JSON number, a slot, unit exponent or shape dimension that is no JSON
+    integer, a value too large for a float) raise `ValueError`."""
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -269,31 +269,6 @@ def library_to_dict(lib: MotifLibrary) -> dict:
             "max_per_category": lib.config.max_per_category,
         },
     }
-
-
-def library_from_dict(data: Mapping) -> MotifLibrary:
-    """The library `library_to_dict` wrote. Its `params` hold the four
-    settings `refine` reads; `templates_per_category`, read only by
-    `init_templates`, is not saved and comes back as the default."""
-    if data.get("version") != LIBRARY_FORMAT_VERSION:
-        raise ValueError(f"unsupported library version {data.get('version')!r}")
-    params = data.get("params", {})
-    motifs = []
-    for cat in data["categories"]:
-        for m in cat["motifs"]:
-            motifs.append(Motif(cat["name"], tuple(float(x) for x in m["vector"]), m["origin"]))
-    config = MotifConfig(
-        refinement_period=int(params.get("refinement_period", 3)),
-        cluster_count_per_category=int(params.get("cluster_count_per_category", 20)),
-        min_separation=float(params.get("min_separation", 0.3)),
-        max_per_category=int(params.get("max_per_category", 30)),
-    )
-    return MotifLibrary(
-        motifs=tuple(motifs),
-        registry_ops=tuple(data["registry"]),
-        config=config,
-        frozen=bool(data["frozen"]),
-    )
 
 
 def save_library(lib: MotifLibrary, path: str | Path) -> None:

@@ -221,21 +221,14 @@ class Optimizer:
             total = self.scorer.total(vector, self.weights)
             scored.append((candidate, state, vector, total))
 
-        if self.stages.expansion:
-            kept = [entry for entry in scored if entry[3] >= tau]
-            fallback = not kept
-            if fallback:
-                best = max(scored, key=lambda entry: entry[3])
-                kept = [best]
-        else:
-            kept = scored
-            fallback = False
+        keep = [not self.stages.expansion or entry[3] >= tau for entry in scored]
+        fallback = not any(keep)
+        if fallback:  # the gate dropped every candidate: keep the first of the best
+            keep[max(range(len(scored)), key=lambda i: scored[i][3])] = True
 
-        kept_ids = {id(entry) for entry in kept}
         children: list[SearchNode] = []
-        for entry in scored:
-            candidate, state, vector, total = entry
-            if id(entry) in kept_ids:
+        for (candidate, state, vector, total), kept in zip(scored, keep):
+            if kept:
                 child = self._make_node(candidate, state, vector, total, parent=node)
                 node.children.append(child)
                 children.append(child)
@@ -247,7 +240,7 @@ class Optimizer:
                     C_vector=vector.as_dict(),
                     C_total=total,
                     tau=tau,
-                    fallback=fallback and self.stages.expansion,
+                    fallback=fallback,
                 )
             else:
                 self.log.append(

@@ -13,6 +13,7 @@ from wfopt.model import (
     default_registry,
     validate_program,
 )
+from wfopt.motifs import LIBRARY_FORMAT_VERSION, Motif, MotifConfig, MotifLibrary
 
 
 @pytest.fixture(scope="session")
@@ -150,3 +151,29 @@ def fingerprint(program):
         below = sum(slot_weight(k) * sums[a] for k, a in slots.get(nid, {}).items())
         sums[nid] = (head_weight(heads[nid]) + below) % MODULUS
     return sums[program.output]
+
+
+def library_from_dict(data) -> MotifLibrary:
+    """The reference reader of `motifs.json`: the library `library_to_dict`
+    wrote. Its `params` hold the four settings `refine` reads;
+    `templates_per_category`, read only by `init_templates`, is not saved
+    and comes back as the default."""
+    if data.get("version") != LIBRARY_FORMAT_VERSION:
+        raise ValueError(f"unsupported library version {data.get('version')!r}")
+    params = data.get("params", {})
+    motifs = []
+    for cat in data["categories"]:
+        for m in cat["motifs"]:
+            motifs.append(Motif(cat["name"], tuple(float(x) for x in m["vector"]), m["origin"]))
+    config = MotifConfig(
+        refinement_period=int(params.get("refinement_period", 3)),
+        cluster_count_per_category=int(params.get("cluster_count_per_category", 20)),
+        min_separation=float(params.get("min_separation", 0.3)),
+        max_per_category=int(params.get("max_per_category", 30)),
+    )
+    return MotifLibrary(
+        motifs=tuple(motifs),
+        registry_ops=tuple(data["registry"]),
+        config=config,
+        frozen=bool(data["frozen"]),
+    )

@@ -31,6 +31,15 @@ def small_config_dict(**overrides):
     return data
 
 
+def neg_workflow(*, node=None, **fields):
+    """The workflow `x0 -> neg n0`, its second node updated with `node` and
+    its top-level fields replaced by `fields`."""
+    data = {"nodes": [{"id": "x0", "op": "input"}, {"id": "n0", "op": "neg", **(node or {})}],
+            "edges": [["x0", "n0", 0]], "roots": ["x0"], "output": "n0"}
+    data.update(fields)
+    return json.dumps(data)
+
+
 class TestConfigParsing:
     def test_defaults(self):
         config = config_from_dict({})
@@ -324,7 +333,9 @@ class TestCli:
             ({"ops": []}, "error: proposer.ops must name at least one operator"),
             ({flag: False for flag in ("allow_insert", "allow_replace", "allow_delete", "allow_rewire")},
              "error: proposer allows no edit kind"),
-            ({"ops": ["neg"], "max_operator_nodes": 1}, "error: could not grow a usable target program"),
+            ({"ops": ["neg"], "max_operator_nodes": 1},
+             "error: could not grow a usable target program in 200 attempts with proposer.ops = ['neg'], "
+             "proposer.max_operator_nodes = 1 and suite.target_edits = 3"),
         ],
         ids=["no-ops", "no-edit-kind", "cannot-grow-a-target"],
     )
@@ -435,9 +446,20 @@ class TestCli:
           for slot in (1.9, True, "1")),
         *(json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": shape}], "edges": [], "roots": ["x0"],
                       "output": "x0"}) for shape in ({"vector": 2.5}, {"vector": "3"}, {"matrix": [2, False]})),
+        neg_workflow(node={"id": 1}),
+        neg_workflow(node={"op": None}),
+        neg_workflow(roots=[True]),
+        neg_workflow(output=None),
+        neg_workflow(edges=[[["x0"], "n0", 0]]),
+        neg_workflow(edges=[["x0", 0, 0]]),
+        neg_workflow(node={"op": "const", "value": "2.5"}, edges=[]),
+        neg_workflow(node={"op": "const", "value": True}, edges=[]),
+        neg_workflow(roots="x0"),
     ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null",
             "fractional-exponent", "bool-exponent", "string-exponent", "fractional-slot", "bool-slot", "string-slot",
-            "fractional-dimension", "string-dimension", "bool-dimension"])
+            "fractional-dimension", "string-dimension", "bool-dimension", "number-id", "null-op", "bool-root",
+            "null-output", "list-edge-source", "number-edge-destination", "string-value", "bool-value",
+            "string-roots"])
     def test_export_malformed_workflow_exits_2(self, tmp_path, capsys, text):
         source, dest = tmp_path / "bad.json", tmp_path / "out.json"
         source.write_text(text)

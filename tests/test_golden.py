@@ -125,3 +125,19 @@ PALETTE_RUNLOG = "190549c639fa5e6fc5a2ce8658adf77a02fe34b1c384dba48c32b0bff083d6
 
 def test_const_palette_run_log_matches_golden_digest(tmp_path):
     assert runlog_digest(PALETTE_CONFIG, tmp_path) == PALETTE_RUNLOG
+
+
+# No run above tags its roots with units or offers signed constants with the
+# whole registry, so none makes the unit check fail or the sign rules decide a
+# domain check. This one does (computed at commit 4261b54).
+UNITS_CONFIG = {
+    "seed": 42,
+    "budget": {"rounds": 8, "simulations_per_round": 8},
+    "suite": {"unit_dims": ["m", "s"]},
+    "proposer": {"ops": None, "const_palette": [-1.0, 0.0, 2.0], "max_operator_nodes": 4},
+}
+UNITS_RUNLOG = "617d666c02cd8dea0fa33e471ec6e15fe6b6a9f075b6aca28ce94ad11af0c06d"
+
+
+def test_units_and_signs_run_log_matches_golden_digest(tmp_path):
+    assert runlog_digest(UNITS_CONFIG, tmp_path) == UNITS_RUNLOG

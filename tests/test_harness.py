@@ -224,7 +224,7 @@ class TestEditRecords:
         built = after[len(met):]
         assert [kind for kind, _ in built] == ["build"] * len(edits)
         assert [p for _, p in built] == edits and all(p is q for (_, p), q in zip(built, edits))
-        assert all(getattr(p, model._VALID_FOR, None) is registry for p in edits)
+        assert all(getattr(p, model._VERDICT)[0] is registry for p in edits)
         assert edits and len(edits) < len(sized)
 
         # a sample builds only what it draws, and checks only the base

@@ -154,7 +154,7 @@ class TestDeriveState:
                 for succ in g.successors(nid):
                     lengths[succ] = max(lengths[succ], lengths[nid] + 1)
             analysis = analyze_program(program, registry)
-            assert analysis.depths == lengths  # every node's, the dead ones too
+            assert {nid: f.depth for nid, f in analysis.facts.items()} == lengths  # the dead ones too
             assert derive_state(program, registry).depth == lengths[program.output]
 
     def test_deterministic(self, registry):
@@ -378,7 +378,7 @@ class TestOneWalk:
         assert walks == []
         assert len(children) == 12 and len(enumerated) > 12
         for candidate in children + enumerated:
-            attached = getattr(candidate, model._STATE_FOR)
+            attached = getattr(candidate, model._VERDICT)
             assert attached[0] is registry and isinstance(attached[1], ProgramEdit)
 
         def full(program):  # the state of an equal program with no verdict
@@ -395,7 +395,7 @@ class TestOneWalk:
             for i, candidate in enumerate(candidates):
                 state = derived(candidate, registry, 0 if i else 1)
                 assert state == full(candidate)
-                assert getattr(candidate, model._STATE_FOR) == (registry, state)
+                assert getattr(candidate, model._VERDICT) == (registry, state)
                 assert derived(candidate, registry, 0) is state
         for child in children:
             state = full(child)
@@ -420,13 +420,13 @@ class TestAnalyses:
         program = binary("mul", "input", "input", units=(length, length))
         analysis = analyze_program(program)
         assert analysis.unit_checks["n0"] is True
-        assert analysis.units["n0"] == UnitSignature.of(length=2)
+        assert analysis.facts["n0"].unit == UnitSignature.of(length=2)
 
     def test_unit_division_subtracts_exponents(self):
         length = UnitSignature.of(length=1)
         time = UnitSignature.of(time=1)
         program = binary("div", "input", "input", units=(length, time))
-        assert analyze_program(program).units["n0"] == UnitSignature.of(length=1, time=-1)
+        assert analyze_program(program).facts["n0"].unit == UnitSignature.of(length=1, time=-1)
 
     def test_explicit_tag_overrides_propagation(self):
         length = UnitSignature.of(length=1)
@@ -437,13 +437,13 @@ class TestAnalyses:
             Node("n0", "mul", unit=mass),
         )
         program = WorkflowProgram(nodes, (Edge("x0", "n0", 0), Edge("x1", "n0", 1)), ("x0", "x1"), "n0")
-        assert analyze_program(program).units["n0"] == mass
+        assert analyze_program(program).facts["n0"].unit == mass
 
     def test_shape_matmul(self):
         program = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(3, 4)))
         analysis = analyze_program(program)
         assert analysis.type_checks["n0"] is True
-        assert analysis.shapes["n0"] == Shape.matrix(2, 4)
+        assert analysis.facts["n0"].shape == Shape.matrix(2, 4)
         bad = binary("mul", "input", "input", shapes=(Shape.matrix(2, 3), Shape.matrix(4, 4)))
         assert analyze_program(bad).type_checks["n0"] is False
 
@@ -457,11 +457,11 @@ class TestAnalyses:
 
     def test_sign_of_constants(self):
         program = binary("mul", -3, -2)
-        assert analyze_program(program).signs["n0"] is Sign.POS
+        assert analyze_program(program).facts["n0"].sign is Sign.POS
 
     def test_sign_unknown_for_inputs(self):
         program = chain("sqrt")
-        assert analyze_program(program).signs["n0"] is Sign.UNKNOWN
+        assert analyze_program(program).facts["n0"].sign is Sign.UNKNOWN
 
 
 class TestSerialization:
@@ -491,6 +491,28 @@ class TestSerialization:
         assert program.nodes[0].unit.exponents == (("m", 1),) and program.nodes[0].shape.dims == (2, 3)
         assert [type(v) for v in (program.nodes[0].unit.exponents[0][1], *program.nodes[0].shape.dims,
                                   program.edges[0].slot)] == [int] * 4
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("nodes", 1, "id"), 1, "a node id"),
+        (("nodes", 1, "op"), None, "a node op"),
+        (("roots", 0), True, "a root"),
+        (("output",), None, "the output"),
+        (("edges", 0, 0), ["x0"], "an edge source"),
+        (("edges", 0, 1), 0, "an edge destination"),
+        (("nodes", 0, "value"), "2.5", "a node value"),
+        (("nodes", 0, "value"), False, "a node value"),
+        (("roots",), "x1", "roots"),
+    ])
+    def test_mistyped_fields_are_rejected_by_name(self, path, value, field):
+        # a name is a JSON string and a value a JSON number: none is converted
+        data = program_to_dict(binary("mul", 2, "input"))
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            program_from_dict(data)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown program keys"):

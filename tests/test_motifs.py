@@ -14,12 +14,13 @@ from wfopt.motifs import (
     MotifLibrary,
     cosine_similarity,
     init_templates,
-    library_from_dict,
     library_to_dict,
     refine,
     save_library,
     score_pattern,
 )
+
+from conftest import library_from_dict
 
 OPS = default_registry().names
 

@@ -44,6 +44,7 @@ from wfopt.model import (
     LEAF_OPS,
     Edge,
     ExecutionTrace,
+    Facts,
     InvalidProgramError,
     MissingInputError,
     Node,
@@ -56,8 +57,7 @@ from wfopt.model import (
     ValidationReport,
     WorkflowProgram,
     WorkflowState,
-    _STATE_FOR,
-    _VALID_FOR,
+    _VERDICT,
     _apply,
     _check_shape,
     _check_units,
@@ -278,7 +278,8 @@ def ref_analyze_program(program, registry):
         signs[nid] = _derive_sign(node.op, in_signs)
         type_checks[nid] = shape_ok and _domain_ok(kind.domain_rule, in_signs)
 
-    return ProgramAnalysis(units, shapes, signs, depths, unit_checks, type_checks)
+    facts = {nid: Facts(units[nid], shapes[nid], signs[nid], depths[nid]) for nid in depths}
+    return ProgramAnalysis(facts, unit_checks, type_checks)
 
 
 def ref_interpret(program, inputs, registry):
@@ -1190,7 +1191,7 @@ def test_propose_is_a_seeded_sample_of_every_candidate(registry, kind, seed, cou
         completion_tokens=sum(8 + 3 * len(c.nodes) for c in expected),
         request_id="opt-00001",
     )
-    assert all(getattr(c, _VALID_FOR, None) is getattr(e, _VALID_FOR, None) is registry
+    assert all(getattr(c, _VERDICT)[0] is getattr(e, _VERDICT)[0] is registry
                for c, e in zip(candidates, expected))
     assert drawn_rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -1230,7 +1231,7 @@ def ref_state(program, registry):
     analysis = ref_analyze_program(program, registry)
     units, types = list(analysis.unit_checks.values()), list(analysis.type_checks.values())
     histogram = Counter(n.op for n in program.nodes if not n.is_leaf())
-    depth = analysis.depths[program.output]
+    depth = analysis.facts[program.output].depth
     return WorkflowState(depth, dict(histogram), sum(units), len(units), sum(types), len(types))
 
 
@@ -1273,7 +1274,7 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
         _same_state(expected, ref_state(candidate, registry))
     drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
     for candidate in drawn:
-        assert getattr(candidate, _STATE_FOR)[0] is registry
+        assert getattr(candidate, _VERDICT)[0] is registry
         _same_state(derive_state(candidate, registry), derive_state(_without_verdict(candidate), registry))
 
 
@@ -1618,6 +1619,6 @@ class TestWalks:
             roots=("x0",),
             output="n0",
         )
-        assert analyze_program(program, registry).signs["n0"] is Sign.POS
+        assert analyze_program(program, registry).facts["n0"].sign is Sign.POS
         assert interpret_all(program, [{"x0": 1.0}], registry)[0].output == 4.0
         assert analyze_program(program, registry) == ref_analyze_program(program, registry)

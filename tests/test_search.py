@@ -252,6 +252,12 @@ class TestExpansionGate:
         kept = optimizer.log.by_event("expanded")
         assert kept[0]["fallback"] is True
 
+    def test_fallback_keeps_the_first_of_tied_best(self):
+        optimizer, children = self.run_expand([0.2, 0.55, 0.1, 0.55, 0.55])
+        assert [child.program.output for child in children] == ["k1"]
+        assert [r["node_id"] for r in optimizer.log.by_event("expanded")] == [children[0].node_id]
+        assert [r["C_total"] for r in optimizer.log.by_event("pruned")] == [0.2, 0.1, 0.55, 0.55]
+
     def test_looser_gate_at_depth(self):
         registry = default_registry()
         scorer = _StubScorer(registry, [0.5, 0.7, 0.5, 0.2])

@@ -970,9 +970,9 @@ def _string(value, what: str) -> str:
 
 
 def _number(value, what: str) -> float:
-    """`value`, a JSON number, as a float; anything else, a bool included,
-    raises `ValueError` naming `what`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """`value`, a JSON number, as a float; anything else, a bool, NaN or an
+    infinity included, raises `ValueError` naming `what`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
     raise ValueError(f"{what} must be a number, got {value!r}")
 
@@ -1051,8 +1051,8 @@ def loads_program(text: str) -> WorkflowProgram:
     too deeply to decode, and a document `program_from_dict` cannot read (a
     missing key, a null or mistyped field, roots that are no JSON list, an
     id, op, root, output or edge end that is no JSON string, a value that is
-    no JSON number, a slot, unit exponent or shape dimension that is no JSON
-    integer, a value too large for a float) raise `ValueError`."""
+    no finite JSON number, a slot, unit exponent or shape dimension that is
+    no JSON integer, a value too large for a float) raise `ValueError`."""
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -454,11 +455,13 @@ class TestCli:
         neg_workflow(edges=[["x0", 0, 0]]),
         neg_workflow(node={"op": "const", "value": "2.5"}, edges=[]),
         neg_workflow(node={"op": "const", "value": True}, edges=[]),
+        neg_workflow(node={"op": "const", "value": math.nan}, edges=[]),
+        neg_workflow(node={"op": "const", "value": math.inf}, edges=[]),
         neg_workflow(roots="x0"),
     ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null",
             "fractional-exponent", "bool-exponent", "string-exponent", "fractional-slot", "bool-slot", "string-slot",
             "fractional-dimension", "string-dimension", "bool-dimension", "number-id", "null-op", "bool-root",
-            "null-output", "list-edge-source", "number-edge-destination", "string-value", "bool-value",
+            "null-output", "list-edge-source", "number-edge-destination", "string-value", "bool-value", "nan-value", "infinite-value",
             "string-roots"])
     def test_export_malformed_workflow_exits_2(self, tmp_path, capsys, text):
         source, dest = tmp_path / "bad.json", tmp_path / "out.json"

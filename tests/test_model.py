@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -501,6 +503,8 @@ class TestSerialization:
         (("edges", 0, 1), 0, "an edge destination"),
         (("nodes", 0, "value"), "2.5", "a node value"),
         (("nodes", 0, "value"), False, "a node value"),
+        (("nodes", 0, "value"), math.nan, "a node value"),
+        (("nodes", 0, "value"), -math.inf, "a node value"),
         (("roots",), "x1", "roots"),
     ])
     def test_mistyped_fields_are_rejected_by_name(self, path, value, field):

@@ -1274,7 +1274,8 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
         _same_state(expected, ref_state(candidate, registry))
     drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
     for candidate in drawn:
-        assert getattr(candidate, _VERDICT)[0] is registry
+        verdict = getattr(candidate, _VERDICT)
+        assert verdict[0] is registry and isinstance(verdict[1], ProgramEdit)
         _same_state(derive_state(candidate, registry), derive_state(_without_verdict(candidate), registry))
 
 

@@ -26,6 +26,12 @@ same way every time, so two checkouts can be compared call by call:
                          enumerate_edits row times that part); also per child
   with_magnitude         folding the 40 fixed traces of `evaluate` into a vector
   evaluate               SyntheticEvaluator over 40 fixed problems
+  evaluate reply         ExternalEvaluator over the same problems, with an
+                         in-memory transport answering the peer's reply,
+                         parsed once: the client's side of a stdio request
+                         without the pipe and the JSON parse
+  peer evaluate          SyntheticRoles.handle on the same evaluate request,
+                         parsed once: the peer's side without the JSON text
   select+backprop        one select and one backpropagate on a fixed tree
                          (341 nodes; it holds no program, so it is timed once)
 
@@ -51,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wfopt.adapter import ExternalEvaluator, SyntheticRoles, problem_to_dict
 from wfopt.config import MotifConfig
 from wfopt.constraints import AggregationConfig, ConstraintScorer
 from wfopt.harness import Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, SyntheticProposer
@@ -63,6 +70,7 @@ from wfopt.model import (
     canonical_key,
     default_registry,
     derive_state,
+    program_to_dict,
     validate_program,
 )
 from wfopt.motifs import init_templates
@@ -122,6 +130,16 @@ def fixed_tree(branching: int = 4, depth: int = 4) -> SearchNode:
     return make(None, 0)
 
 
+class FixedReply:
+    """A transport that answers every request with the same decoded reply."""
+
+    def __init__(self, reply: dict):
+        self.reply = reply
+
+    def request(self, line: str) -> dict:
+        return self.reply
+
+
 def measure(fn, repeat: int) -> tuple[float, float]:
     """Median and best time per call of `fn()`, in microseconds."""
     fn()
@@ -159,7 +177,9 @@ def run(repeat: int) -> dict:
     registry = default_registry()
     proposer = SyntheticProposer(registry, ProposerConfig(ops=OPS, max_operator_nodes=8))
     library = init_templates(["cat0"], MotifConfig(), registry_ops=registry.names, seed=42)
-    evaluator = SyntheticEvaluator(fixed_problems(), registry)
+    problems = fixed_problems()
+    evaluator = SyntheticEvaluator(problems, registry)
+    roles = SyntheticRoles(registry)
     weights = WeightVector.uniform()
 
     def new_scorer() -> ConstraintScorer:
@@ -176,7 +196,7 @@ def run(repeat: int) -> dict:
 
     results: dict[str, dict] = {name: {} for name in (
         "enumerate_edits", "propose", "validate_program", "canonical_key", "derive_state+static_vector",
-        "score children", "with_magnitude", "evaluate")}
+        "score children", "with_magnitude", "evaluate", "evaluate reply", "peer evaluate")}
     for size in SIZES:
         program = fixed_program(size)
         key = str(size)
@@ -202,6 +222,11 @@ def run(repeat: int) -> dict:
         results["with_magnitude"][key] = figures(lambda: scorer.with_magnitude(vector, traces), repeat,
                                                  traces=len(traces))
         results["evaluate"][key] = figures(lambda: evaluator.evaluate(program), repeat)
+        request = json.loads(json.dumps({"kind": "evaluate", "program": program_to_dict(program),
+                                         "params": {"problems": [problem_to_dict(p) for p in problems.problems]}}))
+        remote = ExternalEvaluator(FixedReply(json.loads(json.dumps(roles.handle(request)))), problems)
+        results["evaluate reply"][key] = figures(lambda: remote.evaluate(program), repeat)
+        results["peer evaluate"][key] = figures(lambda: roles.handle(request), repeat)
 
     cfg = AggregationConfig()
     samples = []

@@ -12,8 +12,10 @@ child process's standard streams or POSTed over HTTP:
 A transport sends one encoded request line and returns the decoded reply.
 `ExternalEvaluator` encodes its problem list once, when it is built, and
 splices it after each request's program, so every request is still exactly
-the `json.dumps` of its payload. The engine treats remote and synthetic
-implementations identically. An evaluate reply that is valid JSON but
+the `json.dumps` of its payload. A reply's traces are decoded by
+`trace_from_dict`, one per entry, into `ExecutionTrace` named tuples; JSON
+integers become floats, and a trace holding only floats keeps them as
+decoded. The engine treats remote and synthetic implementations identically. An evaluate reply that is valid JSON but
 carries bad content (a reward that is not a number in [0, 1], a malformed
 trace) fails that one request with `EvaluationError`; a reply that breaks
 the protocol itself raises `AdapterError`. A propose reply has no
@@ -54,6 +56,7 @@ from .model import (
     ExecutionTrace,
     OperatorRegistry,
     WorkflowProgram,
+    _number,
     default_registry,
     program_from_dict,
     program_to_dict,
@@ -90,7 +93,8 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
 
     All five keys must be present. A failed trace may carry any numbers, but
     a successful one must be finite throughout, since its values feed the
-    magnitude score.
+    magnitude score. JSON integers become floats; a trace holding none keeps
+    its lists' floats as they are, which is what `float` would return.
     """
     if type(data) is not dict:
         raise ValueError(f"trace is not an object: {data!r}")
@@ -103,21 +107,19 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
     if type(values) is not list or type(inputs) is not list:
         raise ValueError(f"malformed trace: {data!r}")
     numbers = values + inputs if output is None else values + inputs + [output]
+    kinds = set(map(type, numbers))
     if not (
-        _NUMBER_TYPES.issuperset(map(type, numbers))
+        kinds <= _NUMBER_TYPES
         and type(success) is bool
         and (violation is None or type(violation) is str)
     ):
         raise ValueError(f"malformed trace: {data!r}")
     if success and not all(map(math.isfinite, numbers)):
         raise ValueError("successful trace has a non-finite value")
-    return ExecutionTrace(
-        values=tuple(map(float, values)),
-        input_constants=tuple(map(float, inputs)),
-        success=success,
-        output=None if output is None else float(output),
-        violation=violation,
-    )
+    if int in kinds:
+        values, inputs = map(float, values), map(float, inputs)
+        output = None if output is None else float(output)
+    return ExecutionTrace(tuple(values), tuple(inputs), success, output, violation)
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -129,11 +131,20 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(entry: Mapping) -> Problem:
-    """Decode one problem; keys other than the three it reads are ignored."""
+    """Decode one problem; keys other than the three it reads are ignored.
+
+    Each input and `expected` must be a finite JSON number (a bool is none),
+    and `category`, when present, a string; anything else raises
+    `ValueError` naming the field."""
+    inputs, category = entry["inputs"], entry.get("category", "default")
+    if type(inputs) is not dict:
+        raise ValueError(f"problem inputs must be an object, got {inputs!r}")
+    if type(category) is not str:
+        raise ValueError(f"problem category must be a string, got {category!r}")
     return Problem(
-        inputs={str(k): float(v) for k, v in entry["inputs"].items()},
-        expected=float(entry["expected"]),
-        category=str(entry.get("category", "default")),
+        inputs={k: _number(v, f"problem input {k!r}") for k, v in inputs.items()},
+        expected=_number(entry["expected"], "problem expected"),
+        category=category,
     )
 
 

@@ -160,16 +160,26 @@ def score_magnitude(trace: ExecutionTrace, cfg: MagnitudeConfig) -> float:
     score 1.0. Missing or all-zero inputs make theta undefined, so the neutral
     prior 0.5 is returned.
     """
-    if not trace.values:
-        return 0.5
-    peak_in = max(map(abs, trace.input_constants), default=0.0)
-    if peak_in == 0.0:
-        return 0.5
-    theta = peak_in * 10.0 ** cfg.gamma
-    peak = max(map(abs, trace.values))
-    if peak <= theta:
-        return 1.0
-    return max(0.0, 1.0 - cfg.delta * (peak - theta) / theta)
+    return _magnitudes((trace,), trace_peaks((trace,)), cfg)[0]
+
+
+def trace_peaks(traces: Sequence[ExecutionTrace]) -> list[Optional[float]]:
+    """Each trace's largest |value|, or None for a trace with no values."""
+    return [max(map(abs, t.values)) if t.values else None for t in traces]
+
+
+def _magnitudes(traces: Sequence[ExecutionTrace], peaks: Sequence[Optional[float]], cfg: MagnitudeConfig) -> list:
+    """`score_magnitude` of each trace, given its `trace_peaks` entry."""
+    scale, delta = 10.0 ** cfg.gamma, cfg.delta
+    scores = []
+    for trace, peak in zip(traces, peaks):
+        peak_in = 0.0 if peak is None else max(map(abs, trace.input_constants), default=0.0)
+        if peak_in == 0.0:
+            scores.append(0.5)
+        else:
+            theta = peak_in * scale
+            scores.append(1.0 if peak <= theta else max(0.0, 1.0 - delta * (peak - theta) / theta))
+    return scores
 
 
 def threshold(depth: int, sched: ThresholdSchedule) -> float:
@@ -274,11 +284,13 @@ class ConstraintScorer:
             )
         return vector
 
-    def with_magnitude(self, vector: ConstraintVector, traces: Sequence[ExecutionTrace]) -> ConstraintVector:
-        """Fold measured magnitude scores (mean over traces) into a vector."""
+    def with_magnitude(self, vector: ConstraintVector, traces: Sequence[ExecutionTrace], peaks=None) -> ConstraintVector:
+        """Fold measured magnitude scores (mean over traces) into a vector;
+        `peaks`, the traces' `trace_peaks` if the caller has them, spares a second scan."""
         if not self._on("magnitude") or not traces:
             return vector
-        mean = sum(score_magnitude(t, self.magnitude) for t in traces) / len(traces)
+        peaks = trace_peaks(traces) if peaks is None else peaks
+        mean = sum(_magnitudes(traces, peaks, self.magnitude)) / len(traces)
         fields = (vector.units, vector.types, vector.pattern, mean, vector.depth, vector.diversity)
         key = _pack_fields(*fields)
         folded = self._folded.get(key)

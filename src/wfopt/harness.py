@@ -586,6 +586,12 @@ def _grow_target(
         if program.operator_nodes() and _target_is_usable(program, initial, proposer.registry, rng):
             return program
     ops, cap = proposer.config.ops, proposer.config.max_operator_nodes
+    if not proposer.config.allow_insert:
+        # a usable target has two operator kinds, and the initial program one operator node
+        raise SuiteGenerationError(
+            f"could not grow a usable target program in {MAX_ATTEMPTS} attempts: proposer.allow_insert is false, "
+            "and only an insertion adds a second operator kind to the one-operator initial program"
+        )
     raise SuiteGenerationError(
         f"could not grow a usable target program in {MAX_ATTEMPTS} attempts with proposer.ops = "
         f"{ops if ops is None else list(ops)}, proposer.max_operator_nodes = {cap} "

@@ -284,8 +284,12 @@ class WorkflowState:
     type_checked: int = 0
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
+    """One evaluation of a program on one input binding. A named tuple, as one is
+    built per problem on every evaluation: cheap to build, its fields cannot be
+    assigned, and it compares equal to a plain tuple of its fields. Nothing in
+    the package iterates or unpacks a trace; `adapter.trace_to_dict` is its wire form."""
+
     values: tuple[float, ...]             # intermediate results, topological order
     input_constants: tuple[float, ...]    # values bound to input roots (not literals)
     success: bool
@@ -970,10 +974,16 @@ def _string(value, what: str) -> str:
 
 
 def _number(value, what: str) -> float:
-    """`value`, a JSON number, as a float; anything else, a bool, NaN or an
-    infinity included, raises `ValueError` naming `what`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
+    """`value`, a JSON number, as a float; anything else, a bool, NaN, an
+    infinity or an integer too large for a float included, raises
+    `ValueError` naming `what`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(f"{what} must be a number, got an integer too large for a float") from None
+        if math.isfinite(number):
+            return number
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
@@ -983,9 +993,18 @@ def _shape_from_json(obj) -> Shape:
     if isinstance(obj, dict) and "vector" in obj:
         return Shape.vector(_integer(obj["vector"], "a shape dimension"))
     if isinstance(obj, dict) and "matrix" in obj:
-        m, n = obj["matrix"]
+        dims = obj["matrix"]
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise ValueError(f"a matrix shape must list two dimensions, got {dims!r}")
+        m, n = dims
         return Shape.matrix(_integer(m, "a shape dimension"), _integer(n, "a shape dimension"))
     raise ValueError(f"bad shape tag: {obj!r}")
+
+
+def _unit_from_json(obj) -> UnitSignature:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a node unit must be an object of exponents, got {obj!r}")
+    return UnitSignature.of({str(k): _integer(v, f"the exponent of {k!r}") for k, v in obj.items()})
 
 
 def program_to_dict(program: WorkflowProgram) -> dict:
@@ -1012,32 +1031,37 @@ _PROGRAM_KEYS = {"nodes", "edges", "roots", "output"}
 
 
 def program_from_dict(data: Mapping) -> WorkflowProgram:
+    """Decode a program; a field of the wrong type raises `ValueError` naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a program must be an object, got {data!r}")
     unknown = set(data) - _PROGRAM_KEYS
     if unknown:
         raise ValueError(f"unknown program keys: {sorted(unknown)}")
+    for key in ("nodes", "edges", "roots"):  # a string roots would read as a list of one-letter roots
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a list, got {data[key]!r}")
     nodes = []
     for entry in data["nodes"]:
         bad = set(entry) - _NODE_KEYS
         if bad:
             raise ValueError(f"unknown node keys: {sorted(bad)}")
-        unit = (
-            UnitSignature.of({str(k): _integer(v, f"the exponent of {k!r}") for k, v in entry["unit"].items()})
-            if "unit" in entry
-            else None
-        )
+        unit = _unit_from_json(entry["unit"]) if "unit" in entry else None
         shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
         value = _number(entry["value"], "a node value") if "value" in entry else None
         nodes.append(Node(_string(entry["id"], "a node id"), _string(entry["op"], "a node op"),
                           unit=unit, shape=shape, value=value))
-    edges = tuple(Edge(_string(s, "an edge source"), _string(d, "an edge destination"), _integer(k, "an edge slot"))
-                  for s, d, k in data["edges"])
-    roots = data["roots"]
-    if not isinstance(roots, list):  # a string would be read as a list of one-letter roots
-        raise ValueError(f"roots must be a list, got {roots!r}")
+    try:
+        edges = tuple(Edge(_string(s, "an edge source"), _string(d, "an edge destination"),
+                           _integer(k, "an edge slot")) for s, d, k in data["edges"])
+    except (TypeError, ValueError):  # checked only now, so that valid input pays nothing for it
+        bad = next((e for e in data["edges"] if not isinstance(e, list) or len(e) != 3), None)
+        if bad is None:
+            raise
+        raise ValueError(f"an edge must be a [source, destination, slot] list, got {bad!r}") from None
     return WorkflowProgram(
         nodes=tuple(nodes),
         edges=edges,
-        roots=tuple(_string(r, "a root") for r in roots),
+        roots=tuple(_string(r, "a root") for r in data["roots"]),
         output=_string(data["output"], "the output"),
     )
 
@@ -1049,10 +1073,12 @@ def dumps_program(program: WorkflowProgram) -> str:
 def loads_program(text: str) -> WorkflowProgram:
     """The program of a workflow JSON document. Malformed JSON, JSON nested
     too deeply to decode, and a document `program_from_dict` cannot read (a
-    missing key, a null or mistyped field, roots that are no JSON list, an
-    id, op, root, output or edge end that is no JSON string, a value that is
-    no finite JSON number, a slot, unit exponent or shape dimension that is
-    no JSON integer, a value too large for a float) raise `ValueError`."""
+    missing key, a null or mistyped field, nodes, edges or roots that are no
+    JSON list, a unit that is no JSON object, an edge that is no list of
+    three, a matrix shape of other than two dimensions, an id, op,
+    root, output or edge end that is no JSON string, a value that is no
+    finite JSON number, a slot, unit exponent or shape dimension that is no
+    JSON integer) raise `ValueError`."""
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -23,6 +23,7 @@ from .constraints import (
     ConstraintVector,
     ThresholdSchedule,
     threshold,
+    trace_peaks,
 )
 from .harness import EvaluationError, SyntheticEvaluator, SyntheticProposer, TokenRecord
 from .model import WorkflowProgram, WorkflowState, derive_state
@@ -272,10 +273,11 @@ class Optimizer:
         # evaluator's is bounded here: NaN fails `> 0.0` and so gives 0.0, as
         # do negatives and -0.0, and anything above 1, +inf included, gives 1.0
         reward = min(float(reward), 1.0) if reward > 0.0 else 0.0
+        peaks = trace_peaks(traces)  # one scan of each trace's values, for the fold and trace_peak
         if self.stages.simulation:
-            node.scores = self.scorer.with_magnitude(node.scores, traces)
+            node.scores = self.scorer.with_magnitude(node.scores, traces, peaks)
             node.compliance = self.scorer.total(node.scores, self.weights)
-        peak = max((max(map(abs, t.values)) for t in traces if t.success and t.values), default=None)
+        peak = max((p for t, p in zip(traces, peaks) if t.success and p is not None), default=None)
         node.own_simulations += 1
         node.own_reward_sum += reward
         self.buffer.push(node.scores, reward)

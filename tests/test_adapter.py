@@ -38,7 +38,9 @@ from wfopt.harness import (
     make_synthetic_suite,
 )
 from wfopt.search import Optimizer, SearchBudget
-from wfopt.model import Edge, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_to_dict
+from wfopt.model import (
+    Edge, ExecutionTrace, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_to_dict,
+)
 
 from conftest import binary, chain
 
@@ -153,6 +155,47 @@ class TestHandleRequest:
         for entry in older["params"]["problems"]:
             entry["constants"] = list(entry["inputs"].values())
         assert SyntheticRoles(registry).handle(older) == SyntheticRoles(registry).handle(request)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"inputs": {"x0": "2.5"}, "expected": 2.5}, "problem input 'x0' must be a number, got '2.5'"),
+        ({"inputs": {"x0": "nan"}, "expected": 2.5}, "problem input 'x0' must be a number, got 'nan'"),
+        ({"inputs": {"x0": math.nan}, "expected": 2.5}, "problem input 'x0' must be a number, got nan"),
+        ({"inputs": {"x0": 1e400}, "expected": 2.5}, "problem input 'x0' must be a number, got inf"),
+        ({"inputs": {"x0": 10**400}, "expected": 2.5},
+         "problem input 'x0' must be a number, got an integer too large for a float"),
+        ({"inputs": {"x0": True}, "expected": 2.5}, "problem input 'x0' must be a number, got True"),
+        ({"inputs": [2.5], "expected": 2.5}, "problem inputs must be an object, got [2.5]"),
+        ({"inputs": {"x0": 2.5}, "expected": True}, "problem expected must be a number, got True"),
+        ({"inputs": {"x0": 2.5}, "expected": "-2.5"}, "problem expected must be a number, got '-2.5'"),
+        ({"inputs": {"x0": 2.5}, "expected": 2.5, "category": None}, "problem category must be a string, got None"),
+        ({"inputs": {"x0": 2.5}, "expected": 2.5, "category": 3}, "problem category must be a string, got 3"),
+    ], ids=["string-input", "nan-string-input", "nan-input", "overflowing-input", "huge-int-input", "bool-input",
+            "list-inputs", "bool-expected", "string-expected", "null-category", "number-category"])
+    def test_malformed_problem_is_refused_in_band(self, registry, monkeypatch, entry, message):
+        """A problem field that is no finite JSON number (or, for the category, no
+        string) is refused by name, and the peer's answer is the in-band error
+        in strict JSON: a "nan" input converted to a float would put a bare NaN
+        in the reply."""
+        with pytest.raises(ValueError) as raised:
+            adapter.problem_from_dict(entry)
+        assert str(raised.value) == message
+        request = _evaluate(chain("neg"), ())
+        request["params"]["problems"] = [entry]
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry)
+        assert json.loads(stdout.getvalue(), parse_constant=_no_constant) == {"error": message}
+
+    def test_well_formed_problem_reads_as_before(self):
+        problem = adapter.problem_from_dict({"inputs": {"x0": 2, "x1": -0.0}, "expected": 5})
+        assert problem == Problem(inputs={"x0": 2.0, "x1": -0.0}, expected=5.0, category="default")
+        assert [type(v) for v in problem.inputs.values()] == [float, float] and type(problem.expected) is float
+        assert math.copysign(1.0, problem.inputs["x1"]) == -1.0
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 GOOD_TRACE = {"values": [5.0], "inputs": [2.0, 3.0], "success": True, "output": 5.0, "violation": None}
@@ -415,6 +458,40 @@ class TestSyntheticRoles:
 
 
 class TestTraceSerialization:
+    def test_trace_contract(self):
+        """The trace keeps its fields, default, repr and immutability."""
+        trace = ExecutionTrace((1.5, -3.0), (2.0,), True, -3.0)
+        assert ExecutionTrace._fields == ("values", "input_constants", "success", "output", "violation")
+        assert trace.violation is None
+        assert repr(trace) == ("ExecutionTrace(values=(1.5, -3.0), input_constants=(2.0,), success=True, "
+                               "output=-3.0, violation=None)")
+        for field in ExecutionTrace._fields:
+            with pytest.raises(AttributeError):
+                setattr(trace, field, None)
+        # documented: a trace equals the plain tuple of its fields
+        assert trace == ((1.5, -3.0), (2.0,), True, -3.0, None)
+
+    def test_json_integers_decode_as_floats(self):
+        trace = trace_from_dict({"values": [5, 2.5], "inputs": [2, 3.0], "success": True, "output": 5,
+                                 "violation": None})
+        assert trace == ExecutionTrace((5.0, 2.5), (2.0, 3.0), True, 5.0)
+        assert {type(v) for v in trace.values + trace.input_constants + (trace.output,)} == {float}
+
+    def test_negative_zero_keeps_its_sign(self):
+        trace = ExecutionTrace((-0.0, 1.0), (-0.0, 0.0), True, -0.0)
+        restored = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
+        signs = [math.copysign(1.0, v) for v in restored.values + restored.input_constants + (restored.output,)]
+        assert signs == [-1.0, 1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("entry, failure", [
+        pytest.param(entry, case.values[1], id=case.id) for case in BAD_CONTENT
+        if type(case.values[0].get("traces")) is list for entry in case.values[0]["traces"] if entry != GOOD_TRACE
+    ])
+    def test_every_rejection_raises_value_error(self, entry, failure):
+        with pytest.raises(ValueError) as raised:
+            trace_from_dict(json.loads(json.dumps(entry)))
+        assert str(raised.value) == failure
+
     def test_round_trip(self):
         program = binary("mul", "input", "input")
         trace = interpret(program, {"x0": 3.0, "x1": 4.0})

@@ -337,8 +337,10 @@ class TestCli:
             ({"ops": ["neg"], "max_operator_nodes": 1},
              "error: could not grow a usable target program in 200 attempts with proposer.ops = ['neg'], "
              "proposer.max_operator_nodes = 1 and suite.target_edits = 3"),
+            ({"allow_insert": False},
+             "error: could not grow a usable target program in 200 attempts: proposer.allow_insert is false"),
         ],
-        ids=["no-ops", "no-edit-kind", "cannot-grow-a-target"],
+        ids=["no-ops", "no-edit-kind", "cannot-grow-a-target", "no-insertion"],
     )
     def test_proposer_that_cannot_grow_a_target_exits_2(self, tmp_path, capsys, proposer, message):
         config_path = tmp_path / "config.json"
@@ -458,11 +460,14 @@ class TestCli:
         neg_workflow(node={"op": "const", "value": math.nan}, edges=[]),
         neg_workflow(node={"op": "const", "value": math.inf}, edges=[]),
         neg_workflow(roots="x0"),
+        neg_workflow(edges=[["x0", "n0"]]),
+        json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": {"matrix": [2, 3, 4]}}], "edges": [],
+                    "roots": ["x0"], "output": "x0"}),
     ], ids=["nested-too-deeply", "null-nodes", "null-edges", "list-unit", "huge-exponent", "no-output", "null",
             "fractional-exponent", "bool-exponent", "string-exponent", "fractional-slot", "bool-slot", "string-slot",
             "fractional-dimension", "string-dimension", "bool-dimension", "number-id", "null-op", "bool-root",
             "null-output", "list-edge-source", "number-edge-destination", "string-value", "bool-value", "nan-value", "infinite-value",
-            "string-roots"])
+            "string-roots", "two-entry-edge", "three-dimension-matrix"])
     def test_export_malformed_workflow_exits_2(self, tmp_path, capsys, text):
         source, dest = tmp_path / "bad.json", tmp_path / "out.json"
         source.write_text(text)
@@ -471,6 +476,20 @@ class TestCli:
         assert main(["export", str(source), str(dest)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"nodes": None, "edges": [], "roots": [], "output": "x0"}), "nodes must be a list, got None"),
+        (json.dumps({"nodes": [{"id": "x0", "op": "input", "unit": [1]}], "edges": [], "roots": ["x0"],
+                     "output": "x0"}), "a node unit must be an object of exponents, got [1]"),
+        (neg_workflow(edges=[["x0", "n0"]]), "an edge must be a [source, destination, slot] list, got ['x0', 'n0']"),
+        (json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": {"matrix": [2, 3, 4]}}], "edges": [],
+                     "roots": ["x0"], "output": "x0"}), "a matrix shape must list two dimensions, got [2, 3, 4]"),
+    ], ids=["null-nodes", "list-unit", "two-entry-edge", "three-dimension-matrix"])
+    def test_export_names_the_malformed_field(self, tmp_path, capsys, text, message):
+        source = tmp_path / "bad.json"
+        source.write_text(text)
+        assert main(["export", str(source), str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_export_round_trip_bytes(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -42,6 +42,8 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "score children": ["6"],
         "with_magnitude": sizes,
         "evaluate": sizes,
+        "evaluate reply": sizes,
+        "peer evaluate": sizes,
         "select+backprop": ["tree"],
     }
     assert all(row["median_us"] > 0 for rows in results.values() for row in rows.values())

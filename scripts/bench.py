@@ -32,11 +32,18 @@ same way every time, so two checkouts can be compared call by call:
                          without the pipe and the JSON parse
   peer evaluate          SyntheticRoles.handle on the same evaluate request,
                          parsed once: the peer's side without the JSON text
+  peer start             from spawning `python -m wfopt.adapter` through a
+                         StdioTransport to its reply to the first evaluate
+                         request (the 3-node program over the 40 problems)
+  peer exit              StdioTransport.close of that peer, after that one
+                         reply: ending its input and reaping it
   select+backprop        one select and one backpropagate on a fixed tree
                          (341 nodes; it holds no program, so it is timed once)
 
 A sample times enough calls to last about 20 ms; each figure is the median
-and the best of `--repeat` samples, in microseconds per call. The file also
+and the best of `--repeat` samples, in microseconds per call. The two peer
+rows take one sample per peer, `--repeat` peers after one that is not
+counted; the peer imports `wfopt` as this script does. The file also
 records the git revision, the Python and numpy versions and the platform.
 End-to-end timing of whole searches is the benchmark in `perfbench/`.
 
@@ -57,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wfopt.adapter import ExternalEvaluator, SyntheticRoles, problem_to_dict
+from wfopt.adapter import ExternalEvaluator, StdioTransport, SyntheticRoles, problem_to_dict
 from wfopt.config import MotifConfig
 from wfopt.constraints import AggregationConfig, ConstraintScorer
 from wfopt.harness import Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, SyntheticProposer
@@ -161,6 +168,28 @@ def figures(fn, repeat: int, **extra) -> dict:
     return {"median_us": round(median, 3), "best_us": round(best, 3), **extra}
 
 
+def summary(samples: list[float]) -> dict:
+    """Median and best of `samples`, in microseconds."""
+    return {"median_us": round(statistics.median(samples), 3), "best_us": round(min(samples), 3)}
+
+
+def peer_rows(line: str, repeat: int) -> dict:
+    """The `peer start` and `peer exit` rows: one stdio peer per sample,
+    answering the evaluate request `line` once."""
+    start, stop = [], []
+    for _ in range(repeat + 1):  # the first peer pays for a cold file cache and is not counted
+        began = time.perf_counter()
+        transport = StdioTransport([sys.executable, "-m", "wfopt.adapter"])
+        try:
+            transport.request(line)
+            replied = time.perf_counter()
+        finally:
+            transport.close()
+        start.append((replied - began) * 1e6)
+        stop.append((time.perf_counter() - replied) * 1e6)
+    return {"peer start": {"process": summary(start[1:])}, "peer exit": {"process": summary(stop[1:])}}
+
+
 def git_rev() -> str:
     try:
         # "-dirty" marks a tree with uncommitted changes to tracked files
@@ -227,6 +256,8 @@ def run(repeat: int) -> dict:
         remote = ExternalEvaluator(FixedReply(json.loads(json.dumps(roles.handle(request)))), problems)
         results["evaluate reply"][key] = figures(lambda: remote.evaluate(program), repeat)
         results["peer evaluate"][key] = figures(lambda: roles.handle(request), repeat)
+        if size == SIZES[0]:
+            results.update(peer_rows(json.dumps(request), repeat))
 
     cfg = AggregationConfig()
     samples = []
@@ -236,9 +267,7 @@ def run(repeat: int) -> dict:
         for _ in range(TREE_CALLS):
             backpropagate(select(root, cfg), 0.5)
         samples.append((time.perf_counter() - start) / TREE_CALLS * 1e6)
-    results["select+backprop"] = {"tree": {
-        "median_us": round(statistics.median(samples), 3), "best_us": round(min(samples), 3), "calls_per_sample": TREE_CALLS,
-    }}
+    results["select+backprop"] = {"tree": dict(summary(samples), calls_per_sample=TREE_CALLS)}
     return results
 
 

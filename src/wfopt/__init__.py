@@ -32,18 +32,14 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "PriceMap",
-            "Problem",
-            "ProblemSet",
-            "ProposerConfig",
-            "SyntheticEvaluator",
             "SyntheticProposer",
-            "TokenRecord",
             "cost",
             "make_synthetic_suite",
             "tokens_per_problem",
         ),
         "harness",
     ),
+    **dict.fromkeys(("Problem", "ProblemSet", "ProposerConfig", "SyntheticEvaluator", "TokenRecord"), "roles"),
     **dict.fromkeys(
         (
             "ExecutionTrace",

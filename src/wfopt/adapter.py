@@ -26,8 +26,10 @@ carries a bad usage count raises `AdapterError`. So does a reply longer than
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
-`SyntheticRoles` for its lifetime and loads numpy only for its first
-propose request, so an evaluate-only peer starts without it. It validates
+`SyntheticRoles` for its lifetime and loads numpy and `wfopt.harness` only
+for its first propose request, so an evaluate-only peer starts without them.
+It decodes a request ending with an earlier one's problem text from its head
+(`serve_stdio`), and exits without interpreter finalization. It validates
 each request's program before either role sees it, and answers an invalid
 one with ``{"error": "invalid program: <violations>"}``. The proposer edits
 a valid program with dead nodes (nodes that do not feed the output) as the
@@ -39,19 +41,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
+import os
 import sys
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .harness import (
-    EvaluationError,
-    Problem,
-    ProblemSet,
-    ProposerConfig,
-    SyntheticEvaluator,
-    SyntheticProposer,
-    TokenRecord,
-)
 from .model import (
     ExecutionTrace,
     OperatorRegistry,
@@ -62,6 +55,7 @@ from .model import (
     program_to_dict,
     validate_program,
 )
+from .roles import MAX_TOKENS, EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,6 +146,8 @@ def _token_count(usage: Mapping, key: str) -> int:
     value = usage.get(key, 0)
     if type(value) not in _NUMBER_TYPES or not 0 <= value < math.inf:
         raise ValueError(f"usage {key} is not a non-negative number: {value!r}")
+    if value > MAX_TOKENS:
+        raise ValueError(f"usage {key} is above 2**53")
     return int(value)
 
 
@@ -188,6 +184,7 @@ class StdioTransport(_Transport):
     """
 
     def __init__(self, command: Sequence[str]):
+        import subprocess  # here, not at module level: a peer, which imports this module, never spawns
         self._broken: Optional[str] = None  # the failure that broke the transport
         try:
             self._proc = subprocess.Popen(
@@ -226,6 +223,7 @@ class StdioTransport(_Transport):
 
     def close(self) -> None:
         """End the peer's input and reap it; a peer that does not exit is killed."""
+        import subprocess
         if self._proc.stdin:
             self._proc.stdin.close()
         try:
@@ -296,6 +294,9 @@ class ExternalProposer:
         return candidates, record
 
 
+_PROBLEMS_AT = ', "params": {"problems": '  # what an evaluate request's problem list follows
+
+
 class ExternalEvaluator:
     """Evaluator role backed by a remote process; mirrors SyntheticEvaluator."""
 
@@ -308,7 +309,7 @@ class ExternalEvaluator:
         # once and spliced after each program's: `json.dumps` of the whole
         # request gives these bytes, with its default separators.
         problems_json = json.dumps([problem_to_dict(p) for p in problems.problems])
-        self._request_tail = ', "params": {"problems": ' + problems_json + "}}"
+        self._request_tail = _PROBLEMS_AT + problems_json + "}}"
         self._request_counter = 0
 
     def evaluate(self, program: WorkflowProgram):
@@ -349,19 +350,22 @@ class ExternalEvaluator:
 class SyntheticRoles:
     """Answers protocol requests with the synthetic roles, kept across requests.
 
-    The registry and the proposer live as long as the object. The evaluator
-    is kept for the last problem list received and rebuilt only when a
-    request carries a different list. The roles count their requests, but no
-    response field reports a count, so every response equals what a fresh
-    object would give for the same request.
+    The registry and the proposer, built for the first propose request, live
+    as long as the object. The evaluator is kept for the last problem list
+    object received, and rebuilt for any other (`serve_stdio` passes the same
+    object for the same problem text); a caller must not change a list it has
+    passed. The roles count their requests, but no response field reports a
+    count, so every response equals what a fresh object would give for the
+    same request.
     """
 
     def __init__(self, registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()):
         self.registry = registry or default_registry()
-        self.proposer = SyntheticProposer(self.registry, proposer_config)
+        proposer_config.operators(self.registry)  # an unknown op fails now, not at the first propose request
+        self._proposer_config = proposer_config
+        self._proposer = None  # a SyntheticProposer, built for the first propose request
         self._problem_dicts: Optional[list] = None
         self._evaluator: Optional[SyntheticEvaluator] = None
-        self._reusable = False
 
     def handle(self, payload: Mapping) -> dict:
         """Answer one request. A program that fails `validate_program`
@@ -381,8 +385,11 @@ class SyntheticRoles:
         if kind == "propose":
             import numpy as np  # here, not at module level: an evaluate-only peer starts without it
 
+            from .harness import SyntheticProposer  # likewise
+
+            self._proposer = self._proposer or SyntheticProposer(self.registry, self._proposer_config)
             rng = np.random.default_rng(int(params.get("seed", 0)))
-            candidates, usage = self.proposer.propose(program, int(params.get("count", 8)), rng)
+            candidates, usage = self._proposer.propose(program, int(params.get("count", 8)), rng)
             return {
                 "candidates": [program_to_dict(c) for c in candidates],
                 "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
@@ -395,25 +402,54 @@ class SyntheticRoles:
         }
 
     def _evaluator_for(self, problem_dicts: list) -> SyntheticEvaluator:
-        if not self._reusable or problem_dicts != self._problem_dicts:
+        if self._evaluator is None or problem_dicts is not self._problem_dicts:
             problems = tuple(problem_from_dict(entry) for entry in problem_dicts)
             self._evaluator = SyntheticEvaluator(ProblemSet(problems, "validation"), self.registry)
             self._problem_dicts = problem_dicts
-            # `==` takes -0.0 for 0.0, and the sign of a zero input can reach
-            # a trace value; a list with a zero input is rebuilt every time
-            self._reusable = all(v != 0.0 for p in problems for v in p.inputs.values())
         return self._evaluator
 
 
+def _problem_tail(line: str, payload: object) -> Optional[tuple[str, dict]]:
+    """`line`'s text from its last `_PROBLEMS_AT` on, and the params of
+    `payload`, the line decoded whole, if they hold only `problems` and that
+    text, less `_PROBLEMS_AT` and `}}`, decodes to their value; else None."""
+    params = payload.get("params") if type(payload) is dict else None
+    at = line.rfind(_PROBLEMS_AT)
+    if type(params) is dict and params.keys() == {"problems"} and at >= 0 and line.endswith("}}"):
+        try:
+            if json.loads(line[at + len(_PROBLEMS_AT):-2]) == params["problems"]:
+                return line[at:], params
+        except (ValueError, RecursionError):
+            pass
+    return None
+
+
 def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()) -> None:
-    """Answer one JSON request per input line until end of input, with one `SyntheticRoles`."""
+    """Answer one JSON request per input line until end of input, with one `SyntheticRoles`.
+
+    A line ending with the problem text of the last line `_problem_tail`
+    kept is decoded from its head, closed with `}`, and given the kept params:
+    the same text, so the same values, signed zeros included. A line whose
+    head does not decode to a non-empty object (`{` alone gives `{}`, though
+    the line is no JSON) is decoded whole, so every reply is a whole decode's.
+    """
     roles = SyntheticRoles(registry, proposer_config)
+    tail, params = None, None  # the kept problem text and params
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         try:
-            response = roles.handle(json.loads(line))
+            try:
+                payload = json.loads(line[: -len(tail)] + "}") if tail and line.endswith(tail) else None
+            except (ValueError, RecursionError):
+                payload = None
+            if payload:
+                payload["params"] = params
+            else:
+                payload = json.loads(line)
+                tail, params = _problem_tail(line, payload) or (tail, params)
+            response = roles.handle(payload)
         except Exception as exc:  # protocol errors are reported in-band
             response = {"error": str(exc)}
         sys.stdout.write(json.dumps(response) + "\n")
@@ -434,4 +470,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    status = main()
+    # every reply was flushed as written, and the peer holds no file, thread or
+    # exit hook: skipping interpreter finalization loses nothing, spares close() a wait
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)

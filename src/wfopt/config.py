@@ -20,8 +20,9 @@ from .constraints import (
     MagnitudeConfig,
     ThresholdSchedule,
 )
-from .harness import PriceMap, ProposerConfig
+from .harness import PriceMap
 from .motifs import MotifConfig
+from .roles import ProposerConfig
 from .search import SearchBudget, StageSwitches
 from .weights import FAMILIES, AdaptationConfig
 

@@ -17,12 +17,7 @@ from typing import Optional
 from .adapter import ExternalEvaluator, HttpTransport, StdioTransport
 from .config import STAGES, ConfigError, RunConfig
 from .constraints import ConstraintScorer
-from .harness import (
-    SyntheticEvaluator,
-    SyntheticProposer,
-    SyntheticSuite,
-    make_synthetic_suite,
-)
+from .harness import SyntheticProposer, SyntheticSuite, make_synthetic_suite
 from .model import (
     InvalidProgramError,
     WorkflowProgram,
@@ -32,6 +27,7 @@ from .model import (
 )
 from .motifs import init_templates, save_library
 from .reporting import analyze
+from .roles import SyntheticEvaluator
 from .runlog import RunLog
 from .search import Optimizer
 from .weights import FAMILIES

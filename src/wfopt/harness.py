@@ -4,13 +4,11 @@ The synthetic proposer checks and prunes its base once, enumerates the base's
 minimal structural edits in a fixed order as edit records, and returns a
 seeded sample drawn over them: only the candidates it draws are built, each
 carrying the record its state is derived from when it is first scored. The
-synthetic evaluator interprets a program over a problem set. Both emit token
-records whose sizes are deterministic functions of payload size, so
-efficiency metrics reproduce exactly. The evaluator interprets every problem
-of a request in one `interpret_all` call, which orders the program and
-resolves its operands in one walk for all of them, then runs each step once
-over all their values. Remote implementations of the same two roles are
-supported through the wire protocol in :mod:`wfopt.adapter`.
+synthetic evaluator (in :mod:`wfopt.roles`, reachable here too) interprets a
+program over a problem set. Both emit token records whose sizes are
+deterministic functions of payload size, so efficiency metrics reproduce
+exactly. Remote implementations of the same two roles are supported through
+the wire protocol in :mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .model import (
     CONST_OP,
     INPUT_OP,
     Edge,
-    ExecutionTrace,
     InvalidProgramError,
     Node,
     OperatorRegistry,
@@ -37,50 +34,14 @@ from .model import (
     default_registry,
     fresh_node_id,
     interpret,
-    interpret_all,
     validate_program,
 )
+# EvaluationError and SyntheticEvaluator are not used here; callers reach them through this module too
+from .roles import EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
 from .runlog import RunLog
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class EvaluationError(RuntimeError):
-    """An evaluator reported failure for one request (the run continues;
-    the simulation scores a zero reward)."""
-
-
-@dataclass(frozen=True)
-class Problem:
-    inputs: Mapping[str, float]
-    expected: float
-    category: str
-
-
-@dataclass(frozen=True)
-class ProblemSet:
-    problems: tuple[Problem, ...]
-    split: str  # "validation" | "test"
-
-    def __post_init__(self) -> None:
-        if self.split not in ("validation", "test"):
-            raise ValueError(f"bad split {self.split!r}")
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-
-@dataclass(frozen=True)
-class TokenRecord:
-    role: str  # "optimizer" | "executor"
-    prompt_tokens: int
-    completion_tokens: int
-    request_id: str
-
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,23 +63,6 @@ class PriceMap:
         if role not in self.prices:
             raise KeyError(f"no price configured for role {role!r}")
         return self.prices[role]
-
-
-@dataclass(frozen=True)
-class ProposerConfig:
-    """Controls the edit space the synthetic proposer enumerates."""
-
-    ops: Optional[tuple[str, ...]] = None       # None = whole registry
-    max_operator_nodes: int = 6
-    const_palette: tuple[float, ...] = ()
-    allow_insert: bool = True
-    allow_replace: bool = True
-    allow_delete: bool = True
-    allow_rewire: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_operator_nodes < 1:
-            raise ValueError("max_operator_nodes must be >= 1")
 
 
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
@@ -146,11 +90,7 @@ class SyntheticProposer:
         nullary = [kind.name for kind in self.registry if kind.arity == 0]
         if nullary:
             raise ValueError(f"proposer registry has nullary operators {nullary!r}")
-        names = config.ops if config.ops is not None else self.registry.names
-        for name in names:
-            if name not in self.registry:
-                raise ValueError(f"proposer op {name!r} not in registry")
-        self._ops = tuple(self.registry.get(name) for name in names)
+        self._ops = config.operators(self.registry)
         self._request_counter = 0
 
     # -- edit enumeration ---------------------------------------------------
@@ -439,39 +379,6 @@ class SyntheticProposer:
             request_id=f"opt-{self._request_counter:05d}",
         )
         return edits, record
-
-
-# a problem is solved when the output is within this of the expected value
-TOLERANCE = 1e-9
-
-
-class SyntheticEvaluator:
-    """Interprets a program over a problem set; reward is the solved fraction."""
-
-    def __init__(self, problems: ProblemSet, registry: Optional[OperatorRegistry] = None):
-        if not problems.problems:
-            raise ValueError("evaluator needs a non-empty problem set")
-        self.problems = problems
-        self.registry = registry or default_registry()
-        self._request_counter = 0
-
-    def evaluate(self, program: WorkflowProgram) -> tuple[float, list[ExecutionTrace], TokenRecord]:
-        traces = interpret_all(program, [p.inputs for p in self.problems.problems], self.registry)
-        solved = 0
-        for problem, trace in zip(self.problems.problems, traces):
-            if trace.success and trace.output is not None and abs(trace.output - problem.expected) <= TOLERANCE:
-                solved += 1
-        reward = solved / len(self.problems.problems)
-        self._request_counter += 1
-        prompt = 20 + 8 * len(program.nodes) + 5 * len(self.problems.problems)
-        completion = sum(4 + 2 * len(t.values) for t in traces)
-        record = TokenRecord(
-            role="executor",
-            prompt_tokens=prompt,
-            completion_tokens=completion,
-            request_id=f"exe-{self._request_counter:05d}",
-        )
-        return reward, traces, record
 
 
 # ---------------------------------------------------------------------------

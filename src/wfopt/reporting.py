@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .harness import PriceMap, cost, tokens_per_problem
+from .roles import MAX_TOKENS
 from .runlog import RunLog
 
 
@@ -74,14 +75,14 @@ def _prices(meta: Mapping) -> PriceMap:
 
 
 def _check_usage(log: RunLog, prices: PriceMap) -> None:
-    """Each record's token counts are integers or null, and the role they are
-    charged to has a price."""
+    """Each record's token counts are integers from 0 to 2**53 or null, and
+    the role they are charged to has a price."""
     for record in log:
         if record.get("tokens_in") is None and record.get("tokens_out") is None:
             continue
         for name in ("tokens_in", "tokens_out"):
-            if record.get(name) is not None:
-                _field(record, name, int)
+            if record.get(name) is not None and not 0 <= _field(record, name, int) <= MAX_TOKENS:
+                raise _mistyped(record, name, "a count from 0 to 2**53")
         role = record.get("role", "executor")
         if not isinstance(role, str) or role not in prices.prices:
             raise _mistyped(record, "role", "a priced role")

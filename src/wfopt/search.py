@@ -25,9 +25,10 @@ from .constraints import (
     threshold,
     trace_peaks,
 )
-from .harness import EvaluationError, SyntheticEvaluator, SyntheticProposer, TokenRecord
+from .harness import SyntheticProposer
 from .model import WorkflowProgram, WorkflowState, derive_state
 from .motifs import refine
+from .roles import EvaluationError, SyntheticEvaluator, TokenRecord
 from .runlog import RunLog
 from .weights import AdaptationConfig, ObservationBuffer, WeightVector, correlations, update_weights
 

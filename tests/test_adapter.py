@@ -3,12 +3,14 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,6 +236,11 @@ BAD_CONTENT = [
                  id="usage-string"),
     pytest.param({"usage": {"completion_tokens": -3}}, "usage completion_tokens is not a non-negative number: -3",
                  id="usage-negative"),
+    # counts above 2**53: a huge one would overflow the run's summary
+    pytest.param({"usage": {"prompt_tokens": 10**400}}, "usage prompt_tokens is above 2**53", id="usage-huge-int"),
+    pytest.param({"usage": {"completion_tokens": 2**53 + 1}}, "usage completion_tokens is above 2**53",
+                 id="usage-above-2**53"),
+    pytest.param({"usage": {"prompt_tokens": 1e300}}, "usage prompt_tokens is above 2**53", id="usage-huge-float"),
 ]
 
 
@@ -267,6 +274,11 @@ class TestNonFiniteReward:
         with pytest.raises(EvaluationError) as raised:
             evaluator.evaluate(binary("add", "input", "input"))
         assert str(raised.value) == failure
+
+    def test_largest_token_count_is_accepted(self):
+        reply = self.reply({"usage": {"prompt_tokens": 2**53, "completion_tokens": float(2**53)}})
+        _, _, record = ExternalEvaluator(self._Transport(reply), PROBLEMS).evaluate(binary("add", "input", "input"))
+        assert (record.prompt_tokens, record.completion_tokens) == (2**53, 2**53)
 
     @pytest.mark.parametrize("reply", [{"traces": []}, [1.0], "reward"], ids=["no-reward", "list", "string"])
     def test_protocol_break_raises_adapter_error(self, reply):
@@ -311,6 +323,7 @@ BAD_PROPOSE_REPLIES = [
     pytest.param({"candidates": [], "usage": {"prompt_tokens": -1}}, id="usage-negative"),
     pytest.param({"candidates": [], "usage": {"completion_tokens": "many"}}, id="usage-string"),
     pytest.param({"candidates": [], "usage": [3]}, id="usage-list"),
+    pytest.param({"candidates": [], "usage": {"prompt_tokens": 10**400}}, id="usage-huge-int"),
 ]
 
 
@@ -380,7 +393,9 @@ def _propose(program, count, seed):
 
 
 # A peer that only evaluates must not load these.
-HEAVY_MODULES = ("numpy", "urllib.request", "ssl")
+HEAVY_MODULES = (
+    "numpy", "urllib.request", "ssl", "wfopt.harness", "wfopt.edits", "wfopt.runlog", "hashlib", "subprocess",
+)
 
 LEAN_PEER = """
 import json, sys
@@ -440,6 +455,71 @@ class TestSyntheticRoles:
         assert not any(t["success"] for t in answers[3]["traces"])
         assert answers[6] == answers[12] == {"error": "evaluator needs a non-empty problem set"}
         assert expected[8] != expected[9]
+
+    def test_short_decode_answers_as_a_full_decode(self, registry, monkeypatch):
+        """A line ending with the problem text of an earlier one is decoded from
+        its head alone; every reply is still byte-identical to a fresh
+        `SyntheticRoles` answering the line decoded whole."""
+        add, neg = program_to_dict(binary("add", "input", "input")), program_to_dict(chain("neg"))
+        other = (Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c"),)
+        zero = (Problem(inputs={"x0": 0.0}, expected=0.0, category="c"),)
+        negative_zero = (Problem(inputs={"x0": -0.0}, expected=0.0, category="c"),)
+
+        def tail(problems):
+            return ', "params": {"problems": ' + json.dumps([problem_to_dict(p) for p in problems]) + "}}"
+
+        def evaluate(program, problems, head='{"kind": "evaluate", "program": '):
+            return head + json.dumps(program) + tail(problems)
+
+        lines = [
+            evaluate(add, PROBLEMS.problems),
+            evaluate(add, PROBLEMS.problems),  # the same tail repeated
+            evaluate(neg, PROBLEMS.problems),
+            "{" + tail(PROBLEMS.problems),  # `{}` as a head, but no JSON as a line
+            evaluate(add, PROBLEMS.problems, head='{"kind": "evaluate", "params": {"problems": []}, "program": '),
+            evaluate(add, PROBLEMS.problems, head='{"kind": "evaluate", "program": nope'),
+            '{"kind": "evaluate"' + tail(PROBLEMS.problems),  # no program
+            evaluate(add, other),  # a change of problem list, and back again
+            evaluate(add, PROBLEMS.problems),
+            json.dumps(_propose(binary("add", "input", "input"), 5, 9)),
+            evaluate(add, PROBLEMS.problems),
+            evaluate(neg, zero),
+            evaluate(neg, zero),
+            evaluate(neg, negative_zero),  # the same values under `==`, but not the same text
+            evaluate(neg, negative_zero),
+            evaluate(neg, zero),
+        ]
+
+        def fresh(line):
+            try:
+                return SyntheticRoles(registry).handle(json.loads(line))
+            except Exception as exc:
+                return {"error": str(exc)}
+
+        expected = [json.dumps(fresh(line)) for line in lines]
+        decoded: list = []  # per line read, the texts the peer decoded for it
+
+        def stdin():
+            for line in lines:
+                decoded.append([])
+                yield line + "\n"
+
+        def loads(text):
+            decoded[-1].append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(adapter, "json", SimpleNamespace(dumps=json.dumps, loads=loads))
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", stdin())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry)
+        assert stdout.getvalue().splitlines() == expected
+        answers = [json.loads(line) for line in expected]
+        assert "error" in answers[3] and "error" in answers[5] and answers[6] == {"error": "'program'"}
+        assert expected[13] != expected[12] == expected[15]  # the sign of the zero reaches the trace
+        # a line is decoded whole only when its head does not decode to a
+        # non-empty object or it does not end with the last kept problem text
+        assert [i for i, texts in enumerate(decoded) if lines[i] in texts] == [0, 3, 5, 7, 8, 9, 11, 13, 15]
 
     def test_lean_peer(self, registry):
         """An evaluate-only peer loads no numpy, urllib or ssl; proposals still match the local proposer."""
@@ -558,6 +638,37 @@ class TestStdioAdapter:
             transport.close()
         assert reward == 1.0
         assert len(traces) == 2
+
+    def test_peer_answers_as_fresh_roles_and_exits_zero(self):
+        """A peer that evaluates, builds its proposer for a propose request and
+        evaluates again answers each request as a fresh `SyntheticRoles`. At
+        end of input it exits with status 0, without interpreter
+        finalization, and its last reply, the longest, arrives whole, also
+        through a block-buffered pipe."""
+        add = binary("add", "input", "input")
+        many = tuple(Problem(inputs={"x0": float(i), "x1": 1.0}, expected=i + 1.0, category="c") for i in range(1000))
+        requests = [_evaluate(add, PROBLEMS.problems), _evaluate(chain("neg", n_roots=2), PROBLEMS.problems),
+                    _propose(add, 5, 9), _evaluate(add, many)]
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-m", "wfopt.adapter"], input="".join(json.dumps(r) + "\n" for r in requests),
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("\n") and len(proc.stdout.splitlines()[-1]) > 1 << 16
+        assert proc.stdout.splitlines() == [json.dumps(SyntheticRoles().handle(json.loads(json.dumps(r))))
+                                            for r in requests]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ops", "nosuch"], "ValueError: proposer op 'nosuch' not in registry"),
+        (["--max-nodes", "0"], "ValueError: max_operator_nodes must be >= 1"),
+    ], ids=["unknown-op", "no-nodes"])
+    def test_bad_flag_fails_before_a_request_is_read(self, flags, message):
+        request = json.dumps(_evaluate(binary("add", "input", "input"), PROBLEMS.problems))
+        proc = subprocess.run([sys.executable, "-m", "wfopt.adapter", *flags], input=request + "\n",
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == message
 
     @pytest.mark.parametrize("reply", [b"not json", b"\xff\xfe{}", b"[" * 200_000],
                              ids=["not-json", "not-utf8", "deep-nesting"])

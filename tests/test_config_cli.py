@@ -415,7 +415,15 @@ class TestCli:
         ('{"event": "simulated", "round": [0], "reward": 0.5}', "'round' is not an integer"),
         ('{"event": "simulated", "round": 0, "reward": 0.5, "role": "critic", "tokens_in": 3}',
          "'role' is not a priced role"),
-    ], ids=["string-reward", "list-count", "number-prices", "list-round", "unpriced-role"])
+        # counts outside 0 to 2**53: a huge one would overflow the summary's division
+        ('{"event": "simulated", "round": 0, "reward": 0.5, "tokens_in": 1' + "0" * 400 + "}",
+         "'tokens_in' is not a count from 0 to 2**53"),
+        ('{"event": "simulated", "round": 0, "reward": 0.5, "tokens_in": 1, "tokens_out": 9007199254740993}',
+         "'tokens_out' is not a count from 0 to 2**53"),
+        ('{"event": "simulated", "round": 0, "reward": 0.5, "tokens_in": -1}',
+         "'tokens_in' is not a count from 0 to 2**53"),
+    ], ids=["string-reward", "list-count", "number-prices", "list-round", "unpriced-role", "huge-tokens-in",
+            "tokens-out-above-2**53", "negative-tokens-in"])
     def test_report_mistyped_field_exits_2(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.ndjson"
         bad.write_text(line + "\n")

@@ -44,6 +44,8 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "evaluate": sizes,
         "evaluate reply": sizes,
         "peer evaluate": sizes,
+        "peer start": ["process"],
+        "peer exit": ["process"],
         "select+backprop": ["tree"],
     }
     assert all(row["median_us"] > 0 for rows in results.values() for row in rows.values())

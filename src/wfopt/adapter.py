@@ -15,14 +15,12 @@ splices it after each request's program, so every request is still exactly
 the `json.dumps` of its payload. A reply's traces are decoded by
 `trace_from_dict`, one per entry, into `ExecutionTrace` named tuples; JSON
 integers become floats, and a trace holding only floats keeps them as
-decoded. The engine treats remote and synthetic implementations identically. An evaluate reply that is valid JSON but
-carries bad content (a reward that is not a number in [0, 1], a malformed
-trace) fails that one request with `EvaluationError`; a reply that breaks
-the protocol itself raises `AdapterError`. A propose reply has no
-per-request failure: one that is not an object, reports an error, lacks a
-`candidates` list, holds a candidate that does not decode as a program or
-carries a bad usage count raises `AdapterError`. So does a reply longer than
-`MAX_REPLY`, which is read no further.
+decoded. The engine treats a remote evaluator and the synthetic one
+identically. An evaluate reply that is valid JSON but carries bad content
+(a reward that is not a number in [0, 1], a malformed trace) fails that one
+request with `EvaluationError`; a reply that breaks the protocol itself
+raises `AdapterError`, as does a reply longer than `MAX_REPLY`, which is
+read no further.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
@@ -43,7 +41,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import (
     ExecutionTrace,
@@ -56,9 +54,6 @@ from .model import (
     validate_program,
 )
 from .roles import MAX_TOKENS, EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class AdapterError(RuntimeError):
@@ -151,12 +146,12 @@ def _token_count(usage: Mapping, key: str) -> int:
     return int(value)
 
 
-def _usage_record(role: str, usage: Mapping, request_id: str) -> TokenRecord:
-    """Decode a reply's usage field; bad content raises ValueError."""
+def _usage_record(usage: Mapping, request_id: str) -> TokenRecord:
+    """Decode an evaluate reply's usage field; bad content raises ValueError."""
     if not isinstance(usage, Mapping):
         raise ValueError(f"usage is not an object: {usage!r}")
     return TokenRecord(
-        role=role,
+        role="executor",
         prompt_tokens=_token_count(usage, "prompt_tokens"),
         completion_tokens=_token_count(usage, "completion_tokens"),
         request_id=request_id,
@@ -261,39 +256,6 @@ class HttpTransport(_Transport):
             raise AdapterError(f"malformed response from {self.address}: {exc}") from None
 
 
-class ExternalProposer:
-    """Proposer role backed by a remote process; mirrors SyntheticProposer."""
-
-    def __init__(self, transport: _Transport):
-        self.transport = transport
-        self._request_counter = 0
-
-    def propose(self, program: WorkflowProgram, count: int, rng: np.random.Generator):
-        seed = int(rng.integers(2**31 - 1))
-        response = self.transport.request(json.dumps(
-            {
-                "kind": "propose",
-                "program": program_to_dict(program),
-                "params": {"count": count, "seed": seed},
-            }
-        ))
-        if not isinstance(response, dict):
-            raise AdapterError("propose response is not a JSON object")
-        if "error" in response:
-            raise AdapterError(f"external proposer failed: {response['error']}")
-        entries = response.get("candidates")
-        if type(entries) is not list:
-            raise AdapterError(f"propose response 'candidates' is missing or not a list: {entries!r}")
-        try:
-            candidates = [program_from_dict(entry) for entry in entries]
-            record = _usage_record("optimizer", response.get("usage", {}), f"opt-{self._request_counter + 1:05d}")
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            # there is no per-request failure on this side: a bad reply ends the run
-            raise AdapterError(f"malformed propose response: {exc!r}") from None
-        self._request_counter += 1
-        return candidates, record
-
-
 _PROBLEMS_AT = ', "params": {"problems": '  # what an evaluate request's problem list follows
 
 
@@ -335,7 +297,7 @@ class ExternalEvaluator:
             if type(entries) is not list:
                 raise ValueError(f"traces is not a list: {entries!r}")
             traces = [trace_from_dict(entry) for entry in entries]
-            record = _usage_record("executor", response.get("usage", {}), f"exe-{self._request_counter + 1:05d}")
+            record = _usage_record(response.get("usage", {}), f"exe-{self._request_counter + 1:05d}")
         except (ValueError, OverflowError) as exc:
             # a well-formed reply with bad content fails this request only
             raise EvaluationError(str(exc)) from None

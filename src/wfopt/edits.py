@@ -1,22 +1,22 @@
 """Proposer candidates told as one edit of a validated base.
 
 `SyntheticProposer` checks its base once, on entry, and builds one
-`EditBase` of it: the base's maps, built once, and one walk from its output
-that fills the fingerprint tables and finds its dead nodes. Only a base with
-dead nodes is pruned of them, checked and given its own `EditBase`. Each
-edit generator then yields each candidate as its `ProgramEdit` over that
-clean, valid base, with the candidate's fingerprint beside it. Under a
-registry with no nullary operator every edit it makes keeps the base valid:
-fresh ids come from `model.fresh_node_id`, a replacement keeps its node's
-arity, a deletion hands a unary node's consumers its operand, and no new
-operand is its destination or one of its descendants (`EditBase.blocked`).
-So a candidate is sized (`ProgramEdit.operator_count`), fingerprinted and,
-when needed, keyed from its record alone, and only a candidate that is kept
-is built from its record (`ProgramEdit.build`); its record then vouches for
-it (`ProgramEdit.vouch`) with the verdict `validate_program` keeps, so
-`validate_program` of it is a lookup. A rewire that leaves its old source
-feeding nothing drops, on its record, what pruning would drop
-(`EditBase.dropped`).
+`EditBase` of it, which orders the base once (`model._ordered`) and reads
+that order to build its maps and fingerprint tables and to find its dead
+nodes. Only a base with dead nodes is pruned of them, checked and given its
+own `EditBase`. Each edit generator then yields each candidate as its
+`ProgramEdit` over that clean, valid base, with the candidate's fingerprint
+beside it. Under a registry with no nullary operator every edit it makes
+keeps the base valid: fresh ids come from `model.fresh_node_id`, a
+replacement keeps its node's arity, a deletion hands a unary node's
+consumers its operand, and no new operand is its destination or one of its
+descendants (`EditBase.blocked`). So a candidate is sized
+(`ProgramEdit.operator_count`), fingerprinted and, when needed, keyed from
+its record alone, and only a candidate that is kept is built from its record
+(`ProgramEdit.build`); its record then vouches for it (`ProgramEdit.vouch`)
+with the verdict `validate_program` keeps, so `validate_program` of it is a
+lookup. A rewire that leaves its old source feeding nothing drops, on its
+record, what pruning would drop (`EditBase.dropped`).
 
 A fingerprint is a linear hash of the candidate's expression tree, unfolded
 from its output (Karp and Rabin, IBM J. Res. Dev. 1987): `t(v) = w(head(v))
@@ -33,14 +33,12 @@ record's; about nine records in ten are never keyed.
 A built candidate also carries its record, in its verdict slot
 (`model._VERDICT`) beside the registry it is valid for. From it
 `derive_state`, on its first call against the proposer's registry object,
-derives its `WorkflowState` (`ProgramEdit.state`: one `analyze_program` of
-the base, made on the first such call, read with new facts for the nodes
-the edit touched, each made by `model._transfer`) and puts that state in
-the record's place. So expansion orders no child, and a child's one
-`model._ordered` walk is its evaluation's. A candidate no one scores, as
-one a suite grows through or one the stdio peer sends, is never analysed.
-`tests/test_reference.py` checks every candidate of random bases against
-the reference candidates, check, count, key, fingerprint and analysis.
+derives its `WorkflowState` (`ProgramEdit.state`: the base's analysis, made
+once from the base's kept order, read with new facts for the nodes the edit
+touched, each made by `model._transfer`) and puts that state in the
+record's place. So a base is ordered once, when its `EditBase` is built; no
+child is ordered until it is evaluated. A candidate no one scores, as one a
+suite grows through or one the stdio peer sends, is never analysed.
 """
 
 from __future__ import annotations
@@ -60,13 +58,13 @@ from .model import (
     ProgramAnalysis,
     WorkflowProgram,
     WorkflowState,
+    _analyze,
     _check_counts,
     _key_entry,
-    _key_maps,
     _key_walk,
     _operator_histogram,
+    _ordered,
     _transfer,
-    analyze_program,
 )
 
 _NOTHING: frozenset = frozenset()
@@ -76,80 +74,65 @@ class EditBase:
     """One base program, as the proposer's edits and their records read it.
 
     The proposer builds one per base, of a base that passed `validate_program`
-    against its registry object. It holds the base's maps from
-    `model._key_maps` (each node's key head, each operator's operand ids in
-    slot order), each node's consumers (one per edge out) and its number of
-    operator nodes. One post-order walk from the output over those maps
-    fills the fingerprint tables:
-
-    * `sums`: `t(v)` of every node the walk meets and of every unused root;
-    * `paths`: `p(v)` of every node the walk meets, the sum over the paths
-      from the output to `v` of the product of the slot weights along each,
-      `p(output)` being 1; an edit that swaps one occurrence-weighted
-      subtree for another changes the fingerprint by `p` times the change;
-    * `total`: the base's fingerprint, `t(output)`;
-
-    and finds `dead`, the nodes that are no input and that the walk misses:
-    those that feed nothing the output reads, which pruning drops. Only a
-    base with no dead node is edited. `blocked` and `weight` memoise, for
-    every edit of the base, a node's descendants and a head's weight. What
-    `ProgramEdit.state` reads of the base, its `analyze_program` result, its
-    check counts and its nodes by id, is built on the first call to
-    `analyzed`, so a pass that derives no state never pays for it. Every
-    walk keeps its own stack, so no nested function refers to itself.
+    against its registry object. Building it orders the base, once
+    (`model._ordered`), and keeps the order. One pass along it, operands
+    before their consumers, fills each node's key head (`model._key_entry`),
+    its operand ids in slot order, its consumers (one per edge out), the
+    number of operator nodes and `sums`, `t(v)` of every node. One pass back
+    from the output fills `paths`: `p(v)` of every node a path from the
+    output reaches, the sum over those paths of the product of the slot
+    weights along each, `p(output)` being 1. An edit that swaps one
+    occurrence-weighted subtree for another changes the fingerprint by `p`
+    times the change. `total` is the base's fingerprint, `t(output)`, and
+    `dead` the nodes that are no input and that no path from the output
+    reaches: those that feed nothing the output reads, which pruning drops.
+    Only a base with no dead node is edited. `blocked` and `weight` memoise,
+    for every edit of the base, a node's descendants and a head's weight.
+    What `ProgramEdit.state` reads of the base is built from the kept order
+    on the first call to `analyzed`, so a pass that derives no state never
+    pays for it.
     """
 
     __slots__ = (
         "registry", "program", "heads", "operands", "consumers", "operator_count",
-        "sums", "paths", "total", "dead", "_weights", "_blocked", "_analyzed",
+        "sums", "paths", "total", "dead", "_order", "_weights", "_blocked", "_analyzed",
     )
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
         self.registry = registry
         self.program = program
+        self._order = order = _ordered(program)
         self._analyzed: Optional[tuple] = None
         self._weights: dict[tuple, int] = {}
         self._blocked: dict[str, set[str]] = {}
-        self.heads, self.operands = heads, operands = _key_maps(program)
-        self.operator_count = len([h for h in heads.values() if h[0] not in LEAF_OPS])
+        heads: dict[str, tuple] = {}
+        operands: dict[str, tuple[str, ...]] = {}
         consumers: dict[str, list[str]] = {}
-        for nid, args in operands.items():
-            for a in args:
-                consumers.setdefault(a, []).append(nid)
-        self.consumers = consumers
-
-        output = program.output
         sums: dict[str, int] = {}
-        order: list[str] = []  # operands before their consumers
-        stack = [output]
-        while stack:
-            nid = stack[-1]
-            if nid in sums:
-                stack.pop()
-                continue
-            args = operands.get(nid, ())
-            todo = [a for a in args if a not in sums]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            total = self.weight(heads[nid])
-            for slot, a in enumerate(args):
-                total += slot_weight(slot) * sums[a]
+        for node, slots in order:
+            nid = node.node_id
+            heads[nid] = head = _key_entry(node)
+            total = self.weight(head)
+            if slots:  # a valid base fills slots 0 to arity - 1
+                operands[nid] = args = tuple([slots[k] for k in range(len(slots))])
+                for slot, a in enumerate(args):
+                    consumers.setdefault(a, []).append(nid)
+                    total += slot_weight(slot) * sums[a]
             sums[nid] = total % MODULUS
-            order.append(nid)
-        dead = []
-        for nid, head in heads.items():
-            if nid not in sums:
-                if head[0] == INPUT_OP:  # an unused root
-                    sums[nid] = self.weight(head)
-                else:
-                    dead.append(nid)
+        output = program.output
         paths = {output: 1}
-        for nid in reversed(order):
-            above = paths[nid]
+        dead = []
+        for node, _ in reversed(order):
+            nid = node.node_id
+            above = paths.get(nid)
+            if above is None:
+                if node.op != INPUT_OP:
+                    dead.append(nid)
+                continue
             for slot, a in enumerate(operands.get(nid, ())):
                 paths[a] = (paths.get(a, 0) + above * slot_weight(slot)) % MODULUS
+        self.heads, self.operands, self.consumers = heads, operands, consumers
+        self.operator_count = len([node for node, _ in order if node.op not in LEAF_OPS])
         self.sums, self.paths, self.total, self.dead = sums, paths, sums[output], frozenset(dead)
 
     def weight(self, head: tuple) -> int:
@@ -179,12 +162,13 @@ class EditBase:
         return blocked
 
     def analyzed(self) -> tuple[ProgramAnalysis, tuple[int, int, int, int], dict[str, Node]]:
-        """The base's `analyze_program` result, its check counts
-        (`model._check_counts`) and its nodes by id, built on the first call."""
+        """The base's analysis (`model.analyze_program` of it), its check
+        counts (`model._check_counts`) and its nodes by id, built from the
+        kept order on the first call."""
         if self._analyzed is None:
-            program = self.program
-            analysis = analyze_program(program, self.registry)
-            self._analyzed = (analysis, _check_counts(analysis), {n.node_id: n for n in program.nodes})
+            order = self._order
+            analysis = _analyze(order, self.registry)
+            self._analyzed = (analysis, _check_counts(analysis), {node.node_id: node for node, _ in order})
         return self._analyzed
 
     def dropped(self, src: str, kept: Optional[str] = None) -> frozenset:

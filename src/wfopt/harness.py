@@ -124,13 +124,13 @@ class SyntheticProposer:
         """The `EditBase` this proposer edits for `program`.
 
         `program` is checked once: one that fails `validate_program` raises
-        `InvalidProgramError`. The walk of its `EditBase` finds its dead
-        nodes, the operators and constants that feed nothing the output
-        reads. Only when there are some is its copy without them and their
-        edges built, in the same order and with every root, checked (an
-        `EditBase` is built of a program that passed), and given its own
-        `EditBase`. Of the edits of a clean base only a rewire can orphan a
-        node, and its record drops what pruning would (`EditBase.dropped`).
+        `InvalidProgramError`. Its `EditBase` finds its dead nodes, the
+        operators and constants that feed nothing the output reads. Only
+        when there are some is its copy without them and their edges built,
+        in the same order and with every root, checked (an `EditBase` is
+        built of a program that passed), and given its own `EditBase`. Of
+        the edits of a clean base only a rewire can orphan a node, and its
+        record drops what pruning would (`EditBase.dropped`).
         """
         registry = self.registry
         report = validate_program(program, registry)

@@ -5,24 +5,24 @@ a set of leaf nodes (named inputs and literal constants). Nodes may carry
 optional unit signatures (dimensional tags) and shape tags used by the static
 constraint checks; the interpreter itself is scalar-valued and deterministic.
 
-`analyze_program` and `interpret_all` each make one `_ordered` walk, which
-orders a program and resolves every node's operand slots from one pass over
-the nodes and one over the edges. `analyze_program` keeps one `Facts` tuple
-per node (unit signature, shape, value sign and depth), each made by
-`_transfer`, the one definition of the per-node rules, and `derive_state`
-counts its per-operator verdicts into the `WorkflowState` the constraint
-scores read; `interpret_all` walks once for a whole list of input bindings
-and runs each step over the column of every binding's values.
-`validate_program` builds its own maps in one pass over the nodes and one
-over the edges, with one arity lookup per operator node in the map each
-`OperatorRegistry` builds once, and walks back from the output for
-reachability only when the other checks leave that in doubt.
-`canonical_key` returns a flat tuple. Every map over a program is
-transient. One slot on a program, `_VERDICT`, records what is established
-about it: the registry object it was found valid for, and, on a candidate
-the proposer builds only, its edit record, replaced by the `WorkflowState`
-derived from that record once it is scored (`edits.ProgramEdit`, which
-tells how records are keyed, vouched for and analysed).
+`_ordered` orders a program and resolves every node's operand slots, from
+one pass over the nodes and one over the edges. `analyze_program` and
+`interpret_all` each make one such walk; a proposer's base is ordered once,
+when its `edits.EditBase` is built, and its analysis (`_analyze`) reads that
+order. The analysis keeps one `Facts` tuple per node (unit signature,
+shape, value sign and depth), each made by `_transfer`, the one definition
+of the per-node rules, and `derive_state` counts its per-operator verdicts
+into the `WorkflowState` the constraint scores read; `interpret_all` walks
+once for a whole list of input bindings and runs each step over the column
+of every binding's values. `validate_program` builds its own maps in one
+pass over the nodes and one over the edges, with one arity lookup per
+operator node, and walks back from the output for reachability only when
+the other checks leave that in doubt. `canonical_key` returns a flat tuple.
+Every map over a program is transient. One slot on a program, `_VERDICT`,
+records what is established about it: the registry object it was found
+valid for, and, on a candidate the proposer builds only, its edit record,
+replaced by the `WorkflowState` derived from that record once it is scored
+(`edits.ProgramEdit`).
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -245,13 +245,13 @@ class WorkflowProgram:
     output: str
 
     def node_map(self) -> dict[str, Node]:
-        # no caller in the package since `_ordered` indexes the nodes; the
-        # tests' reference forms read it, and the benchmark tracer counts it
+        # no caller in the package: the tests' reference forms read it, and
+        # the benchmark tracer counts it
         return {n.node_id: n for n in self.nodes}
 
     def incoming(self) -> dict[str, dict[int, str]]:
-        # no caller in the package since the proposer's `EditBase` finds dead
-        # nodes; the tests' reference forms read it, and the tracer counts it
+        # no caller in the package: the tests' reference forms read it, and
+        # the benchmark tracer counts it
         inc: dict[str, dict[int, str]] = {n.node_id: {} for n in self.nodes}
         for e in self.edges:
             inc.setdefault(e.dst, {})[e.slot] = e.src
@@ -522,17 +522,19 @@ class ProgramAnalysis:
 
 
 def analyze_program(program: WorkflowProgram, registry: Optional[OperatorRegistry] = None) -> ProgramAnalysis:
-    """Propagate units, shapes, signs and depth in one `_ordered` walk.
+    """Propagate units, shapes, signs and depth in one `_ordered` walk."""
+    return _analyze(_ordered(program), registry or default_registry())
 
-    Each node's facts and verdicts come from `_transfer` of the node and its
-    operands' facts, the one definition of the rules. The verdict maps keep
-    the walk's order.
-    """
-    registry = registry or default_registry()
+
+def _analyze(order: list[tuple[Node, dict[int, str]]], registry: OperatorRegistry) -> ProgramAnalysis:
+    """The analysis of the program `order` lists (`_ordered`): each node's
+    facts and verdicts come from `_transfer` of the node and its operands'
+    facts, the one definition of the rules. The verdict maps keep the
+    order's."""
     facts: dict[str, Facts] = {}
     unit_checks: dict[str, bool] = {}
     type_checks: dict[str, bool] = {}
-    for node, slots in _ordered(program):
+    for node, slots in order:
         nid = node.node_id
         facts[nid], unit_ok, type_ok = _transfer(node, registry, slots, facts)
         if unit_ok is not None:
@@ -1034,30 +1036,40 @@ def program_from_dict(data: Mapping) -> WorkflowProgram:
     """Decode a program; a field of the wrong type raises `ValueError` naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"a program must be an object, got {data!r}")
-    unknown = set(data) - _PROGRAM_KEYS
-    if unknown:
-        raise ValueError(f"unknown program keys: {sorted(unknown)}")
+    keys = set(data)
+    if keys != _PROGRAM_KEYS:
+        unknown = keys - _PROGRAM_KEYS
+        if unknown:
+            raise ValueError(f"unknown program keys: {sorted(unknown)}")
+        raise ValueError(f"missing program keys: {sorted(_PROGRAM_KEYS - keys)}")
     for key in ("nodes", "edges", "roots"):  # a string roots would read as a list of one-letter roots
         if not isinstance(data[key], list):
             raise ValueError(f"{key} must be a list, got {data[key]!r}")
     nodes = []
-    for entry in data["nodes"]:
-        bad = set(entry) - _NODE_KEYS
-        if bad:
-            raise ValueError(f"unknown node keys: {sorted(bad)}")
-        unit = _unit_from_json(entry["unit"]) if "unit" in entry else None
-        shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
-        value = _number(entry["value"], "a node value") if "value" in entry else None
-        nodes.append(Node(_string(entry["id"], "a node id"), _string(entry["op"], "a node op"),
-                          unit=unit, shape=shape, value=value))
+    try:
+        for entry in data["nodes"]:
+            bad = set(entry) - _NODE_KEYS
+            if bad:
+                raise ValueError(f"unknown node keys: {sorted(bad)}")
+            unit = _unit_from_json(entry["unit"]) if "unit" in entry else None
+            shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
+            value = _number(entry["value"], "a node value") if "value" in entry else None
+            nodes.append(Node(_string(entry["id"], "a node id"), _string(entry["op"], "a node op"),
+                              unit=unit, shape=shape, value=value))
+    except (KeyError, TypeError, ValueError) as exc:  # checked only now, so that valid input pays nothing for it
+        if not isinstance(entry, dict):
+            raise ValueError(f"a node must be an object, got {entry!r}") from None
+        if isinstance(exc, KeyError):  # only `id` and `op` are read unguarded
+            raise ValueError(f"missing node key {exc.args[0]!r} in {entry!r}") from None
+        raise
     try:
         edges = tuple(Edge(_string(s, "an edge source"), _string(d, "an edge destination"),
                            _integer(k, "an edge slot")) for s, d, k in data["edges"])
     except (TypeError, ValueError):  # checked only now, so that valid input pays nothing for it
-        bad = next((e for e in data["edges"] if not isinstance(e, list) or len(e) != 3), None)
-        if bad is None:
-            raise
-        raise ValueError(f"an edge must be a [source, destination, slot] list, got {bad!r}") from None
+        for bad in data["edges"]:
+            if not isinstance(bad, list) or len(bad) != 3:
+                raise ValueError(f"an edge must be a [source, destination, slot] list, got {bad!r}") from None
+        raise
     return WorkflowProgram(
         nodes=tuple(nodes),
         edges=edges,
@@ -1074,11 +1086,12 @@ def loads_program(text: str) -> WorkflowProgram:
     """The program of a workflow JSON document. Malformed JSON, JSON nested
     too deeply to decode, and a document `program_from_dict` cannot read (a
     missing key, a null or mistyped field, nodes, edges or roots that are no
-    JSON list, a unit that is no JSON object, an edge that is no list of
-    three, a matrix shape of other than two dimensions, an id, op,
+    JSON list, a node or a unit that is no JSON object, an edge that is no
+    list of three, a matrix shape of other than two dimensions, an id, op,
     root, output or edge end that is no JSON string, a value that is no
     finite JSON number, a slot, unit exponent or shape dimension that is no
-    JSON integer) raise `ValueError`."""
+    JSON integer) raise `ValueError`. Each names what is wrong; the wrap of
+    any other exception as `malformed program: ...` is a safety net."""
     try:
         data = json.loads(text)
     except RecursionError as exc:

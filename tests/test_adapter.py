@@ -18,7 +18,6 @@ import pytest
 from wfopt.adapter import (
     AdapterError,
     ExternalEvaluator,
-    ExternalProposer,
     HttpTransport,
     StdioTransport,
     SyntheticRoles,
@@ -305,62 +304,6 @@ class TestNonFiniteReward:
             assert record["failure"] == failure
 
 
-GOOD_CANDIDATE = program_to_dict(binary("add", "input", "input"))
-
-# propose replies that break the protocol; each one is an AdapterError
-BAD_PROPOSE_REPLIES = [
-    pytest.param(5, id="number"),
-    pytest.param([GOOD_CANDIDATE], id="list"),
-    pytest.param({"usage": {}}, id="no-candidates"),
-    pytest.param({"candidates": None}, id="candidates-null"),
-    pytest.param({"candidates": {"0": GOOD_CANDIDATE}}, id="candidates-object"),
-    pytest.param({"candidates": [5]}, id="candidate-number"),
-    pytest.param({"candidates": [{k: v for k, v in GOOD_CANDIDATE.items() if k != "edges"}]}, id="no-edges"),
-    pytest.param({"candidates": [dict(GOOD_CANDIDATE, edges=[["x0", "n0"]])]}, id="short-edge"),
-    pytest.param({"candidates": [dict(GOOD_CANDIDATE, nodes=[{"id": "x0", "op": "input", "unit": [1]}])]},
-                 id="unit-list"),
-    pytest.param({"candidates": [dict(GOOD_CANDIDATE, color="red")]}, id="unknown-key"),
-    pytest.param({"candidates": [], "usage": {"prompt_tokens": -1}}, id="usage-negative"),
-    pytest.param({"candidates": [], "usage": {"completion_tokens": "many"}}, id="usage-string"),
-    pytest.param({"candidates": [], "usage": [3]}, id="usage-list"),
-    pytest.param({"candidates": [], "usage": {"prompt_tokens": 10**400}}, id="usage-huge-int"),
-]
-
-
-class TestProposeReply:
-    """A propose reply is decoded at the boundary; a malformed one is an AdapterError."""
-
-    class _Transport:
-        def __init__(self, reply):
-            self.reply = reply
-
-        def request(self, line):
-            return json.loads(json.dumps(self.reply))
-
-    def test_good_reply_is_accepted(self):
-        reply = {"candidates": [GOOD_CANDIDATE], "usage": {"prompt_tokens": 4, "completion_tokens": 2}}
-        proposer = ExternalProposer(self._Transport(reply))
-        candidates, record = proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
-        assert candidates == [binary("add", "input", "input")]
-        assert (record.prompt_tokens, record.completion_tokens, record.request_id) == (4, 2, "opt-00001")
-
-    def test_in_band_error_is_reported(self):
-        proposer = ExternalProposer(self._Transport({"error": "ValueError: no such op"}))
-        with pytest.raises(AdapterError, match="no such op"):
-            proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("reply", BAD_PROPOSE_REPLIES)
-    def test_protocol_break_raises_adapter_error(self, reply):
-        proposer = ExternalProposer(self._Transport(reply))
-        with pytest.raises(AdapterError):
-            proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
-        # a failed request does not use up a request id
-        good = {"candidates": []}
-        proposer.transport = self._Transport(good)
-        _, record = proposer.propose(binary("mul", "input", "input"), 3, np.random.default_rng(0))
-        assert record.request_id == "opt-00001"
-
-
 def _evaluate(program, problems):
     return {"kind": "evaluate", "program": program_to_dict(program),
             "params": {"problems": [problem_to_dict(p) for p in problems]}}
@@ -594,12 +537,18 @@ class TestStdioAdapter:
         t.close()
 
     def test_propose_round_trip(self, registry, transport):
-        proposer = ExternalProposer(transport)
+        """A propose request sent through the transport gets the candidates
+        and the usage of a local `SyntheticProposer` seeded with the
+        request's seed."""
         program = binary("add", "input", "input")
+        reply = transport.request(json.dumps(_propose(program, 4, 5)))
+        proposer = SyntheticProposer(default_registry(), ProposerConfig(ops=("add", "mul", "neg")))
         candidates, record = proposer.propose(program, 4, np.random.default_rng(5))
-        assert len(candidates) == 4
-        assert record.role == "optimizer"
-        assert record.prompt_tokens > 0
+        assert len(candidates) == 4 and record.prompt_tokens > 0
+        assert reply == {
+            "candidates": [program_to_dict(c) for c in candidates],
+            "usage": {"prompt_tokens": record.prompt_tokens, "completion_tokens": record.completion_tokens},
+        }
 
     def test_evaluate_round_trip(self, registry, transport):
         evaluator = ExternalEvaluator(transport, PROBLEMS)
@@ -620,14 +569,11 @@ class TestStdioAdapter:
         assert remote[1] == local[1]
 
         base = binary("add", "input", "input")
-        remote_candidates, _ = ExternalProposer(transport).propose(base, 6, np.random.default_rng(5))
-        # the peer's proposer, seeded as `ExternalProposer.propose` seeds it:
-        # with one draw of the caller's generator
+        remote_candidates = transport.request(json.dumps(_propose(base, 6, 5)))["candidates"]
         proposer = SyntheticProposer(default_registry(), ProposerConfig(ops=("add", "mul", "neg")))
-        seed = int(np.random.default_rng(5).integers(2**31 - 1))
-        local_candidates, _ = proposer.propose(binary("add", "input", "input"), 6, np.random.default_rng(seed))
+        local_candidates, _ = proposer.propose(binary("add", "input", "input"), 6, np.random.default_rng(5))
         assert len(proposer.enumerate_edits(base)) > len(remote_candidates) == 6
-        assert [program_to_dict(c) for c in remote_candidates] == [program_to_dict(c) for c in local_candidates]
+        assert remote_candidates == [program_to_dict(c) for c in local_candidates]
 
     def test_peer_module_runs_once(self):
         """`-m wfopt.adapter` must not import the module a second time before running it."""

@@ -492,7 +492,18 @@ class TestCli:
         (neg_workflow(edges=[["x0", "n0"]]), "an edge must be a [source, destination, slot] list, got ['x0', 'n0']"),
         (json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": {"matrix": [2, 3, 4]}}], "edges": [],
                      "roots": ["x0"], "output": "x0"}), "a matrix shape must list two dimensions, got [2, 3, 4]"),
-    ], ids=["null-nodes", "list-unit", "two-entry-edge", "three-dimension-matrix"])
+        (neg_workflow(nodes=[1]), "a node must be an object, got 1"),
+        (neg_workflow(nodes=["ab"]), "a node must be an object, got 'ab'"),
+        (neg_workflow(nodes=[["id", "x0"]]), "a node must be an object, got ['id', 'x0']"),
+        (neg_workflow(nodes=[["id", "op"]]), "a node must be an object, got ['id', 'op']"),
+        (neg_workflow(nodes=[{"op": "input"}]), "missing node key 'id' in {'op': 'input'}"),
+        (neg_workflow(nodes=[{"id": "x0"}]), "missing node key 'op' in {'id': 'x0'}"),
+        (json.dumps({"nodes": [], "edges": [], "roots": []}), "missing program keys: ['output']"),
+        (json.dumps({"nodes": [], "roots": [], "output": "x0"}), "missing program keys: ['edges']"),
+        (neg_workflow(edges=[None]), "an edge must be a [source, destination, slot] list, got None"),
+    ], ids=["null-nodes", "list-unit", "two-entry-edge", "three-dimension-matrix", "number-node", "string-node",
+            "pair-node", "key-pair-node", "node-without-id", "node-without-op", "no-output", "no-edges",
+            "null-edge"])
     def test_export_names_the_malformed_field(self, tmp_path, capsys, text, message):
         source = tmp_path / "bad.json"
         source.write_text(text)

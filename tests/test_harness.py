@@ -5,7 +5,7 @@ from types import FunctionType
 import numpy as np
 import pytest
 
-from wfopt import driver, harness, model, search
+from wfopt import driver, edits, harness, model, search
 from wfopt.edits import ProgramEdit
 from wfopt.config import config_from_dict
 from wfopt.harness import (
@@ -306,10 +306,10 @@ class TestEditRecords:
 
 
     def test_search_orders_each_child_once(self, tmp_path, monkeypatch):
-        """Expansion orders no child: `propose` analyses nothing, and each
-        child it returns carries its edit record, from which scoring derives
-        its state after one analysis of its base, made once per expansion.
-        So a child's one `_ordered` walk is its evaluation's."""
+        """Expansion orders one program, its base, once, when `propose`
+        builds the base's `EditBase`. Each child it returns carries its edit
+        record, from which scoring derives its state over that one order. So
+        a child's one `_ordered` walk is its evaluation's."""
         config = config_from_dict({
             "seed": 42,
             "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
@@ -336,13 +336,14 @@ class TestEditRecords:
             monkeypatch.setattr(owner, name, wrapped)
 
         monkeypatch.setattr(model, "_ordered", counted)
+        monkeypatch.setattr(edits, "_ordered", counted)
         region(search.Optimizer, "expand")
         region(SyntheticProposer, "propose")
         region(SyntheticEvaluator, "evaluate")
         driver.execute_run(config, tmp_path)
         assert calls["propose"] == calls["expand"] > 0 and calls["evaluate"] > calls["propose"]
-        assert walks["propose"] == 0
-        assert walks["expand"] == calls["expand"]
+        assert walks["propose"] == calls["propose"]
+        assert walks["expand"] == 0
         assert walks["evaluate"] == calls["evaluate"]
 
 

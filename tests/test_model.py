@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from wfopt import model
+from wfopt import edits, model
 from wfopt.edits import ProgramEdit
 from wfopt.harness import Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, SyntheticProposer
 from wfopt.model import (
@@ -320,7 +320,9 @@ class TestInterpret:
 
 
 class TestOneWalk:
-    """Scoring and evaluating a program each walk it once, through `_ordered`."""
+    """Scoring and evaluating a program each walk it once, through `_ordered`.
+    A proposer's base is ordered once, when its `EditBase` is built, and its
+    candidates' states read that order."""
 
     def test_derive_state_and_evaluate_each_walk_once(self, registry, monkeypatch):
         program = random_program(np.random.default_rng(8), registry)
@@ -356,15 +358,15 @@ class TestOneWalk:
         assert len(walks) == 2 and walks[1] is fresh
 
     def test_proposer_candidates_carry_their_record(self, registry, monkeypatch):
-        """A candidate the proposer builds carries its edit record, and
-        `propose` and `enumerate_edits` analyse nothing. The first
-        `derive_state` of a base's candidate against the proposer's registry
-        object makes one walk, the base's analysis, which the other
-        candidates of that call share; each keeps the state it derives in
-        its record's place and returns it, with no walk, after. Across the
-        trust boundary each program takes the full walk, and gets an equal
-        state: the child against another registry, a decoded copy of it, and
-        a child whose verdict was since recorded for another registry."""
+        """A candidate the proposer builds carries its edit record. `propose`
+        and `enumerate_edits` each order their clean base once, to build its
+        `EditBase`, and order no candidate. A candidate's `derive_state`
+        against the proposer's registry object makes no walk: it reads the
+        base's kept order, and keeps the state it derives in its record's
+        place. Across the trust boundary each program takes the full walk,
+        and gets an equal state: the child against another registry, a
+        decoded copy of it, and a child whose verdict was since recorded for
+        another registry."""
         base = random_program(np.random.default_rng(11), registry, max_ops=4)
         proposer = SyntheticProposer(registry, ProposerConfig(const_palette=(0.0, -0.0, 2.0)))
         walks = []
@@ -375,9 +377,11 @@ class TestOneWalk:
             return ordered(walked)
 
         monkeypatch.setattr(model, "_ordered", counted)
+        monkeypatch.setattr(edits, "_ordered", counted)
         children, _ = proposer.propose(base, 12, np.random.default_rng(2))
+        assert len(walks) == 1 and walks[0] is base
         enumerated = proposer.enumerate_edits(base)
-        assert walks == []
+        assert len(walks) == 2 and walks[1] is base
         assert len(children) == 12 and len(enumerated) > 12
         for candidate in children + enumerated:
             attached = getattr(candidate, model._VERDICT)
@@ -394,8 +398,8 @@ class TestOneWalk:
 
         other = OperatorRegistry(list(registry))
         for candidates in (children, enumerated):
-            for i, candidate in enumerate(candidates):
-                state = derived(candidate, registry, 0 if i else 1)
+            for candidate in candidates:
+                state = derived(candidate, registry, 0)
                 assert state == full(candidate)
                 assert getattr(candidate, model._VERDICT) == (registry, state)
                 assert derived(candidate, registry, 0) is state

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,7 +22,15 @@ from wfopt.constraints import (
 )
 from wfopt.edits import EditBase
 from wfopt.harness import ProposerConfig, SyntheticProposer
-from wfopt.model import ExecutionTrace, WorkflowState, default_registry, interpret, validate_program
+from wfopt.model import (
+    ExecutionTrace,
+    WorkflowProgram,
+    WorkflowState,
+    default_registry,
+    interpret,
+    loads_program,
+    validate_program,
+)
 from wfopt.motifs import MotifConfig, init_templates
 from wfopt.weights import FAMILIES, AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
@@ -149,6 +159,74 @@ def test_only_rewires_orphan_nodes_of_a_clean_base():
         rewires = proposer._rewires(EditBase(program, REGISTRY))
         orphaning_rewires += sum(bool(edit.removed) for _, edit in rewires)
     assert orphaning_rewires > 0
+
+
+# A valid workflow document that holds every kind of field the decoder reads.
+WORKFLOW = {
+    "nodes": [
+        {"id": "x0", "op": "input", "unit": {"m": 1, "s": -2}, "shape": "scalar"},
+        {"id": "c0", "op": "const", "value": 2.5, "shape": {"vector": 3}},
+        {"id": "n0", "op": "mul", "shape": {"matrix": [2, 3]}},
+    ],
+    "edges": [["x0", "n0", 0], ["c0", "n0", 1]],
+    "roots": ["x0"],
+    "output": "n0",
+}
+# placeholders for JSON text `json.dumps` does not write, put in after it
+RAW_TEXT = {"\x00big": "1e400", "\x00nested": "[" * 500 + "]" * 500, "\x00too-deep": "[" * 100_000 + "]" * 100_000}
+ODD_VALUES = [None, True, 0, -1, 1.5, 10**400, math.nan, math.inf, "", "x" * 10_000, [], [1], {}, {"vector": None},
+              *RAW_TEXT]
+
+
+def _places(value, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _places(item, path + (key,))
+
+
+PLACES = list(_places(WORKFLOW))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PLACES), st.sampled_from(["drop", *range(len(ODD_VALUES))])),
+                min_size=1, max_size=3))
+@example(mutations=[(("nodes", 0), ODD_VALUES.index(0))])
+@example(mutations=[(("nodes", 2, "id"), "drop")])
+@example(mutations=[(("edges", 1), ODD_VALUES.index(None))])
+def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
+    """`loads_program` of a valid workflow document with keys dropped, or
+    values changed to another type, to null, to numbers no float holds, to
+    NaN, to a long string or to deep nesting, returns a program or raises a
+    `ValueError` that names what is wrong: never another exception, and
+    never a bare one wrapped as `malformed program: ...`."""
+    document = copy.deepcopy(WORKFLOW)
+    for path, change in mutations:
+        parent, value = None, document
+        try:
+            for key in path:
+                if not isinstance(value, (dict, list)):
+                    raise TypeError
+                parent, value = value, value[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this place
+        if change == "drop":
+            if parent is not None:
+                del parent[path[-1]]
+        elif parent is None:
+            document = copy.deepcopy(ODD_VALUES[change])
+        else:
+            parent[path[-1]] = copy.deepcopy(ODD_VALUES[change])
+    text = json.dumps(document)
+    for placeholder, raw in RAW_TEXT.items():
+        text = text.replace(json.dumps(placeholder), raw)
+    try:
+        program = loads_program(text)
+    except ValueError as exc:
+        assert not str(exc).startswith("malformed program: "), str(exc)
+    else:
+        assert isinstance(program, WorkflowProgram)
 
 
 # Inputs of the scorer's memos: a small pool of each, so that a sequence of

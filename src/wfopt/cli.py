@@ -20,7 +20,10 @@ def _parse_executor(value: str) -> ExecutorConfig:
     if value == "synthetic":
         return ExecutorConfig(mode="synthetic")
     if value.startswith("external:"):
-        return ExecutorConfig(mode="external", address=value.split(":", 1)[1])
+        try:
+            return ExecutorConfig(mode="external", address=value.split(":", 1)[1])
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError("expected 'synthetic' or 'external:ADDR'")
 
 

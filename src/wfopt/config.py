@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from urllib.parse import urlsplit
 
 from .constraints import (
     AggregationConfig,
@@ -64,6 +65,17 @@ class ExecutorConfig:
             raise ConfigError(f"executor.mode must be synthetic or external, got {self.mode!r}")
         if self.mode == "external" and not (self.address or self.command):
             raise ConfigError("external executor needs an address or a command")
+        if self.address is not None:
+            try:
+                url = urlsplit(self.address)
+                ok = url.scheme in ("http", "https") and bool(url.hostname) and url.port is not None
+            except ValueError:  # a port that is no number, or a malformed host
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    "executor.address must be an http or https URL with a host and a port, "
+                    f"such as http://127.0.0.1:8080/, got {self.address!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,9 @@ def _prices(given: object) -> PriceMap:
             raise ConfigError(f"prices.{role} must be [input_price, output_price]")
         for price in pair:
             _check_type(f"each price of prices.{role}", price, float)
+    for role in PriceMap.zero().prices:  # the roles a run's records are charged to
+        if role not in given:
+            raise ConfigError(f"prices.{role} is missing: prices must price both optimizer and executor")
     return PriceMap({str(role): (float(pin), float(pout)) for role, (pin, pout) in given.items()})
 
 

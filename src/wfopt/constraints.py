@@ -73,9 +73,13 @@ class AggregationConfig:
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+            raise ValueError("aggregation.epsilon must be > 0")
         if self.lambda_shaping < 0:
-            raise ValueError("lambda_shaping must be >= 0")
+            raise ValueError("aggregation.lambda_shaping must be >= 0")
+        # selection multiplies by exp(lambda * C_total), C_total in [epsilon,
+        # 1 + epsilon]; math.exp overflows above about 709.78
+        if self.lambda_shaping * (1 + self.epsilon) > 700:
+            raise ValueError("aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700")
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,9 @@ class ThresholdSchedule:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau_min <= self.tau0 <= 1.0:
-            raise ValueError("need 0 <= tau_min <= tau0 <= 1")
+            raise ValueError("need 0 <= threshold.tau_min <= threshold.tau0 <= 1")
         if self.decay_k < 0:
-            raise ValueError("decay_k must be >= 0")
+            raise ValueError("threshold.decay_k must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,9 @@ class DepthDiversityConfig:
 
     def __post_init__(self) -> None:
         if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
+            raise ValueError("depth_diversity.d_max must be >= 1")
         if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+            raise ValueError("depth_diversity.beta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,12 @@ class MagnitudeConfig:
     delta: float = 0.5
 
     def __post_init__(self) -> None:
+        # theta = max|V_in| * 10**gamma: 10.0**309 overflows, and below 0 a
+        # subnormal input's theta is 0
+        if not 0 <= self.gamma <= 308:
+            raise ValueError("magnitude.gamma must be in [0, 308]")
         if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0, 1]")
+            raise ValueError("magnitude.delta must be in [0, 1]")
 
 
 def score_depth(state: WorkflowState, cfg: DepthDiversityConfig) -> float:

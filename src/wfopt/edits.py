@@ -1,59 +1,53 @@
 """Proposer candidates told as one edit of a validated base.
 
 `SyntheticProposer` checks its base once, on entry, and builds one
-`EditBase` of it, which orders the base once (`model._ordered`) and reads
-that order to build its maps and fingerprint tables and to find its dead
-nodes. Only a base with dead nodes is pruned of them, checked and given its
-own `EditBase`. Each edit generator then yields each candidate as its
-`ProgramEdit` over that clean, valid base, with the candidate's fingerprint
-beside it. Under a registry with no nullary operator every edit it makes
-keeps the base valid: fresh ids come from `model.fresh_node_id`, a
-replacement keeps its node's arity, a deletion hands a unary node's
-consumers its operand, and no new operand is its destination or one of its
-descendants (`EditBase.blocked`). So a candidate is sized
-(`ProgramEdit.operator_count`), fingerprinted and, when needed, keyed from
-its record alone, and only a candidate that is kept is built from its record
-(`ProgramEdit.build`); its record then vouches for it (`ProgramEdit.vouch`)
-with the verdict `validate_program` keeps, so `validate_program` of it is a
-lookup. A rewire that leaves its old source feeding nothing drops, on its
-record, what pruning would drop (`EditBase.dropped`).
+`EditBase` of it; only a base with dead nodes is pruned of them, checked and
+given an `EditBase` of its own. The base's edit generators
+(`EditBase.insertions`, `replacements`, `deletions` and `rewires`) yield
+each candidate as its `ProgramEdit` over that clean, valid base, with the
+candidate's fingerprint beside it. Under a registry with no nullary operator
+every edit keeps the base valid: fresh ids come from `model.fresh_node_id`,
+a replacement keeps its node's arity, a deletion hands a unary node's
+consumers its operand, no new operand is its destination or one of its
+descendants (`EditBase.blocked`), and a rewire that leaves its old source
+feeding nothing drops, on its record, what pruning would drop
+(`EditBase.dropped`). So a candidate is sized (`ProgramEdit.operator_count`),
+fingerprinted and, when needed, keyed (`ProgramEdit.key`) from its record.
 
 A fingerprint is a linear hash of the candidate's expression tree, unfolded
 from its output (Karp and Rabin, IBM J. Res. Dev. 1987): `t(v) = w(head(v))
 + sum over slots s of r_s * t(operand_s(v))` modulo the prime `MODULUS`, the
 program's being `t(output)`. The head is the key's (`model._key_entry`), so
-the fingerprint is a function of `model.canonical_key`: equal keys give
-equal fingerprints. One edit changes it by one term, read from the base's
-tables (`EditBase.sums` and `EditBase.paths`), so the proposer keys a record
-(`ProgramEdit.key`: one `model._key_walk` over the base's maps with the
-edit's heads and operand changes, to the tuple `canonical_key` gives the
-built candidate) only when its fingerprint meets the base's or an earlier
-record's; about nine records in ten are never keyed.
+equal canonical keys give equal fingerprints: a record needs its key only
+when its fingerprint meets the base's or an earlier record's, and about nine
+records in ten are never keyed. One edit changes the fingerprint by one
+term, read from the base's tables (`EditBase.sums` and `EditBase.paths`).
 
-A built candidate also carries its record, in its verdict slot
-(`model._VERDICT`) beside the registry it is valid for. From it
-`derive_state`, on its first call against the proposer's registry object,
-derives its `WorkflowState` (`ProgramEdit.state`: the base's analysis, made
-once from the base's kept order, read with new facts for the nodes the edit
-touched, each made by `model._transfer`) and puts that state in the
-record's place. So a base is ordered once, when its `EditBase` is built; no
-child is ordered until it is evaluated. A candidate no one scores, as one a
-suite grows through or one the stdio peer sends, is never analysed.
+Only a kept candidate is built, and `ProgramEdit.build` writes its verdict
+slot (`model._VERDICT`): valid for the base's registry object, carrying the
+record. `validate_program` of it is then a lookup, and `derive_state`, on
+its first call against that registry object, derives its `WorkflowState`
+from the record (`ProgramEdit.state`) and keeps the state in the record's
+place. So a base is ordered once, when its `EditBase` is built, and no child
+is ordered until it is evaluated; a candidate no one scores is never
+analysed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     _VERDICT,
+    CONST_OP,
     INPUT_OP,
     LEAF_OPS,
     Edge,
     Facts,
     Node,
+    OperatorKind,
     OperatorRegistry,
     ProgramAnalysis,
     WorkflowProgram,
@@ -65,32 +59,31 @@ from .model import (
     _operator_histogram,
     _ordered,
     _transfer,
+    fresh_node_id,
 )
 
 _NOTHING: frozenset = frozenset()
 
 
 class EditBase:
-    """One base program, as the proposer's edits and their records read it.
+    """One base program, as its edits and their records read it.
 
     The proposer builds one per base, of a base that passed `validate_program`
-    against its registry object. Building it orders the base, once
-    (`model._ordered`), and keeps the order. One pass along it, operands
-    before their consumers, fills each node's key head (`model._key_entry`),
-    its operand ids in slot order, its consumers (one per edge out), the
-    number of operator nodes and `sums`, `t(v)` of every node. One pass back
-    from the output fills `paths`: `p(v)` of every node a path from the
-    output reaches, the sum over those paths of the product of the slot
-    weights along each, `p(output)` being 1. An edit that swaps one
-    occurrence-weighted subtree for another changes the fingerprint by `p`
-    times the change. `total` is the base's fingerprint, `t(output)`, and
-    `dead` the nodes that are no input and that no path from the output
-    reaches: those that feed nothing the output reads, which pruning drops.
-    Only a base with no dead node is edited. `blocked` and `weight` memoise,
-    for every edit of the base, a node's descendants and a head's weight.
-    What `ProgramEdit.state` reads of the base is built from the kept order
-    on the first call to `analyzed`, so a pass that derives no state never
-    pays for it.
+    against `registry`. Building it orders the base, once (`model._ordered`),
+    and keeps the order. One pass along it, operands before their consumers,
+    fills each node's key head (`model._key_entry`), its operand ids in slot
+    order, its consumers (one per edge out), the number of operator nodes and
+    `sums`, `t(v)` of every node. One pass back from the output fills `paths`:
+    `p(v)` of every node a path from the output reaches, the sum over those
+    paths of the product of the slot weights along each, `p(output)` being 1,
+    so an edit that swaps one occurrence-weighted subtree for another changes
+    the fingerprint by `p` times the change. `total` is the base's
+    fingerprint, `t(output)`, and `dead` the nodes that are no input and that
+    no path from the output reaches, which pruning drops; only a base with no
+    dead node is edited. `blocked` and `weight` memoise, for every edit of the
+    base, a node's descendants and a head's weight. What `ProgramEdit.state`
+    reads of the base is built from the kept order on the first call to
+    `analyzed`.
     """
 
     __slots__ = (
@@ -195,6 +188,146 @@ class EditBase:
                     stack.append(a)
         return frozenset(dropped)
 
+    def insertions(self, kinds: Sequence[OperatorKind], palette: Sequence[float]) -> Iterator[tuple[int, ProgramEdit]]:
+        """One new operator node of each kind in `kinds` on each edge, or above
+        the output, for each choice of operands, a constant of `palette`
+        among them, as its fingerprint and edit record.
+
+        A record's nodes are its constant, if it has one, then the new node:
+        they depend only on the kind and the constant, so each such tuple is
+        made once per base. The operand lists it sets, the new node's and
+        those of the node re-fed from it, depend only on the site and the
+        operands, so each such map is made once per site and shared by every
+        kind. The new node's second operand is neither the anchor nor one of
+        its descendants (`blocked`); above the output, where nothing is fed
+        from it, any node.
+
+        The new node `N` takes the place of `src` in one slot `s` of the
+        anchor, which every path to that slot reaches, so the fingerprint is
+        the base's plus `p(anchor) * r_s * (t(N) - t(src))`; above the output
+        it is `t(N)`. `t(N)` is the kind's weight plus each operand's `t`, a
+        constant's being its weight, times its slot's weight.
+        """
+        program = self.program
+        # every insertion into this base adds the same fresh ids
+        new_id = fresh_node_id(program)
+        const_id = fresh_node_id(program, "c")
+        added = {kind.name: (Node(new_id, kind.name),) for kind in kinds}
+        # one constant per palette entry, by position: a dict by value would
+        # merge 0.0 and -0.0, which the canonical key tells apart
+        consts = [Node(const_id, CONST_OP, value=float(value)) for value in palette]
+        const_nodes = {kind.name: [(const, *added[kind.name]) for const in consts] for kind in kinds}
+        sum_of, path_of, total = self.sums, self.paths, self.total
+        kind_weights = {name: self.weight(_key_entry(nodes[0])) for name, nodes in added.items()}
+        const_weights = [self.weight(_key_entry(const)) for const in consts]
+        first, second = slot_weight(0), slot_weight(1)
+        node_ids = [n.node_id for n in program.nodes]
+        # real edges first, then the virtual edge (None) above the output node
+        for edge in (*program.edges, None):
+            if edge is None:
+                src, blocked, refed, output, scale = program.output, (), {}, new_id, 1
+            else:
+                src, anchor, output = edge.src, edge.dst, program.output
+                blocked = self.blocked(anchor)
+                args = list(self.operands[anchor])
+                args[edge.slot] = new_id
+                refed = {anchor: tuple(args)}  # the anchor, fed from the new node
+                scale = path_of[anchor] * slot_weight(edge.slot) % MODULUS
+            # a record's fingerprint is offset + scale * t(N); lead and trail
+            # weigh t of the new node's first and second operand
+            offset = (total - scale * sum_of[src]) % MODULUS
+            lead, trail = scale * first % MODULUS, scale * second % MODULUS
+            src_sum = sum_of[src]
+            unary = {new_id: (src,), **refed}
+            pairs = with_const = const_terms = None
+            for kind in kinds:
+                at = (offset + scale * kind_weights[kind.name]) % MODULUS
+                if kind.arity == 1:
+                    yield (at + lead * src_sum) % MODULUS, ProgramEdit(self, output, unary, added[kind.name])
+                elif kind.arity == 2:
+                    if pairs is None:
+                        # each choice of operands: its terms of the fingerprint, and its operand lists
+                        pairs = []
+                        for partner in node_ids:
+                            if partner in blocked:
+                                continue
+                            other = sum_of[partner]
+                            term = (lead * src_sum + trail * other) % MODULUS
+                            pairs.append((term, {new_id: (src, partner), **refed}))
+                            if partner != src:  # [src, src] has one operand order
+                                term = (lead * other + trail * src_sum) % MODULUS
+                                pairs.append((term, {new_id: (partner, src), **refed}))
+                        with_const = ({new_id: (src, const_id), **refed}, {new_id: (const_id, src), **refed})
+                        const_terms = [
+                            ((lead * src_sum + trail * weight) % MODULUS, (lead * weight + trail * src_sum) % MODULUS)
+                            for weight in const_weights
+                        ]
+                    for term, operands in pairs:
+                        yield (at + term) % MODULUS, ProgramEdit(self, output, operands, added[kind.name])
+                    for nodes, terms in zip(const_nodes[kind.name], const_terms):
+                        for term, operands in zip(terms, with_const):
+                            yield (at + term) % MODULUS, ProgramEdit(self, output, operands, nodes)
+
+    def replacements(self, kinds: Sequence[OperatorKind]) -> Iterator[tuple[int, ProgramEdit]]:
+        """Each operator node given every other kind in `kinds` of its arity,
+        as its fingerprint and edit record: the base's fingerprint plus
+        `p(v)` times the change of `v`'s weight."""
+        arities, heads, output = self.registry.arities, self.heads, self.program.output
+        for node in self.program.operator_nodes():
+            arity = arities[node.op]
+            nid = node.node_id
+            scale = self.paths[nid]
+            offset = self.total - scale * self.weight(heads[nid])
+            for kind in kinds:
+                if kind.arity != arity or kind.name == node.op:
+                    continue
+                new = Node(nid, kind.name, node.unit, node.shape, node.value)
+                fingerprint = (offset + scale * self.weight(_key_entry(new))) % MODULUS
+                yield fingerprint, ProgramEdit(self, output, {}, (new,))
+
+    def deletions(self) -> Iterator[tuple[int, ProgramEdit]]:
+        """Each unary operator node dropped, its consumers fed from its
+        operand, as its fingerprint and edit record: the base's fingerprint
+        plus `p(v) * (t(operand) - t(v))`, the output's included."""
+        arities, program, operands, sum_of = self.registry.arities, self.program, self.operands, self.sums
+        for node in program.operator_nodes():
+            if arities[node.op] != 1:
+                continue
+            nid = node.node_id
+            source = operands[nid][0]
+            output = source if program.output == nid else program.output
+            refed = {
+                reader: tuple(source if a == nid else a for a in operands[reader])
+                for reader in self.consumers.get(nid, ())
+            }
+            fingerprint = (self.total + self.paths[nid] * (sum_of[source] - sum_of[nid])) % MODULUS
+            yield fingerprint, ProgramEdit(self, output, refed, removed=frozenset((nid,)))
+
+    def rewires(self) -> Iterator[tuple[int, ProgramEdit]]:
+        """Each edge given every other source that closes no cycle, as its
+        fingerprint and edit record, which drops what the move leaves feeding
+        nothing (`dropped`). The fingerprint is the base's plus
+        `p(dst) * r_slot * (t(alt) - t(src))`: what the move drops leaves the
+        tree with the old source's occurrence."""
+        program, sum_of = self.program, self.sums
+        for edge in program.edges:
+            src, dst, slot = edge.src, edge.dst, edge.slot
+            blocked = self.blocked(dst)
+            # what the move leaves feeding nothing, unless the new source is
+            # one of those nodes, which then stays with what feeds it
+            dead = self.dropped(src)
+            args = list(self.operands[dst])
+            scale = self.paths[dst] * slot_weight(slot) % MODULUS
+            offset = self.total - scale * sum_of[src]
+            for node in program.nodes:
+                alt = node.node_id
+                if alt == src or alt in blocked:
+                    continue
+                dropped = self.dropped(src, alt) if alt in dead else dead
+                args[slot] = alt
+                fingerprint = (offset + scale * sum_of[alt]) % MODULUS
+                yield fingerprint, ProgramEdit(self, program.output, {dst: tuple(args)}, removed=dropped)
+
 
 class _NewFacts(dict):
     """The new facts of the nodes an edit touched, by id; a lookup of any
@@ -239,7 +372,10 @@ class ProgramEdit:
         self.removed = removed
 
     def build(self, shared: Optional[dict] = None) -> WorkflowProgram:
-        """The candidate this edit makes of the base's program, unvouched.
+        """The candidate this edit makes of the base's program, its verdict
+        slot (`model._VERDICT`) holding `(base.registry, self)`: valid for the
+        base's registry object, as the edit kept the base valid, and carrying
+        this record, from which `derive_state` derives its state.
 
         Its nodes are the base's, each changed node in its place and the
         removed ones left out, then the added nodes in record order. Its
@@ -288,16 +424,8 @@ class ProgramEdit:
                     nid = node.node_id
                     kept += [shared.setdefault((a, nid, k), Edge(a, nid, k)) for k, a in enumerate(operands.get(nid, ()))]
                 edges = shared[key] = tuple(kept + refed)
-        return WorkflowProgram(nodes, edges, program.roots, self.output)
-
-    def vouch(self, candidate: WorkflowProgram) -> WorkflowProgram:
-        """Write `(registry, self)` into the verdict slot of `candidate`, the
-        program this edit made: valid for the base's registry, as
-        `validate_program` records a program that passed, since the edit kept
-        the base valid by construction, and carrying this record, from which
-        `derive_state` derives its `state` for that registry object. Returns
-        `candidate`."""
-        object.__setattr__(candidate, _VERDICT, (self.base.registry, self))
+        candidate = WorkflowProgram(nodes, edges, program.roots, self.output)
+        object.__setattr__(candidate, _VERDICT, (base.registry, self))
         return candidate
 
     def state(self, candidate: WorkflowProgram) -> WorkflowState:

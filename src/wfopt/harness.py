@@ -1,9 +1,9 @@
 """Deterministic stand-ins for the optimizer/executor roles, plus accounting.
 
-The synthetic proposer checks and prunes its base once, enumerates the base's
-minimal structural edits in a fixed order as edit records, and returns a
-seeded sample drawn over them: only the candidates it draws are built, each
-carrying the record its state is derived from when it is first scored. The
+The synthetic proposer checks and prunes its base once, takes the base's
+distinct one-edit records (:mod:`wfopt.edits`, which builds them and writes
+each built candidate's verdict) in a fixed order, and returns a seeded sample
+drawn over them; only the records it draws are built. The
 synthetic evaluator (in :mod:`wfopt.roles`, reachable here too) interprets a
 program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .edits import MODULUS, EditBase, ProgramEdit, slot_weight
+from .edits import EditBase, ProgramEdit
 from .model import (
-    CONST_OP,
     INPUT_OP,
     Edge,
     InvalidProgramError,
@@ -28,11 +27,9 @@ from .model import (
     OperatorRegistry,
     UnitSignature,
     WorkflowProgram,
-    _key_entry,
     analyze_program,
     canonical_key,
     default_registry,
-    fresh_node_id,
     interpret,
     validate_program,
 )
@@ -66,18 +63,15 @@ class PriceMap:
 
 
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
-    """The candidates of `records`, one base's, built now and vouched for by
-    their records; they share the parts they have in common."""
+    """The candidates of `records`, one base's, sharing one build memo."""
     shared: dict = {}
-    return [edit.vouch(edit.build(shared)) for edit in records]
+    return [edit.build(shared) for edit in records]
 
 
 class SyntheticProposer:
-    """Enumerates structural edits: insert, replace, delete, rewire.
-
-    Edits are generated in a fixed structural order; `propose` then applies a
-    seeded permutation and returns the first `count` distinct candidates, so
-    a fixed seed always yields the identical list.
+    """Proposes structural edits of a base (insert, replace, delete, rewire)
+    by the policy of its `ProposerConfig`: the operators, the edit kinds, the
+    size cap and the seeded draw.
 
     The registry may have no operator of arity 0: with one, an edit could
     leave a valid base's output reaching no leaf (`add(z, x0)` rewired to
@@ -96,42 +90,15 @@ class SyntheticProposer:
     # -- edit enumeration ---------------------------------------------------
 
     def enumerate_edits(self, program: WorkflowProgram) -> list[WorkflowProgram]:
-        """All distinct single-edit neighbours in fixed order.
-
-        The base is checked once, on entry: one that fails `validate_program`
-        against this proposer's registry raises `InvalidProgramError` with
-        its violations (for a program the search holds, the check is the
-        verdict lookup). A base with dead nodes is pruned of them first, and
-        the pruned program is edited in its place (`_base`).
-
-        Every edit of that clean, valid base keeps it valid by construction,
-        so no candidate is checked. Each comes as its edit record
-        (`edits.ProgramEdit`) over the base's one `edits.EditBase`, with its
-        fingerprint beside it; a rewire drops on its record what it leaves
-        feeding nothing (`EditBase.dropped`). A candidate is a duplicate when
-        its canonical key is the base's or an earlier candidate's, and only a
-        record whose fingerprint meets one of theirs can be one, so only such
-        records are keyed (`ProgramEdit.key`). A base with
-        `max_operator_nodes` operator nodes gets no insertions, and only a
-        base above that size sizes its records
-        (`ProgramEdit.operator_count`). Each kept record is built after the
-        pass (`ProgramEdit.build`) and vouches for its candidate: this method
-        builds every one, `propose` only those it draws.
-        """
+        """All distinct single-edit neighbours of `program`, in fixed order,
+        each built from its record (`_distinct`)."""
         return _built(self._distinct(program))
 
     def _base(self, program: WorkflowProgram) -> EditBase:
-        """The `EditBase` this proposer edits for `program`.
-
-        `program` is checked once: one that fails `validate_program` raises
-        `InvalidProgramError`. Its `EditBase` finds its dead nodes, the
-        operators and constants that feed nothing the output reads. Only
-        when there are some is its copy without them and their edges built,
-        in the same order and with every root, checked (an `EditBase` is
-        built of a program that passed), and given its own `EditBase`. Of
-        the edits of a clean base only a rewire can orphan a node, and its
-        record drops what pruning would (`EditBase.dropped`).
-        """
+        """The `EditBase` this proposer edits for `program`, which must pass
+        `validate_program` or raise `InvalidProgramError`. A program with
+        dead nodes is edited as its copy without them and their edges, in
+        the same order and with every root, which is checked in turn."""
         registry = self.registry
         report = validate_program(program, registry)
         if not report.ok:
@@ -152,16 +119,14 @@ class SyntheticProposer:
         return base
 
     def _distinct(self, program: WorkflowProgram) -> list[ProgramEdit]:
-        """The pass `enumerate_edits` and `propose` share: the record of each
-        distinct candidate within the size limit, in the edit generators'
-        order, unbuilt, each over the one `EditBase` of `_base(program)`.
+        """The unbuilt record of each distinct candidate within the size cap,
+        in the edit generators' order, over the one `EditBase` of
+        `_base(program)`.
 
-        The fingerprint is a function of the canonical key (`edits`), so a
-        record whose fingerprint neither the base nor an earlier record has
-        cannot repeat either, and is kept unkeyed. A record whose fingerprint
-        meets one already met is keyed, and so is the first record met with
-        that fingerprint, once; it is dropped if its key is one of theirs.
-        The kept records and their order are those of keying every record.
+        A record is keyed only when its fingerprint meets the base's or an
+        earlier record's, and so, once, is the first record met with that
+        fingerprint; it is dropped if its key is one of theirs. The kept
+        records and their order are those of keying every record.
         """
         config = self.config
         base = self._base(program)
@@ -171,13 +136,13 @@ class SyntheticProposer:
         over = base.operator_count > max_nodes
         sources = []
         if config.allow_insert and base.operator_count < max_nodes:
-            sources.append(self._insertions(base))
+            sources.append(base.insertions(self._ops, config.const_palette))
         if config.allow_replace:
-            sources.append(self._replacements(base))
+            sources.append(base.replacements(self._ops))
         if config.allow_delete:
-            sources.append(self._deletions(base))
+            sources.append(base.deletions())
         if config.allow_rewire:
-            sources.append(self._rewires(base))
+            sources.append(base.rewires())
         keys = {canonical_key(base.program)}
         # each fingerprint met: the first record met with it while that is
         # unkeyed, else None (the base's key is in `keys`)
@@ -199,147 +164,6 @@ class SyntheticProposer:
                 kept.append(edit)
         return kept
 
-    def _insertions(self, base: EditBase):
-        """One new operator node on each edge, or above the output, for each
-        kind and choice of operands, as its edit record over `base` with its
-        fingerprint from the base's tables.
-
-        A record's nodes are its constant, if it has one, then the new node:
-        they depend only on the kind and the constant, so each such tuple is
-        made once per base. The operand lists it sets, the new node's and
-        those of the node re-fed from it, depend only on the site and the
-        operands, so each such map is made once per site and shared by every
-        kind. The new node's second operand is neither the anchor nor one of
-        its descendants (`EditBase.blocked`); above the output, where nothing
-        is fed from it, any node.
-
-        The new node `N` takes the place of `src` in one slot `s` of the
-        anchor, which every path to that slot reaches, so the fingerprint is
-        the base's plus `p(anchor) * r_s * (t(N) - t(src))`; above the output
-        it is `t(N)`. `t(N)` is the kind's weight plus each operand's `t`, a
-        constant's being its weight, times its slot's weight.
-        """
-        program = base.program
-        # every insertion into this base adds the same fresh ids
-        new_id = fresh_node_id(program)
-        const_id = fresh_node_id(program, "c")
-        added = {kind.name: (Node(new_id, kind.name),) for kind in self._ops}
-        # one constant per palette entry, by position: a dict by value would
-        # merge 0.0 and -0.0, which the canonical key tells apart
-        consts = [Node(const_id, CONST_OP, value=float(value)) for value in self.config.const_palette]
-        const_nodes = {kind.name: [(const, *added[kind.name]) for const in consts] for kind in self._ops}
-        sum_of, path_of, total = base.sums, base.paths, base.total
-        kind_weights = {name: base.weight(_key_entry(nodes[0])) for name, nodes in added.items()}
-        const_weights = [base.weight(_key_entry(const)) for const in consts]
-        first, second = slot_weight(0), slot_weight(1)
-        node_ids = [n.node_id for n in program.nodes]
-        # real edges first, then the virtual edge (None) above the output node
-        for edge in (*program.edges, None):
-            if edge is None:
-                src, blocked, refed, output, scale = program.output, (), {}, new_id, 1
-            else:
-                src, anchor, output = edge.src, edge.dst, program.output
-                blocked = base.blocked(anchor)
-                args = list(base.operands[anchor])
-                args[edge.slot] = new_id
-                refed = {anchor: tuple(args)}  # the anchor, fed from the new node
-                scale = path_of[anchor] * slot_weight(edge.slot) % MODULUS
-            # a record's fingerprint is offset + scale * t(N); lead and trail
-            # weigh t of the new node's first and second operand
-            offset = (total - scale * sum_of[src]) % MODULUS
-            lead, trail = scale * first % MODULUS, scale * second % MODULUS
-            src_sum = sum_of[src]
-            unary = {new_id: (src,), **refed}
-            pairs = with_const = const_terms = None
-            for kind in self._ops:
-                at = (offset + scale * kind_weights[kind.name]) % MODULUS
-                if kind.arity == 1:
-                    yield (at + lead * src_sum) % MODULUS, ProgramEdit(base, output, unary, added[kind.name])
-                elif kind.arity == 2:
-                    if pairs is None:
-                        # each choice of operands: its terms of the fingerprint, and its operand lists
-                        pairs = []
-                        for partner in node_ids:
-                            if partner in blocked:
-                                continue
-                            other = sum_of[partner]
-                            term = (lead * src_sum + trail * other) % MODULUS
-                            pairs.append((term, {new_id: (src, partner), **refed}))
-                            if partner != src:  # [src, src] has one operand order
-                                term = (lead * other + trail * src_sum) % MODULUS
-                                pairs.append((term, {new_id: (partner, src), **refed}))
-                        with_const = ({new_id: (src, const_id), **refed}, {new_id: (const_id, src), **refed})
-                        const_terms = [
-                            ((lead * src_sum + trail * weight) % MODULUS, (lead * weight + trail * src_sum) % MODULUS)
-                            for weight in const_weights
-                        ]
-                    for term, operands in pairs:
-                        yield (at + term) % MODULUS, ProgramEdit(base, output, operands, added[kind.name])
-                    for nodes, terms in zip(const_nodes[kind.name], const_terms):
-                        for term, operands in zip(terms, with_const):
-                            yield (at + term) % MODULUS, ProgramEdit(base, output, operands, nodes)
-
-    def _replacements(self, base: EditBase):
-        """Each operator node given every other kind of its arity, as its edit
-        record over `base`. Its fingerprint is the base's plus `p(v)` times
-        the change of `v`'s weight."""
-        arities, heads, output = self.registry.arities, base.heads, base.program.output
-        for node in base.program.operator_nodes():
-            arity = arities[node.op]
-            nid = node.node_id
-            scale = base.paths[nid]
-            offset = base.total - scale * base.weight(heads[nid])
-            for kind in self._ops:
-                if kind.arity != arity or kind.name == node.op:
-                    continue
-                new = Node(nid, kind.name, node.unit, node.shape, node.value)
-                fingerprint = (offset + scale * base.weight(_key_entry(new))) % MODULUS
-                yield fingerprint, ProgramEdit(base, output, {}, (new,))
-
-    def _deletions(self, base: EditBase):
-        """Each unary operator node with its operand dropped, its consumers
-        fed from that operand, as its edit record over `base`. Its
-        fingerprint is the base's plus `p(v) * (t(operand) - t(v))`, the
-        output's included."""
-        arities, program, operands, sum_of = self.registry.arities, base.program, base.operands, base.sums
-        for node in program.operator_nodes():
-            if arities[node.op] != 1:
-                continue
-            nid = node.node_id
-            source = operands[nid][0]
-            output = source if program.output == nid else program.output
-            refed = {
-                reader: tuple(source if a == nid else a for a in operands[reader])
-                for reader in base.consumers.get(nid, ())
-            }
-            fingerprint = (base.total + base.paths[nid] * (sum_of[source] - sum_of[nid])) % MODULUS
-            yield fingerprint, ProgramEdit(base, output, refed, removed=frozenset((nid,)))
-
-    def _rewires(self, base: EditBase):
-        """Each edge given every other source that closes no cycle, as its edit
-        record over `base`. A rewire that leaves nodes feeding nothing drops
-        them on its record. Its fingerprint is the base's plus
-        `p(dst) * r_slot * (t(alt) - t(src))`: what the move drops leaves the
-        tree with the old source's occurrence."""
-        program, sum_of = base.program, base.sums
-        for edge in program.edges:
-            src, dst, slot = edge.src, edge.dst, edge.slot
-            blocked = base.blocked(dst)
-            # what the move leaves feeding nothing, unless the new source is
-            # one of those nodes, which then stays with what feeds it
-            dead = base.dropped(src)
-            args = list(base.operands[dst])
-            scale = base.paths[dst] * slot_weight(slot) % MODULUS
-            offset = base.total - scale * sum_of[src]
-            for node in program.nodes:
-                alt = node.node_id
-                if alt == src or alt in blocked:
-                    continue
-                dropped = base.dropped(src, alt) if alt in dead else dead
-                args[slot] = alt
-                fingerprint = (offset + scale * sum_of[alt]) % MODULUS
-                yield fingerprint, ProgramEdit(base, program.output, {dst: tuple(args)}, removed=dropped)
-
     # -- the proposer role --------------------------------------------------
 
     def propose(
@@ -353,14 +177,8 @@ class SyntheticProposer:
         The candidates of `enumerate_edits`, in its order, taken by the first
         `count` indices of `rng.permutation` of their number; with no more
         than `count` of them, all in order, and `rng` is not drawn from. The
-        base is checked and pruned as there, and an invalid one raises
-        `InvalidProgramError`. The sample is drawn over the edit records of
-        the same pass before anything is built, so only the drawn records
-        are built (`ProgramEdit.build`). Each carries its record, from which `derive_state`
-        against this proposer's registry object derives its `WorkflowState`
-        and one analysis of the base the drawn candidates share
-        (`ProgramEdit.state`); no state is derived here. The prompt tokens
-        count the program as passed in.
+        sample is drawn over the records, so only the drawn ones are built.
+        The prompt tokens count the program as passed in.
         """
         if count < 1:
             raise ValueError("count must be >= 1")

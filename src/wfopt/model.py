@@ -21,8 +21,9 @@ the other checks leave that in doubt. `canonical_key` returns a flat tuple.
 Every map over a program is transient. One slot on a program, `_VERDICT`,
 records what is established about it: the registry object it was found
 valid for, and, on a candidate the proposer builds only, its edit record,
-replaced by the `WorkflowState` derived from that record once it is scored
-(`edits.ProgramEdit`).
+replaced by the `WorkflowState` derived from that record once it is scored.
+Only `validate_program`, `derive_state` and `edits.ProgramEdit.build`
+write it.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -324,10 +325,10 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     registry builds a new default one) or an equal but distinct program gets
     a check of its own, and an invalid program records nothing.
 
-    The proposer checks each base here, on entry. The one other writer of
-    the verdict is `edits.ProgramEdit.vouch`: a proposer candidate made by
-    one edit of a base that passed against the proposer's registry object
-    is valid by construction, so its record vouches for it as it is built.
+    The proposer checks each base here, on entry. `edits.ProgramEdit.build`
+    writes the verdict too: a proposer candidate made by one edit of a base
+    that passed against the proposer's registry object is valid by
+    construction, so its build records it as valid, with its edit record.
     A pass here writes `(registry, None)` over whatever the slot held.
     """
     registry = registry or default_registry()
@@ -739,7 +740,7 @@ def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] 
 
     Raises `InvalidProgramError` on an invalid program. A candidate the
     `SyntheticProposer` built holds its edit record in its verdict slot
-    (`edits.ProgramEdit.vouch`): while the slot names this registry object,
+    (`edits.ProgramEdit.build`): while the slot names this registry object,
     its state is derived from the record on the first call
     (`ProgramEdit.state`), kept in the record's place, and returned. Any
     other program (the search's initial one, a decoded or a remote one), the

@@ -54,12 +54,14 @@ class AdaptationConfig:
     warmup_rounds: int = 5
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        # each update multiplies a weight by exp(eta * corr), |corr| <= 1;
+        # math.exp overflows above about 709.78
+        if not 0.0 <= self.eta <= 700:
+            raise ValueError("adaptation.eta must be in [0, 700]")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+            raise ValueError("adaptation.alpha must be in [0, 1]")
         if self.warmup_rounds < 0:
-            raise ValueError("warmup_rounds must be >= 0")
+            raise ValueError("adaptation.warmup_rounds must be >= 0")
 
 
 class ObservationBuffer:

@@ -118,12 +118,13 @@ def prune_dead(program: WorkflowProgram) -> WorkflowProgram:
 
 
 def every_pair(proposer, program):
-    """Every (fingerprint, edit record) pair `proposer`'s edit generators
-    yield for a clean, valid `program`, in the proposer's order, before the
-    size limit and deduplication."""
+    """Every (fingerprint, edit record) pair the edit generators of a clean,
+    valid `program`'s `EditBase` yield with `proposer`'s operators and
+    palette, in the proposer's order, before the size limit and
+    deduplication."""
     base = EditBase(program, proposer.registry)
-    generators = (proposer._insertions, proposer._replacements, proposer._deletions, proposer._rewires)
-    return [pair for generate in generators for pair in generate(base)]
+    return [*base.insertions(proposer._ops, proposer.config.const_palette), *base.replacements(proposer._ops),
+            *base.deletions(), *base.rewires()]
 
 
 def every_entry(proposer, program):

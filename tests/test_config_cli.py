@@ -121,6 +121,35 @@ class TestConfigParsing:
             ("suite", {"n_roots": 0}, "suite.n_roots"),
             ("suite", {"target_edits": -1}, "suite.target_edits"),
             ("prices", {"optimizer": [1]}, "prices.optimizer"),
+            # numbers that overflow a float, or divide by zero, mid-search
+            ("magnitude", {"gamma": 309}, "magnitude.gamma must be in [0, 308]"),
+            ("magnitude", {"gamma": -400}, "magnitude.gamma must be in [0, 308]"),
+            ("magnitude", {"gamma": -1}, "magnitude.gamma must be in [0, 308]"),
+            ("aggregation", {"epsilon": 2000}, "aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700"),
+            ("aggregation", {"lambda_shaping": 1e300}, "aggregation.lambda_shaping * (1 + aggregation.epsilon)"),
+            ("adaptation", {"eta": 1e308}, "adaptation.eta must be in [0, 700]"),
+            ("adaptation", {"eta": 700.5}, "adaptation.eta must be in [0, 700]"),
+            # a run's records are charged to both roles
+            ("prices", {"optimizer": [1e-6, 2e-6]}, "prices.executor is missing"),
+            ("prices", {"executor": [0, 0]}, "prices.optimizer is missing"),
+            ("prices", {}, "prices.optimizer is missing"),
+            # an address the HTTP transport cannot reach
+            ("executor", {"address": "http://host:notaport/"}, "executor.address must be an http or https URL"),
+            ("executor", {"address": "notaurl"}, "executor.address"),
+            ("executor", {"mode": "external", "address": "localhost:8080"}, "executor.address"),
+            ("executor", {"address": "ftp://host:21/"}, "executor.address"),
+            ("executor", {"address": "http://host/"}, "executor.address"),
+            ("executor", {"address": "http://:8080/"}, "executor.address"),
+            ("executor", {"address": "http://host:70000/"}, "executor.address"),
+            ("executor", {"address": "http://[::1/"}, "executor.address"),
+            # and the other range checks of the scoring sections name theirs
+            ("threshold", {"tau_min": 0.7}, "threshold.tau_min <= threshold.tau0"),
+            ("threshold", {"decay_k": -1}, "threshold.decay_k must be >= 0"),
+            ("depth_diversity", {"d_max": 0}, "depth_diversity.d_max must be >= 1"),
+            ("depth_diversity", {"beta": -1}, "depth_diversity.beta must be >= 0"),
+            ("aggregation", {"epsilon": 0}, "aggregation.epsilon must be > 0"),
+            ("magnitude", {"delta": 2}, "magnitude.delta must be in [0, 1]"),
+            ("adaptation", {"alpha": 2}, "adaptation.alpha must be in [0, 1]"),
         ],
     )
     def test_malformed_setting_rejected(self, section, value, key):
@@ -200,7 +229,8 @@ class TestConfigParsing:
         assert str(raised.value) == message
 
     def test_numbers_in_float_lists_become_floats(self):
-        config = config_from_dict({"proposer": {"const_palette": [1, -0.0]}, "prices": {"optimizer": [0, 2]}})
+        config = config_from_dict({"proposer": {"const_palette": [1, -0.0]},
+                                   "prices": {"optimizer": [0, 2], "executor": [0, 0]}})
         assert [repr(v) for v in config.proposer.const_palette] == ["1.0", "-0.0"]
         assert [repr(v) for v in config.prices.for_role("optimizer")] == ["0.0", "2.0"]
 
@@ -222,6 +252,10 @@ class TestConfigParsing:
     def test_external_needs_address(self):
         with pytest.raises(ConfigError):
             config_from_dict({"executor": {"mode": "external"}})
+
+    @pytest.mark.parametrize("address", ["http://127.0.0.1:8080/", "https://example.org:443/path", "http://[::1]:1"])
+    def test_http_address_with_host_and_port_accepted(self, address):
+        assert config_from_dict({"executor": {"mode": "external", "address": address}}).executor.address == address
 
     @pytest.mark.parametrize(
         "key, value",
@@ -347,6 +381,37 @@ class TestCli:
         config_path.write_text(json.dumps({"proposer": proposer}))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"magnitude": {"gamma": 309}}, "error: magnitude.gamma must be in [0, 308]"),
+            ({"magnitude": {"gamma": -400}}, "error: magnitude.gamma must be in [0, 308]"),
+            ({"aggregation": {"epsilon": 2000}},
+             "error: aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700"),
+            ({"adaptation": {"eta": 1e308}}, "error: adaptation.eta must be in [0, 700]"),
+            ({"prices": {"optimizer": [1e-6, 2e-6]}}, "error: prices.executor is missing"),
+            ({"executor": {"mode": "external", "address": "http://host:notaport/"}},
+             "error: executor.address must be an http or https URL with a host and a port"),
+            ({"executor": {"mode": "external", "address": "notaurl"}}, "error: executor.address"),
+        ],
+        ids=["gamma-309", "gamma-minus-400", "epsilon-2000", "eta-1e308", "prices-without-executor",
+             "address-port-not-a-number", "address-not-a-url"],
+    )
+    def test_setting_that_would_fail_mid_run_exits_2(self, tmp_path, capsys, config, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config_dict(**config)))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("address", ["localhost:8080", "http://host:notaport/"])
+    def test_executor_flag_names_the_address(self, tmp_path, capsys, address):
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--out", str(tmp_path / "out"), "--executor", f"external:{address}"])
+        assert raised.value.code == 2
+        assert "argument --executor: executor.address must be an http or https URL" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [["--seed", "-3"], ["--config", "negative-seed.json"]])

@@ -774,13 +774,13 @@ def _same_raw_candidates(proposer, base):
     ref = [c for i, c in enumerate(ref) if not i or repr(c) != repr(ref[i - 1])]
     record = EditBase(base, proposer.registry)
 
-    def built(generate):
-        return [edit.build() for _, edit in generate(record)]
+    def built(pairs):
+        return [edit.build() for _, edit in pairs]
 
-    return (_same_candidates(built(proposer._insertions), ref)
-            and _same_candidates(built(proposer._replacements), list(ref_replacements(proposer, base)))
-            and _same_candidates(built(proposer._deletions), list(ref_deletions(proposer, base)))
-            and _same_candidates(built(proposer._rewires), [prune_dead(c) for c in ref_rewires(base)]))
+    return (_same_candidates(built(record.insertions(proposer._ops, proposer.config.const_palette)), ref)
+            and _same_candidates(built(record.replacements(proposer._ops)), list(ref_replacements(proposer, base)))
+            and _same_candidates(built(record.deletions()), list(ref_deletions(proposer, base)))
+            and _same_candidates(built(record.rewires()), [prune_dead(c) for c in ref_rewires(base)]))
 
 
 class TestEnumerateEdits:
@@ -859,8 +859,9 @@ class TestEnumerateEdits:
             assert _same_candidates(fast, ref_enumerate_edits(proposer, pruned))
             if pruned is base:
                 clean += 1
-                monkeypatch.setattr(proposer, "_insertions", None)  # calling it would raise
-                assert _same_candidates(proposer.enumerate_edits(base), fast)
+                with monkeypatch.context() as patch:
+                    patch.setattr(EditBase, "insertions", None)  # calling it would raise
+                    assert _same_candidates(proposer.enumerate_edits(base), fast)
             else:
                 dirty += 1
                 new_id = ref_fresh_id(pruned, "n")
@@ -874,7 +875,8 @@ class TestEnumerateEdits:
         fewer = 0
         for _ in range(40):
             base = prune_dead(random_program(rng, registry, max_ops=5))
-            raw = [edit.build() for _, edit in proposer._insertions(EditBase(base, registry))]
+            pairs = EditBase(base, registry).insertions(proposer._ops, proposer.config.const_palette)
+            raw = [edit.build() for _, edit in pairs]
             assert all(a != b for a, b in zip(raw, raw[1:]))
             fewer += len(list(ref_insertions(proposer, base))) - len(raw)
         assert fewer > 0
@@ -914,8 +916,8 @@ class TestCanonicalKey:
             record = EditBase(pruned, registry)
             raw += [
                 edit.build()
-                for gen in (proposer._replacements, proposer._deletions, proposer._rewires)
-                for _, edit in gen(record)
+                for pairs in (record.replacements(proposer._ops), record.deletions(), record.rewires())
+                for _, edit in pairs
             ]
             assert _same_partition(raw)
             assert len({canonical_key(c) for c in raw}) < len(raw)
@@ -981,7 +983,7 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     first, is sized and keyed as `enumerate_edits` sizes and keys one, from
     its edit record before it is built, and gets its operator count and the full
     walk's key, which splits candidates as `ref_canonical_key` does. It is
-    valid by construction, so once built and vouched for it passes
+    valid by construction, so once built, with its verdict, it passes
     `ref_validate_program`, and it has no dead node."""
     rng = np.random.default_rng(seed)
     base = EDIT_BASES[kind](prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 7)))), rng)
@@ -1000,7 +1002,7 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
     for edit in every_entry(proposer, prune_dead(base)):
         # a record sizes and keys its candidate before it is built
         size, key = edit.operator_count(), edit.key()
-        candidate = edit.vouch(edit.build())
+        candidate = edit.build()
         plain = _without_verdict(candidate)
         assert prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
@@ -1125,23 +1127,24 @@ def test_dedup_is_exact_whatever_the_weights(registry, monkeypatch):
 def test_edit_local_check_needs_a_registry_without_nullary_operators(registry):
     """With an operator of arity 0, a valid program's output must reach a
     leaf, and an edit can break that: the rewire of add(z, x0) to add(z, z),
-    z nullary, keeps every other rule. A record of it would vouch for an
-    invalid program. So the proposer refuses such a registry."""
+    z nullary, keeps every other rule. A record of it would build an
+    invalid program with a valid verdict. So the proposer refuses such a
+    registry."""
     nullary = OperatorRegistry(list(registry) + [OperatorKind("pi", 0)])
     base = WorkflowProgram((Node("x0", INPUT_OP), Node("z", "pi"), Node("n0", "add")),
                            (Edge("z", "n0", 0), Edge("x0", "n0", 1)), ("x0",), "n0")
     assert validate_program(base, nullary).ok
     rewired = WorkflowProgram(base.nodes, (Edge("z", "n0", 0), Edge("z", "n0", 1)), base.roots, "n0")
     assert ref_validate_program(rewired, nullary).violations == ("output 'n0' is not reachable from any leaf",)
-    vouched = _without_verdict(rewired)
-    ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}).vouch(vouched)
-    assert validate_program(vouched, nullary).ok  # what a record would have made of it
+    built = ProgramEdit(EditBase(base, nullary), "n0", {"n0": ("z", "z")}).build()
+    assert built == rewired and repr(built) == repr(rewired)
+    assert validate_program(built, nullary).ok  # what a record would have made of it
     with pytest.raises(ValueError, match="nullary operators"):
         SyntheticProposer(nullary, ProposerConfig(ops=("add", "neg")))
 
 
 def test_edit_local_check_falls_back_to_the_full_one(registry):
-    """A record vouches for its candidate only against the registry object
+    """A record's verdict holds for its candidate only against the registry object
     the base passed against: against any other, the candidate gets the full
     check, so a registry without one of its operators reports it."""
     base = prune_dead(random_program(np.random.default_rng(3), registry, max_ops=4))
@@ -1151,7 +1154,7 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     rejected = 0
     for edit in every_entry(proposer, base):
         key = edit.key()
-        candidate = edit.vouch(edit.build())
+        candidate = edit.build()
         expected = ref_validate_program(_without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok
@@ -1207,12 +1210,11 @@ def test_record_pruned_rewires_build_the_pruned_plain_rewire(registry):
                              ("x0", "x1"), "n2")
     rng = np.random.default_rng(36)
     bases = [pinned] + [prune_dead(random_program(rng, registry, max_ops=int(rng.integers(1, 8)))) for _ in range(80)]
-    proposer = SyntheticProposer(registry, ProposerConfig(ops=("add", "sub", "mul", "neg")))
     pruned = kept_source = 0
     for base in bases:
         assert validate_program(base, registry).ok
         record = EditBase(base, registry)
-        for (_, edit), plain in zip(proposer._rewires(record), ref_rewires(base), strict=True):
+        for (_, edit), plain in zip(record.rewires(), ref_rewires(base), strict=True):
             built = edit.build()
             expected = prune_dead(plain)
             assert built == expected and repr(built) == repr(expected)

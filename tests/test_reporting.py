@@ -74,3 +74,26 @@ def test_ndjson_bytes_match_json_dumps(tmp_path):
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
     log.save(tmp_path / "log.ndjson")
     assert (tmp_path / "log.ndjson").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"event": "simulated", "round": 0, "reward": NaN}', "'reward' is not a finite number"),
+    ('{"event": "simulated", "round": 0, "reward": 1e400}', "'reward' is not a finite number"),
+    ('{"event": "simulated", "round": 0, "reward": -Infinity}', "'reward' is not a finite number"),
+    ('{"event": "simulated", "round": 0, "reward": 1' + "0" * 400 + "}", "'reward' is not a finite number"),
+    ('{"event": "meta", "prices": {"optimizer": [NaN, 0], "executor": [0, 0]}}',
+     "'prices' is not a pair of numbers for role 'optimizer'"),
+    ('{"event": "meta", "prices": {"optimizer": [0, 0], "executor": [0, 1' + "0" * 400 + "]}}",
+     "'prices' is not a pair of numbers for role 'executor'"),
+], ids=["nan-reward", "overflowing-float-reward", "minus-infinity-reward", "huge-integer-reward", "nan-price",
+        "huge-integer-price"])
+def test_report_refuses_a_number_no_float_holds(tmp_path, line, message):
+    """A reward or price that is NaN, infinite or an integer too large for a
+    float is refused by name, as a mistyped one is: it would otherwise print
+    as `nan` or `inf`, or end the report in an `OverflowError`."""
+    path = tmp_path / "log.ndjson"
+    path.write_text(line + "\n")
+    event = line.split('"event": "', 1)[1].split('"', 1)[0]
+    with pytest.raises(ValueError) as raised:
+        report([path])
+    assert str(raised.value).startswith(f"{event} record {{") and message in str(raised.value)

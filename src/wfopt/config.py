@@ -9,7 +9,6 @@ the value it has in `RunConfig()`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
@@ -22,6 +21,7 @@ from .constraints import (
     ThresholdSchedule,
 )
 from .harness import PriceMap
+from .model import finite_number
 from .motifs import MotifConfig
 from .roles import ProposerConfig
 from .search import SearchBudget, StageSwitches
@@ -68,12 +68,13 @@ class ExecutorConfig:
         if self.address is not None:
             try:
                 url = urlsplit(self.address)
-                ok = url.scheme in ("http", "https") and bool(url.hostname) and url.port is not None
+                url.port  # raises for a port that is no number
+                ok = url.scheme in ("http", "https") and bool(url.hostname)
             except ValueError:  # a port that is no number, or a malformed host
                 ok = False
             if not ok:
                 raise ConfigError(
-                    "executor.address must be an http or https URL with a host and a port, "
+                    "executor.address must be an http or https URL with a host and an optional numeric port, "
                     f"such as http://127.0.0.1:8080/, got {self.address!r}"
                 )
 
@@ -160,13 +161,9 @@ def _check_type(key: str, value: object, hint) -> None:
     ok = type(value) in (int, float) if hint is float else type(value) is hint
     if not ok:
         raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
-    if hint is float:
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ConfigError(f"{key} must be a finite number, got an integer too large for a float") from None
-        if not finite:
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if hint is float and not finite_number(value):
+        shown = "an integer too large for a float" if type(value) is int else repr(value)
+        raise ConfigError(f"{key} must be a finite number, got {shown}")
 
 
 def _section(name: str, default, given: object):

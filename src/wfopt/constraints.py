@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -65,6 +66,14 @@ class ConstraintVector:
         return (self.units, self.types, self.pattern, self.magnitude, self.depth, self.diversity)
 
 
+# Priority scale for unvisited children; large enough to dominate any shaped
+# UCT score while still ordering unvisited siblings by compliance.
+UNVISITED_PRIORITY = 1e12
+# The largest lambda * C_total for which UNVISITED_PRIORITY * exp(lambda *
+# C_total) stays finite, so that the compliance factor still orders them.
+_MAX_SHAPING = math.floor(math.log(sys.float_info.max / UNVISITED_PRIORITY))  # 682
+
+
 @dataclass(frozen=True)
 class AggregationConfig:
     epsilon: float = 0.01
@@ -76,10 +85,9 @@ class AggregationConfig:
             raise ValueError("aggregation.epsilon must be > 0")
         if self.lambda_shaping < 0:
             raise ValueError("aggregation.lambda_shaping must be >= 0")
-        # selection multiplies by exp(lambda * C_total), C_total in [epsilon,
-        # 1 + epsilon]; math.exp overflows above about 709.78
-        if self.lambda_shaping * (1 + self.epsilon) > 700:
-            raise ValueError("aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700")
+        # selection multiplies by exp(lambda * C_total), C_total in [epsilon, 1 + epsilon]
+        if self.lambda_shaping * (1 + self.epsilon) > _MAX_SHAPING:
+            raise ValueError(f"aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= {_MAX_SHAPING}")
 
 
 @dataclass(frozen=True)

@@ -976,17 +976,24 @@ def _string(value, what: str) -> str:
     raise ValueError(f"{what} must be a string, got {value!r}")
 
 
+def finite_number(value) -> bool:
+    """Whether the int or float `value` is a number a float holds: not NaN,
+    not infinite, and no integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(value, what: str) -> float:
     """`value`, a JSON number, as a float; anything else, a bool, NaN, an
     infinity or an integer too large for a float included, raises
     `ValueError` naming `what`."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ValueError(f"{what} must be a number, got an integer too large for a float") from None
-        if math.isfinite(number):
-            return number
+        if finite_number(value):
+            return float(value)
+        if isinstance(value, int):
+            raise ValueError(f"{what} must be a number, got an integer too large for a float")
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 

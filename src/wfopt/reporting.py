@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .harness import PriceMap, cost, tokens_per_problem
+from .model import finite_number
 from .roles import MAX_TOKENS
 from .runlog import RunLog
 
@@ -44,15 +45,6 @@ def _mistyped(record: Mapping, name: str, what: str) -> ValueError:
     return ValueError(f"{record.get('event')} record {text}: {name!r} is not {what}")
 
 
-def _finite(value) -> bool:
-    """Whether the int or float `value` is a number a float holds: not NaN,
-    not infinite, and no integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
     """`record[name]`, an int, or a finite number for `kind` float (never a
     bool), or `default` when the record lacks it. A missing field with no
@@ -65,7 +57,7 @@ def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
     value = record[name]
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise _mistyped(record, name, "a number" if kind is float else "an integer")
-    if kind is float and not _finite(value):
+    if kind is float and not finite_number(value):
         raise _mistyped(record, name, "a finite number")
     return value
 
@@ -80,7 +72,7 @@ def _prices(meta: Mapping) -> PriceMap:
     pairs = {}
     for role, pair in prices.items():
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(p, (int, float)) and not isinstance(p, bool) and _finite(p) for p in pair)):
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) and finite_number(p) for p in pair)):
             raise _mistyped(meta, "prices", f"a pair of numbers for role {role!r}")
         pairs[role] = tuple(pair)
     return PriceMap(pairs)

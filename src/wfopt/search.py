@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constraints import (
+    UNVISITED_PRIORITY,
     AggregationConfig,
     ConstraintScorer,
     ConstraintVector,
@@ -31,10 +32,6 @@ from .motifs import refine
 from .roles import EvaluationError, SyntheticEvaluator, TokenRecord
 from .runlog import RunLog
 from .weights import AdaptationConfig, ObservationBuffer, WeightVector, correlations, update_weights
-
-# Priority scale for unvisited children; large enough to dominate any shaped
-# UCT score while still ordering unvisited siblings by compliance.
-_UNVISITED_PRIORITY = 1e12
 
 
 @dataclass
@@ -108,7 +105,7 @@ def selection_score(node: SearchNode, parent_visits: int, cfg: AggregationConfig
         raise ValueError("parent_visits must be >= 1")
     lam = cfg.lambda_shaping if shaped else 0.0
     if node.visit_count == 0:
-        return _UNVISITED_PRIORITY * math.exp(lam * node.compliance)
+        return UNVISITED_PRIORITY * math.exp(lam * node.compliance)
     u = math.sqrt(math.log(parent_visits) / node.visit_count)
     return (node.q_value + cfg.uct_c * u) * math.exp(lam * node.compliance)
 

@@ -9,6 +9,7 @@ the decay term restores alpha.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -130,6 +131,7 @@ def update_weights(
     boosted = {fam: current[fam] * math.exp(cfg.eta * corr[fam]) for fam in FAMILIES}
     total = sum(boosted.values())
     uniform = 1.0 / 6.0
+    # with alpha near 0 a weight can underflow; the smallest normal float keeps it positive
     return WeightVector.from_iterable(
-        (1.0 - cfg.alpha) * boosted[fam] / total + cfg.alpha * uniform for fam in FAMILIES
+        max((1.0 - cfg.alpha) * boosted[fam] / total + cfg.alpha * uniform, sys.float_info.min) for fam in FAMILIES
     )

@@ -117,6 +117,12 @@ def prune_dead(program: WorkflowProgram) -> WorkflowProgram:
     return WorkflowProgram(nodes=nodes, edges=edges, roots=program.roots, output=program.output)
 
 
+def without_verdict(program):
+    """An equal program that carries no validation verdict, so that a check
+    of it runs in full."""
+    return WorkflowProgram(program.nodes, program.edges, program.roots, program.output)
+
+
 def every_pair(proposer, program):
     """Every (fingerprint, edit record) pair the edit generators of a clean,
     valid `program`'s `EditBase` yield with `proposer`'s operators and

@@ -125,7 +125,7 @@ class TestConfigParsing:
             ("magnitude", {"gamma": 309}, "magnitude.gamma must be in [0, 308]"),
             ("magnitude", {"gamma": -400}, "magnitude.gamma must be in [0, 308]"),
             ("magnitude", {"gamma": -1}, "magnitude.gamma must be in [0, 308]"),
-            ("aggregation", {"epsilon": 2000}, "aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700"),
+            ("aggregation", {"epsilon": 2000}, "aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 682"),
             ("aggregation", {"lambda_shaping": 1e300}, "aggregation.lambda_shaping * (1 + aggregation.epsilon)"),
             ("adaptation", {"eta": 1e308}, "adaptation.eta must be in [0, 700]"),
             ("adaptation", {"eta": 700.5}, "adaptation.eta must be in [0, 700]"),
@@ -138,7 +138,6 @@ class TestConfigParsing:
             ("executor", {"address": "notaurl"}, "executor.address"),
             ("executor", {"mode": "external", "address": "localhost:8080"}, "executor.address"),
             ("executor", {"address": "ftp://host:21/"}, "executor.address"),
-            ("executor", {"address": "http://host/"}, "executor.address"),
             ("executor", {"address": "http://:8080/"}, "executor.address"),
             ("executor", {"address": "http://host:70000/"}, "executor.address"),
             ("executor", {"address": "http://[::1/"}, "executor.address"),
@@ -253,8 +252,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"executor": {"mode": "external"}})
 
-    @pytest.mark.parametrize("address", ["http://127.0.0.1:8080/", "https://example.org:443/path", "http://[::1]:1"])
-    def test_http_address_with_host_and_port_accepted(self, address):
+    @pytest.mark.parametrize(
+        "address", ["http://127.0.0.1:8080/", "https://example.org:443/path", "http://[::1]:1", "http://host/",
+                    "https://example.org/path"])
+    def test_http_address_with_host_accepted(self, address):
         assert config_from_dict({"executor": {"mode": "external", "address": address}}).executor.address == address
 
     @pytest.mark.parametrize(
@@ -389,11 +390,11 @@ class TestCli:
             ({"magnitude": {"gamma": 309}}, "error: magnitude.gamma must be in [0, 308]"),
             ({"magnitude": {"gamma": -400}}, "error: magnitude.gamma must be in [0, 308]"),
             ({"aggregation": {"epsilon": 2000}},
-             "error: aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 700"),
+             "error: aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= 682"),
             ({"adaptation": {"eta": 1e308}}, "error: adaptation.eta must be in [0, 700]"),
             ({"prices": {"optimizer": [1e-6, 2e-6]}}, "error: prices.executor is missing"),
             ({"executor": {"mode": "external", "address": "http://host:notaport/"}},
-             "error: executor.address must be an http or https URL with a host and a port"),
+             "error: executor.address must be an http or https URL with a host and an optional numeric port"),
             ({"executor": {"mode": "external", "address": "notaurl"}}, "error: executor.address"),
         ],
         ids=["gamma-309", "gamma-minus-400", "epsilon-2000", "eta-1e308", "prices-without-executor",

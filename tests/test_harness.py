@@ -160,7 +160,7 @@ class TestEditRecords:
     """The proposer checks its base once, on entry, and prunes a dirty one
     once. Each candidate is fingerprinted from its edit record, and keyed
     from it only if its fingerprint meets another's; it gets no check, and
-    is built, and vouched valid by its record, only if it is kept."""
+    is built, carrying its record as its verdict, only if it is kept."""
 
     @staticmethod
     def count_calls(monkeypatch, calls):
@@ -215,7 +215,7 @@ class TestEditRecords:
         head = [("validate", base)] + [("build", clean), ("validate", clean)] * dead_node + [("key", clean)]
         assert calls[:len(head)] == head
         # the records whose fingerprints meet are keyed, in order, with no
-        # check; then each distinct candidate is built, and vouched for
+        # check; then each distinct candidate is built, carrying its record
         after = calls[len(head):]
         keyed = [edit for kind, edit in after[:len(met)]]
         assert all(kind == "record key" for kind, _ in after[:len(met)])

@@ -39,7 +39,7 @@ from wfopt.model import (
 from wfopt.motifs import MotifConfig, init_templates
 from wfopt.weights import FAMILIES, AdaptationConfig, ObservationBuffer, WeightVector, update_weights
 
-from conftest import binary, every_entry, prune_dead, random_program
+from conftest import binary, every_entry, prune_dead, random_program, without_verdict
 
 REGISTRY = default_registry()
 
@@ -147,12 +147,13 @@ def test_random_programs_interpret_or_fail_cleanly(seed):
 def test_every_generated_edit_is_valid_after_pruning(seed):
     """Each edit generator builds only valid programs from a valid base, pruned
     of its dead nodes as the proposer prunes it, before the proposer's size
-    limit and deduplication apply."""
+    limit and deduplication apply. A build carries its record's verdict, so
+    an equal copy without it is checked in full."""
     rng = np.random.default_rng(seed)
     program = prune_dead(random_program(rng, REGISTRY))
     proposer = SyntheticProposer(REGISTRY, ProposerConfig(const_palette=(0.0, 1.5)))
     for edit in every_entry(proposer, program):
-        report = validate_program(edit.build(), REGISTRY)
+        report = validate_program(without_verdict(edit.build()), REGISTRY)
         assert report.ok, report.violations
 
 
@@ -276,11 +277,13 @@ NUMERIC_SETTINGS = [
 @example(changes=[(("magnitude", "gamma"), -324)])
 @example(changes=[(("aggregation", "epsilon"), 2000)])
 @example(changes=[(("adaptation", "eta"), 1e300), (("adaptation", "warmup_rounds"), 0)])
+@example(changes=[(("adaptation", "eta"), 309), (("adaptation", "alpha"), 0), (("adaptation", "warmup_rounds"), 0)])
 def test_a_run_config_of_extreme_numbers_exits_0_or_2(changes):
     """`wfopt run` of a tiny run's config with up to three numeric settings
     set to extremes (0, ±1, ±1e-300, ±1e300, 308, 309, -324, 2000 and
-    2**53 + 1) runs, or refuses the config with exit code 2: no setting the
-    config accepts ends the search in a traceback."""
+    2**53 + 1) runs, or refuses the config with exit code 2 before it
+    creates the output directory: no setting the config accepts ends the
+    search in a traceback or an error."""
     document = copy.deepcopy(TINY_RUN)
     document["proposer"]["const_palette"] = [1.0]
     for path, value in changes:
@@ -293,7 +296,8 @@ def test_a_run_config_of_extreme_numbers_exits_0_or_2(changes):
         config.write_text(json.dumps(document))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2)
+        assert code in (0, 2)
+        assert (Path(tmp) / "out").exists() == (code == 0)
 
 
 # Inputs of the scorer's memos: a small pool of each, so that a sequence of

@@ -77,7 +77,7 @@ from wfopt.model import (
     validate_program,
 )
 
-from conftest import every_entry, every_pair, fingerprint, prune_dead, random_program
+from conftest import every_entry, every_pair, fingerprint, prune_dead, random_program, without_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -968,11 +968,6 @@ EDIT_BASES = {
 }
 
 
-def _without_verdict(program):
-    """An equal program that carries no validation verdict."""
-    return WorkflowProgram(program.nodes, program.edges, program.roots, program.output)
-
-
 @settings(derandomize=True, deadline=None, max_examples=140)
 @given(kind=st.sampled_from(sorted(EDIT_BASES)), seed=st.integers(0, 2**32 - 1))
 # an edge from a root into an unused root: refused, as every invalid base is
@@ -1003,7 +998,7 @@ def test_edit_local_checks_match_the_full_ones(registry, kind, seed):
         # a record sizes and keys its candidate before it is built
         size, key = edit.operator_count(), edit.key()
         candidate = edit.build()
-        plain = _without_verdict(candidate)
+        plain = without_verdict(candidate)
         assert prune_dead(plain) is plain  # no dead node
         expected = ref_validate_program(plain, registry)
         assert expected.ok, expected.violations
@@ -1155,10 +1150,10 @@ def test_edit_local_check_falls_back_to_the_full_one(registry):
     for edit in every_entry(proposer, base):
         key = edit.key()
         candidate = edit.build()
-        expected = ref_validate_program(_without_verdict(candidate), narrow)
+        expected = ref_validate_program(without_verdict(candidate), narrow)
         assert validate_program(candidate, narrow) == expected
         rejected += not expected.ok
-        assert key == canonical_key(_without_verdict(candidate))
+        assert key == canonical_key(without_verdict(candidate))
     assert rejected > 0
 
 
@@ -1251,12 +1246,12 @@ STATE_BASES = ("valid", "at-the-size-cap", "dirty")
 @given(kind=st.sampled_from(STATE_BASES), tagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
     """Every record candidate's `ProgramEdit.state`, derived from the base's
-    analysis and the nodes the edit touched, equals the full analysis of an
-    unvouched copy of the built candidate (`derive_state`, and the reference
-    analysis), the histogram's order included. So does `derive_state` of
-    each candidate `propose` returns, from the record it carries. Tagged
-    bases carry unit and shape
-    tags and literals; the palette holds 0.0, -0.0 and a repeated value."""
+    analysis and the nodes the edit touched, equals the full analysis of a
+    copy of the built candidate without its verdict (`derive_state`, and the
+    reference analysis), the histogram's order included. So does
+    `derive_state` of each candidate `propose` returns, from the record it
+    carries. Tagged bases carry unit and shape tags and literals; the
+    palette holds 0.0, -0.0 and a repeated value."""
     rng = np.random.default_rng(seed)
     program = random_program(rng, registry, max_ops=int(rng.integers(1, 7)))
     if tagged:
@@ -1271,14 +1266,14 @@ def test_edit_states_match_the_full_analysis(registry, kind, tagged, seed):
     entries = every_entry(proposer, clean)
     for edit in entries:
         candidate = edit.build()
-        expected = derive_state(_without_verdict(candidate), registry)
+        expected = derive_state(without_verdict(candidate), registry)
         _same_state(edit.state(candidate), expected)
         _same_state(expected, ref_state(candidate, registry))
     drawn, _ = proposer.propose(base, len(entries) + 1, np.random.default_rng(seed))
     for candidate in drawn:
         verdict = getattr(candidate, _VERDICT)
         assert verdict[0] is registry and isinstance(verdict[1], ProgramEdit)
-        _same_state(derive_state(candidate, registry), derive_state(_without_verdict(candidate), registry))
+        _same_state(derive_state(candidate, registry), derive_state(without_verdict(candidate), registry))
 
 
 @settings(derandomize=True, deadline=None, max_examples=140)

@@ -74,6 +74,15 @@ class TestSelectionScore:
         cfg = AggregationConfig()
         assert selection_score(fresh, 5, cfg) > selection_score(seasoned, 5, cfg)
 
+    def test_unvisited_ordered_by_compliance_at_the_largest_shaping(self):
+        # the config's largest lambda * (1 + epsilon) keeps an unvisited score finite
+        epsilon = 0.01
+        cfg = AggregationConfig(epsilon=epsilon, lambda_shaping=682 / (1 + epsilon))
+        scores = [selection_score(leaf_node(compliance=c), 5, cfg) for c in (0.9 + epsilon, 1.0 + epsilon)]
+        assert all(math.isfinite(s) for s in scores) and scores[0] < scores[1]
+        with pytest.raises(ValueError, match="must be <= 682"):
+            AggregationConfig(epsilon=epsilon, lambda_shaping=690 / (1 + epsilon))
+
     def test_unshaped_ignores_compliance(self):
         low = leaf_node(compliance=0.1, visits=5, value=2.0)
         high = leaf_node(compliance=0.9, visits=5, value=2.0)

@@ -128,6 +128,18 @@ class TestUpdateWeights:
             assert all(v >= cfg.alpha / 6 - 1e-15 for v in w.as_tuple())
             assert all(v < 1.0 for v in w.as_tuple())
 
+    def test_weights_stay_positive_without_decay(self):
+        # alpha 0 and the largest eta: the constant families' weights fall by
+        # e^-700 per step, below the smallest float by the second
+        cfg = AdaptationConfig(eta=700, alpha=0.0, warmup_rounds=0)
+        rewards = [0.0, 0.5, 1.0]
+        buffer = filled_buffer([(r, 0.5, 0.5, 0.5, 0.5, 0.5) for r in rewards], rewards)
+        w = WeightVector.uniform()
+        for step in range(4):
+            w = update_weights(w, buffer, cfg, round_index=step)
+            assert all(v > 0 for v in w.as_tuple())
+        assert w.units == pytest.approx(1.0)
+
     def test_monotone_in_correlation(self):
         # raising the units column's alignment with rewards never lowers w_units
         cfg = AdaptationConfig()

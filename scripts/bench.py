@@ -39,6 +39,11 @@ same way every time, so two checkouts can be compared call by call:
                          reply: ending its input and reaping it
   select+backprop        one select and one backpropagate on a fixed tree
                          (341 nodes; it holds no program, so it is timed once)
+  runlog append          RunLog.append of each record of a fixed round shaped
+                         like a `wide_scoring` round (8 selections, each
+                         proposing 64 candidates, 62 kept and simulated), to
+                         a log on os.devnull: encoding and buffered writes
+                         but no disk; per record
 
 A sample times enough calls to last about 20 ms; each figure is the median
 and the best of `--repeat` samples, in microseconds per call. The two peer
@@ -55,6 +60,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -81,6 +87,7 @@ from wfopt.model import (
     validate_program,
 )
 from wfopt.motifs import init_templates
+from wfopt.runlog import RunLog
 from wfopt.search import SearchNode, backpropagate, select
 from wfopt.weights import WeightVector
 
@@ -135,6 +142,34 @@ def fixed_tree(branching: int = 4, depth: int = 4) -> SearchNode:
         return node
 
     return make(None, 0)
+
+
+def fixed_round() -> list[dict]:
+    """The records of one search round shaped like a `wide_scoring` round:
+    8 selections, each proposing 64 candidates of which 62 are kept and
+    simulated, then the weight update; values vary by a fixed rule."""
+    families = ("depth", "diversity", "magnitude", "pattern", "types", "units")
+    records = []
+    for step in range(8):
+        parent = f"n{step}"
+        records.append({"event": "selected", "round": 3, "node_id": parent, "C_total": 0.78 + step / 1000})
+        records.append({"event": "proposed", "round": 3, "role": "optimizer", "request_id": f"opt-{step:05d}",
+                        "tokens_in": 130, "tokens_out": 1604, "node_id": parent, "count": 64})
+        for i in range(64):
+            vector = {f: ((step * 64 + i) * (k + 3) % 97) / 97 for k, f in enumerate(families)}
+            common = {"round": 3, "parent": parent, "C_vector": vector, "C_total": sum(vector.values()) / 6,
+                      "tau": 0.5}
+            if i % 32 == 31:
+                records.append({"event": "pruned", "node_id": None, "families": ["diversity"], **common})
+                continue
+            child = f"n{100 + step * 64 + i}"
+            records.append({"event": "expanded", "node_id": child, "fallback": False, **common})
+            records.append({"event": "simulated", "round": 3, "role": "executor", "request_id": f"exe-{i:05d}",
+                            "tokens_in": 70, "tokens_out": 20, "node_id": child, "C_vector": vector,
+                            "C_total": common["C_total"], "reward": i / 64, "trace_peak": 9.0, "credit": 0.0})
+    records.append({"event": "weights_updated", "round": 3, "weights": dict.fromkeys(families, 1 / 6),
+                    "correlations": dict.fromkeys(families, 0.0), "updated": False})
+    return records
 
 
 class FixedReply:
@@ -268,6 +303,19 @@ def run(repeat: int) -> dict:
             backpropagate(select(root, cfg), 0.5)
         samples.append((time.perf_counter() - start) / TREE_CALLS * 1e6)
     results["select+backprop"] = {"tree": dict(summary(samples), calls_per_sample=TREE_CALLS)}
+
+    records = fixed_round()
+    log = RunLog(path=os.devnull)
+
+    def append_round() -> None:
+        for record in records:
+            log.append(**record)
+
+    median, best = measure(append_round, repeat)
+    log.close()
+    results["runlog append"] = {"record": {"median_us": round(median / len(records), 3),
+                                           "best_us": round(best / len(records), 3),
+                                           "records_per_round": len(records)}}
     return results
 
 

@@ -72,6 +72,9 @@ UNVISITED_PRIORITY = 1e12
 # The largest lambda * C_total for which UNVISITED_PRIORITY * exp(lambda *
 # C_total) stays finite, so that the compliance factor still orders them.
 _MAX_SHAPING = math.floor(math.log(sys.float_info.max / UNVISITED_PRIORITY))  # 682
+# The largest exploration factor sqrt(ln N / n) of a visited child, N and n
+# being visit counts of at most 2**63.
+_MAX_EXPLORATION = math.sqrt(math.log(2**63))
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,13 @@ class AggregationConfig:
         # selection multiplies by exp(lambda * C_total), C_total in [epsilon, 1 + epsilon]
         if self.lambda_shaping * (1 + self.epsilon) > _MAX_SHAPING:
             raise ValueError(f"aggregation.lambda_shaping * (1 + aggregation.epsilon) must be <= {_MAX_SHAPING}")
+        if not (math.isfinite(self.uct_c) and self.uct_c >= 0):
+            raise ValueError("aggregation.uct_c must be a finite number >= 0")
+        # a visited child scores (Q + uct_c * u) * exp(lambda * C_total), Q <= C_total <= 1 + epsilon
+        top = 1 + self.epsilon + self.uct_c * _MAX_EXPLORATION
+        if math.isinf(top * math.exp(self.lambda_shaping * (1 + self.epsilon))):
+            raise ValueError("aggregation.uct_c is so large that a selection score overflows "
+                             "with this lambda_shaping and epsilon")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Turns a RunConfig into a finished run with artifacts on disk.
 
-Artifacts written to the output directory:
-  runlog.ndjson        the full event stream (meta record first)
+Artifacts written to the output directory, which is created once the suite
+is built and the category checked:
+  runlog.ndjson        the full event stream (meta record first), written as
+                       the search goes and flushed every round, so a run that
+                       fails mid-search keeps it; its summary stats are folded
+                       from the same records as they are appended
   best_workflow.json   the winning program in the workflow JSON format
   motifs.json          the final motif library snapshot
   summary.json         headline metrics for the run
@@ -26,7 +30,7 @@ from .model import (
     validate_program,
 )
 from .motifs import init_templates, save_library
-from .reporting import analyze
+from .reporting import StatsFold
 from .roles import SyntheticEvaluator
 from .runlog import RunLog
 from .search import Optimizer
@@ -86,26 +90,29 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
     )
     proposer = SyntheticProposer(registry, config.proposer)
 
-    log = RunLog()
-    log.append(
-        "meta",
-        round=None,
-        seed=config.seed,
-        n_problems=len(suite.validation) + len(suite.test),
-        n_validation=len(suite.validation),
-        n_test=len(suite.test),
-        category=category,
-        prices={role: list(p) for role, p in config.prices.prices.items()},
-        config=config.to_dict(),
-    )
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    fold = StatsFold()
+    log = RunLog(path=None if out is None else out / "runlog.ndjson", fold=fold.add)
     transport = None
-    if config.executor.mode == "external":
-        if config.executor.command:
-            transport = StdioTransport(config.executor.command)
-        else:
-            transport = HttpTransport(config.executor.address)  # type: ignore[arg-type]
     try:
-        if transport is not None:
+        log.append(
+            "meta",
+            round=None,
+            seed=config.seed,
+            n_problems=len(suite.validation) + len(suite.test),
+            n_validation=len(suite.validation),
+            n_test=len(suite.test),
+            category=category,
+            prices={role: list(p) for role, p in config.prices.prices.items()},
+            config=config.to_dict(),
+        )
+        if config.executor.mode == "external":
+            if config.executor.command:
+                transport = StdioTransport(config.executor.command)
+            else:
+                transport = HttpTransport(config.executor.address)  # type: ignore[arg-type]
             evaluator = ExternalEvaluator(transport, suite.validation)
         else:
             evaluator = SyntheticEvaluator(suite.validation, registry)
@@ -121,8 +128,9 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
             adaptive_weights=config.ablation.adaptive_weights,
             log=log,
         )
-        best, log = optimizer.run()
+        best, _ = optimizer.run()
     finally:
+        log.close()
         # the remote role is needed only by the search; stop a stdio peer here
         if transport is not None:
             transport.close()
@@ -132,7 +140,7 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
         test_eval = SyntheticEvaluator(suite.test, registry)
         test_reward, _, _ = test_eval.evaluate(best)
 
-    stats = analyze(log)
+    stats = fold.stats()
     summary = {
         "seed": config.seed,
         "category": category,
@@ -151,10 +159,7 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
         "adaptive_weights": config.ablation.adaptive_weights,
     }
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        log.save(out / "runlog.ndjson")
+    if out is not None:
         export_workflow(best, out / "best_workflow.json", registry)
         if optimizer.scorer.library is not None:
             # snapshots are test-phase artifacts: refinement stops here

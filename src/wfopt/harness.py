@@ -61,6 +61,11 @@ class PriceMap:
             raise KeyError(f"no price configured for role {role!r}")
         return self.prices[role]
 
+    def charge(self, role: str, tokens_in: int, tokens_out: int) -> float:
+        """The price of one request's tokens to `role`."""
+        pin, pout = self.for_role(role)
+        return tokens_in * pin + tokens_out * pout
+
 
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:
     """The candidates of `records`, one base's, sharing one build memo."""
@@ -392,6 +397,5 @@ def cost(log: RunLog, prices: PriceMap, n_problems: int) -> float:
         raise ValueError("n_problems must be >= 1")
     total = 0.0
     for role, tin, tout in iter_token_usage(log):
-        pin, pout = prices.for_role(role)
-        total += tin * pin + tout * pout
+        total += prices.charge(role, tin, tout)
     return total / n_problems

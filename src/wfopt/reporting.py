@@ -6,9 +6,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .harness import PriceMap, cost, tokens_per_problem
+from .harness import PriceMap
 from .model import finite_number
 from .roles import MAX_TOKENS
 from .runlog import RunLog
@@ -39,10 +39,13 @@ def _population_std(values: Sequence[float]) -> float:
 _REQUIRED = object()
 
 
-def _mistyped(record: Mapping, name: str, what: str) -> ValueError:
+def _excerpt(record: Mapping) -> str:
     text = json.dumps(record, sort_keys=True)
-    text = text if len(text) <= 120 else text[:117] + "..."
-    return ValueError(f"{record.get('event')} record {text}: {name!r} is not {what}")
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
+def _mistyped(record: Mapping, name: str, what: str) -> ValueError:
+    return ValueError(f"{record.get('event')} record {_excerpt(record)}: {name!r} is not {what}")
 
 
 def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
@@ -55,6 +58,8 @@ def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
             raise ValueError(f"{record.get('event')} record without {name!r}")
         return default
     value = record[name]
+    if type(value) is kind and (kind is int or math.isfinite(value)):  # the common case, at once
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise _mistyped(record, name, "a number" if kind is float else "an integer")
     if kind is float and not finite_number(value):
@@ -78,57 +83,82 @@ def _prices(meta: Mapping) -> PriceMap:
     return PriceMap(pairs)
 
 
-def _check_usage(log: RunLog, prices: PriceMap) -> None:
-    """Each record's token counts are integers from 0 to 2**53 or null, and
-    the role they are charged to has a price."""
-    for record in log:
-        if record.get("tokens_in") is None and record.get("tokens_out") is None:
-            continue
+class StatsFold:
+    """`analyze` as a fold: `add` each record of a log in order, then read
+    `stats`. It keeps counts, token sums and per-round bests, never a record.
+
+    The meta record, when the log has one, comes first: it gives the problem
+    count and the per-role prices each later record's tokens are charged at
+    (zero prices and one problem without it)."""
+
+    def __init__(self) -> None:
+        self.seen = 0  # records folded in
+        self.n_problems = 1
+        self.prices = PriceMap.zero()
+        self.proposed = self.pruned = self.tokens = 0
+        self.spent = 0.0
+        self.per_round: dict[int, float] = {}  # round -> the best reward simulated in it
+
+    def add(self, record: Mapping) -> None:
+        """Fold in one record; a field of the wrong type, in a record this
+        reads, raises `ValueError` naming the record and the field."""
+        self.seen += 1
+        event = record["event"]
+        if event == "meta":
+            if self.seen > 1:
+                raise ValueError(f"meta record {_excerpt(record)}: not the first record of the log")
+            self.n_problems = _field(record, "n_problems", int, 1)
+            if not 1 <= self.n_problems <= MAX_TOKENS:  # a count the sums divide by, as a float
+                raise _mistyped(record, "n_problems", "a count from 1 to 2**53")
+            self.prices = _prices(record)
+        if record.get("tokens_in") is not None or record.get("tokens_out") is not None:
+            self._charge(record)
+        if event == "proposed":
+            self.proposed += _field(record, "count", int, 0)
+        elif event == "pruned":
+            self.pruned += 1
+        elif event == "simulated":
+            rnd, reward = _field(record, "round", int), _field(record, "reward", float)
+            if not 0.0 <= reward <= 1.0:
+                raise _mistyped(record, "reward", "a number in [0, 1]")
+            self.per_round[rnd] = max(self.per_round.get(rnd, 0.0), reward)
+
+    def _charge(self, record: Mapping) -> None:
+        """Add a record's token counts, integers from 0 to 2**53 or null, at
+        the price of the role they are charged to."""
         for name in ("tokens_in", "tokens_out"):
             if record.get(name) is not None and not 0 <= _field(record, name, int) <= MAX_TOKENS:
                 raise _mistyped(record, name, "a count from 0 to 2**53")
         role = record.get("role", "executor")
-        if not isinstance(role, str) or role not in prices.prices:
+        if not isinstance(role, str) or role not in self.prices.prices:
             raise _mistyped(record, "role", "a priced role")
+        tin, tout = record.get("tokens_in") or 0, record.get("tokens_out") or 0
+        self.tokens += tin + tout
+        self.spent += self.prices.charge(role, tin, tout)
+
+    def stats(self, path: str = "<log>") -> RunStats:
+        scores = [self.per_round[r] for r in sorted(self.per_round)]
+        return RunStats(
+            path=path,
+            rounds=len(scores),
+            round_scores=tuple(scores),
+            mean_score=sum(scores) / len(scores) if scores else 0.0,
+            std_score=_population_std(scores),
+            proposed=self.proposed,
+            pruned=self.pruned,
+            pruning_rate=self.pruned / self.proposed if self.proposed else 0.0,
+            tokens_per_problem=self.tokens / self.n_problems,
+            cost_per_problem=self.spent / self.n_problems,
+            best_reward=max(scores, default=0.0),
+        )
 
 
-def round_scores(log: RunLog) -> list[float]:
-    """Per-round validation score: the best reward simulated within the round.
-    A `simulated` record without an integer `round` or a numeric `reward`
-    raises `ValueError`."""
-    per_round: dict[int, float] = {}
-    for record in log.by_event("simulated"):
-        rnd, reward = _field(record, "round", int), _field(record, "reward", float)
-        per_round[rnd] = max(per_round.get(rnd, 0.0), reward)
-    return [per_round[r] for r in sorted(per_round)]
-
-
-def analyze(log: RunLog, path: str = "<log>") -> RunStats:
-    """The stats of one run log. A field of the wrong type, in a record this
-    reads, raises `ValueError` naming the record and the field."""
-    meta_records = log.by_event("meta")
-    meta = meta_records[0] if meta_records else {}
-    n_problems = _field(meta, "n_problems", int, 1)
-    prices = _prices(meta)
-    _check_usage(log, prices)
-
-    proposed = sum(_field(r, "count", int, 0) for r in log.by_event("proposed"))
-    pruned = len(log.by_event("pruned"))
-    scores = round_scores(log)
-    rewards = [r["reward"] for r in log.by_event("simulated")]  # each checked by round_scores
-    return RunStats(
-        path=path,
-        rounds=len(scores),
-        round_scores=tuple(scores),
-        mean_score=sum(scores) / len(scores) if scores else 0.0,
-        std_score=_population_std(scores),
-        proposed=proposed,
-        pruned=pruned,
-        pruning_rate=pruned / proposed if proposed else 0.0,
-        tokens_per_problem=tokens_per_problem(log, n_problems),
-        cost_per_problem=cost(log, prices, n_problems),
-        best_reward=max(rewards, default=0.0),
-    )
+def analyze(log: Iterable[Mapping], path: str = "<log>") -> RunStats:
+    """The stats of one run log, folded in one pass over its records."""
+    fold = StatsFold()
+    for record in log:
+        fold.add(record)
+    return fold.stats(path)
 
 
 def variance_ratio(a: RunStats, b: RunStats) -> float:

@@ -320,6 +320,7 @@ class Optimizer:
                 self._iteration(round_index)
             self._update_weights(round_index)
             self._refine_motifs(round_index)
+            self.log.flush()  # a failed or killed run keeps every finished round
         return self.best_program(), self.log
 
     def _update_weights(self, round_index: int) -> None:

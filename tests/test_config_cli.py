@@ -1,6 +1,12 @@
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +23,10 @@ from wfopt.config import (
 )
 from wfopt.driver import ablation_grid, execute_run
 from wfopt.model import loads_program, validate_program
+from wfopt import runlog
 from wfopt.runlog import RunLog
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_config_dict(**overrides):
@@ -396,9 +405,13 @@ class TestCli:
             ({"executor": {"mode": "external", "address": "http://host:notaport/"}},
              "error: executor.address must be an http or https URL with a host and an optional numeric port"),
             ({"executor": {"mode": "external", "address": "notaurl"}}, "error: executor.address"),
+            ({"aggregation": {"uct_c": -1}}, "error: aggregation.uct_c must be a finite number >= 0"),
+            # 1e300 alone scores a visited child about 1e301 at the default lambda_shaping; at 20 it overflows
+            ({"aggregation": {"uct_c": 1e300, "lambda_shaping": 20}},
+             "error: aggregation.uct_c is so large that a selection score overflows"),
         ],
         ids=["gamma-309", "gamma-minus-400", "epsilon-2000", "eta-1e308", "prices-without-executor",
-             "address-port-not-a-number", "address-not-a-url"],
+             "address-port-not-a-number", "address-not-a-url", "uct-c-minus-1", "uct-c-1e300"],
     )
     def test_setting_that_would_fail_mid_run_exits_2(self, tmp_path, capsys, config, message):
         config_path = tmp_path / "config.json"
@@ -623,3 +636,79 @@ class TestRunLogFile:
         assert log.records[0]["event"] == "meta"
         assert log.records[0]["n_problems"] == 10
         assert log.records[0]["config"]["seed"] == 42
+
+    def test_a_killed_run_keeps_its_finished_rounds(self, tmp_path, monkeypatch):
+        """`wfopt run` of a search of a million rounds, killed with SIGKILL
+        once its log holds a `weights_updated` record, leaves a file whose
+        whole lines are the whole first round and more, and are the first
+        lines the same search writes in process: a prefix of its log, since
+        the search is deterministic (it is stopped there, not run to the
+        end)."""
+        document = small_config_dict(budget={"rounds": 10**6, "simulations_per_round": 4,
+                                             "max_candidates_per_expansion": 6})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        path = tmp_path / "killed" / "runlog.ndjson"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wfopt", "run", "--config", str(config_path), "--out", str(path.parent)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while b'"event": "weights_updated"' not in (path.read_bytes() if path.exists() else b""):
+                assert child.poll() is None and time.monotonic() < deadline, "no round reached the disk"
+                time.sleep(0.001)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        *kept, _ = path.read_text().split("\n")  # whole lines only: the last piece has no newline
+
+        # the run in process, stopped once it has written more lines than were kept
+        class Enough(Exception):
+            pass
+
+        append, written = RunLog.append, []
+
+        def append_until_enough(log, event, **fields):
+            append(log, event, **fields)
+            written.append(fields["round"])
+            if len(written) > len(kept):
+                raise Enough
+
+        monkeypatch.setattr(RunLog, "append", append_until_enough)
+        with pytest.raises(Enough):
+            execute_run(config_from_dict(document), tmp_path / "whole")
+        lines = (tmp_path / "whole" / "runlog.ndjson").read_text().splitlines()
+        assert kept == lines[:len(kept)]
+        assert written[len(kept)] not in (None, 0)  # the first line not kept is of a later round
+
+    def test_a_run_that_fails_mid_search_keeps_its_log(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config_dict()))
+        code = main([
+            "run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--executor", "external:http://127.0.0.1:1/",
+        ])
+        assert code == 2
+        assert "unreachable" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "runlog.ndjson").read_text().splitlines()
+        assert json.loads(lines[0])["event"] == "meta"
+
+    def test_the_run_log_holds_no_record_in_memory(self, tmp_path):
+        """What `src/wfopt/runlog.py` allocated and is still live after a run
+        is far less than one record a simulation: each record is written
+        to the file as it is appended and then dropped."""
+        config = config_from_dict(small_config_dict(budget={"rounds": 12, "simulations_per_round": 4}))
+        tracemalloc.start()
+        try:
+            result = execute_run(config, tmp_path)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        kept = snapshot.filter_traces([tracemalloc.Filter(True, runlog.__file__)])
+        live = sum(stat.size for stat in kept.statistics("filename"))
+        assert len(result.log) > 100
+        assert live < 64 * 1024

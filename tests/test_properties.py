@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfopt.cli import main
+from wfopt.config import config_from_dict
 from wfopt.constraints import (
     AggregationConfig,
     ConstraintScorer,
@@ -25,6 +27,7 @@ from wfopt.constraints import (
     score_magnitude,
     threshold,
 )
+from wfopt.driver import execute_run
 from wfopt.edits import EditBase
 from wfopt.harness import ProposerConfig, SyntheticProposer
 from wfopt.model import (
@@ -202,19 +205,11 @@ def _places(value, path=()):
 PLACES = list(_places(WORKFLOW))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.tuples(st.sampled_from(PLACES), st.sampled_from(["drop", *range(len(ODD_VALUES))])),
-                min_size=1, max_size=3))
-@example(mutations=[(("nodes", 0), ODD_VALUES.index(0))])
-@example(mutations=[(("nodes", 2, "id"), "drop")])
-@example(mutations=[(("edges", 1), ODD_VALUES.index(None))])
-def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
-    """`loads_program` of a valid workflow document with keys dropped, or
-    values changed to another type, to null, to numbers no float holds, to
-    NaN, to a long string or to deep nesting, returns a program or raises a
-    `ValueError` that names what is wrong: never another exception, and
-    never a bare one wrapped as `malformed program: ...`."""
-    document = copy.deepcopy(WORKFLOW)
+def _mutated_text(document, mutations, values):
+    """The JSON text of `document` with each (path, change) of `mutations`
+    made in turn: "drop" deletes the value at `path`, an index puts in that
+    entry of `values`. A path an earlier mutation removed is skipped."""
+    document = copy.deepcopy(document)
     for path, change in mutations:
         parent, value = None, document
         try:
@@ -228,12 +223,28 @@ def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
             if parent is not None:
                 del parent[path[-1]]
         elif parent is None:
-            document = copy.deepcopy(ODD_VALUES[change])
+            document = copy.deepcopy(values[change])
         else:
-            parent[path[-1]] = copy.deepcopy(ODD_VALUES[change])
+            parent[path[-1]] = copy.deepcopy(values[change])
     text = json.dumps(document)
     for placeholder, raw in RAW_TEXT.items():
         text = text.replace(json.dumps(placeholder), raw)
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(PLACES), st.sampled_from(["drop", *range(len(ODD_VALUES))])),
+                min_size=1, max_size=3))
+@example(mutations=[(("nodes", 0), ODD_VALUES.index(0))])
+@example(mutations=[(("nodes", 2, "id"), "drop")])
+@example(mutations=[(("edges", 1), ODD_VALUES.index(None))])
+def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
+    """`loads_program` of a valid workflow document with keys dropped, or
+    values changed to another type, to null, to numbers no float holds, to
+    NaN, to a long string or to deep nesting, returns a program or raises a
+    `ValueError` that names what is wrong: never another exception, and
+    never a bare one wrapped as `malformed program: ...`."""
+    text = _mutated_text(WORKFLOW, mutations, ODD_VALUES)
     try:
         program = loads_program(text)
     except ValueError as exc:
@@ -278,6 +289,8 @@ NUMERIC_SETTINGS = [
 @example(changes=[(("aggregation", "epsilon"), 2000)])
 @example(changes=[(("adaptation", "eta"), 1e300), (("adaptation", "warmup_rounds"), 0)])
 @example(changes=[(("adaptation", "eta"), 309), (("adaptation", "alpha"), 0), (("adaptation", "warmup_rounds"), 0)])
+@example(changes=[(("aggregation", "uct_c"), -1)])
+@example(changes=[(("aggregation", "uct_c"), 1e300), (("aggregation", "lambda_shaping"), 309)])
 def test_a_run_config_of_extreme_numbers_exits_0_or_2(changes):
     """`wfopt run` of a tiny run's config with up to three numeric settings
     set to extremes (0, ±1, ±1e-300, ±1e300, 308, 309, -324, 2000 and
@@ -298,6 +311,58 @@ def test_a_run_config_of_extreme_numbers_exits_0_or_2(changes):
             code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2)
         assert (Path(tmp) / "out").exists() == (code == 0)
+
+
+# The odd values of the workflow fuzz, and the largest float: a reward that
+# large overflowed the report's standard deviation.
+LOG_VALUES = [*ODD_VALUES, 1.7976931348623157e308]
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_run_records():
+    """The records of one `TINY_RUN` search's log."""
+    return tuple(execute_run(config_from_dict(TINY_RUN)).log)
+
+
+@st.composite
+def log_mutations(draw):
+    """A record of `tiny_run_records`, a place in it and a change there."""
+    records = tiny_run_records()
+    index = draw(st.integers(0, len(records) - 1))
+    place = draw(st.sampled_from(list(_places(records[index]))))
+    return index, place, draw(st.sampled_from(["drop", *range(len(LOG_VALUES))]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(log_mutations(), max_size=3), st.none() | st.integers(1, 10_000))
+@example(mutations=[], cut=5)
+@example(mutations=[(0, ("n_problems",), LOG_VALUES.index(10**400))], cut=None)
+@example(mutations=[(1, ("reward",), len(LOG_VALUES) - 1)], cut=None)
+def test_a_broken_run_log_is_reported_or_refused_by_name(mutations, cut):
+    """`wfopt report` of a tiny run's log with keys dropped, or values changed
+    to another type, to null, to numbers no float holds, to NaN, to a long
+    string or to deep nesting, exits 0, or 2 with an `error: ...` message:
+    never another way. With its last line cut short (after `cut` % its
+    length characters, at least one), it exits 2; without other changes the
+    message names that line."""
+    records = tiny_run_records()
+    lines = [_mutated_text(record, [(place, change) for i, place, change in mutations if i == index], LOG_VALUES)
+             for index, record in enumerate(records)]
+    if cut is not None and len(lines[-1]) > 1:
+        lines[-1] = lines[-1][:1 + cut % (len(lines[-1]) - 1)]
+    else:
+        cut = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runlog.ndjson"
+        path.write_text("\n".join(lines) + ("\n" if cut is None else ""))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["report", str(path)])
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().startswith("error: "), err.getvalue()
+    if cut is not None:
+        assert code == 2
+        assert mutations or err.getvalue().startswith(f"error: {path}:{len(lines)}: ")
 
 
 # Inputs of the scorer's memos: a small pool of each, so that a sequence of

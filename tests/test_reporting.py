@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from wfopt.reporting import analyze, report, round_scores, variance_ratio
+from wfopt.reporting import analyze, report, variance_ratio
 from wfopt.runlog import RunLog
 
 
@@ -25,7 +25,7 @@ def log_with_round_scores(scores, proposed=0, pruned=0):
 
 def test_round_scores_take_best_per_round():
     log = log_with_round_scores([0.5, 0.7, 0.9])
-    assert round_scores(log) == [0.5, 0.7, 0.9]
+    assert analyze(log).round_scores == (0.5, 0.7, 0.9)
 
 
 def test_mean_and_population_std_hand_case():

@@ -47,5 +47,6 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "peer start": ["process"],
         "peer exit": ["process"],
         "select+backprop": ["tree"],
+        "runlog append": ["record"],
     }
     assert all(row["median_us"] > 0 for rows in results.values() for row in rows.values())

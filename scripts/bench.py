@@ -44,6 +44,13 @@ same way every time, so two checkouts can be compared call by call:
                          proposing 64 candidates, 62 kept and simulated), to
                          a log on os.devnull: encoding and buffered writes
                          but no disk; per record
+  tree bytes             the `tracemalloc` bytes that dropping the finished
+                         tree frees, per tree node, after a fixed small
+                         search shaped like the `wide_scoring` workload
+                         (seed 42, 2 rounds of 8 simulations, 64 candidates
+                         per expansion, add/mul/neg, max 4 nodes); with the
+                         node count and the number of distinct state
+                         objects; a size, not a time
 
 A sample times enough calls to last about 20 ms; each figure is the median
 and the best of `--repeat` samples, in microseconds per call. The two peer
@@ -59,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import platform
@@ -66,13 +74,15 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from wfopt.adapter import ExternalEvaluator, StdioTransport, SyntheticRoles, problem_to_dict
-from wfopt.config import MotifConfig
+from wfopt.config import MotifConfig, config_from_dict
 from wfopt.constraints import AggregationConfig, ConstraintScorer
+from wfopt.driver import execute_run
 from wfopt.harness import Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, SyntheticProposer
 from wfopt.model import (
     INPUT_OP,
@@ -97,6 +107,12 @@ PROPOSED = 8  # candidates per propose call, the search's default per expansion
 OPS = ("add", "mul", "neg", "sub")
 SAMPLE_S = 0.02
 TREE_CALLS = 200  # select+backprop calls per sample, on one fresh tree
+# the search whose finished tree "tree bytes" weighs: `wide_scoring`'s shape, 2 rounds
+TREE_SEARCH = {
+    "seed": 42,
+    "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
+    "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 4},
+}
 
 
 def fixed_program(n_ops: int) -> WorkflowProgram:
@@ -208,6 +224,27 @@ def summary(samples: list[float]) -> dict:
     return {"median_us": round(statistics.median(samples), 3), "best_us": round(min(samples), 3)}
 
 
+def tree_bytes() -> dict:
+    """The `tree bytes` row: run `TREE_SEARCH` under tracemalloc, then drop
+    its tree and count the traced bytes that frees."""
+    config = config_from_dict(TREE_SEARCH)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        optimizer = execute_run(config).optimizer
+        nodes = list(optimizer._walk())
+        count, states = len(nodes), len({id(node.state) for node in nodes})
+        del nodes
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        optimizer.root = None
+        gc.collect()  # a node and its parent refer to each other
+        freed = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"bytes_per_node": round(freed / count, 1), "nodes": count, "states": states}
+
+
 def peer_rows(line: str, repeat: int) -> dict:
     """The `peer start` and `peer exit` rows: one stdio peer per sample,
     answering the evaluate request `line` once."""
@@ -316,6 +353,7 @@ def run(repeat: int) -> dict:
     results["runlog append"] = {"record": {"median_us": round(median / len(records), 3),
                                            "best_us": round(best / len(records), 3),
                                            "records_per_round": len(records)}}
+    results["tree bytes"] = {"node": tree_bytes()}
     return results
 
 
@@ -339,6 +377,11 @@ def main() -> int:
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for name, by_size in report["results"].items():
+        if name == "tree bytes":
+            tree = by_size["node"]
+            print(f"{name:>28}  {tree['bytes_per_node']:.1f} bytes per node ({tree['nodes']} nodes, "
+                  f"{tree['states']} states)")
+            continue
         cells = "  ".join(f"{size}: {e['median_us']:.1f} ({e['best_us']:.1f})" for size, e in by_size.items())
         print(f"{name:>28}  {cells}  us median (best)")
     print(f"wrote {path}")

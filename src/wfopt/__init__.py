@@ -33,9 +33,7 @@ _EXPORTS = {
         (
             "PriceMap",
             "SyntheticProposer",
-            "cost",
             "make_synthetic_suite",
-            "tokens_per_problem",
         ),
         "harness",
     ),

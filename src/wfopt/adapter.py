@@ -119,12 +119,18 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
-def problem_from_dict(entry: Mapping) -> Problem:
+def problem_from_dict(entry: object) -> Problem:
     """Decode one problem; keys other than the three it reads are ignored.
 
-    Each input and `expected` must be a finite JSON number (a bool is none),
-    and `category`, when present, a string; anything else raises
-    `ValueError` naming the field."""
+    The entry must be an object holding `inputs` and `expected`. Each input
+    and `expected` must be a finite JSON number (a bool is none), and
+    `category`, when present, a string; anything else raises `ValueError`
+    naming the field."""
+    if type(entry) is not dict:
+        raise ValueError(f"problem must be an object, got {entry!r}")
+    for name in ("inputs", "expected"):
+        if name not in entry:
+            raise ValueError(f"problem lacks {name!r}")
     inputs, category = entry["inputs"], entry.get("category", "default")
     if type(inputs) is not dict:
         raise ValueError(f"problem inputs must be an object, got {inputs!r}")
@@ -138,11 +144,16 @@ def problem_from_dict(entry: Mapping) -> Problem:
 
 
 def _token_count(usage: Mapping, key: str) -> int:
+    """`usage[key]` (0 if absent) as an int: a whole number from 0 to 2**53,
+    an integral float such as 5.0 included; anything else raises ValueError
+    naming the field."""
     value = usage.get(key, 0)
     if type(value) not in _NUMBER_TYPES or not 0 <= value < math.inf:
         raise ValueError(f"usage {key} is not a non-negative number: {value!r}")
     if value > MAX_TOKENS:
         raise ValueError(f"usage {key} is above 2**53")
+    if value != int(value):
+        raise ValueError(f"usage {key} is not a whole number: {value!r}")
     return int(value)
 
 
@@ -335,8 +346,11 @@ class SyntheticRoles:
         role sees it; one that passes is remembered as valid for that
         registry, so the proposer's own check of it is the verdict lookup.
         A propose request for a program with dead nodes gets the candidates
-        of the program pruned of them."""
+        of the program pruned of them. A request without a program raises
+        `ValueError` saying so."""
         kind = payload.get("kind")
+        if "program" not in payload:
+            raise ValueError("request lacks 'program'")
         program = program_from_dict(payload["program"])
         params = payload.get("params", {})
         if kind not in ("propose", "evaluate"):

@@ -36,7 +36,7 @@ from .motifs import MotifLibrary, score_pattern
 from .weights import FAMILIES, WeightVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintVector:
     """Per-family compliance scores, each in [0, 1]."""
 

@@ -83,12 +83,12 @@ class EditBase:
     dead node is edited. `blocked` and `weight` memoise, for every edit of the
     base, a node's descendants and a head's weight. What `ProgramEdit.state`
     reads of the base is built from the kept order on the first call to
-    `analyzed`.
+    `analyzed`, and each distinct state it derives is kept.
     """
 
     __slots__ = (
         "registry", "program", "heads", "operands", "consumers", "operator_count",
-        "sums", "paths", "total", "dead", "_order", "_weights", "_blocked", "_analyzed",
+        "sums", "paths", "total", "dead", "_order", "_weights", "_blocked", "_analyzed", "_states",
     )
 
     def __init__(self, program: WorkflowProgram, registry: OperatorRegistry):
@@ -98,6 +98,7 @@ class EditBase:
         self._analyzed: Optional[tuple] = None
         self._weights: dict[tuple, int] = {}
         self._blocked: dict[str, set[str]] = {}
+        self._states: dict[tuple, WorkflowState] = {}  # ProgramEdit.state's, by key
         heads: dict[str, tuple] = {}
         operands: dict[str, tuple[str, ...]] = {}
         consumers: dict[str, list[str]] = {}
@@ -443,6 +444,13 @@ class ProgramEdit:
         depth is the output's. The histogram counts `candidate.nodes` in
         declaration order, as `derive_state` does.
 
+        Equal states of one base's candidates are one object: the base keeps
+        each state it derives, keyed as `ConstraintScorer.static_vector`
+        keys its memo (the depth, the histogram's items in order and the
+        four counts), and a candidate whose state equals a kept one gets
+        that one. Sibling tree nodes so share one state and its histogram
+        dict, which nothing mutates.
+
         The walk keeps its own stack, so no nested function refers to
         itself and the walk's maps are freed by reference counting.
         """
@@ -492,9 +500,14 @@ class ProgramEdit:
             if type_ok is not None:
                 type_passed += type_ok
                 type_checked += 1
-        return WorkflowState(
-            facts[output].depth, _operator_histogram(candidate), unit_passed, unit_checked, type_passed, type_checked
-        )
+        depth, histogram = facts[output].depth, _operator_histogram(candidate)
+        key = (depth, tuple(histogram.items()), unit_passed, unit_checked, type_passed, type_checked)
+        state = base._states.get(key)
+        if state is None:
+            state = base._states[key] = WorkflowState(
+                depth, histogram, unit_passed, unit_checked, type_passed, type_checked
+            )
+        return state
 
     def operator_count(self) -> int:
         """The candidate's number of operator nodes: the base's count with

@@ -1,4 +1,4 @@
-"""Deterministic stand-ins for the optimizer/executor roles, plus accounting.
+"""Deterministic stand-ins for the optimizer/executor roles, plus token prices.
 
 The synthetic proposer checks and prunes its base once, takes the base's
 distinct one-edit records (:mod:`wfopt.edits`, which builds them and writes
@@ -35,7 +35,6 @@ from .model import (
 )
 # EvaluationError and SyntheticEvaluator are not used here; callers reach them through this module too
 from .roles import EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
-from .runlog import RunLog
 
 if TYPE_CHECKING:
     import numpy as np
@@ -368,34 +367,3 @@ def _sample_problem(
         if trace.success and trace.output is not None and math.isfinite(trace.output):
             return Problem(inputs=inputs, expected=trace.output, category=category)
     raise SuiteGenerationError("target kept hitting domain violations on sampled inputs")
-
-
-# ---------------------------------------------------------------------------
-# Token and cost accounting.
-# ---------------------------------------------------------------------------
-
-def iter_token_usage(log: RunLog):
-    for record in log:
-        tin = record.get("tokens_in")
-        tout = record.get("tokens_out")
-        if tin is None and tout is None:
-            continue
-        yield record.get("role", "executor"), int(tin or 0), int(tout or 0)
-
-
-def tokens_per_problem(log: RunLog, n_problems: int) -> float:
-    """Total prompt+completion tokens across both roles, per problem."""
-    if n_problems < 1:
-        raise ValueError("n_problems must be >= 1")
-    total = sum(tin + tout for _, tin, tout in iter_token_usage(log))
-    return total / n_problems
-
-
-def cost(log: RunLog, prices: PriceMap, n_problems: int) -> float:
-    """Apply per-role token prices to the logged usage, averaged per problem."""
-    if n_problems < 1:
-        raise ValueError("n_problems must be >= 1")
-    total = 0.0
-    for role, tin, tout in iter_token_usage(log):
-        total += prices.charge(role, tin, tout)
-    return total / n_problems

@@ -18,12 +18,16 @@ of every binding's values. `validate_program` builds its own maps in one
 pass over the nodes and one over the edges, with one arity lookup per
 operator node, and walks back from the output for reachability only when
 the other checks leave that in doubt. `canonical_key` returns a flat tuple.
-Every map over a program is transient. One slot on a program, `_VERDICT`,
-records what is established about it: the registry object it was found
-valid for, and, on a candidate the proposer builds only, its edit record,
-replaced by the `WorkflowState` derived from that record once it is scored.
-Only `validate_program`, `derive_state` and `edits.ProgramEdit.build`
-write it.
+Every map over a program is transient. One declared slot field of a
+program, `_VERDICT`, records what is established about it: the registry
+object it was found valid for, and, on a candidate the proposer builds only,
+its edit record, replaced by the `WorkflowState` derived from that record
+once it is scored. A new program, or a `dataclasses.replace` copy, holds
+None there; equality, hashing and repr skip the field. Only
+`validate_program`, `derive_state` and `edits.ProgramEdit.build` write it.
+The records a search makes per candidate or per tree node (`Node`, `Edge`,
+`WorkflowProgram`, `WorkflowState`) are slotted dataclasses: they hold no
+instance `__dict__`.
 
 Everything in this module is an immutable value: programs, traces, and
 derived states can be shared freely between concurrent workers.
@@ -37,7 +41,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -217,7 +221,7 @@ class Shape:
         return Shape("matrix", (m, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     node_id: str
     op: str
@@ -229,14 +233,14 @@ class Node:
         return self.op in LEAF_OPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkflowProgram:
     """A complete operator graph; the unit of search (one tree node = one program)."""
 
@@ -244,6 +248,8 @@ class WorkflowProgram:
     edges: tuple[Edge, ...]
     roots: tuple[str, ...]
     output: str
+    # what is established about the program (see `_VERDICT`); no part of its value
+    _verdict: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def node_map(self) -> dict[str, Node]:
         # no caller in the package: the tests' reference forms read it, and
@@ -268,13 +274,17 @@ class ValidationReport:
     violations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkflowState:
     """Lightweight program view consumed by the constraint checks.
 
     The unit check counts cover the operators whose input units are all
     known, the type check counts every operator node: how many passed and
     how many were checked, which is all the scores read of the verdicts.
+
+    A state is never mutated, its histogram included: the equal states of
+    the candidates of one proposer base are one shared object
+    (`edits.ProgramEdit.state`), which several tree nodes then hold.
     """
 
     depth: int
@@ -301,15 +311,15 @@ class ExecutionTrace(NamedTuple):
 # What validate_program records in place of an arity for the two leaf kinds.
 _INPUT_LEAF, _CONST_LEAF = -1, -2
 
-# The instance attribute holding what is established about a program:
+# The name of the slot field holding what is established about a program:
+# None on a program as constructed (a `dataclasses.replace` copy included),
 # `(registry, None)` once it passed `validate_program` against that registry
 # object, or `(registry, edit)` on a proposer candidate, valid for it by
 # construction, whose edit record `derive_state` replaces with the
-# `WorkflowState` it derives from it. The program is frozen, so the attribute
-# is written with object.__setattr__, as the dataclass __init__ writes its
-# fields; it is no field, so equality, hashing and repr do not see it. (Going
-# through `program.__dict__`, as functools.cached_property does, would give
-# each program a dict object of its own, about 64 more bytes.)
+# `WorkflowState` it derives from it. The program is frozen, so the field is
+# written with object.__setattr__, as the dataclass __init__ writes its
+# fields; it is declared with `init=False, repr=False, compare=False`, so
+# construction, equality, hashing and repr skip it.
 _VERDICT = "_verdict"
 _VALID = ValidationReport(ok=True)
 
@@ -332,7 +342,7 @@ def validate_program(program: WorkflowProgram, registry: Optional[OperatorRegist
     A pass here writes `(registry, None)` over whatever the slot held.
     """
     registry = registry or default_registry()
-    verdict = getattr(program, _VERDICT, None)
+    verdict = program._verdict
     if verdict is not None and verdict[0] is registry:
         return _VALID
     violations = _violations(program, registry)
@@ -754,7 +764,7 @@ def derive_state(program: WorkflowProgram, registry: Optional[OperatorRegistry] 
     the states are equal, and either is kept.
     """
     registry = registry or default_registry()
-    verdict = getattr(program, _VERDICT, None)
+    verdict = program._verdict
     if verdict is not None and verdict[0] is registry and verdict[1] is not None:
         state = verdict[1]
         if not isinstance(state, WorkflowState):  # the record: derive once, keep the state

@@ -38,7 +38,7 @@ class ProblemSet:
 MAX_TOKENS = 2**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenRecord:
     role: str  # "optimizer" | "executor"
     prompt_tokens: int

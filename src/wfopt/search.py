@@ -34,7 +34,7 @@ from .runlog import RunLog
 from .weights import AdaptationConfig, ObservationBuffer, WeightVector, correlations, update_weights
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     program: WorkflowProgram
     state: WorkflowState

@@ -33,9 +33,7 @@ from wfopt.harness import (
     ProposerConfig,
     SyntheticEvaluator,
     SyntheticProposer,
-    cost,
     make_synthetic_suite,
-    tokens_per_problem,
 )
 from wfopt.model import (
     CONST_OP,
@@ -58,6 +56,7 @@ from wfopt.motifs import (
     refine,
     score_pattern,
 )
+from wfopt.reporting import analyze
 from wfopt.runlog import RunLog
 from wfopt.search import Optimizer, SearchBudget, selection_score
 from wfopt.weights import (
@@ -487,27 +486,35 @@ def test_c8_motif_refinement():
     print(f"\nACCEPTANCE C8 PASS motif refinement ({elapsed:.1f} s)")
 
 
+def _priced_log(n_problems, prices=None):
+    """An empty run log whose meta record gives the problem count and, if any, the per-role prices."""
+    log = RunLog()
+    meta = {} if prices is None else {"prices": {role: list(pair) for role, pair in prices.prices.items()}}
+    log.append("meta", n_problems=n_problems, **meta)
+    return log
+
+
 def test_c9_accounting():
     start = time.perf_counter()
-    log = RunLog()
-    log.append("simulated", round=0, role="optimizer", tokens_in=100, tokens_out=50)
-    log.append("simulated", round=0, role="executor", tokens_in=200, tokens_out=150)
-    assert tokens_per_problem(log, 5) == pytest.approx(100.0, rel=1e-12)
-    assert tokens_per_problem(RunLog(), 7) == 0.0
+    log = _priced_log(5)
+    log.append("simulated", round=0, reward=0.0, role="optimizer", tokens_in=100, tokens_out=50)
+    log.append("simulated", round=0, reward=0.0, role="executor", tokens_in=200, tokens_out=150)
+    assert analyze(log).tokens_per_problem == pytest.approx(100.0, rel=1e-12)
+    assert analyze(_priced_log(7)).tokens_per_problem == 0.0
 
-    single = RunLog()
-    single.append("simulated", round=0, role="executor", tokens_in=1000, tokens_out=500)
     prices = PriceMap({"optimizer": (0.0, 0.0), "executor": (1e-6, 2e-6)})
-    assert cost(single, prices, 1) == pytest.approx(0.002, rel=1e-12)
+    single = _priced_log(1, prices)
+    single.append("simulated", round=0, reward=0.0, role="executor", tokens_in=1000, tokens_out=500)
+    assert analyze(single).cost_per_problem == pytest.approx(0.002, rel=1e-12)
 
-    both = RunLog()
-    both.append("proposed", round=0, role="optimizer", tokens_in=1234, tokens_out=567)
-    both.append("simulated", round=0, role="executor", tokens_in=89, tokens_out=10)
     prices = PriceMap({"optimizer": (2e-6, 3e-6), "executor": (5e-7, 7e-7)})
-    expected = (1234 * 2e-6 + 567 * 3e-6 + 89 * 5e-7 + 10 * 7e-7) / 3
-    assert cost(both, prices, 3) == pytest.approx(expected, rel=1e-12)
     doubled = PriceMap({role: (2 * a, 2 * b) for role, (a, b) in prices.prices.items()})
-    assert cost(both, doubled, 3) == pytest.approx(2 * expected, rel=1e-12)
+    expected = (1234 * 2e-6 + 567 * 3e-6 + 89 * 5e-7 + 10 * 7e-7) / 3
+    for price_map, want in ((prices, expected), (doubled, 2 * expected)):
+        both = _priced_log(3, price_map)
+        both.append("proposed", round=0, role="optimizer", tokens_in=1234, tokens_out=567)
+        both.append("simulated", round=0, reward=0.0, role="executor", tokens_in=89, tokens_out=10)
+        assert analyze(both).cost_per_problem == pytest.approx(want, rel=1e-12)
 
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE C9 PASS accounting ({elapsed * 1000:.0f} ms)")

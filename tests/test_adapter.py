@@ -170,8 +170,13 @@ class TestHandleRequest:
         ({"inputs": {"x0": 2.5}, "expected": "-2.5"}, "problem expected must be a number, got '-2.5'"),
         ({"inputs": {"x0": 2.5}, "expected": 2.5, "category": None}, "problem category must be a string, got None"),
         ({"inputs": {"x0": 2.5}, "expected": 2.5, "category": 3}, "problem category must be a string, got 3"),
+        ({}, "problem lacks 'inputs'"),
+        ({"inputs": {"x0": 2.5}}, "problem lacks 'expected'"),
+        (None, "problem must be an object, got None"),
+        ([{"x0": 2.5}, 2.5], "problem must be an object, got [{'x0': 2.5}, 2.5]"),
     ], ids=["string-input", "nan-string-input", "nan-input", "overflowing-input", "huge-int-input", "bool-input",
-            "list-inputs", "bool-expected", "string-expected", "null-category", "number-category"])
+            "list-inputs", "bool-expected", "string-expected", "null-category", "number-category", "empty",
+            "no-expected", "null", "list"])
     def test_malformed_problem_is_refused_in_band(self, registry, monkeypatch, entry, message):
         """A problem field that is no finite JSON number (or, for the category, no
         string) is refused by name, and the peer's answer is the in-band error
@@ -240,6 +245,11 @@ BAD_CONTENT = [
     pytest.param({"usage": {"completion_tokens": 2**53 + 1}}, "usage completion_tokens is above 2**53",
                  id="usage-above-2**53"),
     pytest.param({"usage": {"prompt_tokens": 1e300}}, "usage prompt_tokens is above 2**53", id="usage-huge-float"),
+    # a fractional count would be logged truncated, and the report refuses it
+    pytest.param({"usage": {"prompt_tokens": 1.5}}, "usage prompt_tokens is not a whole number: 1.5",
+                 id="usage-fraction"),
+    pytest.param({"usage": {"completion_tokens": 2.9}}, "usage completion_tokens is not a whole number: 2.9",
+                 id="usage-larger-fraction"),
 ]
 
 
@@ -458,7 +468,7 @@ class TestSyntheticRoles:
         serve_stdio(registry)
         assert stdout.getvalue().splitlines() == expected
         answers = [json.loads(line) for line in expected]
-        assert "error" in answers[3] and "error" in answers[5] and answers[6] == {"error": "'program'"}
+        assert "error" in answers[3] and "error" in answers[5] and answers[6] == {"error": "request lacks 'program'"}
         assert expected[13] != expected[12] == expected[15]  # the sign of the zero reaches the trace
         # a line is decoded whole only when its head does not decode to a
         # non-empty object or it does not end with the last kept problem text

@@ -16,9 +16,7 @@ from wfopt.harness import (
     SyntheticEvaluator,
     SyntheticProposer,
     TokenRecord,
-    cost,
     make_synthetic_suite,
-    tokens_per_problem,
 )
 from wfopt.model import (
     INPUT_OP,
@@ -30,7 +28,7 @@ from wfopt.model import (
     interpret,
     validate_program,
 )
-from wfopt.runlog import RunLog
+from wfopt.reporting import analyze
 
 from conftest import binary, chain, every_entry, every_pair, fingerprint, prune_dead
 
@@ -454,49 +452,49 @@ class TestSyntheticSuite:
 
 
 class TestAccounting:
-    def log_with(self, usages):
-        log = RunLog()
-        for role, tin, tout in usages:
-            log.append("simulated", round=0, role=role, tokens_in=tin, tokens_out=tout)
-        return log
+    """A run's tokens and cost per problem, as `reporting.analyze` folds them
+    from its log: the meta record gives the problem count and the prices."""
+
+    def stats(self, usages, n_problems=1, prices=PriceMap.zero()):
+        meta = {"event": "meta", "n_problems": n_problems,
+                "prices": {role: list(pair) for role, pair in prices.prices.items()}}
+        return analyze([meta] + [
+            {"event": "simulated", "round": 0, "reward": 0.0, "role": role, "tokens_in": tin, "tokens_out": tout}
+            for role, tin, tout in usages
+        ])
 
     def test_tokens_empty_log(self):
-        assert tokens_per_problem(RunLog(), 3) == 0.0
+        assert self.stats([], 3).tokens_per_problem == 0.0
 
     def test_tokens_hand_sum(self):
-        log = self.log_with([("optimizer", 100, 50), ("executor", 200, 150)])
-        assert tokens_per_problem(log, 5) == pytest.approx(100.0, rel=1e-12)
+        stats = self.stats([("optimizer", 100, 50), ("executor", 200, 150)], 5)
+        assert stats.tokens_per_problem == pytest.approx(100.0, rel=1e-12)
 
     def test_single_record_run(self):
-        log = self.log_with([("executor", 900, 100)])
-        assert tokens_per_problem(log, 4) == pytest.approx(250.0, rel=1e-12)
+        assert self.stats([("executor", 900, 100)], 4).tokens_per_problem == pytest.approx(250.0, rel=1e-12)
 
     def test_cost_zero_prices(self):
-        log = self.log_with([("executor", 1000, 500)])
-        assert cost(log, PriceMap.zero(), 1) == 0.0
+        assert self.stats([("executor", 1000, 500)]).cost_per_problem == 0.0
 
     def test_cost_hand_computed(self):
-        log = self.log_with([("executor", 1000, 500)])
         prices = PriceMap({"optimizer": (0.0, 0.0), "executor": (1e-6, 2e-6)})
-        assert cost(log, prices, 1) == pytest.approx(0.002, rel=1e-12)
+        assert self.stats([("executor", 1000, 500)], 1, prices).cost_per_problem == pytest.approx(0.002, rel=1e-12)
 
     def test_cost_linear_in_prices(self):
-        log = self.log_with([("optimizer", 123, 45), ("executor", 678, 90)])
+        usages = [("optimizer", 123, 45), ("executor", 678, 90)]
         p1 = PriceMap({"optimizer": (1e-6, 3e-6), "executor": (2e-6, 4e-6)})
         p2 = PriceMap({"optimizer": (2e-6, 6e-6), "executor": (4e-6, 8e-6)})
-        assert cost(log, p2, 2) == pytest.approx(2 * cost(log, p1, 2), rel=1e-12)
+        assert self.stats(usages, 2, p2).cost_per_problem == pytest.approx(
+            2 * self.stats(usages, 2, p1).cost_per_problem, rel=1e-12)
 
     def test_missing_role_price_rejected(self):
-        log = self.log_with([("executor", 10, 10)])
-        with pytest.raises(KeyError):
-            cost(log, PriceMap({"optimizer": (0.0, 0.0)}), 1)
+        with pytest.raises(ValueError, match="'role' is not a priced role"):
+            self.stats([("executor", 10, 10)], 1, PriceMap({"optimizer": (0.0, 0.0)}))
 
     def test_concatenated_logs_combine(self):
-        a = self.log_with([("executor", 100, 0)])
-        b = self.log_with([("executor", 300, 0)])
-        combined = RunLog(list(a) + list(b))
-        total = tokens_per_problem(combined, 1)
-        assert total == tokens_per_problem(a, 1) + tokens_per_problem(b, 1)
+        a, b = [("executor", 100, 0)], [("executor", 300, 0)]
+        total = self.stats(a + b).tokens_per_problem
+        assert total == self.stats(a).tokens_per_problem + self.stats(b).tokens_per_problem
 
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):

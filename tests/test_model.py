@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import networkx as nx
@@ -216,6 +217,23 @@ class TestValidationVerdict:
         derive_state(program, equal)
         derive_state(program, equal)
         assert len(full_checks) == 5
+
+    def test_a_new_or_replaced_program_carries_no_verdict(self, registry, full_checks):
+        """The verdict is a declared field that construction sets to None, so
+        neither an equal program nor a `dataclasses.replace` copy of a checked
+        program or of a proposer candidate inherits it."""
+        program = binary("add", "input", "input")
+        assert program._verdict is None
+        assert validate_program(program, registry).ok and program._verdict == (registry, None)
+        candidate = SyntheticProposer(registry).enumerate_edits(program)[0]
+        assert isinstance(candidate._verdict[1], ProgramEdit)
+        for source in (program, candidate):
+            for copy in (WorkflowProgram(source.nodes, source.edges, source.roots, source.output),
+                         dataclasses.replace(source)):
+                assert copy == source and copy._verdict is None
+                checks = len(full_checks)
+                assert validate_program(copy, registry).ok
+                assert len(full_checks) == checks + 1
 
     def test_verdict_is_not_part_of_the_value(self, registry):
         program = binary("mul", "input", "input")

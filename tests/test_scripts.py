@@ -48,5 +48,10 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "peer exit": ["process"],
         "select+backprop": ["tree"],
         "runlog append": ["record"],
+        "tree bytes": ["node"],
     }
-    assert all(row["median_us"] > 0 for rows in results.values() for row in rows.values())
+    # every row but the tree's size is timed
+    assert all(row["median_us"] > 0 for name, rows in results.items() if name != "tree bytes"
+               for row in rows.values())
+    tree = results["tree bytes"]["node"]
+    assert tree["bytes_per_node"] > 0 and 0 < tree["states"] <= tree["nodes"]

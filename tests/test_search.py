@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wfopt import constraints
+from wfopt.config import config_from_dict
 from wfopt.constraints import AggregationConfig, ConstraintScorer, ConstraintVector
 from wfopt.harness import (
     ProposerConfig,
@@ -12,6 +13,7 @@ from wfopt.harness import (
     TokenRecord,
     make_synthetic_suite,
 )
+from wfopt.driver import execute_run
 from wfopt.model import default_registry, derive_state
 from wfopt.search import (
     Optimizer,
@@ -583,3 +585,44 @@ class TestScoringMemoAcrossRefinement:
         assert len(libraries) == 1 + len(optimizer.log.by_event("refined")) == 3
         assert len({(id(lib), key) for lib, key in matched}) == len(matched) < scored / 10
 
+
+class TestCompactTree:
+    """What a search keeps per tree node: slotted records, and one state
+    object per distinct state among one expansion's children."""
+
+    def test_per_node_records_hold_no_instance_dict(self):
+        node = leaf_node()
+        program = node.program
+        records = [node, program, node.state, program.nodes[0], program.edges[0],
+                   ConstraintVector(0.5, 0.5, 0.5, 1.0, 1.0, 0.5), TokenRecord("executor", 1, 2, "exe-1")]
+        assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+
+    def test_equal_sibling_states_are_one_object(self):
+        registry = default_registry()
+        program = binary("add", "input", "input")
+        optimizer = Optimizer(
+            program, SyntheticProposer(registry, ProposerConfig(ops=("add", "mul", "neg"), max_operator_nodes=4)),
+            _StubEvaluator(), ConstraintScorer(registry, library=None, category="cat0"),
+            budget=SearchBudget(max_candidates_per_expansion=64),
+            stages=StageSwitches(expansion=False),  # keep every candidate
+        )
+        children = optimizer.expand(optimizer.root, 0)
+        by_key: dict = {}
+        for child in children:
+            by_key.setdefault(state_key(child.state), []).append(child.state)
+        shared = [states for states in by_key.values() if len(states) > 1]
+        assert shared and len(by_key) > 1
+        for states in by_key.values():
+            assert all(state is states[0] for state in states)
+        firsts = [states[0] for states in by_key.values()]
+        assert len({id(state) for state in firsts}) == len(firsts)
+
+    def test_a_wide_search_keeps_fewer_states_than_nodes(self):
+        config = config_from_dict({
+            "seed": 42,
+            "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
+            "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 4},
+        })
+        nodes = list(execute_run(config).optimizer._walk())
+        states = {id(node.state) for node in nodes}
+        assert len(nodes) > 100 and len(states) < len(nodes) / 2

@@ -32,6 +32,10 @@ same way every time, so two checkouts can be compared call by call:
                          without the pipe and the JSON parse
   peer evaluate          SyntheticRoles.handle on the same evaluate request,
                          parsed once: the peer's side without the JSON text
+  trace decode           trace_from_dict of the first trace of that reply,
+                         parsed once: one trace of an evaluate reply
+  program decode         program_from_dict of the program, parsed once: the
+                         peer's decode of a request's program
   peer start             from spawning `python -m wfopt.adapter` through a
                          StdioTransport to its reply to the first evaluate
                          request (the 3-node program over the 40 problems)
@@ -44,6 +48,9 @@ same way every time, so two checkouts can be compared call by call:
                          proposing 64 candidates, 62 kept and simulated), to
                          a log on os.devnull: encoding and buffered writes
                          but no disk; per record
+  fold record            StatsFold.add of each record of that round, into a
+                         fresh fold with zero prices: the report's and the
+                         driver's summary; per record
   tree bytes             the `tracemalloc` bytes that dropping the finished
                          tree frees, per tree node, after a fixed small
                          search shaped like the `wide_scoring` workload
@@ -79,7 +86,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wfopt.adapter import ExternalEvaluator, StdioTransport, SyntheticRoles, problem_to_dict
+from wfopt.adapter import ExternalEvaluator, StdioTransport, SyntheticRoles, problem_to_dict, trace_from_dict
 from wfopt.config import MotifConfig, config_from_dict
 from wfopt.constraints import AggregationConfig, ConstraintScorer
 from wfopt.driver import execute_run
@@ -93,10 +100,12 @@ from wfopt.model import (
     canonical_key,
     default_registry,
     derive_state,
+    program_from_dict,
     program_to_dict,
     validate_program,
 )
 from wfopt.motifs import init_templates
+from wfopt.reporting import StatsFold
 from wfopt.runlog import RunLog
 from wfopt.search import SearchNode, backpropagate, select
 from wfopt.weights import WeightVector
@@ -297,7 +306,8 @@ def run(repeat: int) -> dict:
 
     results: dict[str, dict] = {name: {} for name in (
         "enumerate_edits", "propose", "validate_program", "canonical_key", "derive_state+static_vector",
-        "score children", "with_magnitude", "evaluate", "evaluate reply", "peer evaluate")}
+        "score children", "with_magnitude", "evaluate", "evaluate reply", "peer evaluate", "trace decode",
+        "program decode")}
     for size in SIZES:
         program = fixed_program(size)
         key = str(size)
@@ -325,9 +335,12 @@ def run(repeat: int) -> dict:
         results["evaluate"][key] = figures(lambda: evaluator.evaluate(program), repeat)
         request = json.loads(json.dumps({"kind": "evaluate", "program": program_to_dict(program),
                                          "params": {"problems": [problem_to_dict(p) for p in problems.problems]}}))
-        remote = ExternalEvaluator(FixedReply(json.loads(json.dumps(roles.handle(request)))), problems)
+        reply = json.loads(json.dumps(roles.handle(request)))
+        remote = ExternalEvaluator(FixedReply(reply), problems)
         results["evaluate reply"][key] = figures(lambda: remote.evaluate(program), repeat)
         results["peer evaluate"][key] = figures(lambda: roles.handle(request), repeat)
+        results["trace decode"][key] = figures(lambda: trace_from_dict(reply["traces"][0]), repeat)
+        results["program decode"][key] = figures(lambda: program_from_dict(request["program"]), repeat)
         if size == SIZES[0]:
             results.update(peer_rows(json.dumps(request), repeat))
 
@@ -348,11 +361,16 @@ def run(repeat: int) -> dict:
         for record in records:
             log.append(**record)
 
-    median, best = measure(append_round, repeat)
+    def fold_round() -> None:
+        fold = StatsFold()
+        for record in records:
+            fold.add(record)
+
+    for name, fn in (("runlog append", append_round), ("fold record", fold_round)):
+        median, best = measure(fn, repeat)
+        results[name] = {"record": {"median_us": round(median / len(records), 3),
+                                    "best_us": round(best / len(records), 3), "records_per_round": len(records)}}
     log.close()
-    results["runlog append"] = {"record": {"median_us": round(median / len(records), 3),
-                                           "best_us": round(best / len(records), 3),
-                                           "records_per_round": len(records)}}
     results["tree bytes"] = {"node": tree_bytes()}
     return results
 

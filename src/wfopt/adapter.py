@@ -13,14 +13,16 @@ A transport sends one encoded request line and returns the decoded reply.
 `ExternalEvaluator` encodes its problem list once, when it is built, and
 splices it after each request's program, so every request is still exactly
 the `json.dumps` of its payload. A reply's traces are decoded by
-`trace_from_dict`, one per entry, into `ExecutionTrace` named tuples; JSON
-integers become floats, and a trace holding only floats keeps them as
-decoded. The engine treats a remote evaluator and the synthetic one
-identically. An evaluate reply that is valid JSON but carries bad content
-(a reward that is not a number in [0, 1], a malformed trace) fails that one
-request with `EvaluationError`; a reply that breaks the protocol itself
-raises `AdapterError`, as does a reply longer than `MAX_REPLY`, which is
-read no further.
+`trace_from_dict`, one per entry, into `ExecutionTrace` named tuples. The
+engine treats a remote evaluator and the synthetic one identically.
+
+The field rules of these documents live in `wfopt.schema`. A bad document
+fails at one of three layers: a decoder (`trace_from_dict`,
+`problem_from_dict`, `_usage_record`, `SyntheticRoles.handle`) raises
+`ValueError` naming the field; `ExternalEvaluator` fails a reply that is
+valid JSON but carries bad content with `EvaluationError`, for that request
+only; and a reply that breaks the protocol itself raises `AdapterError`, as
+does a reply longer than `MAX_REPLY`, which is read no further.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
@@ -38,22 +40,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Mapping, Optional, Sequence
 
+from . import schema
 from .model import (
     ExecutionTrace,
     OperatorRegistry,
     WorkflowProgram,
-    _number,
     default_registry,
     program_from_dict,
     program_to_dict,
     validate_program,
 )
-from .roles import MAX_TOKENS, EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
+from .roles import EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
 
 
 class AdapterError(RuntimeError):
@@ -73,18 +74,12 @@ def trace_to_dict(trace: ExecutionTrace) -> dict:
     }
 
 
-# bool is an int subclass, but JSON true/false is not a number
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def trace_from_dict(data: dict) -> ExecutionTrace:
     """Decode one trace of an evaluate reply; bad content raises ValueError.
 
-    All five keys must be present. A failed trace may carry any numbers, but
-    a successful one must be finite throughout, since its values feed the
-    magnitude score. JSON integers become floats; a trace holding none keeps
-    its lists' floats as they are, which is what `float` would return.
-    """
+    All five keys must be present. A failed trace may hold NaN and infinities;
+    a successful one has an output and only finite values, which feed the
+    magnitude score. JSON integers become floats, and other floats stay as decoded."""
     if type(data) is not dict:
         raise ValueError(f"trace is not an object: {data!r}")
     try:
@@ -97,15 +92,15 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
         raise ValueError(f"malformed trace: {data!r}")
     numbers = values + inputs if output is None else values + inputs + [output]
     kinds = set(map(type, numbers))
-    if not (
-        kinds <= _NUMBER_TYPES
-        and type(success) is bool
-        and (violation is None or type(violation) is str)
-    ):
+    if not (kinds <= schema.NUMBERS and type(success) is bool
+            and (violation is None or type(violation) is str)):
         raise ValueError(f"malformed trace: {data!r}")
-    if success and not all(map(math.isfinite, numbers)):
-        raise ValueError("successful trace has a non-finite value")
+    if success and (output is None or not schema.finite(numbers)):
+        raise ValueError("successful trace has a non-finite value" if output is not None
+                         else "successful trace has no output")
     if int in kinds:
+        if not schema.finite(n for n in numbers if type(n) is int):
+            raise ValueError("trace has " + schema.TOO_LARGE)
         values, inputs = map(float, values), map(float, inputs)
         output = None if output is None else float(output)
     return ExecutionTrace(tuple(values), tuple(inputs), success, output, violation)
@@ -120,53 +115,33 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(entry: object) -> Problem:
-    """Decode one problem; keys other than the three it reads are ignored.
-
-    The entry must be an object holding `inputs` and `expected`. Each input
-    and `expected` must be a finite JSON number (a bool is none), and
-    `category`, when present, a string; anything else raises `ValueError`
-    naming the field."""
-    if type(entry) is not dict:
-        raise ValueError(f"problem must be an object, got {entry!r}")
-    for name in ("inputs", "expected"):
-        if name not in entry:
-            raise ValueError(f"problem lacks {name!r}")
-    inputs, category = entry["inputs"], entry.get("category", "default")
-    if type(inputs) is not dict:
-        raise ValueError(f"problem inputs must be an object, got {inputs!r}")
-    if type(category) is not str:
-        raise ValueError(f"problem category must be a string, got {category!r}")
+    """Decode one problem: an object of `inputs` (an object of numbers),
+    `expected` (a number) and an optional string `category`, with any other
+    key ignored; anything else raises `ValueError` naming the field."""
+    schema.obj(entry, "problem", required=("inputs", "expected"))
+    inputs = schema.obj(entry["inputs"], "problem inputs")
     return Problem(
-        inputs={k: _number(v, f"problem input {k!r}") for k, v in inputs.items()},
-        expected=_number(entry["expected"], "problem expected"),
-        category=category,
+        inputs={k: schema.number(v, f"problem input {k!r}", finite_want="a number") for k, v in inputs.items()},
+        expected=schema.number(entry["expected"], "problem expected", finite_want="a number"),
+        category=schema.string(entry.get("category", "default"), "problem category"),
     )
-
-
-def _token_count(usage: Mapping, key: str) -> int:
-    """`usage[key]` (0 if absent) as an int: a whole number from 0 to 2**53,
-    an integral float such as 5.0 included; anything else raises ValueError
-    naming the field."""
-    value = usage.get(key, 0)
-    if type(value) not in _NUMBER_TYPES or not 0 <= value < math.inf:
-        raise ValueError(f"usage {key} is not a non-negative number: {value!r}")
-    if value > MAX_TOKENS:
-        raise ValueError(f"usage {key} is above 2**53")
-    if value != int(value):
-        raise ValueError(f"usage {key} is not a whole number: {value!r}")
-    return int(value)
 
 
 def _usage_record(usage: Mapping, request_id: str) -> TokenRecord:
-    """Decode an evaluate reply's usage field; bad content raises ValueError."""
-    if not isinstance(usage, Mapping):
-        raise ValueError(f"usage is not an object: {usage!r}")
-    return TokenRecord(
-        role="executor",
-        prompt_tokens=_token_count(usage, "prompt_tokens"),
-        completion_tokens=_token_count(usage, "completion_tokens"),
-        request_id=request_id,
-    )
+    """Decode an evaluate reply's usage field: each token count, 0 if absent,
+    a whole number from 0 to 2**53. Bad content raises ValueError naming the field."""
+    schema.obj(usage, "usage")
+    counts = []
+    for key in ("prompt_tokens", "completion_tokens"):
+        value = usage.get(key, 0)
+        try:
+            counts.append(schema.whole(value, key, 0))
+        except schema.FieldError as exc:
+            if exc.want.startswith("a count") and value > 0:
+                raise ValueError(f"usage {key} is above 2**53") from None
+            what = "a whole number" if exc.want == "a whole number" else "a non-negative number"
+            raise ValueError(f"usage {key} is not {what}: {exc.got}") from None
+    return TokenRecord("executor", *counts, request_id)
 
 
 class _Transport:
@@ -297,18 +272,16 @@ class ExternalEvaluator:
             raise AdapterError("evaluate response missing 'reward'")
         try:
             reward = response["reward"]
-            if type(reward) not in _NUMBER_TYPES:
+            if type(reward) not in schema.NUMBERS:
                 raise ValueError(f"reward is not a number: {reward!r}")
-            reward = float(reward)
-            if not math.isfinite(reward):
-                raise ValueError(f"non-finite reward {reward!r}")
+            reward = float(reward)  # an integer too large for a float raises OverflowError
             if not 0.0 <= reward <= 1.0:
-                raise ValueError(f"reward {reward!r} is outside [0, 1]")
-            entries = response.get("traces", [])
-            if type(entries) is not list:
-                raise ValueError(f"traces is not a list: {entries!r}")
-            traces = [trace_from_dict(entry) for entry in entries]
+                raise ValueError(f"reward {reward!r} is outside [0, 1]" if schema.finite((reward,))
+                                 else f"non-finite reward {reward!r}")
+            traces = [trace_from_dict(entry) for entry in schema.listed(response.get("traces", []), "traces")]
             record = _usage_record(response.get("usage", {}), f"exe-{self._request_counter + 1:05d}")
+        except schema.FieldError as exc:  # worded as the reply's other faults are
+            raise EvaluationError(f"{exc.field} is not {exc.want}: {exc.got}") from None
         except (ValueError, OverflowError) as exc:
             # a well-formed reply with bad content fails this request only
             raise EvaluationError(str(exc)) from None
@@ -340,42 +313,39 @@ class SyntheticRoles:
         self._problem_dicts: Optional[list] = None
         self._evaluator: Optional[SyntheticEvaluator] = None
 
-    def handle(self, payload: Mapping) -> dict:
+    def handle(self, payload: object) -> dict:
         """Answer one request. A program that fails `validate_program`
         against this object's registry gets an in-band error, and neither
         role sees it; one that passes is remembered as valid for that
         registry, so the proposer's own check of it is the verdict lookup.
         A propose request for a program with dead nodes gets the candidates
-        of the program pruned of them. A request without a program raises
-        `ValueError` saying so."""
-        kind = payload.get("kind")
-        if "program" not in payload:
-            raise ValueError("request lacks 'program'")
-        program = program_from_dict(payload["program"])
-        params = payload.get("params", {})
+        of the program pruned of them. A request field that breaks its rule
+        raises `ValueError` naming it."""
+        request = schema.obj(payload, "request", required=("program",))
+        program = program_from_dict(request["program"])
+        params = schema.obj(request.get("params", {}), "params")
+        kind = request.get("kind")
         if kind not in ("propose", "evaluate"):
             return {"error": f"unknown request kind {kind!r}"}
         report = validate_program(program, self.registry)
         if not report.ok:
             return {"error": "invalid program: " + "; ".join(report.violations)}
         if kind == "propose":
+            seed = schema.whole(params.get("seed", 0), "params.seed", 0)
+            count = schema.whole(params.get("count", 8), "params.count", 1)
             import numpy as np  # here, not at module level: an evaluate-only peer starts without it
 
             from .harness import SyntheticProposer  # likewise
 
             self._proposer = self._proposer or SyntheticProposer(self.registry, self._proposer_config)
-            rng = np.random.default_rng(int(params.get("seed", 0)))
-            candidates, usage = self._proposer.propose(program, int(params.get("count", 8)), rng)
-            return {
-                "candidates": [program_to_dict(c) for c in candidates],
-                "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
-            }
-        reward, traces, usage = self._evaluator_for(params["problems"]).evaluate(program)
-        return {
-            "reward": reward,
-            "traces": [trace_to_dict(t) for t in traces],
-            "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens},
-        }
+            candidates, usage = self._proposer.propose(program, count, np.random.default_rng(seed))
+            response: dict = {"candidates": [program_to_dict(c) for c in candidates]}
+        else:
+            problems = schema.obj(params, "params", required=("problems",))["problems"]
+            reward, traces, usage = self._evaluator_for(schema.listed(problems, "params.problems")).evaluate(program)
+            response = {"reward": reward, "traces": [trace_to_dict(t) for t in traces]}
+        response["usage"] = {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens}
+        return response
 
     def _evaluator_for(self, problem_dicts: list) -> SyntheticEvaluator:
         if self._evaluator is None or problem_dicts is not self._problem_dicts:

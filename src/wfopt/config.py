@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
+from . import schema
 from .constraints import (
     AggregationConfig,
     DepthDiversityConfig,
@@ -21,7 +22,6 @@ from .constraints import (
     ThresholdSchedule,
 )
 from .harness import PriceMap
-from .model import finite_number
 from .motifs import MotifConfig
 from .roles import ProposerConfig
 from .search import SearchBudget, StageSwitches
@@ -153,28 +153,20 @@ _LISTS = {
 
 
 def _check_type(key: str, value: object, hint) -> None:
-    """A bool, int or str setting takes exactly that JSON type; a float one any
-    number but true/false that is finite as a float (`json.loads` reads NaN
-    and Infinity, and an integer of any size)."""
+    """A bool, int or str setting takes exactly that JSON type; a float one a
+    `schema.number`, as `json.loads` reads NaN, Infinity and any integer."""
     if get_origin(hint) is Union:  # Optional[X]; the caller has handled null
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    ok = type(value) in (int, float) if hint is float else type(value) is hint
-    if not ok:
-        raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
-    if hint is float and not finite_number(value):
-        shown = "an integer too large for a float" if type(value) is int else repr(value)
-        raise ConfigError(f"{key} must be a finite number, got {shown}")
+    if hint is float:
+        schema.number(value, key, "float")
+    elif type(value) is not hint:
+        raise schema.FieldError(key, hint.__name__, value)
 
 
 def _section(name: str, default, given: object):
-    if not isinstance(given, Mapping):
-        raise ConfigError(f"{name} must be an object")
     declared = {f.name: f for f in fields(default) if (name, f.name) != ("budget", "seed")}
-    unknown = set(given) - set(declared)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
     hints = get_type_hints(type(default))
-    values = dict(given)
+    values = dict(schema.obj(given, name, known=declared.keys()))
     for key, value in given.items():
         # null stands for a setting only where its dataclass default is None
         if value is None and declared[key].default is None:
@@ -182,28 +174,12 @@ def _section(name: str, default, given: object):
         if (name, key) not in _LISTS:
             _check_type(f"{name}.{key}", value, hints[key])
             continue
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name}.{key} must be a list")
         entry = _LISTS[name, key]
-        for item in value:
+        for item in schema.listed(value, f"{name}.{key}"):
             if item is not None or type(None) not in get_args(entry):
                 _check_type(f"each entry of {name}.{key}", item, entry)
         values[key] = tuple(map(float, value)) if entry is float else tuple(value)
     return replace(default, **values)
-
-
-def _prices(given: object) -> PriceMap:
-    if not isinstance(given, Mapping):
-        raise ConfigError("prices must map role -> [input_price, output_price]")
-    for role, pair in given.items():
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"prices.{role} must be [input_price, output_price]")
-        for price in pair:
-            _check_type(f"each price of prices.{role}", price, float)
-    for role in PriceMap.zero().prices:  # the roles a run's records are charged to
-        if role not in given:
-            raise ConfigError(f"prices.{role} is missing: prices must price both optimizer and executor")
-    return PriceMap({str(role): (float(pin), float(pout)) for role, (pin, pout) in given.items()})
 
 
 def _checked_seed(seed: object) -> int:
@@ -237,7 +213,7 @@ def config_from_dict(data: Mapping) -> RunConfig:
         category = data.get("category")
         if category is not None:
             _check_type("category", category, str)
-        prices = _prices(data["prices"]) if "prices" in data else PriceMap.zero()
+        prices = PriceMap(schema.prices(data["prices"], "float")) if "prices" in data else PriceMap.zero()
         return RunConfig(category=category, prices=prices, **sections)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

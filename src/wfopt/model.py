@@ -46,6 +46,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from . import schema
+
 
 class InvalidProgramError(ValueError):
     """Raised when an operation requires a structurally valid program."""
@@ -968,63 +970,22 @@ def _shape_to_json(shape: Shape):
     return {"matrix": list(shape.dims)}
 
 
-def _integer(value, what: str) -> int:
-    """`value`, a JSON integer, as an int: an int, or a float with no
-    fractional part (JSON Schema counts `1.0` an integer). Anything else, a
-    bool, a string or another number, raises `ValueError` naming `what`."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _string(value, what: str) -> str:
-    """`value`, a JSON string; anything else raises `ValueError` naming `what`."""
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"{what} must be a string, got {value!r}")
-
-
-def finite_number(value) -> bool:
-    """Whether the int or float `value` is a number a float holds: not NaN,
-    not infinite, and no integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _number(value, what: str) -> float:
-    """`value`, a JSON number, as a float; anything else, a bool, NaN, an
-    infinity or an integer too large for a float included, raises
-    `ValueError` naming `what`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if finite_number(value):
-            return float(value)
-        if isinstance(value, int):
-            raise ValueError(f"{what} must be a number, got an integer too large for a float")
-    raise ValueError(f"{what} must be a number, got {value!r}")
-
-
 def _shape_from_json(obj) -> Shape:
     if obj == "scalar":
         return Shape.scalar()
     if isinstance(obj, dict) and "vector" in obj:
-        return Shape.vector(_integer(obj["vector"], "a shape dimension"))
+        return Shape.vector(schema.whole(obj["vector"], "a shape dimension"))
     if isinstance(obj, dict) and "matrix" in obj:
         dims = obj["matrix"]
         if not isinstance(dims, list) or len(dims) != 2:
             raise ValueError(f"a matrix shape must list two dimensions, got {dims!r}")
-        m, n = dims
-        return Shape.matrix(_integer(m, "a shape dimension"), _integer(n, "a shape dimension"))
+        return Shape.matrix(*(schema.whole(d, "a shape dimension") for d in dims))
     raise ValueError(f"bad shape tag: {obj!r}")
 
 
 def _unit_from_json(obj) -> UnitSignature:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a node unit must be an object of exponents, got {obj!r}")
-    return UnitSignature.of({str(k): _integer(v, f"the exponent of {k!r}") for k, v in obj.items()})
+    exponents = schema.obj(obj, "a node unit", want="an object of exponents")
+    return UnitSignature.of({k: schema.whole(v, f"the exponent of {k!r}") for k, v in exponents.items()})
 
 
 def program_to_dict(program: WorkflowProgram) -> dict:
@@ -1052,37 +1013,26 @@ _PROGRAM_KEYS = {"nodes", "edges", "roots", "output"}
 
 def program_from_dict(data: Mapping) -> WorkflowProgram:
     """Decode a program; a field of the wrong type raises `ValueError` naming it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a program must be an object, got {data!r}")
-    keys = set(data)
+    keys = schema.obj(data, "a program").keys()
     if keys != _PROGRAM_KEYS:
-        unknown = keys - _PROGRAM_KEYS
-        if unknown:
-            raise ValueError(f"unknown program keys: {sorted(unknown)}")
-        raise ValueError(f"missing program keys: {sorted(_PROGRAM_KEYS - keys)}")
+        unknown, missing = sorted(keys - _PROGRAM_KEYS), sorted(_PROGRAM_KEYS - keys)
+        raise ValueError(f"unknown program keys: {unknown}" if unknown else f"missing program keys: {missing}")
     for key in ("nodes", "edges", "roots"):  # a string roots would read as a list of one-letter roots
-        if not isinstance(data[key], list):
-            raise ValueError(f"{key} must be a list, got {data[key]!r}")
+        schema.listed(data[key], key)
     nodes = []
     try:
         for entry in data["nodes"]:
-            bad = set(entry) - _NODE_KEYS
-            if bad:
-                raise ValueError(f"unknown node keys: {sorted(bad)}")
+            schema.obj(entry, "a node", known=_NODE_KEYS)
             unit = _unit_from_json(entry["unit"]) if "unit" in entry else None
             shape = _shape_from_json(entry["shape"]) if "shape" in entry else None
-            value = _number(entry["value"], "a node value") if "value" in entry else None
-            nodes.append(Node(_string(entry["id"], "a node id"), _string(entry["op"], "a node op"),
+            value = schema.number(entry["value"], "a node value", finite_want="a number") if "value" in entry else None
+            nodes.append(Node(schema.string(entry["id"], "a node id"), schema.string(entry["op"], "a node op"),
                               unit=unit, shape=shape, value=value))
-    except (KeyError, TypeError, ValueError) as exc:  # checked only now, so that valid input pays nothing for it
-        if not isinstance(entry, dict):
-            raise ValueError(f"a node must be an object, got {entry!r}") from None
-        if isinstance(exc, KeyError):  # only `id` and `op` are read unguarded
-            raise ValueError(f"missing node key {exc.args[0]!r} in {entry!r}") from None
-        raise
+    except KeyError as exc:  # only `id` and `op` are read unguarded
+        raise ValueError(f"missing node key {exc.args[0]!r} in {entry!r}") from None
     try:
-        edges = tuple(Edge(_string(s, "an edge source"), _string(d, "an edge destination"),
-                           _integer(k, "an edge slot")) for s, d, k in data["edges"])
+        edges = tuple(Edge(schema.string(s, "an edge source"), schema.string(d, "an edge destination"),
+                           schema.whole(k, "an edge slot")) for s, d, k in data["edges"])
     except (TypeError, ValueError):  # checked only now, so that valid input pays nothing for it
         for bad in data["edges"]:
             if not isinstance(bad, list) or len(bad) != 3:
@@ -1091,8 +1041,8 @@ def program_from_dict(data: Mapping) -> WorkflowProgram:
     return WorkflowProgram(
         nodes=tuple(nodes),
         edges=edges,
-        roots=tuple(_string(r, "a root") for r in data["roots"]),
-        output=_string(data["output"], "the output"),
+        roots=tuple(schema.string(r, "a root") for r in data["roots"]),
+        output=schema.string(data["output"], "the output"),
     )
 
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import schema
 from .harness import PriceMap
-from .model import finite_number
-from .roles import MAX_TOKENS
 from .runlog import RunLog
+from .schema import MAX_COUNT
 
 
 @dataclass(frozen=True)
@@ -48,39 +48,22 @@ def _mistyped(record: Mapping, name: str, what: str) -> ValueError:
     return ValueError(f"{record.get('event')} record {_excerpt(record)}: {name!r} is not {what}")
 
 
-def _field(record: Mapping, name: str, kind: type, default=_REQUIRED):
-    """`record[name]`, an int, or a finite number for `kind` float (never a
-    bool), or `default` when the record lacks it. A missing field with no
-    default, or any other value, raises `ValueError` naming the record and
-    field."""
+def _field(record: Mapping, name: str, kind: type, default=_REQUIRED, least=None):
+    """`record[name]`: a `schema.number` for `kind` float, else a `schema.whole`
+    (a count from `least`, given one); `default` if absent; else `ValueError` naming it."""
     if name not in record:
         if default is _REQUIRED:
             raise ValueError(f"{record.get('event')} record without {name!r}")
         return default
     value = record[name]
-    if type(value) is kind and (kind is int or math.isfinite(value)):  # the common case, at once
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise _mistyped(record, name, "a number" if kind is float else "an integer")
-    if kind is float and not finite_number(value):
-        raise _mistyped(record, name, "a finite number")
-    return value
-
-
-def _prices(meta: Mapping) -> PriceMap:
-    """The meta record's per-role (input, output) prices, zero without any."""
-    prices = meta.get("prices")
-    if not prices:
-        return PriceMap.zero()
-    if not isinstance(prices, dict):
-        raise _mistyped(meta, "prices", "an object of roles")
-    pairs = {}
-    for role, pair in prices.items():
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(p, (int, float)) and not isinstance(p, bool) and finite_number(p) for p in pair)):
-            raise _mistyped(meta, "prices", f"a pair of numbers for role {role!r}")
-        pairs[role] = tuple(pair)
-    return PriceMap(pairs)
+    if type(value) is kind and (
+        math.isfinite(value) if kind is float else least is None or least <= value <= MAX_COUNT
+    ):
+        return value  # the common case, at once
+    try:
+        return schema.number(value, name) if kind is float else schema.whole(value, name, least)
+    except schema.FieldError as exc:
+        raise _mistyped(record, name, exc.want) from None
 
 
 class StatsFold:
@@ -107,10 +90,13 @@ class StatsFold:
         if event == "meta":
             if self.seen > 1:
                 raise ValueError(f"meta record {_excerpt(record)}: not the first record of the log")
-            self.n_problems = _field(record, "n_problems", int, 1)
-            if not 1 <= self.n_problems <= MAX_TOKENS:  # a count the sums divide by, as a float
-                raise _mistyped(record, "n_problems", "a count from 1 to 2**53")
-            self.prices = _prices(record)
+            self.n_problems = _field(record, "n_problems", int, 1, least=1)  # the sums divide by it
+            if record.get("prices"):  # zero prices without any
+                try:
+                    self.prices = PriceMap(schema.prices(record["prices"], required=()))
+                except schema.FieldError as exc:
+                    what = "an object of roles" if exc.key is None else f"a pair of numbers for role {exc.key!r}"
+                    raise _mistyped(record, "prices", what) from None
         if record.get("tokens_in") is not None or record.get("tokens_out") is not None:
             self._charge(record)
         if event == "proposed":
@@ -126,13 +112,12 @@ class StatsFold:
     def _charge(self, record: Mapping) -> None:
         """Add a record's token counts, integers from 0 to 2**53 or null, at
         the price of the role they are charged to."""
-        for name in ("tokens_in", "tokens_out"):
-            if record.get(name) is not None and not 0 <= _field(record, name, int) <= MAX_TOKENS:
-                raise _mistyped(record, name, "a count from 0 to 2**53")
+        tin, tout = record.get("tokens_in"), record.get("tokens_out")
+        tin = 0 if tin is None else _field(record, "tokens_in", int, least=0)
+        tout = 0 if tout is None else _field(record, "tokens_out", int, least=0)
         role = record.get("role", "executor")
         if not isinstance(role, str) or role not in self.prices.prices:
             raise _mistyped(record, "role", "a priced role")
-        tin, tout = record.get("tokens_in") or 0, record.get("tokens_out") or 0
         self.tokens += tin + tout
         self.spent += self.prices.charge(role, tin, tout)
 

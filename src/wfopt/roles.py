@@ -33,11 +33,6 @@ class ProblemSet:
         return len(self.problems)
 
 
-# the largest token count a run accepts: a float holds every integer up to
-# it, so the run's token and cost summaries stay finite
-MAX_TOKENS = 2**53
-
-
 @dataclass(frozen=True, slots=True)
 class TokenRecord:
     role: str  # "optimizer" | "executor"

@@ -53,6 +53,7 @@ PROBLEMS = ProblemSet(
     ),
     "validation",
 )
+ADD = program_to_dict(binary("add", "input", "input"))
 
 
 class TestHandleRequest:
@@ -193,6 +194,42 @@ class TestHandleRequest:
         serve_stdio(registry)
         assert json.loads(stdout.getvalue(), parse_constant=_no_constant) == {"error": message}
 
+    @pytest.mark.parametrize("request_, message", [
+        ([1], "request must be an object, got [1]"),
+        ("evaluate", "request must be an object, got 'evaluate'"),
+        ({"kind": "evaluate", "program": ADD, "params": [1]}, "params must be an object, got [1]"),
+        ({"kind": "evaluate", "program": ADD, "params": {"problems": 5}}, "params.problems must be a list, got 5"),
+        ({"kind": "evaluate", "program": ADD}, "params lacks 'problems'"),
+        ({"kind": "propose", "program": ADD, "params": {"seed": 1.7}}, "params.seed must be a whole number, got 1.7"),
+        ({"kind": "propose", "program": ADD, "params": {"seed": True}}, "params.seed must be an integer, got True"),
+        ({"kind": "propose", "program": ADD, "params": {"seed": -1}},
+         "params.seed must be a count from 0 to 2**53, got -1"),
+        ({"kind": "propose", "program": ADD, "params": {"count": 2.9}},
+         "params.count must be a whole number, got 2.9"),
+        ({"kind": "propose", "program": ADD, "params": {"count": 0}},
+         "params.count must be a count from 1 to 2**53, got 0"),
+        ({"kind": "propose", "program": ADD, "params": {"count": 1e300}},
+         "params.count must be a count from 1 to 2**53, got 1e+300"),
+        ({"kind": "propose", "program": ADD, "params": {"count": 10**30}},
+         f"params.count must be a count from 1 to 2**53, got {10**30}"),
+    ], ids=["list", "string", "list-params", "number-problems", "no-params", "fractional-seed", "bool-seed",
+            "negative-seed", "fractional-count", "zero-count", "huge-float-count", "huge-count"])
+    def test_malformed_request_is_refused_by_name(self, registry, monkeypatch, request_, message):
+        """A request that is no object, or whose params, problems, seed or
+        count breaks its rule, raises `ValueError` naming the field, which the
+        stdio peer answers in band; the peer then answers a valid request."""
+        with pytest.raises(ValueError) as raised:
+            SyntheticRoles(registry).handle(json.loads(json.dumps(request_)))
+        assert str(raised.value) == message
+        valid = _propose(binary("add", "input", "input"), 5, 9)
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request_) + "\n" + json.dumps(valid) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry)
+        refused, answered = map(json.loads, stdout.getvalue().splitlines())
+        assert refused == {"error": message}
+        assert answered == SyntheticRoles(registry).handle(valid)
+
     def test_well_formed_problem_reads_as_before(self):
         problem = adapter.problem_from_dict({"inputs": {"x0": 2, "x1": -0.0}, "expected": 5})
         assert problem == Problem(inputs={"x0": 2.0, "x1": -0.0}, expected=5.0, category="default")
@@ -236,6 +273,12 @@ BAD_CONTENT = [
                  id="success-nan-value"),
     pytest.param({"traces": [dict(GOOD_TRACE, output=math.inf)]}, "successful trace has a non-finite value",
                  id="success-inf-output"),
+    # the interpreter never makes a successful trace without an output
+    pytest.param({"traces": [dict(GOOD_TRACE, output=None)]}, "successful trace has no output",
+                 id="success-null-output"),
+    # a failed trace may hold NaN and infinities, but no number a float cannot hold
+    pytest.param({"traces": [dict(GOOD_TRACE, success=False, values=[10**400], output=None)]},
+                 "trace has an integer too large for a float", id="failed-huge-int"),
     pytest.param({"usage": {"prompt_tokens": "many"}}, "usage prompt_tokens is not a non-negative number: 'many'",
                  id="usage-string"),
     pytest.param({"usage": {"completion_tokens": -3}}, "usage completion_tokens is not a non-negative number: -3",

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfopt import adapter
 from wfopt.cli import main
 from wfopt.config import config_from_dict
 from wfopt.constraints import (
@@ -32,11 +33,13 @@ from wfopt.edits import EditBase
 from wfopt.harness import ProposerConfig, SyntheticProposer
 from wfopt.model import (
     ExecutionTrace,
+    MissingInputError,
     WorkflowProgram,
     WorkflowState,
     default_registry,
     interpret,
     loads_program,
+    program_to_dict,
     validate_program,
 )
 from wfopt.motifs import MotifConfig, init_templates
@@ -251,6 +254,71 @@ def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
         assert not str(exc).startswith("malformed program: "), str(exc)
     else:
         assert isinstance(program, WorkflowProgram)
+
+
+# Valid documents of the wire protocol, each holding every kind of field its
+# decoder reads, and the decoder: an evaluate reply's traces and usage, a
+# problem, and the two kinds of stdio request. The peer's roles decode a
+# request; a KeyError they raise is a problem list that binds no value to a
+# root of the program, which names the root.
+PROBLEM = {"inputs": {"x0": 2.5, "x1": -1}, "expected": 1.5, "category": "c"}
+ADD = program_to_dict(binary("add", "input", "input"))
+WIRE_DOCUMENTS = {
+    "trace": (adapter.trace_from_dict,
+              {"values": [5.0, -2], "inputs": [2, 3.0], "success": True, "output": 5.0, "violation": None}),
+    "failed trace": (adapter.trace_from_dict,
+                     {"values": [1.5], "inputs": [-1.0], "success": False, "output": None, "violation": "sqrt"}),
+    "usage": (lambda usage: adapter._usage_record(usage, "exe-00001"),
+              {"prompt_tokens": 12, "completion_tokens": 3.0}),
+    "problem": (adapter.problem_from_dict, PROBLEM),
+    "evaluate request": (lambda request: adapter.SyntheticRoles(REGISTRY).handle(request),
+                         {"kind": "evaluate", "program": ADD, "params": {"problems": [PROBLEM, PROBLEM]}}),
+    "propose request": (lambda request: adapter.SyntheticRoles(REGISTRY).handle(request),
+                        {"kind": "propose", "program": ADD, "params": {"count": 3, "seed": 7}}),
+}
+
+
+@st.composite
+def wire_mutations(draw):
+    """A document of `WIRE_DOCUMENTS` and up to three changes to it."""
+    name = draw(st.sampled_from(sorted(WIRE_DOCUMENTS)))
+    places = list(_places(WIRE_DOCUMENTS[name][1]))
+    changes = st.tuples(st.sampled_from(places), st.sampled_from(["drop", *range(len(ODD_VALUES))]))
+    return name, draw(st.lists(changes, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(wire_mutations())
+@example(case=("trace", [(("success",), ODD_VALUES.index(None))]))
+@example(case=("failed trace", [(("values", 0), ODD_VALUES.index(10**400))]))
+@example(case=("usage", [(("prompt_tokens",), ODD_VALUES.index("\x00big"))]))
+@example(case=("problem", [(("inputs",), ODD_VALUES.index("\x00too-deep"))]))
+@example(case=("evaluate request", [(("params", "problems", 0), ODD_VALUES.index("x" * 10_000))]))
+@example(case=("propose request", [(("params", "count"), ODD_VALUES.index(math.nan))]))
+def test_a_broken_wire_document_is_refused_by_name(case):
+    """A wire document with keys dropped, or values changed to another type,
+    to null, to numbers no float holds, to NaN, to a long string or to deep
+    nesting, decodes, or its decoder raises a `ValueError` that names the
+    document or one of its fields: never another exception. An answer the
+    peer's roles give in band names one too. JSON nested too deeply for
+    `json.loads` is refused before any decoder sees it."""
+    name, mutations = case
+    decode, document = WIRE_DOCUMENTS[name]
+    text = _mutated_text(document, mutations, ODD_VALUES)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        assert "\x00too-deep" in [ODD_VALUES[change] for _, change in mutations if change != "drop"]
+        return
+    # the document's name and its keys, in the singular ("a node value" names a field of "nodes")
+    names = {name.split()[-1], *(key.rstrip("s") for place in _places(document) for key in place if type(key) is str)}
+    try:
+        decoded = decode(data)
+    except (ValueError, MissingInputError) as exc:
+        message = str(exc)
+    else:
+        message = decoded.get("error", "") if type(decoded) is dict else ""
+    assert not message or any(key in message for key in names), message[:200]
 
 
 # Numbers at the edges of what a float holds, for the config fuzz below; an

@@ -97,3 +97,18 @@ def test_report_refuses_a_number_no_float_holds(tmp_path, line, message):
     with pytest.raises(ValueError) as raised:
         report([path])
     assert str(raised.value).startswith(f"{event} record {{") and message in str(raised.value)
+
+
+def test_whole_numbers_may_be_written_as_floats():
+    """A run log is a wire document: a count written `2.0` is the count 2, as
+    JSON Schema reads it, while a fractional one is refused by name."""
+    log = log_with_round_scores([0.5], proposed=3)
+    records = [dict(record) for record in log]
+    for record in records:
+        for name in ("count", "round", "tokens_in", "tokens_out", "n_problems"):
+            if type(record.get(name)) is int:
+                record[name] = float(record[name])
+    assert analyze(records) == analyze(log)
+    records[1]["count"] = 2.5
+    with pytest.raises(ValueError, match="'count' is not a whole number"):
+        analyze(records)

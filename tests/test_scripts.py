@@ -44,10 +44,13 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "evaluate": sizes,
         "evaluate reply": sizes,
         "peer evaluate": sizes,
+        "trace decode": sizes,
+        "program decode": sizes,
         "peer start": ["process"],
         "peer exit": ["process"],
         "select+backprop": ["tree"],
         "runlog append": ["record"],
+        "fold record": ["record"],
         "tree bytes": ["node"],
     }
     # every row but the tree's size is timed

@@ -51,6 +51,13 @@ same way every time, so two checkouts can be compared call by call:
   fold record            StatsFold.add of each record of that round, into a
                          fresh fold with zero prices: the report's and the
                          driver's summary; per record
+  engine import          importing `wfopt.driver` and `wfopt.config`, timed
+                         inside a fresh process: the part of a benchmark
+                         worker's set-up that compiles and builds the engine
+  cli start              a fresh `python -m wfopt` process, spawn to exit,
+                         for `--help`, for `report` of the run log of a fixed
+                         tiny run (`TINY_RUN`), and for `export` of its best
+                         workflow
   tree bytes             the `tracemalloc` bytes that dropping the finished
                          tree frees, per tree node, after a fixed small
                          search shaped like the `wide_scoring` workload
@@ -62,7 +69,11 @@ same way every time, so two checkouts can be compared call by call:
 A sample times enough calls to last about 20 ms; each figure is the median
 and the best of `--repeat` samples, in microseconds per call. The two peer
 rows take one sample per peer, `--repeat` peers after one that is not
-counted; the peer imports `wfopt` as this script does. The file also
+counted; the peer imports `wfopt` as this script does. The two start-up
+rows take one sample per fresh process, from max(`--repeat`, 9) processes
+run one after another after one round that is not counted, each with
+PYTHONDONTWRITEBYTECODE=1, so each compiles the package from source (unless
+a `__pycache__` is already there to read). The file also
 records the git revision, the Python and numpy versions and the platform.
 End-to-end timing of whole searches is the benchmark in `perfbench/`.
 
@@ -80,6 +91,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -122,6 +134,16 @@ TREE_SEARCH = {
     "budget": {"rounds": 2, "simulations_per_round": 8, "max_candidates_per_expansion": 64},
     "proposer": {"ops": ["add", "mul", "neg"], "max_operator_nodes": 4},
 }
+
+# the run whose log `cli start` reports and whose best workflow it exports
+TINY_RUN = {
+    "seed": 42,
+    "budget": {"rounds": 2, "simulations_per_round": 4, "max_candidates_per_expansion": 8},
+    "suite": {"n_problems": 5},
+}
+FRESH = 9  # the fewest fresh processes a start-up row is the median of
+ENGINE_IMPORT = ("import time\nstart = time.perf_counter()\nimport wfopt.config, wfopt.driver\n"
+                 "print(time.perf_counter() - start)")
 
 
 def fixed_program(n_ops: int) -> WorkflowProgram:
@@ -271,6 +293,39 @@ def peer_rows(line: str, repeat: int) -> dict:
     return {"peer start": {"process": summary(start[1:])}, "peer exit": {"process": summary(stop[1:])}}
 
 
+def start_rows(repeat: int) -> dict:
+    """The `engine import` and `cli start` rows: one sample per fresh
+    process, the rows taking turns, so that a slow spell of the machine
+    falls on all of them alike."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+    def elapsed_us(*args: str) -> float:
+        began = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+        return (time.perf_counter() - began) * 1e6
+
+    def import_us() -> float:
+        proc = subprocess.run([sys.executable, "-c", ENGINE_IMPORT], env=env, check=True, capture_output=True,
+                              text=True)
+        return float(proc.stdout) * 1e6
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        execute_run(config_from_dict(TINY_RUN), run_dir)
+        commands = {
+            "--help": ("--help",),
+            "report": ("report", str(run_dir / "runlog.ndjson")),
+            "export": ("export", str(run_dir / "best_workflow.json"), str(Path(tmp) / "copy.json")),
+        }
+        samples: dict[str, list[float]] = {"engine import": [], **{name: [] for name in commands}}
+        for _ in range(max(repeat, FRESH) + 1):  # the first round warms the file cache and is not counted
+            samples["engine import"].append(import_us())
+            for name, args in commands.items():
+                samples[name].append(elapsed_us("-m", "wfopt", *args))
+    row = {name: dict(summary(times[1:]), processes=len(times) - 1) for name, times in samples.items()}
+    return {"engine import": {"process": row.pop("engine import")}, "cli start": row}
+
+
 def git_rev() -> str:
     try:
         # "-dirty" marks a tree with uncommitted changes to tracked files
@@ -371,6 +426,7 @@ def run(repeat: int) -> dict:
         results[name] = {"record": {"median_us": round(median / len(records), 3),
                                     "best_us": round(best / len(records), 3), "records_per_round": len(records)}}
     log.close()
+    results.update(start_rows(repeat))
     results["tree bytes"] = {"node": tree_bytes()}
     return results
 

@@ -51,6 +51,7 @@ _EXPORTS = {
             "default_registry",
             "derive_state",
             "dumps_program",
+            "export_workflow",
             "interpret",
             "loads_program",
             "validate_program",
@@ -69,7 +70,7 @@ _EXPORTS = {
         ),
         "motifs",
     ),
-    **dict.fromkeys(("execute_run", "export_workflow"), "driver"),
+    "execute_run": "driver",
     "RunLog": "runlog",
     **dict.fromkeys(
         (

@@ -21,8 +21,9 @@ fails at one of three layers: a decoder (`trace_from_dict`,
 `problem_from_dict`, `_usage_record`, `SyntheticRoles.handle`) raises
 `ValueError` naming the field; `ExternalEvaluator` fails a reply that is
 valid JSON but carries bad content with `EvaluationError`, for that request
-only; and a reply that breaks the protocol itself raises `AdapterError`, as
-does a reply longer than `MAX_REPLY`, which is read no further.
+only; and a reply that breaks the protocol itself raises `AdapterError`
+(defined in `wfopt.roles`), as does a reply longer than `MAX_REPLY`, which
+is read no further.
 
 Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
 which is how the protocol tests exercise both sides. The peer keeps one
@@ -54,12 +55,15 @@ from .model import (
     program_to_dict,
     validate_program,
 )
-from .roles import EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
-
-
-class AdapterError(RuntimeError):
-    """Remote role unreachable or speaking a malformed protocol."""
-
+from .roles import (
+    AdapterError,
+    EvaluationError,
+    Problem,
+    ProblemSet,
+    ProposerConfig,
+    SyntheticEvaluator,
+    TokenRecord,
+)
 
 MAX_REPLY = 1 << 24  # the longest reply read: characters of a stdio line, newline included, or HTTP body bytes
 

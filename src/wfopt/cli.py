@@ -1,4 +1,10 @@
-"""Command-line entry point: run, report, export, ablate."""
+"""Command-line entry point: run, report, export, ablate.
+
+Each command imports only the part of the engine it runs, when it runs:
+parsing and ``--help`` load no engine module; ``report`` loads the run-log
+reader and the fold (`wfopt.reporting`); ``export`` loads `wfopt.model`;
+``run`` and ``ablate`` load the driver, and with it numpy and the search.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +12,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .adapter import AdapterError
-from .config import ConfigError, ExecutorConfig, RunConfig, load_config, with_overrides
-from .driver import ablation_grid, execute_run, export_workflow
-from .harness import SuiteGenerationError
-from .model import loads_program, validate_program
-from .reporting import report
+if TYPE_CHECKING:
+    from .config import ExecutorConfig, RunConfig
 
 
 def _parse_executor(value: str) -> ExecutorConfig:
+    from .config import ConfigError, ExecutorConfig
+
     if value == "synthetic":
         return ExecutorConfig(mode="synthetic")
     if value.startswith("external:"):
@@ -53,11 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(config_path: Optional[Path], seed: Optional[int], executor: Optional[ExecutorConfig]) -> RunConfig:
+    from .config import RunConfig, load_config, with_overrides
+
     config = load_config(config_path) if config_path else RunConfig()
     return with_overrides(config, seed=seed, executor=executor)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .driver import execute_run
+
     config = _load(args.config, args.seed, args.executor)
     result = execute_run(config, args.out)
     print(f"best validation reward: {result.summary['best_validation_reward']:.4f}")
@@ -69,12 +77,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .reporting import report
+
     _, table = report(args.logs)
     print(table)
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .model import export_workflow, loads_program, validate_program
+
     program = loads_program(args.source.read_text())
     check = validate_program(program)
     if not check.ok:
@@ -87,6 +99,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    from .driver import ablation_grid, execute_run
+
     config = _load(args.config, args.seed, None)
     results = {}
     for name, variant in ablation_grid(config).items():
@@ -103,12 +117,22 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors `main` reports as ``error: ...`` with exit status 2; a
+    `ConfigError` is a `ValueError`. The except clause calls this only once a
+    command has raised, so no command loads a module just to catch its error."""
+    from .harness import SuiteGenerationError
+    from .roles import AdapterError
+
+    return (AdapterError, SuiteGenerationError, ValueError, OSError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "report": cmd_report, "export": cmd_export, "ablate": cmd_ablate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, AdapterError, SuiteGenerationError, ValueError, OSError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

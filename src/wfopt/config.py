@@ -36,6 +36,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The synthetic suite: problem, category and root counts, and each target's distance from the start."""
+
     n_problems: int = 10
     category_count: int = 1
     n_roots: int = 2
@@ -56,6 +58,8 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class ExecutorConfig:
+    """Where the executor role runs: in-process, at an HTTP address, or behind a stdio command."""
+
     mode: str = "synthetic"          # "synthetic" | "external"
     address: Optional[str] = None    # http URL for external mode
     command: Optional[tuple[str, ...]] = None  # stdio child process
@@ -81,6 +85,8 @@ class ExecutorConfig:
 
 @dataclass(frozen=True)
 class AblationConfig:
+    """The families and injection stages a run enables, and whether the family weights adapt."""
+
     enabled_families: tuple[str, ...] = FAMILIES
     enabled_stages: tuple[str, ...] = STAGES
     adaptive_weights: bool = True
@@ -102,6 +108,8 @@ class AblationConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of one run, one section each; the JSON config document decodes into it."""
+
     category: Optional[str] = None   # None: use the suite's first category
     executor: ExecutorConfig = ExecutorConfig()
     aggregation: AggregationConfig = AggregationConfig()

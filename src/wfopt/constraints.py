@@ -79,6 +79,8 @@ _MAX_EXPLORATION = math.sqrt(math.log(2**63))
 
 @dataclass(frozen=True)
 class AggregationConfig:
+    """The compliance offset epsilon, the shaping weight lambda and the UCT constant of selection."""
+
     epsilon: float = 0.01
     lambda_shaping: float = 0.5
     uct_c: float = 1.414
@@ -102,6 +104,8 @@ class AggregationConfig:
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
+    """The pruning threshold tau over rounds: its start, its floor and its decay rate."""
+
     tau0: float = 0.6
     tau_min: float = 0.3
     decay_k: float = 0.05
@@ -115,6 +119,8 @@ class ThresholdSchedule:
 
 @dataclass(frozen=True)
 class DepthDiversityConfig:
+    """The depth family's bound d_max, and its penalty beta per level beyond it."""
+
     d_max: int = 15
     beta: float = 0.1
 
@@ -127,6 +133,8 @@ class DepthDiversityConfig:
 
 @dataclass(frozen=True)
 class MagnitudeConfig:
+    """The magnitude family's tolerance exponent gamma and penalty slope delta."""
+
     gamma: int = 2
     delta: float = 0.5
 

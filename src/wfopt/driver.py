@@ -9,6 +9,10 @@ is built and the category checked:
   best_workflow.json   the winning program in the workflow JSON format
   motifs.json          the final motif library snapshot
   summary.json         headline metrics for the run
+
+Only a run with an external executor loads `wfopt.adapter`, the wire
+protocol: `execute_run` imports it in that branch, so a set-up that builds
+an in-process run compiles none of it.
 """
 
 from __future__ import annotations
@@ -18,17 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .adapter import ExternalEvaluator, HttpTransport, StdioTransport
 from .config import STAGES, ConfigError, RunConfig
 from .constraints import ConstraintScorer
 from .harness import SyntheticProposer, SyntheticSuite, make_synthetic_suite
-from .model import (
-    InvalidProgramError,
-    WorkflowProgram,
-    default_registry,
-    dumps_program,
-    validate_program,
-)
+from .model import WorkflowProgram, default_registry, export_workflow
 from .motifs import init_templates, save_library
 from .reporting import StatsFold
 from .roles import SyntheticEvaluator
@@ -37,20 +34,10 @@ from .search import Optimizer
 from .weights import FAMILIES
 
 
-def export_workflow(program: WorkflowProgram, path: str | Path, registry=None) -> None:
-    """Write a validated program in the canonical workflow JSON format.
-
-    The output round-trips bit-identically through the loader; invalid
-    programs are rejected before anything is written.
-    """
-    report = validate_program(program, registry)
-    if not report.ok:
-        raise InvalidProgramError("; ".join(report.violations))
-    Path(path).write_text(dumps_program(program))
-
-
 @dataclass
 class RunResult:
+    """A finished run: its best program, run log, optimizer, suite and summary."""
+
     best_program: WorkflowProgram
     log: RunLog
     optimizer: Optimizer
@@ -109,6 +96,9 @@ def execute_run(config: RunConfig, out_dir: Optional[str | Path] = None) -> RunR
             config=config.to_dict(),
         )
         if config.executor.mode == "external":
+            # only an external executor speaks the wire protocol, so only its run loads it
+            from .adapter import ExternalEvaluator, HttpTransport, StdioTransport
+
             if config.executor.command:
                 transport = StdioTransport(config.executor.command)
             else:

@@ -209,6 +209,8 @@ class SyntheticProposer:
 
 @dataclass(frozen=True)
 class SyntheticSuite:
+    """A generated suite: the initial program, each category's target, and the two problem sets."""
+
     initial_program: WorkflowProgram
     targets: Mapping[str, WorkflowProgram]   # category -> hidden target
     validation: ProblemSet

@@ -39,6 +39,7 @@ import heapq
 import json
 import math
 import operator
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,6 +56,8 @@ class InvalidProgramError(ValueError):
 
 class MissingInputError(KeyError):
     """Raised when interpret() is not given a value for every input root."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
 
 
 class DomainRule(str, Enum):
@@ -225,6 +228,8 @@ class Shape:
 
 @dataclass(frozen=True, slots=True)
 class Node:
+    """One vertex of a program: its id, its operator, and an optional unit, shape and constant."""
+
     node_id: str
     op: str
     unit: Optional[UnitSignature] = None
@@ -237,6 +242,8 @@ class Node:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
+    """One operand wire: the value of `src` feeds argument `slot` of `dst`."""
+
     src: str
     dst: str
     slot: int
@@ -272,6 +279,8 @@ class WorkflowProgram:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict of `validate_program`: whether the program is valid, and each violation."""
+
     ok: bool
     violations: tuple[str, ...] = ()
 
@@ -974,12 +983,12 @@ def _shape_from_json(obj) -> Shape:
     if obj == "scalar":
         return Shape.scalar()
     if isinstance(obj, dict) and "vector" in obj:
-        return Shape.vector(schema.whole(obj["vector"], "a shape dimension"))
+        return Shape.vector(schema.whole(obj["vector"], "a shape dimension", 1))
     if isinstance(obj, dict) and "matrix" in obj:
         dims = obj["matrix"]
         if not isinstance(dims, list) or len(dims) != 2:
             raise ValueError(f"a matrix shape must list two dimensions, got {dims!r}")
-        return Shape.matrix(*(schema.whole(d, "a shape dimension") for d in dims))
+        return Shape.matrix(*(schema.whole(d, "a shape dimension", 1) for d in dims))
     raise ValueError(f"bad shape tag: {obj!r}")
 
 
@@ -1048,6 +1057,21 @@ def program_from_dict(data: Mapping) -> WorkflowProgram:
 
 def dumps_program(program: WorkflowProgram) -> str:
     return json.dumps(program_to_dict(program), sort_keys=True, indent=2) + "\n"
+
+
+def export_workflow(
+    program: WorkflowProgram, path: str | os.PathLike, registry: Optional[OperatorRegistry] = None
+) -> None:
+    """Write a validated program in the canonical workflow JSON format.
+
+    The output round-trips bit-identically through the loader; invalid
+    programs are rejected before anything is written.
+    """
+    report = validate_program(program, registry)
+    if not report.ok:
+        raise InvalidProgramError("; ".join(report.violations))
+    with open(path, "w") as out:
+        out.write(dumps_program(program))
 
 
 def loads_program(text: str) -> WorkflowProgram:

@@ -30,6 +30,8 @@ class MotifInitError(ValueError):
 
 @dataclass(frozen=True)
 class Motif:
+    """One template of a category: a unit vector over the registry's operators, and its origin."""
+
     category: str
     vector: tuple[float, ...]   # unit Euclidean length, non-negative entries
     origin: str                 # "baseline_template" | "clustered"
@@ -62,6 +64,8 @@ class MotifConfig:
 
 @dataclass(frozen=True)
 class MotifLibrary:
+    """The motifs of every category over one operator order, and the settings that refine them."""
+
     motifs: tuple[Motif, ...]
     registry_ops: tuple[str, ...]
     config: MotifConfig = MotifConfig()

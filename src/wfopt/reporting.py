@@ -16,6 +16,8 @@ from .schema import MAX_COUNT
 
 @dataclass(frozen=True)
 class RunStats:
+    """The summary of one run log: round scores, pruning, tokens and cost per problem, best reward."""
+
     path: str
     rounds: int
     round_scores: tuple[float, ...]

@@ -1,4 +1,10 @@
-"""What the two roles exchange, and the synthetic evaluator: no proposer, and only :mod:`wfopt.model`."""
+"""What the two roles exchange, and the synthetic evaluator: no proposer, and only :mod:`wfopt.model`.
+
+The two ways a role fails live here as well: `EvaluationError`, one request
+failed, and `AdapterError`, a remote role that cannot be reached or breaks
+the protocol. `wfopt.adapter` re-exports the latter, so the CLI and the
+driver can name it without loading the wire protocol.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +19,14 @@ class EvaluationError(RuntimeError):
     the simulation scores a zero reward)."""
 
 
+class AdapterError(RuntimeError):
+    """Remote role unreachable or speaking a malformed protocol."""
+
+
 @dataclass(frozen=True)
 class Problem:
+    """One task: the value of each root input, the expected output, and its category."""
+
     inputs: Mapping[str, float]
     expected: float
     category: str
@@ -22,6 +34,8 @@ class Problem:
 
 @dataclass(frozen=True)
 class ProblemSet:
+    """The problems of one split, validation or test."""
+
     problems: tuple[Problem, ...]
     split: str  # "validation" | "test"
 
@@ -35,6 +49,8 @@ class ProblemSet:
 
 @dataclass(frozen=True, slots=True)
 class TokenRecord:
+    """The token usage of one request to a role."""
+
     role: str  # "optimizer" | "executor"
     prompt_tokens: int
     completion_tokens: int

@@ -36,6 +36,8 @@ from .weights import AdaptationConfig, ObservationBuffer, WeightVector, correlat
 
 @dataclass(slots=True)
 class SearchNode:
+    """One node of the search tree: its program and state, its links, and its visit and reward tallies."""
+
     program: WorkflowProgram
     state: WorkflowState
     node_id: str

@@ -19,6 +19,8 @@ FAMILIES = ("units", "types", "pattern", "magnitude", "depth", "diversity")
 
 @dataclass(frozen=True)
 class WeightVector:
+    """The six family weights: each positive, summing to 1."""
+
     units: float
     types: float
     pattern: float
@@ -50,6 +52,8 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class AdaptationConfig:
+    """How the weights adapt: the learning rate eta, the uniform mix alpha and the warm-up rounds."""
+
     eta: float = 0.1
     alpha: float = 0.01
     warmup_rounds: int = 5

@@ -40,7 +40,8 @@ from wfopt.harness import (
 )
 from wfopt.search import Optimizer, SearchBudget
 from wfopt.model import (
-    Edge, ExecutionTrace, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_to_dict,
+    Edge, ExecutionTrace, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_from_dict,
+    program_to_dict,
 )
 
 from conftest import binary, chain
@@ -229,6 +230,37 @@ class TestHandleRequest:
         refused, answered = map(json.loads, stdout.getvalue().splitlines())
         assert refused == {"error": message}
         assert answered == SyntheticRoles(registry).handle(valid)
+
+    @pytest.mark.parametrize("shape, bad", [({"vector": 0}, 0), ({"vector": -3}, -3), ({"matrix": [0, 2]}, 0),
+                                            ({"matrix": [2, -1]}, -1)],
+                             ids=["zero-vector", "negative-vector", "zero-rows", "negative-columns"])
+    def test_shape_dimension_below_one_is_refused_in_band(self, registry, monkeypatch, shape, bad):
+        """A shape dimension is a count from 1: a program declaring one below
+        that is refused by name, by the decoder and in the peer's answer."""
+        data = program_to_dict(chain("neg"))
+        data["nodes"][0]["shape"] = shape
+        message = f"a shape dimension must be a count from 1 to 2**53, got {bad}"
+        with pytest.raises(ValueError) as raised:
+            program_from_dict(data)
+        assert str(raised.value) == message
+        request = _evaluate(chain("neg"), PROBLEMS.problems)
+        request["program"] = data
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry)
+        assert json.loads(stdout.getvalue()) == {"error": message}
+
+    def test_unbound_root_is_refused_in_band_unquoted(self, registry, monkeypatch):
+        """A problem that binds no value to a root of the program gets the
+        interpreter's message as it reads, with no quotes around it."""
+        request = _evaluate(binary("add", "input", "input"), ())
+        request["params"]["problems"] = [{"inputs": {"x0": 2.0}, "expected": 2.0}]
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        serve_stdio(registry)
+        assert json.loads(stdout.getvalue()) == {"error": "no input value for root 'x1'"}
 
     def test_well_formed_problem_reads_as_before(self):
         problem = adapter.problem_from_dict({"inputs": {"x0": 2, "x1": -0.0}, "expected": 5})
@@ -879,7 +911,7 @@ class TestRunClosesStdioPeer:
                 super().__init__(command)
                 transports.append(self)
 
-        monkeypatch.setattr(driver, "StdioTransport", RecordingTransport)
+        monkeypatch.setattr(adapter, "StdioTransport", RecordingTransport)
         return transports
 
     @staticmethod

@@ -51,10 +51,14 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
         "select+backprop": ["tree"],
         "runlog append": ["record"],
         "fold record": ["record"],
+        "engine import": ["process"],
+        "cli start": ["--help", "export", "report"],
         "tree bytes": ["node"],
     }
     # every row but the tree's size is timed
     assert all(row["median_us"] > 0 for name, rows in results.items() if name != "tree bytes"
                for row in rows.values())
+    # each start-up figure is the median of at least nine fresh processes
+    assert all(row["processes"] >= 9 for name in ("engine import", "cli start") for row in results[name].values())
     tree = results["tree bytes"]["node"]
     assert tree["bytes_per_node"] > 0 and 0 < tree["states"] <= tree["nodes"]

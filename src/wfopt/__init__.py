@@ -31,13 +31,13 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "PriceMap",
+            "ProposerConfig",
             "SyntheticProposer",
             "make_synthetic_suite",
         ),
         "harness",
     ),
-    **dict.fromkeys(("Problem", "ProblemSet", "ProposerConfig", "SyntheticEvaluator", "TokenRecord"), "roles"),
+    **dict.fromkeys(("Problem", "ProblemSet", "SyntheticEvaluator", "TokenRecord"), "roles"),
     **dict.fromkeys(
         (
             "ExecutionTrace",
@@ -72,6 +72,7 @@ _EXPORTS = {
     ),
     "execute_run": "driver",
     "RunLog": "runlog",
+    "PriceMap": "reporting",
     **dict.fromkeys(
         (
             "Optimizer",

@@ -1,13 +1,10 @@
-"""Wire protocol for remote proposer/evaluator implementations.
+"""Wire protocol for a remote evaluator.
 
 Requests and responses are single JSON documents, newline-delimited over a
 child process's standard streams or POSTed over HTTP:
 
-    request:  {"kind": "propose", "program": {...}, "params": {"count": 8, "seed": 7}}
-    response: {"candidates": [{...}], "usage": {"prompt_tokens": n, "completion_tokens": n}}
-
     request:  {"kind": "evaluate", "program": {...}, "params": {"problems": [...]}}
-    response: {"reward": r, "traces": [{...}], "usage": {...}}
+    response: {"reward": r, "traces": [{...}], "usage": {"prompt_tokens": n, "completion_tokens": n}}
 
 A transport sends one encoded request line and returns the decoded reply.
 `ExternalEvaluator` encodes its problem list once, when it is built, and
@@ -25,21 +22,19 @@ only; and a reply that breaks the protocol itself raises `AdapterError`
 (defined in `wfopt.roles`), as does a reply longer than `MAX_REPLY`, which
 is read no further.
 
-Running ``python -m wfopt.adapter`` serves the synthetic roles over stdio,
-which is how the protocol tests exercise both sides. The peer keeps one
-`SyntheticRoles` for its lifetime and loads numpy and `wfopt.harness` only
-for its first propose request, so an evaluate-only peer starts without them.
-It decodes a request ending with an earlier one's problem text from its head
+Running ``python -m wfopt.adapter``, with no argument, serves the synthetic
+evaluator over stdio, which is how the protocol tests exercise both sides.
+The engine always proposes in process, so the peer has no proposer and loads
+neither numpy nor `wfopt.harness`: a propose request is answered as any
+unknown kind is. The peer keeps one `SyntheticRoles` for its lifetime,
+decodes a request ending with an earlier one's problem text from its head
 (`serve_stdio`), and exits without interpreter finalization. It validates
-each request's program before either role sees it, and answers an invalid
-one with ``{"error": "invalid program: <violations>"}``. The proposer edits
-a valid program with dead nodes (nodes that do not feed the output) as the
-program pruned of them, so it answers with the pruned program's candidates.
+each request's program before the evaluator sees it, and answers an invalid
+one with ``{"error": "invalid program: <violations>"}``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -60,7 +55,6 @@ from .roles import (
     EvaluationError,
     Problem,
     ProblemSet,
-    ProposerConfig,
     SyntheticEvaluator,
     TokenRecord,
 )
@@ -294,62 +288,44 @@ class ExternalEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Server side: the synthetic roles behind the same protocol.
+# Server side: the synthetic evaluator behind the same protocol.
 # ---------------------------------------------------------------------------
 
 class SyntheticRoles:
-    """Answers protocol requests with the synthetic roles, kept across requests.
+    """Answers protocol requests with the synthetic evaluator, kept across requests.
 
-    The registry and the proposer, built for the first propose request, live
-    as long as the object. The evaluator is kept for the last problem list
-    object received, and rebuilt for any other (`serve_stdio` passes the same
-    object for the same problem text); a caller must not change a list it has
-    passed. The roles count their requests, but no response field reports a
-    count, so every response equals what a fresh object would give for the
-    same request.
+    The registry lives as long as the object. The evaluator is kept for the
+    last problem list object received, and rebuilt for any other
+    (`serve_stdio` passes the same object for the same problem text); a
+    caller must not change a list it has passed. The evaluator counts its
+    requests, but no response field reports a count, so every response
+    equals what a fresh object would give for the same request.
     """
 
-    def __init__(self, registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()):
+    def __init__(self, registry: Optional[OperatorRegistry] = None):
         self.registry = registry or default_registry()
-        proposer_config.operators(self.registry)  # an unknown op fails now, not at the first propose request
-        self._proposer_config = proposer_config
-        self._proposer = None  # a SyntheticProposer, built for the first propose request
         self._problem_dicts: Optional[list] = None
         self._evaluator: Optional[SyntheticEvaluator] = None
 
     def handle(self, payload: object) -> dict:
-        """Answer one request. A program that fails `validate_program`
-        against this object's registry gets an in-band error, and neither
-        role sees it; one that passes is remembered as valid for that
-        registry, so the proposer's own check of it is the verdict lookup.
-        A propose request for a program with dead nodes gets the candidates
-        of the program pruned of them. A request field that breaks its rule
-        raises `ValueError` naming it."""
+        """Answer one evaluate request. A program that fails
+        `validate_program` against this object's registry gets an in-band
+        error, and the evaluator does not see it; so does a request of any
+        other kind. A request field that breaks its rule raises `ValueError`
+        naming it."""
         request = schema.obj(payload, "request", required=("program",))
         program = program_from_dict(request["program"])
         params = schema.obj(request.get("params", {}), "params")
         kind = request.get("kind")
-        if kind not in ("propose", "evaluate"):
+        if kind != "evaluate":
             return {"error": f"unknown request kind {kind!r}"}
         report = validate_program(program, self.registry)
         if not report.ok:
             return {"error": "invalid program: " + "; ".join(report.violations)}
-        if kind == "propose":
-            seed = schema.whole(params.get("seed", 0), "params.seed", 0)
-            count = schema.whole(params.get("count", 8), "params.count", 1)
-            import numpy as np  # here, not at module level: an evaluate-only peer starts without it
-
-            from .harness import SyntheticProposer  # likewise
-
-            self._proposer = self._proposer or SyntheticProposer(self.registry, self._proposer_config)
-            candidates, usage = self._proposer.propose(program, count, np.random.default_rng(seed))
-            response: dict = {"candidates": [program_to_dict(c) for c in candidates]}
-        else:
-            problems = schema.obj(params, "params", required=("problems",))["problems"]
-            reward, traces, usage = self._evaluator_for(schema.listed(problems, "params.problems")).evaluate(program)
-            response = {"reward": reward, "traces": [trace_to_dict(t) for t in traces]}
-        response["usage"] = {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens}
-        return response
+        problems = schema.obj(params, "params", required=("problems",))["problems"]
+        reward, traces, usage = self._evaluator_for(schema.listed(problems, "params.problems")).evaluate(program)
+        return {"reward": reward, "traces": [trace_to_dict(t) for t in traces],
+                "usage": {"prompt_tokens": usage.prompt_tokens, "completion_tokens": usage.completion_tokens}}
 
     def _evaluator_for(self, problem_dicts: list) -> SyntheticEvaluator:
         if self._evaluator is None or problem_dicts is not self._problem_dicts:
@@ -374,7 +350,7 @@ def _problem_tail(line: str, payload: object) -> Optional[tuple[str, dict]]:
     return None
 
 
-def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: ProposerConfig = ProposerConfig()) -> None:
+def serve_stdio(registry: Optional[OperatorRegistry] = None) -> None:
     """Answer one JSON request per input line until end of input, with one `SyntheticRoles`.
 
     A line ending with the problem text of the last line `_problem_tail`
@@ -383,7 +359,7 @@ def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: Pr
     head does not decode to a non-empty object (`{` alone gives `{}`, though
     the line is no JSON) is decoded whole, so every reply is a whole decode's.
     """
-    roles = SyntheticRoles(registry, proposer_config)
+    roles = SyntheticRoles(registry)
     tail, params = None, None  # the kept problem text and params
     for line in sys.stdin:
         line = line.strip()
@@ -407,15 +383,13 @@ def serve_stdio(registry: Optional[OperatorRegistry] = None, proposer_config: Pr
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Serve the synthetic roles over stdio.")
-    parser.add_argument("--ops", nargs="*", default=None, help="restrict the proposer's operator set")
-    parser.add_argument("--max-nodes", type=int, default=6)
-    args = parser.parse_args(argv)
-    config = ProposerConfig(
-        ops=tuple(args.ops) if args.ops else None,
-        max_operator_nodes=args.max_nodes,
-    )
-    serve_stdio(proposer_config=config)
+    """Serve the synthetic evaluator over stdio. The peer takes no argument:
+    any is refused, with status 2, before a request is read."""
+    args = sys.argv[1:] if argv is None else argv
+    if args:
+        sys.stderr.write(f"usage: python -m wfopt.adapter\nerror: unrecognized arguments: {' '.join(args)}\n")
+        return 2
+    serve_stdio()
     return 0
 
 

@@ -21,9 +21,9 @@ from .constraints import (
     MagnitudeConfig,
     ThresholdSchedule,
 )
-from .harness import PriceMap
+from .harness import ProposerConfig
 from .motifs import MotifConfig
-from .roles import ProposerConfig
+from .reporting import PriceMap
 from .search import SearchBudget, StageSwitches
 from .weights import FAMILIES, AdaptationConfig
 
@@ -216,6 +216,8 @@ def config_from_dict(data: Mapping) -> RunConfig:
     try:
         sections = {name: _section(name, default, data.get(name, {})) for name, default in _SECTIONS.items()}
         _check_proposer(sections["proposer"])
+        if not 10 <= sections["motifs"].templates_per_category <= 15:  # what `init_templates` places
+            raise ConfigError("motifs.templates_per_category must lie in [10, 15]")
         seed = _checked_seed(data.get("seed", _SECTIONS["budget"].seed))
         sections["budget"] = replace(sections["budget"], seed=seed)
         category = data.get("category")

@@ -1,14 +1,15 @@
-"""Deterministic stand-ins for the optimizer/executor roles, plus token prices.
+"""Deterministic stand-ins for the optimizer/executor roles.
 
-The synthetic proposer checks and prunes its base once, takes the base's
-distinct one-edit records (:mod:`wfopt.edits`, which builds them and writes
-each built candidate's verdict) in a fixed order, and returns a seeded sample
-drawn over them; only the records it draws are built. The
+The synthetic proposer, whose edit space its `ProposerConfig` sets, checks
+and prunes its base once, takes the base's distinct one-edit records
+(:mod:`wfopt.edits`, which builds them and writes each built candidate's
+verdict) in a fixed order, and returns a seeded sample drawn over them; only
+the records it draws are built. The
 synthetic evaluator (in :mod:`wfopt.roles`, reachable here too) interprets a
 program over a problem set. Both emit token records whose sizes are
 deterministic functions of payload size, so efficiency metrics reproduce
-exactly. Remote implementations of the same two roles are supported through
-the wire protocol in :mod:`wfopt.adapter`.
+exactly. The proposer always runs in process; a remote evaluator is reached
+through the wire protocol in :mod:`wfopt.adapter`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     Edge,
     InvalidProgramError,
     Node,
+    OperatorKind,
     OperatorRegistry,
     UnitSignature,
     WorkflowProgram,
@@ -34,36 +36,36 @@ from .model import (
     validate_program,
 )
 # EvaluationError and SyntheticEvaluator are not used here; callers reach them through this module too
-from .roles import EvaluationError, Problem, ProblemSet, ProposerConfig, SyntheticEvaluator, TokenRecord
+from .roles import EvaluationError, Problem, ProblemSet, SyntheticEvaluator, TokenRecord
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 @dataclass(frozen=True)
-class PriceMap:
-    """Per-role (input, output) price per token."""
+class ProposerConfig:
+    """Controls the edit space the synthetic proposer enumerates."""
 
-    prices: Mapping[str, tuple[float, float]]
+    ops: Optional[tuple[str, ...]] = None       # None = whole registry
+    max_operator_nodes: int = 6
+    const_palette: tuple[float, ...] = ()
+    allow_insert: bool = True
+    allow_replace: bool = True
+    allow_delete: bool = True
+    allow_rewire: bool = True
 
     def __post_init__(self) -> None:
-        for role, (pin, pout) in self.prices.items():
-            if pin < 0 or pout < 0:
-                raise ValueError(f"negative price for role {role!r}")
+        if self.max_operator_nodes < 1:
+            raise ValueError("max_operator_nodes must be >= 1")
 
-    @staticmethod
-    def zero() -> "PriceMap":
-        return PriceMap({"optimizer": (0.0, 0.0), "executor": (0.0, 0.0)})
-
-    def for_role(self, role: str) -> tuple[float, float]:
-        if role not in self.prices:
-            raise KeyError(f"no price configured for role {role!r}")
-        return self.prices[role]
-
-    def charge(self, role: str, tokens_in: int, tokens_out: int) -> float:
-        """The price of one request's tokens to `role`."""
-        pin, pout = self.for_role(role)
-        return tokens_in * pin + tokens_out * pout
+    def operators(self, registry: OperatorRegistry) -> tuple[OperatorKind, ...]:
+        """The kinds of `registry` a proposer with this config edits with, in
+        order; an op `registry` lacks raises `ValueError`."""
+        names = self.ops if self.ops is not None else registry.names
+        for name in names:
+            if name not in registry:
+                raise ValueError(f"proposer op {name!r} not in registry")
+        return tuple(registry.get(name) for name in names)
 
 
 def _built(records: list[ProgramEdit]) -> list[WorkflowProgram]:

@@ -9,9 +9,34 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import schema
-from .harness import PriceMap
 from .runlog import RunLog
 from .schema import MAX_COUNT
+
+
+@dataclass(frozen=True)
+class PriceMap:
+    """Per-role (input, output) price per token."""
+
+    prices: Mapping[str, tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        for role, (pin, pout) in self.prices.items():
+            if pin < 0 or pout < 0:
+                raise ValueError(f"negative price for role {role!r}")
+
+    @staticmethod
+    def zero() -> "PriceMap":
+        return PriceMap({"optimizer": (0.0, 0.0), "executor": (0.0, 0.0)})
+
+    def for_role(self, role: str) -> tuple[float, float]:
+        if role not in self.prices:
+            raise KeyError(f"no price configured for role {role!r}")
+        return self.prices[role]
+
+    def charge(self, role: str, tokens_in: int, tokens_out: int) -> float:
+        """The price of one request's tokens to `role`."""
+        pin, pout = self.for_role(role)
+        return tokens_in * pin + tokens_out * pout
 
 
 @dataclass(frozen=True)
@@ -102,7 +127,7 @@ class StatsFold:
         if record.get("tokens_in") is not None or record.get("tokens_out") is not None:
             self._charge(record)
         if event == "proposed":
-            self.proposed += _field(record, "count", int, 0)
+            self.proposed += _field(record, "count", int, 0, least=0)
         elif event == "pruned":
             self.pruned += 1
         elif event == "simulated":

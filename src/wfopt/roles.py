@@ -1,8 +1,9 @@
-"""What the two roles exchange, and the synthetic evaluator: no proposer, and only :mod:`wfopt.model`.
+"""What the two roles exchange, and the synthetic evaluator: all the stdio
+peer needs, with no proposer and nothing beyond :mod:`wfopt.model`.
 
 The two ways a role fails live here as well: `EvaluationError`, one request
-failed, and `AdapterError`, a remote role that cannot be reached or breaks
-the protocol. `wfopt.adapter` re-exports the latter, so the CLI and the
+failed, and `AdapterError`, a remote evaluator that cannot be reached or
+breaks the protocol. `wfopt.adapter` re-exports the latter, so the CLI and the
 driver can name it without loading the wire protocol.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import ExecutionTrace, OperatorKind, OperatorRegistry, WorkflowProgram, default_registry, interpret_all
+from .model import ExecutionTrace, OperatorRegistry, WorkflowProgram, default_registry, interpret_all
 
 
 class EvaluationError(RuntimeError):
@@ -59,32 +60,6 @@ class TokenRecord:
     def __post_init__(self) -> None:
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProposerConfig:
-    """Controls the edit space the synthetic proposer enumerates."""
-
-    ops: Optional[tuple[str, ...]] = None       # None = whole registry
-    max_operator_nodes: int = 6
-    const_palette: tuple[float, ...] = ()
-    allow_insert: bool = True
-    allow_replace: bool = True
-    allow_delete: bool = True
-    allow_rewire: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_operator_nodes < 1:
-            raise ValueError("max_operator_nodes must be >= 1")
-
-    def operators(self, registry: OperatorRegistry) -> tuple[OperatorKind, ...]:
-        """The kinds of `registry` a proposer with this config edits with, in
-        order; an op `registry` lacks raises `ValueError`."""
-        names = self.ops if self.ops is not None else registry.names
-        for name in names:
-            if name not in registry:
-                raise ValueError(f"proposer op {name!r} not in registry")
-        return tuple(registry.get(name) for name in names)
 
 
 # a problem is solved when the output is within this of the expected value

@@ -29,7 +29,6 @@ from wfopt.constraints import (
 )
 from wfopt.driver import ablation_grid, execute_run
 from wfopt.harness import (
-    PriceMap,
     ProposerConfig,
     SyntheticEvaluator,
     SyntheticProposer,
@@ -56,7 +55,7 @@ from wfopt.motifs import (
     refine,
     score_pattern,
 )
-from wfopt.reporting import analyze
+from wfopt.reporting import PriceMap, analyze
 from wfopt.runlog import RunLog
 from wfopt.search import Optimizer, SearchBudget, selection_score
 from wfopt.weights import (

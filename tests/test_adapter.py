@@ -12,7 +12,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from wfopt.adapter import (
@@ -40,8 +39,7 @@ from wfopt.harness import (
 )
 from wfopt.search import Optimizer, SearchBudget
 from wfopt.model import (
-    Edge, ExecutionTrace, Node, WorkflowProgram, canonical_key, default_registry, interpret, program_from_dict,
-    program_to_dict,
+    Edge, ExecutionTrace, default_registry, interpret, program_from_dict, program_to_dict,
 )
 
 from conftest import binary, chain
@@ -58,19 +56,6 @@ ADD = program_to_dict(binary("add", "input", "input"))
 
 
 class TestHandleRequest:
-    def test_propose_matches_synthetic(self, registry):
-        program = binary("add", "input", "input")
-        config = ProposerConfig(ops=("add", "mul", "neg"))
-        response = SyntheticRoles(registry, config).handle(
-            {"kind": "propose", "program": program_to_dict(program), "params": {"count": 5, "seed": 9}}
-        )
-        local, _ = SyntheticProposer(registry, config).propose(program, 5, np.random.default_rng(9))
-        from wfopt.model import program_from_dict
-
-        got = [canonical_key(program_from_dict(c)) for c in response["candidates"]]
-        assert got == [canonical_key(p) for p in local]
-        assert response["usage"]["prompt_tokens"] > 0
-
     def test_evaluate_matches_synthetic(self, registry):
         program = binary("add", "input", "input")
         response = SyntheticRoles(registry).handle(
@@ -113,42 +98,22 @@ class TestHandleRequest:
         assert [set(p) for p in problems] == [{"inputs", "expected", "category"}] * len(PROBLEMS)
         assert problems[0] == {"inputs": {"x0": 2.0, "x1": 3.0}, "expected": 5.0, "category": "c"}
 
-    @pytest.mark.parametrize("kind", ["propose", "evaluate"])
-    def test_invalid_program_is_refused(self, registry, kind):
-        """Neither role sees a program that fails validation; it used to raise KeyError: 'ghost'."""
-        request = _ghost_request(kind)
-        assert SyntheticRoles(registry).handle(request) == {"error": GHOST_ERROR}
+    def test_invalid_program_is_refused(self, registry):
+        """The evaluator does not see a program that fails validation; it used to raise KeyError: 'ghost'."""
+        assert SyntheticRoles(registry).handle(_ghost_request()) == {"error": GHOST_ERROR}
 
     def test_invalid_program_is_refused_over_stdio(self):
-        """Both request kinds get the in-band error from a `python -m wfopt.adapter` peer, which then
+        """An invalid program gets the in-band error from a `python -m wfopt.adapter` peer, which then
         answers a valid request as before."""
         valid = _evaluate(binary("add", "input", "input"), PROBLEMS.problems)
         transport = StdioTransport([sys.executable, "-m", "wfopt.adapter"])
         try:
-            assert transport.request(json.dumps(_ghost_request("propose"))) == {"error": GHOST_ERROR}
-            assert transport.request(json.dumps(_ghost_request("evaluate"))) == {"error": GHOST_ERROR}
+            assert transport.request(json.dumps(_ghost_request())) == {"error": GHOST_ERROR}
             assert transport.request(json.dumps(valid))["reward"] == 1.0
         finally:
             transport.close()
         with pytest.raises(EvaluationError, match="invalid program"):
             ExternalEvaluator(_Direct(), PROBLEMS).evaluate(_ghost_program())
-
-    def test_program_with_a_dead_node_gets_its_pruned_candidates(self, registry):
-        """A valid program with a node that feeds nothing is proposed from as
-        the program pruned of it; the prompt still counts the program sent."""
-        pruned = chain("neg", "neg", n_roots=2)
-        dead = WorkflowProgram(pruned.nodes + (Node("d0", "neg"),), pruned.edges + (Edge("x1", "d0", 0),),
-                               pruned.roots, pruned.output)
-        config = ProposerConfig(ops=("add", "mul", "neg"))
-
-        def propose(program):
-            request = {"kind": "propose", "program": program_to_dict(program), "params": {"count": 5, "seed": 9}}
-            return SyntheticRoles(registry, config).handle(request)
-
-        got, want = propose(dead), propose(pruned)
-        assert len(got["candidates"]) == 5
-        assert got["candidates"] == want["candidates"]
-        assert got["usage"] == dict(want["usage"], prompt_tokens=want["usage"]["prompt_tokens"] + 12 + 6)
 
     def test_problem_keys_it_does_not_read_are_ignored(self, registry):
         """A client that still sends each problem's `constants` gets the same answer."""
@@ -201,28 +166,15 @@ class TestHandleRequest:
         ({"kind": "evaluate", "program": ADD, "params": [1]}, "params must be an object, got [1]"),
         ({"kind": "evaluate", "program": ADD, "params": {"problems": 5}}, "params.problems must be a list, got 5"),
         ({"kind": "evaluate", "program": ADD}, "params lacks 'problems'"),
-        ({"kind": "propose", "program": ADD, "params": {"seed": 1.7}}, "params.seed must be a whole number, got 1.7"),
-        ({"kind": "propose", "program": ADD, "params": {"seed": True}}, "params.seed must be an integer, got True"),
-        ({"kind": "propose", "program": ADD, "params": {"seed": -1}},
-         "params.seed must be a count from 0 to 2**53, got -1"),
-        ({"kind": "propose", "program": ADD, "params": {"count": 2.9}},
-         "params.count must be a whole number, got 2.9"),
-        ({"kind": "propose", "program": ADD, "params": {"count": 0}},
-         "params.count must be a count from 1 to 2**53, got 0"),
-        ({"kind": "propose", "program": ADD, "params": {"count": 1e300}},
-         "params.count must be a count from 1 to 2**53, got 1e+300"),
-        ({"kind": "propose", "program": ADD, "params": {"count": 10**30}},
-         f"params.count must be a count from 1 to 2**53, got {10**30}"),
-    ], ids=["list", "string", "list-params", "number-problems", "no-params", "fractional-seed", "bool-seed",
-            "negative-seed", "fractional-count", "zero-count", "huge-float-count", "huge-count"])
+    ], ids=["list", "string", "list-params", "number-problems", "no-params"])
     def test_malformed_request_is_refused_by_name(self, registry, monkeypatch, request_, message):
-        """A request that is no object, or whose params, problems, seed or
-        count breaks its rule, raises `ValueError` naming the field, which the
-        stdio peer answers in band; the peer then answers a valid request."""
+        """A request that is no object, or whose params or problems break
+        their rule, raises `ValueError` naming the field, which the stdio peer
+        answers in band; the peer then answers a valid request."""
         with pytest.raises(ValueError) as raised:
             SyntheticRoles(registry).handle(json.loads(json.dumps(request_)))
         assert str(raised.value) == message
-        valid = _propose(binary("add", "input", "input"), 5, 9)
+        valid = _evaluate(binary("add", "input", "input"), PROBLEMS.problems)
         stdout = io.StringIO()
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request_) + "\n" + json.dumps(valid) + "\n"))
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -403,9 +355,7 @@ def _ghost_program():
 GHOST_ERROR = "invalid program: edge 'ghost'->'n0' references a missing node"
 
 
-def _ghost_request(kind):
-    if kind == "propose":
-        return _propose(_ghost_program(), 5, 9)
+def _ghost_request():
     return _evaluate(_ghost_program(), PROBLEMS.problems)
 
 
@@ -417,10 +367,11 @@ class _Direct:
 
 
 def _propose(program, count, seed):
+    """A propose request, which the peer answers as an unknown kind."""
     return {"kind": "propose", "program": program_to_dict(program), "params": {"count": count, "seed": seed}}
 
 
-# A peer that only evaluates must not load these.
+# The peer has no proposer, and must not load these.
 HEAVY_MODULES = (
     "numpy", "urllib.request", "ssl", "wfopt.harness", "wfopt.edits", "wfopt.runlog", "hashlib", "subprocess",
 )
@@ -429,18 +380,17 @@ LEAN_PEER = """
 import json, sys
 from wfopt.adapter import SyntheticRoles
 
-evaluate, propose = json.loads(sys.stdin.read())
 roles = SyntheticRoles()
-evaluated = roles.handle(evaluate)
-loaded = [name for name in %r if name in sys.modules]
-print(json.dumps({"evaluated": evaluated, "loaded": loaded, "proposed": roles.handle(propose)}))
+answers = [roles.handle(request) for request in json.loads(sys.stdin.read())]
+print(json.dumps({"answers": answers, "loaded": [name for name in %r if name in sys.modules]}))
 """ % (HEAVY_MODULES,)
+
+UNKNOWN_PROPOSE = {"error": "unknown request kind 'propose'"}
 
 
 class TestSyntheticRoles:
     def test_kept_roles_answer_as_fresh_ones(self, registry, monkeypatch):
         """One stdio server's responses are byte-identical to a fresh `SyntheticRoles` for each request."""
-        config = ProposerConfig(ops=("add", "mul", "neg", "sqrt"), max_operator_nodes=3)
         other = (
             Problem(inputs={"x0": -4.0, "x1": -1.0}, expected=4.0, category="c"),
             Problem(inputs={"x0": -9.0, "x1": 2.0}, expected=-18.0, category="c"),
@@ -455,20 +405,18 @@ class TestSyntheticRoles:
             _evaluate(add, PROBLEMS.problems),
             _evaluate(failing, other),
             _evaluate(add, other),
-            _propose(add, 5, 9),
             _evaluate(add, ()),
             _evaluate(failing, PROBLEMS.problems),
             _evaluate(chain("neg"), zero),
             _evaluate(chain("neg"), negative_zero),
             _evaluate(chain("neg"), zero),
-            _propose(failing, 3, 1),
             _evaluate(add, ()),
             _evaluate(add, PROBLEMS.problems),
         ]
 
         def fresh(payload):
             try:
-                return SyntheticRoles(registry, config).handle(payload)
+                return SyntheticRoles(registry).handle(payload)
             except Exception as exc:
                 return {"error": str(exc)}
 
@@ -476,13 +424,13 @@ class TestSyntheticRoles:
         stdout = io.StringIO()
         monkeypatch.setattr(sys, "stdin", io.StringIO("".join(json.dumps(p) + "\n" for p in payloads)))
         monkeypatch.setattr(sys, "stdout", stdout)
-        serve_stdio(registry, config)
+        serve_stdio(registry)
         assert stdout.getvalue().splitlines() == expected
         answers = [json.loads(line) for line in expected]
         assert [a["reward"] for a in answers[:5]] == [1.0, 0.0, 1.0, 0.0, 0.0]
         assert not any(t["success"] for t in answers[3]["traces"])
-        assert answers[6] == answers[12] == {"error": "evaluator needs a non-empty problem set"}
-        assert expected[8] != expected[9]
+        assert answers[5] == answers[10] == {"error": "evaluator needs a non-empty problem set"}
+        assert expected[7] != expected[8]
 
     def test_short_decode_answers_as_a_full_decode(self, registry, monkeypatch):
         """A line ending with the problem text of an earlier one is decoded from
@@ -550,19 +498,20 @@ class TestSyntheticRoles:
         assert [i for i, texts in enumerate(decoded) if lines[i] in texts] == [0, 3, 5, 7, 8, 9, 11, 13, 15]
 
     def test_lean_peer(self, registry):
-        """An evaluate-only peer loads no numpy, urllib or ssl; proposals still match the local proposer."""
+        """The peer loads no numpy, urllib, ssl or proposer module, also once
+        it has been sent a propose request, which it answers as an unknown
+        kind before it answers the next evaluate request."""
         program = binary("add", "input", "input")
-        requests = [_evaluate(program, PROBLEMS.problems), _propose(program, 5, 9)]
+        requests = [_evaluate(program, PROBLEMS.problems), _propose(program, 5, 9),
+                    _evaluate(chain("neg", n_roots=2), PROBLEMS.problems)]
         proc = subprocess.run([sys.executable, "-c", LEAN_PEER], input=json.dumps(requests),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         answer = json.loads(proc.stdout)
         assert answer["loaded"] == []
-        assert answer["evaluated"] == SyntheticRoles(registry).handle(requests[0])
-        local, usage = SyntheticProposer(registry).propose(program, 5, np.random.default_rng(9))
-        assert answer["proposed"]["candidates"] == [program_to_dict(p) for p in local]
-        assert answer["proposed"]["usage"] == {"prompt_tokens": usage.prompt_tokens,
-                                               "completion_tokens": usage.completion_tokens}
+        assert answer["answers"][1] == UNKNOWN_PROPOSE
+        assert answer["answers"] == [SyntheticRoles(registry).handle(request) for request in requests]
+        assert answer["answers"][2]["reward"] == 0.0
 
 
 class TestTraceSerialization:
@@ -617,23 +566,9 @@ class TestTraceSerialization:
 class TestStdioAdapter:
     @pytest.fixture()
     def transport(self):
-        t = StdioTransport([sys.executable, "-m", "wfopt.adapter", "--ops", "add", "mul", "neg"])
+        t = StdioTransport([sys.executable, "-m", "wfopt.adapter"])
         yield t
         t.close()
-
-    def test_propose_round_trip(self, registry, transport):
-        """A propose request sent through the transport gets the candidates
-        and the usage of a local `SyntheticProposer` seeded with the
-        request's seed."""
-        program = binary("add", "input", "input")
-        reply = transport.request(json.dumps(_propose(program, 4, 5)))
-        proposer = SyntheticProposer(default_registry(), ProposerConfig(ops=("add", "mul", "neg")))
-        candidates, record = proposer.propose(program, 4, np.random.default_rng(5))
-        assert len(candidates) == 4 and record.prompt_tokens > 0
-        assert reply == {
-            "candidates": [program_to_dict(c) for c in candidates],
-            "usage": {"prompt_tokens": record.prompt_tokens, "completion_tokens": record.completion_tokens},
-        }
 
     def test_evaluate_round_trip(self, registry, transport):
         evaluator = ExternalEvaluator(transport, PROBLEMS)
@@ -643,22 +578,12 @@ class TestStdioAdapter:
         assert record.role == "executor"
 
     def test_engine_agnostic_to_transport(self, registry, transport):
-        """Remote and in-process roles produce identical evaluations and
-        identical candidates. The peer validates each request's program, so
-        its proposer's own check of it is the verdict lookup; the in-process
-        proposer gets a program with no verdict, and checks it on entry."""
+        """Remote and in-process evaluators produce identical evaluations."""
         program = binary("mul", "input", "input")
         remote = ExternalEvaluator(transport, PROBLEMS).evaluate(program)
         local = SyntheticEvaluator(PROBLEMS, registry).evaluate(program)
         assert remote[0] == local[0]
         assert remote[1] == local[1]
-
-        base = binary("add", "input", "input")
-        remote_candidates = transport.request(json.dumps(_propose(base, 6, 5)))["candidates"]
-        proposer = SyntheticProposer(default_registry(), ProposerConfig(ops=("add", "mul", "neg")))
-        local_candidates, _ = proposer.propose(binary("add", "input", "input"), 6, np.random.default_rng(5))
-        assert len(proposer.enumerate_edits(base)) > len(remote_candidates) == 6
-        assert remote_candidates == [program_to_dict(c) for c in local_candidates]
 
     def test_peer_module_runs_once(self):
         """`-m wfopt.adapter` must not import the module a second time before running it."""
@@ -671,8 +596,9 @@ class TestStdioAdapter:
         assert len(traces) == 2
 
     def test_peer_answers_as_fresh_roles_and_exits_zero(self):
-        """A peer that evaluates, builds its proposer for a propose request and
-        evaluates again answers each request as a fresh `SyntheticRoles`. At
+        """A peer that evaluates, is sent a propose request, which it answers
+        as an unknown kind, and evaluates again answers each request as a
+        fresh `SyntheticRoles`. At
         end of input it exits with status 0, without interpreter
         finalization, and its last reply, the longest, arrives whole, also
         through a block-buffered pipe."""
@@ -688,18 +614,16 @@ class TestStdioAdapter:
         assert proc.stdout.endswith("\n") and len(proc.stdout.splitlines()[-1]) > 1 << 16
         assert proc.stdout.splitlines() == [json.dumps(SyntheticRoles().handle(json.loads(json.dumps(r))))
                                             for r in requests]
+        assert json.loads(proc.stdout.splitlines()[2]) == UNKNOWN_PROPOSE
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--ops", "nosuch"], "ValueError: proposer op 'nosuch' not in registry"),
-        (["--max-nodes", "0"], "ValueError: max_operator_nodes must be >= 1"),
-    ], ids=["unknown-op", "no-nodes"])
-    def test_bad_flag_fails_before_a_request_is_read(self, flags, message):
+    def test_bad_flag_fails_before_a_request_is_read(self):
+        """The peer takes no option: the proposer's old `--ops` is refused, and no request is answered."""
         request = json.dumps(_evaluate(binary("add", "input", "input"), PROBLEMS.problems))
-        proc = subprocess.run([sys.executable, "-m", "wfopt.adapter", *flags], input=request + "\n",
+        proc = subprocess.run([sys.executable, "-m", "wfopt.adapter", "--ops", "add"], input=request + "\n",
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1] == message
+        assert proc.stderr.splitlines()[-1] == "error: unrecognized arguments: --ops add"
 
     @pytest.mark.parametrize("reply", [b"not json", b"\xff\xfe{}", b"[" * 200_000],
                              ids=["not-json", "not-utf8", "deep-nesting"])

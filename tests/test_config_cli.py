@@ -282,6 +282,7 @@ class TestConfigParsing:
             ({"templates_per_category": 31}, "motifs.max_per_category must be >= motifs.templates_per_category"),
             ({"min_separation": 1.5}, "motifs.min_separation must be in [0, 1]"),
             ({"min_separation": -0.1}, "motifs.min_separation must be in [0, 1]"),
+            ({"templates_per_category": 5}, "motifs.templates_per_category must lie in [10, 15]"),
         ],
     )
     def test_motif_setting_out_of_range_rejected(self, motifs, message):

@@ -9,7 +9,6 @@ from wfopt import driver, edits, harness, model, search
 from wfopt.edits import ProgramEdit
 from wfopt.config import config_from_dict
 from wfopt.harness import (
-    PriceMap,
     Problem,
     ProblemSet,
     ProposerConfig,
@@ -28,7 +27,7 @@ from wfopt.model import (
     interpret,
     validate_program,
 )
-from wfopt.reporting import analyze
+from wfopt.reporting import PriceMap, analyze
 
 from conftest import binary, chain, every_entry, every_pair, fingerprint, prune_dead
 

@@ -127,7 +127,8 @@ def test_report_loads_the_log_reader_only(finished_run):
     assert (proc.returncode, err) == (0, "")
     assert proc.stdout == report([log])[1] + "\n"
     assert {"wfopt.reporting", "wfopt.runlog"} <= loaded
-    assert not {"numpy", "wfopt.search", "wfopt.driver", "wfopt.config"} & loaded
+    assert not {"numpy", "wfopt.search", "wfopt.driver", "wfopt.config", "wfopt.harness", "wfopt.edits", "wfopt.model",
+                "wfopt.roles"} & loaded
 
 
 def test_export_loads_the_model_only(finished_run, tmp_path):

@@ -258,9 +258,9 @@ def test_a_broken_workflow_document_raises_only_a_named_value_error(mutations):
 
 # Valid documents of the wire protocol, each holding every kind of field its
 # decoder reads, and the decoder: an evaluate reply's traces and usage, a
-# problem, and the two kinds of stdio request. The peer's roles decode a
-# request; a KeyError they raise is a problem list that binds no value to a
-# root of the program, which names the root.
+# problem, and an evaluate request. The peer's roles decode a request; a
+# KeyError they raise is a problem list that binds no value to a root of the
+# program, which names the root.
 PROBLEM = {"inputs": {"x0": 2.5, "x1": -1}, "expected": 1.5, "category": "c"}
 ADD = program_to_dict(binary("add", "input", "input"))
 WIRE_DOCUMENTS = {
@@ -273,8 +273,6 @@ WIRE_DOCUMENTS = {
     "problem": (adapter.problem_from_dict, PROBLEM),
     "evaluate request": (lambda request: adapter.SyntheticRoles(REGISTRY).handle(request),
                          {"kind": "evaluate", "program": ADD, "params": {"problems": [PROBLEM, PROBLEM]}}),
-    "propose request": (lambda request: adapter.SyntheticRoles(REGISTRY).handle(request),
-                        {"kind": "propose", "program": ADD, "params": {"count": 3, "seed": 7}}),
 }
 
 
@@ -294,7 +292,6 @@ def wire_mutations(draw):
 @example(case=("usage", [(("prompt_tokens",), ODD_VALUES.index("\x00big"))]))
 @example(case=("problem", [(("inputs",), ODD_VALUES.index("\x00too-deep"))]))
 @example(case=("evaluate request", [(("params", "problems", 0), ODD_VALUES.index("x" * 10_000))]))
-@example(case=("propose request", [(("params", "count"), ODD_VALUES.index(math.nan))]))
 def test_a_broken_wire_document_is_refused_by_name(case):
     """A wire document with keys dropped, or values changed to another type,
     to null, to numbers no float holds, to NaN, to a long string or to deep

@@ -112,3 +112,14 @@ def test_whole_numbers_may_be_written_as_floats():
     records[1]["count"] = 2.5
     with pytest.raises(ValueError, match="'count' is not a whole number"):
         analyze(records)
+
+
+def test_negative_proposed_count_is_refused(tmp_path):
+    """A `proposed` record's count is a count from 0, as the token counts
+    are: -3 with one pruned record used to report a pruning rate of -33.3%."""
+    path = tmp_path / "log.ndjson"
+    path.write_text('{"event": "proposed", "count": -3}\n{"event": "pruned"}\n')
+    with pytest.raises(ValueError) as raised:
+        report([path])
+    assert str(raised.value) == ('proposed record {"count": -3, "event": "proposed"}: '
+                                 "'count' is not a count from 0 to 2**53")

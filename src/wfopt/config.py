@@ -69,6 +69,8 @@ class ExecutorConfig:
             raise ConfigError(f"executor.mode must be synthetic or external, got {self.mode!r}")
         if self.mode == "external" and not (self.address or self.command):
             raise ConfigError("external executor needs an address or a command")
+        if self.address and self.command:  # an empty command is unset, as above
+            raise ConfigError("executor.address and executor.command are both set; an executor takes exactly one")
         if self.address is not None:
             try:
                 url = urlsplit(self.address)
@@ -148,23 +150,18 @@ _SECTIONS = {
     f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig) if f.name not in ("category", "prices")
 }
 
-# list settings -> the type each entry is checked against (a float list's
-# numbers are converted to floats; null is an entry only of an Optional list)
-_LISTS = {
-    ("executor", "command"): str,
-    ("suite", "unit_dims"): Optional[str],
-    ("proposer", "ops"): str,
-    ("proposer", "const_palette"): float,
-    ("ablation", "enabled_families"): str,
-    ("ablation", "enabled_stages"): str,
-}
+
+def _required(hint):
+    """X for `Optional[X]`, any other hint as it is; the caller has handled null."""
+    if get_origin(hint) is Union:
+        return next(arg for arg in get_args(hint) if arg is not type(None))
+    return hint
 
 
 def _check_type(key: str, value: object, hint) -> None:
     """A bool, int or str setting takes exactly that JSON type; a float one a
     `schema.number`, as `json.loads` reads NaN, Infinity and any integer."""
-    if get_origin(hint) is Union:  # Optional[X]; the caller has handled null
-        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    hint = _required(hint)
     if hint is float:
         schema.number(value, key, "float")
     elif type(value) is not hint:
@@ -179,10 +176,13 @@ def _section(name: str, default, given: object):
         # null stands for a setting only where its dataclass default is None
         if value is None and declared[key].default is None:
             continue
-        if (name, key) not in _LISTS:
-            _check_type(f"{name}.{key}", value, hints[key])
+        hint = _required(hints[key])
+        if get_origin(hint) is not tuple:
+            _check_type(f"{name}.{key}", value, hint)
             continue
-        entry = _LISTS[name, key]
+        # a list setting, tuple[entry, ...]: a float list's numbers become
+        # floats, and null is an entry only of an Optional entry type
+        entry = get_args(hint)[0]
         for item in schema.listed(value, f"{name}.{key}"):
             if item is not None or type(None) not in get_args(entry):
                 _check_type(f"each entry of {name}.{key}", item, entry)

@@ -13,11 +13,12 @@ order. The analysis keeps one `Facts` tuple per node (unit signature,
 shape, value sign and depth), each made by `_transfer`, the one definition
 of the per-node rules, and `derive_state` counts its per-operator verdicts
 into the `WorkflowState` the constraint scores read; `interpret_all` walks
-once for a whole list of input bindings and runs each step over the column
-of every binding's values. `validate_program` builds its own maps in one
-pass over the nodes and one over the edges, with one arity lookup per
-operator node, and walks back from the output for reachability only when
-the other checks leave that in doubt. `canonical_key` returns a flat tuple.
+once for a whole list of input bindings and runs each step over a column
+with one row per binding, for the whole walk: a binding that ends early is
+marked, not cut out of every column. `validate_program` builds its own maps
+in one pass over the nodes and one over the edges, with one arity lookup
+per operator node, and walks back from the output for reachability only
+when the other checks leave that in doubt. `canonical_key` returns a flat tuple.
 Every map over a program is transient. One declared slot field of a
 program, `_VERDICT`, records what is established about it: the registry
 object it was found valid for, and, on a candidate the proposer builds only,
@@ -877,21 +878,26 @@ def interpret_all(
 
     One `_ordered` walk orders the program and resolves each operator's
     operands, and each step runs once over a column holding its value for
-    every binding still live. `add`, `sub`, `mul` and `neg` map over their
-    operand columns; any other operator, and a column with a non-finite
-    result, goes binding by binding through `_apply` with its checks. A
-    binding leaves the columns when it fails (with its failed trace) or when
-    its own walk raises (an unbound root, a bad input value, an operator
-    without semantics). A node that cannot be resolved (unknown operator,
-    missing slot, literal without a value) ends the walk, and every binding
-    still live raises its error; a cycle or an edge to a missing node raises
-    at once. The call raises the error of the first binding that has one, as
-    a loop over the bindings would, and otherwise returns the traces.
+    every binding: row i of every column is binding i, for the whole walk.
+    `add`, `sub`, `mul` and `neg` map over their operand columns; any other
+    operator, and a column with a non-finite result, goes row by row through
+    `_apply` with its checks. A binding ends when it fails (with its failed
+    trace) or when its own walk raises (an unbound root, a bad input value,
+    an operator without semantics). Its outcome is written into `results`
+    once, which marks its row, and no column is cut: a row-by-row pass
+    skips a marked row and leaves it 0.0, a column-mapped step computes it
+    with the rest, and nothing reads it again. A node that cannot be
+    resolved (unknown operator, missing slot, literal without a value) ends
+    the walk, and every binding that has not ended raises its error; a cycle
+    or an edge to a missing node raises at once. The traces of the bindings
+    that reach the output are built in one pass over the rows at the end.
+    The call raises the error of the first binding that has one, as a loop
+    over the bindings would, and otherwise returns the traces.
     """
     registry = registry or default_registry()
     bindings = list(inputs_list)
-    results: list = [None] * len(bindings)   # per binding: its trace, or the error its walk raises
-    live = list(range(len(bindings)))         # the binding of each row of a column
+    # per binding: None, or its failed trace or error once its walk ends early
+    results: list = [None] * len(bindings)
     column_of: dict[str, list[float]] = {}    # node id -> its column
     leaf_columns: list[list[float]] = []      # the columns of `input_constants`
     value_columns: list[list[float]] = []     # the columns of `values`
@@ -904,63 +910,55 @@ def interpret_all(
         except (KeyError, TypeError, ValueError) as exc:
             unresolved = exc
             break
-        left: dict[int, object] = {}   # row -> the failed trace or error of a binding that leaves here
         if op == INPUT_OP:
             try:
-                column = [float(bindings[i][nid]) for i in live]
+                column = [float(binding[nid]) for binding in bindings]
             except Exception:
-                column = [0.0] * len(live)
-                for row, i in enumerate(live):
-                    try:
-                        if nid not in bindings[i]:
-                            raise MissingInputError(f"no input value for root {nid!r}")
-                        column[row] = float(bindings[i][nid])
-                    except Exception as exc:
-                        left[row] = exc
+                column = [0.0] * len(bindings)
+                for row, binding in enumerate(bindings):
+                    if results[row] is None:
+                        try:
+                            if nid not in binding:
+                                raise MissingInputError(f"no input value for root {nid!r}")
+                            column[row] = float(binding[nid])
+                        except Exception as exc:
+                            results[row] = exc
             leaf_columns.append(column)
         elif op == CONST_OP:
             # literals do not count toward V_in: a program must not be able
             # to widen its own magnitude tolerance by embedding big constants
-            column = [literal] * len(live)  # type: ignore[list-item]
+            column = [literal] * len(bindings)  # type: ignore[list-item]
         else:
             fn = _COLUMN_OPS.get((op, len(operands)))
             column = list(map(fn, *operands)) if fn else []
             if fn is None or not all(map(math.isfinite, column)):
-                column = [0.0] * len(live)
-                for row in range(len(live)):
-                    try:
-                        column[row] = v = _apply(op, [c[row] for c in operands])
-                        if not math.isfinite(v):
-                            raise _DomainViolation("non-finite result")
-                    except _DomainViolation as exc:
-                        left[row] = ExecutionTrace(
-                            tuple(c[row] for c in value_columns), tuple(c[row] for c in leaf_columns),
-                            False, None, f"{exc.reason} at node {nid!r}",
-                        )
-                    except Exception as exc:
-                        left[row] = exc
+                column = [0.0] * len(bindings)
+                for row, outcome in enumerate(results):
+                    if outcome is None:
+                        try:
+                            column[row] = v = _apply(op, [c[row] for c in operands])
+                            if not math.isfinite(v):
+                                raise _DomainViolation("non-finite result")
+                        except _DomainViolation as exc:
+                            results[row] = ExecutionTrace(
+                                tuple(c[row] for c in value_columns), tuple(c[row] for c in leaf_columns),
+                                False, None, f"{exc.reason} at node {nid!r}",
+                            )
+                        except Exception as exc:
+                            results[row] = exc
             value_columns.append(column)
         column_of[nid] = column
-        if left:
-            for row, outcome in left.items():
-                results[live[row]] = outcome
-            kept = [row for row in range(len(live)) if row not in left]
-            live = [live[row] for row in kept]
-            for c in column_of.values():   # in place: the lists above hold the same columns
-                c[:] = [c[row] for row in kept]
-    if live:
-        if unresolved is None and program.output not in column_of:
-            unresolved = KeyError(program.output)
-        if unresolved is not None:
-            for i in live:
-                results[i] = unresolved
-        else:
-            outputs = column_of[program.output]
-            # a leaf-only program records its output, so the trace is non-empty
-            values = zip(*value_columns) if value_columns else zip(outputs)
-            inputs = zip(*leaf_columns) if leaf_columns else [()] * len(live)
-            for i, vals, ins, out in zip(live, values, inputs, outputs):
-                results[i] = ExecutionTrace(vals, ins, True, out)
+    if unresolved is None and program.output not in column_of:
+        unresolved = KeyError(program.output)
+    if unresolved is not None:
+        results = [unresolved if outcome is None else outcome for outcome in results]
+    else:
+        outputs = column_of[program.output]
+        # a leaf-only program records its output, so the trace is non-empty
+        values = zip(*value_columns) if value_columns else zip(outputs)
+        inputs = zip(*leaf_columns) if leaf_columns else [()] * len(bindings)
+        results = [ExecutionTrace(vals, ins, True, out) if outcome is None else outcome
+                   for outcome, vals, ins, out in zip(results, values, inputs, outputs)]
     for outcome in results:
         if isinstance(outcome, Exception):
             raise outcome
@@ -982,9 +980,9 @@ def _shape_to_json(shape: Shape):
 def _shape_from_json(obj) -> Shape:
     if obj == "scalar":
         return Shape.scalar()
-    if isinstance(obj, dict) and "vector" in obj:
+    if isinstance(obj, dict) and obj.keys() == {"vector"}:
         return Shape.vector(schema.whole(obj["vector"], "a shape dimension", 1))
-    if isinstance(obj, dict) and "matrix" in obj:
+    if isinstance(obj, dict) and obj.keys() == {"matrix"}:
         dims = obj["matrix"]
         if not isinstance(dims, list) or len(dims) != 2:
             raise ValueError(f"a matrix shape must list two dimensions, got {dims!r}")

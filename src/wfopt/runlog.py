@@ -22,7 +22,7 @@ import io
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
+from typing import Callable, Iterator, Mapping, Optional, TextIO
 
 # what json.dumps(record, sort_keys=True) builds anew for every call
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -48,18 +48,11 @@ class RunLog:
     _sink: Optional[TextIO] = None  # None for a log read from a file (`load`)
     _fold: Optional[Callable[[dict], None]] = None
 
-    def __init__(
-        self,
-        records: Iterable[Mapping] = (),
-        path: str | Path | None = None,
-        fold: Optional[Callable[[dict], None]] = None,
-    ):
+    def __init__(self, path: str | Path | None = None, fold: Optional[Callable[[dict], None]] = None):
         if path is not None:
             self.path = Path(path)
         self._sink = io.StringIO() if path is None else open(path, "w")
         self._fold = fold
-        for record in records:
-            self.append(**record)
 
     def append(self, event: str, **fields) -> None:
         record = {"event": event, **fields}

@@ -158,6 +158,9 @@ class TestConfigParsing:
             ("aggregation", {"epsilon": 0}, "aggregation.epsilon must be > 0"),
             ("magnitude", {"delta": 2}, "magnitude.delta must be in [0, 1]"),
             ("adaptation", {"alpha": 2}, "adaptation.alpha must be in [0, 1]"),
+            # two transports: the stdio command would silently win
+            ("executor", {"mode": "external", "address": "http://127.0.0.1:8080/", "command": ["peer"]},
+             "executor.address and executor.command"),
         ],
     )
     def test_malformed_setting_rejected(self, section, value, key):
@@ -581,9 +584,14 @@ class TestCli:
         (json.dumps({"nodes": [], "edges": [], "roots": []}), "missing program keys: ['output']"),
         (json.dumps({"nodes": [], "roots": [], "output": "x0"}), "missing program keys: ['edges']"),
         (neg_workflow(edges=[None]), "an edge must be a [source, destination, slot] list, got None"),
+        # a shape tag is exactly {"vector": n} or {"matrix": [m, n]}
+        (json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": {"vector": 3, "matrix": [2, 2]}}], "edges": [],
+                     "roots": ["x0"], "output": "x0"}), "bad shape tag: {'vector': 3, 'matrix': [2, 2]}"),
+        (json.dumps({"nodes": [{"id": "x0", "op": "input", "shape": {"matrix": [2, 3], "junk": 1}}], "edges": [],
+                     "roots": ["x0"], "output": "x0"}), "bad shape tag: {'matrix': [2, 3], 'junk': 1}"),
     ], ids=["null-nodes", "list-unit", "two-entry-edge", "three-dimension-matrix", "number-node", "string-node",
             "pair-node", "key-pair-node", "node-without-id", "node-without-op", "no-output", "no-edges",
-            "null-edge"])
+            "null-edge", "vector-and-matrix-shape", "matrix-shape-with-junk"])
     def test_export_names_the_malformed_field(self, tmp_path, capsys, text, message):
         source = tmp_path / "bad.json"
         source.write_text(text)

@@ -1426,7 +1426,7 @@ def _programs_and_bindings(draw):
     program = WorkflowProgram(tuple(nodes), tuple(edges), roots, output)
     value = st.sampled_from(_EXTREMES) | st.integers(-4, 4).map(float)
     bindings = []
-    for _ in range(0 if rarely() else draw(st.integers(1, 6))):
+    for _ in range(0 if rarely() else draw(st.integers(1, 48))):
         binding = {}
         for rid in roots:
             if not rarely():

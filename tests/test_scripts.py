@@ -1,5 +1,6 @@
-"""Smoke tests for the experiment scripts in `scripts/`: each must import and parse its options,
-and `bench.py` must write its report."""
+"""Smoke tests for the scripts in `scripts/`: each must import and parse its options, `bench.py`
+must write its report, `run_synthetic.py` must run and report both engines, and `loc.py` must
+count code lines as it says."""
 
 import json
 import os
@@ -20,7 +21,7 @@ def run_script(script, *args, timeout=60):
     )
 
 
-@pytest.mark.parametrize("script", ["bench.py", "run_synthetic.py"])
+@pytest.mark.parametrize("script", ["bench.py", "run_synthetic.py", "loc.py"])
 def test_script_help(script):
     proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
@@ -62,3 +63,53 @@ def test_bench_writes_every_row_into_a_new_directory(tmp_path):
     assert all(row["processes"] >= 9 for name in ("engine import", "cli start") for row in results[name].values())
     tree = results["tree bytes"]["node"]
     assert tree["bytes_per_node"] > 0 and 0 < tree["states"] <= tree["nodes"]
+
+
+def test_run_synthetic_runs_both_engines_and_reports_them(tmp_path):
+    proc = run_script("run_synthetic.py", "--rounds", "1", "--out", str(tmp_path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].lstrip().startswith("shaped: best validation ")
+    assert lines[1].lstrip().startswith("vanilla_uct: best validation ")
+    header, *rows, ratio = lines[3:]
+    assert header.split() == ["run", "rounds", "mean", "std", "prune%", "tok/prob", "cost", "best"]
+    assert [row.split()[:2] for row in rows] == [["runlog.ndjson", "1"]] * 2
+    assert ratio.startswith("variance ratio (first/second): ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shaped", "vanilla_uct"]
+
+
+LOC_FIXTURE = [
+    '"""Module docstring,',
+    'on two lines."""',
+    "",
+    "import os  # a trailing comment keeps its line",
+    "",
+    "",
+    "# a comment-only line",
+    "class A:",
+    '    """Class docstring."""',
+    "",
+    '    x = """a string value,',
+    'not a docstring"""',
+    "",
+    "    def f(self):",
+    "        '''Function",
+    "        docstring.'''",
+    "        return 1",
+    "",
+    "",
+    "async def g():",
+    '    "one-line docstring"',
+    "    pass",
+]
+
+
+def test_loc_counts_code_lines_outside_docstrings_and_comments(tmp_path):
+    (tmp_path / "m.py").write_text("\n".join(LOC_FIXTURE) + "\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "deeper.py").write_text("x = 1\n")   # not counted: a directory counts its own files
+    (tmp_path / "notes.txt").write_text("not python\n")
+    for path in (tmp_path / "m.py", tmp_path):
+        proc = run_script("loc.py", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "lines 22\ncode lines 8\n"
